@@ -85,8 +85,8 @@ from ..protocols.sharding import (
 )
 from ..runtime.checkpoint import CheckpointJournal
 from ..runtime.faults import FaultPlan
+from ..runtime.policy import OomLadder
 from ..runtime.resources import (
-    degradation_rungs,
     estimate_cell_bytes,
     format_size,
     plan_admission,
@@ -636,7 +636,7 @@ class ExecutionOptions:
 
     #: Retry policy for failed/hung cells (``None``: engine default).
     retry: Optional[RetryPolicy] = None
-    #: Per-cell wall-clock timeout in seconds (``None``: no timeout).
+    #: Per-cell stall timeout in seconds (``None``: no stall detection).
     timeout: Optional[float] = None
     #: Journal completed cells under this directory and resume from it
     #: (``None``: no checkpointing; ``""``: the default checkpoint dir).
@@ -694,8 +694,10 @@ class SweepEngine:
         cells (default: 3 worker attempts with capped exponential
         backoff, then one serial in-process fallback attempt).
     timeout:
-        Per-cell wall-clock seconds before a worker is presumed hung and
-        its cell retried.  ``None`` (default) disables the timeout.
+        Per-cell *stall* seconds: a worker whose heartbeat progress
+        counter stops advancing for this long is presumed hung and its
+        cell retried; a slow but progressing cell is never killed.
+        ``None`` (default) disables stall detection.
     checkpoint_dir:
         When set, every completed cell is journaled durably under this
         directory, keyed by ``(trace key, cell)``, and a later run over
@@ -726,8 +728,9 @@ class SweepEngine:
         footprints fit, and every worker soft-caps its address space at
         its fair share via ``RLIMIT_AS``.  An over-budget worker raises a
         clean ``MemoryError`` that — like a kernel SIGKILL — moves the
-        sweep down the degradation ladder (halve workers, raise shards,
-        then serial in-process) instead of crash-looping; every rung
+        sweep down the OOM ladder of :mod:`repro.runtime.policy` (halve
+        workers, raise shards, then serial in-process) instead of
+        crash-looping; every rung
         reuses the completed cells, so the final results are
         bit-identical to an unconstrained run.
     telemetry_dir:
@@ -910,8 +913,8 @@ class SweepEngine:
         Execution is additionally *resource-governed*: an OOM-class
         failure (a worker ``MemoryError`` under its ``RLIMIT_AS`` cap, or
         a SIGKILL/137 death) does not blind-retry the same configuration —
-        it moves the sweep down the degradation ladder
-        (:func:`repro.runtime.resources.degradation_rungs`): halve worker
+        it moves the sweep down the OOM ladder
+        (:class:`repro.runtime.policy.OomLadder`): halve worker
         concurrency, then raise the shard count (smaller per-worker
         footprint over the bit-identical merge path), then run serial
         in-process.  Every rung resumes from the cells and shard partials
@@ -972,33 +975,17 @@ class SweepEngine:
                 logger.info("resuming %d journaled cell(s) from %s",
                             len(resumed), self.trace_key)
         try:
-            rungs = degradation_rungs(self.jobs, self.shards)
-            for step, rung in enumerate(rungs):
-                final = step == len(rungs) - 1
+            ladder = OomLadder(self.jobs, self.shards)
+            while True:
                 # A shutdown requested between rungs (or salvaged out of
                 # the previous rung's drain) must not start a new rung.
                 signals.check_interrupt()
                 try:
-                    results = self._run_grid_once(
-                        cells, completed, journal,
-                        jobs=1 if rung.serial else rung.jobs,
-                        shards_setting=rung.shards,
-                        oom_action="retry" if final else "raise")
+                    results = self._run_grid_once(cells, completed, journal,
+                                                  ladder)
                 except ResourceExhaustedError as exc:
-                    if final or exc.kind != "memory":
-                        raise
-                    if exc.partial:
-                        completed.update(exc.partial)
-                    rec.event("ladder.step", level="warning",
-                              rung=rung.label,
-                              next_rung=rungs[step + 1].label,
-                              salvaged=len(exc.partial or {}))
-                    detail = str(exc).splitlines()[0]
-                    warn_resource(
-                        f"OOM-class failure at rung {rung.label!r} "
-                        f"({detail}); degrading to "
-                        f"{rungs[step + 1].label!r} with "
-                        f"{len(exc.partial or {})} task(s) salvaged")
+                    ladder.step(exc)  # re-raises once the ladder is spent
+                    completed.update(exc.partial)
                     continue
                 if journal is not None:
                     # The grid is complete: fold duplicate records and
@@ -1006,7 +993,7 @@ class SweepEngine:
                     # a minimal journal.
                     journal.compact()
                 rec.event("sweep.finish", trace_key=self.trace_key,
-                          cells=len(cells), rung=rung.label)
+                          cells=len(cells), rung=ladder.label)
                 run = current_run()
                 if run is not None:
                     for cell, result in zip(cells, results):
@@ -1015,29 +1002,27 @@ class SweepEngine:
                             source="journal" if cell in resumed
                             else "computed")
                 return results
-            raise AssertionError("unreachable: ladder ends serial")
         finally:
             if journal is not None:
                 journal.close()
 
     def _run_grid_once(self, cells: List[Tuple], completed: Dict[Tuple, object],
-                       journal: Optional[CheckpointJournal], *,
-                       jobs: int, shards_setting: Optional[int],
-                       oom_action: str) -> List:
+                       journal: Optional[CheckpointJournal],
+                       ladder: OomLadder) -> List:
         """One ladder rung: plan, admit, fan out, merge.
 
-        ``completed`` carries journaled results *and* the partials
-        salvaged from earlier rungs (keyed by task — plain cells and
-        plan-digest-qualified shard subtasks), so each rung re-runs only
-        what no earlier attempt finished.  Raises
-        :class:`~repro.errors.ResourceExhaustedError` on an OOM-class
-        failure when ``oom_action="raise"`` — the ladder's signal to
-        re-plan.
+        Runs at the ladder's current ``jobs``/``shards``.  ``completed``
+        carries journaled results *and* the partials salvaged from earlier
+        rungs (keyed by task — plain cells and plan-digest-qualified shard
+        subtasks), so each rung re-runs only what no earlier attempt
+        finished.  Raises :class:`~repro.errors.ResourceExhaustedError` on
+        an OOM-class failure while the ladder has a step left — its
+        signal to re-plan.
         """
         pre = self.precompute
         pending = [c for c in cells if c not in completed]
         jobs, shards_setting, worker_cap = self._admit(
-            jobs, shards_setting, pending)
+            ladder.jobs, ladder.shards, pending)
         shards = self._shards_per_cell(len(set(pending)), jobs,
                                        shards_setting)
         tasks: List[Tuple] = []
@@ -1136,10 +1121,10 @@ class SweepEngine:
                                 timeout=self.timeout,
                                 fault_plan=self.fault_plan,
                                 worker_rlimit_bytes=worker_cap,
-                                oom_action=oom_action,
                                 transports=transports)
         by_task = dict(zip(tasks, supervisor.run(
-            tasks, completed=completed or None, on_result=on_result)))
+            tasks, completed=completed or None, on_result=on_result,
+            ladder=ladder)))
         results = []
         for cell in cells:
             if cell in completed:

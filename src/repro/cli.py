@@ -350,8 +350,9 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                    help="cache generated workload traces as .npz under DIR "
                         f"(no DIR: {default_cache_dir()})")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-cell wall-clock timeout; a hung cell's worker "
-                        "is killed and the cell retried (default: none)")
+                   help="per-cell stall timeout: a worker whose progress "
+                        "stops for this long is killed and its cell "
+                        "retried (default: none)")
     p.add_argument("--retries", type=int, default=None, metavar="N",
                    help="retries per failed/hung grid cell before the "
                         "serial in-process fallback (default: 2)")

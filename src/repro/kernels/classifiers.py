@@ -41,6 +41,7 @@ slow-but-alive vectorized cell advance exactly like an interpreted one.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional
 
 import numpy as np
@@ -240,7 +241,10 @@ class _BlockView:
     """
 
     def __init__(self, ctx: KernelContext, offset_bits: int):
-        self.ctx = ctx
+        # Weak: the context owns its views, so a strong back-reference
+        # would be a cycle keeping every derived array alive until the
+        # next cyclic collection instead of until the context is dropped.
+        self._ctx = weakref.ref(ctx)
         self.offset_bits = offset_bits
         if ctx.wuniq is None:
             self.bid = ctx.wid >> offset_bits
@@ -256,6 +260,10 @@ class _BlockView:
         self._prev_sorted = None
         self._miss = None
         self._life = None
+
+    @property
+    def ctx(self) -> KernelContext:
+        return self._ctx()
 
     def _block_sorted(self):
         """Rows in (block, time) order: ``(order, sorted_bid, store)``."""

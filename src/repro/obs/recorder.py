@@ -175,8 +175,7 @@ def use_recorder(recorder):
 def trace_context() -> Optional[dict]:
     """The current trace position, as a dict a dispatch message can carry.
 
-    ``None`` when telemetry is off or no trace is active, so legacy
-    messages keep their exact shape in the common no-telemetry case.
+    ``None`` when telemetry is off or no trace is active.
     """
     rec = get_recorder()
     if not rec.active or rec.trace_id is None:

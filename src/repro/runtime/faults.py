@@ -18,9 +18,6 @@ worker's ``RLIMIT_AS`` soft cap when one is installed (raising the same
 ``MemoryError`` a real over-budget cell would), so the resource
 governor's OOM path is exercised end-to-end without a real
 machine-threatening OOM.
-
-:func:`corrupt_file` deterministically damages an on-disk cache entry
-(truncation or byte garbling) for the trace-cache integrity tests.
 """
 
 from __future__ import annotations
@@ -152,43 +149,3 @@ def exhaust_address_space(*, chunk_bytes: int = 16 << 20) -> None:
         del hoard
         raise MemoryError(
             "injected exhaust_memory fault (RLIMIT_AS cap reached)") from None
-
-
-def tear_jsonl_tail(path: str, *, cut: int = 17) -> bool:
-    """Simulate a kill mid-journal-write: leave a torn final JSONL line.
-
-    Rewinds the file past its final newline by ``cut`` bytes, producing
-    an unterminated fragment exactly like an interrupted ``write()``.
-    The journal's torn-tail recovery must truncate it away on the next
-    open.  Returns False (no-op) when the file is too small to tear.
-    """
-    try:
-        size = os.path.getsize(path)
-    except OSError:
-        return False
-    if size <= cut + 1:
-        return False
-    with open(path, "r+b") as f:
-        f.truncate(size - cut)
-    return True
-
-
-def corrupt_file(path: str, *, mode: str = "truncate",
-                 offset: int = 64, length: int = 64) -> None:
-    """Deterministically corrupt an on-disk cache entry.
-
-    ``mode="truncate"`` cuts the file to half its size (a partial write /
-    killed process); ``mode="garble"`` overwrites ``length`` bytes at
-    ``offset`` with a fixed pattern (silent media corruption) without
-    changing the size.
-    """
-    size = os.path.getsize(path)
-    if mode == "truncate":
-        with open(path, "r+b") as f:
-            f.truncate(max(1, size // 2))
-    elif mode == "garble":
-        with open(path, "r+b") as f:
-            f.seek(min(offset, max(0, size - 1)))
-            f.write(b"\xde\xad\xbe\xef" * (length // 4 + 1))
-    else:
-        raise ValueError(f"unknown corruption mode {mode!r}")

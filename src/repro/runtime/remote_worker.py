@@ -50,12 +50,11 @@ from .checkpoint import (
     CheckpointError,
     encode_result,
 )
+from .policy import classify_exception, task_attr
 from .resources import peak_rss_bytes
 from .transport import (
     EndpointLostError,
     PROTOCOL_VERSION,
-    _failure_payload,
-    _task_attr,
     decode_task,
     recv_frame,
     send_frame,
@@ -304,7 +303,7 @@ def _hb_loop(conn, send_lock, current, interval: float) -> None:
             with send_lock:
                 send_frame(conn, {"t": "hb", "idx": idx,
                                   "progress": signals.progress_count(),
-                                  "cell": _task_attr(task)})
+                                  "cell": task_attr(task)})
         except EndpointLostError:
             return  # socket gone: the child is exiting
 
@@ -385,11 +384,11 @@ def serve_connection(conn: socket.socket, engine, hello: dict) -> None:
             except BaseException as exc:
                 if isinstance(exc, (SystemExit, KeyboardInterrupt)):
                     raise
-                ok, payload = False, _failure_payload(exc)
+                ok, payload = False, classify_exception(exc)
             current[0] = None
             recorder.metric("worker.ru_maxrss_kb",
                             peak_rss_bytes() // 1024, unit="kb",
-                            cell=_task_attr(wire_task))
+                            cell=task_attr(wire_task))
             records = recorder.drain()
             try:
                 with send_lock:

@@ -1,4 +1,4 @@
-"""Resource governor: memory/disk budgets, OOM classification, degradation.
+"""Resource governor: memory/disk budgets and per-worker memory caps.
 
 A paper-scale sweep (LU200, MP3D10000, WATER288) can exceed physical
 memory: a whole-trace columnar cell or a wide ``--shards`` fan-out gets
@@ -14,14 +14,9 @@ degrade instead of crash-looping:
   than the ``--memory-budget`` allows;
 * per-worker **soft caps** (:func:`apply_worker_rlimit`, built on
   ``resource.setrlimit(RLIMIT_AS)``) turn an over-budget worker into a
-  clean :class:`MemoryError` that the worker harness converts into a
-  structured :class:`~repro.errors.ResourceExhaustedError` instead of a
-  mid-write SIGKILL;
-* **failure classification** (:func:`classify_exitcode`) separates
-  OOM-class deaths (SIGKILL / exit 137) from ordinary crashes so the
-  engine's **degradation ladder** (:func:`degradation_rungs`) can halve
-  worker concurrency, then shrink per-worker footprint by raising the
-  shard count, then fall back to serial in-process execution;
+  clean, ``oom``-classified :class:`MemoryError` instead of a mid-write
+  SIGKILL, which :mod:`repro.runtime.policy` answers by moving the run
+  down its OOM ladder (halve workers, raise the shard count, serial);
 * a **disk budget** (:func:`ensure_free_space`, :func:`dir_size_bytes`)
   guards the trace cache and checkpoint directories.
 
@@ -36,11 +31,10 @@ from __future__ import annotations
 import logging
 import os
 import shutil
-import signal
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..errors import ConfigError, ResourceExhaustedError
 
@@ -231,8 +225,8 @@ def estimate_cell_bytes(trace, which: Optional[str] = None, shards: int = 1,
     count.  ``which`` names the protocol/classifier (currently every cell
     kind shares one conservative model — the per-(block, proc) state term
     dominates identically); ``shards > 1`` divides the per-row terms,
-    which is exactly why the degradation ladder raises the shard count to
-    shrink per-worker footprint.
+    which is exactly why the OOM ladder raises the shard count to shrink
+    per-worker footprint.
     """
     model = model or DEFAULT_FOOTPRINT_MODEL
     num_events = trace if isinstance(trace, int) else len(trace)
@@ -318,106 +312,6 @@ def resolve_memory_budget(explicit: Optional[int] = None) -> Optional[int]:
     if env:
         return parse_size(env)
     return None
-
-
-# ----------------------------------------------------------------------
-# failure classification
-# ----------------------------------------------------------------------
-#: Signals whose delivery usually means the kernel (or an operator)
-#: reclaimed memory: the OOM killer sends SIGKILL, full cgroups likewise.
-_OOM_SIGNALS = frozenset({signal.SIGKILL} if hasattr(signal, "SIGKILL")
-                         else set())
-
-
-def _signal_name(signum: int) -> str:
-    try:
-        return signal.Signals(signum).name
-    except ValueError:
-        return f"signal {signum}"
-
-
-def classify_exitcode(exitcode: Optional[int]) -> Tuple[str, str]:
-    """Classify a dead worker's exit status: ``(kind, description)``.
-
-    ``kind`` is one of:
-
-    * ``"oom"`` — killed by SIGKILL (negative exitcode from
-      ``multiprocessing``, or the shell-style ``128 + signum`` form,
-      e.g. 137): on a healthy run the only SIGKILL sender is the kernel
-      OOM killer, so the degradation ladder treats it as an
-      out-of-memory death;
-    * ``"crash"`` — any other signal (SIGSEGV, SIGABRT, ...) or a
-      nonzero exit: a genuine bug, retried under the normal policy;
-    * ``"exit"`` — exit status 0 with work outstanding (a worker that
-      vanished cleanly mid-task, e.g. a stray ``sys.exit``).
-
-    The description always spells out the signal by name
-    (``signal.Signals(-exitcode).name``) so ``CellFailedError`` attempt
-    histories say ``SIGKILL``, not ``exitcode -9``.
-    """
-    if exitcode is None:
-        return "crash", "worker died (exit status unknown)"
-    if exitcode < 0:
-        name = _signal_name(-exitcode)
-        if -exitcode in {int(s) for s in _OOM_SIGNALS}:
-            return "oom", (f"worker killed by {name} (exitcode {exitcode}): "
-                           f"likely the kernel OOM killer")
-        return "crash", f"worker killed by {name} (exitcode {exitcode})"
-    if exitcode > 128:
-        name = _signal_name(exitcode - 128)
-        if exitcode - 128 in {int(s) for s in _OOM_SIGNALS}:
-            return "oom", (f"worker killed by {name} (exitcode {exitcode}): "
-                           f"likely the kernel OOM killer")
-        return "crash", f"worker killed by {name} (exitcode {exitcode})"
-    if exitcode == 0:
-        return "exit", "worker exited cleanly with work outstanding"
-    return "crash", f"worker died (exitcode {exitcode})"
-
-
-# ----------------------------------------------------------------------
-# degradation ladder
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Rung:
-    """One step of the graceful-degradation ladder."""
-
-    jobs: int
-    #: Shard override for this rung (``None``: keep the engine's setting).
-    shards: Optional[int]
-    #: Serial in-process execution (no pool, no rlimit) — the last rung.
-    serial: bool
-    label: str
-
-
-def degradation_rungs(jobs: int, shards: Optional[int]) -> List[Rung]:
-    """The ladder of configurations tried after OOM-class failures.
-
-    Rather than blind same-config retry, each OOM-class failure moves the
-    sweep one rung down; every rung reuses completed (journaled) results,
-    so only the incomplete cells pay the re-plan:
-
-    1. the configured ``(jobs, shards)``;
-    2. **halved worker concurrency** — fewer concurrent footprints;
-    3. **doubled shard count** at the halved concurrency — smaller
-       per-shard footprint, merged over the bit-identical shard path;
-    4. **serial in-process** — one cell at a time in the parent, no pool
-       and no rlimit: the configuration every machine can run.
-
-    Rungs that would repeat the previous configuration are skipped (a
-    ``jobs=1`` engine goes straight to serial).
-    """
-    rungs: List[Rung] = [Rung(jobs, shards, serial=False, label="configured")]
-    half = max(1, jobs // 2)
-    if half < jobs and half > 1:
-        rungs.append(Rung(half, shards, serial=False,
-                          label=f"halved workers ({jobs} -> {half})"))
-    if half > 1:
-        base = shards if shards and shards > 1 else 1
-        doubled = max(2, base * 2)
-        rungs.append(Rung(half, doubled, serial=False,
-                          label=f"raised shard count to {doubled}"))
-    rungs.append(Rung(1, 1, serial=True, label="serial in-process"))
-    return rungs
 
 
 # ----------------------------------------------------------------------

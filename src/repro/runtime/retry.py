@@ -1,19 +1,15 @@
 """Retry policies for the resilient sweep executor.
 
 A :class:`RetryPolicy` describes how many times a grid cell may be
-attempted in worker processes and how long to back off between attempts
-(capped exponential).  Backoff is deterministic by default — no jitter,
-so fault-injection tests replay identically — with opt-in *decorrelated
-jitter* behind a seeded RNG for the places where synchronized retries
-would stampede a shared resource (a fleet of sweep clients all
-re-finding a restarted remote worker runner at once).
+attempted and how long to back off between attempts (capped
+exponential).  Backoff is deterministic, so fault-injection tests replay
+identically.  What happens once the attempts run out is
+:mod:`repro.runtime.policy`'s decision.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 
@@ -34,30 +30,12 @@ class RetryPolicy:
         Multiplier applied for each further attempt.
     max_delay:
         Ceiling on any single backoff delay, in seconds.
-    jitter:
-        Opt in to *decorrelated jitter* (Brooker): each delay is drawn
-        uniformly from ``[base_delay, 3 * previous_delay]`` and capped at
-        :attr:`max_delay`, which de-synchronizes independent retriers
-        while keeping the same cap and floor.  Off by default so the
-        deterministic fault-injection suites stay byte-stable.
-    jitter_seed:
-        Seed for the jitter RNG.  Two policies built with the same seed
-        replay the same delay sequence — host-reconnect policies seed
-        this per host so backoff is reproducible *and* decorrelated
-        across hosts.
     """
 
     max_attempts: int = 3
     base_delay: float = 0.05
     backoff: float = 2.0
     max_delay: float = 2.0
-    jitter: bool = False
-    jitter_seed: Optional[int] = None
-
-    #: RNG / previous-delay state for decorrelated jitter (excluded from
-    #: equality and repr; rebuilt per instance in ``__post_init__``).
-    _jitter_state: Optional[list] = field(default=None, init=False,
-                                          repr=False, compare=False)
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -67,28 +45,16 @@ class RetryPolicy:
             raise ConfigError("backoff delays must be non-negative")
         if self.backoff < 1.0:
             raise ConfigError(f"backoff factor must be >= 1, got {self.backoff}")
-        if self.jitter:
-            object.__setattr__(
-                self, "_jitter_state",
-                [random.Random(self.jitter_seed), self.base_delay])
 
     def delay(self, attempt: int) -> float:
         """Backoff before retrying after ``attempt`` failures (1-based).
 
         ``delay(1)`` is the pause after the first failure; successive
         failures grow the delay by :attr:`backoff`, capped at
-        :attr:`max_delay`.  With :attr:`jitter` enabled the schedule is
-        instead the seeded decorrelated-jitter walk (same floor and cap).
+        :attr:`max_delay`.
         """
         if attempt < 1:
             return 0.0
-        if self._jitter_state is not None:
-            rng, prev = self._jitter_state
-            drawn = min(self.max_delay,
-                        rng.uniform(self.base_delay,
-                                    max(self.base_delay, prev * 3.0)))
-            self._jitter_state[1] = drawn
-            return drawn
         return min(self.max_delay,
                    self.base_delay * self.backoff ** (attempt - 1))
 

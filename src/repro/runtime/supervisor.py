@@ -15,19 +15,17 @@ with per-cell task tracking:
   :func:`multiprocessing.connection.wait` — a dead worker or a reset
   connection is noticed immediately, not at ``join`` time;
 * a per-cell stall timeout kills hung workers and reschedules their cell;
-* failed/hung cells retry under a capped-exponential
-  :class:`~repro.runtime.retry.RetryPolicy`; cells that keep failing in
-  workers degrade to one serial in-process attempt (a fresh interpreter
-  state is not required — cells are pure functions of the shared
-  precompute);
+* what follows a failure — retry after backoff, one serial in-process
+  fallback attempt, handing an OOM to the run's degradation ladder, or
+  aborting — is decided by :mod:`repro.runtime.policy`; the supervisor
+  only carries it out;
 * a lost *host* (connection reset, torn frame, heartbeat silence) is a
   ``host_lost`` failure: the cell is reassigned to surviving endpoints —
   safe because dispatch is idempotent and keyed by the same checkpoint
-  keys ``--resume`` uses — while the transport's per-host ladder
-  reconnects under capped backoff and eventually quarantines a flapping
-  host.  When every transport is exhausted (all remote hosts dropped, no
-  local workers), the remaining cells fall back to serial in-process
-  execution instead of dying with the fleet;
+  keys ``--resume`` uses — while the transport reconnects the host or
+  drops it per the same policy.  When every transport is exhausted (all
+  remote hosts dropped, no local workers), the remaining cells fall back
+  to serial in-process execution instead of dying with the fleet;
 * only when the serial fallback also fails does the supervisor raise
   :class:`~repro.errors.CellFailedError`, carrying the cell, its attempt
   history and the partial results of every completed cell.
@@ -35,15 +33,12 @@ with per-cell task tracking:
 The supervisor is also the enforcement point of the resource governor
 (:mod:`repro.runtime.resources`): workers soft-cap their own address
 space via ``RLIMIT_AS`` (``worker_rlimit_bytes``) so an over-budget cell
-raises a clean ``MemoryError`` instead of being SIGKILLed mid-write, and
-every failure is *classified* — a worker-reported ``MemoryError`` and a
-SIGKILL/137 death are OOM-class, a nonzero exit or other signal is
-crash-class, a timeout is hang-class, a dead connection is host-class.
-With ``oom_action="raise"`` an OOM-class failure aborts immediately with
-a structured :class:`~repro.errors.ResourceExhaustedError` (attempt
-history plus all partial results) so the sweep engine's degradation
-ladder can re-plan the run instead of blindly retrying the same
-oversized configuration.
+raises a clean ``MemoryError`` instead of being SIGKILLed mid-write.
+Given the run's :class:`~repro.runtime.policy.OomLadder`, an OOM-class
+failure in a worker aborts the pool with a structured
+:class:`~repro.errors.ResourceExhaustedError` (attempt history plus all
+partial results) so the sweep engine can re-plan the run instead of
+blindly retrying the same oversized configuration.
 
 Local fork workers inherit their runner (and any fault plan) through
 module globals at fork time, so nothing is pickled — the same zero-copy
@@ -56,14 +51,14 @@ import logging
 import multiprocessing
 import multiprocessing.connection
 import time
-import traceback
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import CellFailedError, ResourceExhaustedError, SweepInterrupted
 from ..obs import get_recorder
-from . import signals
+from . import policy, signals
 from .faults import FaultPlan
+from .policy import OomLadder, task_attr
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from .transport import (
     EndpointLostError,
@@ -71,7 +66,6 @@ from .transport import (
     Transport,
     WorkerConfig,
     WorkerEndpoint,
-    _task_attr,
 )
 
 logger = logging.getLogger(__name__)
@@ -85,7 +79,7 @@ class _Attempt:
     def __init__(self, idx: int, task):
         self.idx = idx
         self.task = task
-        self.attempts = 0          # worker attempts consumed so far
+        self.attempts = 0          # attempts consumed so far
         self.not_before = 0.0      # monotonic time gating the next attempt
         self.history: List[dict] = []
 
@@ -104,7 +98,8 @@ class Supervisor:
         spawns no local workers — everything runs serially in-process
         unless remote transports provide endpoints.
     retry:
-        The :class:`RetryPolicy` governing worker attempts and backoff.
+        The :class:`RetryPolicy` bounding attempts per cell and pacing the
+        backoff between them.
     timeout:
         **Stall** seconds before a worker is presumed hung.  This is not
         a wall-clock cap on the cell: workers heartbeat their progress
@@ -125,13 +120,6 @@ class Supervisor:
         fork-inherited baseline), installed in each local worker via
         ``resource.setrlimit(RLIMIT_AS)``.  ``None`` leaves workers
         uncapped.
-    oom_action:
-        What an OOM-class failure (worker ``MemoryError`` reply, or a
-        SIGKILL/137 death) does: ``"retry"`` (default) treats it like
-        any other failure; ``"raise"`` aborts the pool immediately with
-        :class:`~repro.errors.ResourceExhaustedError` carrying the task,
-        attempt history and all partial results — the hook the sweep
-        engine's degradation ladder hangs off.
     transports:
         Extra :class:`~repro.runtime.transport.Transport` instances
         (remote hosts) joining the local fork pool.  The local transport
@@ -151,18 +139,13 @@ class Supervisor:
                  timeout: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  worker_rlimit_bytes: Optional[int] = None,
-                 oom_action: str = "retry",
                  transports: Optional[Sequence[Transport]] = None):
-        if oom_action not in ("retry", "raise"):
-            raise ValueError(f"oom_action must be 'retry' or 'raise', "
-                             f"got {oom_action!r}")
         self.runner = runner
         self.jobs = max(1, jobs)
         self.retry = retry or DEFAULT_RETRY_POLICY
         self.timeout = timeout
         self.fault_plan = fault_plan
         self.worker_rlimit_bytes = worker_rlimit_bytes
-        self.oom_action = oom_action
         self.transports = list(transports or ())
         #: Worker heartbeat period: at least 4 samples per stall window
         #: so one lost/late beat cannot look like a stall, capped at 1 s
@@ -173,14 +156,19 @@ class Supervisor:
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[Any], *,
             completed: Optional[Dict[Any, Any]] = None,
-            on_result: Optional[Callable[[Any, Any], None]] = None) -> List:
+            on_result: Optional[Callable[[Any, Any], None]] = None,
+            ladder: Optional[OomLadder] = None) -> List:
         """Run every task, returning results in task order.
 
         ``completed`` maps already-finished tasks to their results (the
         checkpoint resume path); those tasks are not re-run and
         ``on_result`` is not re-fired for them.  ``on_result(task, result)``
         is invoked once per freshly computed task, in completion order —
-        the journaling hook.
+        the journaling hook.  ``ladder`` is the caller's
+        :class:`~repro.runtime.policy.OomLadder`: while it has a step
+        left, an OOM-class failure in a worker raises
+        :class:`~repro.errors.ResourceExhaustedError` for the caller to
+        re-plan; without one, OOM is retried like any other failure.
         """
         results: Dict[int, Any] = {}
         todo: List[_Attempt] = []
@@ -195,9 +183,10 @@ class Supervisor:
             use_pool = (len(todo) > 1 and
                         (has_remote or (self.jobs > 1 and can_fork)))
             if use_pool:
-                self._run_pool(todo, results, on_result, tasks)
+                self._run_pool(todo, results, on_result, ladder)
             else:
-                self._run_serial_only(todo, results, on_result)
+                self._run_in_process(todo, todo, results, on_result,
+                                     where="serial")
         return [results[idx] for idx in range(len(tasks))]
 
     def _pool_transports(self) -> List[Transport]:
@@ -212,76 +201,44 @@ class Supervisor:
         return trs
 
     # ------------------------------------------------------------------
-    # serial execution (jobs=1 / no fork) with retries
+    # in-process execution (jobs=1 / no fork, and the serial fallback)
     # ------------------------------------------------------------------
-    def _run_serial_only(self, todo, results, on_result) -> None:
-        for att in todo:
-            signals.check_interrupt()
-            try:
-                results[att.idx] = self._attempt_serial(att)
-            except CellFailedError:
-                raise self._failure(att, results, todo) from None
-            if on_result is not None:
-                on_result(att.task, results[att.idx])
-
-    def _attempt_serial(self, att: _Attempt):
-        """One in-process attempt cycle honouring the retry policy."""
+    def _run_in_process(self, atts, todo, results, on_result, *,
+                        where: str) -> None:
+        """Run ``atts`` one by one in this process until each succeeds or
+        the policy aborts: ``where="serial"`` retries (``jobs=1`` / no
+        fork), ``"serial-fallback"`` is the one attempt a cell gets after
+        the worker pool gave up on it."""
         rec = get_recorder()
-        while att.attempts < self.retry.max_attempts:
-            att.attempts += 1
-            rec.event("task.assigned", cell=_task_attr(att.task),
-                      attempt=att.attempts, where="serial")
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.apply_serial(att.task, att.attempts,
-                                                 att.idx)
-                result = self.runner(att.task)
-            except Exception as exc:
-                att.history.append({"attempt": att.attempts,
-                                    "where": "serial",
-                                    "error": traceback.format_exc(limit=20),
-                                    "kind": ("oom" if isinstance(exc,
-                                             MemoryError) else "error")})
-                retrying = att.attempts < self.retry.max_attempts
-                self._note_failure(att, action="retry" if retrying
-                                   else "abort")
-                if retrying:
-                    self.retry.sleep(att.attempts)
-                continue
-            rec.event("task.done", cell=_task_attr(att.task),
+        for att in atts:
+            signals.check_interrupt()
+            while True:
+                att.attempts += 1
+                rec.event("task.assigned", cell=task_attr(att.task),
+                          attempt=att.attempts, where=where)
+                try:
+                    if self.fault_plan is not None:
+                        self.fault_plan.apply_serial(att.task, att.attempts,
+                                                     att.idx)
+                    result = self.runner(att.task)
+                    break
+                except Exception as exc:
+                    att.history.append({"attempt": att.attempts,
+                                        "where": where,
+                                        **policy.classify_exception(exc)})
+                if policy.cell_failed(att, self.retry) == "abort":
+                    raise self._failure(att, results, todo) from None
+                self.retry.sleep(att.attempts)
+            rec.event("task.done", cell=task_attr(att.task),
                       attempt=att.attempts)
-            return result
-        raise CellFailedError("retries exhausted", cell=att.task,
-                              attempts=att.history)
-
-    def _note_failure(self, att: _Attempt, *, action: str) -> None:
-        """Surface one failed attempt the moment it happens.
-
-        Emits the ``task.failed`` telemetry event and a warning-level log
-        record carrying the failure class and what happens next — silent
-        retries were how degraded runs used to hide from operators.
-        """
-        entry = att.history[-1] if att.history else {}
-        detail_lines = (entry.get("error") or "").strip().splitlines()
-        detail = detail_lines[-1] if detail_lines else "unknown failure"
-        next_step = {"retry": "retrying after backoff",
-                     "fallback": "queued for serial fallback",
-                     "degrade": "handing off to the degradation ladder",
-                     "abort": "aborting the run"}[action]
-        log = logger.error if action == "abort" else logger.warning
-        log("task %r attempt %d failed in %s (%s): %s; %s",
-            att.task, att.attempts, entry.get("where", "worker"),
-            entry.get("kind", "error"), detail, next_step)
-        get_recorder().event(
-            "task.failed",
-            level="error" if action == "abort" else "warning",
-            cell=_task_attr(att.task), attempt=att.attempts,
-            fail_kind=entry.get("kind", "error"), action=action)
+            results[att.idx] = result
+            if on_result is not None:
+                on_result(att.task, result)
 
     # ------------------------------------------------------------------
     # supervised pool execution
     # ------------------------------------------------------------------
-    def _run_pool(self, todo, results, on_result, tasks) -> None:
+    def _run_pool(self, todo, results, on_result, ladder) -> None:
         config = WorkerConfig(self.runner, fault_plan=self.fault_plan,
                               rlimit_bytes=self.worker_rlimit_bytes,
                               heartbeat_interval=self.heartbeat_interval)
@@ -331,51 +288,26 @@ class Supervisor:
                 for ep in list(busy):
                     finished = self._service_endpoint(
                         ep, ready_set, endpoints, pending, fallback,
-                        results, on_result, todo)
+                        results, on_result, todo, ladder)
                     outstanding -= finished
-                self._reap_timeouts(endpoints, pending, fallback)
+                self._reap_timeouts(endpoints, pending, fallback, results,
+                                    todo, ladder)
         finally:
             for ep in endpoints:
                 ep.stop(kill=True)
             for tr in transports:
                 tr.close()
-        # Degraded path: cells that repeatedly failed in workers get one
-        # last serial in-process attempt each.
-        rec = get_recorder()
-        for att in fallback:
-            signals.check_interrupt()
-            att.history.append({"attempt": att.attempts + 1,
-                                "where": "serial-fallback", "error": None})
-            rec.event("task.assigned", cell=_task_attr(att.task),
-                      attempt=att.attempts + 1, where="serial-fallback")
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.apply_serial(att.task, att.attempts + 1,
-                                                 att.idx)
-                results[att.idx] = self.runner(att.task)
-            except Exception as exc:
-                att.history[-1]["error"] = traceback.format_exc(limit=20)
-                att.history[-1]["kind"] = ("oom" if isinstance(exc,
-                                           MemoryError) else "error")
-                att.attempts += 1
-                self._note_failure(att, action="abort")
-                raise self._failure(att, results, todo) from None
-            rec.event("task.done", cell=_task_attr(att.task),
-                      attempt=att.attempts + 1)
-            if on_result is not None:
-                on_result(att.task, results[att.idx])
+        # Cells that repeatedly failed in workers (or outlived every
+        # transport) get one last serial in-process attempt each.
+        self._run_in_process(fallback, todo, results, on_result,
+                             where="serial-fallback")
 
     # -- pool helpers --------------------------------------------------
     def _fall_back_local(self, pending, fallback) -> None:
         """Every transport is permanently out of endpoints (all remote
         hosts dropped, no local workers): move the remaining cells to the
         serial in-process fallback instead of dying with the fleet."""
-        get_recorder().event("transport.fallback", level="warning",
-                             cells=len(pending))
-        logger.warning(
-            "no worker endpoints survive (all transports exhausted); "
-            "running %d remaining cell(s) serially in-process",
-            len(pending))
+        policy.transports_exhausted(len(pending))
         while pending:
             fallback.append(pending.popleft())
 
@@ -402,7 +334,7 @@ class Supervisor:
                     if ep.host is not None:
                         attrs["host"] = ep.host
                     get_recorder().event(
-                        "task.assigned", cell=_task_attr(att.task),
+                        "task.assigned", cell=task_attr(att.task),
                         attempt=att.attempts, **attrs)
                     break
                 pending.append(att)
@@ -422,10 +354,8 @@ class Supervisor:
         """Stop a dead/stalled endpoint and ask its transport for
         replacements."""
         if ep.host is not None and (lost is not None or stalled):
-            detail = (str(lost) if lost is not None
-                      else "heartbeat silence (stalled)")
-            get_recorder().event("host.lost", level="warning",
-                                 host=ep.host, detail=detail)
+            policy.host_lost(ep.host, str(lost) if lost is not None
+                             else "heartbeat silence (stalled)")
         ep.stop(kill=True)
         if ep in endpoints:
             endpoints.remove(ep)
@@ -433,7 +363,7 @@ class Supervisor:
                                               stalled=stalled))
 
     def _service_endpoint(self, ep, ready_set, endpoints, pending, fallback,
-                          results, on_result, todo) -> int:
+                          results, on_result, todo, ladder) -> int:
         """Handle one endpoint's reply or death; returns cells finished."""
         lost: Optional[EndpointLostError] = None
         if ep.readable(ready_set):
@@ -446,36 +376,18 @@ class Supervisor:
                 self._note_heartbeat(ep, msg)
                 return 0
             if msg is not None:
-                idx, ok, payload, records = msg
-                if records:
-                    # Merge the worker's buffered telemetry into the
-                    # parent stream before the task outcome is recorded,
-                    # so the cell's spans precede its task.done event.
-                    if ep.host is not None:
-                        records = [dict(r, attrs=dict(r.get("attrs") or {},
-                                                      host=ep.host))
-                                   if isinstance(r, dict) else r
-                                   for r in records]
-                    get_recorder().ingest(records)
-                att, ep.current, ep.deadline = ep.current, None, None
+                _, ok, payload, _ = msg
+                att = self._take_reply(ep, msg)
                 if ok:
-                    results[att.idx] = payload
-                    done_attrs = {"cell": _task_attr(att.task),
-                                  "attempt": att.attempts}
-                    if ep.host is not None:
-                        done_attrs["host"] = ep.host
-                    get_recorder().event("task.done", **done_attrs)
-                    if on_result is not None:
-                        on_result(att.task, payload)
+                    self._done(ep, att, payload, results, on_result)
                     return 1
-                if not isinstance(payload, dict):  # legacy string reply
-                    payload = {"error": str(payload), "kind": "error"}
                 att.history.append({"attempt": att.attempts,
                                     "where": ep.where,
                                     "error": payload["error"],
                                     "kind": payload.get("kind", "error")})
-                self._maybe_raise_oom(att, results, todo)
-                return self._reschedule(att, pending, fallback)
+                self._reschedule(att, pending, fallback, results, todo,
+                                 ladder)
+                return 0
         # Death handling.  A remote endpoint is dead the moment its
         # channel fails; a local fork worker whose pipe merely hit EOF
         # defers to the process sentinel (the pre-transport behavior) —
@@ -493,35 +405,41 @@ class Supervisor:
                 att.history.append({
                     "attempt": att.attempts, "where": ep.where,
                     "error": description, "kind": kind})
-                self._maybe_raise_oom(att, results, todo)
                 # Reschedule *before* retiring: the transport's replace()
                 # decision sees the cell back in the pending queue, so the
                 # last worker's death with the last cell in hand still
                 # spawns a successor.
-                self._reschedule(att, pending, fallback)
+                self._reschedule(att, pending, fallback, results, todo,
+                                 ladder)
             self._retire(ep, endpoints, pending, lost=lost, stalled=False)
         return 0
 
-    def _maybe_raise_oom(self, att, results, todo) -> None:
-        """Abort the pool on an OOM-class failure when so configured.
+    @staticmethod
+    def _take_reply(ep, msg):
+        """Free ``ep`` of the task a ``(idx, ok, payload, records)`` reply
+        answers, returning its attempt record.  The worker's buffered
+        telemetry (stamped with the endpoint's host, so per-host accounting
+        holds on every path) is merged first, so the cell's spans precede
+        its outcome."""
+        records = msg[3]
+        if records:
+            if ep.host is not None:
+                records = [dict(r, attrs=dict(r.get("attrs") or {},
+                                              host=ep.host))
+                           if isinstance(r, dict) else r for r in records]
+            get_recorder().ingest(records)
+        att, ep.current, ep.deadline = ep.current, None, None
+        return att
 
-        Raising here (instead of rescheduling) is what prevents the
-        crash-loop: re-running the same oversized task can only summon
-        the OOM killer again; the caller must re-plan (fewer workers,
-        more shards, or serial) and gets the partial results to resume
-        from.
-        """
-        if self.oom_action != "raise" or att.history[-1].get("kind") != "oom":
-            return
-        self._note_failure(att, action="degrade")
-        partial = {a.task: results[a.idx] for a in todo if a.idx in results}
-        detail = ((att.history[-1]["error"] or "").strip().splitlines()
-                  or ["out of memory"])[-1]
-        raise ResourceExhaustedError(
-            f"task {att.task!r} exhausted memory on attempt "
-            f"{att.attempts} ({detail})",
-            kind="memory", cell=att.task, attempts=att.history,
-            partial=partial)
+    @staticmethod
+    def _done(ep, att, payload, results, on_result) -> None:
+        results[att.idx] = payload
+        attrs = {"cell": task_attr(att.task), "attempt": att.attempts}
+        if ep.host is not None:
+            attrs["host"] = ep.host
+        get_recorder().event("task.done", **attrs)
+        if on_result is not None:
+            on_result(att.task, payload)
 
     def _note_heartbeat(self, ep, msg) -> None:
         """Fold one ``("hb", idx, progress, cell)`` liveness report.
@@ -548,7 +466,8 @@ class Supervisor:
         get_recorder().metric("worker.heartbeat", progress, unit="events",
                               cell=cellattr, **attrs)
 
-    def _reap_timeouts(self, endpoints, pending, fallback) -> None:
+    def _reap_timeouts(self, endpoints, pending, fallback, results, todo,
+                       ladder) -> None:
         """Kill endpoints whose progress counter stalled for ``timeout``.
 
         ``deadline`` is armed at assignment and re-armed by every
@@ -570,7 +489,7 @@ class Supervisor:
                                          "(stalled)",
                                 "kind": ep.stall_kind})
             self._retire(ep, endpoints, pending, lost=None, stalled=True)
-            self._reschedule(att, pending, fallback)
+            self._reschedule(att, pending, fallback, results, todo, ladder)
 
     def _drain_interrupted(self, endpoints, results, todo, on_result) -> None:
         """Graceful-shutdown endgame for the pool (first SIGINT/SIGTERM).
@@ -607,56 +526,49 @@ class Supervisor:
                     continue
                 if msg and msg[0] == "hb":
                     continue
-                idx, ok, payload, records = msg
-                if records:
-                    # Same host stamping the live drain applies, so
-                    # per-host accounting stays consistent across a
-                    # graceful shutdown.
-                    if ep.host is not None:
-                        records = [dict(r, attrs=dict(r.get("attrs") or {},
-                                                      host=ep.host))
-                                   if isinstance(r, dict) else r
-                                   for r in records]
-                    rec.ingest(records)
-                att, ep.current = ep.current, None
+                idx, ok, payload, _ = msg
+                att = self._take_reply(ep, msg)
                 if ok and att is not None and att.idx == idx:
-                    results[att.idx] = payload
-                    done_attrs = {"cell": _task_attr(att.task),
-                                  "attempt": att.attempts}
-                    if ep.host is not None:
-                        done_attrs["host"] = ep.host
-                    rec.event("task.done", **done_attrs)
-                    if on_result is not None:
-                        on_result(att.task, payload)
+                    self._done(ep, att, payload, results, on_result)
             busy = [ep for ep in endpoints if ep.current is not None]
         cancelled = [ep.current.task for ep in endpoints
                      if ep.current is not None]
-        for task in cancelled:
-            rec.event("task.failed", level="warning",
-                      cell=_task_attr(task), fail_kind="interrupted",
-                      action="abandon")
-        partial = {a.task: results[a.idx] for a in todo if a.idx in results}
+        policy.cells_abandoned(cancelled)
+        partial = self._partial(results, todo)
         raise SweepInterrupted(
             f"sweep interrupted: {len(partial)} cell(s) journaled, "
             f"{len(cancelled)} in-flight cell(s) cancelled",
             completed_cells=len(partial), partial=partial)
 
-    def _reschedule(self, att, pending, fallback) -> int:
-        """Queue a failed attempt for retry or the serial fallback."""
-        if att.attempts >= self.retry.max_attempts:
-            self._note_failure(att, action="fallback")
-            fallback.append(att)
-        else:
-            self._note_failure(att, action="retry")
+    def _reschedule(self, att, pending, fallback, results, todo,
+                    ladder) -> None:
+        """Carry out the policy's decision after a failed worker attempt."""
+        action = policy.cell_failed(att, self.retry, ladder)
+        if action == "retry":
             att.not_before = (time.monotonic()
                               + self.retry.delay(att.attempts))
             pending.append(att)
-        return 0
+        elif action == "serial":
+            fallback.append(att)
+        else:
+            # "degrade": abort the pool so the caller's ladder re-plans
+            # the run; re-running the same oversized task could only
+            # summon the OOM killer again.
+            detail = ((att.history[-1]["error"] or "").strip().splitlines()
+                      or ["out of memory"])[-1]
+            raise ResourceExhaustedError(
+                f"task {att.task!r} exhausted memory on attempt "
+                f"{att.attempts} ({detail})",
+                kind="memory", cell=att.task, attempts=att.history,
+                partial=self._partial(results, todo))
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _partial(results, todo) -> dict:
+        return {a.task: results[a.idx] for a in todo if a.idx in results}
+
     def _failure(self, att, results, todo) -> CellFailedError:
-        partial = {a.task: results[a.idx] for a in todo
-                   if a.idx in results}
         return CellFailedError(
             f"cell {att.task!r} failed after {len(att.history)} attempt(s)",
-            cell=att.task, attempts=att.history, partial=partial)
+            cell=att.task, attempts=att.history,
+            partial=self._partial(results, todo))

@@ -31,11 +31,11 @@ stall window — surfaces as :class:`EndpointLostError` and is classified
 by the supervisor as the ``host_lost`` fail kind.  Lost cells are simply
 rescheduled: dispatch is idempotent and keyed by the same checkpoint
 keys ``--resume`` uses, so a cell that ran twice journals once.
-:class:`TcpTransport` additionally runs a per-host degradation ladder:
-a flapping host reconnects under capped (optionally jittered) backoff
-and is dropped for the run after :data:`TcpTransport.HOST_MAX_FAILURES`
-consecutive failures; when every remote host is dropped and no local
-workers exist, the supervisor falls back to serial in-process execution.
+:class:`TcpTransport` additionally reconnects a flapping host under
+capped backoff and drops it for the run, as
+:mod:`repro.runtime.policy` decides; when every remote host is dropped
+and no local workers exist, the supervisor falls back to serial
+in-process execution.
 """
 
 from __future__ import annotations
@@ -48,16 +48,15 @@ import socket
 import struct
 import threading
 import time
-import traceback
-import zlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigError, HandshakeError, ResourceExhaustedError
+from ..errors import ConfigError, HandshakeError
 from ..obs import (apply_trace_context, get_recorder, trace_context,
                    worker_begin)
-from . import signals
+from . import policy, signals
 from .faults import FaultPlan
-from .resources import apply_worker_rlimit, classify_exitcode, peak_rss_bytes
+from .policy import classify_exitcode, task_attr
+from .resources import apply_worker_rlimit, peak_rss_bytes
 from .retry import RetryPolicy
 
 logger = logging.getLogger(__name__)
@@ -95,23 +94,6 @@ class EndpointLostError(Exception):
     def __init__(self, message: str, *, garbled: bool = False):
         super().__init__(message)
         self.garbled = garbled
-
-
-def _task_attr(task):
-    """A task rendered for telemetry ``attrs`` (grid cells are tuples)."""
-    if isinstance(task, (tuple, list)):
-        return list(task)
-    return task
-
-
-def _failure_payload(exc: BaseException) -> dict:
-    """Structured failure reply: traceback text plus a failure class."""
-    kind = "error"
-    if isinstance(exc, MemoryError):
-        kind = "oom"
-    elif isinstance(exc, ResourceExhaustedError):
-        kind = "oom" if exc.kind == "memory" else "error"
-    return {"error": traceback.format_exc(limit=20), "kind": kind}
 
 
 # ----------------------------------------------------------------------
@@ -235,13 +217,13 @@ def _heartbeat_loop(conn, send_lock, current, interval) -> None:
         try:
             with send_lock:
                 conn.send(("hb", idx, signals.progress_count(),
-                           _task_attr(task)))
+                           task_attr(task)))
         except Exception:
             return  # pipe gone: the worker is exiting
 
 
 def _worker_main(conn) -> None:
-    """Worker loop: receive ``("run", idx, task, attempt)``, send results.
+    """Worker loop: receive ``("run", idx, task, attempt, ctx)``, send results.
 
     Replies ``(idx, ok, payload, records)`` where ``records`` is the
     worker's buffered telemetry (``None`` when telemetry is off) — the
@@ -279,10 +261,7 @@ def _worker_main(conn) -> None:
             return
         if msg[0] == "stop":
             return
-        # Legacy 4-tuples carry no trace context; a 5th element is the
-        # supervisor's ambient span ids (see ``trace_context``).
-        _, idx, task, attempt = msg[:4]
-        ctx = msg[4] if len(msg) > 4 else None
+        _, idx, task, attempt, ctx = msg
         current[0] = (idx, task)
         try:
             if faults is not None:
@@ -291,13 +270,13 @@ def _worker_main(conn) -> None:
                 result = runner(task)
             ok, payload = True, result
         except BaseException as exc:
-            ok, payload = False, _failure_payload(exc)
+            ok, payload = False, policy.classify_exception(exc)
         current[0] = None
         records = None
         if recorder is not None:
             recorder.metric("worker.ru_maxrss_kb",
                             peak_rss_bytes() // 1024, unit="kb",
-                            cell=_task_attr(task))
+                            cell=task_attr(task))
             records = recorder.drain()
         try:
             with send_lock:
@@ -458,15 +437,11 @@ class _ForkEndpoint(WorkerEndpoint):
         self.deadline = (time.monotonic() + timeout
                          if timeout is not None else None)
         try:
-            # The 5th element carries the supervisor's ambient span ids
-            # (None, and hence a legacy-shaped message, when tracing is
-            # off) so worker-side spans parent under the sweep span.
-            ctx = trace_context()
-            if ctx is None:
-                self.conn.send(("run", att.idx, att.task, att.attempts))
-            else:
-                self.conn.send(("run", att.idx, att.task, att.attempts,
-                                ctx))
+            # ``ctx`` carries the supervisor's ambient span ids (None when
+            # tracing is off) so worker-side spans parent under the sweep
+            # span.
+            self.conn.send(("run", att.idx, att.task, att.attempts,
+                            trace_context()))
         except (OSError, ValueError) as exc:
             raise EndpointLostError(f"assign failed: {exc}") from None
 
@@ -511,12 +486,7 @@ class _ForkEndpoint(WorkerEndpoint):
             # lost), so the worker must be killed and its cell re-run.
             raise EndpointLostError(f"garbled worker reply: {exc!r}",
                                     garbled=True) from None
-        if msg and msg[0] == "hb":
-            return tuple(msg)
-        if len(msg) >= 4:
-            return tuple(msg[:4])
-        idx, ok, payload = msg  # legacy 3-tuple reply (no telemetry)
-        return (idx, ok, payload, None)
+        return msg
 
     def dead(self, ready_set) -> bool:
         return (not self.process.is_alive()
@@ -738,16 +708,13 @@ class TcpTransport(Transport):
         the runner can deterministically reconstruct a shard plan and
         verify its digest).
     reconnect:
-        :class:`~repro.runtime.retry.RetryPolicy` pacing per-host
-        reconnects.  Defaults to capped backoff with decorrelated jitter
-        seeded per host, so a fleet of clients re-finding a restarted
-        runner does not stampede it.
+        :class:`~repro.runtime.retry.RetryPolicy` whose delays pace
+        per-host reconnects instead of
+        :data:`~repro.runtime.policy.HOST_BACKOFF`'s.  When a host is
+        dropped is the policy's decision alone.
     """
 
     is_remote = True
-    #: Consecutive failures (connect errors, lost connections, stalls)
-    #: before a host is dropped for the rest of the run.
-    HOST_MAX_FAILURES = 3
     CONNECT_TIMEOUT = 5.0
     #: First welcome can require the runner to generate the workload
     #: trace, so the initial handshake window is generous...
@@ -766,14 +733,6 @@ class TcpTransport(Transport):
         self.task_meta = task_meta or (lambda task: {})
         self._reconnect = reconnect
         self._config: Optional[WorkerConfig] = None
-
-    def _policy(self, hs: _HostState) -> RetryPolicy:
-        if self._reconnect is not None:
-            return self._reconnect
-        return RetryPolicy(max_attempts=self.HOST_MAX_FAILURES + 1,
-                           base_delay=0.25, backoff=2.0, max_delay=5.0,
-                           jitter=True,
-                           jitter_seed=zlib.crc32(hs.label.encode()))
 
     def open(self, config: WorkerConfig) -> None:
         self._config = config
@@ -816,11 +775,8 @@ class TcpTransport(Transport):
         sock.settimeout(FRAME_RECV_TIMEOUT)
         hs.connected = True
         # NTP-style skew estimate: the welcome's remote clock sample is
-        # assumed taken at the round trip's midpoint.  Older runners
-        # send no "now" — skew stays 0 and ingest is a no-op.
-        clock_offset = 0.0
-        if isinstance(msg.get("now"), (int, float)):
-            clock_offset = msg["now"] - (hello_sent + welcome_recv) / 2.0
+        # assumed taken at the round trip's midpoint.
+        clock_offset = msg["now"] - (hello_sent + welcome_recv) / 2.0
         get_recorder().event("host.connected", host=hs.label,
                              worker_pid=msg.get("pid"),
                              release=msg.get("release"),
@@ -833,24 +789,12 @@ class TcpTransport(Transport):
     def _note_failure(self, hs: _HostState, why: str) -> None:
         hs.connected = False
         hs.failures += 1
-        if hs.failures > self.HOST_MAX_FAILURES:
-            self._drop(hs, why)
-            return
-        delay = self._policy(hs).delay(hs.failures)
-        hs.next_attempt = time.monotonic() + delay
-        logger.warning("host %s unavailable (%s); retry %d/%d in %.2fs",
-                       hs.label, why, hs.failures, self.HOST_MAX_FAILURES,
-                       delay)
-
-    def _drop(self, hs: _HostState, why: str) -> None:
-        if hs.dropped:
-            return
-        hs.dropped = True
-        hs.connected = False
-        get_recorder().event("host.dropped", level="warning",
-                             host=hs.label, reason=why,
-                             failures=hs.failures)
-        logger.warning("dropping host %s for this run: %s", hs.label, why)
+        delay = policy.host_failed(hs.label, hs.failures, why,
+                                   self._reconnect)
+        if delay is None:
+            hs.dropped = True
+        else:
+            hs.next_attempt = time.monotonic() + delay
 
     # -- Transport interface -------------------------------------------
     def start(self, want: int) -> List[WorkerEndpoint]:
@@ -860,12 +804,13 @@ class TcpTransport(Transport):
                 continue
             try:
                 endpoints.append(self._connect(hs, initial=True))
-            except HandshakeError:
-                # A structured refusal is a configuration error, not a
-                # flaky host: fail the run loudly and immediately.
-                for ep in endpoints:
-                    ep.stop(kill=True)
-                raise
+            except HandshakeError as exc:
+                if policy.host_refused(hs.label, str(exc), hs.failures,
+                                       initial=True) == "abort":
+                    for ep in endpoints:
+                        ep.stop(kill=True)
+                    raise
+                hs.dropped = True
             except OSError as exc:
                 self._note_failure(hs, str(exc))
         return endpoints
@@ -885,9 +830,9 @@ class TcpTransport(Transport):
             try:
                 out.append(self._connect(hs, initial=False))
             except HandshakeError as exc:
-                # Mid-sweep the run must survive: a host that restarted
-                # into an incompatible build is dropped, not fatal.
-                self._drop(hs, str(exc))
+                policy.host_refused(hs.label, str(exc), hs.failures,
+                                    initial=False)
+                hs.dropped = True
             except OSError as exc:
                 self._note_failure(hs, str(exc))
         return out

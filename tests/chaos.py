@@ -25,6 +25,12 @@ exactly.  The harness is engine-agnostic: the caller supplies
 ``run_sweep(checkpoint_dir, fault_plan, telemetry_dir) -> list`` which
 builds whatever engine configuration is under test (serial, sharded,
 memory-budgeted...) and returns the grid results in a stable order.
+
+The module also holds the on-disk damage helpers the recovery and cache
+suites share (:func:`tear_jsonl_tail`, :func:`corrupt_file`).  Run the
+soak from the repository root with::
+
+    PYTHONPATH=src python tests/chaos.py --workload MATMUL24 --seed 4
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..errors import (
+from repro.errors import (
     EXIT_FAILED,
     EXIT_INTERRUPTED,
     EXIT_RESOURCE_EXHAUSTED,
@@ -49,8 +55,8 @@ from ..errors import (
     ReproError,
     SweepInterrupted,
 )
-from .faults import FaultPlan, tear_jsonl_tail
-from .signals import graceful_shutdown
+from repro.runtime.faults import FaultPlan
+from repro.runtime.signals import graceful_shutdown
 
 #: Everything a cycle can do to the sweep.  ``complete`` runs a clean
 #: cycle (useful to weight convergence into long soaks); the ``fault:*``
@@ -121,7 +127,7 @@ class ChaosReport:
 # ----------------------------------------------------------------------
 def _encode_results(results: Sequence) -> bytes:
     """Canonical bytes of a result list (the bit-identity anchor)."""
-    from .checkpoint import encode_result
+    from repro.runtime.checkpoint import encode_result
 
     return json.dumps([encode_result(r) for r in results],
                       sort_keys=True, separators=(",", ":")).encode()
@@ -206,7 +212,7 @@ def _manifest_sha(telemetry_dir: Optional[str]) -> Optional[str]:
     """Stable-view digest of the single run under a telemetry dir."""
     if telemetry_dir is None:
         return None
-    from ..obs.manifest import (
+    from repro.obs.manifest import (
         find_runs,
         load_manifest,
         manifest_stable_bytes,
@@ -452,7 +458,7 @@ def host_chaos(workload: str, workdir: str, *, seed: int = 0,
         if action not in HOST_ACTIONS:
             raise ConfigError(f"unknown host action {action!r}; "
                               f"known: {sorted(HOST_ACTIONS)}")
-    from ..analysis.engine import SweepEngine
+    from repro.analysis.engine import SweepEngine
 
     rng = random.Random(seed)
     os.makedirs(workdir, exist_ok=True)
@@ -527,6 +533,46 @@ def host_chaos(workload: str, workdir: str, *, seed: int = 0,
     return report
 
 
+def tear_jsonl_tail(path: str, *, cut: int = 17) -> bool:
+    """Simulate a kill mid-journal-write: leave a torn final JSONL line.
+
+    Rewinds the file past its final newline by ``cut`` bytes, producing
+    an unterminated fragment exactly like an interrupted ``write()``.
+    The journal's torn-tail recovery must truncate it away on the next
+    open.  Returns False (no-op) when the file is too small to tear.
+    """
+    try:
+        size = os.path.getsize(path)
+    except OSError:
+        return False
+    if size <= cut + 1:
+        return False
+    with open(path, "r+b") as f:
+        f.truncate(size - cut)
+    return True
+
+
+def corrupt_file(path: str, *, mode: str = "truncate",
+                 offset: int = 64, length: int = 64) -> None:
+    """Deterministically corrupt an on-disk cache entry.
+
+    ``mode="truncate"`` cuts the file to half its size (a partial write /
+    killed process); ``mode="garble"`` overwrites ``length`` bytes at
+    ``offset`` with a fixed pattern (silent media corruption) without
+    changing the size.
+    """
+    size = os.path.getsize(path)
+    if mode == "truncate":
+        with open(path, "r+b") as f:
+            f.truncate(max(1, size // 2))
+    elif mode == "garble":
+        with open(path, "r+b") as f:
+            f.seek(min(offset, max(0, size - 1)))
+            f.write(b"\xde\xad\xbe\xef" * (length // 4 + 1))
+    else:
+        raise ValueError(f"unknown corruption mode {mode!r}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
     """Tiny CLI wrapper used by the CI chaos-soak job.
 
@@ -538,7 +584,7 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
     import tempfile
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.runtime.chaos",
+        prog="python tests/chaos.py",
         description="seeded kill-and-resume chaos soak")
     parser.add_argument("--workload", default="JACOBI64")
     parser.add_argument("--seed", type=int, default=0)
@@ -550,7 +596,7 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
     parser.add_argument("--workdir", default=None)
     args = parser.parse_args(argv)
 
-    from ..analysis.engine import SweepEngine
+    from repro.analysis.engine import SweepEngine
 
     def make_runner(jobs, shards, cells_of):
         def run_sweep(checkpoint_dir, fault_plan, telemetry_dir):

@@ -13,8 +13,8 @@ import warnings
 
 import pytest
 
+from chaos import corrupt_file
 from repro.errors import CacheIntegrityError, TraceFormatError
-from repro.runtime.faults import corrupt_file
 from repro.trace.cache import WorkloadTraceCache, workload_cache_key
 from repro.trace.io import load_npz, save_npz
 from repro.trace.trace import Trace

@@ -1,6 +1,6 @@
 """Chaos soak property: killed-and-resumed sweeps converge bit-identically.
 
-The seeded harness in :mod:`repro.runtime.chaos` is itself under test
+The seeded harness in ``tests/chaos.py`` is itself under test
 here, together with the property it exists to enforce: for any seed (and
 therefore any schedule of SIGINT/SIGTERM/SIGKILL kills, injected worker
 faults and torn journal tails), a sweep driven through kill-and-resume
@@ -12,7 +12,7 @@ The property runs over the execution paths that shard or retry work
 differently: serial, by-block-sharded workers, and by-cache-set-sharded
 finite-cache cells.  Grids are kept tiny (MATMUL24 / WATER16, 2-3 cells)
 so each soak is seconds, not minutes; the CI chaos-soak job runs the
-bigger, longer variant via ``python -m repro.runtime.chaos``.
+bigger, longer variant via ``python tests/chaos.py``.
 """
 
 import shutil
@@ -22,8 +22,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chaos import ACTIONS, ChaosReport, chaos_soak
 from repro.errors import ConfigError
-from repro.runtime.chaos import ACTIONS, ChaosReport, chaos_soak
 
 CLASSIFY_CELLS = [("classify", 16, "dubois"), ("classify", 64, "dubois"),
                   ("compare", 32, None)]

@@ -156,6 +156,26 @@ def test_kernels_match_oracles_on_random_traces(trace):
 # ----------------------------------------------------------------------
 # resolution contract
 # ----------------------------------------------------------------------
+class TestContextLifetime:
+    def test_used_context_freed_without_cyclic_gc(self):
+        """A context that built block views is freed as soon as its last
+        reference goes, not at the next cyclic collection: it holds every
+        derived array of the cells that used it."""
+        import gc
+        import weakref
+
+        ctx = kernel_context(family_trace("MATMUL24"))
+        for bb in (16, 64):
+            dubois_kernel(ctx, BlockMap(bb))
+        ref = weakref.ref(ctx)
+        gc.disable()
+        try:
+            del ctx
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestResolution:
     def test_modes_validate(self):
         for mode in ("auto", "vectorized", "interpreted"):

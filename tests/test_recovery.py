@@ -28,6 +28,7 @@ import time
 
 import pytest
 
+from chaos import tear_jsonl_tail
 from repro.classify.breakdown import DuboisBreakdown
 from repro.errors import (
     EXIT_COMPLETED,
@@ -39,7 +40,6 @@ from repro.errors import (
 )
 from repro.runtime import RetryPolicy, Supervisor
 from repro.runtime.checkpoint import CheckpointJournal, journal_digest
-from repro.runtime.faults import tear_jsonl_tail
 from repro.runtime.resources import gc_stale_tmp
 from repro.runtime import signals
 

@@ -9,8 +9,8 @@ Covers the acceptance criteria of the resource-governance layer:
   zero OOM-class failures;
 * preflight admission clamps concurrency, raises shard counts, and falls
   back to serial when even one worker cannot fit;
-* a worker ``MemoryError`` is classified ``oom`` and, with
-  ``oom_action="raise"``, aborts with a structured
+* a worker ``MemoryError`` is classified ``oom`` and, while the run's
+  OOM ladder has a step left, aborts with a structured
   :class:`~repro.errors.ResourceExhaustedError` carrying attempt history
   and partials;
 * the headline guarantee: a sweep whose workers *always* exhaust memory
@@ -41,12 +41,11 @@ from repro.runtime import (
     Supervisor,
     exhaust_address_space,
 )
+from repro.runtime.policy import OomLadder, cell_failed, classify_exitcode
 from repro.runtime.resources import (
     DEFAULT_FOOTPRINT_MODEL,
     FootprintModel,
     MEMORY_BUDGET_ENV,
-    classify_exitcode,
-    degradation_rungs,
     ensure_free_space,
     estimate_cell_bytes,
     format_size,
@@ -199,23 +198,45 @@ class TestPlanAdmission:
             plan_admission(0, jobs=1, shards=1, estimate=lambda s: 1)
 
 
+def _rungs(jobs, shards):
+    """The ``(jobs, shards, label)`` configurations an :class:`OomLadder`
+    walks through, one OOM hand-off per step, until it aborts."""
+    ladder = OomLadder(jobs, shards)
+    rungs = [(ladder.jobs, ladder.shards, ladder.label)]
+    oom = ResourceExhaustedError("worker out of memory", kind="memory")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while not ladder.spent:
+            ladder.step(oom)
+            rungs.append((ladder.jobs, ladder.shards, ladder.label))
+    with pytest.raises(ResourceExhaustedError):
+        ladder.step(oom)  # spent: the hand-off propagates (exit 3)
+    return rungs
+
+
 class TestDegradationRungs:
     def test_full_ladder(self):
-        rungs = degradation_rungs(8, None)
-        assert [(r.jobs, r.serial) for r in rungs] == [
-            (8, False), (4, False), (4, False), (1, True)]
-        assert rungs[2].shards == 2          # doubled from unsharded
-        assert rungs[-1].serial and rungs[-1].shards == 1
+        assert _rungs(8, None) == [
+            (8, None, "configured"),
+            (4, None, "halved workers (8 -> 4)"),
+            (4, 2, "raised shard count to 2"),   # doubled from unsharded
+            (1, 1, "serial in-process")]
 
     def test_doubling_respects_configured_shards(self):
-        rungs = degradation_rungs(8, 3)
-        assert rungs[2].shards == 6
+        assert [(j, s) for j, s, _ in _rungs(8, 3)] == [
+            (8, 3), (4, 3), (4, 6), (1, 1)]
 
     def test_small_engines_skip_degenerate_rungs(self):
-        assert [(r.jobs, r.serial) for r in degradation_rungs(2, None)] == [
-            (2, False), (1, True)]
-        assert [(r.jobs, r.serial) for r in degradation_rungs(1, None)] == [
-            (1, False), (1, True)]
+        assert _rungs(2, None) == [(2, None, "configured"),
+                                   (1, 1, "serial in-process")]
+        assert _rungs(1, None) == [(1, None, "configured"),
+                                   (1, 1, "serial in-process")]
+
+    def test_disk_exhaustion_is_not_degraded(self):
+        ladder = OomLadder(8, None)
+        with pytest.raises(ResourceExhaustedError):
+            ladder.step(ResourceExhaustedError("disk full", kind="disk"))
+        assert (ladder.jobs, ladder.label) == (8, "configured")
 
 
 # ----------------------------------------------------------------------
@@ -261,21 +282,26 @@ class TestSupervisorOOM:
                          fault_plan=plan)
         assert sup.run(["a", "b", "c", "d"]) == ["aa", "bb", "cc", "dd"]
 
-    def test_oom_action_raise_aborts_with_structured_error(self):
+    def test_oom_with_ladder_step_left_raises_structured_error(self):
         plan = FaultPlan(exhaust_memory={1: 99})  # task index 1, forever
         sup = Supervisor(lambda t: t * 2, jobs=2, retry=FAST_RETRY,
-                         fault_plan=plan, oom_action="raise")
+                         fault_plan=plan)
         with pytest.raises(ResourceExhaustedError) as ei:
-            sup.run(["a", "b", "c", "d"])
+            sup.run(["a", "b", "c", "d"], ladder=OomLadder(2, None))
         exc = ei.value
         assert exc.kind == "memory"
         assert exc.cell == "b"
         assert exc.attempts[-1]["kind"] == "oom"
         assert all(v == t * 2 for t, v in exc.partial.items())
 
-    def test_rejects_unknown_oom_action(self):
-        with pytest.raises(ValueError):
-            Supervisor(lambda t: t, oom_action="explode")
+    def test_rejects_unknown_fail_kind(self):
+        from types import SimpleNamespace
+
+        att = SimpleNamespace(task="t", attempts=1, history=[
+            {"attempt": 1, "where": "worker", "error": "boom",
+             "kind": "explode"}])
+        with pytest.raises(ValueError, match="explode"):
+            cell_failed(att, FAST_RETRY)
 
     def test_sigkilled_worker_classified_oom_by_name(self):
         """A worker SIGKILL death surfaces as OOM-class, spelled SIGKILL."""
@@ -285,10 +311,9 @@ class TestSupervisorOOM:
                 os.kill(os.getpid(), signal.SIGKILL)
             return task
 
-        sup = Supervisor(runner, jobs=2, retry=FAST_RETRY,
-                         oom_action="raise")
+        sup = Supervisor(runner, jobs=2, retry=FAST_RETRY)
         with pytest.raises(ResourceExhaustedError) as ei:
-            sup.run(["a", "victim", "b", "c"])
+            sup.run(["a", "victim", "b", "c"], ladder=OomLadder(2, None))
         last = ei.value.attempts[-1]
         assert last["kind"] == "oom"
         assert "SIGKILL" in last["error"]

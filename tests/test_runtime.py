@@ -82,25 +82,20 @@ class TestRetryPolicy:
     def test_jitter_off_by_default_stays_deterministic(self):
         p = RetryPolicy(max_attempts=5, base_delay=0.1, backoff=2.0,
                         max_delay=0.5)
-        assert not p.jitter
         # The exact capped-exponential schedule, attempt-indexed and
         # replayable — the property the fault-injection suites rely on.
         assert [p.delay(i) for i in (1, 2, 3, 1)] == \
             pytest.approx([0.1, 0.2, 0.4, 0.1])
 
-    def test_decorrelated_jitter_bounded_and_seeded(self):
-        p = RetryPolicy(max_attempts=8, base_delay=0.1, max_delay=0.5,
-                        jitter=True, jitter_seed=42)
-        seq = [p.delay(i) for i in range(1, 9)]
-        assert all(0.1 <= d <= 0.5 for d in seq)
-        # Same seed replays the same schedule; a different seed's walk
-        # diverges (that divergence is the de-synchronization point).
-        replay = RetryPolicy(max_attempts=8, base_delay=0.1, max_delay=0.5,
-                             jitter=True, jitter_seed=42)
-        assert [replay.delay(i) for i in range(1, 9)] == seq
-        other = RetryPolicy(max_attempts=8, base_delay=0.1, max_delay=0.5,
-                            jitter=True, jitter_seed=43)
-        assert [other.delay(i) for i in range(1, 9)] != seq
+    def test_host_backoff_capped_and_deterministic(self):
+        from repro.runtime.policy import HOST_BACKOFF, HOST_RETRIES
+
+        # The reconnect schedule after a host's 1st..3rd consecutive
+        # failure: capped exponential from 0.25 s, the same on every run.
+        seq = [HOST_BACKOFF.delay(i) for i in range(1, HOST_RETRIES + 1)]
+        assert seq == pytest.approx([0.25, 0.5, 1.0])
+        assert HOST_BACKOFF.delay(10) == pytest.approx(5.0)  # capped
+        assert [HOST_BACKOFF.delay(i) for i in range(1, 4)] == seq
         with pytest.raises(ConfigError):
             RetryPolicy(backoff=0.5)
 

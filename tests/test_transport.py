@@ -407,6 +407,35 @@ class TestHostLoss:
         got = engine.run_grid(CELLS[:3])
         assert got == baseline
 
+    def test_closed_port_backs_off_three_times_then_drops(self):
+        """The host ladder through a real TcpTransport: connect failures
+        1-3 each schedule a backoff reconnect, the 4th drops the host."""
+        from repro.obs import Recorder, use_recorder
+
+        s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+        s.close()  # nobody listening on this port now
+
+        tr = TcpTransport([("127.0.0.1", port)], {"proto": 1},
+                          reconnect=RetryPolicy(base_delay=0.01,
+                                                max_delay=0.01))
+        (hs,) = tr.hosts
+        rec = Recorder.buffering()
+        ladder = []
+        with use_recorder(rec):
+            tr.open(WorkerConfig(lambda task: task))
+            assert tr.start(1) == []
+            ladder.append((hs.failures, tr.exhausted))
+            while not tr.exhausted and len(ladder) < 10:
+                time.sleep(0.02)  # past the backoff window
+                assert tr.revive(time.monotonic()) == []
+                ladder.append((hs.failures, tr.exhausted))
+        assert ladder == [(1, False), (2, False), (3, False), (4, True)]
+        dropped = [r for r in rec.drain() if r.get("name") == "host.dropped"]
+        assert len(dropped) == 1
+        assert dropped[0]["attrs"]["failures"] == 4
+
     def test_kill_one_host_mid_sweep_converges(self, cache_dir):
         """SIGKILL one of two hosts while it holds cells: its work is
         reassigned to the survivor and the merged results stay
@@ -481,7 +510,8 @@ class TestHostLoss:
                 hello = recv_frame(conn)
                 assert hello["t"] == "hello"
                 send_frame(conn, {"t": "welcome", "pid": 4242,
-                                  "release": hello["release"]})
+                                  "release": hello["release"],
+                                  "now": time.time()})
                 if served == 1:
                     first_conn.set()
                     msg = recv_frame(conn)  # the first task
