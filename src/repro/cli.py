@@ -399,8 +399,14 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                         "the streaming oracles), the interpreted "
                         "per-event oracles everywhere, or auto "
                         "(vectorized when NumPy is importable; the "
-                        "default).  Checkpoint journals record the "
-                        "choice, so --resume never mixes paths")
+                        "default).  Exception: at --jobs 1 with --kernel "
+                        "auto and no engine flag besides --trace-cache/"
+                        "--cache-max-bytes, fig6 and infinite-cache "
+                        "simulate bypass the engine and run every "
+                        "protocol, OTF included, interpreted; pass "
+                        "--kernel vectorized to reach the OTF kernel.  "
+                        "Checkpoint journals record the choice, so "
+                        "--resume never mixes paths")
     p.add_argument("--hosts", default=None, metavar="H1:P,H2:P",
                    help="remote worker runners joining the sweep (each a "
                         "'python -m repro.runtime.remote_worker' process); "

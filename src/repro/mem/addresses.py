@@ -13,6 +13,7 @@ mapping (paper section 2.1), so every classifier and protocol takes a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import ConfigError
 from ..trace.events import WORD_SIZE
@@ -44,12 +45,16 @@ class BlockMap:
                 f"block size must be at least one word ({WORD_SIZE} bytes), "
                 f"got {self.block_bytes}")
 
-    @property
+    # The two derived sizes are cached per instance (block_of runs millions
+    # of times per sweep); cached_property writes the instance __dict__
+    # directly, so the frozen dataclass keeps block_bytes as its only field
+    # and its equality, hash and repr are unchanged.
+    @cached_property
     def words_per_block(self) -> int:
         """Number of words in one block."""
         return self.block_bytes // WORD_SIZE
 
-    @property
+    @cached_property
     def offset_bits(self) -> int:
         """log2(words_per_block) — shift from word address to block address."""
         return (self.words_per_block).bit_length() - 1

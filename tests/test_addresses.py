@@ -1,5 +1,8 @@
 """Unit tests for word/block address arithmetic."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ConfigError
@@ -76,6 +79,65 @@ class TestBlockMap:
         bm = BlockMap(8)
         with pytest.raises(Exception):
             bm.block_bytes = 16
+
+
+class TestBlockMapValueSemantics:
+    """The cached shift and block size are per-instance caches, not state:
+    a BlockMap that has used them is indistinguishable from a fresh one."""
+
+    @staticmethod
+    def _warm(block_bytes):
+        bm = BlockMap(block_bytes)
+        bm.block_of(12345)
+        assert bm.words_per_block == block_bytes // 4
+        assert 1 << bm.offset_bits == bm.words_per_block
+        return bm
+
+    @pytest.mark.parametrize("block_bytes", PAPER_BLOCK_SIZES)
+    def test_equality_and_hash(self, block_bytes):
+        warm, fresh = self._warm(block_bytes), BlockMap(block_bytes)
+        assert warm == fresh and hash(warm) == hash(fresh)
+        assert warm != BlockMap(block_bytes * 2)
+        assert len({warm, fresh}) == 1
+
+    @pytest.mark.parametrize("block_bytes", PAPER_BLOCK_SIZES)
+    def test_repr(self, block_bytes):
+        assert repr(self._warm(block_bytes)) == \
+            f"BlockMap(block_bytes={block_bytes})"
+
+    @pytest.mark.parametrize("block_bytes", PAPER_BLOCK_SIZES)
+    def test_fields(self, block_bytes):
+        assert [f.name for f in dataclasses.fields(BlockMap)] == \
+            ["block_bytes"]
+        assert dataclasses.asdict(self._warm(block_bytes)) == \
+            {"block_bytes": block_bytes}
+
+    @pytest.mark.parametrize("block_bytes", PAPER_BLOCK_SIZES)
+    def test_pickle_round_trip(self, block_bytes):
+        for bm in (self._warm(block_bytes), BlockMap(block_bytes)):
+            back = pickle.loads(pickle.dumps(bm))
+            assert back == bm and hash(back) == hash(bm)
+            assert back.offset_bits == bm.offset_bits
+            assert back.block_of(4096) == 4096 >> bm.offset_bits
+
+    @pytest.mark.parametrize("block_bytes", PAPER_BLOCK_SIZES)
+    def test_replace_recomputes(self, block_bytes):
+        warm = self._warm(block_bytes)
+        other = 1024 if block_bytes != 1024 else 4
+        moved = dataclasses.replace(warm, block_bytes=other)
+        assert moved == BlockMap(other)
+        assert moved.words_per_block == other // 4
+        assert moved.block_of(4096) == BlockMap(other).block_of(4096)
+        assert warm.words_per_block == block_bytes // 4
+
+    @pytest.mark.parametrize("block_bytes", PAPER_BLOCK_SIZES)
+    def test_bad_sizes_still_rejected(self, block_bytes):
+        warm = self._warm(block_bytes)
+        for bad in (0, 2, 3, 6, 12, -8):
+            with pytest.raises(ConfigError):
+                BlockMap(bad)
+            with pytest.raises(ConfigError):
+                dataclasses.replace(warm, block_bytes=bad)
 
 
 class TestConversions:
