@@ -58,8 +58,8 @@ from ..errors import (
 from ..kernels import (
     CLASSIFIER_KERNELS,
     KernelContext,
-    PROTOCOL_KERNELS,
     resolve_kernel,
+    run_protocol_kernel,
     validate_kernel_mode,
 )
 from ..mem.addresses import BlockMap, PAPER_BLOCK_SIZES
@@ -193,6 +193,7 @@ class SharedPrecompute:
         #: and surfaced as the ``kernel.batch`` telemetry metric.
         self.last_kernel_stats: Dict[str, int] = {}
         self._kctx = None
+        self._protocol_ctxs: Dict[int, list] = {}
         self._shard_ctx: Optional[Tuple[Tuple, KernelContext]] = None
         self._rows: Optional[Tuple[list, list, list]] = None
         self._blocks: Dict[int, list] = {}
@@ -416,14 +417,18 @@ class SharedPrecompute:
     def run_protocol(self, name: str, block_bytes: int) -> ProtocolResult:
         """Run one protocol cell over the shared trace.
 
-        The trace's decoded event list is materialized once per process and
-        shared by every protocol cell (the runner batching path).
+        A kernelled protocol runs through
+        :func:`~repro.kernels.run_protocol_kernel`, whose batch contexts
+        (with their block-size-independent word tables) are kept here and
+        shared by every protocol cell and block size of the trace; the
+        others run their simulator over the trace.
         """
         if self.resolve_cell("protocol", name) == "vectorized":
-            return PROTOCOL_KERNELS[name](
-                self.kernel_context(), BlockMap(block_bytes),
+            return run_protocol_kernel(
+                name, self.columns, self.trace.num_procs,
+                BlockMap(block_bytes),
                 trace_name=self.trace.name or "<anonymous>",
-                stats=self.last_kernel_stats)
+                contexts=self._protocol_ctxs, stats=self.last_kernel_stats)
         protocol = make_protocol(name, self.trace.num_procs,
                                  BlockMap(block_bytes))
         return protocol.run(self.trace)
@@ -440,21 +445,22 @@ class SharedPrecompute:
                            digest: str, shard: int) -> ProtocolResult:
         """Run one protocol over one block shard (a partial result).
 
-        The vectorized path feeds the shard's data rows to the same
-        kernel the full cell uses (sync rows are no-ops for the kernelled
-        protocols), so shard partials merge bit-identically to both the
-        interpreted shards and the unsharded cell.
+        The vectorized path feeds the shard's data rows, with the whole
+        trace's acquire table, through the same batched kernel runner the
+        full cell uses, so shard partials merge bit-identically to both
+        the interpreted shards (which replicate every sync row) and the
+        unsharded cell.
         """
         if self.resolve_cell("protocol", name) == "vectorized":
             plan = self.plan_by_digest(digest)
             block_map = BlockMap(block_bytes)
             blocks = self.data.block_ids(block_map.offset_bits)
-            sel = plan.shard_of_rows(blocks) == shard
-            ctx = self._shard_kernel_context(digest, shard, sel)
-            return PROTOCOL_KERNELS[name](
-                ctx, block_map,
+            select = self.columns.data_mask()
+            select[select] = plan.shard_of_rows(blocks) == shard
+            return run_protocol_kernel(
+                name, self.columns, self.trace.num_procs, block_map,
                 trace_name=self.trace.name or "<anonymous>",
-                stats=self.last_kernel_stats)
+                select=select, stats=self.last_kernel_stats)
         return run_protocol_shard(name, self.trace, block_bytes,
                                   self.plan_by_digest(digest), shard)
 
@@ -1069,9 +1075,10 @@ class SweepEngine:
             # rows and Dubois keep masks for interpreted classify/compare
             # tasks (O(n log n) per block size that every shard would
             # otherwise redo), the kernel context's block-size-independent
-            # word tables for vectorized whole-cell tasks.  Vectorized
-            # shard subtasks build ephemeral per-shard contexts and
-            # cannot share the parent's.
+            # word tables for vectorized whole classifier cells.
+            # Vectorized shard subtasks build ephemeral per-shard contexts
+            # and cannot share the parent's; protocol cells build their
+            # batch contexts in the worker that first runs one.
             warm_rows = warm_kernel = False
             for task in tasks:
                 base = task[0]
@@ -1082,7 +1089,8 @@ class SweepEngine:
                               and pre.resolve_cell(base, task[2])
                               == "vectorized")
                 if vectorized:
-                    warm_kernel = warm_kernel or not shard_task
+                    warm_kernel = warm_kernel or not (shard_task
+                                                      or base == "protocol")
                     continue
                 if base in ("classify", "compare"):
                     warm_rows = True

@@ -393,20 +393,14 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                         "with 'repro report DIR'")
     p.add_argument("--kernel", choices=("auto", "vectorized", "interpreted"),
                    default="auto",
-                   help="execution path for grid cells: vectorized NumPy "
-                        "kernels where available (classifiers and the "
-                        "infinite-cache OTF protocol; bit-identical to "
-                        "the streaming oracles), the interpreted "
-                        "per-event oracles everywhere, or auto "
+                   help="execution path for each cell: vectorized NumPy "
+                        "kernels where available (the classifiers and the "
+                        "infinite-cache OTF, MIN, WBWI and RD protocols; "
+                        "bit-identical to the streaming oracles), the "
+                        "interpreted per-event oracles everywhere, or auto "
                         "(vectorized when NumPy is importable; the "
-                        "default).  Exception: at --jobs 1 with --kernel "
-                        "auto and no engine flag besides --trace-cache/"
-                        "--cache-max-bytes, fig6 and infinite-cache "
-                        "simulate bypass the engine and run every "
-                        "protocol, OTF included, interpreted; pass "
-                        "--kernel vectorized to reach the OTF kernel.  "
-                        "Checkpoint journals record the choice, so "
-                        "--resume never mixes paths")
+                        "default).  Checkpoint journals record the "
+                        "choice, so --resume never mixes paths")
     p.add_argument("--hosts", default=None, metavar="H1:P,H2:P",
                    help="remote worker runners joining the sweep (each a "
                         "'python -m repro.runtime.remote_worker' process); "

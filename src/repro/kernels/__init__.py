@@ -12,8 +12,9 @@ Resolution contract (``--kernel {auto,vectorized,interpreted}``):
 
 * ``interpreted`` — every cell runs the streaming oracle;
 * ``vectorized`` — cells with a kernel run it, the rest *fall back* to
-  the oracle (finite caches and the delayed protocols have inherently
-  sequential state); requires NumPy;
+  the oracle (finite caches, and the schedules whose stores are not
+  performed at issue — SD, SRD and MAX — have no kernel yet); requires
+  NumPy;
 * ``auto`` (default) — ``vectorized`` when NumPy is importable, else
   ``interpreted``.
 
@@ -29,8 +30,9 @@ from __future__ import annotations
 from ..errors import ConfigError
 
 __all__ = ["KERNEL_MODES", "VECTORIZED_AVAILABLE", "CLASSIFIER_KERNELS",
-           "PROTOCOL_KERNELS", "KernelContext", "validate_kernel_mode",
-           "has_kernel", "resolve_kernel", "effective_kernel_mode"]
+           "PROTOCOL_KERNELS", "KernelContext", "run_protocol_kernel",
+           "validate_kernel_mode", "has_kernel", "resolve_kernel",
+           "effective_kernel_mode"]
 
 #: Legal ``--kernel`` settings.
 KERNEL_MODES = ("auto", "vectorized", "interpreted")
@@ -48,17 +50,26 @@ if VECTORIZED_AVAILABLE:
         eggers_kernel,
         torrellas_kernel,
     )
-    from .protocols import otf_kernel
+    from .protocols import (
+        min_kernel,
+        otf_kernel,
+        rd_kernel,
+        run_protocol_kernel,
+        wbwi_kernel,
+    )
 
     #: ``{classifier name: kernel}`` for classify cells (compare cells
     #: use all three).
     CLASSIFIER_KERNELS = {"dubois": dubois_kernel,
                           "eggers": eggers_kernel,
                           "torrellas": torrellas_kernel}
-    #: ``{protocol name: kernel}`` for protocol cells.
-    PROTOCOL_KERNELS = {"OTF": otf_kernel}
+    #: ``{protocol name: kernel}`` for protocol cells, each run through
+    #: :func:`run_protocol_kernel` (which looks the kernel up here per
+    #: call).
+    PROTOCOL_KERNELS = {"OTF": otf_kernel, "MIN": min_kernel,
+                        "WBWI": wbwi_kernel, "RD": rd_kernel}
 else:  # pragma: no cover
-    KernelContext = None
+    KernelContext = run_protocol_kernel = None
     CLASSIFIER_KERNELS = {}
     PROTOCOL_KERNELS = {}
 

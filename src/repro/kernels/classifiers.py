@@ -51,17 +51,18 @@ from ..runtime import signals
 from ..trace.events import STORE
 from .segments import (
     NO_ROW,
+    essential_chain,
     last_store_tables,
     pack_order,
     prev_same_index,
     regroup_monotone,
+    run_keys,
     store_runs,
     unit_ids,
-    unit_store_summary,
 )
 
-__all__ = ["KernelContext", "dubois_kernel", "eggers_kernel",
-           "torrellas_kernel"]
+__all__ = ["KernelContext", "lifetime_breakdown",
+           "dubois_kernel", "eggers_kernel", "torrellas_kernel"]
 
 
 class _Heartbeat:
@@ -136,9 +137,13 @@ class KernelContext:
     tables are int32 and the large gathers run over int8/int16 value
     arrays — at these sizes the kernels are memory-bound, so narrow
     lanes are most of the speedup after the packed sorts.
+
+    ``acquires`` is the batch's ``(proc, position)`` acquire table: row
+    ``i`` follows an acquire iff ``i >= position``.  Only the RD kernel
+    reads it; the classifiers ignore sync entirely.
     """
 
-    def __init__(self, proc, op, addr, num_procs: int):
+    def __init__(self, proc, op, addr, num_procs: int, acquires=None):
         self.proc = np.ascontiguousarray(proc, dtype=np.int64)
         op = np.ascontiguousarray(op, dtype=np.int64)
         self.addr = np.ascontiguousarray(addr, dtype=np.int64)
@@ -148,8 +153,14 @@ class KernelContext:
         self.proc_small = self.proc.astype(np.int16)
         self._pbits = max(1, (self.num_procs - 1).bit_length())
         self.wid, self.num_words, self.wuniq = unit_ids(self.addr)
+        if acquires is None:
+            acquires = (np.empty(0, np.int64), np.empty(0, np.int64))
+        self.acq_proc = np.asarray(acquires[0], dtype=np.int64)
+        self.acq_pos = np.asarray(acquires[1], dtype=np.int64)
+        self._acq_sorted = None
         self._srows = None
         self._wbase = None
+        self._word_runs = None
         self._word_last = None
         self._word_remote = None
         self._word_prev = None
@@ -159,6 +170,21 @@ class KernelContext:
     def from_columns(cls, data, num_procs: int) -> "KernelContext":
         """Build from a data-only :class:`~repro.trace.columnar.TraceColumns`."""
         return cls(data.proc, data.op, data.addr, num_procs)
+
+    # -- acquires ------------------------------------------------------
+    def acquires_sorted(self):
+        """``(keys, proc, position)`` of the acquires sorted by
+        processor then position, ``keys = proc * (n + 1) + position``.
+
+        That order turns "my latest acquire before row i" and "my first
+        acquire after row s" into one binary search each.
+        """
+        if self._acq_sorted is None:
+            keys = self.acq_proc * (self.n + 1) + self.acq_pos
+            order = np.argsort(keys, kind="stable")
+            self._acq_sorted = (keys[order], self.acq_proc[order],
+                                self.acq_pos[order])
+        return self._acq_sorted
 
     # -- word-granularity state (block-size independent) ----------------
     def store_rows(self) -> np.ndarray:
@@ -194,6 +220,18 @@ class KernelContext:
                                                  self.proc_small)
             self._wbase = (g_row, last_s, remote_s)
         return self._wbase
+
+    def word_runs(self):
+        """``(runs, keys)``: the (word, time)-sorted store subsequence and
+        its :func:`~repro.kernels.segments.run_keys`, for word queries
+        at positions other than the row itself.  Rebuilt from the word
+        order rather than kept by :meth:`_word_base`: only RD asks."""
+        if self._word_runs is None:
+            g_row = self._word_base()[0]
+            runs = store_runs(g_row, self.wid[g_row], self.store8[g_row],
+                              self.proc_small)
+            self._word_runs = (runs, run_keys(runs, self.n + 1))
+        return self._word_runs
 
     def word_last_rows(self) -> np.ndarray:
         """Newest store to the row's word strictly before it (any proc)."""
@@ -255,7 +293,8 @@ class _BlockView:
                 ctx.wid, ctx.wuniq >> offset_bits)
         self._bsorted = None
         self._counts = None
-        self._summary = None
+        self._offsets = None
+        self._runs = None
         self._groups = None
         self._prev_sorted = None
         self._miss = None
@@ -278,8 +317,8 @@ class _BlockView:
         ``counts[i]`` is the number of stores in blocks sorted before
         i's block plus those to i's block strictly before i.
         Differences between rows of the same block cancel the per-block
-        offset, which is the only way the kernels consume it: the
-        number of stores to the block between two of its rows.
+        offset (the number of stores to the block between two of its
+        rows), and the count is an index into :meth:`block_runs`.
         """
         if self._counts is None:
             order, _, st = self._block_sorted()
@@ -290,20 +329,33 @@ class _BlockView:
             self._counts = out
         return self._counts
 
-    def store_summary(self):
-        """Per-block ``(first_row, top_row, top_proc, second_row)``.
+    def block_offsets(self) -> np.ndarray:
+        """Per block, the :meth:`store_counts` value of its first row:
+        a row's count less its block's offset is the number of stores
+        to its block before it."""
+        if self._offsets is None:
+            order, sbid, _ = self._block_sorted()
+            offsets = np.zeros(self.num_blocks, dtype=np.int32)
+            if len(sbid):
+                first = np.flatnonzero(np.append(True, sbid[1:] != sbid[:-1]))
+                offsets[sbid[first]] = self.store_counts()[order[first]]
+            self._offsets = offsets
+        return self._offsets
 
-        Store-subsequence-sized work over the (block, time) sort the
-        counts already paid for.
+    def block_runs(self):
+        """``(runs, keys)``: the (block, time)-sorted store subsequence
+        (:class:`~repro.kernels.segments.StoreRuns`) and its search keys.
+
+        Store ``k`` of the subsequence is the one whose exclusive
+        :meth:`store_counts` value is ``k``, so "the newest store to my
+        block before me" is ``counts[i] - 1`` (when that store's unit is
+        my block) without any search.
         """
-        if self._summary is None:
+        if self._runs is None:
             order, sbid, st = self._block_sorted()
-            spos = np.flatnonzero(st)
-            self._summary = unit_store_summary(
-                sbid[spos], order[spos],
-                self.ctx.proc_small[order[spos]].astype(np.int64),
-                self.num_blocks)
-        return self._summary
+            runs = store_runs(order, sbid, st, self.ctx.proc_small)
+            self._runs = (runs, run_keys(runs, self.ctx.n + 1))
+        return self._runs
 
     def groups(self):
         """``(order, new_group, gid_sorted, num_groups)``.
@@ -376,91 +428,74 @@ class _BlockView:
         return self._miss
 
     def lifetimes(self, hb: _Heartbeat):
-        """Per-miss-lifetime facts shared by Dubois and OTF.
+        """The OTF miss lifetimes, shared by Dubois and OTF: see
+        :meth:`classify`.
 
-        Returns ``(fetch_row, cold, dirty, essential)`` — one entry per
-        miss of the batch, in (group, time) order:
+        Under OTF no remote store lands inside a lifetime, so the newest
+        remote store to each accessed word before the access is the one
+        as of the fetch.
+        """
+        if self._life is None:
+            rww = self.ctx.word_remote_rows()
+            hb.phase()
+            order, _, _, _ = self.groups()
+            hb.phase()
+            miss = self.miss_sorted()
+            hb.phase()
+            self._life = self.classify(miss, rww[order], hb)
+        return self._life
+
+    def classify(self, miss: np.ndarray, newest: np.ndarray,
+                 hb: _Heartbeat):
+        """Per-miss-lifetime facts for one schedule's miss set.
+
+        ``miss`` flags, in (block, processor, time) order, the accesses
+        that fetch the block; ``newest`` gives, in the same order, the
+        newest store to the accessed word by another processor *as of
+        the lifetime's fetch* (the tracker's fetch snapshot: stores
+        after the fetch are not in the cached copy).  Returns
+        ``(starts, fetch_row, cold, dirty, essential)`` — one entry per
+        lifetime, in (group, time) order, ``starts`` its position in the
+        group order:
 
         * ``fetch_row`` — the row whose access fetched the block;
         * ``cold`` — the lifetime is its (block, processor)'s first;
-        * ``dirty`` — some store to the block precedes the fetch;
+        * ``dirty`` — some store to the block precedes the fetch (for a
+          cold lifetime every such store is remote, so this is the
+          tracker's "fetched values new to the processor");
         * ``essential`` — some access of the lifetime touched a word
           whose newest remote store postdates the processor's previous
           essential lifetime on the block (the paper's C-flag test).
         """
-        if self._life is None:
-            ctx = self.ctx
-            rww = ctx.word_remote_rows()
-            hb.phase()
-            order, newg, gid_sorted, _ = self.groups()
-            hb.phase()
-            miss = self.miss_sorted()
-            hb.phase()
-            starts = np.flatnonzero(miss)
-            fetch = order[starts]
-            if len(starts):
-                maxr = np.maximum.reduceat(rww[order], starts)
-            else:
-                maxr = np.empty(0, dtype=np.int32)
-            cold = newg[starts]
-            first_store, _, _, _ = self.store_summary()
-            fsb = first_store[self.bid[fetch]]
-            dirty = (fsb >= 0) & (fsb < fetch)
-            hb.phase()
-            ess = _essential_chain(gid_sorted[starts], maxr, fetch, hb)
-            self._life = (fetch, cold, dirty, ess)
-        return self._life
+        order, newg, gid_sorted, _ = self.groups()
+        starts = np.flatnonzero(miss)
+        fetch = order[starts]
+        if len(starts):
+            maxr = np.maximum.reduceat(newest, starts)
+        else:
+            maxr = np.empty(0, dtype=np.int32)
+        cold = newg[starts]
+        dirty = (self.store_counts()[fetch]
+                 > self.block_offsets()[self.bid[fetch]])
+        hb.phase()
+        ess = essential_chain(gid_sorted[starts], maxr, fetch, hb)
+        return starts, fetch, cold, dirty, ess
 
 
-def _essential_chain(life_group: np.ndarray, maxr: np.ndarray,
-                     fetch: np.ndarray, hb: _Heartbeat) -> np.ndarray:
-    """Resolve the essential flag per lifetime, chained within groups.
-
-    A lifetime is essential iff its newest relevant remote word store
-    postdates the *fetch of the group's previous essential lifetime*
-    (substituting the fetch for the oracle's clear position is exact: no
-    remote store to the block can land inside an established lifetime —
-    it would have ended it).  Only lifetimes with any remote word store
-    at all (``maxr >= 0``) are candidates.
-
-    The recurrence is solved by iterating ``flags -> (maxr > F(flags))``
-    where ``F(flags)`` is each candidate's last flagged in-group
-    predecessor's fetch, computed as one ``np.maximum.accumulate`` over
-    values offset by ``group * big`` (fetches increase within a group,
-    so the running max *is* the last flagged predecessor, and earlier
-    groups' values stay below the current group's offset).  The map is
-    antitone and its fixpoint is unique (induction over each group's
-    candidates), so iterating from all-flagged converges exactly to the
-    sequential chain, in practice within a handful of whole-array
-    passes.
-    """
-    ess = np.zeros(len(maxr), dtype=bool)
-    cand = np.flatnonzero(maxr >= 0)
-    if not len(cand):
-        return ess
-    g = life_group[cand].astype(np.int64)
-    r = maxr[cand].astype(np.int64)
-    f = fetch[cand]
-    big = int(f.max()) + 2
-    base = g * big
-    flagged_val = base + f + 1
-    shifted = np.empty(len(cand), dtype=np.int64)
-    flags = np.ones(len(cand), dtype=bool)
-    while True:
-        hb.pulse()
-        vals = np.where(flags, flagged_val, base)
-        shifted[0] = -1
-        shifted[1:] = vals[:-1]
-        F = np.maximum.accumulate(shifted)
-        F -= base
-        F -= 1
-        np.maximum(F, -1, out=F)
-        new = r > F
-        if np.array_equal(new, flags):
-            break
-        flags = new
-    ess[cand] = flags
-    return ess
+def lifetime_breakdown(cold: np.ndarray, dirty: np.ndarray,
+                       ess: np.ndarray, data_refs: int) -> DuboisBreakdown:
+    """The five-way breakdown of classified lifetimes (the tracker's
+    ``_classify``: cold lifetimes split CTS/CFS/PC, the rest PTS/PFS)."""
+    ncold = ~cold
+    ness = ~ess
+    return DuboisBreakdown(
+        pc=int((cold & ness & ~dirty).sum()),
+        cts=int((cold & ess).sum()),
+        cfs=int((cold & ness & dirty).sum()),
+        pts=int((ncold & ess).sum()),
+        pfs=int((ncold & ness).sum()),
+        data_refs=data_refs,
+    )
 
 
 def dubois_kernel(ctx: KernelContext, block_map,
@@ -474,17 +509,8 @@ def dubois_kernel(ctx: KernelContext, block_map,
     """
     hb = _Heartbeat(ctx.n, stats)
     view = ctx.block_view(block_map.offset_bits)
-    fetch, cold, dirty, ess = view.lifetimes(hb)
-    ncold = ~cold
-    ness = ~ess
-    result = DuboisBreakdown(
-        pc=int((cold & ness & ~dirty).sum()),
-        cts=int((cold & ess).sum()),
-        cfs=int((cold & ness & dirty).sum()),
-        pts=int((ncold & ess).sum()),
-        pfs=int((ncold & ness).sum()),
-        data_refs=ctx.n,
-    )
+    _, _, cold, dirty, ess = view.lifetimes(hb)
+    result = lifetime_breakdown(cold, dirty, ess, ctx.n)
     hb.finish()
     return result
 

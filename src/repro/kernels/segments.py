@@ -15,8 +15,12 @@ sorts plus O(n) passes instead of per-event state machines:
   store positions (the two-top trick: within a unit, tracking the
   newest store and the newest store by a different processor answers
   "newest store by a processor other than me" for every processor);
-* :func:`unit_store_summary` — per-unit first / newest / newest-remote
-  store rows from a unit-sorted store subsequence.
+* :func:`remote_store_before` — the same two-top answer for arbitrary
+  (unit, processor, position) queries, e.g. "as of my acquire", "as of
+  my lifetime's fetch" or "as of the end" rather than "as of me";
+* :func:`essential_chain` — the one sequential dependence the kernels
+  have ("am I newer than my group's last flagged row?"), solved as an
+  antitone fixpoint in a few whole-array passes.
 
 All positions are row indices into the batch being analysed, held as
 ``int32`` (value arrays) indexed by ``int64`` orders (NumPy's fast
@@ -33,7 +37,8 @@ import numpy as np
 
 __all__ = ["NO_ROW", "pack_order", "prev_same_index", "dense_unique",
            "regroup_monotone", "unit_ids", "store_runs",
-           "last_store_tables", "unit_store_summary"]
+           "last_store_tables", "run_keys",
+           "remote_store_before", "essential_chain"]
 
 #: Sentinel for "no such row" in int32 position arrays.
 NO_ROW = np.int32(-1)
@@ -202,38 +207,107 @@ def last_store_tables(order: np.ndarray, sunit: np.ndarray,
     return last, remote
 
 
-def unit_store_summary(unit: np.ndarray, row: np.ndarray,
-                       proc: np.ndarray, num_units: int):
-    """Per-unit store summary from a unit-sorted store subsequence.
+def run_keys(runs: StoreRuns, stride: int) -> np.ndarray:
+    """Sorted ``unit * stride + row`` search keys of a store subsequence.
 
-    Returns ``(first_row, top_row, top_proc, second_row)``: each unit's
-    oldest store, newest store, its writer, and the newest store by a
-    different processor (-1 where absent).  A unit's stores are
-    contiguous, so the first/newest are the run boundaries and the
-    newest-remote is the two-top "other" value at the unit's last store.
+    ``stride`` must exceed every row and query position (``n + 1`` for a
+    batch of ``n`` rows), so key order is (unit, row) order.
     """
-    first_row = np.full(num_units, -1, dtype=np.int64)
-    top_row = np.full(num_units, -1, dtype=np.int64)
-    top_proc = np.full(num_units, -1, dtype=np.int64)
-    second_row = np.full(num_units, -1, dtype=np.int64)
-    m = len(unit)
-    if m:
-        brk = np.empty(m, dtype=bool)
-        brk[0] = True
-        brk[1:] = (unit[1:] != unit[:-1]) | (proc[1:] != proc[:-1])
-        run_first = np.maximum.accumulate(
-            np.where(brk, np.arange(m, dtype=np.int64), 0))
-        pi = run_first - 1
-        has = pi >= 0
-        pis = np.where(has, pi, 0)
-        has &= unit[pis] == unit
-        other = np.where(has, row[pis], np.int64(-1))
-        ufirst = np.flatnonzero(
-            np.concatenate(([True], unit[1:] != unit[:-1])))
-        ulast = np.append(ufirst[1:], m) - 1
-        present = unit[ufirst]
-        first_row[present] = row[ufirst]
-        top_row[present] = row[ulast]
-        top_proc[present] = proc[ulast]
-        second_row[present] = other[ulast]
-    return first_row, top_row, top_proc, second_row
+    return runs.unit.astype(np.int64) * stride + runs.row
+
+
+def remote_store_before(runs: StoreRuns, keys: np.ndarray, stride: int,
+                        unit: np.ndarray, proc: np.ndarray,
+                        pos: np.ndarray) -> np.ndarray:
+    """Newest store to ``unit`` at a row ``< pos`` by a processor other
+    than ``proc``, per query (int64 row, -1 if none).
+
+    The newest store before the position is one binary search away; when
+    its writer is the querying processor, the two-top ``other`` value is
+    the newest store by anyone else.
+    """
+    k = np.searchsorted(keys, unit * stride + pos) - 1
+    ok = k >= 0
+    ks = np.where(ok, k, 0)
+    if len(keys):
+        ok &= runs.unit[ks] == unit
+        newest = np.where(runs.proc[ks] != proc, runs.row[ks],
+                          runs.other[ks].astype(np.int64))
+    else:
+        newest = ks
+    return np.where(ok, newest, np.int64(-1))
+
+
+def essential_chain(group: np.ndarray, value: np.ndarray,
+                    at: np.ndarray, hb) -> np.ndarray:
+    """Flag each item iff its value is newer than its group's last
+    flagged predecessor.
+
+    Items come in (group, time) order: ``group`` ids, ``value`` the row
+    each item must postdate, ``at`` the item's own (increasing within a
+    group) row.  Item i is flagged iff ``value[i] > at[j]`` for j its
+    group's last flagged item before it (-1 if none); only items with
+    ``value >= 0`` are candidates.  Two recurrences take this shape:
+
+    * the essential flag per miss lifetime (``at`` the fetch, ``value``
+      the newest remote store to any word the lifetime touched, as of
+      the fetch): a lifetime is essential iff that store postdates the
+      fetch of the group's previous essential lifetime;
+    * the miss flag per access under MIN, WBWI and RD (``at`` the row,
+      ``value`` the newest store that would invalidate the copy): an
+      access misses iff that store postdates the group's previous miss.
+
+    Every item's value precedes its own row (``value < at``), so an item
+    can be flagged only if its value is newer than every earlier value in
+    its group: an earlier item with a value at least as new was either
+    flagged (its row then postdates both values) or not (its value is
+    then no newer than its own last flagged predecessor).  One running
+    max drops the masked items before any iteration.
+
+    The recurrence is solved by iterating ``flags -> (value > F(flags))``
+    where ``F(flags)`` is each candidate's last flagged in-group
+    predecessor's row, computed as one ``np.maximum.accumulate`` over
+    values offset by ``group * big`` (rows increase within a group, so
+    the running max *is* the last flagged predecessor, and earlier
+    groups' values stay below the current group's offset).  The map is
+    antitone and its fixpoint is unique (induction over each group's
+    candidates), so iterating from all-flagged converges exactly to the
+    sequential chain, in practice within a handful of whole-array
+    passes.  ``hb.pulse()`` runs once per pass (a cancellation point).
+    """
+    flags_out = np.zeros(len(value), dtype=bool)
+    if not len(value):
+        return flags_out
+    stride = max(int(value.max()), 0) + 2
+    keyed = group.astype(np.int64) * stride + value
+    keyed += 1
+    newest = np.empty(len(value), dtype=np.int64)
+    newest[0] = -1
+    newest[1:] = keyed[:-1]
+    np.maximum.accumulate(newest, out=newest)
+    cand = np.flatnonzero((value >= 0) & (keyed > newest))
+    if not len(cand):
+        return flags_out
+    g = group[cand].astype(np.int64)
+    r = value[cand].astype(np.int64)
+    f = at[cand].astype(np.int64)
+    big = int(f.max()) + 2
+    base = g * big
+    flagged_val = base + f + 1
+    shifted = np.empty(len(cand), dtype=np.int64)
+    flags = np.ones(len(cand), dtype=bool)
+    while True:
+        hb.pulse()
+        vals = np.where(flags, flagged_val, base)
+        shifted[0] = -1
+        shifted[1:] = vals[:-1]
+        F = np.maximum.accumulate(shifted)
+        F -= base
+        F -= 1
+        np.maximum(F, -1, out=F)
+        new = r > F
+        if np.array_equal(new, flags):
+            break
+        flags = new
+    flags_out[cand] = flags
+    return flags_out

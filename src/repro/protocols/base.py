@@ -129,11 +129,14 @@ class Protocol:
         # The event loop is chunked so long simulations stay interruptible
         # and heartbeat-visible without paying any per-event overhead: the
         # progress tick (which doubles as a cancellation point) runs once
-        # per HEARTBEAT_CHUNK events, not once per event.
-        events = trace.events
+        # per HEARTBEAT_CHUNK events, not once per event.  Chunks are read
+        # from whichever representation the trace holds, so a columnar
+        # trace is never decoded whole.
         step = signals.HEARTBEAT_CHUNK
-        for start in range(0, len(events), step):
-            for proc, op, addr in events[start:start + step]:
+        total = len(trace)
+        for start, rows in zip(range(0, total, step),
+                               trace.event_chunks(step)):
+            for proc, op, addr in rows:
                 if op == LOAD:
                     on_load(proc, addr)
                 elif op == STORE:
@@ -142,7 +145,7 @@ class Protocol:
                     on_acquire(proc, addr)
                 elif op == RELEASE:
                     on_release(proc, addr)
-            signals.note_progress(min(step, len(events) - start))
+            signals.note_progress(min(step, total - start))
         self.on_end()
         breakdown = self.tracker.finish()
         return ProtocolResult(

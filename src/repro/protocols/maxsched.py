@@ -90,10 +90,17 @@ class MAXSchedule(Protocol):
                 f"trace has {trace.num_procs} processors, protocol built "
                 f"for {self.num_procs}")
         self._releases = [[] for _ in range(self.num_procs)]
-        for index, (proc, op, _) in enumerate(trace.events):
-            if op == RELEASE:
-                self._releases[proc].append(index)
-        self._end_index = len(trace.events)
+        if trace.has_columns:
+            cols = trace.columns()
+            released = cols.sync_indices()[RELEASE]
+            found = zip(cols.proc[released].tolist(), released.tolist())
+        else:  # a tuple-only trace: scan it rather than build columns
+            found = ((proc, index)
+                     for index, (proc, op, _) in enumerate(trace.events)
+                     if op == RELEASE)
+        for proc, index in found:
+            self._releases[proc].append(index)
+        self._end_index = len(trace)
         return super().run(trace)
 
     def _deadline(self, proc: int, issue: int) -> int:

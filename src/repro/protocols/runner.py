@@ -11,6 +11,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..errors import ProtocolError
 from ..mem.addresses import BlockMap
+from ..trace.columnar import TraceColumns
 from ..trace.trace import Trace
 from .base import PROTOCOL_REGISTRY, Protocol
 from .results import ProtocolResult
@@ -47,9 +48,9 @@ def make_protocol(name: str, num_procs: int, block_map: BlockMap) -> Protocol:
 
 
 def run_protocol(name: str, trace: Trace, block_bytes: int) -> ProtocolResult:
-    """Run one protocol over a trace at one block size."""
-    protocol = make_protocol(name, trace.num_procs, BlockMap(block_bytes))
-    return protocol.run(trace)
+    """Run one protocol over a trace at one block size (see
+    :func:`run_protocols`)."""
+    return run_protocols(trace, block_bytes, (name,))[name]
 
 
 def run_protocols(trace: Trace, block_bytes: int,
@@ -63,9 +64,11 @@ def run_protocols(trace: Trace, block_bytes: int,
     ``{name: result}`` in the given order — the data behind one
     benchmark's group of bars in the paper's Figure 6.
 
-    All protocols share the trace's decoded event list (it is materialized
-    at most once), and ``jobs > 1`` fans the protocols out over supervised
-    worker processes via the sweep engine.  ``options`` (an
+    Protocols with a vectorized kernel run it (the ``--kernel auto``
+    path: NumPy importable) over the trace's columns, the rest their
+    simulator; both give the same result.  ``jobs > 1`` fans the
+    protocols out over supervised worker processes via the sweep engine.
+    ``options`` (an
     :class:`repro.analysis.engine.ExecutionOptions`) routes execution
     through the engine even at ``jobs=1`` so retries/checkpointing apply.
     """
@@ -78,7 +81,27 @@ def run_protocols(trace: Trace, block_bytes: int,
         grid = SweepEngine(trace, jobs=jobs,
                            **kwargs).protocol_grid((block_bytes,), chosen)
         return {name: grid[(block_bytes, name)] for name in chosen}
-    return {name: run_protocol(name, trace, block_bytes) for name in chosen}
+    # Deferred: repro.kernels builds on repro.protocols.
+    from ..kernels import resolve_kernel, run_protocol_kernel
+
+    block_map = BlockMap(block_bytes)
+    columns = None
+    results = {}
+    for name in chosen:
+        if resolve_kernel("auto", "protocol", name) == "vectorized":
+            if columns is None:
+                # A tuple-only trace gets columns for this call only: a
+                # caller holding a whole suite of traces (``fig6``) keeps
+                # no second copy of each.
+                columns = (trace.columns() if trace.has_columns
+                           else TraceColumns.from_events(trace.events))
+            results[name] = run_protocol_kernel(
+                name, columns, trace.num_procs, block_map,
+                trace_name=trace.name or "<anonymous>")
+        else:
+            results[name] = make_protocol(name, trace.num_procs,
+                                          block_map).run(trace)
+    return results
 
 
 def run_protocol_grid(trace: Trace, block_sizes: Iterable[int],

@@ -27,6 +27,9 @@ from .events import ACQUIRE, Event, LOAD, OPS, RELEASE, STORE
 #: dtype of all three columns (matches the ``.npz`` format).
 COLUMN_DTYPE = np.int64
 
+#: Events per slice when :meth:`TraceColumns.from_events` encodes tuples.
+_ENCODE_ROWS = 1 << 14
+
 
 def _as_column(values, label: str) -> np.ndarray:
     arr = np.asarray(values)
@@ -70,14 +73,17 @@ class TraceColumns:
         if n == 0:
             empty = np.empty(0, dtype=COLUMN_DTYPE)
             return cls(empty, empty.copy(), empty.copy())
-        packed = np.array(events, dtype=COLUMN_DTYPE)
-        if packed.ndim != 2 or packed.shape[1] != 3:
-            raise TraceError("events must be (proc, op, addr) triples")
-        # np.ascontiguousarray gives each column its own compact buffer
-        # (a strided view would pin the full 3xN matrix in memory).
-        return cls(np.ascontiguousarray(packed[:, 0]),
-                   np.ascontiguousarray(packed[:, 1]),
-                   np.ascontiguousarray(packed[:, 2]))
+        # Each column gets its own compact buffer, filled a slice of
+        # events at a time, so no trace-sized 3xN temporary is built.
+        columns = [np.empty(n, dtype=COLUMN_DTYPE) for _ in range(3)]
+        for lo in range(0, n, _ENCODE_ROWS):
+            packed = np.array(events[lo:lo + _ENCODE_ROWS],
+                              dtype=COLUMN_DTYPE)
+            if packed.ndim != 2 or packed.shape[1] != 3:
+                raise TraceError("events must be (proc, op, addr) triples")
+            for column, values in zip(columns, packed.T):
+                column[lo:lo + len(packed)] = values
+        return cls(*columns)
 
     def to_events(self) -> List[Event]:
         """Decode into the tuple-list representation."""

@@ -115,6 +115,27 @@ class Trace:
             self._columns = TraceColumns.from_events(self._events)
         return self._columns
 
+    def event_chunks(self, size: int) -> Iterator[Iterable[Event]]:
+        """The events as consecutive slices of at most ``size`` each.
+
+        Each slice iterates ``(proc, op, addr)`` tuples.  Slices come
+        from whichever representation the trace already holds: a
+        columnar-only trace (e.g. one loaded from a trace cache) is read
+        one column slice at a time through ``tolist()``, so its tuple
+        list is never built.
+        """
+        if self._events is not None:
+            events = self._events
+            for start in range(0, len(events), size):
+                yield events[start:start + size]
+            return
+        cols = self._columns
+        for start in range(0, len(cols), size):
+            stop = start + size
+            yield zip(cols.proc[start:stop].tolist(),
+                      cols.op[start:stop].tolist(),
+                      cols.addr[start:stop].tolist())
+
     @property
     def has_columns(self) -> bool:
         """True if the columnar representation is already built."""

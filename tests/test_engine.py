@@ -13,13 +13,13 @@ paths see exactly the same events, so equality is exact, not statistical.
 
 import pytest
 
+from interpreted import interpret
 from repro.analysis.engine import CLASSIFIERS, SharedPrecompute, SweepEngine
 from repro.analysis.sweep import sweep_block_sizes
 from repro.classify.compare import compare_classifications
 from repro.mem.addresses import BlockMap
 from repro.protocols.runner import (
     ALL_PROTOCOLS,
-    run_protocol,
     run_protocol_grid,
     run_protocols,
 )
@@ -80,7 +80,7 @@ def test_protocol_equivalence(traces, precomputes, name, block_bytes):
     tuple_trace, _ = traces[name]
     pre = precomputes[name]
     for protocol in ALL_PROTOCOLS:
-        expected = run_protocol(protocol, tuple_trace, block_bytes)
+        expected = interpret(protocol, tuple_trace, block_bytes)
         got = pre.run_protocol(protocol, block_bytes)
         assert got == expected, f"{protocol} diverged"
 

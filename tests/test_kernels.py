@@ -8,8 +8,10 @@ through the CLI.  Integration tests cover the resolution contract, the
 checkpoint kernel binding, heartbeat granularity and the stall watchdog.
 """
 
+import gc
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -32,9 +34,11 @@ from repro.kernels import (
     resolve_kernel,
     validate_kernel_mode,
 )
+from repro.kernels import protocols as kernel_protocols
 from repro.kernels.classifiers import dubois_kernel
+from repro.kernels.protocols import run_protocol_kernel
 from repro.mem.addresses import BlockMap
-from repro.protocols.runner import make_protocol
+from repro.protocols.runner import make_protocol, run_protocols
 from repro.runtime import signals
 from repro.runtime.checkpoint import CheckpointJournal
 from repro.runtime.retry import RetryPolicy
@@ -57,9 +61,21 @@ def family_trace(name):
     return _trace_cache[name]
 
 
+def acquire_table(cols):
+    """``(proc, position)`` of every acquire, the position counting the
+    data rows before it (the index space of a data-row context)."""
+    sync = np.flatnonzero(cols.op > STORE)
+    is_acq = cols.op[sync] == ACQUIRE
+    pos = sync - np.arange(len(sync))
+    return cols.proc[sync][is_acq], pos[is_acq]
+
+
 def kernel_context(trace):
-    return KernelContext.from_columns(trace.columns().data_only(),
-                                      trace.num_procs)
+    """A context over the trace's data rows carrying its acquire table."""
+    cols = trace.columns()
+    data = cols.data_only()
+    return KernelContext(data.proc, data.op, data.addr, trace.num_procs,
+                         acquire_table(cols))
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +133,8 @@ def traces(draw, max_events=60):
 
 GRID = [("classify", 8, "dubois"), ("classify", 16, "eggers"),
         ("classify", 8, "torrellas"), ("compare", 16, None),
-        ("protocol", 8, "OTF")]
+        ("protocol", 8, "OTF"), ("protocol", 8, "MIN"),
+        ("protocol", 16, "WBWI"), ("protocol", 8, "RD")]
 
 
 @given(traces(), st.integers(1, 5))
@@ -151,6 +168,129 @@ def test_kernels_match_oracles_on_random_traces(trace):
                          trace_name=trace.name or "<anonymous>")
             assert got == make_protocol(
                 name, trace.num_procs, bm).run(trace), (bb, name)
+
+
+class TestKernelContextAcquires:
+    def test_helper_context_carries_acquires(self):
+        """Acquire positions count the data rows before each acquire."""
+        events = [(0, LOAD, 0), (1, ACQUIRE, 9), (1, STORE, 0),
+                  (0, RELEASE, 9), (0, ACQUIRE, 9), (1, LOAD, 4),
+                  (1, ACQUIRE, 9)]
+        ctx = kernel_context(Trace(events, 2, validate=False))
+        assert ctx.n == 3
+        assert ctx.acq_proc.tolist() == [1, 0, 1]
+        assert ctx.acq_pos.tolist() == [1, 2, 3]
+
+    def test_family_context_carries_every_acquire(self):
+        trace = family_trace("FFT256")
+        ctx = kernel_context(trace)
+        assert len(ctx.acq_pos) == trace.counts().acquires > 0
+
+
+def test_min_kernel_on_the_appendix_a_corner_case():
+    """EXPERIMENTS.md, "MIN vs Appendix A": MIN's whole-block fetch
+    delivers a value Appendix A only counts at a later miss."""
+    events = [(0, STORE, 0), (1, STORE, 3), (0, STORE, 3), (1, STORE, 0)]
+    trace = Trace(events, 2, validate=False)
+    bm = BlockMap(16)
+    got = PROTOCOL_KERNELS["MIN"](kernel_context(trace), bm,
+                                  trace_name="<anonymous>")
+    assert got == make_protocol("MIN", 2, bm).run(trace)
+    assert got.misses == 3
+    assert DuboisClassifier.classify_trace(trace, bm).essential == 4
+
+
+# ----------------------------------------------------------------------
+# batching: whole-block batches of at most BATCH_ROWS rows
+# ----------------------------------------------------------------------
+def _batched_matches_oracles(trace, block_sizes):
+    """Per-cell batches, and batch contexts shared by every cell (the
+    engine's way), both equal the simulators."""
+    shared = {}
+    for bb in block_sizes:
+        bm = BlockMap(bb)
+        for name in PROTOCOL_KERNELS:
+            want = make_protocol(name, trace.num_procs, bm).run(trace)
+            for contexts in (None, shared):
+                got = run_protocol_kernel(
+                    name, trace.columns(), trace.num_procs, bm,
+                    trace_name=trace.name or "<anonymous>",
+                    contexts=contexts)
+                assert got == want, (bb, name, contexts is None)
+
+
+@given(traces())
+@settings(max_examples=40, deadline=None)
+def test_tiny_batches_match_oracles_on_random_traces(trace):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_protocols, "BATCH_ROWS", 7)
+        # Shared batches cut at 4-word units: B=32 cuts at its blocks.
+        mp.setattr(kernel_protocols, "_UNIT_BITS", 2)
+        _batched_matches_oracles(trace, (4, 8, 32))
+
+
+def test_tiny_batches_match_oracles_on_a_family_trace(monkeypatch):
+    monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 7)
+    monkeypatch.setattr(kernel_protocols, "_UNIT_BITS", 3)
+    _batched_matches_oracles(family_trace("FFT256"), (16, 64))
+
+
+def test_batched_cell_memory_is_bounded_by_the_batch():
+    """One batched RD cell's peak traced allocation barely grows with the
+    trace: kernel memory is O(batch), not O(trace).  MP3D1000 has 3.2x
+    MP3D200's rows; only the 4-byte-a-row batch order scales."""
+    def peak(trace):
+        cols = trace.columns()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_protocol_kernel("RD", cols, trace.num_procs, BlockMap(64),
+                                trace_name=trace.name)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = family_trace("MP3D200"), family_trace("MP3D1000")
+    peak(small)  # first-call allocations (lazy imports, caches)
+    assert len(large.columns()) > 3 * len(small.columns())
+    assert peak(large) <= 1.5 * peak(small)
+
+
+# ----------------------------------------------------------------------
+# the default path: run_protocols reaches the kernels
+# ----------------------------------------------------------------------
+class TestDefaultPath:
+    """``run_protocols`` at default arguments — the path ``fig6``,
+    ``simulate`` and ``traffic`` take at ``--jobs 1`` with no engine
+    flag — honours ``--kernel auto``."""
+
+    def test_run_protocols_default_calls_the_kernels(self, monkeypatch):
+        calls = {}
+
+        def counting(name, kernel):
+            def call(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return kernel(*args, **kwargs)
+            return call
+
+        for name, kernel in list(PROTOCOL_KERNELS.items()):
+            monkeypatch.setitem(PROTOCOL_KERNELS, name,
+                                counting(name, kernel))
+        results = run_protocols(family_trace("WATER16"), 64)
+        assert list(results) == ["MIN", "OTF", "RD", "SD", "SRD", "WBWI",
+                                 "MAX"]
+        assert set(calls) == {"OTF", "MIN", "WBWI", "RD"}
+
+    def test_tuple_trace_keeps_no_columns(self):
+        """A tuple-only trace (an uncached ``fig6`` run) gets columns for
+        one call only, and MAX scans its tuples: a caller holding a whole
+        suite of traces keeps no second copy of each."""
+        source = family_trace("FFT256")
+        trace = Trace(source.events, source.num_procs, name=source.name,
+                      validate=False)
+        assert not trace.has_columns
+        assert run_protocols(trace, 64) == run_protocols(source, 64)
+        assert not trace.has_columns
 
 
 # ----------------------------------------------------------------------
@@ -187,17 +327,24 @@ class TestResolution:
         assert has_kernel("classify", "dubois")
         assert has_kernel("classify-shard", "eggers")
         assert has_kernel("compare", None)
-        assert has_kernel("protocol", "OTF")
-        assert has_kernel("protocol-shard", "OTF")
-        assert not has_kernel("protocol", "MAX")
+        for name in ("OTF", "MIN", "WBWI", "RD"):
+            assert has_kernel("protocol", name)
+            assert has_kernel("protocol-shard", name)
+        for name in ("MAX", "SD", "SRD"):
+            assert not has_kernel("protocol", name)
         assert not has_kernel("finite", "1024")
         assert not has_kernel("classify", "nope")
 
     def test_resolve_rules(self):
         assert resolve_kernel("auto", "classify", "dubois") == "vectorized"
-        assert resolve_kernel("vectorized", "protocol", "OTF") == "vectorized"
+        for name in ("OTF", "MIN", "WBWI", "RD"):
+            assert resolve_kernel("vectorized", "protocol",
+                                  name) == "vectorized"
+            assert resolve_kernel("auto", "protocol", name) == "vectorized"
         # Fallback: no kernel for this cell under every mode.
-        assert resolve_kernel("vectorized", "protocol", "MAX") == "interpreted"
+        for name in ("MAX", "SD", "SRD"):
+            assert resolve_kernel("vectorized", "protocol",
+                                  name) == "interpreted"
         assert resolve_kernel("auto", "finite", "64") == "interpreted"
         # Forced interpreted wins everywhere.
         assert resolve_kernel("interpreted", "classify",
@@ -272,6 +419,17 @@ class TestCliKernelFlag:
         for mode in ("vectorized", "interpreted"):
             assert main(["simulate", "MATMUL24", "--block", "32",
                          "--protocol", "OTF", "--kernel", mode]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_simulate_default_output_matches_interpreted(self, capsys):
+        """No flag takes the direct (kernelled) path; ``--kernel
+        interpreted`` the engine's oracles."""
+        from repro.cli import main
+        outs = []
+        for flags in ([], ["--kernel", "interpreted"]):
+            assert main(["simulate", "WATER16", "--block", "64"]
+                        + flags) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 

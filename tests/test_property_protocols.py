@@ -3,9 +3,10 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from interpreted import run_all_checked, run_checked
 from repro.classify import DuboisClassifier
 from repro.mem import BlockMap
-from repro.protocols import run_protocol, run_protocols
+from repro.protocols import run_protocols
 from repro.trace.events import ACQUIRE, LOAD, RELEASE, STORE
 from repro.trace.trace import Trace
 
@@ -47,7 +48,7 @@ ALL = ("MIN", "OTF", "RD", "SD", "SRD", "WBWI", "MAX")
 @settings(max_examples=80, deadline=None)
 def test_otf_decomposition_equals_appendix_a(trace, bb):
     bd = DuboisClassifier.classify_trace(trace, BlockMap(bb))
-    r = run_protocol("OTF", trace, bb)
+    r = run_checked("OTF", trace, bb)
     assert r.breakdown.as_dict() == bd.as_dict()
 
 
@@ -55,7 +56,7 @@ def test_otf_decomposition_equals_appendix_a(trace, bb):
 @settings(max_examples=80, deadline=None)
 def test_min_at_most_essential_and_no_false_sharing(trace, bb):
     bd = DuboisClassifier.classify_trace(trace, BlockMap(bb))
-    r = run_protocol("MIN", trace, bb)
+    r = run_checked("MIN", trace, bb)
     assert r.misses <= bd.essential
     # MIN eliminates useless (PFS) misses entirely; cold misses — even
     # CFS, whose fetched fresh values go unused — are unavoidable.
@@ -65,14 +66,14 @@ def test_min_at_most_essential_and_no_false_sharing(trace, bb):
 @given(sync_traces(), block_sizes)
 @settings(max_examples=60, deadline=None)
 def test_max_dominates_otf(trace, bb):
-    res = run_protocols(trace, bb, ["OTF", "MAX"])
+    res = run_all_checked(trace, bb, ["OTF", "MAX"])
     assert res["MAX"].misses >= res["OTF"].misses
 
 
 @given(sync_traces(), block_sizes)
 @settings(max_examples=60, deadline=None)
 def test_all_protocols_complete_and_account_consistently(trace, bb):
-    for name, r in run_protocols(trace, bb, ALL).items():
+    for name, r in run_all_checked(trace, bb, ALL).items():
         b = r.breakdown
         assert b.pc + b.cts + b.cfs + b.pts + b.pfs == b.total, name
         assert b.data_refs == sum(1 for _, op, _ in trace.events
@@ -86,7 +87,7 @@ def test_all_protocols_complete_and_account_consistently(trace, bb):
 @settings(max_examples=60, deadline=None)
 def test_wbwi_misses_at_most_otf(trace, bb):
     """Word invalidation can only remove misses relative to OTF."""
-    res = run_protocols(trace, bb, ["OTF", "WBWI"])
+    res = run_all_checked(trace, bb, ["OTF", "WBWI"])
     assert res["WBWI"].misses <= res["OTF"].misses
 
 
@@ -94,7 +95,7 @@ def test_wbwi_misses_at_most_otf(trace, bb):
 @settings(max_examples=60, deadline=None)
 def test_rd_misses_at_most_otf(trace, bb):
     """Deferring invalidations to acquires can only combine misses."""
-    res = run_protocols(trace, bb, ["OTF", "RD"])
+    res = run_all_checked(trace, bb, ["OTF", "RD"])
     assert res["RD"].misses <= res["OTF"].misses
 
 
@@ -113,6 +114,6 @@ def test_protocols_deterministic(trace, bb):
 def test_block_size_4_makes_min_wbwi_otf_agree(trace):
     """With one-word blocks, word invalidation degenerates to block
     invalidation: MIN, WBWI and OTF see identical misses."""
-    res = run_protocols(trace, 4, ["MIN", "WBWI", "OTF"])
+    res = run_all_checked(trace, 4, ["MIN", "WBWI", "OTF"])
     assert res["MIN"].misses == res["OTF"].misses
     assert res["WBWI"].misses == res["OTF"].misses

@@ -2,6 +2,7 @@
 
 import pytest
 
+from interpreted import run_checked
 from repro.classify import DuboisClassifier
 from repro.errors import ProtocolError
 from repro.mem import BlockMap
@@ -9,7 +10,6 @@ from repro.protocols import (
     MINProtocol,
     OTFProtocol,
     PROTOCOL_REGISTRY,
-    run_protocol,
 )
 from repro.protocols.base import Protocol, register
 from repro.trace import TraceBuilder
@@ -57,7 +57,7 @@ class TestOTF:
     def test_decomposition_matches_appendix_a(self, random_trace):
         for bb in (4, 16, 64):
             want = DuboisClassifier.classify_trace(random_trace, BlockMap(bb))
-            got = run_protocol("OTF", random_trace, bb)
+            got = run_checked("OTF", random_trace, bb)
             assert got.breakdown.as_dict() == want.as_dict()
 
     def test_store_invalidates_all_remote_copies(self):
@@ -66,17 +66,17 @@ class TestOTF:
              .store(0, 0)
              .load(1, 0).load(2, 0)
              .build())
-        r = run_protocol("OTF", t, 4)
+        r = run_checked("OTF", t, 4)
         assert r.counters.invalidations_sent == 2
         assert r.breakdown.pts == 2
 
     def test_upgrade_is_not_a_miss(self):
         t = TraceBuilder(1).load(0, 0).store(0, 0).build()
-        r = run_protocol("OTF", t, 4)
+        r = run_checked("OTF", t, 4)
         assert r.misses == 1
 
     def test_result_fields(self, random_trace):
-        r = run_protocol("OTF", random_trace, 16)
+        r = run_checked("OTF", random_trace, 16)
         assert r.protocol == "OTF"
         assert r.block_bytes == 16
         assert r.trace_name == random_trace.name
@@ -92,28 +92,28 @@ class TestMIN:
         t = producer_consumer(4, words=16, rounds=6)
         for bb in (4, 16, 64):
             want = DuboisClassifier.classify_trace(t, BlockMap(bb))
-            got = run_protocol("MIN", t, bb)
+            got = run_checked("MIN", t, bb)
             assert got.misses == want.essential
 
     def test_min_never_exceeds_essential(self, random_trace):
         for bb in (4, 16, 64, 256):
             want = DuboisClassifier.classify_trace(random_trace, BlockMap(bb))
-            got = run_protocol("MIN", random_trace, bb)
+            got = run_checked("MIN", random_trace, bb)
             assert got.misses <= want.essential
 
     def test_min_has_no_false_sharing(self, pingpong_trace):
-        r = run_protocol("MIN", pingpong_trace, 64)
+        r = run_checked("MIN", pingpong_trace, 64)
         assert r.breakdown.pfs == 0
         assert r.misses == r.breakdown.essential
 
     def test_word_invalidation_counted(self):
         t = TraceBuilder(2).load(0, 0).store(1, 1).build()
-        r = run_protocol("MIN", t, 8)
+        r = run_checked("MIN", t, 8)
         assert r.counters.word_invalidations == 1
 
     def test_write_through_traffic(self):
         t = TraceBuilder(1).store(0, 0).store(0, 0).store(0, 1).build()
-        r = run_protocol("MIN", t, 8)
+        r = run_checked("MIN", t, 8)
         assert r.counters.write_throughs == 3
 
     def test_access_to_clean_word_of_dirty_block_hits(self):
@@ -123,7 +123,7 @@ class TestMIN:
              .store(1, 1)    # word 1 invalid in P0's copy
              .load(0, 0)     # clean word: HIT
              .build())
-        r = run_protocol("MIN", t, 8)
+        r = run_checked("MIN", t, 8)
         assert r.misses == 2  # just the two cold misses
 
     def test_access_to_dirty_word_misses_once(self):
@@ -133,6 +133,6 @@ class TestMIN:
              .load(0, 1)     # miss; fetch clears BOTH pending words
              .load(0, 0)     # hit
              .build())
-        r = run_protocol("MIN", t, 8)
+        r = run_checked("MIN", t, 8)
         assert r.misses == 3
         assert r.breakdown.pts == 1

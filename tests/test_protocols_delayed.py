@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocols import run_protocol, run_protocols
+from interpreted import run_all_checked, run_checked
 from repro.trace import TraceBuilder
 
 
@@ -15,14 +15,14 @@ class TestRD:
              .acquire(0, 100) # invalidation applied here
              .load(0, 0)      # now misses
              .build())
-        r = run_protocol("RD", t, 8)
+        r = run_checked("RD", t, 8)
         assert r.misses == 3  # P0 cold, P1 cold, P0 post-acquire
 
     def test_without_acquire_no_extra_miss(self):
         t = (TraceBuilder(2)
              .load(0, 0).store(1, 1).load(0, 0).load(0, 0)
              .build())
-        r = run_protocol("RD", t, 8)
+        r = run_checked("RD", t, 8)
         assert r.misses == 2
 
     def test_receive_combining(self):
@@ -34,7 +34,7 @@ class TestRD:
              .acquire(0, 100)
              .load(0, 0)
              .build())
-        r = run_protocol("RD", t, 8)
+        r = run_checked("RD", t, 8)
         assert r.misses == 3
 
     def test_store_to_pending_block_is_ownership_miss(self):
@@ -43,7 +43,7 @@ class TestRD:
              .store(1, 1)     # pending at P0
              .store(0, 0)     # P0 must refetch before writing
              .build())
-        r = run_protocol("RD", t, 8)
+        r = run_checked("RD", t, 8)
         assert r.counters.ownership_misses == 1
         assert r.misses == 3
 
@@ -55,7 +55,7 @@ class TestRD:
              .load(0, 0)       # P0 misses
              .load(2, 0)       # P2 still hits
              .build())
-        r = run_protocol("RD", t, 8)
+        r = run_checked("RD", t, 8)
         assert r.misses == 4
 
 
@@ -66,7 +66,7 @@ class TestSD:
              .store(1, 0)      # P1 not owner: buffered, P0 keeps its copy
              .load(0, 0)       # HIT (invalidation not yet sent)
              .build())
-        r = run_protocol("SD", t, 4)
+        r = run_checked("SD", t, 4)
         assert r.misses == 2
         assert r.counters.stores_buffered == 1
 
@@ -77,7 +77,7 @@ class TestSD:
              .release(1, 100)  # flush: P0 invalidated now
              .load(0, 0)       # miss
              .build())
-        r = run_protocol("SD", t, 4)
+        r = run_checked("SD", t, 4)
         assert r.misses == 3
 
     def test_owner_stores_complete_immediately(self):
@@ -88,7 +88,7 @@ class TestSD:
              .store(0, 0)      # owner: performed without delay
              .load(1, 0)       # misses immediately
              .build())
-        r = run_protocol("SD", t, 4)
+        r = run_checked("SD", t, 4)
         assert r.misses == 3
         assert r.counters.stores_buffered == 1  # only the first store
 
@@ -97,7 +97,7 @@ class TestSD:
              .store(1, 0).store(1, 1).store(1, 0)
              .release(1, 100)
              .build())
-        r = run_protocol("SD", t, 8)
+        r = run_checked("SD", t, 8)
         assert r.counters.stores_buffered == 3
         assert r.counters.stores_combined == 2
 
@@ -106,7 +106,7 @@ class TestSD:
              .load(0, 0)
              .store(1, 0)      # buffered, never released
              .build())
-        r = run_protocol("SD", t, 4)
+        r = run_checked("SD", t, 4)
         # the end-of-run flush invalidates P0's live copy; classification
         # still happens exactly once per lifetime
         assert r.breakdown.total == r.misses == 2
@@ -123,7 +123,7 @@ class TestSRD:
              .acquire(0, 100)   # applied
              .load(0, 0)        # miss
              .build())
-        r = run_protocol("SRD", t, 4)
+        r = run_checked("SRD", t, 4)
         assert r.misses == 3
 
     def test_store_to_pending_block_ownership_miss(self):
@@ -132,11 +132,11 @@ class TestSRD:
              .store(1, 1).release(1, 100)   # pending at P0
              .store(0, 0)                   # refetch for ownership
              .build())
-        r = run_protocol("SRD", t, 8)
+        r = run_checked("SRD", t, 8)
         assert r.counters.ownership_misses == 1
 
     def test_srd_never_worse_than_rd_or_sd_here(self, producer_trace):
-        res = run_protocols(producer_trace, 16, ["RD", "SD", "SRD"])
+        res = run_all_checked(producer_trace, 16, ["RD", "SD", "SRD"])
         assert res["SRD"].misses <= res["RD"].misses
         assert res["SRD"].misses <= res["SD"].misses
 
@@ -146,6 +146,6 @@ class TestEssentialComponentsStable:
         """Paper section 7: 'The differences between the essential miss
         rates of OTF, RD, SD and SRD are negligible' — on clean
         producer/consumer sharing they are identical."""
-        res = run_protocols(producer_trace, 16, ["OTF", "RD", "SD", "SRD"])
+        res = run_all_checked(producer_trace, 16, ["OTF", "RD", "SD", "SRD"])
         colds = {r.breakdown.cold for r in res.values()}
         assert len(colds) == 1

@@ -17,10 +17,10 @@ from unittest import mock
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from interpreted import interpret
 from reference_tracker import ReferenceLifetimeTracker
 from repro.mem import BlockMap
 from repro.protocols import base as protocol_base
-from repro.protocols import run_protocol
 from repro.protocols.finite import FiniteOTFProtocol
 from repro.protocols.lifetime import LifetimeTracker
 from repro.protocols.sector import SectorProtocol
@@ -138,7 +138,7 @@ NAMED = ("MIN", "OTF", "RD", "SD", "SRD", "WBWI", "MAX", "WU", "CU")
 
 def _all_results(trace, bb):
     bm = BlockMap(bb)
-    results = {name: run_protocol(name, trace, bb) for name in NAMED}
+    results = {name: interpret(name, trace, bb) for name in NAMED}
     sub = min(bb, 16)
     results["SECTOR"] = SectorProtocol(trace.num_procs, bm, sub).run(trace)
     for capacity, ways in ((2, None), (4, 2)):

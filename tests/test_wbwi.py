@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocols import run_protocol, run_protocols
+from interpreted import run_all_checked, run_checked
 from repro.trace import TraceBuilder
 from repro.trace.synth import false_sharing_pingpong, producer_consumer
 
@@ -14,8 +14,8 @@ class TestWordInvalidation:
              .store(1, 1)
              .load(0, 0)     # clean word: hit, unlike OTF
              .build())
-        wbwi = run_protocol("WBWI", t, 8)
-        otf = run_protocol("OTF", t, 8)
+        wbwi = run_checked("WBWI", t, 8)
+        otf = run_checked("OTF", t, 8)
         assert wbwi.misses == 2
         assert otf.misses == 3
 
@@ -25,7 +25,7 @@ class TestWordInvalidation:
              .store(1, 1)
              .load(0, 1)
              .build())
-        r = run_protocol("WBWI", t, 8)
+        r = run_checked("WBWI", t, 8)
         assert r.misses == 3
         assert r.breakdown.pts == 1
 
@@ -38,7 +38,7 @@ class TestOwnership:
              .store(1, 1)    # P1 owns; P0's buffer has word 1 pending
              .store(0, 0)    # P0 stores a CLEAN word: still a miss
              .build())
-        r = run_protocol("WBWI", t, 8)
+        r = run_checked("WBWI", t, 8)
         assert r.counters.ownership_misses == 1
         assert r.misses == 3
 
@@ -48,7 +48,7 @@ class TestOwnership:
              .load(1, 0)
              .store(0, 1)    # owner with clean buffer: perform in place
              .build())
-        r = run_protocol("WBWI", t, 8)
+        r = run_checked("WBWI", t, 8)
         assert r.counters.ownership_misses == 0
         assert r.misses == 2
 
@@ -58,13 +58,13 @@ class TestOwnership:
              .load(0, 0)
              .store(0, 0)
              .build())
-        r = run_protocol("WBWI", t, 8)
+        r = run_checked("WBWI", t, 8)
         assert r.counters.ownership_misses == 0
         assert r.misses == 1
 
     def test_ownership_transfers_counted(self):
         t = TraceBuilder(2).store(0, 0).store(1, 0).store(0, 0).build()
-        r = run_protocol("WBWI", t, 4)
+        r = run_checked("WBWI", t, 4)
         assert r.counters.ownership_transfers == 2
 
 
@@ -78,7 +78,7 @@ class TestPaperClaims:
              .store(0, 0)
              .load(1, 0).load(2, 1)
              .build())
-        res = run_protocols(t, 16, ["MIN", "WBWI"])
+        res = run_all_checked(t, 16, ["MIN", "WBWI"])
         assert res["WBWI"].misses == res["MIN"].misses \
             + res["WBWI"].counters.ownership_misses
 
@@ -91,13 +91,13 @@ class TestPaperClaims:
              .store(1, 1)
              .load(0, 0)
              .build())
-        r = run_protocol("WBWI", t, 8)
+        r = run_checked("WBWI", t, 8)
         assert r.breakdown.pfs == 0
         assert r.misses == 2
 
     def test_write_shared_false_sharing_costs_ownership(self, pingpong_trace):
         """RMW false sharing cannot be fully eliminated: the ownership
         rule forces misses (the WBWI-MIN gap of Figure 6b)."""
-        res = run_protocols(pingpong_trace, 16, ["MIN", "WBWI"])
+        res = run_all_checked(pingpong_trace, 16, ["MIN", "WBWI"])
         assert res["WBWI"].misses > res["MIN"].misses
         assert res["WBWI"].counters.ownership_misses > 0
