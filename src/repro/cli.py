@@ -395,7 +395,8 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                    default="auto",
                    help="execution path for each cell: vectorized NumPy "
                         "kernels where available (the classifiers and the "
-                        "infinite-cache OTF, MIN, WBWI and RD protocols; "
+                        "infinite-cache OTF, MIN, WBWI, RD and MAX "
+                        "protocols; "
                         "bit-identical to the streaming oracles), the "
                         "interpreted per-event oracles everywhere, or auto "
                         "(vectorized when NumPy is importable; the "

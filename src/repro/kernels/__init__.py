@@ -12,9 +12,9 @@ Resolution contract (``--kernel {auto,vectorized,interpreted}``):
 
 * ``interpreted`` — every cell runs the streaming oracle;
 * ``vectorized`` — cells with a kernel run it, the rest *fall back* to
-  the oracle (finite caches, and the schedules whose stores are not
-  performed at issue — SD, SRD and MAX — have no kernel yet); requires
-  NumPy;
+  the oracle (finite caches, and SD and SRD, which perform a store at
+  its writer's next release rather than at issue, have no kernel yet);
+  requires NumPy;
 * ``auto`` (default) — ``vectorized`` when NumPy is importable, else
   ``interpreted``.
 
@@ -51,6 +51,7 @@ if VECTORIZED_AVAILABLE:
         torrellas_kernel,
     )
     from .protocols import (
+        max_kernel,
         min_kernel,
         otf_kernel,
         rd_kernel,
@@ -67,7 +68,8 @@ if VECTORIZED_AVAILABLE:
     #: :func:`run_protocol_kernel` (which looks the kernel up here per
     #: call).
     PROTOCOL_KERNELS = {"OTF": otf_kernel, "MIN": min_kernel,
-                        "WBWI": wbwi_kernel, "RD": rd_kernel}
+                        "WBWI": wbwi_kernel, "RD": rd_kernel,
+                        "MAX": max_kernel}
 else:  # pragma: no cover
     KernelContext = run_protocol_kernel = None
     CLASSIFIER_KERNELS = {}

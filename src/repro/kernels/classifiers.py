@@ -140,10 +140,13 @@ class KernelContext:
 
     ``acquires`` is the batch's ``(proc, position)`` acquire table: row
     ``i`` follows an acquire iff ``i >= position``.  Only the RD kernel
-    reads it; the classifiers ignore sync entirely.
+    reads it; the classifiers ignore sync entirely.  ``releases`` is the
+    release table in the same form, or a callable returning it: only the
+    MAX kernel reads it, so a batch builds it on first use.
     """
 
-    def __init__(self, proc, op, addr, num_procs: int, acquires=None):
+    def __init__(self, proc, op, addr, num_procs: int, acquires=None,
+                 releases=None):
         self.proc = np.ascontiguousarray(proc, dtype=np.int64)
         op = np.ascontiguousarray(op, dtype=np.int64)
         self.addr = np.ascontiguousarray(addr, dtype=np.int64)
@@ -158,6 +161,10 @@ class KernelContext:
         self.acq_proc = np.asarray(acquires[0], dtype=np.int64)
         self.acq_pos = np.asarray(acquires[1], dtype=np.int64)
         self._acq_sorted = None
+        if releases is None:
+            releases = (np.empty(0, np.int64), np.empty(0, np.int64))
+        self._releases = releases
+        self._rel_sorted = None
         self._srows = None
         self._wbase = None
         self._word_runs = None
@@ -171,20 +178,36 @@ class KernelContext:
         """Build from a data-only :class:`~repro.trace.columnar.TraceColumns`."""
         return cls(data.proc, data.op, data.addr, num_procs)
 
-    # -- acquires ------------------------------------------------------
-    def acquires_sorted(self):
-        """``(keys, proc, position)`` of the acquires sorted by
-        processor then position, ``keys = proc * (n + 1) + position``.
+    # -- sync tables ----------------------------------------------------
+    def _sync_sorted(self, proc, pos):
+        """``(keys, proc, position)`` sorted by processor then position,
+        ``keys = proc * (n + 1) + position``: "my latest sync row before
+        row i" and "my first one after row s" are one binary search."""
+        keys = proc * (self.n + 1) + pos
+        order = np.argsort(keys, kind="stable")
+        return keys[order], proc[order], pos[order]
 
-        That order turns "my latest acquire before row i" and "my first
-        acquire after row s" into one binary search each.
-        """
+    def acquires_sorted(self):
+        """The acquire table, sorted (see :meth:`_sync_sorted`)."""
         if self._acq_sorted is None:
-            keys = self.acq_proc * (self.n + 1) + self.acq_pos
-            order = np.argsort(keys, kind="stable")
-            self._acq_sorted = (keys[order], self.acq_proc[order],
-                                self.acq_pos[order])
+            self._acq_sorted = self._sync_sorted(self.acq_proc, self.acq_pos)
         return self._acq_sorted
+
+    def release_table(self):
+        """``(proc, position)`` of the batch's releases: row ``i`` follows
+        a release iff ``i >= position``."""
+        if callable(self._releases):
+            self._releases = self._releases()
+        return self._releases
+
+    def releases_sorted(self):
+        """The release table, sorted (see :meth:`_sync_sorted`)."""
+        if self._rel_sorted is None:
+            proc, pos = self.release_table()
+            self._rel_sorted = self._sync_sorted(
+                np.asarray(proc, dtype=np.int64),
+                np.asarray(pos, dtype=np.int64))
+        return self._rel_sorted
 
     # -- word-granularity state (block-size independent) ----------------
     def store_rows(self) -> np.ndarray:

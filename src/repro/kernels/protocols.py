@@ -1,11 +1,12 @@
 """Vectorized protocol kernels.
 
-Four infinite-cache protocols have a kernel: OTF, MIN, WBWI and RD.  All
-four perform a store when it is issued, so processor q's copy of block b
-changes only on q's own accesses and acquires and on stores to b by
-other processors: every (block, processor) stream is independent, and
-each kernel reduces its protocol to one per-row number and the shared
-lifetime classification of :meth:`_BlockView.classify`.
+Five infinite-cache protocols have a kernel: OTF, MIN, WBWI, RD and
+MAX.  All five perform a store when it is issued, so processor q's copy
+of block b changes only on q's own accesses and acquires and on stores
+to b by other processors (under MAX, at times bounded by their writers'
+releases): every (block, processor) stream is independent, and each
+kernel reduces its protocol to a miss set and the shared lifetime
+classification of :meth:`_BlockView.classify`.
 
 Misses.  OTF misses iff a store to the block intervened since the
 group's previous access (:meth:`_BlockView.miss_sorted`).  Under MIN,
@@ -26,28 +27,49 @@ fetch) — a chain solved by :func:`~repro.kernels.segments.essential_chain`:
   for a store, the newest other-processor store to the block (a store
   needs a current copy), whichever is larger.
 
+MAX's misses are the adversary's schedule (:mod:`repro.protocols.maxsched`),
+reformulated per (block, processor q) group.  A store s has a *deadline*
+D(s): the batch position of its writer's first release after it, or
+``n`` if none — the batch's release table, remapped like its acquires,
+makes comparisons with batch rows exact.  For q's consecutive accesses
+a < a', the tokens q can use at a' are exactly the unspent remote stores
+s < a' with D(s) > a (any with an earlier deadline would have been
+forced at a).  At a' q misses iff one is left; if some have D <= a' they
+are all spent (``invalidations_sent += count``), else one with the
+smallest deadline is.  The stores to b between a and a' — and, for the
+group's first gap, those before q's first access with D past it — are
+cut from :meth:`_BlockView.block_runs` into pieces of one (writer,
+deadline).  A gap can miss only if a piece arrives in it or an earlier
+piece of the group has a deadline past a (a segmented running max); a
+gap whose only pieces expire by a' misses and burns them without
+touching the rest.  Only the other contested gaps run the one
+sequential loop, an earliest-deadline heap per group: O(misses +
+pieces), not O(rows).
+
 Lifetimes.  Each miss opens a lifetime that lasts until the group's next
 miss; lifetimes classify exactly as in the tracker's fetch-snapshot
 semantics (:mod:`repro.protocols.lifetime`) once each access is paired
 with the newest remote store to its word *as of the lifetime's fetch*.
 Under OTF, MIN and WBWI no remote store to an accessed word can land
 inside a lifetime (it would have invalidated the copy or the word), so
-that is ``word_remote_rows`` itself; RD reads stale copies, so its
-accesses past a remote store look the word up as of the fetch.
+that is ``word_remote_rows`` itself; RD and MAX read stale copies, so
+their accesses past a remote store look the word up as of the fetch
+(:func:`_newest_as_of_fetch`).
 
 Counters follow in closed form from the miss set and the store and
 acquire tables:
 
 * ``fetches`` — one per lifetime; ``invalidations_applied`` — every
-  lifetime but the ones alive at the end of the batch (MIN and WBWI never
-  drop a copy without refetching it at once, so only each group's first
-  lifetime is not preceded by a drop; under OTF and RD a group's last
-  lifetime is dropped iff a remote store, resp. an acquire after one,
-  follows its fetch);
+  lifetime but the ones alive at the end of the batch (MIN, WBWI and MAX
+  never drop a copy without refetching it at once, so only each group's
+  first lifetime is not preceded by a drop; under OTF and RD a group's
+  last lifetime is dropped iff a remote store, resp. an acquire after
+  one, follows its fetch);
 * ``invalidations_sent`` (OTF, RD) and ``word_invalidations`` (MIN,
   WBWI) — one per store per *other* processor holding a copy, i.e. the
   sum over lifetimes of the stores to the block while the lifetime is
-  alive, less one per store for the writer's own;
+  alive, less one per store for the writer's own; under MAX,
+  ``invalidations_sent`` is the tokens spent;
 * ``write_throughs`` (MIN) — one per store; ``ownership_transfers``
   (WBWI) — one per store whose block's previous store was by another
   processor; ``ownership_misses`` (WBWI, RD) — the non-cold misses at a
@@ -66,18 +88,21 @@ block sizes.
 
 from __future__ import annotations
 
+import functools
+import heapq
 from typing import Dict, Optional
 
 import numpy as np
 
 from ..mem.addresses import BlockMap, PAPER_BLOCK_SIZES
 from ..protocols.results import Counters, ProtocolResult, merge_shard_results
-from ..trace.events import ACQUIRE
+from ..runtime import signals
+from ..trace.events import ACQUIRE, RELEASE
 from .classifiers import KernelContext, _Heartbeat, lifetime_breakdown
 from .segments import essential_chain, remote_store_before
 
 __all__ = ["BATCH_ROWS", "run_protocol_kernel", "otf_kernel", "min_kernel",
-           "wbwi_kernel", "rd_kernel"]
+           "wbwi_kernel", "rd_kernel", "max_kernel"]
 
 #: Data rows per kernel batch.  A batch is a set of whole blocks; a
 #: single block with more rows than this is a batch of its own.
@@ -122,6 +147,7 @@ def _block_batches(addr: np.ndarray, offset_bits: int, select: np.ndarray):
         hi = min(lo + _SCAN_ROWS, n)
         packed[lo:hi] |= np.arange(lo, hi)
     packed[~select] = np.iinfo(np.int64).max  # sorts past every row
+    del select  # the mask is not kept while the batches run
     packed.sort()
     order = np.empty(count, dtype=np.int32 if n < 1 << 31 else np.int64)
     row_mask = np.int64((1 << shift) - 1)
@@ -143,21 +169,37 @@ def _block_batches(addr: np.ndarray, offset_bits: int, select: np.ndarray):
         start = stop
 
 
+def _sync_rows(columns, op: int):
+    """``(proc, row)`` of the trace's ``op`` rows."""
+    rows = np.flatnonzero(columns.op == op)
+    return columns.proc[rows], rows
+
+
+def _remap(table, rows: np.ndarray):
+    """A ``(proc, row)`` sync table in one batch's positions: a batch row
+    follows a sync row iff its trace row does.  One before every row of
+    the batch has nothing to apply, and is dropped."""
+    proc, at = table
+    pos = np.searchsorted(rows, at)
+    live = pos > 0
+    return proc[live], pos[live]
+
+
 def _batch_contexts(columns, num_procs: int, unit_bits: int,
                     select: np.ndarray):
     """One :class:`KernelContext` per batch of whole ``2**unit_bits``-word
-    units of the selected rows, in order, each carrying every acquire of
-    the trace remapped to its own rows (a batch row follows an acquire
-    iff its trace row does)."""
-    acquired = np.flatnonzero(columns.op == ACQUIRE)
-    acq_proc = columns.proc[acquired]
-    for rows in _block_batches(columns.addr, unit_bits, select):
-        apos = np.searchsorted(rows, acquired)
-        # An acquire before every row of the batch has nothing to apply.
-        live = apos > 0
+    units of the selected rows, in order, each carrying every acquire and
+    release of the trace remapped to its own rows.  Only MAX reads the
+    releases, so a batch remaps them on first use."""
+    acquires = _sync_rows(columns, ACQUIRE)
+    releases = _sync_rows(columns, RELEASE)
+    batches = _block_batches(columns.addr, unit_bits, select)
+    del select
+    for rows in batches:
         yield KernelContext(columns.proc[rows], columns.op[rows],
                             columns.addr[rows], num_procs,
-                            (acq_proc[live], apos[live]))
+                            _remap(acquires, rows),
+                            functools.partial(_remap, releases, rows))
 
 
 def run_protocol_kernel(name: str, columns, num_procs: int, block_map, *,
@@ -189,9 +231,9 @@ def run_protocol_kernel(name: str, columns, num_procs: int, block_map, *,
         unit_bits = max(unit_bits, _UNIT_BITS)
     batches = None if contexts is None else contexts.get(unit_bits)
     if batches is None:
-        if select is None:
-            select = columns.data_mask()
-        batches = _batch_contexts(columns, num_procs, unit_bits, select)
+        batches = _batch_contexts(
+            columns, num_procs, unit_bits,
+            columns.data_mask() if select is None else select)
         if contexts is not None:
             batches = contexts[unit_bits] = list(batches)
     parts = [kernel(ctx, block_map, trace_name=trace_name, stats=stats)
@@ -238,6 +280,27 @@ def _prev_fetch(fetch: np.ndarray, cold: np.ndarray) -> np.ndarray:
         prev[1:] = fetch[:-1]
     prev[cold] = -1
     return prev
+
+
+def _newest_as_of_fetch(view, miss: np.ndarray) -> np.ndarray:
+    """Per row, in group order: the newest store to its word by another
+    processor as of its lifetime's fetch — the essential test of a
+    schedule whose copies go stale (RD, MAX), where a remote store can
+    land inside a lifetime without ending it."""
+    ctx = view.ctx
+    n = ctx.n
+    order = view.groups()[0]
+    at = np.where(miss, np.arange(n), 0)
+    fetch_of = order[np.maximum.accumulate(at)] if n else at
+    newest = ctx.word_remote_rows()[order].astype(np.int64)
+    stale = np.flatnonzero(newest > fetch_of)
+    if len(stale):
+        wruns, wkeys = ctx.word_runs()
+        srow = order[stale]
+        newest[stale] = remote_store_before(
+            wruns, wkeys, n + 1, ctx.wid[srow], ctx.proc[srow],
+            fetch_of[stale])
+    return newest
 
 
 def _next_run(runs) -> np.ndarray:
@@ -412,16 +475,7 @@ def rd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     miss = _chain_misses(view, value, hb)
 
     # The essential test reads the word as of the lifetime's fetch.
-    at = np.where(miss, np.arange(n), 0)
-    fetch_of = order[np.maximum.accumulate(at)] if n else at
-    newest = ctx.word_remote_rows()[order].astype(np.int64)
-    stale = np.flatnonzero(newest > fetch_of)
-    if len(stale):
-        wruns, wkeys = ctx.word_runs()
-        srow = order[stale]
-        newest[stale] = remote_store_before(
-            wruns, wkeys, stride, ctx.wid[srow], ctx.proc[srow],
-            fetch_of[stale])
+    newest = _newest_as_of_fetch(view, miss)
     hb.phase()
     life = view.classify(miss, newest, hb)
     _, fetch, cold, _, _ = life
@@ -469,3 +523,158 @@ def rd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     hb.finish()
     return _result("RD", ctx, block_map, trace_name, life, counters)
 
+
+
+def _class_runs(runs, deadline: np.ndarray):
+    """Cut a block-sorted store subsequence into *class runs*, maximal
+    stretches of stores of one (block, writer, deadline): ``(class of
+    each store, first store, stop, deadline, writer)``, the last four
+    per class run."""
+    m = len(runs.row)
+    brk = np.ones(m, dtype=bool)
+    if m:
+        brk[1:] = ((runs.unit[1:] != runs.unit[:-1])
+                   | (runs.proc[1:] != runs.proc[:-1])
+                   | (deadline[1:] != deadline[:-1]))
+    starts = np.flatnonzero(brk)
+    cls = np.cumsum(brk) - 1
+    stops = np.append(starts[1:], m)
+    return cls, starts, stops, deadline[starts], runs.proc[starts]
+
+
+def max_kernel(ctx: KernelContext, block_map, *, trace_name: str,
+               stats: Optional[Dict] = None) -> ProtocolResult:
+    """MAX (the adversary's invalidation schedule) over one batch.
+
+    Reads ``ctx``'s release table.  The module docstring derives the
+    per-group rules: deadlines, gaps, pieces and the earliest-deadline
+    loop over the contested gaps, which is a cancellation point every
+    ``HEARTBEAT_CHUNK`` of them.
+    """
+    hb = _Heartbeat(ctx.n, stats)
+    n = ctx.n
+    view = ctx.block_view(block_map.offset_bits)
+    order, newg, gid_sorted, num_groups = view.groups()
+    runs, _ = view.block_runs()
+    counts = view.store_counts()
+
+    rkeys, rproc, rpos = ctx.releases_sorted()
+    writer = runs.proc.astype(np.int64)
+    deadline = np.full(len(writer), n, dtype=np.int64)
+    if len(rkeys):
+        j = np.searchsorted(rkeys, writer * (n + 1) + runs.row, "right")
+        np.minimum(j, len(rkeys) - 1, out=j)
+        found = (rproc[j] == writer) & (rpos[j] > runs.row)
+        deadline[found] = rpos[j[found]]
+    cls, cstart, cstop, cdeadline, cwriter = _class_runs(runs, deadline)
+    hb.phase()
+
+    # Gap k ends at group position gap[k]: stores [lo, hi) of the block
+    # subsequence, from the previous access (or the block's first store,
+    # for the group's first gap) up to the access.
+    gap = np.flatnonzero(~newg)
+    prev = order[gap - 1]
+    at = order[gap]
+    lo = counts[prev].astype(np.int64) + ctx.store8[prev]
+    first = newg[gap - 1]
+    lo[first] = view.block_offsets()[view.bid[prev[first]]]
+    hi = counts[at].astype(np.int64)
+
+    # Pieces, in gap order: every class run a gap overlaps, clipped.
+    g = np.flatnonzero(hi > lo)
+    c0 = cls[lo[g]]
+    span = cls[hi[g] - 1] - c0 + 1
+    pgap = np.repeat(g, span)
+    pcls = np.arange(len(pgap)) - np.repeat(np.cumsum(span) - span - c0,
+                                            span)
+    pdeadline = cdeadline[pcls]
+    # Only a first gap brings expired stores, or q's own (its first
+    # access).
+    keep = ((pdeadline > prev[pgap])
+            & (cwriter[pcls] != ctx.proc_small[at[pgap]]))
+    pgap, pcls, pdeadline = pgap[keep], pcls[keep], pdeadline[keep]
+    pcount = (np.minimum(hi[pgap], cstop[pcls])
+              - np.maximum(lo[pgap], cstart[pcls]))
+    # A piece whose deadline passes by the gap's access is burnt there
+    # whatever else the group holds: the access misses, and every such
+    # token lands on it.
+    expired = pdeadline <= at[pgap]
+    burnt = np.bincount(pgap[expired], weights=pcount[expired],
+                        minlength=len(gap)).astype(np.int64)
+    live = ~expired
+    pgap, pdeadline, pcount = pgap[live], pdeadline[live], pcount[live]
+    # Tokens of one deadline are interchangeable: one heap entry each
+    # per gap.
+    key = pgap * (n + 1) + pdeadline
+    key, inverse = np.unique(key, return_inverse=True)
+    pcount = np.bincount(inverse.reshape(-1), weights=pcount).astype(np.int64)
+    pgap, pdeadline = np.divmod(key, n + 1)
+    hb.phase()
+
+    # Contested gaps: a live piece arrives, or an earlier one of the
+    # group has a deadline past the previous access (a segmented running
+    # max).  The rest hit, or only burn their own expired pieces.
+    latest = np.full(len(gap), -1, dtype=np.int64)
+    if len(pgap):
+        heads = np.flatnonzero(np.append(True, pgap[1:] != pgap[:-1]))
+        latest[pgap[heads]] = np.maximum.reduceat(pdeadline, heads)
+    base = gid_sorted[gap].astype(np.int64) * (n + 2) + 1
+    before = np.empty(len(gap), dtype=np.int64)
+    if len(gap):
+        before[0] = -1
+        before[1:] = (base + latest)[:-1]
+        np.maximum.accumulate(before, out=before)
+    before -= base
+    contested = (latest >= 0) | (before > prev)
+    del before, latest
+    burns = np.flatnonzero(~contested & (burnt > 0))
+    kills = int(burnt[burns].sum())
+    contested = np.flatnonzero(contested)
+    hb.phase()
+
+    missed = []
+    heap = []
+    group = -1
+    deadlines, tokens = pdeadline.tolist(), pcount.tolist()
+    lo_piece = np.searchsorted(pgap, contested).tolist()
+    hi_piece = np.searchsorted(pgap, contested, "right").tolist()
+    gids = gid_sorted[gap[contested]].tolist()
+    rows = at[contested].tolist()
+    burnt = burnt[contested].tolist()
+    step = signals.HEARTBEAT_CHUNK
+    for start in range(0, len(contested), step):
+        hb.pulse()
+        for k in range(start, min(start + step, len(contested))):
+            if gids[k] != group:
+                group = gids[k]
+                heap = []
+            for p in range(lo_piece[k], hi_piece[k]):
+                heapq.heappush(heap, [deadlines[p], tokens[p]])
+            row = rows[k]
+            spent = burnt[k]
+            while heap and heap[0][0] <= row:  # expired: all land now
+                spent += heapq.heappop(heap)[1]
+            if not spent:
+                if not heap:
+                    continue
+                spent = 1  # the earliest deadline, saving the rest
+                top = heap[0]
+                top[1] -= 1
+                if not top[1]:
+                    heapq.heappop(heap)
+            kills += spent
+            missed.append(k)
+    miss = newg.copy()
+    miss[gap[burns]] = True
+    miss[gap[contested[missed]]] = True
+    hb.phase()
+
+    newest = _newest_as_of_fetch(view, miss)
+    hb.phase()
+    life = view.classify(miss, newest, hb)
+    fetches = len(life[1])
+    counters = Counters(fetches=fetches,
+                        invalidations_applied=fetches - num_groups,
+                        invalidations_sent=kills)
+    hb.finish()
+    return _result("MAX", ctx, block_map, trace_name, life, counters)

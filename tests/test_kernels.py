@@ -20,6 +20,7 @@ np = pytest.importorskip("numpy")
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from interpreted import run_checked
 from repro.analysis.engine import SharedPrecompute, SweepEngine
 from repro.classify.dubois import DuboisClassifier
 from repro.classify.eggers import EggersClassifier
@@ -61,21 +62,23 @@ def family_trace(name):
     return _trace_cache[name]
 
 
-def acquire_table(cols):
-    """``(proc, position)`` of every acquire, the position counting the
-    data rows before it (the index space of a data-row context)."""
+def sync_table(cols, op):
+    """``(proc, position)`` of every ``op`` row, the position counting
+    the data rows before it (the index space of a data-row context)."""
     sync = np.flatnonzero(cols.op > STORE)
-    is_acq = cols.op[sync] == ACQUIRE
     pos = sync - np.arange(len(sync))
-    return cols.proc[sync][is_acq], pos[is_acq]
+    chosen = cols.op[sync] == op
+    return cols.proc[sync][chosen], pos[chosen]
 
 
 def kernel_context(trace):
-    """A context over the trace's data rows carrying its acquire table."""
+    """A context over the trace's data rows carrying its acquire and
+    release tables."""
     cols = trace.columns()
     data = cols.data_only()
     return KernelContext(data.proc, data.op, data.addr, trace.num_procs,
-                         acquire_table(cols))
+                         sync_table(cols, ACQUIRE),
+                         sync_table(cols, RELEASE))
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +137,8 @@ def traces(draw, max_events=60):
 GRID = [("classify", 8, "dubois"), ("classify", 16, "eggers"),
         ("classify", 8, "torrellas"), ("compare", 16, None),
         ("protocol", 8, "OTF"), ("protocol", 8, "MIN"),
-        ("protocol", 16, "WBWI"), ("protocol", 8, "RD")]
+        ("protocol", 16, "WBWI"), ("protocol", 8, "RD"),
+        ("protocol", 16, "MAX")]
 
 
 @given(traces(), st.integers(1, 5))
@@ -172,19 +176,42 @@ def test_kernels_match_oracles_on_random_traces(trace):
 
 class TestKernelContextAcquires:
     def test_helper_context_carries_acquires(self):
-        """Acquire positions count the data rows before each acquire."""
+        """Acquire and release positions count the data rows before each
+        sync row."""
         events = [(0, LOAD, 0), (1, ACQUIRE, 9), (1, STORE, 0),
                   (0, RELEASE, 9), (0, ACQUIRE, 9), (1, LOAD, 4),
-                  (1, ACQUIRE, 9)]
+                  (1, ACQUIRE, 9), (1, RELEASE, 9)]
         ctx = kernel_context(Trace(events, 2, validate=False))
         assert ctx.n == 3
         assert ctx.acq_proc.tolist() == [1, 0, 1]
         assert ctx.acq_pos.tolist() == [1, 2, 3]
+        proc, pos = ctx.release_table()
+        assert proc.tolist() == [0, 1]
+        assert pos.tolist() == [2, 3]
 
     def test_family_context_carries_every_acquire(self):
         trace = family_trace("FFT256")
         ctx = kernel_context(trace)
         assert len(ctx.acq_pos) == trace.counts().acquires > 0
+        assert len(ctx.release_table()[1]) == trace.counts().releases > 0
+
+    def test_batch_releases_are_remapped_on_first_use(self):
+        """A batch context gets its release table only when asked, in
+        its own row positions."""
+        events = [(0, LOAD, 0), (1, RELEASE, 9), (1, STORE, 64),
+                  (0, RELEASE, 9), (0, LOAD, 0), (1, LOAD, 64)]
+        cols = Trace(events, 2, validate=False).columns()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel_protocols, "BATCH_ROWS", 2)
+            ctxs = list(kernel_protocols._batch_contexts(
+                cols, 2, 4, cols.data_mask()))
+        assert [c.n for c in ctxs] == [2, 2]
+        assert all(callable(c._releases) for c in ctxs)
+        # Block 0 (rows 0, 4): both releases fall between its rows.
+        assert [t.tolist() for t in ctxs[0].release_table()] == [[1, 0],
+                                                                 [1, 1]]
+        # Block 4 (rows 2, 5): P1's release precedes it, and is dropped.
+        assert [t.tolist() for t in ctxs[1].release_table()] == [[0], [1]]
 
 
 def test_min_kernel_on_the_appendix_a_corner_case():
@@ -198,6 +225,54 @@ def test_min_kernel_on_the_appendix_a_corner_case():
     assert got == make_protocol("MIN", 2, bm).run(trace)
     assert got.misses == 3
     assert DuboisClassifier.classify_trace(trace, bm).essential == 4
+
+
+class TestMaxKernel:
+    """Hand-worked MAX schedules at B=8; each result is the simulator's,
+    and the default (kernel) path must match it."""
+
+    def test_expired_tokens_burn_on_one_miss(self):
+        """Three stores whose windows all closed before P0's reload:
+        their invalidations must all land by then, so they kill one copy
+        between them (one miss, three sent)."""
+        events = [(0, LOAD, 0), (1, STORE, 0), (1, STORE, 0),
+                  (2, STORE, 0), (1, RELEASE, 99), (2, RELEASE, 98),
+                  (0, LOAD, 0), (0, LOAD, 0)]
+        r = run_checked("MAX", Trace(events, 3, validate=False), 8)
+        assert r.misses == 4  # three cold, one burn; the last load hits
+        assert r.counters.invalidations_sent == 3
+        assert r.counters.invalidations_applied == 1
+        assert r.counters.fetches == 4
+
+    def test_group_opening_with_a_store(self):
+        """P0's first access is a store: P1's earlier store (never
+        released) still kills P0's copy once, and P0's own store is no
+        token against P0 — only against P1."""
+        events = [(1, STORE, 0), (0, STORE, 0), (0, LOAD, 0), (0, LOAD, 0),
+                  (1, LOAD, 0)]
+        r = run_checked("MAX", Trace(events, 2, validate=False), 8)
+        assert r.misses == 4  # two cold, P0's first reload, P1's reload
+        assert r.counters.invalidations_sent == 2
+
+    def test_two_releases_between_the_same_batch_rows(self, monkeypatch):
+        """In 7-row batches blocks 0 and 32 run apart: block 0's batch
+        sees three releases between its last two rows, block 32's two
+        between its first two.  Both deadlines of block 0 close before
+        P0's reload; P1's store to block 32 expires before P0 first
+        touches it."""
+        monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 7)
+        events = [(0, LOAD, 0), (1, STORE, 0), (2, STORE, 0),
+                  (1, RELEASE, 99), (1, STORE, 64), (1, RELEASE, 99),
+                  (2, RELEASE, 98), (0, LOAD, 0)] + [(0, LOAD, 64)] * 4
+        trace = Trace(events, 3, validate=False)
+        cols = trace.columns()
+        ctxs = list(kernel_protocols._batch_contexts(
+            cols, 3, BlockMap(8).offset_bits, cols.data_mask()))
+        assert [c.release_table()[1].tolist() for c in ctxs] == [
+            [3, 3, 3], [1, 1]]
+        r = run_checked("MAX", trace, 8)
+        assert r.misses == 6  # four cold, one burn of two
+        assert r.counters.invalidations_sent == 2
 
 
 # ----------------------------------------------------------------------
@@ -235,25 +310,36 @@ def test_tiny_batches_match_oracles_on_a_family_trace(monkeypatch):
     _batched_matches_oracles(family_trace("FFT256"), (16, 64))
 
 
+def _cell_peak(name, trace):
+    """Peak traced allocation of one batched ``name`` cell at B=64."""
+    cols = trace.columns()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_protocol_kernel(name, cols, trace.num_procs, BlockMap(64),
+                            trace_name=trace.name)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_batched_cell_memory_is_bounded_by_the_batch():
     """One batched RD cell's peak traced allocation barely grows with the
     trace: kernel memory is O(batch), not O(trace).  MP3D1000 has 3.2x
     MP3D200's rows; only the 4-byte-a-row batch order scales."""
-    def peak(trace):
-        cols = trace.columns()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            run_protocol_kernel("RD", cols, trace.num_procs, BlockMap(64),
-                                trace_name=trace.name)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     small, large = family_trace("MP3D200"), family_trace("MP3D1000")
-    peak(small)  # first-call allocations (lazy imports, caches)
+    _cell_peak("RD", small)  # first-call allocations (lazy imports, caches)
     assert len(large.columns()) > 3 * len(small.columns())
-    assert peak(large) <= 1.5 * peak(small)
+    assert _cell_peak("RD", large) <= 1.5 * _cell_peak("RD", small)
+
+
+def test_batched_max_cell_memory_is_bounded_by_the_batch():
+    """The same for MAX, whose batches also hold the trace's release
+    rows and, per batch, its token pieces (which grow with the sharing
+    in the batch's blocks, not with the trace)."""
+    small, large = family_trace("MP3D200"), family_trace("MP3D1000")
+    _cell_peak("MAX", small)
+    assert _cell_peak("MAX", large) <= 2 * _cell_peak("MAX", small)
 
 
 # ----------------------------------------------------------------------
@@ -279,12 +365,12 @@ class TestDefaultPath:
         results = run_protocols(family_trace("WATER16"), 64)
         assert list(results) == ["MIN", "OTF", "RD", "SD", "SRD", "WBWI",
                                  "MAX"]
-        assert set(calls) == {"OTF", "MIN", "WBWI", "RD"}
+        assert set(calls) == {"OTF", "MIN", "WBWI", "RD", "MAX"}
 
     def test_tuple_trace_keeps_no_columns(self):
         """A tuple-only trace (an uncached ``fig6`` run) gets columns for
-        one call only, and MAX scans its tuples: a caller holding a whole
-        suite of traces keeps no second copy of each."""
+        one call only: a caller holding a whole suite of traces keeps no
+        second copy of each."""
         source = family_trace("FFT256")
         trace = Trace(source.events, source.num_procs, name=source.name,
                       validate=False)
@@ -327,22 +413,22 @@ class TestResolution:
         assert has_kernel("classify", "dubois")
         assert has_kernel("classify-shard", "eggers")
         assert has_kernel("compare", None)
-        for name in ("OTF", "MIN", "WBWI", "RD"):
+        for name in ("OTF", "MIN", "WBWI", "RD", "MAX"):
             assert has_kernel("protocol", name)
             assert has_kernel("protocol-shard", name)
-        for name in ("MAX", "SD", "SRD"):
+        for name in ("SD", "SRD"):
             assert not has_kernel("protocol", name)
         assert not has_kernel("finite", "1024")
         assert not has_kernel("classify", "nope")
 
     def test_resolve_rules(self):
         assert resolve_kernel("auto", "classify", "dubois") == "vectorized"
-        for name in ("OTF", "MIN", "WBWI", "RD"):
+        for name in ("OTF", "MIN", "WBWI", "RD", "MAX"):
             assert resolve_kernel("vectorized", "protocol",
                                   name) == "vectorized"
             assert resolve_kernel("auto", "protocol", name) == "vectorized"
         # Fallback: no kernel for this cell under every mode.
-        for name in ("MAX", "SD", "SRD"):
+        for name in ("SD", "SRD"):
             assert resolve_kernel("vectorized", "protocol",
                                   name) == "interpreted"
         assert resolve_kernel("auto", "finite", "64") == "interpreted"
@@ -453,6 +539,33 @@ class TestHeartbeat:
         assert max(ticks) <= signals.HEARTBEAT_CHUNK
         assert len(ticks) >= 2  # ticked *during* the batch, not once at end
         assert stats == {"rows": ctx.n, "batches": len(ticks)}
+
+    def test_max_cell_ticks_its_rows_in_chunks(self, monkeypatch):
+        """A batched MAX cell credits exactly its row count in slices of
+        at most HEARTBEAT_CHUNK, and its earliest-deadline loop is a
+        cancellation point every HEARTBEAT_CHUNK contested gaps."""
+        from repro.kernels import classifiers
+
+        trace = family_trace("MP3D200")
+        rows = len(trace.columns().data_only())
+        ticks, pulses = [], []
+        orig = signals.note_progress
+        monkeypatch.setattr(signals, "note_progress",
+                            lambda n=1: (ticks.append(n), orig(n)))
+        run_protocol_kernel("MAX", trace.columns(), trace.num_procs,
+                            BlockMap(64), trace_name=trace.name)
+        assert sum(ticks) == rows
+        assert max(ticks) <= signals.HEARTBEAT_CHUNK
+
+        monkeypatch.setattr(signals, "HEARTBEAT_CHUNK", 64)
+        monkeypatch.setattr(classifiers._Heartbeat, "pulse",
+                            lambda self: pulses.append(1))
+        ticks.clear()
+        run_protocol_kernel("MAX", trace.columns(), trace.num_procs,
+                            BlockMap(64), trace_name=trace.name)
+        assert sum(ticks) == rows
+        assert max(ticks) <= 64
+        assert len(pulses) > rows // (64 * 64)
 
     def test_kernel_stats_accumulate_across_cells(self):
         trace = family_trace("MATMUL24")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocols import run_protocol, run_protocols
+from interpreted import run_all_checked, run_checked
 from repro.trace import TraceBuilder
 from repro.trace.synth import (
     false_sharing_pingpong,
@@ -24,7 +24,7 @@ class TestWindows:
              .release(1, 100)
              .load(0, 0)       # window closed: hit
              .build())
-        r = run_protocol("MAX", t, 4)
+        r = run_checked("MAX", t, 4)
         assert r.misses == 3
 
     def test_two_stores_kill_twice(self):
@@ -35,7 +35,7 @@ class TestWindows:
              .load(0, 0)      # kill 2 (second store's invalidation saved)
              .load(0, 0)      # out of ammunition: hit
              .build())
-        r = run_protocol("MAX", t, 4)
+        r = run_checked("MAX", t, 4)
         assert r.misses == 4
 
     def test_release_bounds_the_window(self):
@@ -46,7 +46,7 @@ class TestWindows:
              .load(0, 0)        # forced kill happened: miss
              .load(0, 0)        # hit
              .build())
-        r = run_protocol("MAX", t, 4)
+        r = run_checked("MAX", t, 4)
         assert r.misses == 3
 
     def test_invalidation_targets_every_holder(self):
@@ -55,12 +55,12 @@ class TestWindows:
              .store(1, 0)
              .load(0, 0).load(2, 0)
              .build())
-        r = run_protocol("MAX", t, 4)
+        r = run_checked("MAX", t, 4)
         assert r.misses == 5  # one kill per holder from a single store
 
     def test_own_store_does_not_kill_self(self):
         t = TraceBuilder(1).load(0, 0).store(0, 0).load(0, 0).build()
-        r = run_protocol("MAX", t, 4)
+        r = run_checked("MAX", t, 4)
         assert r.misses == 1
 
 
@@ -74,14 +74,14 @@ class TestDominance:
     @pytest.mark.parametrize("block_bytes", [4, 16, 64])
     def test_max_at_least_otf(self, make_trace, block_bytes):
         t = make_trace()
-        res = run_protocols(t, block_bytes, ["OTF", "MAX"])
+        res = run_all_checked(t, block_bytes, ["OTF", "MAX"])
         assert res["MAX"].misses >= res["OTF"].misses
 
     def test_max_exploits_large_blocks(self, pingpong_trace):
         """Ping-pong amplification: MAX nearly doubles OTF on write-shared
         blocks because each store's invalidation lands just before the
         owner's own next access."""
-        res = run_protocols(pingpong_trace, 16, ["OTF", "MAX"])
+        res = run_all_checked(pingpong_trace, 16, ["OTF", "MAX"])
         assert res["MAX"].misses > 1.5 * res["OTF"].misses
 
 
@@ -89,7 +89,7 @@ class TestAccounting:
     def test_invalidations_spent_counted(self):
         t = (TraceBuilder(2)
              .load(0, 0).store(1, 0).load(0, 0).build())
-        r = run_protocol("MAX", t, 4)
+        r = run_checked("MAX", t, 4)
         assert r.counters.invalidations_sent == 1
 
     def test_token_groups_merge_same_deadline(self):
@@ -99,5 +99,5 @@ class TestAccounting:
             b.store(1, 0)
         for _ in range(5):
             b.load(0, 0)
-        r = run_protocol("MAX", b.build(), 4)
+        r = run_checked("MAX", b.build(), 4)
         assert r.misses == 1 + 1 + 5  # both colds + every P0 reload killed

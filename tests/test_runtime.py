@@ -216,9 +216,9 @@ class TestEngineFaults:
         assert engine.run_grid(cells) == [clean]
 
     def test_shard_worker_hang_recovers_bit_identical(self, trace):
-        from repro.protocols.runner import run_protocol
+        from interpreted import interpret
 
-        clean = run_protocol("MAX", trace, 64)
+        clean = interpret("MAX", trace, 64)
         plan = FaultPlan(hang={0: 1})  # first shard hangs once
         engine = SweepEngine(trace, jobs=2, shards=2, timeout=2.0,
                              retry=FAST_RETRY, fault_plan=plan)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from interpreted import interpret
 from repro.analysis.engine import SweepEngine
 from repro.classify.dubois import DuboisClassifier
 from repro.errors import ConfigError, ProtocolError
@@ -341,7 +342,7 @@ class TestShardCheckpoint:
         (result,) = engine.run_grid([cell])
         assert ran == [("protocol-shard", 64, "MAX", plan.digest, s)
                        for s in (1, 2)]
-        assert result == run_protocol("MAX", mp3d_trace, 64)
+        assert result == interpret("MAX", mp3d_trace, 64)
 
     def test_resume_never_mixes_shard_plans(self, tmp_path, mp3d_trace):
         """Partials journaled under one plan are ignored by a resume with
