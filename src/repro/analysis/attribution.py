@@ -121,7 +121,7 @@ def attribute_misses(trace: Trace, block_bytes: int,
         name = table.name_of(record.word)
         per = counts.setdefault(name, {mc: 0 for mc in MissClass})
         per[record.mclass] += 1
-    refs = sum(1 for _, op, _ in trace.events if op in (0, 1))
+    refs = trace.counts().data
     by_region = {
         name: DuboisBreakdown(pc=per[MissClass.PC], cts=per[MissClass.CTS],
                               cfs=per[MissClass.CFS], pts=per[MissClass.PTS],

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..classify.breakdown import MissClass
 from ..protocols.results import ProtocolResult
@@ -27,7 +27,7 @@ class Fig5Panel:
         return self.sweep.format()
 
 
-def figure5(traces: Sequence[Trace],
+def figure5(traces: Iterable[Trace],
             block_sizes: Optional[Sequence[int]] = None,
             *, jobs: int = 1, options=None) -> Dict[str, Fig5Panel]:
     """Figure 5: classification vs block size, one panel per benchmark.
@@ -37,10 +37,13 @@ def figure5(traces: Sequence[Trace],
     :class:`repro.analysis.engine.ExecutionOptions`) threads the
     resilience knobs through to each panel's engine.
     """
-    return {trace.name: Fig5Panel(sweep_block_sizes(trace, block_sizes,
-                                                    jobs=jobs,
-                                                    options=options))
-            for trace in traces}
+    def panel(trace: Trace) -> Tuple[str, Fig5Panel]:
+        return trace.name, Fig5Panel(sweep_block_sizes(
+            trace, block_sizes, jobs=jobs, options=options))
+
+    # map drops each trace once its panel is built, so a generator of
+    # traces keeps only one of them live.
+    return dict(map(panel, traces))
 
 
 @dataclass(frozen=True)

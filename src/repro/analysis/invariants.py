@@ -113,7 +113,7 @@ def check_eggers_tsm_subset_torrellas(trace: Trace,
     to_labels: List[str] = []
     eg = EggersClassifier(trace.num_procs, bm, labels=eg_labels)
     to = TorrellasClassifier(trace.num_procs, bm, labels=to_labels)
-    for proc, op, addr in trace.events:
+    for proc, op, addr in trace:
         if op in (0, 1):
             eg.access(proc, op, addr)
             to.access(proc, op, addr)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..classify.compare import ClassificationComparison, compare_classifications
 from ..trace.stats import BenchmarkStats, benchmark_stats
@@ -50,9 +50,9 @@ def format_table1(comparisons: Dict[Tuple[str, int], ClassificationComparison]
                               "(counts of misses)")
 
 
-def build_table2(traces: Sequence[Trace]) -> List[BenchmarkStats]:
-    """Benchmark characteristics (Table 2) for each trace."""
-    return [benchmark_stats(trace) for trace in traces]
+def build_table2(traces: Iterable[Trace]) -> List[BenchmarkStats]:
+    """Benchmark characteristics (Table 2) for each trace, one at a time."""
+    return list(map(benchmark_stats, traces))
 
 
 def format_table2(stats: Sequence[BenchmarkStats]) -> str:

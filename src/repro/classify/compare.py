@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..mem.addresses import BlockMap
-from ..trace.events import LOAD, STORE
 from ..trace.trace import Trace
 from .breakdown import DuboisBreakdown, SimpleBreakdown
 from .dubois import DuboisClassifier
@@ -89,24 +88,16 @@ def compare_classifications(trace: Trace, block_bytes: int) -> ClassificationCom
     ours = DuboisClassifier(trace.num_procs, block_map)
     eggers = EggersClassifier(trace.num_procs, block_map)
     torrellas = TorrellasClassifier(trace.num_procs, block_map)
-    if trace.has_columns:
-        # Decode and prefilter once (vectorized); all three classifiers
-        # share the same data-only rows and precomputed block ids.
-        data = trace.columns().data_only()
-        procs, ops = data.proc.tolist(), data.op.tolist()
-        addrs = data.addr.tolist()
-        blocks = data.block_ids(block_map.offset_bits).tolist()
-        offsets = data.word_offsets(block_map.words_per_block).tolist()
-        ours.feed_data(procs, ops, addrs, blocks)
-        eggers.feed_data(procs, ops, addrs, blocks, [1 << o for o in offsets])
-        torrellas.feed_data(procs, ops, addrs, blocks)
-    else:
-        a1, a2, a3 = ours.access, eggers.access, torrellas.access
-        for proc, op, addr in trace.events:
-            if op == LOAD or op == STORE:
-                a1(proc, op, addr)
-                a2(proc, op, addr)
-                a3(proc, op, addr)
+    # Decode and prefilter once (vectorized); all three classifiers share
+    # the same data-only rows and precomputed block ids.
+    data = trace.columns().data_only()
+    procs, ops = data.proc.tolist(), data.op.tolist()
+    addrs = data.addr.tolist()
+    blocks = data.block_ids(block_map.offset_bits).tolist()
+    offsets = data.word_offsets(block_map.words_per_block).tolist()
+    ours.feed_data(procs, ops, addrs, blocks)
+    eggers.feed_data(procs, ops, addrs, blocks, [1 << o for o in offsets])
+    torrellas.feed_data(procs, ops, addrs, blocks)
     return ClassificationComparison(
         trace_name=trace.name or "<anonymous>",
         block_bytes=block_bytes,

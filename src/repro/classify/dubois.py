@@ -319,17 +319,11 @@ class DuboisClassifier:
         ``record_misses=True``, receives the per-miss records.
         """
         clf = cls(trace.num_procs, block_map, record_misses=record_misses)
-        if trace.has_columns:
-            # Columnar trace: vectorized data-op prefilter + block ids.
-            data = trace.columns().data_only()
-            clf.feed_data(data.proc.tolist(), data.op.tolist(),
-                          data.addr.tolist(),
-                          data.block_ids(block_map.offset_bits).tolist())
-        else:
-            access = clf.access
-            for proc, op, addr in trace.events:
-                if op == LOAD or op == STORE:
-                    access(proc, op, addr)
+        # Vectorized data-op prefilter + block ids.
+        data = trace.columns().data_only()
+        clf.feed_data(data.proc.tolist(), data.op.tolist(),
+                      data.addr.tolist(),
+                      data.block_ids(block_map.offset_bits).tolist())
         breakdown = clf.finish()
         if out_records is not None:
             out_records.extend(clf.misses)

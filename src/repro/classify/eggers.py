@@ -152,16 +152,10 @@ class EggersClassifier:
     def classify_trace(cls, trace: Trace, block_map: BlockMap) -> SimpleBreakdown:
         """Classify a whole trace at one block size."""
         clf = cls(trace.num_procs, block_map)
-        if trace.has_columns:
-            data = trace.columns().data_only()
-            offsets = data.word_offsets(block_map.words_per_block).tolist()
-            clf.feed_data(data.proc.tolist(), data.op.tolist(),
-                          data.addr.tolist(),
-                          data.block_ids(block_map.offset_bits).tolist(),
-                          [1 << o for o in offsets])
-        else:
-            access = clf.access
-            for proc, op, addr in trace.events:
-                if op == LOAD or op == STORE:
-                    access(proc, op, addr)
+        data = trace.columns().data_only()
+        offsets = data.word_offsets(block_map.words_per_block).tolist()
+        clf.feed_data(data.proc.tolist(), data.op.tolist(),
+                      data.addr.tolist(),
+                      data.block_ids(block_map.offset_bits).tolist(),
+                      [1 << o for o in offsets])
         return clf.finish()

@@ -180,7 +180,7 @@ class ReferenceDuboisClassifier:
         """Classify a whole trace at one block size (streaming tuple path)."""
         clf = cls(trace.num_procs, block_map)
         access = clf.access
-        for proc, op, addr in trace.events:
+        for proc, op, addr in trace:
             if op == LOAD or op == STORE:
                 access(proc, op, addr)
         return clf.finish()

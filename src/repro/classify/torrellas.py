@@ -126,14 +126,8 @@ class TorrellasClassifier:
     def classify_trace(cls, trace: Trace, block_map: BlockMap) -> SimpleBreakdown:
         """Classify a whole trace at one block size."""
         clf = cls(trace.num_procs, block_map)
-        if trace.has_columns:
-            data = trace.columns().data_only()
-            clf.feed_data(data.proc.tolist(), data.op.tolist(),
-                          data.addr.tolist(),
-                          data.block_ids(block_map.offset_bits).tolist())
-        else:
-            access = clf.access
-            for proc, op, addr in trace.events:
-                if op == LOAD or op == STORE:
-                    access(proc, op, addr)
+        data = trace.columns().data_only()
+        clf.feed_data(data.proc.tolist(), data.op.tolist(),
+                      data.addr.tolist(),
+                      data.block_ids(block_map.offset_bits).tolist())
         return clf.finish()

@@ -57,11 +57,15 @@ from .workloads.registry import NAMED_CONFIGS, make_workload, suite
 
 
 def _trace_cache(args) -> "WorkloadTraceCache | None":
-    """The workload trace cache selected by ``--trace-cache``, if any."""
+    """The workload trace cache selected by ``--trace-cache``, if any.
+
+    No in-memory memo: every command reads each trace once, and a memo
+    would pin a suite command's traces all at once.
+    """
     directory = getattr(args, "trace_cache", None)
     if directory is None:
         return None
-    return WorkloadTraceCache(directory or None,
+    return WorkloadTraceCache(directory or None, memory=False,
                               max_bytes=getattr(args, "cache_max_bytes", None))
 
 
@@ -110,12 +114,11 @@ def _load_trace(spec: str, cache: "WorkloadTraceCache | None" = None) -> Trace:
         f"nor a .npz/.trc trace file")
 
 
-def _suite_traces(which: str, cache: "WorkloadTraceCache | None"):
-    """Generate (or load cached) traces for a whole suite."""
-    workloads = suite(which)
-    if cache is not None:
-        return [cache.get(wl) for wl in workloads]
-    return [wl.generate() for wl in workloads]
+def _suite_traces(args):
+    """Generate (or load cached) the traces of ``args.suite``, one at a time."""
+    cache = _trace_cache(args)
+    for wl in suite(args.suite):
+        yield cache.get(wl) if cache is not None else wl.generate()
 
 
 def _cmd_classify(args) -> int:
@@ -188,25 +191,31 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    traces = [wl.generate() for wl in suite(args.suite)]
-    print(format_table2(build_table2(traces)))
+    print(format_table2(build_table2(_suite_traces(args))))
     return 0
 
 
 def _cmd_fig5(args) -> int:
-    traces = _suite_traces(args.suite, _trace_cache(args))
-    for name, panel in figure5(traces, jobs=args.jobs,
-                               options=_engine_options(args)).items():
+    for panel in figure5(_suite_traces(args), jobs=args.jobs,
+                         options=_engine_options(args)).values():
         print(panel.format())
         print()
     return 0
 
 
 def _cmd_fig6(args) -> int:
-    traces = _suite_traces(args.suite, _trace_cache(args))
-    for block in args.blocks:
-        for name, panel in figure6(traces, block, jobs=args.jobs,
-                                   options=_engine_options(args)).items():
+    options = _engine_options(args)
+
+    def panels(trace: Trace) -> list:
+        """The trace's panel at each block size."""
+        return [figure6([trace], block, jobs=args.jobs,
+                        options=options)[trace.name]
+                for block in args.blocks]
+
+    # Computed trace by trace (map drops each trace once its panels are
+    # built), printed block by block.
+    for block_panels in zip(*map(panels, _suite_traces(args))):
+        for panel in block_panels:
             print(panel.format_table())
             print()
     return 0

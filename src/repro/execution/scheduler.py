@@ -9,16 +9,22 @@ definition).  Blocked processors consume the cycle without emitting events.
 The interleaving produced is deterministic for a given ``order`` policy and
 seed, which is the point: the paper switched from execution-driven to
 trace-driven simulation precisely so all protocols see the same interleaved
-trace (section 5.0).  The machine produces that trace once; the protocol
-simulators then replay it.
+trace (section 5.0).  The machine produces that trace once, appending each
+event's processor, opcode and address straight into three typed buffers that
+become the trace's columns without a copy; the protocol simulators then
+replay it.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from ..errors import DeadlockError, SimulationError
+from ..trace.columnar import TraceColumns
 from ..trace.events import ACQUIRE, LOAD, RELEASE, STORE
 from ..trace.trace import Trace
 from .ops import BLOCK, MEM, SYNC
@@ -72,7 +78,9 @@ class Machine:
                 f"{len(threads)} threads for {self.num_procs} processors")
         states: Dict[int, _ThreadState] = {
             i: _ThreadState(gen) for i, gen in enumerate(threads)}
-        events: List[tuple] = []
+        # One int64 buffer per trace column: 24 bytes per event, adopted
+        # by the trace's columns below without a copy.
+        procs, ops, addrs = array("q"), array("q"), array("q")
         rng = random.Random(self.seed)
         cycles = 0
         live = [i for i in states]
@@ -81,7 +89,7 @@ class Machine:
             if cycles >= max_cycles:
                 raise SimulationError(
                     f"execution exceeded {max_cycles} cycles "
-                    f"({len(events)} events so far)")
+                    f"({len(procs)} events so far)")
             scan = self._scan_order(live, cycles, rng)
             progressed = False
             all_blocked = True
@@ -89,7 +97,7 @@ class Machine:
                 state = states[proc]
                 if state.done:
                     continue
-                emitted = self._step(proc, state, events)
+                emitted = self._step(proc, state, procs, ops, addrs)
                 if emitted:
                     progressed = True
                 if state.blocked_on is None:
@@ -109,13 +117,16 @@ class Machine:
                            and states[i].blocked_on() for i in live):
                     raise DeadlockError(
                         f"deadlock at cycle {cycles}: processors {live} all "
-                        f"blocked ({len(events)} events emitted)")
+                        f"blocked ({len(procs)} events emitted)")
 
         full_meta = dict(meta or {})
         full_meta.setdefault("cycles", cycles)
         full_meta.setdefault("num_procs", self.num_procs)
-        return Trace(events, self.num_procs, name=name, meta=full_meta,
-                     validate=False, copy=False)
+        trace_columns = TraceColumns(
+            *(np.frombuffer(column, dtype=np.int64)
+              for column in (procs, ops, addrs)))
+        return Trace(trace_columns, self.num_procs, name=name,
+                     meta=full_meta, validate=False)
 
     # ------------------------------------------------------------------
     def _scan_order(self, live: List[int], cycle: int,
@@ -129,8 +140,12 @@ class Machine:
         rng.shuffle(shuffled)
         return shuffled
 
-    def _step(self, proc: int, state: _ThreadState, events: List[tuple]) -> bool:
-        """Advance one processor by at most one event; True if one was emitted."""
+    def _step(self, proc: int, state: _ThreadState,
+              procs: array, ops: array, addrs: array) -> bool:
+        """Advance one processor by at most one event; True if one was emitted.
+
+        An emitted event is appended to the three column buffers.
+        """
         # A blocked processor re-evaluates its predicate; if still false the
         # cycle is spent waiting.
         if state.blocked_on is not None:
@@ -148,14 +163,18 @@ class Machine:
                 _, memop, addr = op
                 if memop not in (LOAD, STORE):
                     raise SimulationError(f"bad mem op {op!r} from P{proc}")
-                events.append((proc, memop, addr))
+                procs.append(proc)
+                ops.append(memop)
+                addrs.append(addr)
                 state.events_executed += 1
                 return True
             if kind == SYNC:
                 _, syncop, addr = op
                 if syncop not in (ACQUIRE, RELEASE):
                     raise SimulationError(f"bad sync op {op!r} from P{proc}")
-                events.append((proc, syncop, addr))
+                procs.append(proc)
+                ops.append(syncop)
+                addrs.append(addr)
                 state.events_executed += 1
                 return True
             if kind == BLOCK:

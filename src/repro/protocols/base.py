@@ -129,9 +129,9 @@ class Protocol:
         # The event loop is chunked so long simulations stay interruptible
         # and heartbeat-visible without paying any per-event overhead: the
         # progress tick (which doubles as a cancellation point) runs once
-        # per HEARTBEAT_CHUNK events, not once per event.  Chunks are read
-        # from whichever representation the trace holds, so a columnar
-        # trace is never decoded whole.
+        # per HEARTBEAT_CHUNK events, not once per event.  Each chunk is
+        # decoded from one slice of the trace's columns, so the trace is
+        # never decoded whole.
         step = signals.HEARTBEAT_CHUNK
         total = len(trace)
         for start, rows in zip(range(0, total, step),

@@ -90,15 +90,10 @@ class MAXSchedule(Protocol):
                 f"trace has {trace.num_procs} processors, protocol built "
                 f"for {self.num_procs}")
         self._releases = [[] for _ in range(self.num_procs)]
-        if trace.has_columns:
-            cols = trace.columns()
-            released = cols.sync_indices()[RELEASE]
-            found = zip(cols.proc[released].tolist(), released.tolist())
-        else:  # a tuple-only trace: scan it rather than build columns
-            found = ((proc, index)
-                     for index, (proc, op, _) in enumerate(trace.events)
-                     if op == RELEASE)
-        for proc, index in found:
+        cols = trace.columns()
+        released = cols.sync_indices()[RELEASE]
+        for proc, index in zip(cols.proc[released].tolist(),
+                               released.tolist()):
             self._releases[proc].append(index)
         self._end_index = len(trace)
         return super().run(trace)

@@ -11,7 +11,6 @@ from typing import Dict, Iterable, List, Optional
 
 from ..errors import ProtocolError
 from ..mem.addresses import BlockMap
-from ..trace.columnar import TraceColumns
 from ..trace.trace import Trace
 from .base import PROTOCOL_REGISTRY, Protocol
 from .results import ProtocolResult
@@ -85,18 +84,11 @@ def run_protocols(trace: Trace, block_bytes: int,
     from ..kernels import resolve_kernel, run_protocol_kernel
 
     block_map = BlockMap(block_bytes)
-    columns = None
     results = {}
     for name in chosen:
         if resolve_kernel("auto", "protocol", name) == "vectorized":
-            if columns is None:
-                # A tuple-only trace gets columns for this call only: a
-                # caller holding a whole suite of traces (``fig6``) keeps
-                # no second copy of each.
-                columns = (trace.columns() if trace.has_columns
-                           else TraceColumns.from_events(trace.events))
             results[name] = run_protocol_kernel(
-                name, columns, trace.num_procs, block_map,
+                name, trace.columns(), trace.num_procs, block_map,
                 trace_name=trace.name or "<anonymous>")
         else:
             results[name] = make_protocol(name, trace.num_procs,

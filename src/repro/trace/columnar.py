@@ -3,11 +3,10 @@
 A :class:`TraceColumns` holds one interleaved trace as three parallel
 ``int64`` NumPy arrays — ``proc``, ``op``, ``addr`` — matching the layout
 of the on-disk ``.npz`` format (:mod:`repro.trace.io`), so traces load and
-save with zero copies.  :class:`~repro.trace.trace.Trace` keeps its
-tuple-sequence API on top of this core: a trace built from tuples grows
-columns lazily on first use, and a trace loaded from arrays materializes
-tuples lazily on first use.  Either representation is authoritative; they
-always decode to the same events.
+save with zero copies.  It is the only storage of a
+:class:`~repro.trace.trace.Trace`: tuple input is encoded once, by
+:meth:`TraceColumns.from_events`, which is also the gate that rejects
+malformed tuples.
 
 The columnar form is what makes parameter sweeps cheap (see
 :mod:`repro.analysis.engine`): per-block-size derived columns are single
@@ -17,7 +16,7 @@ boolean mask instead of a per-event branch, and slicing is a NumPy view.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,8 +26,10 @@ from .events import ACQUIRE, Event, LOAD, OPS, RELEASE, STORE
 #: dtype of all three columns (matches the ``.npz`` format).
 COLUMN_DTYPE = np.int64
 
-#: Events per slice when :meth:`TraceColumns.from_events` encodes tuples.
+#: Events per slice when tuples are encoded into columns or decoded back.
 _ENCODE_ROWS = 1 << 14
+
+_INT64 = np.iinfo(COLUMN_DTYPE)
 
 
 def _as_column(values, label: str) -> np.ndarray:
@@ -67,26 +68,29 @@ class TraceColumns:
     # construction / conversion
     # ------------------------------------------------------------------
     @classmethod
-    def from_events(cls, events: Sequence[Event]) -> "TraceColumns":
-        """Encode a sequence of ``(proc, op, addr)`` tuples."""
+    def from_events(cls, events: Iterable[Event]) -> "TraceColumns":
+        """Encode ``(proc, op, addr)`` tuples.
+
+        Every field must be an integer within int64, with ``proc`` and
+        ``addr`` non-negative and ``op`` a valid opcode; anything else
+        raises :class:`~repro.errors.TraceError` rather than being coerced.
+        """
+        if not isinstance(events, Sequence):
+            events = list(events)
         n = len(events)
-        if n == 0:
-            empty = np.empty(0, dtype=COLUMN_DTYPE)
-            return cls(empty, empty.copy(), empty.copy())
         # Each column gets its own compact buffer, filled a slice of
         # events at a time, so no trace-sized 3xN temporary is built.
         columns = [np.empty(n, dtype=COLUMN_DTYPE) for _ in range(3)]
         for lo in range(0, n, _ENCODE_ROWS):
-            packed = np.array(events[lo:lo + _ENCODE_ROWS],
-                              dtype=COLUMN_DTYPE)
-            if packed.ndim != 2 or packed.shape[1] != 3:
-                raise TraceError("events must be (proc, op, addr) triples")
+            packed = _encode_chunk(events[lo:lo + _ENCODE_ROWS])
             for column, values in zip(columns, packed.T):
                 column[lo:lo + len(packed)] = values
-        return cls(*columns)
+        encoded = cls(*columns)
+        encoded.validate()
+        return encoded
 
     def to_events(self) -> List[Event]:
-        """Decode into the tuple-list representation."""
+        """Decode into a list of ``(proc, op, addr)`` tuples."""
         return list(zip(self.proc.tolist(), self.op.tolist(),
                         self.addr.tolist()))
 
@@ -136,15 +140,18 @@ class TraceColumns:
             return 1
         return int(self.proc.max()) + 1
 
-    def validate(self, num_procs: int) -> None:
-        """Vectorized well-formedness check (mirrors ``validate_event``)."""
+    def validate(self, num_procs: Optional[int] = None) -> None:
+        """Vectorized well-formedness check (mirrors ``validate_event``).
+
+        ``num_procs`` additionally bounds the processor id when given.
+        """
         if len(self) == 0:
             return
-        if self.proc.min() < 0 or self.proc.max() >= num_procs:
-            bad = int(self.proc[(self.proc < 0)
-                                | (self.proc >= num_procs)][0])
-            raise TraceError(
-                f"processor id {bad} out of range for {num_procs} processors")
+        high = _INT64.max if num_procs is None else num_procs - 1
+        if self.proc.min() < 0 or self.proc.max() > high:
+            bad = int(self.proc[(self.proc < 0) | (self.proc > high)][0])
+            bound = "" if num_procs is None else f" for {num_procs} processors"
+            raise TraceError(f"processor id {bad} out of range{bound}")
         if self.op.min() < min(OPS) or self.op.max() > max(OPS):
             bad = int(self.op[(self.op < min(OPS)) | (self.op > max(OPS))][0])
             raise TraceError(f"bad opcode {bad!r}")
@@ -191,3 +198,39 @@ class TraceColumns:
     def touched_words(self) -> np.ndarray:
         """Sorted unique word addresses touched by data accesses."""
         return np.unique(self.addr[self.data_mask()])
+
+
+def _encode_chunk(events: Sequence[Event]) -> np.ndarray:
+    """``events`` as an ``(n, 3)`` integer array, or :class:`TraceError`.
+
+    NumPy infers a signed-integer (or bool) dtype exactly when every field
+    is an integer within int64; any other dtype (float, string, object,
+    unsigned) or shape sends the slice to :func:`_reject_malformed`.
+    """
+    try:
+        packed = np.array(events)
+    except ValueError:  # ragged: some event is not a flat triple
+        packed = None
+    if (packed is None or packed.shape[1:] != (3,)
+            or packed.dtype.kind not in "ib"):
+        _reject_malformed(events)
+        # Every field is an in-range integer (e.g. NumPy unsigned scalars
+        # mixed with ints, which NumPy infers as float64): encode exactly.
+        packed = np.array(events, dtype=COLUMN_DTYPE)
+    return packed
+
+
+def _reject_malformed(events: Sequence[Event]) -> None:
+    """Raise :class:`TraceError` for the first event that is not a triple
+    of integers within int64."""
+    for event in events:
+        if not isinstance(event, (tuple, list)) or len(event) != 3:
+            raise TraceError(
+                f"event must be a (proc, op, addr) tuple, got {event!r}")
+        for value in event:
+            if not isinstance(value, (int, np.integer)):
+                raise TraceError(
+                    f"non-integer field {value!r} in event {event!r}")
+            if not _INT64.min <= value <= _INT64.max:
+                raise TraceError(
+                    f"field {value} outside int64 in event {event!r}")

@@ -44,7 +44,7 @@ def round_robin(streams: Dict[int, Sequence[Event]], *, quantum: int = 1,
                 cursors[p] = cur + len(take)
                 live = True
     return Trace(events, num_procs=max(streams) + 1, name=name,
-                 validate=False, copy=False)
+                 validate=False)
 
 
 def random_interleave(streams: Dict[int, Sequence[Event]], *, seed: int,
@@ -62,7 +62,7 @@ def random_interleave(streams: Dict[int, Sequence[Event]], *, seed: int,
         if cursors[p] >= len(stream):
             del pending[p]
     return Trace(events, num_procs=max(streams) + 1 if streams else 1,
-                 name=name, validate=False, copy=False)
+                 name=name, validate=False)
 
 
 def reinterleave(trace: Trace, *, seed: int) -> Trace:
@@ -90,25 +90,27 @@ def reinterleave_sync_safe(trace: Trace, *, seed: int, window: int = 32) -> Trac
     from .events import SYNC_OPS
 
     rng = random.Random(seed)
-    events = trace.events
     out: List[Event] = []
-    i = 0
-    while i < len(events):
-        # Collect a window that contains no synchronization events; sync
-        # events act as interleaving barriers.
-        j = i
-        while j < len(events) and j - i < window and events[j][1] not in SYNC_OPS:
-            j += 1
-        chunk = list(events[i:j])
-        if len(chunk) > 1:
-            chunk = _shuffle_preserving_program_order(chunk, rng)
-        out.extend(chunk)
-        if j < len(events) and events[j][1] in SYNC_OPS:
-            out.append(events[j])
-            j += 1
-        i = j
+    chunk: List[Event] = []
+
+    def flush() -> None:
+        out.extend(_shuffle_preserving_program_order(chunk, rng)
+                   if len(chunk) > 1 else chunk)
+        chunk.clear()
+
+    # Shuffle windows of at most ``window`` data events; synchronization
+    # events act as interleaving barriers.
+    for ev in trace:
+        if ev[1] in SYNC_OPS:
+            flush()
+            out.append(ev)
+        else:
+            chunk.append(ev)
+            if len(chunk) == window:
+                flush()
+    flush()
     return Trace(out, trace.num_procs, name=f"{trace.name}#sync-safe",
-                 meta=trace.meta, validate=False, copy=False)
+                 meta=trace.meta, validate=False)
 
 
 def _shuffle_preserving_program_order(chunk: List[Event],

@@ -37,7 +37,7 @@ def dumps_text(trace: Trace) -> str:
     lines = [_TEXT_MAGIC,
              f"# name: {trace.name}",
              f"num_procs {trace.num_procs}"]
-    for proc, op, addr in trace.events:
+    for proc, op, addr in trace:
         lines.append(f"{proc} {op_name(op)} {addr:#x}")
     return "\n".join(lines) + "\n"
 
@@ -78,7 +78,7 @@ def loads_text(text: str) -> Trace:
         events.append((proc, op, addr))
     if num_procs is None:
         raise TraceFormatError("missing num_procs line")
-    return Trace(events, num_procs, name=name, copy=False)
+    return Trace(events, num_procs, name=name)
 
 
 def save_text(trace: Trace, path: str) -> None:

@@ -42,7 +42,7 @@ def private_blocks(num_procs: int, words_per_proc: int, iterations: int,
             for w in range(words_per_proc):
                 events.append((p, STORE, base + w))
                 events.append((p, LOAD, base + w))
-    return Trace(events, num_procs, name="synth-private", validate=False, copy=False)
+    return Trace(events, num_procs, name="synth-private", validate=False)
 
 
 def producer_consumer(num_procs: int, words: int, rounds: int,
@@ -64,7 +64,7 @@ def producer_consumer(num_procs: int, words: int, rounds: int,
             for w in range(words):
                 events.append((p, LOAD, w))
     return Trace(events, num_procs, name="synth-producer-consumer",
-                 validate=False, copy=False)
+                 validate=False)
 
 
 def false_sharing_pingpong(num_procs: int, rounds: int, *, stride_words: int = 1,
@@ -83,7 +83,7 @@ def false_sharing_pingpong(num_procs: int, rounds: int, *, stride_words: int = 1
             addr = p * stride_words
             events.append((p, LOAD, addr))
             events.append((p, STORE, addr))
-    return Trace(events, num_procs, name="synth-false-sharing", validate=False, copy=False)
+    return Trace(events, num_procs, name="synth-false-sharing", validate=False)
 
 
 def migratory(num_procs: int, words: int, rounds: int, *, seed: int = 0) -> Trace:
@@ -100,7 +100,7 @@ def migratory(num_procs: int, words: int, rounds: int, *, seed: int = 0) -> Trac
             events.append((p, LOAD, w))
         for w in range(words):
             events.append((p, STORE, w))
-    return Trace(events, num_procs, name="synth-migratory", validate=False, copy=False)
+    return Trace(events, num_procs, name="synth-migratory", validate=False)
 
 
 def uniform_random(num_procs: int, words: int, num_events: int, *,
@@ -115,7 +115,7 @@ def uniform_random(num_procs: int, words: int, num_events: int, *,
         p = rng.randrange(num_procs)
         op = STORE if rng.random() < store_fraction else LOAD
         events.append((p, op, rng.randrange(words)))
-    return Trace(events, num_procs, name="synth-uniform", validate=False, copy=False)
+    return Trace(events, num_procs, name="synth-uniform", validate=False)
 
 
 def read_mostly(num_procs: int, words: int, rounds: int, *,
@@ -137,4 +137,4 @@ def read_mostly(num_procs: int, words: int, rounds: int, *,
                 events.append((p, LOAD, w))
         for _ in range(writes_per_round):
             events.append((writer, STORE, rng.randrange(words)))
-    return Trace(events, num_procs, name="synth-read-mostly", validate=False, copy=False)
+    return Trace(events, num_procs, name="synth-read-mostly", validate=False)

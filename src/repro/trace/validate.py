@@ -89,13 +89,12 @@ def check_races(trace: Trace, *, max_races: int = 16) -> RaceReport:
     last_write: Dict[int, Tuple[int, int, int]] = {}
     last_reads: Dict[int, Dict[int, Tuple[int, int]]] = {}
     races: List[Tuple[Tuple[int, tuple], Tuple[int, tuple]]] = []
-    events = trace.events
 
     def record(i1: int, i2: int) -> None:
         if len(races) < max_races:
-            races.append(((i1, events[i1]), (i2, events[i2])))
+            races.append(((i1, trace[i1]), (i2, trace[i2])))
 
-    for index, (proc, op, addr) in enumerate(events):
+    for index, (proc, op, addr) in enumerate(trace):
         clock = clocks[proc]
         if op == ACQUIRE:
             released = sync_clocks.get(addr)
@@ -154,7 +153,7 @@ def sync_pairs_balanced(trace: Trace) -> Optional[str]:
     """
     acquires: Dict[tuple, int] = {}
     releases: Dict[tuple, int] = {}
-    for proc, op, addr in trace.events:
+    for proc, op, addr in trace:
         if op == ACQUIRE:
             acquires[(proc, addr)] = acquires.get((proc, addr), 0) + 1
         elif op == RELEASE:

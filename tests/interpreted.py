@@ -1,4 +1,4 @@
-"""Protocol runs that keep the simulators under test as the oracle.
+"""Protocol and classifier runs that keep the plain simulators as the oracle.
 
 :func:`repro.protocols.run_protocol` sends a protocol with a vectorized
 kernel (OTF, MIN, WBWI, RD, MAX) to that kernel.  Tests that check a
@@ -6,8 +6,16 @@ simulator — hand-worked results, the reference-tracker differential,
 engine equivalence — run it through :func:`interpret` instead;
 :func:`run_checked` also asserts that the default path agrees, so one
 hand-worked expectation pins both the simulator and the kernel.
+
+Likewise ``classify_trace`` feeds a classifier through ``feed_data``'s
+inlined fast path; :func:`classify_by_access` and :func:`compare_by_access`
+feed the plain per-event ``access()`` API instead, one event at a time.
 """
 
+from repro.classify.compare import ClassificationComparison
+from repro.classify.dubois import DuboisClassifier
+from repro.classify.eggers import EggersClassifier
+from repro.classify.torrellas import TorrellasClassifier
 from repro.mem import BlockMap
 from repro.protocols import make_protocol, run_protocol
 
@@ -28,3 +36,29 @@ def run_checked(name, trace, block_bytes):
 def run_all_checked(trace, block_bytes, names):
     """``{name: run_checked(name, ...)}`` in the given order."""
     return {name: run_checked(name, trace, block_bytes) for name in names}
+
+
+def _feed_access(classifiers, trace):
+    for proc, op, addr in trace.data_events():
+        for clf in classifiers:
+            clf.access(proc, op, addr)
+
+
+def classify_by_access(cls, trace, block_map):
+    """Classifier ``cls``'s breakdown of ``trace``, fed through ``access()``."""
+    clf = cls(trace.num_procs, block_map)
+    _feed_access((clf,), trace)
+    return clf.finish()
+
+
+def compare_by_access(trace, block_bytes):
+    """:func:`repro.classify.compare.compare_classifications`, fed through
+    each classifier's ``access()``."""
+    block_map = BlockMap(block_bytes)
+    classifiers = [cls(trace.num_procs, block_map) for cls in
+                   (DuboisClassifier, EggersClassifier, TorrellasClassifier)]
+    _feed_access(classifiers, trace)
+    ours, eggers, torrellas = (clf.finish() for clf in classifiers)
+    return ClassificationComparison(
+        trace_name=trace.name or "<anonymous>", block_bytes=block_bytes,
+        ours=ours, eggers=eggers, torrellas=torrellas)

@@ -121,6 +121,40 @@ class TestCommands:
         assert "misses by data structure" in out
 
 
+class TestSuiteCommands:
+    """``fig5``, ``fig6`` and ``table2`` hold one suite trace at a time."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fig5"], ["fig6", "--blocks", "64", "1024"], ["table2"],
+        ["fig5", "--trace-cache", "CACHE"],
+    ])
+    def test_one_trace_live_at_a_time(self, argv, monkeypatch, tmp_path,
+                                      capsys):
+        import weakref
+
+        from repro import cli
+        from repro.workloads.registry import make_workload
+
+        workloads = [make_workload(n) for n in ("MATMUL24", "FFT256")]
+        monkeypatch.setattr(cli, "suite", lambda which: workloads)
+        generated = []  # weak references to each trace's address column
+        for wl in workloads:
+            def generate(original=wl.generate):
+                assert all(ref() is None for ref in generated)
+                trace = original()
+                generated.append(weakref.ref(trace.columns().addr))
+                return trace
+            monkeypatch.setattr(wl, "generate", generate)
+        argv = [str(tmp_path) if a == "CACHE" else a for a in argv]
+        assert main(argv) == 0
+        assert len(generated) == 2
+        if argv[0] == "fig6":  # computed trace by trace, printed block-major
+            titles = [line for line in capsys.readouterr().out.splitlines()
+                      if " @ B=" in line]
+            assert titles == ["MATMUL24 @ B=64", "FFT256 @ B=64",
+                              "MATMUL24 @ B=1024", "FFT256 @ B=1024"]
+
+
 class TestExitCodeContract:
     """The documented process exit codes are part of the CLI's API:
     wrappers (CI, the chaos harness, operators' shell scripts) dispatch

@@ -1,4 +1,4 @@
-"""Unit tests for the columnar trace core and the dual-representation Trace."""
+"""Unit tests for the columnar trace core and the Trace stored on it."""
 
 import numpy as np
 import pytest
@@ -78,6 +78,27 @@ class TestTraceColumns:
         with pytest.raises(TraceError):
             TraceColumns([0], [LOAD], [-4]).validate(1)
 
+    @pytest.mark.parametrize("events", [
+        [(0, LOAD, 1.5)],            # float field
+        [(0, LOAD, "3")],            # string field
+        [(0, LOAD, None)],
+        [(0, LOAD, 2**63)],          # outside int64
+        [(0, LOAD, -2**63 - 1)],
+        [(0, LOAD, 1), (1, STORE, 2**64)],
+        [(0, LOAD)],                 # not a triple
+        [(0, LOAD, 1), (0, LOAD, 1, 2)],
+        [(-1, LOAD, 0)],             # the ranges validate_event checks
+        [(0, 9, 0)],
+        [(0, LOAD, -4)],
+    ])
+    def test_from_events_rejects_malformed(self, events):
+        with pytest.raises(TraceError):
+            TraceColumns.from_events(events)
+
+    def test_from_events_accepts_numpy_integers(self):
+        events = [(np.int32(1), LOAD, np.uint64(7))]
+        assert TraceColumns.from_events(events).to_events() == [(1, LOAD, 7)]
+
     def test_infer_num_procs(self, cols):
         assert cols.infer_num_procs() == 3
 
@@ -134,18 +155,8 @@ class TestDerivedColumns:
 
 
 class TestDualRepresentationTrace:
-    def test_tuple_trace_grows_columns_lazily(self):
-        t = Trace(EVENTS, 3)
-        assert not t.has_columns
-        assert t.columns().to_events() == EVENTS
-        assert t.has_columns
-        assert t.columns() is t.columns()  # cached
-
-    def test_columnar_trace_materializes_events_lazily(self):
-        t = Trace.from_columns(TraceColumns.from_events(EVENTS), 3)
-        assert t.has_columns
-        assert t.events == EVENTS
-        assert t.events is t.events  # cached
+    """A trace built from tuples and one built from columns are the same
+    columnar trace."""
 
     def test_columnar_trace_infers_num_procs(self):
         t = Trace.from_columns(TraceColumns.from_events(EVENTS))
@@ -170,13 +181,12 @@ class TestDualRepresentationTrace:
     def test_columnar_slicing_stays_columnar(self):
         t = Trace.from_columns(TraceColumns.from_events(EVENTS), 3)
         head = t[:4]
-        assert head.has_columns
+        assert np.shares_memory(head.columns().proc, t.columns().proc)
         assert head.events == EVENTS[:4]
 
     def test_columnar_concat(self):
         t = Trace.from_columns(TraceColumns.from_events(EVENTS), 3)
         joined = t.concat(t)
-        assert joined.has_columns
         assert joined.events == EVENTS * 2
 
     def test_counts_agree_across_representations(self):
@@ -191,11 +201,6 @@ class TestDualRepresentationTrace:
         bm = BlockMap(64)
         assert (tuple_trace.touched_blocks(bm)
                 == col_trace.touched_blocks(bm))
-
-    def test_copy_false_adopts_list(self):
-        events = list(EVENTS)
-        t = Trace(events, 3, copy=False)
-        assert t.events is events
 
     def test_copy_true_defends_against_mutation(self):
         events = list(EVENTS)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import TraceFormatError
+from repro.errors import TraceError, TraceFormatError
 from repro.trace import Trace, TraceBuilder
 from repro.trace.io import (
     cached,
@@ -96,6 +96,11 @@ class TestTextEdgeCases:
         with pytest.raises(TraceFormatError):
             loads_text("#repro-trace-v1\nnum_procs 1\n0 LOAD 0 0\n")
 
+    def test_addr_outside_int64_rejected(self):
+        with pytest.raises(TraceError):
+            loads_text("#repro-trace-v1\nnum_procs 1\n"
+                       "0 LOAD 0x8000000000000000\n")
+
 
 class TestNpzFormat:
     def test_roundtrip(self, trace, tmp_path):
@@ -168,7 +173,7 @@ class TestNpzFormat:
         path = str(tmp_path / "cols.npz")
         save_npz(trace, path)
         loaded = load_npz(path)
-        assert loaded.has_columns  # arrays adopted directly, no decode
+        assert loaded.columns() == trace.columns()
         assert loaded.events == trace.events
 
 

@@ -367,17 +367,6 @@ class TestDefaultPath:
                                  "MAX"]
         assert set(calls) == {"OTF", "MIN", "WBWI", "RD", "MAX"}
 
-    def test_tuple_trace_keeps_no_columns(self):
-        """A tuple-only trace (an uncached ``fig6`` run) gets columns for
-        one call only: a caller holding a whole suite of traces keeps no
-        second copy of each."""
-        source = family_trace("FFT256")
-        trace = Trace(source.events, source.num_procs, name=source.name,
-                      validate=False)
-        assert not trace.has_columns
-        assert run_protocols(trace, 64) == run_protocols(source, 64)
-        assert not trace.has_columns
-
 
 # ----------------------------------------------------------------------
 # resolution contract

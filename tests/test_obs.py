@@ -72,8 +72,7 @@ FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05)
 @pytest.fixture(scope="module")
 def trace():
     full = make_workload("MP3D200").generate()
-    return Trace(full.events[:4000], full.num_procs, name="MP3D200",
-                 copy=False)
+    return Trace(full.events[:4000], full.num_procs, name="MP3D200")
 
 
 def _read_records(run_dir):

@@ -48,7 +48,7 @@ def test_optimized_matches_reference_on_random_traces(trace, bb):
 @pytest.mark.parametrize("name", SMALL_SUITE)
 def test_optimized_matches_reference_on_workloads(name, block_bytes):
     full = make_workload(name).generate()
-    trace = Trace(full.events[:6000], full.num_procs, name=name, copy=False)
+    trace = Trace(full.events[:6000], full.num_procs, name=name)
     bm = BlockMap(block_bytes)
     expected = ReferenceDuboisClassifier.classify_trace(trace, bm)
     assert DuboisClassifier.classify_trace(trace, bm) == expected

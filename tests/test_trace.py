@@ -30,6 +30,16 @@ class TestConstruction:
         with pytest.raises(TraceError):
             Trace([(5, LOAD, 0)], num_procs=2)
 
+    @pytest.mark.parametrize("event", [
+        (0, LOAD, 1.5), (0, LOAD, "3"), (0, LOAD, 2**63), (-1, LOAD, 0),
+        (0, 7, 0), (0, LOAD, -1),
+    ])
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_malformed_tuples_rejected_on_construction(self, event,
+                                                       validate):
+        with pytest.raises(TraceError):
+            Trace([event], validate=validate)
+
     def test_validation_can_be_skipped(self):
         t = Trace([(5, LOAD, 0)], num_procs=2, validate=False)
         assert len(t) == 1

@@ -5,8 +5,14 @@ import pytest
 from repro.classify import DuboisClassifier
 from repro.errors import ConfigError
 from repro.mem import BlockMap
+from repro.trace.io import _array_checksum
 from repro.trace.validate import check_races, sync_pairs_balanced
 from repro.workloads import FFT, Jacobi, LU, MP3D, MatMul, SOR, Water
+from repro.workloads.registry import (
+    NAMED_CONFIGS,
+    PAPER_LARGE_SUITE,
+    make_workload,
+)
 
 
 class TestLU:
@@ -248,3 +254,30 @@ class TestWorkloadMeta:
         for name, tr in workload_traces.items():
             st = benchmark_stats(tr)
             assert 1.0 <= st.speedup <= tr.num_procs + 1e-9, name
+
+
+#: ``_array_checksum`` of each named workload's generated columns (the
+#: paper-large ones take minutes and are left out).  The values were
+#: recorded when the ``Machine`` still built a tuple list, so they pin the
+#: typed-buffer generation path to the same bytes; a workload, scheduler
+#: or encoding change that moves any event fails here.
+GENERATED_CHECKSUMS = {
+    "LU32": "a267744aa1e65c0b3eb892b87da1e0ce912c8136ef4dee14e83d4403bc971837",
+    "WATER16": "6bea3dceb9d9e37874e92ae6e2a4c77766afff24b7d71d58b50f917d494e2931",
+    "JACOBI64": "de8f7a35055d3389273e323404024358fc7d0380029b38edbd10337b50800aa0",
+    "MP3D200": "73291138fe1879776e0fcaf084e3bf0e49a81e5b5df593aef6767daecebce7ec",
+    "LU64": "65c78409c920b912c0572f0cd3b195bfb63cde296ad1bf4d8bc7b3f80ca1462c",
+    "WATER40": "2bc7a2e49c6eb667d0b48bfcbf07496cd5adce6221c23697ab5c45d5725ca367",
+    "MP3D1000": "f574f823c830d1eedf80340097cd841443454de9d1fd210589337047a31ae906",
+    "MATMUL24": "3299c6b5ac9bdc5b3aa4a20ebf77fdb5b23a2df22036847374b3c9a07209e90c",
+    "FFT256": "9c1b1c60ad1fa859adf55267b35b125453c12c2d282a4f800211587916184b7e",
+    "SOR64": "8015588b054c143635ee6a3d3e5e4d66c42abbeb9f5253ce2c17d0a82623dc29",
+}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in NAMED_CONFIGS if n not in PAPER_LARGE_SUITE])
+def test_generated_trace_bytes_are_pinned(name):
+    cols = make_workload(name).generate().columns()
+    assert (_array_checksum(cols.proc, cols.op, cols.addr)
+            == GENERATED_CHECKSUMS[name])
