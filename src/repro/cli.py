@@ -403,9 +403,8 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", choices=("auto", "vectorized", "interpreted"),
                    default="auto",
                    help="execution path for each cell: vectorized NumPy "
-                        "kernels where available (the classifiers and the "
-                        "infinite-cache OTF, MIN, WBWI, RD and MAX "
-                        "protocols; "
+                        "kernels where available (the classifiers and "
+                        "all seven infinite-cache protocols; "
                         "bit-identical to the streaming oracles), the "
                         "interpreted per-event oracles everywhere, or auto "
                         "(vectorized when NumPy is importable; the "

@@ -12,9 +12,8 @@ Resolution contract (``--kernel {auto,vectorized,interpreted}``):
 
 * ``interpreted`` — every cell runs the streaming oracle;
 * ``vectorized`` — cells with a kernel run it, the rest *fall back* to
-  the oracle (finite caches, and SD and SRD, which perform a store at
-  its writer's next release rather than at issue, have no kernel yet);
-  requires NumPy;
+  the oracle (every infinite-cache protocol has a kernel; finite caches
+  have none yet); requires NumPy;
 * ``auto`` (default) — ``vectorized`` when NumPy is importable, else
   ``interpreted``.
 
@@ -56,6 +55,8 @@ if VECTORIZED_AVAILABLE:
         otf_kernel,
         rd_kernel,
         run_protocol_kernel,
+        sd_kernel,
+        srd_kernel,
         wbwi_kernel,
     )
 
@@ -69,6 +70,7 @@ if VECTORIZED_AVAILABLE:
     #: call).
     PROTOCOL_KERNELS = {"OTF": otf_kernel, "MIN": min_kernel,
                         "WBWI": wbwi_kernel, "RD": rd_kernel,
+                        "SD": sd_kernel, "SRD": srd_kernel,
                         "MAX": max_kernel}
 else:  # pragma: no cover
     KernelContext = run_protocol_kernel = None

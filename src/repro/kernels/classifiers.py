@@ -139,10 +139,14 @@ class KernelContext:
     lanes are most of the speedup after the packed sorts.
 
     ``acquires`` is the batch's ``(proc, position)`` acquire table: row
-    ``i`` follows an acquire iff ``i >= position``.  Only the RD kernel
-    reads it; the classifiers ignore sync entirely.  ``releases`` is the
-    release table in the same form, or a callable returning it: only the
-    MAX kernel reads it, so a batch builds it on first use.
+    ``i`` follows an acquire iff ``i >= position``.  Only the RD and SRD
+    kernels read it; the classifiers ignore sync entirely.  ``releases``
+    is the release table in the same form, or a callable returning it:
+    only the MAX, SD and SRD kernels read it, so a batch builds it on
+    first use.  Either table may carry a third column, a key ordering
+    the acquires and releases together (their trace rows): SRD needs it
+    for an acquire and a release between the same two batch rows.
+    Without it, a position's releases are taken to precede its acquires.
     """
 
     def __init__(self, proc, op, addr, num_procs: int, acquires=None,
@@ -160,6 +164,7 @@ class KernelContext:
             acquires = (np.empty(0, np.int64), np.empty(0, np.int64))
         self.acq_proc = np.asarray(acquires[0], dtype=np.int64)
         self.acq_pos = np.asarray(acquires[1], dtype=np.int64)
+        self.acq_seq = np.asarray(acquires[-1], dtype=np.int64)
         self._acq_sorted = None
         if releases is None:
             releases = (np.empty(0, np.int64), np.empty(0, np.int64))
@@ -193,12 +198,22 @@ class KernelContext:
             self._acq_sorted = self._sync_sorted(self.acq_proc, self.acq_pos)
         return self._acq_sorted
 
-    def release_table(self):
-        """``(proc, position)`` of the batch's releases: row ``i`` follows
-        a release iff ``i >= position``."""
+    def _release_columns(self):
         if callable(self._releases):
             self._releases = self._releases()
         return self._releases
+
+    def release_table(self):
+        """``(proc, position)`` of the batch's releases: row ``i`` follows
+        a release iff ``i >= position``."""
+        proc, pos = self._release_columns()[:2]
+        return proc, pos
+
+    def sync_seq(self):
+        """``(acquire keys, release keys)`` ordering the two tables
+        together (the positions, when the tables carry no keys)."""
+        return self.acq_seq, np.asarray(self._release_columns()[-1],
+                                        dtype=np.int64)
 
     def releases_sorted(self):
         """The release table, sorted (see :meth:`_sync_sorted`)."""
@@ -469,7 +484,7 @@ class _BlockView:
         return self._life
 
     def classify(self, miss: np.ndarray, newest: np.ndarray,
-                 hb: _Heartbeat):
+                 hb: _Heartbeat, time: Optional[np.ndarray] = None):
         """Per-miss-lifetime facts for one schedule's miss set.
 
         ``miss`` flags, in (block, processor, time) order, the accesses
@@ -489,6 +504,9 @@ class _BlockView:
         * ``essential`` — some access of the lifetime touched a word
           whose newest remote store postdates the processor's previous
           essential lifetime on the block (the paper's C-flag test).
+
+        ``newest`` holds rows, or, with ``time`` (an increasing per-row
+        key), keys on that scale.
         """
         order, newg, gid_sorted, _ = self.groups()
         starts = np.flatnonzero(miss)
@@ -501,7 +519,8 @@ class _BlockView:
         dirty = (self.store_counts()[fetch]
                  > self.block_offsets()[self.bid[fetch]])
         hb.phase()
-        ess = essential_chain(gid_sorted[starts], maxr, fetch, hb)
+        ess = essential_chain(gid_sorted[starts], maxr,
+                              fetch if time is None else time[fetch], hb)
         return starts, fetch, cold, dirty, ess
 
 

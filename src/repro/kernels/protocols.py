@@ -1,12 +1,14 @@
 """Vectorized protocol kernels.
 
-Five infinite-cache protocols have a kernel: OTF, MIN, WBWI, RD and
-MAX.  All five perform a store when it is issued, so processor q's copy
-of block b changes only on q's own accesses and acquires and on stores
-to b by other processors (under MAX, at times bounded by their writers'
-releases): every (block, processor) stream is independent, and each
-kernel reduces its protocol to a miss set and the shared lifetime
-classification of :meth:`_BlockView.classify`.
+All seven infinite-cache protocols have a kernel: OTF, MIN, WBWI, RD,
+SD, SRD and MAX.  Processor q's copy of block b changes only on q's own
+accesses and acquires and on stores to b by other processors, at the
+time each store is *performed*: at issue under OTF, MIN, WBWI, RD and
+MAX (whose invalidations land at times bounded by their writers'
+releases), at issue or at the writer's next release under SD and SRD.
+Every (block, processor) stream is independent, and each kernel reduces
+its protocol to a miss set and the shared lifetime classification of
+:meth:`_BlockView.classify`.
 
 Misses.  OTF misses iff a store to the block intervened since the
 group's previous access (:meth:`_BlockView.miss_sorted`).  Under MIN,
@@ -46,6 +48,31 @@ touching the rest.  Only the other contested gaps run the one
 sequential loop, an earliest-deadline heap per group: O(misses +
 pieces), not O(rows).
 
+SD and SRD first resolve when each store is performed
+(:class:`_Performs`).  A block's owner changes only at a flush, so a
+store by q is performed at issue iff the block's latest flush before it
+was q's, and is otherwise buffered until q's next release (or the end
+of the trace).  Grouping the stores by (block, writer, the writer's
+next release) gives *candidate flushes*; taken per block in release
+order, a candidate's stores are immediate iff the latest flush before
+its first store was its writer's, up to the block's next flush (another
+writer's), and buffered after; it flushes iff one is buffered.  Every
+flush that decides a candidate precedes the candidate's own release, so
+one loop over the candidates decides them all.  Flushes sit between
+batch rows, and their keys order them against rows and acquires
+exactly.  Then:
+
+* **SD** — OTF's rule over performs: a row misses iff it opens its group
+  or another writer performed to the block since the group's previous
+  access (a writer's own flush never drops its copy);
+* **SRD** — RD's chain over performs: the newest other-writer perform
+  to the block before q's latest acquire, or, for a store, before the
+  row, whichever is larger.
+
+Counters: ``stores_buffered`` is the buffered stores, ``stores_combined``
+those less the flushes, ``ownership_transfers`` the flushes less the
+blocks that have one.
+
 Lifetimes.  Each miss opens a lifetime that lasts until the group's next
 miss; lifetimes classify exactly as in the tracker's fetch-snapshot
 semantics (:mod:`repro.protocols.lifetime`) once each access is paired
@@ -54,7 +81,10 @@ Under OTF, MIN and WBWI no remote store to an accessed word can land
 inside a lifetime (it would have invalidated the copy or the word), so
 that is ``word_remote_rows`` itself; RD and MAX read stale copies, so
 their accesses past a remote store look the word up as of the fetch
-(:func:`_newest_as_of_fetch`).
+(:func:`_newest_as_of_fetch`).  SD and SRD read the newest *perform*
+to the word before the fetch instead, and none when the accessing
+processor made it; their lifetime is dirty iff a perform to the block
+precedes its fetch.
 
 Counters follow in closed form from the miss set and the store and
 acquire tables:
@@ -64,11 +94,14 @@ acquire tables:
   never drop a copy without refetching it at once, so only each group's
   first lifetime is not preceded by a drop; under OTF and RD a group's
   last lifetime is dropped iff a remote store, resp. an acquire after
-  one, follows its fetch);
+  one, follows its fetch; under SD and SRD, likewise with performs, the
+  end-of-trace flushes included);
 * ``invalidations_sent`` (OTF, RD) and ``word_invalidations`` (MIN,
   WBWI) — one per store per *other* processor holding a copy, i.e. the
   sum over lifetimes of the stores to the block while the lifetime is
-  alive, less one per store for the writer's own; under MAX,
+  alive, less one per store for the writer's own; under SD it equals
+  ``invalidations_applied``, under SRD it is the sum over lifetimes of
+  the other writers' performs while the lifetime is alive; under MAX,
   ``invalidations_sent`` is the tokens spent;
 * ``write_throughs`` (MIN) — one per store; ``ownership_transfers``
   (WBWI) — one per store whose block's previous store was by another
@@ -88,6 +121,7 @@ block sizes.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 from typing import Dict, Optional
@@ -99,10 +133,11 @@ from ..protocols.results import Counters, ProtocolResult, merge_shard_results
 from ..runtime import signals
 from ..trace.events import ACQUIRE, RELEASE
 from .classifiers import KernelContext, _Heartbeat, lifetime_breakdown
-from .segments import essential_chain, remote_store_before
+from .segments import essential_chain, event_runs, remote_store_before
 
 __all__ = ["BATCH_ROWS", "run_protocol_kernel", "otf_kernel", "min_kernel",
-           "wbwi_kernel", "rd_kernel", "max_kernel"]
+           "wbwi_kernel", "rd_kernel", "max_kernel", "sd_kernel",
+           "srd_kernel"]
 
 #: Data rows per kernel batch.  A batch is a set of whole blocks; a
 #: single block with more rows than this is a batch of its own.
@@ -178,11 +213,13 @@ def _sync_rows(columns, op: int):
 def _remap(table, rows: np.ndarray):
     """A ``(proc, row)`` sync table in one batch's positions: a batch row
     follows a sync row iff its trace row does.  One before every row of
-    the batch has nothing to apply, and is dropped."""
+    the batch has nothing to apply, and is dropped.  The trace rows stay
+    as the table's third column, ordering acquires and releases
+    together."""
     proc, at = table
     pos = np.searchsorted(rows, at)
     live = pos > 0
-    return proc[live], pos[live]
+    return proc[live], pos[live], at[live]
 
 
 def _batch_contexts(columns, num_procs: int, unit_bits: int,
@@ -678,3 +715,323 @@ def max_kernel(ctx: KernelContext, block_map, *, trace_name: str,
                         invalidations_sent=kills)
     hb.finish()
     return _result("MAX", ctx, block_map, trace_name, life, counters)
+
+
+# ----------------------------------------------------------------------
+# SD and SRD: when each store is performed
+# ----------------------------------------------------------------------
+class _Performs:
+    """When each store of one batch is performed under SD and SRD.
+
+    Times are *keys*: every batch row and every sync event of the
+    batch's tables numbered in trace order, with a store's immediate
+    perform sharing its row's key and the end-of-trace flushes (one per
+    writer, in processor order) numbered past everything.  ``row_key``
+    maps rows to keys, so the chains compare keys with keys.
+    """
+
+    def __init__(self, ctx, view, hb, acquires: bool):
+        n = ctx.n
+        procs = ctx.num_procs
+        rproc, rpos = ctx.release_table()
+        aseq, rseq = ctx.sync_seq()
+        nrel = len(rpos)
+        rel_key = rpos + np.arange(nrel)
+        positions = rpos
+        if acquires:
+            apos = ctx.acq_pos
+            rel_key += np.searchsorted(aseq, rseq)
+            self.acq_key = (apos + np.arange(len(apos))
+                            + np.searchsorted(rseq, aseq, "right"))
+            positions = np.append(rpos, apos)
+        syncs = len(positions)
+        # Row t's key: t plus the sync events at positions <= t.
+        self.row_key = np.cumsum(np.bincount(positions, minlength=n + 1)[:n])
+        self.row_key += np.arange(n)
+        end = n + syncs
+        self.stride = end + procs + 1
+        self.procs = procs
+
+        # Each store's flush: its writer's first release after it (an
+        # index into the release table, which is in trace order), else
+        # the writer's end-of-trace flush.
+        runs, _ = view.block_runs()
+        writer = runs.proc.astype(np.int64)
+        flush = nrel + writer
+        if nrel:
+            rkeys = rproc * (n + 1) + rpos
+            by_proc = np.argsort(rkeys, kind="stable")
+            j = np.searchsorted(rkeys[by_proc], writer * (n + 1) + runs.row,
+                                "right")
+            j = by_proc[np.minimum(j, nrel - 1)]
+            found = (rproc[j] == writer) & (rpos[j] > runs.row)
+            flush[found] = j[found]
+        flush_pos = np.append(rpos, np.full(procs, n))
+        flush_key = np.append(rel_key, end + np.arange(procs))
+        flush_proc = np.append(rproc, np.arange(procs))
+
+        # A candidate flush is one (block, flush)'s stores, taken per
+        # block in flush order: the stores are immediate while their
+        # writer owns the block, which it does iff the block's latest
+        # flush before the first of them was its own, up to the block's
+        # next flush; the rest are buffered, and the candidate flushes
+        # iff one is.  Every flush that decides a candidate precedes the
+        # candidate's own, so one pass decides them all.
+        cand_keys, cand = np.unique(
+            runs.unit.astype(np.int64) * (nrel + procs) + flush,
+            return_inverse=True)
+        cand = cand.reshape(-1)
+        cblock, cflush = np.divmod(cand_keys, nrel + procs)
+        grouped = runs.row[np.argsort(cand, kind="stable")]
+        sizes = np.bincount(cand, minlength=len(cand_keys))
+        stops = np.cumsum(sizes)
+        starts = stops - sizes
+        hb.phase()
+        cut = self._resolve(cblock.tolist(), flush_proc[cflush].tolist(),
+                            grouped[starts].tolist(),
+                            grouped[stops - 1].tolist(),
+                            flush_pos[cflush].tolist(), n, hb)
+        immediate = runs.row < cut[cand]
+        buffered = np.bincount(cand[~immediate], minlength=len(cand_keys))
+        flushed = np.flatnonzero(buffered)
+        self.stores_buffered = int(buffered.sum())
+        self.flushes = len(flushed)
+        fblock = cblock[flushed]
+        self.flushed_blocks = len(np.unique(fblock))
+        hb.phase()
+
+        # The perform events, per block and per word, in key order.
+        srows = runs.row[immediate]
+        fkey = flush_key[cflush[flushed]]
+        fproc = flush_proc[cflush[flushed]]
+        self._blocks = self._sorted(
+            np.append(runs.unit[immediate], fblock),
+            np.append(self.row_key[srows], fkey),
+            np.append(runs.proc[immediate], fproc))
+        bunit, bkey, bproc, _ = self._blocks
+        self.runs = event_runs(bkey, bunit, bproc.astype(np.int16))
+        pairs = np.unique(cand[~immediate] * ctx.num_words
+                          + ctx.wid[runs.row[~immediate]])
+        pcand, pword = np.divmod(pairs, ctx.num_words)
+        pflush = cflush[pcand]
+        self._words = self._sorted(
+            np.append(ctx.wid[srows], pword),
+            np.append(self.row_key[srows], flush_key[pflush]),
+            np.append(runs.proc[immediate], flush_proc[pflush]))
+        hb.phase()
+
+    def _sorted(self, unit, key, proc):
+        """``(unit, key, proc)`` of events ordered by (unit, key), plus
+        their ``unit * stride + key`` search keys."""
+        keys = unit.astype(np.int64) * self.stride + key
+        order = np.argsort(keys)
+        return (unit.astype(np.int64)[order], key[order],
+                proc.astype(np.int64)[order], keys[order])
+
+    @staticmethod
+    def _resolve(block, writer, first, last, pos, n, hb):
+        """Per candidate, the row before which its stores are immediate."""
+        cut = []
+        step = signals.HEARTBEAT_CHUNK
+        current = None
+        for start in range(0, len(block), step):
+            hb.pulse()
+            for c in range(start, min(start + step, len(block))):
+                if block[c] != current:
+                    current = block[c]
+                    at, who = [], []
+                k = bisect.bisect_right(at, first[c])
+                if k and who[k - 1] == writer[c]:
+                    stop = at[k] if k < len(at) else n
+                else:
+                    stop = first[c]
+                cut.append(stop)
+                if last[c] >= stop:
+                    at.append(pos[c])
+                    who.append(writer[c])
+        return np.array(cut, dtype=np.int64)
+
+    # -- queries (keys in, keys out; -1 for none) -----------------------
+    def remote_before(self, bid, proc, key):
+        """Newest perform to the block before ``key`` by another writer."""
+        return remote_store_before(self.runs, self._blocks[3],
+                                   self.stride, bid, proc, key)
+
+    def any_before(self, bid, key) -> np.ndarray:
+        """Whether some perform to the block precedes ``key``."""
+        bunit, _, _, keys = self._blocks
+        if not len(keys):
+            return np.zeros(len(bid), dtype=bool)
+        k = np.searchsorted(keys, bid * self.stride + key) - 1
+        return (k >= 0) & (bunit[np.maximum(k, 0)] == bid)
+
+    def remote_after(self, bid, proc, key):
+        """First perform to the block after ``key`` by another writer
+        (the caller knows there is one)."""
+        runs = self.runs
+        k = np.searchsorted(self._blocks[3], bid * self.stride + key, "right")
+        mine = np.flatnonzero(runs.proc[k] == proc)
+        if len(mine):
+            k[mine] = _next_run(runs)[k[mine]]
+        return runs.row[k]
+
+    def remote_between(self, bid, proc, lo, hi) -> np.ndarray:
+        """Performs to the block by another writer with keys in (lo, hi)."""
+        bunit, bkey, bproc, keys = self._blocks
+        own_keys = np.sort((bunit * self.procs + bproc) * self.stride + bkey)
+
+        def count(keys, base):
+            return (np.searchsorted(keys, base + hi)
+                    - np.searchsorted(keys, base + lo, "right"))
+
+        return (count(keys, bid * self.stride)
+                - count(own_keys, (bid * self.procs + proc) * self.stride))
+
+    def classify(self, view, miss, hb):
+        """:meth:`_BlockView.classify` over performs: each access reads
+        the newest perform to its word before its lifetime's fetch (-1
+        when the accessing processor made it), and a lifetime is dirty
+        iff some perform to the block precedes its fetch."""
+        ctx = view.ctx
+        n = ctx.n
+        order = view.groups()[0]
+        at = np.where(miss, np.arange(n), 0)
+        fetch_key = self.row_key[order[np.maximum.accumulate(at)]] \
+            if n else at
+        wunit, wkey, wproc, wkeys = self._words
+        newest = np.full(n, -1, dtype=np.int64)
+        if len(wkeys):
+            word = ctx.wid[order]
+            k = np.searchsorted(wkeys, word * self.stride + fetch_key) - 1
+            ok = k >= 0
+            k[~ok] = 0
+            ok &= (wunit[k] == word) & (wproc[k] != ctx.proc[order])
+            newest = np.where(ok, wkey[k], -1)
+        hb.phase()
+        starts, fetch, cold, _, ess = view.classify(miss, newest, hb,
+                                                    self.row_key)
+        dirty = self.any_before(view.bid[fetch], self.row_key[fetch])
+        return starts, fetch, cold, dirty, ess
+
+    def counters(self, **kw) -> Counters:
+        return Counters(stores_buffered=self.stores_buffered,
+                        stores_combined=self.stores_buffered - self.flushes,
+                        ownership_transfers=(self.flushes
+                                             - self.flushed_blocks),
+                        **kw)
+
+
+def sd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
+              stats: Optional[Dict] = None) -> ProtocolResult:
+    """SD (send-delayed stores) over one batch: OTF's rule over performs.
+
+    Reads ``ctx``'s release table.  A row misses iff it opens its group
+    or another writer performed to the block since the group's previous
+    access; every copy lost is dropped by such a perform, so
+    ``invalidations_sent == invalidations_applied``, and a group's last
+    lifetime is dropped iff another writer performs to the block after
+    its last access, the end-of-trace flushes included.
+    """
+    hb = _Heartbeat(ctx.n, stats)
+    view = ctx.block_view(block_map.offset_bits)
+    pf = _Performs(ctx, view, hb, acquires=False)
+    order, newg, _, _ = view.groups()
+    key = pf.row_key[order]
+    proc, bid = ctx.proc[order], view.bid[order]
+    newest = pf.remote_before(bid, proc, key)
+    miss = newg.copy()
+    miss[1:] |= newest[1:] > key[:-1]
+    hb.phase()
+    life = pf.classify(view, miss, hb)
+    last = np.flatnonzero(np.append(newg[1:], True)) if ctx.n else newg
+    live = int((pf.remote_before(bid[last], proc[last], pf.stride - 1)
+                < key[last]).sum())
+    fetches = len(life[1])
+    counters = pf.counters(fetches=fetches,
+                           invalidations_applied=fetches - live,
+                           invalidations_sent=fetches - live)
+    hb.finish()
+    return _result("SD", ctx, block_map, trace_name, life, counters)
+
+
+def srd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
+               stats: Optional[Dict] = None) -> ProtocolResult:
+    """SRD (send- and receive-delayed) over one batch: RD's rule over
+    performs.
+
+    Reads ``ctx``'s acquire and release tables.  A copy that another
+    writer's perform made stale is dropped at its processor's next
+    acquire, or refetched at its processor's next store to the block
+    (an ownership miss), whichever comes first.
+    """
+    hb = _Heartbeat(ctx.n, stats)
+    view = ctx.block_view(block_map.offset_bits)
+    pf = _Performs(ctx, view, hb, acquires=True)
+    stride = pf.stride
+    akeys = ctx.acq_proc * stride + pf.acq_key
+    akeys.sort()
+
+    def latest_acquire(proc, key):
+        """Key of ``proc``'s latest acquire before ``key`` (-1 if none)."""
+        if not len(akeys):
+            return np.full(len(proc), -1, dtype=np.int64)
+        j = np.searchsorted(akeys, proc * stride + key) - 1
+        ok = j >= 0
+        j[~ok] = 0
+        ok &= akeys[j] // stride == proc
+        return np.where(ok, akeys[j] % stride, -1)
+
+    # As in RD: the value at the processor's latest acquire only changes
+    # where it acquired since its previous access to the block.
+    order, newg, gid_sorted, _ = view.groups()
+    key = pf.row_key[order]
+    proc, bid = ctx.proc[order], view.bid[order]
+    acq = latest_acquire(proc, key)
+    epoch = newg.copy()
+    np.logical_or(epoch[1:], acq[1:] != acq[:-1], out=epoch[1:])
+    rb_acq = pf.remote_before(bid[epoch], proc[epoch], acq[epoch])[
+        np.cumsum(epoch) - 1]
+    value = rb_acq.copy()
+    st = np.flatnonzero(ctx.store8[order])
+    value[st] = np.maximum(value[st],
+                           pf.remote_before(bid[st], proc[st], key[st]))
+    value[newg] = np.maximum(value[newg], 0)
+    hb.phase()
+    miss = essential_chain(gid_sorted, value, key, hb)
+    life = pf.classify(view, miss, hb)
+    starts, fetch, cold, _, _ = life
+
+    # Ownership misses: non-cold store misses no acquire dropped for.
+    prev = _prev_fetch(fetch, cold)
+    prev = np.where(prev >= 0, pf.row_key[prev], -1)
+    own = ~cold & (ctx.store8[fetch] != 0) & (rb_acq[starts] <= prev)
+    # A group's last lifetime is dropped iff another writer's perform
+    # precedes the processor's last acquire and follows the fetch.
+    last = np.append(cold[1:], True) if len(fetch) else cold
+    fproc = ctx.proc[fetch]
+    fbid = view.bid[fetch]
+    fkey = pf.row_key[fetch]
+    dropped = last & (pf.remote_before(
+        fbid, fproc, latest_acquire(fproc, stride - 1)) > fkey)
+    live = int(last.sum() - dropped.sum())
+
+    # Each lifetime holds its copy over keys (fetch, end): end is the
+    # refetch of an ownership miss, the dropping acquire (the first one
+    # after the first other writer's perform since the fetch), or past
+    # the end-of-trace flushes.
+    end = np.full(len(fetch), stride - 1, dtype=np.int64)
+    own_next = np.append(own[1:], False) if len(fetch) else own
+    end[own_next] = pf.row_key[np.append(fetch[1:], 0)[own_next]]
+    need = np.flatnonzero((~last & ~own_next) | dropped)
+    if len(need):
+        q = fproc[need]
+        first = pf.remote_after(fbid[need], q, fkey[need])
+        end[need] = akeys[np.searchsorted(akeys, q * stride + first,
+                                          "right")] % stride
+    sent = int(pf.remote_between(fbid, fproc, fkey, end).sum())
+    counters = pf.counters(fetches=len(fetch),
+                           invalidations_applied=len(fetch) - live,
+                           invalidations_sent=sent,
+                           ownership_misses=int(own.sum()))
+    hb.finish()
+    return _result("SRD", ctx, block_map, trace_name, life, counters)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["NO_ROW", "pack_order", "prev_same_index", "dense_unique",
-           "regroup_monotone", "unit_ids", "store_runs",
+           "regroup_monotone", "unit_ids", "store_runs", "event_runs",
            "last_store_tables", "run_keys",
            "remote_store_before", "essential_chain"]
 
@@ -161,9 +161,15 @@ def store_runs(order: np.ndarray, sunit: np.ndarray, st: np.ndarray,
     """
     pos = np.flatnonzero(st)
     row = order[pos]
-    unit = sunit[pos]
-    proc = proc_small[row]
-    m = len(pos)
+    return event_runs(row, sunit[pos], proc_small[row])
+
+
+def event_runs(row: np.ndarray, unit: np.ndarray,
+               proc: np.ndarray) -> StoreRuns:
+    """A :class:`StoreRuns` over any ``(unit, row)``-sorted subsequence
+    of events: ``row`` is whatever time the events are ordered by (a
+    batch row, or a finer key that also orders sync events)."""
+    m = len(row)
     if m == 0:
         return StoreRuns(row, unit, proc, np.empty(0, dtype=np.int32))
     brk = np.empty(m, dtype=bool)

@@ -1,7 +1,7 @@
 """Protocol and classifier runs that keep the plain simulators as the oracle.
 
 :func:`repro.protocols.run_protocol` sends a protocol with a vectorized
-kernel (OTF, MIN, WBWI, RD, MAX) to that kernel.  Tests that check a
+kernel (OTF, MIN, WBWI, RD, SD, SRD, MAX) to that kernel.  Tests that check a
 simulator — hand-worked results, the reference-tracker differential,
 engine equivalence — run it through :func:`interpret` instead;
 :func:`run_checked` also asserts that the default path agrees, so one

@@ -63,12 +63,13 @@ def family_trace(name):
 
 
 def sync_table(cols, op):
-    """``(proc, position)`` of every ``op`` row, the position counting
-    the data rows before it (the index space of a data-row context)."""
+    """``(proc, position, trace row)`` of every ``op`` row, the position
+    counting the data rows before it (the index space of a data-row
+    context)."""
     sync = np.flatnonzero(cols.op > STORE)
     pos = sync - np.arange(len(sync))
     chosen = cols.op[sync] == op
-    return cols.proc[sync][chosen], pos[chosen]
+    return cols.proc[sync][chosen], pos[chosen], sync[chosen]
 
 
 def kernel_context(trace):
@@ -138,7 +139,8 @@ GRID = [("classify", 8, "dubois"), ("classify", 16, "eggers"),
         ("classify", 8, "torrellas"), ("compare", 16, None),
         ("protocol", 8, "OTF"), ("protocol", 8, "MIN"),
         ("protocol", 16, "WBWI"), ("protocol", 8, "RD"),
-        ("protocol", 16, "MAX")]
+        ("protocol", 16, "MAX"), ("protocol", 8, "SD"),
+        ("protocol", 16, "SRD")]
 
 
 @given(traces(), st.integers(1, 5))
@@ -275,6 +277,89 @@ class TestMaxKernel:
         assert r.counters.invalidations_sent == 2
 
 
+class TestSendDelayedKernel:
+    """Hand-worked SD and SRD runs at B=8 (two words a block); each
+    result is the simulator's, and the default (kernel) path must match
+    it."""
+
+    def test_owner_prefix_cut_by_another_writers_flush(self):
+        """P0 owns block 0 after its first release, so its next store is
+        immediate; P1's flush takes the block over before P0's next two
+        stores, which are buffered and combine."""
+        events = [(0, STORE, 0), (0, RELEASE, 9), (0, STORE, 0),
+                  (1, STORE, 1), (1, RELEASE, 9), (0, STORE, 1),
+                  (0, STORE, 0), (0, RELEASE, 9), (1, LOAD, 1)]
+        r = run_checked("SD", Trace(events, 2, validate=False), 8)
+        assert r.counters.stores_buffered == 4  # all but the second
+        assert r.counters.stores_combined == 1
+        assert r.counters.ownership_transfers == 2  # three flushes
+        assert r.misses == 4  # two cold, one after each other's flush
+        assert r.counters.invalidations_sent == 2
+        assert r.counters.invalidations_applied == 2
+
+    def test_stores_buffered_to_the_end(self):
+        """P0 never releases: its two stores combine, P1 keeps reading
+        its copy, and the end-of-trace flush invalidates it — dropping it
+        under SD, leaving it pending under SRD."""
+        events = [(1, LOAD, 0), (0, STORE, 0), (0, STORE, 1), (1, LOAD, 0)]
+        trace = Trace(events, 2, validate=False)
+        sd, srd = run_checked("SD", trace, 8), run_checked("SRD", trace, 8)
+        for r in (sd, srd):
+            assert r.misses == 2
+            assert r.counters.stores_buffered == 2
+            assert r.counters.stores_combined == 1
+            assert r.counters.ownership_transfers == 0
+            assert r.counters.invalidations_sent == 1
+        assert sd.counters.invalidations_applied == 1
+        assert srd.counters.invalidations_applied == 0
+
+    def test_two_releases_between_the_same_batch_rows(self, monkeypatch):
+        """In 7-row batches block 0's batch sees three releases between
+        two of its rows.  Their flushes run in trace order, so P2 — not
+        P1 — owns block 0 afterwards and its next store is immediate."""
+        monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 7)
+        events = [(0, LOAD, 0), (1, STORE, 0), (2, STORE, 0),
+                  (1, RELEASE, 99), (1, STORE, 64), (1, RELEASE, 99),
+                  (2, RELEASE, 98), (0, LOAD, 0), (2, STORE, 1),
+                  (0, LOAD, 0)] + [(0, LOAD, 64)] * 4
+        trace = Trace(events, 3, validate=False)
+        cols = trace.columns()
+        ctxs = list(kernel_protocols._batch_contexts(
+            cols, 3, BlockMap(8).offset_bits, cols.data_mask()))
+        assert [c.release_table()[1].tolist() for c in ctxs] == [
+            [3, 3, 3], [1, 1]]
+        for name in ("SD", "SRD"):
+            r = run_checked(name, trace, 8)
+            assert r.counters.stores_buffered == 3, name
+            assert r.counters.ownership_transfers == 1, name
+        assert run_checked("SD", trace, 8).misses == 8
+
+    def test_srd_ownership_miss_on_a_flushed_block(self):
+        """P1's store is buffered; its flush makes P0's copy pending, so
+        P0's store refetches (an ownership miss) although no store was
+        performed while P0 held the copy's fetch."""
+        events = [(0, LOAD, 0), (1, STORE, 1), (1, RELEASE, 9),
+                  (0, STORE, 0), (0, RELEASE, 9)]
+        r = run_checked("SRD", Trace(events, 2, validate=False), 8)
+        assert r.misses == 3
+        assert r.counters.ownership_misses == 1
+        assert r.counters.invalidations_sent == 2
+        assert r.counters.invalidations_applied == 1
+        assert r.counters.ownership_transfers == 1
+        assert r.breakdown.pfs == 1  # P0 never reads P1's word
+
+    def test_a_racing_load_reads_the_unperformed_value(self):
+        """P1's cold miss races P0's buffered store: it fetches the old
+        value, so it is PC, and the miss after P0's flush is the
+        essential one.  Reading the newest remote *store* instead of the
+        newest perform would make the first CTS and the second PFS."""
+        events = [(0, STORE, 0), (1, LOAD, 0), (0, RELEASE, 9),
+                  (1, LOAD, 0)]
+        r = run_checked("SD", Trace(events, 2, validate=False), 8)
+        assert (r.breakdown.pc, r.breakdown.cts, r.breakdown.pts,
+                r.breakdown.pfs) == (2, 0, 1, 0)
+
+
 # ----------------------------------------------------------------------
 # batching: whole-block batches of at most BATCH_ROWS rows
 # ----------------------------------------------------------------------
@@ -333,6 +418,14 @@ def test_batched_cell_memory_is_bounded_by_the_batch():
     assert _cell_peak("RD", large) <= 1.5 * _cell_peak("RD", small)
 
 
+def test_batched_sd_cell_memory_is_bounded_by_the_batch():
+    """The same for SD, whose batches hold the trace's release rows and
+    their perform timeline."""
+    small, large = family_trace("MP3D200"), family_trace("MP3D1000")
+    _cell_peak("SD", small)
+    assert _cell_peak("SD", large) <= 1.5 * _cell_peak("SD", small)
+
+
 def test_batched_max_cell_memory_is_bounded_by_the_batch():
     """The same for MAX, whose batches also hold the trace's release
     rows and, per batch, its token pieces (which grow with the sharing
@@ -365,7 +458,7 @@ class TestDefaultPath:
         results = run_protocols(family_trace("WATER16"), 64)
         assert list(results) == ["MIN", "OTF", "RD", "SD", "SRD", "WBWI",
                                  "MAX"]
-        assert set(calls) == {"OTF", "MIN", "WBWI", "RD", "MAX"}
+        assert set(calls) == set(results)
 
 
 # ----------------------------------------------------------------------
@@ -402,24 +495,21 @@ class TestResolution:
         assert has_kernel("classify", "dubois")
         assert has_kernel("classify-shard", "eggers")
         assert has_kernel("compare", None)
-        for name in ("OTF", "MIN", "WBWI", "RD", "MAX"):
+        for name in ("OTF", "MIN", "WBWI", "RD", "SD", "SRD", "MAX"):
             assert has_kernel("protocol", name)
             assert has_kernel("protocol-shard", name)
-        for name in ("SD", "SRD"):
-            assert not has_kernel("protocol", name)
         assert not has_kernel("finite", "1024")
         assert not has_kernel("classify", "nope")
 
     def test_resolve_rules(self):
         assert resolve_kernel("auto", "classify", "dubois") == "vectorized"
-        for name in ("OTF", "MIN", "WBWI", "RD", "MAX"):
+        for name in ("OTF", "MIN", "WBWI", "RD", "SD", "SRD", "MAX"):
             assert resolve_kernel("vectorized", "protocol",
                                   name) == "vectorized"
             assert resolve_kernel("auto", "protocol", name) == "vectorized"
         # Fallback: no kernel for this cell under every mode.
-        for name in ("SD", "SRD"):
-            assert resolve_kernel("vectorized", "protocol",
-                                  name) == "interpreted"
+        assert resolve_kernel("vectorized", "finite",
+                              "64") == "interpreted"
         assert resolve_kernel("auto", "finite", "64") == "interpreted"
         # Forced interpreted wins everywhere.
         assert resolve_kernel("interpreted", "classify",
@@ -555,6 +645,38 @@ class TestHeartbeat:
         assert sum(ticks) == rows
         assert max(ticks) <= 64
         assert len(pulses) > rows // (64 * 64)
+
+    def test_sd_candidate_loop_pulses_every_chunk(self, monkeypatch):
+        """The perform timeline's one loop, over candidate flushes, is a
+        cancellation point every HEARTBEAT_CHUNK candidates, and a
+        batched SD cell still credits exactly its rows."""
+        from repro.kernels import classifiers
+
+        trace = family_trace("MP3D200")
+        rows = len(trace.columns().data_only())
+        ticks, pulses, loops = [], [], []
+        orig = signals.note_progress
+        monkeypatch.setattr(signals, "note_progress",
+                            lambda n=1: (ticks.append(n), orig(n)))
+        monkeypatch.setattr(signals, "HEARTBEAT_CHUNK", 64)
+        monkeypatch.setattr(classifiers._Heartbeat, "pulse",
+                            lambda self: pulses.append(1))
+        resolve = kernel_protocols._Performs._resolve
+
+        def counting(block, *args):
+            before = len(pulses)
+            cut = resolve(block, *args)
+            loops.append((len(block), len(pulses) - before))
+            return cut
+
+        monkeypatch.setattr(kernel_protocols._Performs, "_resolve",
+                            staticmethod(counting))
+        run_protocol_kernel("SD", trace.columns(), trace.num_procs,
+                            BlockMap(64), trace_name=trace.name)
+        assert sum(ticks) == rows
+        assert max(ticks) <= 64
+        assert sum(c for c, _ in loops) > 4 * 64  # several chunks
+        assert all(p == -(-c // 64) for c, p in loops)
 
     def test_kernel_stats_accumulate_across_cells(self):
         trace = family_trace("MATMUL24")

@@ -315,13 +315,13 @@ class TestKernelTelemetry:
     """The manifest and stream record which execution path each cell took.
 
     A mixed grid — two kernelled cells (dubois, OTF) and one without a
-    kernel (the SD protocol) — must fold per-cell ``kernel`` values into
+    kernel (a finite cache) — must fold per-cell ``kernel`` values into
     the manifest and emit a schema-valid ``kernel.batch`` metric for
     exactly the vectorized cells.
     """
 
     CELLS = (("classify", 32, "dubois"), ("protocol", 32, "OTF"),
-             ("protocol", 32, "SD"))
+             ("finite", 32, "c16w2"))
 
     @pytest.fixture(scope="class")
     def run(self, trace, tmp_path_factory):
@@ -340,7 +340,7 @@ class TestKernelTelemetry:
                    for c in run["manifest"]["cells"]}
         assert kernels == {("classify", 32, "dubois"): "vectorized",
                            ("protocol", 32, "OTF"): "vectorized",
-                           ("protocol", 32, "SD"): "interpreted"}
+                           ("finite", 32, "c16w2"): "interpreted"}
 
     def test_kernel_batch_metric_for_vectorized_cells_only(self, run):
         batches = {tuple(r["attrs"]["cell"]): r for r in run["records"]
@@ -363,7 +363,7 @@ class TestKernelTelemetry:
                  for r in run["records"]
                  if r.get("kind") == "span" and r.get("name") == "cell.run"}
         assert spans[("classify", 32, "dubois")] == "vectorized"
-        assert spans[("protocol", 32, "SD")] == "interpreted"
+        assert spans[("finite", 32, "c16w2")] == "interpreted"
 
 
 # ----------------------------------------------------------------------
