@@ -59,6 +59,7 @@ from ..kernels import (
     CLASSIFIER_KERNELS,
     KernelContext,
     resolve_kernel,
+    run_finite_kernel,
     run_protocol_kernel,
     validate_kernel_mode,
 )
@@ -434,12 +435,28 @@ class SharedPrecompute:
         return protocol.run(self.trace)
 
     def run_finite(self, spec: str, block_bytes: int) -> ProtocolResult:
-        """Run one finite-cache cell (``finite_spec`` geometry) serially."""
+        """Run one finite-cache cell (``finite_spec`` geometry) serially,
+        through :func:`~repro.kernels.run_finite_kernel` when it resolves
+        vectorized."""
         capacity, ways = parse_finite_spec(spec)
+        if self.resolve_cell("finite", spec) == "vectorized":
+            return run_finite_kernel(
+                self.columns, self.trace.num_procs, BlockMap(block_bytes),
+                capacity, ways, trace_name=self.trace.name or "<anonymous>",
+                stats=self.last_kernel_stats)
         protocol = FiniteOTFProtocol(self.trace.num_procs,
                                      BlockMap(block_bytes), capacity,
                                      ways=ways)
         return protocol.run(self.trace)
+
+    def _shard_select(self, digest: str, shard: int,
+                      block_map: BlockMap) -> np.ndarray:
+        """Mask over the trace's rows picking one shard's data rows."""
+        blocks = self.data.block_ids(block_map.offset_bits)
+        select = self.columns.data_mask()
+        select[select] = self.plan_by_digest(digest).shard_of_rows(
+            blocks) == shard
+        return select
 
     def run_protocol_shard(self, name: str, block_bytes: int,
                            digest: str, shard: int) -> ProtocolResult:
@@ -452,22 +469,31 @@ class SharedPrecompute:
         unsharded cell.
         """
         if self.resolve_cell("protocol", name) == "vectorized":
-            plan = self.plan_by_digest(digest)
             block_map = BlockMap(block_bytes)
-            blocks = self.data.block_ids(block_map.offset_bits)
-            select = self.columns.data_mask()
-            select[select] = plan.shard_of_rows(blocks) == shard
             return run_protocol_kernel(
                 name, self.columns, self.trace.num_procs, block_map,
                 trace_name=self.trace.name or "<anonymous>",
-                select=select, stats=self.last_kernel_stats)
+                select=self._shard_select(digest, shard, block_map),
+                stats=self.last_kernel_stats)
         return run_protocol_shard(name, self.trace, block_bytes,
                                   self.plan_by_digest(digest), shard)
 
     def run_finite_shard(self, spec: str, block_bytes: int,
                          digest: str, shard: int) -> ProtocolResult:
-        """Run the finite cache over one ``by-cache-set`` shard (partial)."""
+        """Run the finite cache over one ``by-cache-set`` shard (partial).
+
+        The vectorized path feeds the shard's data rows through the same
+        batched kernel runner the full cell uses, like
+        :meth:`run_protocol_shard`.
+        """
         capacity, ways = parse_finite_spec(spec)
+        if self.resolve_cell("finite", spec) == "vectorized":
+            block_map = BlockMap(block_bytes)
+            return run_finite_kernel(
+                self.columns, self.trace.num_procs, block_map, capacity,
+                ways, trace_name=self.trace.name or "<anonymous>",
+                select=self._shard_select(digest, shard, block_map),
+                stats=self.last_kernel_stats)
         return run_finite_shard(self.trace, block_bytes, capacity,
                                 self.plan_by_digest(digest), shard,
                                 ways=ways)

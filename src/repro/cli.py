@@ -403,9 +403,10 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", choices=("auto", "vectorized", "interpreted"),
                    default="auto",
                    help="execution path for each cell: vectorized NumPy "
-                        "kernels where available (the classifiers and "
-                        "all seven infinite-cache protocols; "
-                        "bit-identical to the streaming oracles), the "
+                        "kernels where available (the classifiers, "
+                        "all seven infinite-cache protocols and finite "
+                        "caches of more than one set; bit-identical to "
+                        "the streaming oracles), the "
                         "interpreted per-event oracles everywhere, or auto "
                         "(vectorized when NumPy is importable; the "
                         "default).  Checkpoint journals record the "

@@ -5,15 +5,18 @@ columnar rows instead of a per-event Python loop (10×+ single-core on
 the cells that have one; see BENCH_throughput.json).  The streaming
 implementations stay authoritative: they are the differential-test
 oracle — exactly the role ``ReferenceDuboisClassifier`` plays for the
-optimized Dubois classifier — and the execution path for every cell
-without a kernel.
+optimized Dubois classifier — and the ``--kernel interpreted`` path.
 
 Resolution contract (``--kernel {auto,vectorized,interpreted}``):
 
 * ``interpreted`` — every cell runs the streaming oracle;
 * ``vectorized`` — cells with a kernel run it, the rest *fall back* to
-  the oracle (every infinite-cache protocol has a kernel; finite caches
-  have none yet); requires NumPy;
+  the oracle (the classifiers and the seven infinite-cache protocols
+  have kernels, and so do finite caches of more than one set, through
+  :func:`run_finite_kernel` — OTF's misses plus one compact LRU pass per
+  (processor, set), see :mod:`repro.kernels.finite`.  A fully
+  associative cache has none: it is one set, so its kernel batch would
+  be the whole trace); requires NumPy;
 * ``auto`` (default) — ``vectorized`` when NumPy is importable, else
   ``interpreted``.
 
@@ -27,9 +30,11 @@ both runs said ``auto``.
 from __future__ import annotations
 
 from ..errors import ConfigError
+from ..protocols.finite import cache_geometry, parse_finite_spec
 
 __all__ = ["KERNEL_MODES", "VECTORIZED_AVAILABLE", "CLASSIFIER_KERNELS",
            "PROTOCOL_KERNELS", "KernelContext", "run_protocol_kernel",
+           "run_finite_kernel",
            "validate_kernel_mode", "has_kernel", "resolve_kernel",
            "effective_kernel_mode"]
 
@@ -49,6 +54,7 @@ if VECTORIZED_AVAILABLE:
         eggers_kernel,
         torrellas_kernel,
     )
+    from .finite import run_finite_kernel
     from .protocols import (
         max_kernel,
         min_kernel,
@@ -73,7 +79,7 @@ if VECTORIZED_AVAILABLE:
                         "SD": sd_kernel, "SRD": srd_kernel,
                         "MAX": max_kernel}
 else:  # pragma: no cover
-    KernelContext = run_protocol_kernel = None
+    KernelContext = run_protocol_kernel = run_finite_kernel = None
     CLASSIFIER_KERNELS = {}
     PROTOCOL_KERNELS = {}
 
@@ -117,6 +123,9 @@ def has_kernel(kind: str, which) -> bool:
         return bool(CLASSIFIER_KERNELS)
     if kind == "protocol":
         return which in PROTOCOL_KERNELS
+    if kind == "finite":  # batched by set: one set is the whole trace
+        num_sets, _ = cache_geometry(*parse_finite_spec(which))
+        return VECTORIZED_AVAILABLE and num_sets > 1
     return False
 
 

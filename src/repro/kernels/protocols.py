@@ -139,8 +139,9 @@ __all__ = ["BATCH_ROWS", "run_protocol_kernel", "otf_kernel", "min_kernel",
            "wbwi_kernel", "rd_kernel", "max_kernel", "sd_kernel",
            "srd_kernel"]
 
-#: Data rows per kernel batch.  A batch is a set of whole blocks; a
-#: single block with more rows than this is a batch of its own.
+#: Data rows per kernel batch.  A batch is a set of whole units — blocks,
+#: or cache sets for the finite kernel; a single unit with more rows
+#: than this is a batch of its own.
 BATCH_ROWS = 1 << 14
 
 #: Shared batches (:func:`run_protocol_kernel` with ``contexts``) are
@@ -157,24 +158,26 @@ _UNIT_BITS = BlockMap(max(PAPER_BLOCK_SIZES)).offset_bits
 _SCAN_ROWS = 1 << 16
 
 
-def _block_batches(addr: np.ndarray, offset_bits: int, select: np.ndarray):
-    """Time-ordered row-index arrays of whole-block batches, a block
-    being ``2**offset_bits`` words.
+def _unit_batches(units: np.ndarray, select: np.ndarray):
+    """Time-ordered row-index arrays of batches of whole units.
 
-    The rows of ``addr`` picked by ``select`` are ordered by (block, row)
-    through one in-place sort of packed ``block << shift | row`` keys,
-    then cut greedily at block boundaries into batches of at most
-    :data:`BATCH_ROWS` rows (a single larger block is a batch of its
+    ``units`` holds each row's unit id — its block, or its cache set —
+    and is consumed: the planner packs its keys into it in place.  The
+    rows picked by ``select`` are ordered by (unit, row) through one
+    in-place sort of packed ``unit << shift | row`` keys, then cut
+    greedily at unit boundaries into batches of at most
+    :data:`BATCH_ROWS` rows (a single larger unit is a batch of its
     own).  While the batches run, only the sorted row order is kept —
     4 bytes a row, the one trace-sized array.
     """
-    n = len(addr)
+    n = len(units)
     count = int(np.count_nonzero(select))
     if not count:
         return
     shift = max((n - 1).bit_length(), 1)
-    packed = addr >> offset_bits
-    packed[~select] = 0  # unselected rows (e.g. sync) carry no block
+    packed = units
+    del units  # dropped with ``packed`` before the batches run
+    packed[~select] = 0  # unselected rows (e.g. sync) carry no unit
     if int(packed.max()) >= 1 << (62 - shift):  # pragma: no cover - sparse
         packed = np.unique(packed, return_inverse=True)[1].reshape(-1)
     packed <<= shift
@@ -186,19 +189,20 @@ def _block_batches(addr: np.ndarray, offset_bits: int, select: np.ndarray):
     packed.sort()
     order = np.empty(count, dtype=np.int32 if n < 1 << 31 else np.int64)
     row_mask = np.int64((1 << shift) - 1)
-    ends = [np.array([count])]
+    # 0 is an end too, so a first unit larger than a batch is cut alone.
+    ends = [np.array([0, count])]
     for lo in range(0, count, _SCAN_ROWS):
         hi = min(lo + _SCAN_ROWS, count)
         order[lo:hi] = packed[lo:hi] & row_mask
-        blocks = packed[lo:hi + 1] >> shift
-        ends.append(np.flatnonzero(blocks[1:] != blocks[:-1]) + lo + 1)
+        unit = packed[lo:hi + 1] >> shift
+        ends.append(np.flatnonzero(unit[1:] != unit[:-1]) + lo + 1)
     del packed
     ends = np.unique(np.concatenate(ends))  # slice overlaps repeat one
     start = 0
     while start < count:
         stop = int(ends[np.searchsorted(ends, start + BATCH_ROWS,
                                         "right") - 1])
-        if stop <= start:  # one block larger than a batch
+        if stop <= start:  # one unit larger than a batch
             stop = int(ends[np.searchsorted(ends, start, "right")])
         yield np.sort(order[start:stop]).astype(np.int64)
         start = stop
@@ -230,7 +234,7 @@ def _batch_contexts(columns, num_procs: int, unit_bits: int,
     releases, so a batch remaps them on first use."""
     acquires = _sync_rows(columns, ACQUIRE)
     releases = _sync_rows(columns, RELEASE)
-    batches = _block_batches(columns.addr, unit_bits, select)
+    batches = _unit_batches(columns.addr >> unit_bits, select)
     del select
     for rows in batches:
         yield KernelContext(columns.proc[rows], columns.op[rows],
@@ -273,12 +277,20 @@ def run_protocol_kernel(name: str, columns, num_procs: int, block_map, *,
             columns.data_mask() if select is None else select)
         if contexts is not None:
             batches = contexts[unit_bits] = list(batches)
-    parts = [kernel(ctx, block_map, trace_name=trace_name, stats=stats)
-             for ctx in batches]
+    return _run_batches(
+        lambda ctx: kernel(ctx, block_map, trace_name=trace_name,
+                           stats=stats),
+        batches, num_procs)
+
+
+def _run_batches(run, contexts, num_procs: int) -> ProtocolResult:
+    """Merge ``run(ctx)`` over the batch ``contexts``, dropping each
+    context once its kernel returns; a cell with no rows runs once on an
+    empty context."""
+    parts = [run(ctx) for ctx in contexts]
     if not parts:
         empty = np.empty(0, dtype=np.int64)
-        parts.append(kernel(KernelContext(empty, empty, empty, num_procs),
-                            block_map, trace_name=trace_name, stats=stats))
+        parts.append(run(KernelContext(empty, empty, empty, num_procs)))
     return merge_shard_results(parts)
 
 

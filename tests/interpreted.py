@@ -6,18 +6,27 @@ simulator — hand-worked results, the reference-tracker differential,
 engine equivalence — run it through :func:`interpret` instead;
 :func:`run_checked` also asserts that the default path agrees, so one
 hand-worked expectation pins both the simulator and the kernel.
+:func:`run_finite_checked` does the same for a finite-cache cell, checking
+the finite kernel directly too.
 
 Likewise ``classify_trace`` feeds a classifier through ``feed_data``'s
 inlined fast path; :func:`classify_by_access` and :func:`compare_by_access`
 feed the plain per-event ``access()`` API instead, one event at a time.
 """
 
+from repro.analysis.engine import SharedPrecompute
 from repro.classify.compare import ClassificationComparison
 from repro.classify.dubois import DuboisClassifier
 from repro.classify.eggers import EggersClassifier
 from repro.classify.torrellas import TorrellasClassifier
+from repro.kernels import run_finite_kernel
 from repro.mem import BlockMap
-from repro.protocols import make_protocol, run_protocol
+from repro.protocols import (
+    FiniteOTFProtocol,
+    finite_spec,
+    make_protocol,
+    run_protocol,
+)
 
 
 def interpret(name, trace, block_bytes):
@@ -30,6 +39,23 @@ def run_checked(name, trace, block_bytes):
     """The simulator's result, once the default path has matched it."""
     expected = interpret(name, trace, block_bytes)
     assert run_protocol(name, trace, block_bytes) == expected, name
+    return expected
+
+
+def run_finite_checked(trace, block_bytes, capacity, ways=None):
+    """:class:`FiniteOTFProtocol`'s result, once the finite kernel and the
+    default path (the engine's ``finite`` cell, which runs the simulator
+    for a fully associative cache) have matched it."""
+    block_map = BlockMap(block_bytes)
+    expected = FiniteOTFProtocol(trace.num_procs, block_map, capacity,
+                                 ways=ways).run(trace)
+    got = run_finite_kernel(trace.columns(), trace.num_procs, block_map,
+                            capacity, ways,
+                            trace_name=trace.name or "<anonymous>")
+    assert got == expected, (capacity, ways)
+    got = SharedPrecompute(trace).run_finite(finite_spec(capacity, ways),
+                                             block_bytes)
+    assert got == expected, (capacity, ways)
     return expected
 
 

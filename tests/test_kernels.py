@@ -20,7 +20,7 @@ np = pytest.importorskip("numpy")
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from interpreted import run_checked
+from interpreted import run_checked, run_finite_checked
 from repro.analysis.engine import SharedPrecompute, SweepEngine
 from repro.classify.dubois import DuboisClassifier
 from repro.classify.eggers import EggersClassifier
@@ -35,10 +35,13 @@ from repro.kernels import (
     resolve_kernel,
     validate_kernel_mode,
 )
+from repro.kernels import finite as kernel_finite
 from repro.kernels import protocols as kernel_protocols
 from repro.kernels.classifiers import dubois_kernel
+from repro.kernels.finite import run_finite_kernel
 from repro.kernels.protocols import run_protocol_kernel
 from repro.mem.addresses import BlockMap
+from repro.protocols.finite import FiniteOTFProtocol
 from repro.protocols.runner import make_protocol, run_protocols
 from repro.runtime import signals
 from repro.runtime.checkpoint import CheckpointJournal
@@ -140,7 +143,8 @@ GRID = [("classify", 8, "dubois"), ("classify", 16, "eggers"),
         ("protocol", 8, "OTF"), ("protocol", 8, "MIN"),
         ("protocol", 16, "WBWI"), ("protocol", 8, "RD"),
         ("protocol", 16, "MAX"), ("protocol", 8, "SD"),
-        ("protocol", 16, "SRD")]
+        ("protocol", 16, "SRD"), ("finite", 8, "c4w2"),
+        ("finite", 16, "c2")]
 
 
 @given(traces(), st.integers(1, 5))
@@ -149,9 +153,10 @@ def test_engine_grids_match_under_arbitrary_shardings(trace, shards):
     """vectorized+sharded == interpreted+serial through the engine.
 
     Exercises the full integration surface per example: kernel dispatch
-    in ``run_classifier``/``run_protocol``/``run_comparison``, the
-    per-shard ephemeral contexts, and ``merge_shard_results`` /
-    breakdown addition over an arbitrary shard count.
+    in ``run_classifier``/``run_protocol``/``run_comparison``/
+    ``run_finite``, the per-shard ephemeral contexts, and
+    ``merge_shard_results`` / breakdown addition over an arbitrary shard
+    count (finite cells shard ``by-cache-set``).
     """
     vec = SweepEngine(trace, jobs=1, shards=shards,
                       kernel="vectorized").run_grid(GRID)
@@ -174,6 +179,94 @@ def test_kernels_match_oracles_on_random_traces(trace):
                          trace_name=trace.name or "<anonymous>")
             assert got == make_protocol(
                 name, trace.num_procs, bm).run(trace), (bb, name)
+
+
+def _finite_matches_oracle(trace):
+    for bb in (4, 16):
+        bm = BlockMap(bb)
+        for capacity, ways in ((4, 1), (4, 2), (6, None)):
+            want = FiniteOTFProtocol(trace.num_procs, bm, capacity,
+                                     ways=ways).run(trace)
+            got = run_finite_kernel(trace.columns(), trace.num_procs, bm,
+                                    capacity, ways,
+                                    trace_name=trace.name or "<anonymous>")
+            assert got == want, (bb, capacity, ways)
+
+
+@given(traces())
+@settings(max_examples=40, deadline=None)
+def test_finite_kernel_matches_oracle_on_random_traces(trace):
+    """Direct-mapped, 2-way and fully associative caches, in one batch
+    and in 7-row batches of whole sets."""
+    _finite_matches_oracle(trace)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_protocols, "BATCH_ROWS", 7)
+        _finite_matches_oracle(trace)
+
+
+class TestFiniteKernel:
+    """Hand-worked finite caches at B=4 (one word a block, so a block is
+    its address); each result is the simulator's, and the default
+    (kernel) path must match it."""
+
+    def test_remote_store_to_an_evicted_block(self):
+        """P0 evicts block 0, then P1 stores to it.  P0 holds no copy,
+        so nothing is invalidated and block 0 stays replaced: P0's
+        reload is a replacement miss, not a coherence miss."""
+        events = [(0, LOAD, 0), (0, LOAD, 1), (1, STORE, 0), (0, LOAD, 0)]
+        r = run_finite_checked(Trace(events, 2, validate=False), 4, 1)
+        assert r.replacement_misses == 1
+        assert r.breakdown.pts + r.breakdown.pfs == 0
+        assert r.counters.invalidations_sent == 0
+        assert r.counters.replacements == 2
+        assert r.misses == 4
+
+    def test_invalidation_frees_a_way(self):
+        """P1's store drops P0's copy of block 0, so P0's third block
+        fits without an eviction and block 1 still hits."""
+        events = [(0, LOAD, 0), (0, LOAD, 1), (1, STORE, 0), (0, LOAD, 2),
+                  (0, LOAD, 1)]
+        r = run_finite_checked(Trace(events, 2, validate=False), 4, 2)
+        assert r.counters.replacements == 0
+        assert r.counters.invalidations_applied == 1
+        assert r.counters.invalidations_sent == 1
+        assert r.replacement_misses == 0
+        assert r.misses == 4  # every miss cold
+
+    def test_victim_never_touched_again(self):
+        """Evictions count victims, replacement misses only re-fetches:
+        block 0 is evicted and never reloaded."""
+        events = [(0, LOAD, 0), (0, STORE, 1), (0, LOAD, 2), (0, LOAD, 2)]
+        r = run_finite_checked(Trace(events, 1, validate=False), 4, 2)
+        assert r.counters.replacements == 1
+        assert r.replacement_misses == 0
+        assert r.counters.replacements > r.replacement_misses
+
+    def test_direct_mapped(self):
+        """Two one-way sets: blocks 0 and 2 share set 0 and evict each
+        other, block 1 stays in set 1."""
+        events = [(0, LOAD, 0), (0, LOAD, 1), (0, LOAD, 2), (0, LOAD, 1),
+                  (0, LOAD, 0)]
+        r = run_finite_checked(Trace(events, 1, validate=False), 4, 2,
+                               ways=1)
+        assert r.counters.replacements == 2
+        assert r.replacement_misses == 1
+        assert r.misses == 4
+        assert r.counters.fetches == 4
+
+    def test_fully_associative_set_larger_than_a_batch(self, monkeypatch):
+        """A fully associative cache is one set, so one batch holds every
+        row however small ``BATCH_ROWS`` is."""
+        monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 7)
+        events = [(p, STORE if i % 3 == 0 else LOAD, (i + p) % 3)
+                  for i in range(8) for p in range(2)]
+        trace = Trace(events, 2, validate=False)
+        n = len(events)
+        batches = list(kernel_protocols._unit_batches(
+            np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)))
+        assert [len(b) for b in batches] == [n]
+        r = run_finite_checked(trace, 4, 2)
+        assert r.replacement_misses > 0
 
 
 class TestKernelContextAcquires:
@@ -396,13 +489,18 @@ def test_tiny_batches_match_oracles_on_a_family_trace(monkeypatch):
 
 
 def _cell_peak(name, trace):
-    """Peak traced allocation of one batched ``name`` cell at B=64."""
+    """Peak traced allocation of one batched ``name`` cell at B=64
+    (``OTF-finite``: a 64-block 4-way cache)."""
     cols = trace.columns()
     gc.collect()
     tracemalloc.start()
     try:
-        run_protocol_kernel(name, cols, trace.num_procs, BlockMap(64),
-                            trace_name=trace.name)
+        if name == "OTF-finite":
+            run_finite_kernel(cols, trace.num_procs, BlockMap(64), 64, 4,
+                              trace_name=trace.name)
+        else:
+            run_protocol_kernel(name, cols, trace.num_procs, BlockMap(64),
+                                trace_name=trace.name)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -433,6 +531,59 @@ def test_batched_max_cell_memory_is_bounded_by_the_batch():
     small, large = family_trace("MP3D200"), family_trace("MP3D1000")
     _cell_peak("MAX", small)
     assert _cell_peak("MAX", large) <= 2 * _cell_peak("MAX", small)
+
+
+def test_batched_finite_cell_memory_is_bounded_by_the_batch():
+    """The same for a finite cache, batched by whole cache sets."""
+    small, large = family_trace("MP3D200"), family_trace("MP3D1000")
+    _cell_peak("OTF-finite", small)
+    assert _cell_peak("OTF-finite", large) <= 1.5 * _cell_peak(
+        "OTF-finite", small)
+
+
+def test_a_first_unit_larger_than_a_batch_is_cut_alone(monkeypatch):
+    """The first unit's rows overflow the batch: it is a batch of its
+    own, and the units after it are still cut into batches."""
+    monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 7)
+    units = np.repeat(np.arange(4), [10, 3, 3, 2])
+    batches = list(kernel_protocols._unit_batches(
+        units.copy(), np.ones(len(units), dtype=bool)))
+    assert [units[b].tolist() for b in batches] == [
+        [0] * 10, [1, 1, 1, 2, 2, 2], [3, 3]]
+
+
+def _random_trace(rows, seed=0):
+    """``rows`` random loads and stores by 4 processors to 48 words."""
+    rng = np.random.default_rng(seed)
+    ops = np.where(rng.random(rows) < 0.3, STORE, LOAD)
+    events = zip(rng.integers(0, 4, rows).tolist(), ops.tolist(),
+                 rng.integers(0, 48, rows).tolist())
+    return Trace(list(events), 4, validate=False)
+
+
+def test_fully_associative_cell_memory_is_bounded_by_the_cache(
+        monkeypatch):
+    """A fully associative cache is one set, so a kernel batch would be
+    the whole trace: its default path runs the simulator, whose memory
+    follows the footprint and the decoded event chunk (shrunk here so
+    these traces span many chunks).  Four times the rows over the same
+    words barely move the cell's peak; a whole-trace batch would grow
+    ~4x."""
+    monkeypatch.setattr(signals, "HEARTBEAT_CHUNK", 512)
+
+    def peak(trace):
+        pre = SharedPrecompute(trace)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pre.run_finite("c8", 16)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = _random_trace(5_000), _random_trace(20_000)
+    peak(small)
+    assert peak(large) <= 1.5 * peak(small)
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +649,12 @@ class TestResolution:
         for name in ("OTF", "MIN", "WBWI", "RD", "SD", "SRD", "MAX"):
             assert has_kernel("protocol", name)
             assert has_kernel("protocol-shard", name)
-        assert not has_kernel("finite", "1024")
+        for spec in ("c4w1", "c64w4", "c1024w4"):
+            assert has_kernel("finite", spec)
+            assert has_kernel("finite-shard", spec)
+        for spec in ("c1", "c64", "c8w8"):  # fully associative: one set
+            assert not has_kernel("finite", spec)
+            assert not has_kernel("finite-shard", spec)
         assert not has_kernel("classify", "nope")
 
     def test_resolve_rules(self):
@@ -507,10 +663,14 @@ class TestResolution:
             assert resolve_kernel("vectorized", "protocol",
                                   name) == "vectorized"
             assert resolve_kernel("auto", "protocol", name) == "vectorized"
-        # Fallback: no kernel for this cell under every mode.
-        assert resolve_kernel("vectorized", "finite",
-                              "64") == "interpreted"
-        assert resolve_kernel("auto", "finite", "64") == "interpreted"
+        for spec in ("c4w1", "c64w4", "c1024w4"):
+            assert resolve_kernel("vectorized", "finite",
+                                  spec) == "vectorized"
+            assert resolve_kernel("auto", "finite", spec) == "vectorized"
+        # Fallback: no kernel for these cells under every mode.
+        for kind, which in (("finite", "c64"), ("classify", "nope")):
+            assert resolve_kernel("vectorized", kind, which) == "interpreted"
+            assert resolve_kernel("auto", kind, which) == "interpreted"
         # Forced interpreted wins everywhere.
         assert resolve_kernel("interpreted", "classify",
                               "dubois") == "interpreted"
@@ -673,6 +833,37 @@ class TestHeartbeat:
                             staticmethod(counting))
         run_protocol_kernel("SD", trace.columns(), trace.num_procs,
                             BlockMap(64), trace_name=trace.name)
+        assert sum(ticks) == rows
+        assert max(ticks) <= 64
+        assert sum(c for c, _ in loops) > 4 * 64  # several chunks
+        assert all(p == -(-c // 64) for c, p in loops)
+
+    def test_finite_lru_loop_pulses_every_chunk(self, monkeypatch):
+        """The finite kernel's one loop, over compact LRU events, is a
+        cancellation point every HEARTBEAT_CHUNK events, and a batched
+        finite cell still credits exactly its rows."""
+        from repro.kernels import classifiers
+
+        trace = family_trace("MP3D200")
+        rows = len(trace.columns().data_only())
+        ticks, pulses, loops = [], [], []
+        orig = signals.note_progress
+        monkeypatch.setattr(signals, "note_progress",
+                            lambda n=1: (ticks.append(n), orig(n)))
+        monkeypatch.setattr(signals, "HEARTBEAT_CHUNK", 64)
+        monkeypatch.setattr(classifiers._Heartbeat, "pulse",
+                            lambda self: pulses.append(1))
+        lru_pass = kernel_finite._lru_pass
+
+        def counting(group, kill, stream, ways, hb):
+            before = len(pulses)
+            out = lru_pass(group, kill, stream, ways, hb)
+            loops.append((len(group), len(pulses) - before))
+            return out
+
+        monkeypatch.setattr(kernel_finite, "_lru_pass", counting)
+        run_finite_kernel(trace.columns(), trace.num_procs, BlockMap(64),
+                          16, 4, trace_name=trace.name)
         assert sum(ticks) == rows
         assert max(ticks) <= 64
         assert sum(c for c, _ in loops) > 4 * 64  # several chunks

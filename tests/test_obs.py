@@ -314,56 +314,67 @@ class TestRecordedSweep:
 class TestKernelTelemetry:
     """The manifest and stream record which execution path each cell took.
 
-    A mixed grid — two kernelled cells (dubois, OTF) and one without a
-    kernel (a finite cache) — must fold per-cell ``kernel`` values into
-    the manifest and emit a schema-valid ``kernel.batch`` metric for
-    exactly the vectorized cells.
+    A mixed grid — a classifier, a protocol and a finite cache — runs
+    once by default, where every cell has a kernel, and once under
+    ``kernel="interpreted"``.  Each run must fold per-cell ``kernel``
+    values into the manifest and emit a schema-valid ``kernel.batch``
+    metric for exactly the vectorized cells.
     """
 
     CELLS = (("classify", 32, "dubois"), ("protocol", 32, "OTF"),
              ("finite", 32, "c16w2"))
 
     @pytest.fixture(scope="class")
-    def run(self, trace, tmp_path_factory):
+    def runs(self, trace, tmp_path_factory):
         pytest.importorskip("numpy")
-        tel = str(tmp_path_factory.mktemp("tel-kernel"))
-        engine = SweepEngine(trace, telemetry_dir=tel)
-        results = engine.run_grid(list(self.CELLS))
-        (run_dir,) = find_runs(tel)
-        return {"results": results, "dir": run_dir,
-                "records": _read_records(run_dir),
-                "manifest": load_manifest(run_dir)}
+        out = {}
+        for mode, kernel in (("vectorized", "auto"),
+                             ("interpreted", "interpreted")):
+            tel = str(tmp_path_factory.mktemp(f"tel-kernel-{mode}"))
+            engine = SweepEngine(trace, telemetry_dir=tel, kernel=kernel)
+            results = engine.run_grid(list(self.CELLS))
+            (run_dir,) = find_runs(tel)
+            out[mode] = {"results": results, "dir": run_dir,
+                         "records": _read_records(run_dir),
+                         "manifest": load_manifest(run_dir)}
+        return out
 
-    def test_manifest_records_kernel_per_cell(self, run):
-        validate_manifest(run["manifest"])
-        kernels = {tuple(c["cell"]): c["kernel"]
-                   for c in run["manifest"]["cells"]}
-        assert kernels == {("classify", 32, "dubois"): "vectorized",
-                           ("protocol", 32, "OTF"): "vectorized",
-                           ("finite", 32, "c16w2"): "interpreted"}
+    def test_manifest_records_kernel_per_cell(self, runs):
+        for mode, run in runs.items():
+            validate_manifest(run["manifest"])
+            kernels = {tuple(c["cell"]): c["kernel"]
+                       for c in run["manifest"]["cells"]}
+            assert kernels == {cell: mode for cell in self.CELLS}
+        assert runs["vectorized"]["results"] == runs["interpreted"][
+            "results"]
 
-    def test_kernel_batch_metric_for_vectorized_cells_only(self, run):
-        batches = {tuple(r["attrs"]["cell"]): r for r in run["records"]
-                   if r.get("kind") == "metric"
-                   and r.get("name") == "kernel.batch"}
-        assert set(batches) == {("classify", 32, "dubois"),
-                                ("protocol", 32, "OTF")}
-        for rec in batches.values():
-            assert rec["value"] >= 1
-            assert rec["attrs"]["rows"] > 0
-            assert rec["attrs"]["events_per_batch"] > 0
-            validate_record(rec)
+    def test_kernel_batch_metric_for_vectorized_cells_only(self, runs):
+        for mode, run in runs.items():
+            batches = {tuple(r["attrs"]["cell"]): r for r in run["records"]
+                       if r.get("kind") == "metric"
+                       and r.get("name") == "kernel.batch"}
+            want = set(self.CELLS) if mode == "vectorized" else set()
+            assert set(batches) == want
+            for rec in batches.values():
+                assert rec["value"] >= 1
+                assert rec["attrs"]["rows"] > 0
+                assert rec["attrs"]["events_per_batch"] > 0
+                validate_record(rec)
 
-    def test_stream_validates(self, run):
-        assert validate_stream(
-            os.path.join(run["dir"], "events.jsonl")) == len(run["records"])
+    def test_stream_validates(self, runs):
+        for run in runs.values():
+            assert validate_stream(
+                os.path.join(run["dir"], "events.jsonl")) == len(
+                    run["records"])
 
-    def test_spans_carry_kernel_attr(self, run):
-        spans = {tuple(r["attrs"]["cell"]): r["attrs"].get("kernel")
-                 for r in run["records"]
-                 if r.get("kind") == "span" and r.get("name") == "cell.run"}
-        assert spans[("classify", 32, "dubois")] == "vectorized"
-        assert spans[("finite", 32, "c16w2")] == "interpreted"
+    def test_spans_carry_kernel_attr(self, runs):
+        for mode, run in runs.items():
+            spans = {tuple(r["attrs"]["cell"]): r["attrs"].get("kernel")
+                     for r in run["records"]
+                     if r.get("kind") == "span"
+                     and r.get("name") == "cell.run"}
+            assert spans[("classify", 32, "dubois")] == mode
+            assert spans[("finite", 32, "c16w2")] == mode
 
 
 # ----------------------------------------------------------------------
