@@ -97,7 +97,6 @@ from ..runtime.resources import (
 from ..runtime import signals
 from ..runtime.retry import RetryPolicy
 from ..runtime.supervisor import Supervisor
-from ..runtime.transport import TcpTransport, handshake_spec, parse_hosts
 from ..trace.cache import WorkloadTraceCache, workload_cache_key
 from ..trace.events import ACQUIRE, RELEASE, STORE
 from ..trace.trace import Trace
@@ -692,9 +691,6 @@ class ExecutionOptions:
     #: kernels where available, ``vectorized`` requires NumPy,
     #: ``interpreted`` forces the streaming oracles everywhere.
     kernel: str = "auto"
-    #: Remote worker runners joining the sweep (``--hosts h1:p,h2:p``);
-    #: ``None`` keeps execution on this machine.
-    hosts: Optional[str] = None
 
     def engine_kwargs(self) -> dict:
         return {"retry": self.retry, "timeout": self.timeout,
@@ -704,8 +700,7 @@ class ExecutionOptions:
                 "shards": self.shards,
                 "memory_budget": self.memory_budget,
                 "telemetry_dir": self.telemetry_dir,
-                "kernel": self.kernel,
-                "hosts": self.hosts}
+                "kernel": self.kernel}
 
 
 class SweepEngine:
@@ -779,16 +774,6 @@ class SweepEngine:
         Stable identity of the trace for checkpoint keying; defaults to
         the workload's trace-cache key via :meth:`for_workload`, else a
         content hash of the trace arrays.
-    hosts:
-        Remote worker runners joining the fan-out (``--hosts``): a
-        ``"host:port,host:port"`` spec or a pre-parsed list of
-        ``(host, port)`` pairs, each one a
-        ``python -m repro.runtime.remote_worker`` process.  The two-level
-        scheduler dispatches cells (and shard subtasks) to them over
-        framed TCP next to the local fork workers; a versioned handshake
-        refuses hosts whose release, journal format, kernel mode or trace
-        identity differ, and a lost host's cells are reassigned to the
-        survivors.  ``None`` (default) keeps the sweep on this machine.
     """
 
     def __init__(self, trace: Trace, *, jobs: int = 1,
@@ -802,12 +787,13 @@ class SweepEngine:
                  telemetry_dir: Optional[str] = None,
                  progress: bool = False,
                  trace_key: Optional[str] = None,
-                 kernel: str = "auto",
-                 hosts=None):
+                 kernel: str = "auto"):
         self.trace = trace
         self.kernel = validate_kernel_mode(kernel)
         self.jobs = 1 if jobs == 1 else _resolve_jobs(jobs)
         self.retry = retry
+        if timeout is not None and timeout <= 0:
+            raise ConfigError(f"timeout must be > 0 seconds, got {timeout}")
         self.timeout = timeout
         self.checkpoint_dir = checkpoint_dir
         self.strict_invariants = strict_invariants
@@ -819,14 +805,6 @@ class SweepEngine:
         self.telemetry_dir = telemetry_dir
         self.progress = progress
         self._trace_key = trace_key
-        if isinstance(hosts, str):
-            hosts = parse_hosts(hosts)
-        self.hosts = list(hosts) if hosts else None
-        if self.hosts and timeout is None:
-            warn_resource(
-                "remote hosts configured without --timeout: a partitioned "
-                "host would stall the sweep undetected (the stall watchdog "
-                "is also the heartbeat-silence detector)")
         self._precompute: Optional[SharedPrecompute] = None
 
     @classmethod
@@ -975,8 +953,8 @@ class SweepEngine:
         cells = [tuple(cell) for cell in cells]
         rec = get_recorder()
         # The sweep root span: every cell/shard/merge span of this grid —
-        # including ones emitted in forked or remote workers, whose
-        # parent ids ride the assign messages — hangs off it, giving
+        # including ones emitted in forked workers, whose parent ids
+        # ride the assign messages — hangs off it, giving
         # `repro trace` one rooted tree per sweep.
         with rec.span("sweep.run", trace=self.trace.name,
                       trace_key=self.trace_key, cells=len(cells)):
@@ -1129,33 +1107,10 @@ class SweepEngine:
                 ctx = pre.kernel_context()
                 ctx.word_last_rows()
                 ctx.word_remote_rows()
-        transports = None
-        if self.hosts:
-            from ..kernels import effective_kernel_mode
-
-            def task_meta(task):
-                # Shard subtasks carry only the plan *digest*; a remote
-                # host rebuilds the plan from (block size, dimension,
-                # num_shards) and verifies the digest, so it also needs
-                # the shard count on the wire.
-                if (isinstance(task, tuple) and task
-                        and isinstance(task[0], str)
-                        and task[0].endswith("-shard")):
-                    return {"num_shards":
-                            pre.plan_by_digest(task[3]).num_shards}
-                return {}
-
-            transports = [TcpTransport(
-                self.hosts,
-                handshake_spec(trace_key=self.trace_key,
-                               kernel=effective_kernel_mode(self.kernel),
-                               workload=self.trace.name),
-                task_meta=task_meta)]
         supervisor = Supervisor(pre.run_cell, jobs=jobs, retry=self.retry,
                                 timeout=self.timeout,
                                 fault_plan=self.fault_plan,
-                                worker_rlimit_bytes=worker_cap,
-                                transports=transports)
+                                worker_rlimit_bytes=worker_cap)
         by_task = dict(zip(tasks, supervisor.run(
             tasks, completed=completed or None, on_result=on_result,
             ladder=ladder)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..classify.compare import ClassificationComparison, compare_classifications
@@ -19,7 +20,7 @@ TABLE1_ROWS = ("PTS-ours", "TSM-Eggers", "TSM-Torrellas",
 TABLE1_PAPER_COLUMNS = (("LU", 32), ("LU", 1024), ("MP3D", 32), ("MP3D", 1024))
 
 
-def build_table1(traces: Sequence[Trace],
+def build_table1(traces: Iterable[Trace],
                  block_sizes: Sequence[int] = (32, 1024)
                  ) -> Dict[Tuple[str, int], ClassificationComparison]:
     """Three-way comparison of each trace at each block size.
@@ -27,11 +28,13 @@ def build_table1(traces: Sequence[Trace],
     The paper's Table 1 uses LU200 and MP3D10000 at 32 and 1,024 bytes;
     pass whichever traces/sizes you generated.
     """
-    out: Dict[Tuple[str, int], ClassificationComparison] = {}
-    for trace in traces:
-        for bb in block_sizes:
-            out[(trace.name, bb)] = compare_classifications(trace, bb)
-    return out
+    def columns(trace: Trace) -> list:
+        return [((trace.name, bb), compare_classifications(trace, bb))
+                for bb in block_sizes]
+
+    # map drops each trace once its columns are built, so a generator of
+    # traces keeps only one of them live.
+    return dict(itertools.chain.from_iterable(map(columns, traces)))
 
 
 def format_table1(comparisons: Dict[Tuple[str, int], ClassificationComparison]

@@ -86,17 +86,15 @@ def _engine_options(args):
     memory_budget = getattr(args, "memory_budget", None)
     telemetry = getattr(args, "telemetry", None)
     kernel = getattr(args, "kernel", "auto")
-    hosts = getattr(args, "hosts", None)
     if (retries is None and timeout is None and resume is None
             and not strict and shards is None and memory_budget is None
-            and telemetry is None and kernel == "auto" and hosts is None):
+            and telemetry is None and kernel == "auto"):
         return None
     retry = RetryPolicy.from_retries(retries) if retries is not None else None
     return ExecutionOptions(retry=retry, timeout=timeout,
                             checkpoint_dir=resume, strict_invariants=strict,
                             shards=shards, memory_budget=memory_budget,
-                            telemetry_dir=telemetry, kernel=kernel,
-                            hosts=hosts)
+                            telemetry_dir=telemetry, kernel=kernel)
 
 
 def _load_trace(spec: str, cache: "WorkloadTraceCache | None" = None) -> Trace:
@@ -183,8 +181,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    traces = [make_workload(n).generate() for n in (args.benchmarks or
-                                                    ["LU64", "MP3D1000"])]
+    traces = (make_workload(n).generate()
+              for n in args.benchmarks or ["LU64", "MP3D1000"])
     comparisons = build_table1(traces, block_sizes=(32, 1024))
     print(format_table1(comparisons))
     return 0
@@ -411,14 +409,6 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                         "(vectorized when NumPy is importable; the "
                         "default).  Checkpoint journals record the "
                         "choice, so --resume never mixes paths")
-    p.add_argument("--hosts", default=None, metavar="H1:P,H2:P",
-                   help="remote worker runners joining the sweep (each a "
-                        "'python -m repro.runtime.remote_worker' process); "
-                        "cells are dispatched to them next to the local "
-                        "workers, a versioned handshake refuses "
-                        "incompatible hosts, and a lost host's cells are "
-                        "reassigned to the survivors (pair with --timeout "
-                        "so a partitioned host is detected)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diff",
                        help="compare two runs cell-by-cell (duration, "
-                            "events/s, attempts, kernel, host) and flag "
+                            "events/s, attempts, kernel) and flag "
                             "deltas past a threshold")
     p.add_argument("run_a", help="baseline: a run directory or a "
                                  "'repro report --json' output file")

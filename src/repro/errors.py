@@ -164,42 +164,6 @@ class StaleJournalError(CheckpointError):
     """
 
 
-class HandshakeError(ReproError):
-    """A remote worker host refused the transport handshake.
-
-    The hello/welcome handshake binds everything two processes must agree
-    on before sharing sweep cells: wire protocol version, repro release,
-    checkpoint journal format, effective kernel mode and the trace's
-    checkpoint identity.  A refusal is a *structured* disagreement — the
-    error names the field that differed and both sides' values, so the
-    remedy (upgrade the runner, restart it with the right ``--kernel``,
-    warm the right workload) is readable straight off the message.
-    """
-
-    def __init__(self, message: str, *, host=None, reason=None,
-                 local=None, remote=None):
-        super().__init__(message)
-        #: ``host:port`` label of the refusing runner.
-        self.host = host
-        #: The runner's one-line refusal reason.
-        self.reason = reason
-        #: This process's handshake values (what we offered).
-        self.local = dict(local or {})
-        #: The runner's handshake values (what it requires).
-        self.remote = dict(remote or {})
-
-    @classmethod
-    def refused(cls, host: str, frame: dict) -> "HandshakeError":
-        """Build from a runner's ``refused`` frame, naming both sides."""
-        reason = frame.get("reason", "handshake refused")
-        local = frame.get("client") or {}
-        remote = frame.get("host") or {}
-        return cls(
-            f"host {host} refused handshake: {reason} "
-            f"(ours={local!r}, theirs={remote!r})",
-            host=host, reason=reason, local=local, remote=remote)
-
-
 class SweepInterrupted(BaseException):
     """A sweep was stopped by a graceful-shutdown request (SIGINT/SIGTERM).
 

@@ -4,9 +4,9 @@ A process-local :class:`Recorder` emits structured JSONL records —
 spans with monotonic durations, named metrics, lifecycle events and
 bridged log records — validated against the checked-in
 ``telemetry.schema.json``.  Every record of a run carries trace ids
-(``trace_id``/``span_id``/``parent_id``): spans opened in forked or
-TCP-remote workers parent under the supervisor's ambient sweep span via
-the context that rides each assign message, so ``repro trace``
+(``trace_id``/``span_id``/``parent_id``): spans opened in forked
+workers parent under the supervisor's ambient sweep span via the
+context that rides each assign message, so ``repro trace``
 (:mod:`repro.obs.tracing`) can reconstruct one causal tree per sweep
 and attribute its critical path.  :class:`RunTelemetry` scopes a
 recorder to a run directory, folds the stream into a queryable

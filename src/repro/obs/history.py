@@ -1,7 +1,7 @@
 """Cross-run performance history: record manifests, flag regressions.
 
 A sweep's manifest already carries everything needed to compare runs —
-per-cell durations, event rates, attempt counts, kernel mode and host.
+per-cell durations, event rates, attempt counts and kernel mode.
 This module gives those numbers a durable home: ``repro history record``
 appends one run's stable summary to an append-only JSONL file (default
 ``PERF_HISTORY.jsonl``), and ``repro history show`` renders the trend
@@ -53,7 +53,6 @@ def record_entry(manifest: dict, *, label: Optional[str] = None) -> dict:
             "attempts": cell.get("attempts"),
             "shards": cell.get("shards"),
             "kernel": cell.get("kernel"),
-            "host": cell.get("host"),
         })
     entry = {
         "v": HISTORY_VERSION,
@@ -159,7 +158,6 @@ def check_regressions(entries: List[dict], *,
             "duration_s": newest.get("duration_s"),
             "events_per_sec": newest.get("events_per_sec"),
             "kernel": newest.get("kernel"),
-            "host": newest.get("host"),
             "median_s": None,
             "delta_pct": None,
             "verdict": "baseline",
@@ -216,11 +214,10 @@ def render_history(summary: dict) -> str:
             _fmt_num(cell["delta_pct"], "{:+.1f}%"),
             _fmt_num(cell["events_per_sec"], "{:.0f}"),
             str(cell.get("kernel") or "-"),
-            str(cell.get("host") or "local"),
             mark,
         ])
     out.append(_table(["cell", "runs", "dur_s", "median_s", "Δ",
-                       "ev/s", "kernel", "host", "verdict"], rows))
+                       "ev/s", "kernel", "verdict"], rows))
     out.append("")
     out.append(f"{len(summary['regressions'])} regression(s) over "
                f"{len(summary['cells'])} tracked cell(s)")

@@ -95,7 +95,7 @@ class _CellStats:
     __slots__ = ("trace_key", "cell", "status", "duration_s", "rows",
                  "attempts", "failed_attempts", "shards", "plan_digest",
                  "partition_dim", "kernel", "predicted_bytes",
-                 "observed_rss_kb", "result_sha256", "order", "hosts")
+                 "observed_rss_kb", "result_sha256", "order")
 
     def __init__(self, trace_key: str, cell: Tuple, order: int):
         self.trace_key = trace_key
@@ -113,8 +113,6 @@ class _CellStats:
         self.observed_rss_kb: Optional[int] = None
         self.result_sha256: Optional[str] = None
         self.order = order
-        #: Remote hosts that ran (part of) this cell; empty means local.
-        self.hosts: set = set()
 
     def as_dict(self, traces: Dict[str, dict]) -> dict:
         entry = {
@@ -135,7 +133,6 @@ class _CellStats:
             "predicted_bytes": self.predicted_bytes,
             "observed_rss_kb": self.observed_rss_kb,
             "result_sha256": self.result_sha256,
-            "host": ",".join(sorted(self.hosts)) if self.hosts else None,
         }
         pred, rss = self.predicted_bytes, self.observed_rss_kb
         entry["footprint_ratio"] = (
@@ -190,10 +187,7 @@ class RunTelemetry:
             "retries": 0, "timeouts": 0, "oom_failures": 0,
             "ladder_steps": 0, "checkpoint_writes": 0,
             "heartbeats": 0, "interrupted_cells": 0,
-            "host_losses": 0,
         }
-        #: Per-remote-host fold: assignments, completions, losses.
-        self._hosts: Dict[str, Dict[str, int]] = {}
         self._current_trace_key: Optional[str] = None
         self._log_handler: Optional[TelemetryLogHandler] = None
         self._recorder_scope = None
@@ -339,8 +333,6 @@ class RunTelemetry:
             stats.partition_dim = attrs["partition_dim"]
         if attrs.get("kernel"):
             stats.kernel = attrs["kernel"]
-        if attrs.get("host"):
-            stats.hosts.add(str(attrs["host"]))
         if name == "shard.run":
             stats.duration_s += float(record.get("dur_s", 0.0))
             stats.rows += int(attrs.get("rows", 0) or 0)
@@ -380,24 +372,9 @@ class RunTelemetry:
         elif name == "footprint.predicted_bytes":
             stats.predicted_bytes = int(record.get("value", 0))
 
-    def _host_stats(self, host) -> Dict[str, int]:
-        label = str(host)
-        if label not in self._hosts:
-            self._hosts[label] = {"connected": 0, "assigned": 0,
-                                  "cells_done": 0, "losses": 0,
-                                  "dropped": 0}
-        return self._hosts[label]
-
     def _fold_event(self, record: dict) -> None:
         name = record.get("name")
         attrs = record.get("attrs", {})
-        if name in ("host.connected", "host.lost", "host.dropped"):
-            host = attrs.get("host")
-            if host is not None:
-                key = {"host.connected": "connected", "host.lost": "losses",
-                       "host.dropped": "dropped"}[name]
-                self._host_stats(host)[key] += 1
-            return
         if name == "sweep.start":
             key = attrs.get("trace_key") or "<anonymous>"
             self._current_trace_key = key
@@ -413,12 +390,8 @@ class RunTelemetry:
             cell = self._cell_of(attrs)
             if cell is not None:
                 self._stats(self._current_trace_key, cell).attempts += 1
-            if attrs.get("host"):
-                self._host_stats(attrs["host"])["assigned"] += 1
         elif name == "task.done":
             self._counters["tasks_done"] += 1
-            if attrs.get("host"):
-                self._host_stats(attrs["host"])["cells_done"] += 1
         elif name == "task.failed":
             fail_kind = attrs.get("fail_kind", "error")
             if fail_kind == "hang":
@@ -427,8 +400,6 @@ class RunTelemetry:
                 self._counters["oom_failures"] += 1
             elif fail_kind == "interrupted":
                 self._counters["interrupted_cells"] += 1
-            elif fail_kind == "host_lost":
-                self._counters["host_losses"] += 1
             if attrs.get("action") == "retry":
                 self._counters["retries"] += 1
             cell = self._cell_of(attrs)
@@ -463,7 +434,6 @@ class RunTelemetry:
             "traces": [self._traces[k] for k in sorted(self._traces)],
             "cells": [s.as_dict(self._traces) for s in cells],
             "counters": dict(self._counters),
-            "hosts": {h: dict(c) for h, c in sorted(self._hosts.items())},
         }
 
 

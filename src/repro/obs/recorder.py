@@ -36,9 +36,8 @@ ambient parent a worker inherited from its assign message); events and
 metrics carry ``trace_id``/``parent_id`` so they attach to the span that
 emitted them.  :func:`trace_context` captures the current position for a
 dispatch message and :func:`apply_trace_context` installs it around one
-task in a worker, which is how supervisor, forked workers and TCP remote
-runners emit one causal span tree per sweep
-(see :mod:`repro.obs.tracing`).
+task in a worker, which is how the supervisor and its forked workers
+emit one causal span tree per sweep (see :mod:`repro.obs.tracing`).
 """
 
 from __future__ import annotations

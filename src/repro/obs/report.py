@@ -5,9 +5,7 @@ Backs the ``repro report`` subcommand: given a ``--telemetry`` directory
 
 * a header with run id, outcome, wall duration and counters,
 * a per-cell table (status, attempts, shards, duration, rows, events/s,
-  predicted-vs-observed footprint ratio, host, result digest),
-* a per-host table (assignments, completed cells, losses) when the run
-  used remote workers,
+  predicted-vs-observed footprint ratio, result digest),
 * the top-N slowest spans from ``events.jsonl``.
 
 Everything is computed over the manifest and event stream — the same
@@ -76,7 +74,6 @@ def _span_row(record: dict) -> dict:
         "status": record.get("status"),
         "target": (_fmt_cell(what) if isinstance(what, (list, tuple))
                    else str(what) if what is not None else None),
-        "host": attrs.get("host"),
     }
 
 
@@ -107,7 +104,6 @@ def run_summary(run_dir: str, *, top: int = 10,
         "argv": manifest.get("argv"),
         "traces": manifest.get("traces", []),
         "counters": manifest.get("counters", {}),
-        "hosts": manifest.get("hosts", {}),
         "cells": manifest.get("cells", []),
         "slowest_spans": [_span_row(r) for r in spans],
     }
@@ -146,12 +142,11 @@ def render_summary(summary: dict) -> str:
                 str(entry.get("rows", 0)),
                 _fmt_num(entry.get("events_per_sec"), "{:.0f}"),
                 _fmt_num(ratio, "{:.2f}"),
-                str(entry.get("host") or "local"),
                 str(entry.get("result_sha256") or "-"),
             ])
         out.append(_table(
             ["cell", "status", "att", "shards", "dur_s", "rows",
-             "ev/s", "pred/obs", "host", "result"], rows))
+             "ev/s", "pred/obs", "result"], rows))
         if ratios:
             out.append("")
             out.append(f"  footprint model: predicted/observed ratio "
@@ -160,20 +155,6 @@ def render_summary(summary: dict) -> str:
                        f"over {len(ratios)} cells")
     else:
         out.append("  (no cells recorded)")
-
-    hosts = summary.get("hosts") or {}
-    if hosts:
-        out.append("")
-        out.append("hosts:")
-        host_rows = [[host,
-                      str(stats.get("connected", 0)),
-                      str(stats.get("assigned", 0)),
-                      str(stats.get("cells_done", 0)),
-                      str(stats.get("losses", 0)),
-                      str(stats.get("dropped", 0))]
-                     for host, stats in sorted(hosts.items())]
-        out.append(_table(["host", "connects", "assigned", "done",
-                           "losses", "dropped"], host_rows))
 
     spans = summary.get("slowest_spans", [])
     if spans:

@@ -3,8 +3,7 @@
 PR 6 gave every run a flat, schema-checked ``events.jsonl``; the
 recorder now stamps every span with ``trace_id``/``span_id``/
 ``parent_id`` (parents ride the supervisor's assign messages to forked
-and TCP-remote workers, and remote timestamps are skew-normalized on
-ingest — see :mod:`repro.runtime.transport`).  This module turns that
+workers — see :mod:`repro.runtime.supervisor`).  This module turns that
 stream back into structure:
 
 * :func:`build_tree` reconstructs the span DAG of a run — one rooted
@@ -20,7 +19,7 @@ stream back into structure:
   percentages);
 * :func:`diff_manifests` / :func:`render_diff` back
   ``repro diff RUN_A RUN_B`` — a per-cell regression table (duration,
-  events/s, attempts, kernel, host) with threshold-flagged deltas.
+  events/s, attempts, kernel) with threshold-flagged deltas.
 
 The machinery is deliberately tolerant of pre-tracing artifacts: spans
 recorded before span ids existed are counted as *untraced* and an
@@ -70,10 +69,6 @@ class SpanNode:
         if isinstance(what, (list, tuple)):
             return _fmt_cell(what)
         return str(what) if what is not None else None
-
-    @property
-    def host(self) -> Optional[str]:
-        return self.attrs.get("host")
 
 
 class TraceTree:
@@ -208,7 +203,7 @@ def critical_path(root: SpanNode) -> List[dict]:
                 segments.append({
                     "kind": "idle", "name": "(idle)",
                     "under": node.name, "target": node.target,
-                    "host": None, "span_id": None,
+                    "span_id": None,
                     "start": cursor, "end": c_lo,
                     "dur_s": c_lo - cursor,
                 })
@@ -218,7 +213,7 @@ def critical_path(root: SpanNode) -> List[dict]:
                 segments.append({
                     "kind": "span", "name": child.name,
                     "under": node.name, "target": child.target,
-                    "host": child.host, "span_id": child.span_id,
+                    "span_id": child.span_id,
                     "start": c_lo, "end": c_hi,
                     "dur_s": c_hi - c_lo,
                 })
@@ -227,7 +222,7 @@ def critical_path(root: SpanNode) -> List[dict]:
             segments.append({
                 "kind": "idle", "name": "(idle)",
                 "under": node.name, "target": node.target,
-                "host": None, "span_id": None,
+                "span_id": None,
                 "start": cursor, "end": hi,
                 "dur_s": hi - cursor,
             })
@@ -237,7 +232,7 @@ def critical_path(root: SpanNode) -> List[dict]:
         # idle (the trailing-gap branch above would otherwise claim it).
         return [{"kind": "span", "name": root.name,
                  "under": None, "target": root.target,
-                 "host": root.host, "span_id": root.span_id,
+                 "span_id": root.span_id,
                  "start": root.start, "end": root.end,
                  "dur_s": root.dur_s}]
     walk(root, root.start, root.end)
@@ -248,18 +243,18 @@ def path_contributors(segments: Sequence[dict],
                       total: float) -> List[dict]:
     """Aggregate critical-path segments into ranked contributors.
 
-    Groups by (kind, span name, target, host); ``self_pct`` is the
+    Groups by (kind, span name, target); ``self_pct`` is the
     group's share of the root span's duration.  Sorted largest first.
     """
     groups: Dict[Tuple, dict] = {}
     for seg in segments:
         key = (seg["kind"], seg["name"],
                seg.get("under") if seg["kind"] == "idle" else None,
-               seg.get("target"), seg.get("host"))
+               seg.get("target"))
         entry = groups.setdefault(key, {
             "kind": seg["kind"], "name": seg["name"],
             "under": seg.get("under") if seg["kind"] == "idle" else None,
-            "target": seg.get("target"), "host": seg.get("host"),
+            "target": seg.get("target"),
             "dur_s": 0.0, "segments": 0,
         })
         entry["dur_s"] += seg["dur_s"]
@@ -281,7 +276,6 @@ def _node_dict(node: SpanNode) -> dict:
         "parent_id": node.parent_id,
         "name": node.name,
         "target": node.target,
-        "host": node.host,
         "t": node.start,
         "dur_s": node.dur_s,
         "status": node.status,
@@ -343,8 +337,6 @@ def _render_node(node: dict, depth: int, out: List[str],
     if node.get("target"):
         label += f"  {node['target']}"
     extras = [f"{node['dur_s']:.3f}s", node.get("status") or "?"]
-    if node.get("host"):
-        extras.append(f"host={node['host']}")
     out.append(f"{'  ' * depth}{label}  [{' '.join(extras)}]")
     children = node.get("children", [])
     for child in children[:max_children]:
@@ -382,12 +374,11 @@ def render_trace(path: str, *, top: int = 10,
                 f"(idle under {c['under']})"
             rows.append([
                 str(i), what, str(c.get("target") or "-"),
-                str(c.get("host") or "-"),
                 f"{c['dur_s']:.3f}",
                 _fmt_num(c.get("self_pct"), "{:.1f}%"),
                 str(c["segments"]),
             ])
-        out.append(_table(["#", "what", "target", "host", "dur_s",
+        out.append(_table(["#", "what", "target", "dur_s",
                            "self", "segs"], rows))
     return "\n".join(out) + "\n"
 
@@ -453,8 +444,6 @@ def diff_manifests(a: dict, b: dict, *, threshold: float = 0.2,
             "attempts_b": cb.get("attempts") if cb else None,
             "kernel_a": ca.get("kernel") if ca else None,
             "kernel_b": cb.get("kernel") if cb else None,
-            "host_a": ca.get("host") if ca else None,
-            "host_b": cb.get("host") if cb else None,
             "delta_pct": None,
             "flag": None,
         }
@@ -497,8 +486,6 @@ def render_diff(diff: dict) -> str:
         if entry["only_in"]:
             mark = f"only in {entry['only_in'].upper()}"
         kern = (entry.get("kernel_a") or "-", entry.get("kernel_b") or "-")
-        host = (entry.get("host_a") or "local",
-                entry.get("host_b") or "local")
         rows.append([
             _fmt_cell(entry["cell"]),
             _fmt_num(entry["duration_a"], "{:.3f}"),
@@ -508,12 +495,11 @@ def render_diff(diff: dict) -> str:
             _fmt_num(entry["events_per_sec_b"], "{:.0f}"),
             f"{entry['attempts_a'] or 0}/{entry['attempts_b'] or 0}",
             kern[0] if kern[0] == kern[1] else f"{kern[0]}->{kern[1]}",
-            host[0] if host[0] == host[1] else f"{host[0]}->{host[1]}",
             mark,
         ])
     out.append(_table(
         ["cell", "dur_a", "dur_b", "Δdur", "ev/s_a", "ev/s_b",
-         "att a/b", "kernel", "host", "flag"], rows))
+         "att a/b", "kernel", "flag"], rows))
     out.append("")
     out.append(f"{len(diff['regressions'])} regression(s), "
                f"{len(diff['improvements'])} improvement(s) over "

@@ -8,8 +8,8 @@ them survive partial failure:
   graceful degradation to serial execution;
 * :mod:`~repro.runtime.policy` — the failure policy: one table from a
   classified failure to the ordered actions that follow it (retry, serial
-  fallback, the OOM ladder, dropping a host, abort), plus the
-  classifiers that sort failures into its kinds;
+  fallback, the OOM ladder, abort), plus the classifiers that sort
+  failures into its kinds;
 * :class:`~repro.runtime.retry.RetryPolicy` — capped exponential backoff;
 * :class:`~repro.runtime.checkpoint.CheckpointJournal` — durable JSONL
   journal of completed cells so a killed sweep resumes without
@@ -23,14 +23,7 @@ them survive partial failure:
   trace cache and checkpoint directories;
 * :mod:`~repro.runtime.signals` — two-phase graceful shutdown
   (SIGINT/SIGTERM → drain → resumable exit; second signal forces) and
-  the progress counter behind the worker heartbeat / stall watchdog;
-* :mod:`~repro.runtime.transport` — pluggable worker transports: the
-  default local fork-pipe pool (:class:`LocalForkTransport`) and framed
-  TCP to remote worker runners (:class:`TcpTransport`) with versioned
-  handshakes, host-loss recovery and per-host quarantine;
-* :mod:`~repro.runtime.remote_worker` — the ``--hosts`` counterpart: a
-  runner process serving sweep cells over TCP
-  (``python -m repro.runtime.remote_worker --listen HOST:PORT``).
+  the progress counter behind the worker heartbeat / stall watchdog.
 """
 
 from .checkpoint import CheckpointJournal, default_checkpoint_dir
@@ -63,16 +56,6 @@ from .signals import (
     note_progress,
 )
 from .supervisor import Supervisor
-from .transport import (
-    EndpointLostError,
-    LocalForkTransport,
-    TcpTransport,
-    Transport,
-    WorkerConfig,
-    WorkerEndpoint,
-    handshake_spec,
-    parse_hosts,
-)
 
 __all__ = [
     "Admission",
@@ -80,21 +63,15 @@ __all__ = [
     "DEFAULT_FOOTPRINT_MODEL",
     "DEFAULT_RETRY_POLICY",
     "DEFAULT_TMP_MAX_AGE_S",
-    "EndpointLostError",
     "FAIL_KINDS",
     "FaultInjectedError",
     "FaultPlan",
     "FootprintModel",
     "HEARTBEAT_CHUNK",
-    "LocalForkTransport",
     "POLICY",
     "RetryPolicy",
     "ShutdownCoordinator",
     "Supervisor",
-    "TcpTransport",
-    "Transport",
-    "WorkerConfig",
-    "WorkerEndpoint",
     "apply_worker_rlimit",
     "check_interrupt",
     "classify_exitcode",
@@ -106,9 +83,7 @@ __all__ = [
     "gc_stale_tmp",
     "get_shutdown",
     "graceful_shutdown",
-    "handshake_spec",
     "note_progress",
-    "parse_hosts",
     "peak_rss_bytes",
     "plan_admission",
     "resolve_tmp_max_age",

@@ -2,14 +2,14 @@
 
 Every failure the sweep runtime sees is first *classified* into one of
 :data:`FAIL_KINDS` — by :func:`classify_exception` for a raised exception,
-by :func:`classify_exitcode` for a dead worker process, or by the endpoint
-that noticed the loss (a stalled local worker is ``hang``, a lost or
-silent remote one ``host_lost``).  :data:`POLICY` then maps
-``(scope, kind)`` to the ordered actions taken on successive failures:
+by :func:`classify_exitcode` for a dead worker process, or by the stall
+watchdog (a worker whose progress stopped is ``hang``).  :data:`POLICY`
+then maps ``(scope, kind)`` to the ordered actions taken on successive
+failures:
 
-* ``pool`` — a cell on a worker (local fork or remote host): ``retry``
-  after :meth:`RetryPolicy.delay` while ``attempts < max_attempts``, then
-  one ``serial`` in-process attempt (``where="serial-fallback"``), then
+* ``pool`` — a cell on a fork worker: ``retry`` after
+  :meth:`RetryPolicy.delay` while ``attempts < max_attempts``, then one
+  ``serial`` in-process attempt (``where="serial-fallback"``), then
   ``abort`` (:class:`~repro.errors.CellFailedError`, exit 2).  An ``oom``
   first ``degrade``\\ s — hands the whole run to the ``run`` row — while
   that row has a step left;
@@ -19,17 +19,11 @@ silent remote one ``host_lost``).  :data:`POLICY` then maps
   ``raise_shards`` at the halved concurrency, then ``serial`` in-process,
   each skipped when it would not change the run and each keeping the
   salvaged partials; then ``abort`` (the hand-off's
-  :class:`~repro.errors.ResourceExhaustedError`, exit 3);
-* ``host`` — one remote host: ``retry`` (reconnect after
-  :data:`HOST_BACKOFF`) after each of the first :data:`HOST_RETRIES`
-  consecutive failures, ``drop_host`` on the next; once every transport
-  is exhausted, the remaining cells go ``serial``.
+  :class:`~repro.errors.ResourceExhaustedError`, exit 3).
 
-The supervisor, the engine's grid loop and
-:class:`~repro.runtime.transport.TcpTransport` only carry out the action
+The supervisor and the engine's grid loop only carry out the action
 decided here, and every decision is logged and emitted as telemetry
-(``task.failed``, ``ladder.step``, ``host.lost``, ``host.dropped``,
-``transport.fallback``) from this module.
+(``task.failed``, ``ladder.step``) from this module.
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ from .retry import RetryPolicy
 logger = logging.getLogger(__name__)
 
 #: Every class a failure can be sorted into.
-FAIL_KINDS = ("error", "crash", "exit", "hang", "oom", "host_lost")
+FAIL_KINDS = ("error", "crash", "exit", "hang", "oom")
 
 #: ``scope -> fail kind -> actions``, in the order successive failures
 #: take them.  ``retry`` repeats while the scope's budget lasts, and
@@ -58,15 +52,7 @@ POLICY: Dict[str, Dict[str, Tuple[str, ...]]] = {
              "oom": ("degrade", "retry", "serial", "abort")},
     "serial": dict.fromkeys(FAIL_KINDS, ("retry", "abort")),
     "run": {"oom": ("halve_jobs", "raise_shards", "serial", "abort")},
-    "host": {"host_lost": ("retry", "drop_host", "serial")},
 }
-
-#: Consecutive failures of one host that are retried after a backoff; the
-#: next one drops the host for the rest of the run.
-HOST_RETRIES = 3
-#: Reconnect backoff after a host's n-th consecutive failure.
-HOST_BACKOFF = RetryPolicy(max_attempts=HOST_RETRIES + 1, base_delay=0.25,
-                           backoff=2.0, max_delay=5.0)
 
 _NEXT_STEP = {"retry": "retrying after backoff",
               "serial": "queued for serial fallback",
@@ -239,57 +225,3 @@ class OomLadder:
                       f"degrading to {label!r} with {salvaged} task(s) "
                       f"salvaged")
         self.jobs, self.shards, self.label = jobs, shards, label
-
-
-# ----------------------------------------------------------------------
-# host scope
-# ----------------------------------------------------------------------
-def host_lost(label: str, detail: str) -> None:
-    """Announce that a connected host's channel failed or went silent."""
-    get_recorder().event("host.lost", level="warning", host=label,
-                         detail=detail)
-
-
-def host_failed(label: str, failures: int, why: str,
-                backoff: Optional[RetryPolicy] = None) -> Optional[float]:
-    """Decide after a host's ``failures``-th consecutive failure.
-
-    Returns the delay before the next reconnect (``retry``), or ``None``
-    when the host is dropped for the run (``drop_host``).  ``backoff``
-    overrides :data:`HOST_BACKOFF`'s schedule, not the retry count.
-    """
-    if failures > HOST_RETRIES:
-        drop_host(label, why, failures)
-        return None
-    delay = (backoff or HOST_BACKOFF).delay(failures)
-    logger.warning("host %s unavailable (%s); retry %d/%d in %.2fs",
-                   label, why, failures, HOST_RETRIES, delay)
-    return delay
-
-
-def host_refused(label: str, why: str, failures: int, *,
-                 initial: bool) -> str:
-    """Decide after a structured handshake refusal.
-
-    At start it is a configuration error, not a flaky host: ``abort``
-    (the caller re-raises).  Mid-sweep the run must survive a host that
-    restarted into an incompatible build: ``drop_host``.
-    """
-    if initial:
-        return "abort"
-    drop_host(label, why, failures)
-    return "drop_host"
-
-
-def drop_host(label: str, why: str, failures: int) -> None:
-    """Announce that a host is dropped for the rest of the run."""
-    get_recorder().event("host.dropped", level="warning", host=label,
-                         reason=why, failures=failures)
-    logger.warning("dropping host %s for this run: %s", label, why)
-
-
-def transports_exhausted(cells: int) -> None:
-    """Announce that the remaining cells go serial: no endpoint survives."""
-    get_recorder().event("transport.fallback", level="warning", cells=cells)
-    logger.warning("no worker endpoints survive (all transports exhausted); "
-                   "running %d remaining cell(s) serially in-process", cells)

@@ -1,31 +1,21 @@
-"""Supervised fan-out of independent grid cells over pluggable transports.
+"""Supervised fan-out of independent grid cells over fork workers.
 
 ``SweepEngine.run_grid`` used to hand the grid to a bare ``pool.map``: one
 crashed worker, one hung cell or one raised exception aborted the whole
 sweep and discarded every completed cell.  :class:`Supervisor` replaces it
 with per-cell task tracking:
 
-* each worker is a :class:`~repro.runtime.transport.WorkerEndpoint`
-  provided by a transport — a dedicated ``fork`` process driven over its
-  own duplex pipe (:class:`~repro.runtime.transport.LocalForkTransport`,
-  the default), or a remote worker runner over framed TCP
-  (:class:`~repro.runtime.transport.TcpTransport`) — so the supervisor
-  always knows *which* cell a worker is running and since when;
-* the event loop multiplexes reply channels **and** process sentinels via
-  :func:`multiprocessing.connection.wait` — a dead worker or a reset
-  connection is noticed immediately, not at ``join`` time;
+* each worker is a dedicated ``fork`` process driven over its own duplex
+  pipe (:class:`_ForkEndpoint`), so the supervisor always knows *which*
+  cell a worker is running and since when;
+* the event loop multiplexes reply pipes **and** process sentinels via
+  :func:`multiprocessing.connection.wait` — a dead worker is noticed
+  immediately, not at ``join`` time;
 * a per-cell stall timeout kills hung workers and reschedules their cell;
 * what follows a failure — retry after backoff, one serial in-process
   fallback attempt, handing an OOM to the run's degradation ladder, or
   aborting — is decided by :mod:`repro.runtime.policy`; the supervisor
   only carries it out;
-* a lost *host* (connection reset, torn frame, heartbeat silence) is a
-  ``host_lost`` failure: the cell is reassigned to surviving endpoints —
-  safe because dispatch is idempotent and keyed by the same checkpoint
-  keys ``--resume`` uses — while the transport reconnects the host or
-  drops it per the same policy.  When every transport is exhausted (all
-  remote hosts dropped, no local workers), the remaining cells fall back
-  to serial in-process execution instead of dying with the fleet;
 * only when the serial fallback also fails does the supervisor raise
   :class:`~repro.errors.CellFailedError`, carrying the cell, its attempt
   history and the partial results of every completed cell.
@@ -40,35 +30,245 @@ failure in a worker aborts the pool with a structured
 partial results) so the sweep engine can re-plan the run instead of
 blindly retrying the same oversized configuration.
 
-Local fork workers inherit their runner (and any fault plan) through
-module globals at fork time, so nothing is pickled — the same zero-copy
-trick the old pool used.
+Workers inherit their runner (and any fault plan) through module globals
+at fork time, so nothing is pickled — the same zero-copy trick the old
+pool used.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import multiprocessing
 import multiprocessing.connection
+import threading
 import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import CellFailedError, ResourceExhaustedError, SweepInterrupted
-from ..obs import get_recorder
+from ..obs import (apply_trace_context, get_recorder, trace_context,
+                   worker_begin)
 from . import policy, signals
 from .faults import FaultPlan
-from .policy import OomLadder, task_attr
+from .policy import OomLadder, classify_exitcode, task_attr
+from .resources import apply_worker_rlimit, peak_rss_bytes
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from .transport import (
-    EndpointLostError,
-    LocalForkTransport,
-    Transport,
-    WorkerConfig,
-    WorkerEndpoint,
-)
 
 logger = logging.getLogger(__name__)
+
+# Fork-inherited worker state (set in the parent just before spawning).
+_WORKER_RUNNER: Optional[Callable[[Any], Any]] = None
+_WORKER_FAULTS: Optional[FaultPlan] = None
+_WORKER_RLIMIT: Optional[int] = None
+_WORKER_HEARTBEAT: Optional[float] = None
+
+
+class EndpointLostError(Exception):
+    """A worker's reply pipe failed (EOF, torn or garbled frame).
+
+    Internal control flow within the supervisor — never user-facing.
+    ``garbled`` distinguishes a *corrupted* pipe (bytes arrived but could
+    not be decoded: the worker must be killed, its pipe can never become
+    readable again) from a plain EOF (the process sentinel stays the
+    authority on death).
+    """
+
+    def __init__(self, message: str, *, garbled: bool = False):
+        super().__init__(message)
+        self.garbled = garbled
+
+
+# ----------------------------------------------------------------------
+# fork worker body (inherited through module globals, never pickled)
+# ----------------------------------------------------------------------
+def _heartbeat_loop(conn, send_lock, current, interval) -> None:
+    """Daemon thread: periodically report the worker's progress counter.
+
+    Sends ``("hb", idx, progress, cell)`` for the task in flight.  The
+    supervisor compares successive ``progress`` samples: a *slow* cell
+    keeps advancing the counter (the hot loops tick it every
+    :data:`~repro.runtime.signals.HEARTBEAT_CHUNK` events) while a *hung*
+    one freezes it — which is exactly the distinction the stall watchdog
+    needs.  Sends share ``send_lock`` with result replies so the two
+    never interleave on the pipe.
+    """
+    while True:
+        time.sleep(interval)
+        cur = current[0]
+        if cur is None:
+            continue
+        idx, task = cur
+        try:
+            with send_lock:
+                conn.send(("hb", idx, signals.progress_count(),
+                           task_attr(task)))
+        except Exception:
+            return  # pipe gone: the worker is exiting
+
+
+def _worker_main(conn) -> None:
+    """Worker loop: receive ``("run", idx, task, attempt, ctx)``, send results.
+
+    Replies ``(idx, ok, payload, records)`` where ``records`` is the
+    worker's buffered telemetry (``None`` when telemetry is off) — the
+    child recorder installed by :func:`repro.obs.worker_begin` is drained
+    after every task so spans and metrics ride the existing reply pipe
+    back into the parent stream.  A ``("stop",)`` message (or a closed
+    pipe) ends the loop.  When the parent configured
+    ``worker_rlimit_bytes``, the worker soft-caps its address space
+    *relative to what fork inherited* before serving tasks, so an
+    over-budget cell dies as a classified ``MemoryError`` reply, never as
+    a kernel SIGKILL.
+
+    Workers drop the parent's inherited shutdown flag and ignore SIGINT
+    (:func:`repro.runtime.signals.reset_in_child`): on Ctrl-C the parent
+    alone coordinates the wind-down over the pipes.  When the parent
+    configured a heartbeat interval, a daemon thread reports liveness
+    between replies (see :func:`_heartbeat_loop`).
+    """
+    runner = _WORKER_RUNNER
+    faults = _WORKER_FAULTS
+    signals.reset_in_child()
+    recorder = worker_begin()
+    if _WORKER_RLIMIT is not None:
+        apply_worker_rlimit(_WORKER_RLIMIT)
+    send_lock = threading.Lock()
+    current: List = [None]  # [(idx, task)] while a task is in flight
+    if _WORKER_HEARTBEAT is not None:
+        threading.Thread(target=_heartbeat_loop,
+                         args=(conn, send_lock, current, _WORKER_HEARTBEAT),
+                         name="repro-heartbeat", daemon=True).start()
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            return
+        if msg[0] == "stop":
+            return
+        _, idx, task, attempt, ctx = msg
+        current[0] = (idx, task)
+        try:
+            if faults is not None:
+                faults.apply_worker(task, attempt, idx)
+            with apply_trace_context(ctx):
+                result = runner(task)
+            ok, payload = True, result
+        except BaseException as exc:
+            ok, payload = False, policy.classify_exception(exc)
+        current[0] = None
+        records = None
+        if recorder is not None:
+            recorder.metric("worker.ru_maxrss_kb",
+                            peak_rss_bytes() // 1024, unit="kb",
+                            cell=task_attr(task))
+            records = recorder.drain()
+        try:
+            with send_lock:
+                conn.send((idx, ok, payload, records))
+        except Exception:
+            # The result (or error) could not cross the pipe; report a
+            # sendable failure so the supervisor can retry the cell.
+            try:
+                with send_lock:
+                    conn.send((idx, False,
+                               {"error": "worker could not send result for "
+                                         f"task {idx}", "kind": "error"},
+                               None))
+            except Exception:
+                return
+
+
+class _ForkEndpoint:
+    """One supervised fork worker and its pipe.
+
+    Scheduling state (``current``, ``deadline``, ``last_progress``) lives
+    here so the stall watchdog can read it per worker.
+    """
+
+    __slots__ = ("process", "conn", "current", "deadline", "last_progress",
+                 "_shutdown_token")
+
+    def __init__(self, ctx, wid: int):
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        self.process = ctx.Process(target=_worker_main, args=(child_conn,),
+                                   name=f"repro-supervised-{wid}",
+                                   daemon=True)
+        self.process.start()
+        child_conn.close()
+        self.conn = parent_conn
+        self.current = None
+        self.deadline: Optional[float] = None
+        #: Last heartbeat progress sample for the task in flight (None
+        #: until the first heartbeat after an assignment).
+        self.last_progress: Optional[int] = None
+        # Forced teardown (second Ctrl-C) runs os._exit, which skips the
+        # multiprocessing atexit reaping of daemon children — register so
+        # the coordinator can kill this worker directly.
+        coord = signals.get_shutdown()
+        self._shutdown_token = (coord.register_process(self.process)
+                                if coord is not None else None)
+
+    @property
+    def pid(self) -> Optional[int]:
+        return self.process.pid
+
+    def assign(self, att, timeout: Optional[float]) -> None:
+        att.attempts += 1
+        self.current = att
+        self.last_progress = None
+        self.deadline = (time.monotonic() + timeout
+                         if timeout is not None else None)
+        try:
+            # ``ctx`` carries the supervisor's ambient span ids (None when
+            # tracing is off) so worker-side spans parent under the sweep
+            # span.
+            self.conn.send(("run", att.idx, att.task, att.attempts,
+                            trace_context()))
+        except (OSError, ValueError) as exc:
+            raise EndpointLostError(f"assign failed: {exc}") from None
+
+    def stop(self, *, kill: bool = False) -> None:
+        if kill and self.process.is_alive():
+            self.process.terminate()
+        else:
+            try:
+                self.conn.send(("stop",))
+            except Exception:
+                pass
+        self.process.join(timeout=2.0)
+        if self.process.is_alive():  # pragma: no cover - stubborn child
+            self.process.kill()
+            self.process.join(timeout=2.0)
+        self.conn.close()
+        if self._shutdown_token is not None:
+            coord = signals.get_shutdown()
+            if coord is not None:
+                coord.unregister_process(self._shutdown_token)
+
+    def recv(self):
+        """One message: ``("hb", idx, progress, cell)`` or ``(idx, ok,
+        payload, records)``.  Raises :class:`EndpointLostError` when the
+        pipe is gone."""
+        try:
+            msg = self.conn.recv()
+        except (EOFError, OSError) as exc:
+            # Pipe died mid-message: the process sentinel stays the
+            # authority on whether the worker is actually dead.
+            raise EndpointLostError(f"reply pipe closed: {exc!r}") from None
+        except Exception as exc:
+            # Bytes arrived but could not be unpickled — a torn or
+            # garbled frame.  The pipe is unrecoverable (framing is
+            # lost), so the worker must be killed and its cell re-run.
+            raise EndpointLostError(f"garbled worker reply: {exc!r}",
+                                    garbled=True) from None
+        return msg
+
+    def death(self, lost: Optional[EndpointLostError]):
+        """``(fail_kind, description)`` for the attempt history."""
+        if lost is not None and self.process.is_alive():
+            return ("crash", f"worker reply channel lost ({lost})")
+        return classify_exitcode(self.process.exitcode)
 
 
 class _Attempt:
@@ -85,18 +285,17 @@ class _Attempt:
 
 
 class Supervisor:
-    """Run independent tasks with crash/hang/host-loss detection, retries
-    and graceful degradation to serial execution.
+    """Run independent tasks with crash/hang detection, retries and
+    graceful degradation to serial execution.
 
     Parameters
     ----------
     runner:
-        ``runner(task) -> result``.  Must be inheritable by fork (local
-        workers receive it through a module global, never pickled).
+        ``runner(task) -> result``.  Must be inheritable by fork (workers
+        receive it through a module global, never pickled).
     jobs:
-        Local worker process count; ``1`` (or platforms without ``fork``)
-        spawns no local workers — everything runs serially in-process
-        unless remote transports provide endpoints.
+        Worker process count; ``1`` (or platforms without ``fork``)
+        spawns no workers — everything runs serially in-process.
     retry:
         The :class:`RetryPolicy` bounding attempts per cell and pacing the
         backoff between them.
@@ -109,21 +308,14 @@ class Supervisor:
         counter stops advancing for ``timeout`` seconds.  A slow but
         alive paper-scale cell therefore never trips the watchdog, while
         a genuinely hung worker still dies within ``timeout`` of its
-        last progress.  For remote endpoints the same watchdog doubles
-        as the heartbeat-silence detector: a partitioned host stops
-        beating and its cell is reassigned as ``host_lost``.  ``None``
-        disables stall detection entirely.
+        last progress.  ``None`` disables stall detection entirely.
     fault_plan:
         Optional deterministic :class:`FaultPlan` (tests only).
     worker_rlimit_bytes:
         Per-worker address-space *growth* cap in bytes (above the
-        fork-inherited baseline), installed in each local worker via
+        fork-inherited baseline), installed in each worker via
         ``resource.setrlimit(RLIMIT_AS)``.  ``None`` leaves workers
         uncapped.
-    transports:
-        Extra :class:`~repro.runtime.transport.Transport` instances
-        (remote hosts) joining the local fork pool.  The local transport
-        is constructed implicitly from ``jobs``.
     """
 
     #: Upper bound on one event-loop wait (keeps deadline checks timely,
@@ -138,20 +330,20 @@ class Supervisor:
                  retry: Optional[RetryPolicy] = None,
                  timeout: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 worker_rlimit_bytes: Optional[int] = None,
-                 transports: Optional[Sequence[Transport]] = None):
+                 worker_rlimit_bytes: Optional[int] = None):
         self.runner = runner
         self.jobs = max(1, jobs)
         self.retry = retry or DEFAULT_RETRY_POLICY
         self.timeout = timeout
         self.fault_plan = fault_plan
         self.worker_rlimit_bytes = worker_rlimit_bytes
-        self.transports = list(transports or ())
         #: Worker heartbeat period: at least 4 samples per stall window
         #: so one lost/late beat cannot look like a stall, capped at 1 s
         #: so heartbeats stay cheap on long windows.
         self.heartbeat_interval = (max(0.02, min(1.0, timeout / 4))
                                    if timeout is not None else 1.0)
+        self._ctx = None
+        self._wid = itertools.count()
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[Any], *,
@@ -178,27 +370,13 @@ class Supervisor:
             else:
                 todo.append(_Attempt(idx, task))
         if todo:
-            has_remote = any(t.is_remote for t in self.transports)
             can_fork = "fork" in multiprocessing.get_all_start_methods()
-            use_pool = (len(todo) > 1 and
-                        (has_remote or (self.jobs > 1 and can_fork)))
-            if use_pool:
+            if len(todo) > 1 and self.jobs > 1 and can_fork:
                 self._run_pool(todo, results, on_result, ladder)
             else:
                 self._run_in_process(todo, todo, results, on_result,
                                      where="serial")
         return [results[idx] for idx in range(len(tasks))]
-
-    def _pool_transports(self) -> List[Transport]:
-        """Transports joining this pool run: local fork first, then any
-        remote transports, so local capacity soaks up cells before slower
-        channels do."""
-        trs: List[Transport] = []
-        if (self.jobs > 1
-                and "fork" in multiprocessing.get_all_start_methods()):
-            trs.append(LocalForkTransport(self.jobs))
-        trs.extend(self.transports)
-        return trs
 
     # ------------------------------------------------------------------
     # in-process execution (jobs=1 / no fork, and the serial fallback)
@@ -239,42 +417,34 @@ class Supervisor:
     # supervised pool execution
     # ------------------------------------------------------------------
     def _run_pool(self, todo, results, on_result, ladder) -> None:
-        config = WorkerConfig(self.runner, fault_plan=self.fault_plan,
-                              rlimit_bytes=self.worker_rlimit_bytes,
-                              heartbeat_interval=self.heartbeat_interval)
-        transports = self._pool_transports()
-        endpoints: List[WorkerEndpoint] = []
+        global _WORKER_RUNNER, _WORKER_FAULTS, _WORKER_RLIMIT, \
+            _WORKER_HEARTBEAT
+        self._ctx = multiprocessing.get_context("fork")
+        _WORKER_RUNNER = self.runner
+        _WORKER_FAULTS = self.fault_plan
+        _WORKER_RLIMIT = self.worker_rlimit_bytes
+        _WORKER_HEARTBEAT = self.heartbeat_interval
+        endpoints: List[_ForkEndpoint] = []
         pending = deque(todo)
-        #: cells that exhausted worker attempts (or outlived every
-        #: transport), awaiting the serial fallback (run after the pool
-        #: drains so one bad cell cannot stall healthy workers).
+        #: cells that exhausted worker attempts, awaiting the serial
+        #: fallback (run after the pool drains so one bad cell cannot
+        #: stall healthy workers).
         fallback: List[_Attempt] = []
         outstanding = len(todo)
         try:
-            for tr in transports:
-                tr.open(config)
-                endpoints.extend(tr.start(len(todo)))
+            endpoints.extend(self._spawn()
+                             for _ in range(min(self.jobs, len(todo))))
             while outstanding > len(fallback):
                 coord = signals.get_shutdown()
                 if coord is not None and coord.requested:
                     self._drain_interrupted(endpoints, results, todo,
                                             on_result)
                 now = time.monotonic()
-                for tr in transports:
-                    endpoints.extend(tr.revive(now))
-                if pending and not endpoints:
-                    if all(tr.exhausted for tr in transports):
-                        self._fall_back_local(pending, fallback)
-                        continue
-                    # Every channel is down but a transport is still
-                    # reconnecting: wait for its next attempt window.
-                    time.sleep(self.POLL_INTERVAL)
-                    continue
                 self._assign_ready(endpoints, pending, now)
                 wait_for, busy = [], []
                 for ep in endpoints:
                     if ep.current is not None:
-                        wait_for.extend(ep.wait_handles())
+                        wait_for += (ep.conn, ep.process.sentinel)
                         busy.append(ep)
                 if not busy:
                     # Nothing in flight: only backoff-delayed cells remain.
@@ -295,21 +465,18 @@ class Supervisor:
         finally:
             for ep in endpoints:
                 ep.stop(kill=True)
-            for tr in transports:
-                tr.close()
-        # Cells that repeatedly failed in workers (or outlived every
-        # transport) get one last serial in-process attempt each.
+            _WORKER_RUNNER = None
+            _WORKER_FAULTS = None
+            _WORKER_RLIMIT = None
+            _WORKER_HEARTBEAT = None
+        # Cells that repeatedly failed in workers get one last serial
+        # in-process attempt each.
         self._run_in_process(fallback, todo, results, on_result,
                              where="serial-fallback")
 
     # -- pool helpers --------------------------------------------------
-    def _fall_back_local(self, pending, fallback) -> None:
-        """Every transport is permanently out of endpoints (all remote
-        hosts dropped, no local workers): move the remaining cells to the
-        serial in-process fallback instead of dying with the fleet."""
-        policy.transports_exhausted(len(pending))
-        while pending:
-            fallback.append(pending.popleft())
+    def _spawn(self) -> _ForkEndpoint:
+        return _ForkEndpoint(self._ctx, next(self._wid))
 
     def _assign_ready(self, endpoints, pending, now) -> None:
         for ep in list(endpoints):
@@ -320,22 +487,18 @@ class Supervisor:
                 if att.not_before <= now:
                     try:
                         ep.assign(att, self.timeout)
-                    except EndpointLostError as exc:
-                        # The channel died between replies: the attempt
+                    except EndpointLostError:
+                        # The pipe died between replies: the attempt
                         # never started, so un-count it and retire the
-                        # endpoint.
+                        # worker.
                         att.attempts -= 1
                         ep.current = None
                         pending.appendleft(att)
-                        self._retire(ep, endpoints, pending, lost=exc,
-                                     stalled=False)
+                        self._retire(ep, endpoints, pending, stalled=False)
                         break
-                    attrs = {"worker_pid": ep.pid}
-                    if ep.host is not None:
-                        attrs["host"] = ep.host
                     get_recorder().event(
                         "task.assigned", cell=task_attr(att.task),
-                        attempt=att.attempts, **attrs)
+                        attempt=att.attempts, worker_pid=ep.pid)
                     break
                 pending.append(att)
             else:
@@ -350,23 +513,21 @@ class Supervisor:
             timeout = min(timeout, max(0.0, att.not_before - now))
         return timeout
 
-    def _retire(self, ep, endpoints, pending, *, lost, stalled) -> None:
-        """Stop a dead/stalled endpoint and ask its transport for
-        replacements."""
-        if ep.host is not None and (lost is not None or stalled):
-            policy.host_lost(ep.host, str(lost) if lost is not None
-                             else "heartbeat silence (stalled)")
+    def _retire(self, ep, endpoints, pending, *, stalled) -> None:
+        """Stop a dead/stalled worker and spawn its replacement: a
+        *stalled* worker is always replaced; a *dead* one only while
+        cells are pending and the pool is below ``jobs``."""
         ep.stop(kill=True)
         if ep in endpoints:
             endpoints.remove(ep)
-        endpoints.extend(ep.transport.replace(ep, pending=len(pending),
-                                              stalled=stalled))
+        if stalled or (pending and len(endpoints) < self.jobs):
+            endpoints.append(self._spawn())
 
     def _service_endpoint(self, ep, ready_set, endpoints, pending, fallback,
                           results, on_result, todo, ladder) -> int:
-        """Handle one endpoint's reply or death; returns cells finished."""
+        """Handle one worker's reply or death; returns cells finished."""
         lost: Optional[EndpointLostError] = None
-        if ep.readable(ready_set):
+        if ep.conn in ready_set:
             try:
                 msg = ep.recv()
             except EndpointLostError as exc:
@@ -379,65 +540,56 @@ class Supervisor:
                 _, ok, payload, _ = msg
                 att = self._take_reply(ep, msg)
                 if ok:
-                    self._done(ep, att, payload, results, on_result)
+                    self._done(att, payload, results, on_result)
                     return 1
                 att.history.append({"attempt": att.attempts,
-                                    "where": ep.where,
+                                    "where": "worker",
                                     "error": payload["error"],
                                     "kind": payload.get("kind", "error")})
                 self._reschedule(att, pending, fallback, results, todo,
                                  ladder)
                 return 0
-        # Death handling.  A remote endpoint is dead the moment its
-        # channel fails; a local fork worker whose pipe merely hit EOF
-        # defers to the process sentinel (the pre-transport behavior) —
-        # unless the channel is *garbled*, in which case the pipe can
-        # never deliver another frame and the worker must be killed even
-        # though its process may still be alive.
-        force_dead = lost is not None and (ep.host is not None
-                                           or lost.garbled)
-        if force_dead or ep.dead(ready_set):
-            if not force_dead and not ep.confirm_dead():
+        # Death handling.  A worker whose pipe merely hit EOF defers to
+        # the process sentinel — unless the pipe is *garbled*, in which
+        # case it can never deliver another frame and the worker must be
+        # killed even though its process may still be alive.
+        garbled = lost is not None and lost.garbled
+        if (garbled or not ep.process.is_alive()
+                or ep.process.sentinel in ready_set):
+            if not garbled and ep.process.is_alive():
                 return 0  # pragma: no cover - sentinel race
             att, ep.current = ep.current, None
             kind, description = ep.death(lost)
             if att is not None:
                 att.history.append({
-                    "attempt": att.attempts, "where": ep.where,
+                    "attempt": att.attempts, "where": "worker",
                     "error": description, "kind": kind})
-                # Reschedule *before* retiring: the transport's replace()
-                # decision sees the cell back in the pending queue, so the
-                # last worker's death with the last cell in hand still
-                # spawns a successor.
+                # Reschedule *before* retiring: the replacement decision
+                # sees the cell back in the pending queue, so the last
+                # worker's death with the last cell in hand still spawns
+                # a successor.
                 self._reschedule(att, pending, fallback, results, todo,
                                  ladder)
-            self._retire(ep, endpoints, pending, lost=lost, stalled=False)
+            self._retire(ep, endpoints, pending, stalled=False)
         return 0
 
     @staticmethod
     def _take_reply(ep, msg):
         """Free ``ep`` of the task a ``(idx, ok, payload, records)`` reply
         answers, returning its attempt record.  The worker's buffered
-        telemetry (stamped with the endpoint's host, so per-host accounting
-        holds on every path) is merged first, so the cell's spans precede
-        its outcome."""
+        telemetry is merged first, so the cell's spans precede its
+        outcome."""
         records = msg[3]
         if records:
-            if ep.host is not None:
-                records = [dict(r, attrs=dict(r.get("attrs") or {},
-                                              host=ep.host))
-                           if isinstance(r, dict) else r for r in records]
             get_recorder().ingest(records)
         att, ep.current, ep.deadline = ep.current, None, None
         return att
 
     @staticmethod
-    def _done(ep, att, payload, results, on_result) -> None:
+    def _done(att, payload, results, on_result) -> None:
         results[att.idx] = payload
-        attrs = {"cell": task_attr(att.task), "attempt": att.attempts}
-        if ep.host is not None:
-            attrs["host"] = ep.host
-        get_recorder().event("task.done", **attrs)
+        get_recorder().event("task.done", cell=task_attr(att.task),
+                             attempt=att.attempts)
         if on_result is not None:
             on_result(att.task, payload)
 
@@ -460,22 +612,16 @@ class Supervisor:
         ep.last_progress = progress
         if advanced and self.timeout is not None:
             ep.deadline = time.monotonic() + self.timeout
-        attrs = {"worker_pid": ep.pid}
-        if ep.host is not None:
-            attrs["host"] = ep.host
         get_recorder().metric("worker.heartbeat", progress, unit="events",
-                              cell=cellattr, **attrs)
+                              cell=cellattr, worker_pid=ep.pid)
 
     def _reap_timeouts(self, endpoints, pending, fallback, results, todo,
                        ladder) -> None:
-        """Kill endpoints whose progress counter stalled for ``timeout``.
+        """Kill workers whose progress counter stalled for ``timeout``.
 
         ``deadline`` is armed at assignment and re-armed by every
         heartbeat that shows progress, so only a genuinely frozen worker
-        ever reaches it (see :meth:`_note_heartbeat`).  For a remote
-        endpoint heartbeat silence means the *host* is unreachable
-        (partitioned, frozen, or dead), so the failure is classified
-        ``host_lost`` rather than ``hang``.
+        ever reaches it (see :meth:`_note_heartbeat`).
         """
         if self.timeout is None:
             return
@@ -484,11 +630,11 @@ class Supervisor:
             if ep.current is None or ep.deadline is None or now < ep.deadline:
                 continue
             att, ep.current = ep.current, None
-            att.history.append({"attempt": att.attempts, "where": ep.where,
+            att.history.append({"attempt": att.attempts, "where": "worker",
                                 "error": f"no progress for {self.timeout}s "
                                          "(stalled)",
-                                "kind": ep.stall_kind})
-            self._retire(ep, endpoints, pending, lost=None, stalled=True)
+                                "kind": "hang"})
+            self._retire(ep, endpoints, pending, stalled=True)
             self._reschedule(att, pending, fallback, results, todo, ladder)
 
     def _drain_interrupted(self, endpoints, results, todo, on_result) -> None:
@@ -499,9 +645,7 @@ class Supervisor:
         then abandons whatever is still running and raises
         :class:`~repro.errors.SweepInterrupted`.  The caller's
         ``finally`` kills the workers; abandoned cells simply stay out
-        of the journal, so ``--resume`` re-runs exactly those.  Remote
-        in-flight cells drain through the same window: their reply
-        channels sit in the same ``wait`` set as local pipes.
+        of the journal, so ``--resume`` re-runs exactly those.
         """
         rec = get_recorder()
         busy = [ep for ep in endpoints if ep.current is not None]
@@ -514,11 +658,11 @@ class Supervisor:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
-            by_handle = {ep.drain_handle(): ep for ep in busy}
+            by_conn = {ep.conn: ep for ep in busy}
             ready = multiprocessing.connection.wait(
-                list(by_handle), timeout=remaining)
-            for handle in ready:
-                ep = by_handle[handle]
+                list(by_conn), timeout=remaining)
+            for conn in ready:
+                ep = by_conn[conn]
                 try:
                     msg = ep.recv()
                 except EndpointLostError:
@@ -529,7 +673,7 @@ class Supervisor:
                 idx, ok, payload, _ = msg
                 att = self._take_reply(ep, msg)
                 if ok and att is not None and att.idx == idx:
-                    self._done(ep, att, payload, results, on_result)
+                    self._done(att, payload, results, on_result)
             busy = [ep for ep in endpoints if ep.current is not None]
         cancelled = [ep.current.task for ep in endpoints
                      if ep.current is not None]

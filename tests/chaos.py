@@ -72,12 +72,6 @@ ACTIONS: Tuple[str, ...] = (
 #: watchdog.
 TIMEOUT_ACTIONS = frozenset({"fault:hang"})
 
-#: What :func:`host_chaos` can do to a remote worker host mid-sweep:
-#: SIGKILL its whole process group (host dies, connections reset) or
-#: SIGSTOP it (host partitioned: alive but silent, so only the
-#: heartbeat-silence watchdog can notice).
-HOST_ACTIONS: Tuple[str, ...] = ("host-kill", "host-partition")
-
 
 @dataclass(frozen=True)
 class CycleOutcome:
@@ -392,147 +386,6 @@ def _run_cycle(run_sweep, checkpoint_dir, plan, telemetry_dir, *,
         proc.join(10.0)
 
 
-# ----------------------------------------------------------------------
-# multi-host chaos
-# ----------------------------------------------------------------------
-class _Runner:
-    """One ``repro.runtime.remote_worker`` subprocess in its own session
-    (so a host-kill can SIGKILL the runner *and* its serving children as
-    one process group, exactly like losing the machine)."""
-
-    def __init__(self, cache_dir: str):
-        import re
-        import subprocess
-
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.runtime.remote_worker",
-             "--listen", "127.0.0.1:0", "--slots", "2",
-             "--trace-cache", cache_dir],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-            start_new_session=True)
-        line = self.proc.stdout.readline()
-        m = re.search(r"listening on ([\d.]+):(\d+)", line or "")
-        if not m:
-            self.kill()
-            raise ReproError(
-                f"remote worker runner failed to start (got {line!r})")
-        self.addr = f"{m.group(1)}:{m.group(2)}"
-
-    def signal_group(self, signum: int) -> None:
-        try:
-            os.killpg(os.getpgid(self.proc.pid), signum)
-        except (ProcessLookupError, PermissionError):
-            pass
-
-    def kill(self) -> None:
-        self.signal_group(signal.SIGKILL)
-        try:
-            self.proc.wait(timeout=10.0)
-        except Exception:  # pragma: no cover - defensive
-            pass
-        if self.proc.stdout is not None:
-            self.proc.stdout.close()
-
-
-def host_chaos(workload: str, workdir: str, *, seed: int = 0,
-               cycles: int = 2,
-               kill_delay: Tuple[float, float] = (0.1, 0.8),
-               actions: Sequence[str] = HOST_ACTIONS,
-               cycle_timeout: float = 300.0) -> ChaosReport:
-    """Kill (or partition) a remote worker host mid-sweep; require
-    bit-identical convergence.
-
-    Each cycle starts two loopback runner processes, launches a
-    distributed sweep child against both (plus local workers), and after
-    a seeded delay delivers the cycle's action to one runner's whole
-    process group: SIGKILL (connections reset — the supervisor sees the
-    loss immediately) or SIGSTOP (a network partition's observable shape:
-    the host stays connected but falls silent, so only heartbeat-silence
-    detection can reclaim its cells).  The sweep must either complete in
-    that same run — lost cells reassigned to the surviving host and the
-    local workers — or exit resumable (75), in which case one resumed
-    cycle must finish the job.  Either way the final results must be
-    byte-identical to a single-host serial baseline.
-    """
-    for action in actions:
-        if action not in HOST_ACTIONS:
-            raise ConfigError(f"unknown host action {action!r}; "
-                              f"known: {sorted(HOST_ACTIONS)}")
-    from repro.analysis.engine import SweepEngine
-
-    rng = random.Random(seed)
-    os.makedirs(workdir, exist_ok=True)
-    cache_dir = os.path.join(workdir, "trace-cache")
-    cells = [("classify", bb, "dubois") for bb in (16, 64)] + \
-            [("protocol", 32, "SD")]
-
-    def make_sweep(hosts):
-        def run_sweep(checkpoint_dir, fault_plan, telemetry_dir):
-            # jobs=1 with hosts set: the pool is remote-only, so every
-            # cell crosses the wire and the victim host is guaranteed to
-            # be holding work when the chaos action lands.
-            engine = SweepEngine.for_workload(
-                workload, jobs=1, shards=2, cache_dir=cache_dir,
-                checkpoint_dir=checkpoint_dir, fault_plan=fault_plan,
-                telemetry_dir=telemetry_dir, timeout=5.0, hosts=hosts)
-            return list(engine.run_grid(cells))
-        return run_sweep
-
-    report = ChaosReport(seed=seed)
-    baseline_ckpt = os.path.join(workdir, "baseline-ckpt")
-    exitcode, payload = _run_cycle(make_sweep(None), baseline_ckpt, None,
-                                   None, action=None, delay=None,
-                                   cycle_timeout=cycle_timeout)
-    if exitcode != 0 or payload is None:
-        raise ReproError(
-            f"host chaos baseline run failed (exit {exitcode!r})")
-    report.baseline_sha256 = hashlib.sha256(payload).hexdigest()
-
-    for cycle in range(cycles):
-        action = actions[cycle % len(actions)] if actions else "host-kill"
-        chaos_ckpt = os.path.join(workdir, f"cycle{cycle}-ckpt")
-        runners = [_Runner(cache_dir), _Runner(cache_dir)]
-        victim = runners[rng.randrange(2)]
-        signum = (signal.SIGKILL if action == "host-kill"
-                  else signal.SIGSTOP)
-        delay = rng.uniform(*kill_delay)
-        import threading
-        timer = threading.Timer(delay, victim.signal_group, args=(signum,))
-        timer.start()
-        t0 = time.monotonic()
-        try:
-            hosts = ",".join(r.addr for r in runners)
-            exitcode, payload = _run_cycle(
-                make_sweep(hosts), chaos_ckpt, None, None, action=None,
-                delay=None, cycle_timeout=cycle_timeout)
-            if payload is None and exitcode == EXIT_INTERRUPTED:
-                # Resumable exit under host loss: one resumed run (local
-                # only) must converge from the journal.
-                exitcode, payload = _run_cycle(
-                    make_sweep(None), chaos_ckpt, None, None, action=None,
-                    delay=None, cycle_timeout=cycle_timeout)
-        finally:
-            timer.cancel()
-            for r in runners:
-                r.kill()
-        completed = payload is not None and exitcode == 0
-        report.cycles.append(CycleOutcome(
-            cycle=cycle, action=action, exitcode=exitcode,
-            completed=completed,
-            journal_cells=journal_cell_count(chaos_ckpt), torn=False,
-            duration_s=time.monotonic() - t0))
-        if not completed:
-            return report
-        sha = hashlib.sha256(payload).hexdigest()
-        report.final_sha256 = sha
-        if sha != report.baseline_sha256:
-            return report
-    report.converged = bool(report.cycles)
-    report.identical = report.converged and \
-        report.final_sha256 == report.baseline_sha256
-    return report
-
-
 def tear_jsonl_tail(path: str, *, cut: int = 17) -> bool:
     """Simulate a kill mid-journal-write: leave a torn final JSONL line.
 
@@ -590,9 +443,7 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--kill-cycles", type=int, default=4)
     parser.add_argument("--paths", default="serial,sharded",
-                        help="comma list: serial,sharded,finite,hosts "
-                             "(hosts = loopback multi-host sweep with a "
-                             "host killed/partitioned mid-flight)")
+                        help="comma list: serial,sharded,finite")
     parser.add_argument("--workdir", default=None)
     args = parser.parse_args(argv)
 
@@ -621,22 +472,15 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
     base = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
     for name in args.paths.split(","):
         name = name.strip()
-        if name == "hosts":
-            report = host_chaos(args.workload, os.path.join(base, name),
-                                seed=args.seed,
-                                cycles=max(1, args.kill_cycles // 2))
-            ok = report.converged and report.identical
-        elif name in paths:
-            runner, n_cells = paths[name]
-            report = chaos_soak(
-                runner, os.path.join(base, name), seed=args.seed,
-                kill_cycles=args.kill_cycles, grid_cells=n_cells)
-            ok = report.ok
-        else:
+        if name not in paths:
             parser.error(f"unknown path {name!r}")
+        runner, n_cells = paths[name]
+        report = chaos_soak(
+            runner, os.path.join(base, name), seed=args.seed,
+            kill_cycles=args.kill_cycles, grid_cells=n_cells)
         print(f"[chaos:{name}]")
         print(report.summary())
-        if not ok:
+        if not report.ok:
             failed = True
     return 1 if failed else 0
 

@@ -122,7 +122,8 @@ class TestCommands:
 
 
 class TestSuiteCommands:
-    """``fig5``, ``fig6`` and ``table2`` hold one suite trace at a time."""
+    """``fig5``, ``fig6``, ``table1`` and ``table2`` hold one trace at a
+    time."""
 
     @pytest.mark.parametrize("argv", [
         ["fig5"], ["fig6", "--blocks", "64", "1024"], ["table2"],
@@ -153,6 +154,32 @@ class TestSuiteCommands:
                       if " @ B=" in line]
             assert titles == ["MATMUL24 @ B=64", "FFT256 @ B=64",
                               "MATMUL24 @ B=1024", "FFT256 @ B=1024"]
+
+    def test_table1_one_trace_live_at_a_time(self, monkeypatch, capsys):
+        import weakref
+
+        from repro import cli
+        from repro.workloads.registry import make_workload
+
+        generated = []  # weak references to each trace's address column
+
+        def make(name):
+            wl = make_workload(name)
+
+            def generate(original=wl.generate):
+                assert all(ref() is None for ref in generated)
+                trace = original()
+                generated.append(weakref.ref(trace.columns().addr))
+                return trace
+            monkeypatch.setattr(wl, "generate", generate)
+            return wl
+
+        monkeypatch.setattr(cli, "make_workload", make)
+        assert main(["table1", "--benchmarks", "MATMUL24", "FFT256"]) == 0
+        assert len(generated) == 2
+        header = capsys.readouterr().out.splitlines()[1]
+        assert header.split()[1:] == ["MATMUL24@32B", "MATMUL24@1024B",
+                                      "FFT256@32B", "FFT256@1024B"]
 
 
 class TestExitCodeContract:

@@ -446,6 +446,27 @@ class TestResumeStability:
         # a property of the projection, not an accident of equality.
         assert m_fresh["run_id"] != m_resumed["run_id"]
 
+    def test_parallel_manifest_has_serial_stable_bytes(self, trace,
+                                                       tmp_path):
+        """Fork workers and block shards change how a grid runs, never
+        what its manifest's stable view records."""
+        manifests = {}
+        for label, jobs, shards in (("serial", 1, None),
+                                    ("parallel", 2, 2)):
+            tel = str(tmp_path / label)
+            engine = SweepEngine(trace, jobs=jobs, shards=shards,
+                                 telemetry_dir=tel)
+            engine.protocol_grid(SIZES, ("OTF", "SD", "MIN"))
+            (run,) = find_runs(tel)
+            manifests[label] = load_manifest(run)
+        serial, parallel = manifests["serial"], manifests["parallel"]
+        # The parallel run really sharded its cells in forked workers...
+        assert {c["shards"] for c in parallel["cells"]} == {2}
+        assert {c["shards"] for c in serial["cells"]} == {0}
+        # ...and the stable view cannot tell the runs apart.
+        assert (manifest_stable_bytes(serial)
+                == manifest_stable_bytes(parallel))
+
     def test_result_digest_survives_journal_round_trip(self, trace):
         result = SweepEngine(trace).classify_sweep((64,)).breakdowns[0]
         decoded = decode_result(encode_result(result))

@@ -1,9 +1,9 @@
 """Failure-policy suite: one table decides what follows every failure.
 
 * every fail kind the classifiers can produce — dead-worker exit codes,
-  worker failure payloads, stall kinds and endpoint death kinds — has a
-  row in :data:`~repro.runtime.policy.POLICY`, so a new kind cannot fall
-  through unhandled;
+  worker failure payloads, the stall watchdog's kind and reply-pipe
+  death kinds — has a row in :data:`~repro.runtime.policy.POLICY`, so a
+  new kind cannot fall through unhandled;
 * the runbook's "What happens after a failure" table documents exactly
   that table;
 * :func:`~repro.runtime.policy.cell_failed` walks each row in order.
@@ -16,6 +16,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ResourceExhaustedError
+from repro.obs import Recorder, use_recorder
+from repro.runtime.faults import FaultPlan
 from repro.runtime.policy import (
     FAIL_KINDS,
     POLICY,
@@ -25,11 +27,10 @@ from repro.runtime.policy import (
     classify_exitcode,
 )
 from repro.runtime.retry import RetryPolicy
-from repro.runtime.transport import (
+from repro.runtime.supervisor import (
     EndpointLostError,
-    WorkerEndpoint,
+    Supervisor,
     _ForkEndpoint,
-    _TcpEndpoint,
 )
 
 THREE = RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0)
@@ -42,6 +43,17 @@ def _payload_kind(exc):
         return classify_exception(caught)["kind"]
 
 
+def _watchdog_kinds():
+    """Fail kinds a real pool reports when one worker's cell hangs."""
+    rec = Recorder.buffering()
+    sup = Supervisor(lambda task: task, jobs=2, timeout=0.3, retry=THREE,
+                     fault_plan=FaultPlan(hang={0: 1}))
+    with use_recorder(rec):
+        assert sup.run(["a", "b"]) == ["a", "b"]
+    return {r["attrs"]["fail_kind"] for r in rec.drain()
+            if r.get("name") == "task.failed"}
+
+
 def _classified_kinds():
     kinds = {classify_exitcode(code)[0]
              for code in (None, 0, 1, 17, -6, -9, -11, -15, 137, 139)}
@@ -49,14 +61,12 @@ def _classified_kinds():
         ValueError("boom"), MemoryError(),
         ResourceExhaustedError("ram", kind="memory"),
         ResourceExhaustedError("disk", kind="disk"))}
-    kinds |= {ep.stall_kind
-              for ep in (WorkerEndpoint, _ForkEndpoint, _TcpEndpoint)}
+    kinds |= _watchdog_kinds()
     for alive in (True, False):
         process = SimpleNamespace(is_alive=lambda alive=alive: alive,
                                   exitcode=-9)
         kinds.add(_ForkEndpoint.death(SimpleNamespace(process=process),
                                       EndpointLostError("gone"))[0])
-    kinds.add(_TcpEndpoint.death(SimpleNamespace(host="h:1"), None)[0])
     return kinds
 
 
@@ -94,7 +104,7 @@ def _att(where, kind, attempts):
 
 class TestCellDecisions:
     @pytest.mark.parametrize("kind", ["error", "crash", "exit", "hang",
-                                      "host_lost", "oom"])
+                                      "oom"])
     def test_pool_retries_then_falls_back_then_aborts(self, kind):
         assert [cell_failed(_att("worker", kind, n), THREE)
                 for n in (1, 2, 3)] == ["retry", "retry", "serial"]
@@ -107,7 +117,7 @@ class TestCellDecisions:
 
     def test_oom_degrades_while_the_ladder_has_a_step(self):
         ladder = OomLadder(2, None)
-        assert cell_failed(_att("remote", "oom", 1), THREE,
+        assert cell_failed(_att("worker", "oom", 1), THREE,
                            ladder) == "degrade"
         assert cell_failed(_att("worker", "crash", 1), THREE,
                            ladder) == "retry"

@@ -25,7 +25,12 @@ import pytest
 from repro.analysis.engine import ExecutionOptions, SweepEngine, _resolve_jobs
 from repro.classify.breakdown import DuboisBreakdown, SimpleBreakdown
 from repro.classify.compare import ClassificationComparison
-from repro.errors import CellFailedError, ConfigError, InvariantViolationError
+from repro.errors import (
+    EXIT_FAILED,
+    CellFailedError,
+    ConfigError,
+    InvariantViolationError,
+)
 from repro.protocols.results import Counters, ProtocolResult
 from repro.runtime import (
     CheckpointJournal,
@@ -35,6 +40,7 @@ from repro.runtime import (
     Supervisor,
 )
 from repro.runtime.checkpoint import decode_result, encode_result
+from repro.runtime.supervisor import EndpointLostError, _ForkEndpoint
 from repro.trace.trace import Trace
 from repro.workloads.registry import make_workload
 
@@ -86,15 +92,7 @@ class TestRetryPolicy:
         assert [p.delay(i) for i in (1, 2, 3, 1)] == \
             pytest.approx([0.1, 0.2, 0.4, 0.1])
 
-    def test_host_backoff_capped_and_deterministic(self):
-        from repro.runtime.policy import HOST_BACKOFF, HOST_RETRIES
-
-        # The reconnect schedule after a host's 1st..3rd consecutive
-        # failure: capped exponential from 0.25 s, the same on every run.
-        seq = [HOST_BACKOFF.delay(i) for i in range(1, HOST_RETRIES + 1)]
-        assert seq == pytest.approx([0.25, 0.5, 1.0])
-        assert HOST_BACKOFF.delay(10) == pytest.approx(5.0)  # capped
-        assert [HOST_BACKOFF.delay(i) for i in range(1, 4)] == seq
+    def test_shrinking_backoff_rejected(self):
         with pytest.raises(ConfigError):
             RetryPolicy(backoff=0.5)
 
@@ -141,6 +139,44 @@ class TestSupervisor:
         assert len(err.attempts) == FAST_RETRY.max_attempts
         assert all(a["where"] == "serial" for a in err.attempts)
         assert err.partial == {"a": "a"}  # completed before the failure
+
+
+class TestForkEndpointTornFrames:
+    """A worker's reply pipe can die two ways, and both are endpoint loss.
+
+    The supervisor once caught only ``(EOFError, OSError)`` around
+    ``conn.recv()`` — a torn pickle frame (worker killed mid-``send``)
+    raised ``UnpicklingError`` and crashed the whole sweep.  The fork
+    endpoint now classifies both shapes as endpoint loss."""
+
+    def test_closed_pipe_is_clean_loss(self):
+        import multiprocessing
+
+        a, b = multiprocessing.Pipe()
+        a.close()
+
+        class _Stub:
+            conn = b
+
+        with pytest.raises(EndpointLostError) as exc_info:
+            _ForkEndpoint.recv(_Stub())
+        assert not exc_info.value.garbled
+        b.close()
+
+    def test_torn_pickle_is_garbled_loss(self):
+        import multiprocessing
+
+        a, b = multiprocessing.Pipe()
+        a.send_bytes(b"\x80\x04not really a pickle")
+
+        class _Stub:
+            conn = b
+
+        with pytest.raises(EndpointLostError) as exc_info:
+            _ForkEndpoint.recv(_Stub())
+        assert exc_info.value.garbled
+        a.close()
+        b.close()
 
 
 class TestEngineFaults:
@@ -371,6 +407,21 @@ class TestInvariantGuards:
 # options plumbing / job resolution
 # ----------------------------------------------------------------------
 class TestPlumbing:
+    @pytest.mark.parametrize("timeout", [0, -5.0])
+    def test_non_positive_timeout_rejected(self, trace, timeout):
+        # A stall window of zero or less would declare every worker hung
+        # the moment it is assigned a cell.
+        with pytest.raises(ConfigError, match="timeout must be > 0"):
+            SweepEngine(trace, jobs=2, timeout=timeout)
+
+    @pytest.mark.parametrize("timeout", ["0", "-5"])
+    def test_cli_non_positive_timeout_exits_2(self, timeout, capsys):
+        from repro.cli import main
+
+        assert main(["simulate", "JACOBI64", "--jobs", "2",
+                     "--timeout", timeout]) == EXIT_FAILED
+        assert "timeout must be > 0" in capsys.readouterr().err
+
     def test_resolve_jobs_respects_affinity(self):
         assert _resolve_jobs(0) == len(os.sched_getaffinity(0))
         assert _resolve_jobs(None) == len(os.sched_getaffinity(0))

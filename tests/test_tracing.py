@@ -6,8 +6,6 @@ Pins the observability tentpole's acceptance criteria:
   ids ride the assign messages into forked workers, so a sharded
   parallel sweep reconstructs into **one rooted span tree** with every
   ``parent_id`` resolving;
-* the same holds over loopback TCP remote hosts, whose wall clocks are
-  skew-normalized on ingest from the handshake round trip;
 * the critical-path decomposition tiles the sweep root exactly — its
   segment total always lands within 5% of the sweep span's duration —
   and attributes idle (queue-wait) time explicitly;
@@ -15,17 +13,11 @@ Pins the observability tentpole's acceptance criteria:
   hot cells; ``repro history`` records runs append-only and flags
   regressions against the trailing median;
 * malformed or half-written run directories are skipped with a warning,
-  never crashing ``repro report``;
-* per-host aggregation: host losses, per-host cell counts and host
-  attrs all land in the manifest and the rendered report.
+  never crashing ``repro report``.
 """
 
 import json
 import os
-import socket
-import struct
-import threading
-import time
 
 import pytest
 
@@ -33,7 +25,6 @@ from repro.cli import main as cli_main
 from repro.errors import ReproError
 from repro.obs import (
     Recorder,
-    RunTelemetry,
     apply_trace_context,
     build_tree,
     check_regressions,
@@ -46,7 +37,6 @@ from repro.obs import (
     path_contributors,
     render_diff,
     render_history,
-    render_run,
     render_trace,
     report_summary,
     trace_context,
@@ -55,9 +45,6 @@ from repro.obs import (
     validate_record,
 )
 from repro.obs.history import append_history, record_entry
-from repro.runtime.retry import RetryPolicy
-from repro.runtime.supervisor import Supervisor
-from repro.runtime.transport import TcpTransport, recv_frame, send_frame
 from repro.trace.trace import Trace
 from repro.workloads.registry import make_workload
 
@@ -68,21 +55,6 @@ SIZES = (32, 128)
 def trace():
     full = make_workload("MP3D200").generate()
     return Trace(full.events[:4000], full.num_procs, name="MP3D200")
-
-
-def _loopback_available() -> bool:
-    try:
-        s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        s.bind(("127.0.0.1", 0))
-        s.close()
-        return True
-    except OSError:
-        return False
-
-
-needs_loopback = pytest.mark.skipif(
-    not _loopback_available(),
-    reason="loopback sockets unavailable in this environment")
 
 
 # ----------------------------------------------------------------------
@@ -296,86 +268,6 @@ class TestForkSweepTree:
 
 
 # ----------------------------------------------------------------------
-# remote clock skew normalization
-# ----------------------------------------------------------------------
-@needs_loopback
-class TestClockSkew:
-    SKEW = 1000.0
-
-    def _fake_runner(self, listener, bd):
-        from repro.runtime.checkpoint import encode_result
-
-        conn, _ = listener.accept()
-        hello = recv_frame(conn)
-        send_frame(conn, {"t": "welcome", "pid": 4242,
-                          "release": hello["release"],
-                          "now": time.time() + self.SKEW})
-        while True:
-            try:
-                msg = recv_frame(conn)
-            except Exception:
-                return
-            if msg.get("t") != "run":
-                return
-            records = [{"v": 1, "kind": "span", "t": time.time() + self.SKEW,
-                        "pid": 4242, "seq": 0, "name": "cell.run",
-                        "dur_s": 0.01, "status": "ok",
-                        "attrs": {"cell": [msg["task"]]}}]
-            ctx = msg.get("ctx") or {}
-            if ctx.get("trace_id"):
-                records[0]["trace_id"] = ctx["trace_id"]
-                records[0]["span_id"] = f"feedbeef0000000{msg['idx']}"
-                records[0]["parent_id"] = ctx.get("parent_id")
-            send_frame(conn, {"t": "reply", "idx": msg["idx"], "ok": True,
-                              "payload": encode_result(bd),
-                              "records": records})
-
-    def test_remote_record_times_normalized_on_ingest(self):
-        from repro.classify.breakdown import DuboisBreakdown
-
-        bd = DuboisBreakdown(pc=1, cts=2, cfs=3, pts=4, pfs=5,
-                             data_refs=60)
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(2)
-        port = listener.getsockname()[1]
-        server = threading.Thread(target=self._fake_runner,
-                                  args=(listener, bd), daemon=True)
-        server.start()
-        rec = Recorder.buffering()
-        rec.set_trace_context("run-skew")
-        try:
-            with use_recorder(rec):
-                spec = {"proto": 1, "release": "x", "journal_v": 0,
-                        "kernel": "interpreted", "trace_key": "k",
-                        "workload": "w"}
-                tr = TcpTransport(
-                    [("127.0.0.1", port)], spec,
-                    reconnect=RetryPolicy(max_attempts=2, base_delay=0.01,
-                                          max_delay=0.05))
-                sup = Supervisor(lambda t: bd, jobs=1, transports=[tr],
-                                 timeout=10.0)
-                before = time.time()
-                assert sup.run(["cell-a", "cell-b"]) == [bd, bd]
-                after = time.time()
-        finally:
-            listener.close()
-        server.join(timeout=10.0)
-        records = rec.drain()
-        connected = [r for r in records if r.get("name") == "host.connected"]
-        assert connected and abs(connected[0]["attrs"]["clock_skew_s"]
-                                 - self.SKEW) < 5.0
-        spans = [r for r in records if r.get("kind") == "span"]
-        assert len(spans) == 2
-        for span in spans:
-            # The +1000s remote timestamp came back inside the local
-            # window.
-            assert before - 5.0 <= span["t"] <= after + 5.0
-            assert span["attrs"]["host"].startswith("127.0.0.1:")
-            assert span["trace_id"] == "run-skew"
-
-
-# ----------------------------------------------------------------------
 # kernel diff and history
 # ----------------------------------------------------------------------
 class TestDiffAndHistory:
@@ -533,151 +425,3 @@ class TestMalformedRuns:
         (bad / "manifest.json").write_text("{\"v\": 1, \"run")
         with pytest.raises(ReproError, match="all malformed"):
             report_summary(str(tel))
-
-
-# ----------------------------------------------------------------------
-# per-host aggregation (injected host loss)
-# ----------------------------------------------------------------------
-class TestPerHostAggregation:
-    HOSTS = ("127.0.0.1:7001", "127.0.0.1:7002")
-
-    @pytest.fixture()
-    def manifest(self, tmp_path):
-        """A synthetic two-endpoint sweep: host 2 dies mid-run and its
-        cell is retried on host 1."""
-        h1, h2 = self.HOSTS
-        with RunTelemetry(str(tmp_path)) as run:
-            rec = run.recorder
-            rec.event("host.connected", host=h1, clock_skew_s=0.001)
-            rec.event("host.connected", host=h2, clock_skew_s=-0.2)
-            rec.event("sweep.start", trace="T", trace_key="T-k",
-                      num_procs=4, events=100, cells=2)
-            for host, block in ((h1, 32), (h2, 64)):
-                rec.event("task.assigned", cell=["classify", block, "x"],
-                          host=host, where="remote")
-            rec.span_complete("cell.run", 0.5,
-                              cell=["classify", 32, "x"], rows=4,
-                              host=h1)
-            rec.event("task.done", cell=["classify", 32, "x"],
-                      attempt=1, host=h1)
-            rec.event("host.lost", level="warning", host=h2,
-                      cell=["classify", 64, "x"])
-            rec.event("task.failed", level="warning",
-                      cell=["classify", 64, "x"],
-                      fail_kind="host_lost", action="retry")
-            rec.event("task.assigned", cell=["classify", 64, "x"],
-                      host=h1, where="remote")
-            rec.span_complete("cell.run", 0.7,
-                              cell=["classify", 64, "x"], rows=4,
-                              host=h1)
-            rec.event("task.done", cell=["classify", 64, "x"],
-                      attempt=2, host=h1)
-            rec.event("sweep.finish", trace_key="T-k", cells=2)
-        return load_manifest(run.directory)
-
-    def test_host_losses_counted(self, manifest):
-        assert manifest["counters"]["host_losses"] == 1
-
-    def test_per_host_cell_counts(self, manifest):
-        h1, h2 = self.HOSTS
-        hosts = manifest["hosts"]
-        assert hosts[h1] == {"connected": 1, "assigned": 2,
-                             "cells_done": 2, "losses": 0, "dropped": 0}
-        assert hosts[h2] == {"connected": 1, "assigned": 1,
-                             "cells_done": 0, "losses": 1, "dropped": 0}
-
-    def test_cells_carry_host_attr(self, manifest):
-        for cell in manifest["cells"]:
-            assert cell["host"] == self.HOSTS[0]
-
-    def test_report_renders_host_table(self, manifest, tmp_path):
-        (run_dir,) = find_runs(str(tmp_path))
-        text = render_run(run_dir)
-        for host in self.HOSTS:
-            assert host in text
-        assert "losses" in text and "dropped" in text
-
-
-# ----------------------------------------------------------------------
-# the distributed acceptance: loopback TCP sweep -> one rooted tree
-# ----------------------------------------------------------------------
-@needs_loopback
-class TestRemoteSweepTree:
-    @pytest.fixture(scope="class")
-    def run(self, tmp_path_factory):
-        import re
-        import subprocess
-        import sys
-
-        from repro.analysis.engine import SweepEngine
-
-        cache = str(tmp_path_factory.mktemp("cache"))
-        tel = str(tmp_path_factory.mktemp("tel"))
-        procs = []
-        try:
-            addrs = []
-            for _ in range(2):
-                proc = subprocess.Popen(
-                    [sys.executable, "-m", "repro.runtime.remote_worker",
-                     "--listen", "127.0.0.1:0", "--slots", "4",
-                     "--trace-cache", cache],
-                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                    text=True, start_new_session=True)
-                procs.append(proc)
-                line = proc.stdout.readline()
-                m = re.search(r"listening on ([\d.]+):(\d+)", line or "")
-                assert m, f"runner failed to start: {line!r}"
-                addrs.append(f"{m.group(1)}:{m.group(2)}")
-            engine = SweepEngine.for_workload(
-                "MATMUL24", cache_dir=cache, jobs=1, shards=2,
-                timeout=60.0, hosts=",".join(addrs), telemetry_dir=tel)
-            engine.run_grid([("classify", 32, "dubois"),
-                             ("classify", 64, "dubois"),
-                             ("compare", 32, None),
-                             ("protocol", 64, "SD")])
-            (run_dir,) = find_runs(tel)
-            yield run_dir
-        finally:
-            import signal as _signal
-
-            for proc in procs:
-                try:
-                    os.killpg(os.getpgid(proc.pid), _signal.SIGKILL)
-                except (ProcessLookupError, PermissionError):
-                    pass
-                proc.wait(timeout=10)
-                if proc.stdout is not None:
-                    proc.stdout.close()
-
-    def test_remote_sweep_reconstructs_single_rooted_tree(self, run):
-        tree = load_tree(run)
-        assert tree.untraced == 0
-        assert tree.orphans == []
-        (root,) = tree.roots
-        assert root.name == "sweep.run"
-        remote = [n for n in tree.nodes.values()
-                  if (n.attrs or {}).get("host")]
-        assert remote, "expected spans ingested from remote hosts"
-        for node in remote:
-            assert node.attrs["host"].startswith("127.0.0.1:")
-
-    def test_remote_span_times_inside_local_window(self, run):
-        """Skew normalization: every remote span's wall time sits inside
-        the locally timed sweep root (generously padded)."""
-        tree = load_tree(run)
-        (root,) = tree.roots
-        for node in tree.nodes.values():
-            assert node.start >= root.start - 5.0
-            assert node.end <= root.end + 5.0
-
-    def test_critical_path_within_5pct_of_sweep_span(self, run):
-        summary = trace_summary(run)
-        (entry,) = summary["roots"]
-        assert abs(entry["path_total_s"] - entry["root_dur_s"]) \
-            <= 0.05 * entry["root_dur_s"]
-
-    def test_trace_cli_names_cells(self, run, capsys):
-        assert cli_main(["trace", run]) == 0
-        out = capsys.readouterr().out
-        assert "critical path" in out
-        assert "host=127.0.0.1:" in out
