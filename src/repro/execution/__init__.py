@@ -3,6 +3,7 @@
 from .ops import (
     BLOCK,
     MEM,
+    RUN,
     SYNC,
     acquire_event,
     block_until,
@@ -26,6 +27,7 @@ __all__ = [
     "Lock",
     "MEM",
     "Machine",
+    "RUN",
     "SYNC",
     "acquire_event",
     "block_until",

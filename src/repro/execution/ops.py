@@ -8,8 +8,19 @@ scheduler one operation tuple:
 ``("sync", op, addr)``
     Emit a synchronization event (``op`` is ACQUIRE or RELEASE).  Costs one
     cycle.
+``("run", ops, addrs)``
+    Perform ``len(addrs)`` data references, exactly as that many
+    consecutive ``("mem", op, addr)`` yields would: one per cycle, and the
+    thread is not resumed until the run is used up.  ``addrs`` is a range,
+    a list or a 1-D integer NumPy array; ``ops`` is one opcode (LOAD or
+    STORE) for all of them or a sequence of opcodes as long as ``addrs``.
+    The run is validated once when it is yielded; an empty run costs no
+    cycle.  Runs let a loop nest hand the scheduler its whole reference
+    stream at once (see the quiet windows of
+    :mod:`repro.execution.scheduler`).
 ``("block", predicate)``
-    Do not proceed until ``predicate()`` is true.  Blocked cycles cost time
+    Do not proceed until ``predicate()`` is true.  The predicate must be
+    pure: it reads shared state and changes none.  Blocked cycles cost time
     (they extend the execution) but emit no events — the simulator models
     waiting without flooding the trace with spin loads, a deliberate and
     documented deviation from a raw hardware trace (see
@@ -27,6 +38,7 @@ from ..trace.events import ACQUIRE, LOAD, RELEASE, STORE
 
 MEM = "mem"
 SYNC = "sync"
+RUN = "run"
 BLOCK = "block"
 
 Op = Tuple

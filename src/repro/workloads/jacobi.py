@@ -25,10 +25,13 @@ from __future__ import annotations
 import math
 from typing import Iterator, List
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..execution import ops
 from ..execution.primitives import Barrier, Lock
 from ..mem.allocator import Allocator
+from ..trace.events import LOAD, STORE
 from .base import Workload
 
 
@@ -91,31 +94,34 @@ class Jacobi(Workload):
             allocator.pad_to(64)
         conv_sum = allocator.alloc_words("jacobi.convsum", 1)
 
-        bases = (grid_a.base, grid_b.base)
-
-        def elem(base: int, row: int, col: int) -> int:
-            return base + (row * dim + col) * ew
-
         sub = dim // self._side
+        words = np.arange(ew)
+        # Per element of a subgrid: load the four neighbours in the source
+        # grid (edges clamp; the clamped read still touches src), then
+        # store the element in the destination grid.
+        sweep_codes = np.tile(np.repeat([LOAD] * 4 + [STORE], ew), sub * sub)
+
+        def sweep_addrs(row0: int, col0: int, src: int, dst: int):
+            """One sweep of the subgrid at (row0, col0) as one run's
+            addresses, element by element in row-major order."""
+            r = np.arange(row0, row0 + sub)[:, None]
+            c = np.arange(col0, col0 + sub)[None, :]
+            up, down = np.maximum(r - 1, 0), np.minimum(r + 1, dim - 1)
+            left, right = np.maximum(c - 1, 0), np.minimum(c + 1, dim - 1)
+            elems = np.stack(np.broadcast_arrays(
+                src + (up * dim + c) * ew, src + (down * dim + c) * ew,
+                src + (r * dim + left) * ew, src + (r * dim + right) * ew,
+                dst + (r * dim + c) * ew), axis=-1)
+            return (elems[..., None] + words).ravel()
 
         def thread(tid: int) -> Iterator:
             row0 = (tid // self._side) * sub
             col0 = (tid % self._side) * sub
+            # The grids swap roles every iteration: two sweeps in turn.
+            sweeps = [sweep_addrs(row0, col0, grid_a.base, grid_b.base),
+                      sweep_addrs(row0, col0, grid_b.base, grid_a.base)]
             for it in range(self.iterations):
-                src = bases[it % 2]
-                dst = bases[1 - it % 2]
-                for r in range(row0, row0 + sub):
-                    for c in range(col0, col0 + sub):
-                        # Average of the four neighbours in the source grid
-                        # (edges clamp; the clamped read still touches src).
-                        for nr, nc in ((r - 1, c), (r + 1, c),
-                                       (r, c - 1), (r, c + 1)):
-                            nr = min(max(nr, 0), dim - 1)
-                            nc = min(max(nc, 0), dim - 1)
-                            base = elem(src, nr, nc)
-                            yield from ops.load_words(range(base, base + ew))
-                        base = elem(dst, r, c)
-                        yield from ops.store_words(range(base, base + ew))
+                yield (ops.RUN, sweep_codes, sweeps[it % 2])
                 # Convergence test: fold the local residual into a global
                 # accumulator under a lock.
                 yield from conv_lock.acquire(tid)

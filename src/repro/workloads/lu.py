@@ -25,10 +25,13 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..execution import ops
 from ..execution.primitives import make_flags
 from ..mem.allocator import Allocator
+from ..trace.events import LOAD, STORE
 from .base import Workload, split_round_robin
 
 
@@ -66,39 +69,52 @@ class LU(Workload):
         n, ew = self.n, self.elem_words
         # Column-major storage: column j occupies n*ew contiguous words.
         matrix = allocator.alloc_words("lu.matrix", n * n * ew)
-        col_base = [matrix.base + j * n * ew for j in range(n)]
+        col_base = matrix.base + np.arange(n) * (n * ew)
         flags = make_flags("lu.colflag", allocator, n)
 
-        def elem(j: int, i: int) -> int:
-            """First word of element (row i, column j)."""
-            return col_base[j] + i * ew
+        words = np.arange(ew)
+        # Per matrix row, the words of one element: a normalize step loads
+        # then stores it; a column update loads the multiplier, then loads
+        # and stores the target.
+        normalize_codes = np.repeat([LOAD, STORE], ew)
+        update_codes = np.repeat([LOAD, LOAD, STORE], ew)
+
+        def normalize(k: int):
+            """Column k's normalize as one run: load the pivot, then
+            read-modify-write rows k+1.. of the column."""
+            rows = col_base[k] + np.arange(k + 1, n) * ew
+            addrs = np.concatenate(
+                (col_base[k] + k * ew + words,
+                 (rows[:, None] + np.tile(words, 2)).ravel()))
+            codes = np.concatenate(
+                (np.full(ew, LOAD), np.tile(normalize_codes, n - k - 1)))
+            return (ops.RUN, codes, addrs)
+
+        def update(k: int, cols: np.ndarray):
+            """The update of columns ``cols`` by column k as one run: per
+            column, per row k+1.., read the multiplier, then
+            read-modify-write the target element."""
+            rows = np.arange(k + 1, n) * ew
+            src = col_base[k] + rows
+            dst = col_base[cols][:, None] + rows
+            addrs = np.empty((len(cols), n - k - 1, 3, ew), dtype=np.int64)
+            addrs[:, :, 0] = src[:, None] + words
+            addrs[:, :, 1] = addrs[:, :, 2] = dst[:, :, None] + words
+            codes = np.tile(update_codes, len(cols) * (n - k - 1))
+            return (ops.RUN, codes, addrs.ravel())
 
         def thread(tid: int) -> Iterator:
-            my_cols = list(split_round_robin(n, self.num_procs, tid))
-            my_set = set(my_cols)
+            mine = split_round_robin(n, self.num_procs, tid)
+            my_cols = np.array(mine)
             for k in range(n):
-                if k in my_set:
+                if k in mine:
                     # Normalize column k: divide rows k+1.. by the pivot.
-                    yield from ops.load_words(range(elem(k, k), elem(k, k) + ew))
-                    for i in range(k + 1, n):
-                        base = elem(k, i)
-                        yield from ops.load_words(range(base, base + ew))
-                        yield from ops.store_words(range(base, base + ew))
+                    yield normalize(k)
                     yield from flags[k].set(tid)
                 else:
                     yield from flags[k].wait(tid)
                 # Update my columns to the right of k.
-                for j in my_cols:
-                    if j <= k:
-                        continue
-                    # multiplier column: read column k rows k+1..n-1;
-                    # target column j: read-modify-write the same rows.
-                    for i in range(k + 1, n):
-                        src = elem(k, i)
-                        dst = elem(j, i)
-                        yield from ops.load_words(range(src, src + ew))
-                        yield from ops.load_words(range(dst, dst + ew))
-                        yield from ops.store_words(range(dst, dst + ew))
+                yield update(k, my_cols[my_cols > k])
             return
 
         return [thread(tid) for tid in range(self.num_procs)]

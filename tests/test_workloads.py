@@ -275,9 +275,28 @@ GENERATED_CHECKSUMS = {
 }
 
 
+#: Each named workload's ``meta["cycles"]``, recorded with the per-cycle
+#: scheduler loop (now ``tests/reference_machine.py``).  Table 2's speedup
+#: column reads it, and the column checksums above do not cover it.
+GENERATED_CYCLES = {
+    "LU32": 7316,
+    "WATER16": 12152,
+    "JACOBI64": 10735,
+    "MP3D200": 6808,
+    "LU64": 45797,
+    "WATER40": 34946,
+    "MP3D1000": 17389,
+    "MATMUL24": 3574,
+    "FFT256": 2645,
+    "SOR64": 9731,
+}
+
+
 @pytest.mark.parametrize(
     "name", [n for n in NAMED_CONFIGS if n not in PAPER_LARGE_SUITE])
 def test_generated_trace_bytes_are_pinned(name):
-    cols = make_workload(name).generate().columns()
+    trace = make_workload(name).generate()
+    cols = trace.columns()
     assert (_array_checksum(cols.proc, cols.op, cols.addr)
             == GENERATED_CHECKSUMS[name])
+    assert trace.meta["cycles"] == GENERATED_CYCLES[name]
