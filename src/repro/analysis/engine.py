@@ -7,9 +7,12 @@ engine makes that cheap by doing every shareable piece of work exactly once:
 * **Generate once** — a workload trace is generated a single time and cached
   in memory and on disk (:class:`~repro.trace.cache.WorkloadTraceCache`,
   keyed by workload/config/seed/version).
-* **Precompute once** — :class:`SharedPrecompute` decodes the columnar
-  trace's data rows a single time (vectorized data-op prefilter), derives
-  acquire/release indices and per-processor segments, and caches the
+* **Batch once** — a grid's vectorized kernel cells run in group tasks,
+  each one :func:`~repro.kernels.run_kernel_cells` pass: one batch plan,
+  each batch's context built once and shared by every cell of the group.
+* **Precompute once** — for interpreted cells and shard plans,
+  :class:`SharedPrecompute` decodes the columnar trace's data rows a
+  single time (vectorized data-op prefilter) and caches the
   per-block-size derived columns (block ids via one vectorized
   ``addr >> shift``) shared by every cell at that block size.
 * **Fan out the grid** — the (block size × classifier/protocol) cells are
@@ -22,7 +25,8 @@ engine makes that cheap by doing every shareable piece of work exactly once:
   :class:`~repro.errors.CellFailedError` carrying the partial grid.
 * **Checkpoint completed cells** — with ``checkpoint_dir`` set, every
   finished cell is journaled durably (keyed by the trace's cache key), so
-  a killed paper-scale sweep resumes re-running only the incomplete cells.
+  a killed paper-scale sweep resumes re-running only the incomplete cells
+  (a group task's cells are journaled together, when it completes).
 
 Typical use::
 
@@ -51,16 +55,17 @@ from ..classify.dubois import DuboisClassifier
 from ..classify.eggers import EggersClassifier
 from ..classify.torrellas import TorrellasClassifier
 from ..errors import (
+    CellFailedError,
     ConfigError,
     InvariantViolationError,
     ResourceExhaustedError,
+    SweepInterrupted,
 )
 from ..kernels import (
-    CLASSIFIER_KERNELS,
     KernelContext,
     resolve_kernel,
     run_finite_kernel,
-    run_protocol_kernel,
+    run_kernel_cells,
     validate_kernel_mode,
 )
 from ..mem.addresses import BlockMap, PAPER_BLOCK_SIZES
@@ -86,7 +91,7 @@ from ..protocols.sharding import (
 )
 from ..runtime.checkpoint import CheckpointJournal
 from ..runtime.faults import FaultPlan
-from ..runtime.policy import OomLadder
+from ..runtime.policy import GROUP, OomLadder, task_cells
 from ..runtime.resources import (
     estimate_cell_bytes,
     format_size,
@@ -98,7 +103,7 @@ from ..runtime import signals
 from ..runtime.retry import RetryPolicy
 from ..runtime.supervisor import Supervisor
 from ..trace.cache import WorkloadTraceCache, workload_cache_key
-from ..trace.events import ACQUIRE, RELEASE, STORE
+from ..trace.events import STORE
 from ..trace.trace import Trace
 from .sweep import SweepResult
 
@@ -123,6 +128,11 @@ CLASSIFIERS = {
 # by-block and by-cache-set partials can never mix).
 Cell = Tuple[str, int, Optional[str]]
 
+#: Cell kinds whose vectorized cells run through
+#: :func:`~repro.kernels.run_kernel_cells`; the engine deals the unsharded
+#: ones of a grid into *group tasks* that share one batch plan.
+KERNEL_CELL_KINDS = ("protocol", "classify", "compare")
+
 
 def _feed_chunked(clf, *cols) -> None:
     """Feed a classifier its columns in heartbeat-sized slices.
@@ -143,6 +153,14 @@ def _feed_chunked(clf, *cols) -> None:
     for start in range(0, n, step):
         clf.feed_data(*(c[start:start + step] for c in cols))
         signals.note_progress(min(step, n - start))
+
+
+def _task_results(task, result) -> dict:
+    """``{cell: result}`` of one finished task: a group's members and
+    their results, else the task and its result."""
+    if task[0] == GROUP:
+        return dict(zip(task_cells(task), result))
+    return {task: result}
 
 
 def partition_dim_for(cell: Cell) -> Optional[PartitionDim]:
@@ -168,75 +186,82 @@ class SharedPrecompute:
     """Derived columns of one trace, shared across every sweep cell.
 
     Everything here is computed at most once per trace (lazily) no matter
-    how many block sizes, classifiers or protocols consume it:
+    how many block sizes, classifiers or protocols consume it.  Kernel
+    cells read only ``columns``, through
+    :func:`~repro.kernels.run_kernel_cells`; the rest serve interpreted
+    cells and shard plans:
 
     * ``data`` — the columnar data-only rows (LOAD/STORE prefilter);
     * :meth:`data_rows` — those rows decoded to plain-int lists, which is
       what the streaming classifier loops iterate;
     * :meth:`data_blocks` / :meth:`data_offset_bits` — per-block-size
-      derived columns (one vectorized shift/mask each, then decoded once);
-    * ``acquire_indices`` / ``release_indices`` — global positions of the
-      synchronization events (the delayed protocols' schedule points);
-    * :meth:`per_processor_segments` — each processor's event positions.
+      derived columns (one vectorized shift/mask each, then decoded once).
     """
 
     def __init__(self, trace: Trace, kernel: str = "auto"):
         self.trace = trace
         self.kernel = validate_kernel_mode(kernel)
         self.columns = trace.columns()
-        self.data = self.columns.data_only()
-        sync = self.columns.sync_indices()
-        self.acquire_indices = sync[ACQUIRE]
-        self.release_indices = sync[RELEASE]
         #: Heartbeat/batch accounting of the most recent vectorized cell
         #: (``{"rows": ..., "batches": ...}``), reset per :meth:`run_cell`
         #: and surfaced as the ``kernel.batch`` telemetry metric.
         self.last_kernel_stats: Dict[str, int] = {}
+        self._data = None
+        self._data_count: Optional[int] = None
         self._kctx = None
-        self._protocol_ctxs: Dict[int, list] = {}
-        self._shard_ctx: Optional[Tuple[Tuple, KernelContext]] = None
         self._rows: Optional[Tuple[list, list, list]] = None
         self._blocks: Dict[int, list] = {}
         self._offset_bits: Dict[int, list] = {}
         self._keep_masks: Dict[int, Optional[np.ndarray]] = {}
         self._active_rows: Dict[int, Tuple[tuple, int]] = {}
-        self._segments: Optional[List] = None
         self._shard_plans: Dict[Tuple[str, int, int], ShardPlan] = {}
         self._plans_by_digest: Dict[str, ShardPlan] = {}
+
+    @property
+    def data(self):
+        """The data-only rows, copied out of the trace on first use."""
+        if self._data is None:
+            self._data = self.columns.data_only()
+        return self._data
+
+    def data_count(self) -> int:
+        """The number of data rows (telemetry's per-cell row count)."""
+        if self._data_count is None:
+            self._data_count = int(np.count_nonzero(self.columns.data_mask()))
+        return self._data_count
 
     def resolve_cell(self, kind: str, which) -> str:
         """The execution path one cell kind takes under this precompute's
         kernel mode (``"vectorized"`` or ``"interpreted"``)."""
         return resolve_kernel(self.kernel, kind, which)
 
-    def kernel_context(self) -> "KernelContext":
-        """The full-batch vectorized context, built once per trace.
+    def is_kernel_cell(self, cell: Cell) -> bool:
+        """True for a protocol, classify or compare cell that runs
+        through :func:`~repro.kernels.run_kernel_cells`."""
+        kind = cell[0]
+        return (kind in KERNEL_CELL_KINDS
+                and self.resolve_cell(kind, cell[2]) == "vectorized")
 
-        Word-granularity tables inside it are block-size independent, so
-        every vectorized cell of a sweep shares this one context; only
-        the per-block-size views differ (cached inside the context).
+    def kernel_context(self) -> "KernelContext":
+        """A full-batch vectorized context over the data rows, built once.
+
+        No cell reads it: every kernel cell runs through
+        :func:`~repro.kernels.run_kernel_cells`.  It is kept only for the
+        ``fig5-cold`` benchmark's traced pass, which builds it.
         """
         if self._kctx is None:
             self._kctx = KernelContext.from_columns(self.data,
                                                     self.trace.num_procs)
         return self._kctx
 
-    def _shard_kernel_context(self, digest: str, shard: int,
-                              sel: np.ndarray) -> "KernelContext":
-        """An ephemeral context over one shard's data rows.
-
-        A shard keeps whole (block, processor) histories, so kernels over
-        the subset reproduce the oracle-on-subtrace exactly (the kernels'
-        order-only legality argument).  One slot is cached so the three
-        classifiers of a compare-shard share a context, like the full
-        batch does.
-        """
-        key = (digest, shard)
-        if self._shard_ctx is None or self._shard_ctx[0] != key:
-            ctx = KernelContext(self.data.proc[sel], self.data.op[sel],
-                                self.data.addr[sel], self.trace.num_procs)
-            self._shard_ctx = (key, ctx)
-        return self._shard_ctx[1]
+    def run_kernel_cells(self, cells: Sequence[Cell],
+                         select: Optional[np.ndarray] = None,
+                         stats: Optional[List[Dict]] = None) -> List:
+        """Run kernel cells over one batch plan (see
+        :func:`~repro.kernels.run_kernel_cells`)."""
+        return run_kernel_cells(self.columns, self.trace.num_procs, cells,
+                                trace_name=self.trace.name or "<anonymous>",
+                                select=select, stats=stats)
 
     def data_rows(self) -> Tuple[list, list, list]:
         """``(procs, ops, addrs)`` of the data rows, decoded once."""
@@ -360,13 +385,6 @@ class SharedPrecompute:
                 f"no shard plan with digest {digest!r} in this precompute "
                 f"(plans must be built before workers fork)") from None
 
-    def per_processor_segments(self) -> List:
-        """Index array of each processor's events (program order)."""
-        if self._segments is None:
-            self._segments = self.columns.per_processor_indices(
-                self.trace.num_procs)
-        return self._segments
-
     # ------------------------------------------------------------------
     # cell execution
     # ------------------------------------------------------------------
@@ -379,14 +397,10 @@ class SharedPrecompute:
             raise ConfigError(
                 f"unknown classifier {which!r}; known: "
                 f"{sorted(CLASSIFIERS)}") from None
+        cell = ("classify", block_bytes, which)
+        if self.is_kernel_cell(cell):
+            return self._run_one_kernel_cell(cell)
         block_map = BlockMap(block_bytes)
-        if self.resolve_cell("classify", which) == "vectorized":
-            # data_refs counts every data row either way: the kernel sees
-            # the full batch, so nothing needs re-adding (the interpreted
-            # path's elision re-adds its dropped rows for the same total).
-            return CLASSIFIER_KERNELS[which](
-                self.kernel_context(), block_map,
-                stats=self.last_kernel_stats)
         clf = cls(self.trace.num_procs, block_map)
         if which == "dubois":
             rows, dropped = self.dubois_active_rows(block_map)
@@ -406,6 +420,9 @@ class SharedPrecompute:
 
     def run_comparison(self, block_bytes: int) -> ClassificationComparison:
         """Run all three classifiers (one Table 1 column) in one cell."""
+        cell = ("compare", block_bytes, None)
+        if self.is_kernel_cell(cell):
+            return self._run_one_kernel_cell(cell)
         return ClassificationComparison(
             trace_name=self.trace.name or "<anonymous>",
             block_bytes=block_bytes,
@@ -415,20 +432,11 @@ class SharedPrecompute:
         )
 
     def run_protocol(self, name: str, block_bytes: int) -> ProtocolResult:
-        """Run one protocol cell over the shared trace.
-
-        A kernelled protocol runs through
-        :func:`~repro.kernels.run_protocol_kernel`, whose batch contexts
-        (with their block-size-independent word tables) are kept here and
-        shared by every protocol cell and block size of the trace; the
-        others run their simulator over the trace.
-        """
-        if self.resolve_cell("protocol", name) == "vectorized":
-            return run_protocol_kernel(
-                name, self.columns, self.trace.num_procs,
-                BlockMap(block_bytes),
-                trace_name=self.trace.name or "<anonymous>",
-                contexts=self._protocol_ctxs, stats=self.last_kernel_stats)
+        """Run one protocol cell over the shared trace: its kernel when it
+        resolves vectorized, else its simulator."""
+        cell = ("protocol", block_bytes, name)
+        if self.is_kernel_cell(cell):
+            return self._run_one_kernel_cell(cell)
         protocol = make_protocol(name, self.trace.num_procs,
                                  BlockMap(block_bytes))
         return protocol.run(self.trace)
@@ -448,6 +456,11 @@ class SharedPrecompute:
                                      ways=ways)
         return protocol.run(self.trace)
 
+    def _run_one_kernel_cell(self, cell: Cell,
+                             select: Optional[np.ndarray] = None):
+        return self.run_kernel_cells([cell], select,
+                                     [self.last_kernel_stats])[0]
+
     def _shard_select(self, digest: str, shard: int,
                       block_map: BlockMap) -> np.ndarray:
         """Mask over the trace's rows picking one shard's data rows."""
@@ -457,23 +470,24 @@ class SharedPrecompute:
             blocks) == shard
         return select
 
+    def _run_kernel_shard(self, cell: Cell, digest: str, shard: int):
+        """Run one kernel cell over one block shard (a partial result).
+
+        The shard's data rows — and, for a protocol, the whole trace's
+        sync rows — go through the same runner the whole cell uses, so
+        shard partials merge bit-identically to both the interpreted
+        shards and the unsharded cell.
+        """
+        return self._run_one_kernel_cell(
+            cell, self._shard_select(digest, shard, BlockMap(cell[1])))
+
     def run_protocol_shard(self, name: str, block_bytes: int,
                            digest: str, shard: int) -> ProtocolResult:
-        """Run one protocol over one block shard (a partial result).
-
-        The vectorized path feeds the shard's data rows, with the whole
-        trace's acquire table, through the same batched kernel runner the
-        full cell uses, so shard partials merge bit-identically to both
-        the interpreted shards (which replicate every sync row) and the
-        unsharded cell.
-        """
-        if self.resolve_cell("protocol", name) == "vectorized":
-            block_map = BlockMap(block_bytes)
-            return run_protocol_kernel(
-                name, self.columns, self.trace.num_procs, block_map,
-                trace_name=self.trace.name or "<anonymous>",
-                select=self._shard_select(digest, shard, block_map),
-                stats=self.last_kernel_stats)
+        """Run one protocol over one block shard (a partial result):
+        the shard's data rows plus every sync row of the trace."""
+        cell = ("protocol", block_bytes, name)
+        if self.is_kernel_cell(cell):
+            return self._run_kernel_shard(cell, digest, shard)
         return run_protocol_shard(name, self.trace, block_bytes,
                                   self.plan_by_digest(digest), shard)
 
@@ -482,8 +496,7 @@ class SharedPrecompute:
         """Run the finite cache over one ``by-cache-set`` shard (partial).
 
         The vectorized path feeds the shard's data rows through the same
-        batched kernel runner the full cell uses, like
-        :meth:`run_protocol_shard`.
+        batched kernel runner the full cell uses.
         """
         capacity, ways = parse_finite_spec(spec)
         if self.resolve_cell("finite", spec) == "vectorized":
@@ -511,14 +524,13 @@ class SharedPrecompute:
         if which not in CLASSIFIERS:
             raise ConfigError(
                 f"classifier {which!r} is not block-shardable")
+        cell = ("classify", block_bytes, which)
+        if self.is_kernel_cell(cell):
+            return self._run_kernel_shard(cell, digest, shard)
         block_map = BlockMap(block_bytes)
         plan = self.plan_by_digest(digest)
         blocks = self.data.block_ids(block_map.offset_bits)
         sel = plan.shard_of_rows(blocks) == shard
-        if self.resolve_cell("classify", which) == "vectorized":
-            ctx = self._shard_kernel_context(digest, shard, sel)
-            return CLASSIFIER_KERNELS[which](
-                ctx, block_map, stats=self.last_kernel_stats)
         clf = CLASSIFIERS[which](self.trace.num_procs, block_map)
         if which == "dubois":
             dropped = 0
@@ -553,6 +565,9 @@ class SharedPrecompute:
         selection, three state machines — so per-shard comparisons merge
         (``+``) to the serial cell bit-identically.
         """
+        cell = ("compare", block_bytes, None)
+        if self.is_kernel_cell(cell):
+            return self._run_kernel_shard(cell, digest, shard)
         return ClassificationComparison(
             trace_name=self.trace.name or "<anonymous>",
             block_bytes=block_bytes,
@@ -565,17 +580,24 @@ class SharedPrecompute:
         )
 
     def run_cell(self, cell: Cell):
-        """Dispatch one cell (or shard subtask), timed as a telemetry span.
+        """Dispatch one task — a cell, a shard subtask or a group of
+        kernel cells — timed as telemetry spans.
 
         This is the single instrumentation point of cell execution: the
         supervisor's workers, the serial path and the degraded fallback
         all funnel through here, so every attempt — wherever it ran —
         leaves a ``cell.run``/``shard.run`` span (``status="error"`` when
-        it raised) plus row-count and throughput metrics.  With telemetry
-        off the wrapper is a single attribute check.
+        it raised) plus row-count and throughput metrics.  A group task
+        (``("group", cell, ...)``) runs its members through one
+        :func:`~repro.kernels.run_kernel_cells` pass and returns their
+        results as a tuple; it leaves one ``cell.run`` span per member,
+        timed by that member's summed kernel time.  With telemetry off
+        the wrapper is a single attribute check.
         """
         rec = get_recorder()
         stats = self.last_kernel_stats = {}
+        if cell[0] == GROUP:
+            return self._run_group(task_cells(cell), rec)
         if not rec.active:
             return self._dispatch_cell(cell)
         kind = cell[0]
@@ -589,8 +611,7 @@ class SharedPrecompute:
             dim = partition_dim_for(cell)
         except ConfigError:  # malformed spec: the dispatch will raise too
             dim = None
-        dim_name = dim.name if dim is not None else None
-        rows = len(self.data.proc)
+        rows = self.data_count()
         if name == "shard.run":
             try:
                 rows = -(-rows // self.plan_by_digest(cell[3]).num_shards)
@@ -601,13 +622,49 @@ class SharedPrecompute:
         try:
             result = self._dispatch_cell(cell)
         except BaseException:
-            rec.span_complete(name, time.monotonic() - t0, status="error",
-                              t=wall, cell=list(cell), rows=rows,
-                              partition_dim=dim_name, kernel=kernel)
+            self._record_span(rec, name, cell, time.monotonic() - t0, wall,
+                              rows, dim, kernel, stats, status="error")
             raise
-        dur = time.monotonic() - t0
-        rec.span_complete(name, dur, t=wall, cell=list(cell), rows=rows,
-                          partition_dim=dim_name, kernel=kernel)
+        self._record_span(rec, name, cell, time.monotonic() - t0, wall,
+                          rows, dim, kernel, stats)
+        return result
+
+    def _run_group(self, cells: List[Cell], rec) -> tuple:
+        stats = [{} for _ in cells]
+        wall = time.time()
+        t0 = time.monotonic()
+        status = "error"
+        try:
+            results = tuple(self.run_kernel_cells(cells, stats=stats))
+            status = "ok"
+            return results
+        finally:
+            if rec.active:
+                # The members ran interleaved, batch by batch: lay their
+                # spans end to end, each as long as its kernel time (an
+                # error leaves each member the group's time so far).
+                rows = self.data_count()
+                for cell, st in zip(cells, stats):
+                    dur = (st.get("seconds", 0.0) if status == "ok"
+                           else time.monotonic() - t0)
+                    self._record_span(rec, "cell.run", cell, dur, wall, rows,
+                                      BY_BLOCK, "vectorized", st,
+                                      status=status)
+                    wall += dur
+
+    @staticmethod
+    def _record_span(rec, name: str, cell: Cell, dur: float, wall: float,
+                     rows: int, dim: Optional[PartitionDim],
+                     kernel: Optional[str], stats: Dict,
+                     status: str = "ok") -> None:
+        """One cell's ``cell.run``/``shard.run`` span, plus, when it
+        succeeded, its row, throughput and kernel-batch metrics."""
+        rec.span_complete(name, dur, status=status, t=wall, cell=list(cell),
+                          rows=rows,
+                          partition_dim=dim.name if dim is not None else None,
+                          kernel=kernel)
+        if status != "ok":
+            return
         rec.metric("cell.rows", rows, cell=list(cell))
         if dur > 0:
             rec.metric("cell.events_per_sec", round(rows / dur, 1),
@@ -617,7 +674,6 @@ class SharedPrecompute:
                        cell=list(cell), rows=stats["rows"],
                        events_per_batch=round(stats["rows"]
                                               / stats["batches"], 1))
-        return result
 
     def _dispatch_cell(self, cell: Cell):
         kind, block_bytes, which = cell[:3]
@@ -956,8 +1012,11 @@ class SweepEngine:
         # including ones emitted in forked workers, whose parent ids
         # ride the assign messages — hangs off it, giving
         # `repro trace` one rooted tree per sweep.
+        # (The trace key hashes the whole trace: only a recorded run
+        # reads it here.)
         with rec.span("sweep.run", trace=self.trace.name,
-                      trace_key=self.trace_key, cells=len(cells)):
+                      trace_key=self.trace_key if rec.active else None,
+                      cells=len(cells)):
             return self._run_grid_rungs(cells, rec)
 
     def _run_grid_rungs(self, cells: List[Tuple], rec) -> List:
@@ -968,6 +1027,7 @@ class SweepEngine:
                                         self.trace_key,
                                         kernel=self.kernel)
             completed = journal.load()
+            journal.open()
         resumed = set()
         if rec.active:
             rec.event("sweep.start", trace=self.trace.name,
@@ -1028,29 +1088,44 @@ class SweepEngine:
         finished.  Raises :class:`~repro.errors.ResourceExhaustedError` on
         an OOM-class failure while the ladder has a step left — its
         signal to re-plan.
+
+        The rung's unsharded kernel cells (:data:`KERNEL_CELL_KINDS`
+        resolving vectorized) are dealt round-robin, in grid order, into
+        ``min(jobs, n)`` group tasks, each one pass of
+        :func:`~repro.kernels.run_kernel_cells` over its members; a group
+        is journaled cell by cell when it completes.
         """
         pre = self.precompute
-        pending = [c for c in cells if c not in completed]
+        pending = list(dict.fromkeys(c for c in cells if c not in completed))
         jobs, shards_setting, worker_cap = self._admit(
             ladder.jobs, ladder.shards, pending)
-        shards = self._shards_per_cell(len(set(pending)), jobs,
-                                       shards_setting)
-        tasks: List[Tuple] = []
-        groups: Dict[Tuple, List[Tuple]] = {}
-        for cell in cells:
-            if cell in completed or cell in groups:
-                continue
+        shards = self._shards_per_cell(len(pending), jobs, shards_setting)
+        shards_of: Dict[Tuple, List[Tuple]] = {}
+        singles = []
+        for cell in pending:
             plan = None
             if shards > 1 and self._shardable(cell):
                 plan = pre.shard_plan(BlockMap(cell[1]), shards,
                                       dim=partition_dim_for(cell))
             if plan is not None and plan.num_shards > 1:
                 kind, bb, which = cell[:3]
-                groups[cell] = [(f"{kind}-shard", bb, which, plan.digest, s)
-                                for s in range(plan.num_shards)]
-                tasks.extend(groups[cell])
+                shards_of[cell] = [
+                    (f"{kind}-shard", bb, which, plan.digest, s)
+                    for s in range(plan.num_shards)]
             else:
-                tasks.append(cell)
+                singles.append(cell)
+        kernel_cells = [c for c in singles if pre.is_kernel_cell(c)]
+        num_groups = min(jobs, len(kernel_cells))
+        task_of = {}
+        for i in range(num_groups):
+            members = tuple(kernel_cells[i::num_groups])
+            task = members[0] if len(members) == 1 else (GROUP,) + members
+            task_of.update(dict.fromkeys(members, task))
+        # In grid order: a sharded cell's subtasks, a group task at its
+        # first member, every other cell as itself.
+        tasks: List[Tuple] = list(dict.fromkeys(
+            task for cell in pending
+            for task in shards_of.get(cell, [task_of.get(cell, cell)])))
         jobs = min(jobs, len(tasks)) if tasks else 1
 
         rec = get_recorder()
@@ -1059,9 +1134,8 @@ class SweepEngine:
                       shards=shards)
             logger.info("rung start: %d task(s), jobs=%d, shards=%d",
                         len(tasks), jobs, shards)
-            for cell in dict.fromkeys(c for c in cells
-                                      if c not in completed):
-                per_cell_shards = len(groups.get(cell, ())) or 1
+            for cell in pending:
+                per_cell_shards = len(shards_of.get(cell, ())) or 1
                 rec.metric(
                     "footprint.predicted_bytes",
                     estimate_cell_bytes(self.trace,
@@ -1069,60 +1143,60 @@ class SweepEngine:
                     unit="bytes", cell=list(cell))
 
         def on_result(task, result):
-            self._guard_cell(task, result)
-            if journal is not None:
-                journal.record(task, result)
+            for cell, part in _task_results(task, result).items():
+                self._guard_cell(cell, part)
+                if journal is not None:
+                    journal.record(cell, part)
 
         if jobs > 1:
-            # Warm the shared state in the parent so every forked worker
-            # inherits it instead of re-deriving it per process: decoded
-            # rows and Dubois keep masks for interpreted classify/compare
-            # tasks (O(n log n) per block size that every shard would
-            # otherwise redo), the kernel context's block-size-independent
-            # word tables for vectorized whole classifier cells.
-            # Vectorized shard subtasks build ephemeral per-shard contexts
-            # and cannot share the parent's; protocol cells build their
-            # batch contexts in the worker that first runs one.
-            warm_rows = warm_kernel = False
+            # Warm the shared state of interpreted classify/compare tasks
+            # in the parent so every forked worker inherits it instead of
+            # re-deriving it per process: decoded rows and Dubois keep
+            # masks (O(n log n) per block size that every shard would
+            # otherwise redo).  Kernel tasks read only the columns.
+            warm_rows = False
             for task in tasks:
                 base = task[0]
-                shard_task = base.endswith("-shard")
-                if shard_task:
-                    base = base[:-len("-shard")]
-                vectorized = (base in ("classify", "compare", "protocol")
-                              and pre.resolve_cell(base, task[2])
-                              == "vectorized")
-                if vectorized:
-                    warm_kernel = warm_kernel or not (shard_task
-                                                      or base == "protocol")
+                if base == GROUP:
                     continue
-                if base in ("classify", "compare"):
-                    warm_rows = True
-                if base == "compare" or (base == "classify"
-                                         and task[2] == "dubois"):
+                if base.endswith("-shard"):
+                    base = base[:-len("-shard")]
+                if (base not in ("classify", "compare")
+                        or pre.is_kernel_cell((base,) + tuple(task[1:3]))):
+                    continue
+                warm_rows = True
+                if base == "compare" or task[2] == "dubois":
                     pre.dubois_keep_mask(BlockMap(task[1]))
             if warm_rows:
                 pre.data_rows()
-            if warm_kernel:
-                ctx = pre.kernel_context()
-                ctx.word_last_rows()
-                ctx.word_remote_rows()
         supervisor = Supervisor(pre.run_cell, jobs=jobs, retry=self.retry,
                                 timeout=self.timeout,
                                 fault_plan=self.fault_plan,
                                 worker_rlimit_bytes=worker_cap)
-        by_task = dict(zip(tasks, supervisor.run(
-            tasks, completed=completed or None, on_result=on_result,
-            ladder=ladder)))
+        try:
+            task_results = supervisor.run(
+                tasks, completed=completed or None, on_result=on_result,
+                ladder=ladder)
+        except (CellFailedError, ResourceExhaustedError,
+                SweepInterrupted) as exc:
+            # Salvaged group results go back to the caller cell by cell.
+            exc.partial = {cell: part
+                           for task, result in exc.partial.items()
+                           for cell, part in _task_results(task,
+                                                           result).items()}
+            raise
+        by_task = {}
+        for task, result in zip(tasks, task_results):
+            by_task.update(_task_results(task, result))
         results = []
         for cell in cells:
             if cell in completed:
                 results.append(completed[cell])
-            elif cell in groups:
+            elif cell in shards_of:
                 with rec.span("merge", cell=list(cell),
-                              shards=len(groups[cell])):
+                              shards=len(shards_of[cell])):
                     merged = self._merge_cell(
-                        cell, [by_task[sc] for sc in groups[cell]])
+                        cell, [by_task[sc] for sc in shards_of[cell]])
                 self._guard_cell(cell, merged)
                 if journal is not None:
                     journal.record(cell, merged)
@@ -1133,7 +1207,7 @@ class SweepEngine:
                     # so the merged timeline keeps exactly one ok
                     # cell.run span per grid cell.
                     run.merged_cell(self.trace_key, cell,
-                                    len(groups[cell]))
+                                    len(shards_of[cell]))
                 results.append(merged)
                 completed[cell] = merged  # duplicate cells in the grid
             else:

@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..classify.breakdown import DuboisBreakdown
-from ..classify.dubois import DuboisClassifier
-from ..mem.addresses import BlockMap, PAPER_BLOCK_SIZES
 from ..trace.trace import Trace
 from .report import format_table
+from .sweep import sweep_block_sizes
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,10 @@ class PrefetchAnalysis:
 def prefetch_analysis(trace: Trace,
                       block_sizes: Optional[Sequence[int]] = None
                       ) -> PrefetchAnalysis:
-    """Compute the three prefetching floors at each block size."""
-    sizes = tuple(block_sizes or PAPER_BLOCK_SIZES)
-    floors = {}
-    for bb in sizes:
-        bd = DuboisClassifier.classify_trace(trace, BlockMap(bb))
-        floors[bb] = PrefetchFloors(block_bytes=bb, breakdown=bd)
+    """Compute the three prefetching floors at each block size (the
+    paper's nine by default), from one engine ``classify`` sweep."""
+    sweep = sweep_block_sizes(trace, block_sizes)
+    floors = {bb: PrefetchFloors(block_bytes=bb, breakdown=bd)
+              for bb, bd in zip(sweep.block_sizes, sweep.breakdowns)}
     return PrefetchAnalysis(trace_name=trace.name or "<anonymous>",
                             floors=floors)

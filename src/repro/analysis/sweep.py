@@ -50,9 +50,9 @@ def sweep_block_sizes(trace: Trace,
                       *, jobs: int = 1, options=None) -> SweepResult:
     """Classify ``trace`` at each block size (default: the paper's 4..1024).
 
-    Runs on the sweep engine: the trace's data rows are decoded once and
-    shared by every block size, and ``jobs > 1`` fans the block sizes out
-    over supervised worker processes (see
+    Runs on the sweep engine: every block size's kernel cell shares one
+    batch plan of the trace's data rows, and ``jobs > 1`` fans the block
+    sizes out over supervised worker processes (see
     :class:`repro.analysis.engine.SweepEngine`).  ``options`` is an
     optional :class:`repro.analysis.engine.ExecutionOptions` carrying the
     resilience knobs (retries, timeout, checkpointing, strict invariants).

@@ -5,10 +5,11 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..classify.compare import ClassificationComparison, compare_classifications
+from ..classify.compare import ClassificationComparison
 from ..trace.stats import BenchmarkStats, benchmark_stats
 from ..trace.trace import Trace
 from .report import format_table
+from .sweep import sweep_comparisons
 
 #: The row order of the paper's Table 1 (the paper prints "FPS", an
 #: obvious typo for the false-sharing row; we label it PFS).
@@ -26,11 +27,12 @@ def build_table1(traces: Iterable[Trace],
     """Three-way comparison of each trace at each block size.
 
     The paper's Table 1 uses LU200 and MP3D10000 at 32 and 1,024 bytes;
-    pass whichever traces/sizes you generated.
+    pass whichever traces/sizes you generated.  Each trace's columns are
+    the sweep engine's ``compare`` cells, which share one batch plan.
     """
     def columns(trace: Trace) -> list:
-        return [((trace.name, bb), compare_classifications(trace, bb))
-                for bb in block_sizes]
+        comparisons = sweep_comparisons(trace, block_sizes)
+        return [((trace.name, bb), comparisons[bb]) for bb in block_sizes]
 
     # map drops each trace once its columns are built, so a generator of
     # traces keeps only one of them live.

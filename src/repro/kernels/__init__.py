@@ -10,21 +10,19 @@ optimized Dubois classifier — and the ``--kernel interpreted`` path.
 Resolution contract (``--kernel {auto,vectorized,interpreted}``):
 
 * ``interpreted`` — every cell runs the streaming oracle;
-* ``vectorized`` — cells with a kernel run it, the rest *fall back* to
-  the oracle (the classifiers and the seven infinite-cache protocols
-  have kernels, and so do finite caches of more than one set, through
-  :func:`run_finite_kernel` — OTF's misses plus one compact LRU pass per
-  (processor, set), see :mod:`repro.kernels.finite`.  A fully
-  associative cache has none: it is one set, so its kernel batch would
-  be the whole trace); requires NumPy;
-* ``auto`` (default) — ``vectorized`` when NumPy is importable, else
-  ``interpreted``.
+* ``vectorized`` and ``auto`` (the default; the two are the same, NumPy
+  being a dependency) — cells with a kernel run it, the rest *fall back*
+  to the oracle.  The classifiers and the seven infinite-cache protocols
+  have kernels, all run through :func:`run_kernel_cells`, and so do
+  finite caches of more than one set, through :func:`run_finite_kernel`
+  — OTF's misses plus one compact LRU pass per (processor, set), see
+  :mod:`repro.kernels.finite`.  A fully associative cache has none: it
+  is one set, so its kernel batch would be the whole trace.
 
-Checkpoint journals bind the *effective* mode — ``auto`` resolved
-against NumPy availability via :func:`effective_kernel_mode` (see
+Checkpoint journals bind the *effective* mode — ``auto`` resolved via
+:func:`effective_kernel_mode` (see
 :func:`repro.runtime.checkpoint.journal_digest`) — so ``--resume`` can
-never mix results computed under different execution paths, even when
-both runs said ``auto``.
+never mix results computed under different execution paths.
 """
 
 from __future__ import annotations
@@ -32,56 +30,43 @@ from __future__ import annotations
 from ..errors import ConfigError
 from ..protocols.finite import cache_geometry, parse_finite_spec
 
-__all__ = ["KERNEL_MODES", "VECTORIZED_AVAILABLE", "CLASSIFIER_KERNELS",
-           "PROTOCOL_KERNELS", "KernelContext", "run_protocol_kernel",
-           "run_finite_kernel",
+__all__ = ["KERNEL_MODES", "CLASSIFIER_KERNELS", "PROTOCOL_KERNELS",
+           "KernelContext", "run_kernel_cells", "run_finite_kernel",
            "validate_kernel_mode", "has_kernel", "resolve_kernel",
            "effective_kernel_mode"]
 
 #: Legal ``--kernel`` settings.
 KERNEL_MODES = ("auto", "vectorized", "interpreted")
 
-try:
-    import numpy as _np  # noqa: F401
-    VECTORIZED_AVAILABLE = True
-except ImportError:  # pragma: no cover - the tree is tested with numpy
-    VECTORIZED_AVAILABLE = False
+from .classifiers import (
+    KernelContext,
+    dubois_kernel,
+    eggers_kernel,
+    torrellas_kernel,
+)
+from .finite import run_finite_kernel
+from .protocols import (
+    max_kernel,
+    min_kernel,
+    otf_kernel,
+    rd_kernel,
+    run_kernel_cells,
+    sd_kernel,
+    srd_kernel,
+    wbwi_kernel,
+)
 
-if VECTORIZED_AVAILABLE:
-    from .classifiers import (
-        KernelContext,
-        dubois_kernel,
-        eggers_kernel,
-        torrellas_kernel,
-    )
-    from .finite import run_finite_kernel
-    from .protocols import (
-        max_kernel,
-        min_kernel,
-        otf_kernel,
-        rd_kernel,
-        run_protocol_kernel,
-        sd_kernel,
-        srd_kernel,
-        wbwi_kernel,
-    )
-
-    #: ``{classifier name: kernel}`` for classify cells (compare cells
-    #: use all three).
-    CLASSIFIER_KERNELS = {"dubois": dubois_kernel,
-                          "eggers": eggers_kernel,
-                          "torrellas": torrellas_kernel}
-    #: ``{protocol name: kernel}`` for protocol cells, each run through
-    #: :func:`run_protocol_kernel` (which looks the kernel up here per
-    #: call).
-    PROTOCOL_KERNELS = {"OTF": otf_kernel, "MIN": min_kernel,
-                        "WBWI": wbwi_kernel, "RD": rd_kernel,
-                        "SD": sd_kernel, "SRD": srd_kernel,
-                        "MAX": max_kernel}
-else:  # pragma: no cover
-    KernelContext = run_protocol_kernel = run_finite_kernel = None
-    CLASSIFIER_KERNELS = {}
-    PROTOCOL_KERNELS = {}
+#: ``{classifier name: kernel}`` for classify cells (compare cells use
+#: all three).
+CLASSIFIER_KERNELS = {"dubois": dubois_kernel,
+                      "eggers": eggers_kernel,
+                      "torrellas": torrellas_kernel}
+#: ``{protocol name: kernel}`` for protocol cells, each run through
+#: :func:`run_kernel_cells` (which looks the kernels up here per call).
+PROTOCOL_KERNELS = {"OTF": otf_kernel, "MIN": min_kernel,
+                    "WBWI": wbwi_kernel, "RD": rd_kernel,
+                    "SD": sd_kernel, "SRD": srd_kernel,
+                    "MAX": max_kernel}
 
 
 def validate_kernel_mode(mode: str) -> str:
@@ -89,10 +74,6 @@ def validate_kernel_mode(mode: str) -> str:
     if mode not in KERNEL_MODES:
         raise ConfigError(
             f"unknown kernel mode {mode!r}; known: {list(KERNEL_MODES)}")
-    if mode == "vectorized" and not VECTORIZED_AVAILABLE:
-        raise ConfigError(
-            "--kernel vectorized requires NumPy, which is not importable; "
-            "use --kernel interpreted (or auto)")
     return mode
 
 
@@ -100,13 +81,10 @@ def effective_kernel_mode(mode: str) -> str:
     """Resolve ``auto`` to the execution-path family this process takes.
 
     Returns ``"vectorized"`` or ``"interpreted"`` — the string checkpoint
-    journals bind, so two ``auto`` runs on machines that resolve
-    differently can never share a journal.
+    journals bind.
     """
     validate_kernel_mode(mode)
-    if mode == "interpreted" or not VECTORIZED_AVAILABLE:
-        return "interpreted"
-    return "vectorized"
+    return "interpreted" if mode == "interpreted" else "vectorized"
 
 
 def has_kernel(kind: str, which) -> bool:
@@ -120,12 +98,12 @@ def has_kernel(kind: str, which) -> bool:
     if kind == "classify":
         return which in CLASSIFIER_KERNELS
     if kind == "compare":
-        return bool(CLASSIFIER_KERNELS)
+        return True
     if kind == "protocol":
         return which in PROTOCOL_KERNELS
     if kind == "finite":  # batched by set: one set is the whole trace
         num_sets, _ = cache_geometry(*parse_finite_spec(which))
-        return VECTORIZED_AVAILABLE and num_sets > 1
+        return num_sets > 1
     return False
 
 
@@ -133,11 +111,9 @@ def resolve_kernel(mode: str, kind: str, which) -> str:
     """The execution path one cell takes under a kernel mode.
 
     Returns ``"vectorized"`` or ``"interpreted"``.  Both ``auto`` and
-    ``vectorized`` fall back to the oracle for cells without a kernel;
-    they differ only in that ``vectorized`` refuses to run without NumPy
-    while ``auto`` degrades silently.
+    ``vectorized`` fall back to the oracle for cells without a kernel.
     """
     validate_kernel_mode(mode)
-    if mode == "interpreted" or not VECTORIZED_AVAILABLE:
+    if mode == "interpreted":
         return "interpreted"
     return "vectorized" if has_kernel(kind, which) else "interpreted"

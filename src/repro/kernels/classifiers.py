@@ -304,6 +304,10 @@ class KernelContext:
             self._views[offset_bits] = _BlockView(self, offset_bits)
         return self._views[offset_bits]
 
+    def drop_block_view(self, offset_bits: int) -> None:
+        """Forget the view at one block size (its arrays are freed)."""
+        self._views.pop(offset_bits, None)
+
 
 class _BlockView:
     """Block-granularity state of one context at one block size.

@@ -51,7 +51,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..protocols.finite import cache_geometry
-from ..protocols.results import Counters, ProtocolResult
+from ..protocols.results import Counters, ProtocolResult, merge_shard_results
 from ..runtime import signals
 from .classifiers import KernelContext, _Heartbeat, lifetime_breakdown
 from .protocols import _run_batches, _unit_batches
@@ -77,12 +77,13 @@ def run_finite_kernel(columns, num_procs: int, block_map,
     batches = _unit_batches(
         units, columns.data_mask() if select is None else select)
     del units, select  # the planner owns them; it frees both early
-    return _run_batches(
-        lambda ctx: finite_kernel(ctx, block_map, num_sets, ways,
-                                  trace_name=trace_name, stats=stats),
+    (parts,) = _run_batches(
+        [lambda ctx: finite_kernel(ctx, block_map, num_sets, ways,
+                                   trace_name=trace_name, stats=stats)],
         (KernelContext(columns.proc[rows], columns.op[rows],
                        columns.addr[rows], num_procs) for rows in batches),
-        num_procs)
+        num_procs, [{} if stats is None else stats])
+    return merge_shard_results(parts)
 
 
 def _lru_pass(group, kill, stream, ways: int, hb: _Heartbeat):

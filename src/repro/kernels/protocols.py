@@ -108,15 +108,14 @@ acquire tables:
   processor; ``ownership_misses`` (WBWI, RD) — the non-cold misses at a
   store that the load rule alone would not have taken.
 
-Batches.  :func:`run_protocol_kernel` is the one entry point for every
-kernelled cell: it runs the kernel over batches of whole blocks, at most
-:data:`BATCH_ROWS` data rows each, so a cell's kernel memory is bounded
-by the batch, not by the trace, and sums the partial results — exact for
-the same reason block shards are (every state machine is per
-(block, processor), every comparison is order-only).  A caller that runs
-many cells over one trace (the sweep engine) may instead keep the batch
-contexts, cut at 1024-byte units, and share them across protocols and
-block sizes.
+Batches.  :func:`run_kernel_cells` is the one runner of every protocol,
+classify and compare cell.  It plans batches of whole blocks of the
+cells' largest block size, at most :data:`BATCH_ROWS` data rows each,
+builds each batch's context once, runs every cell's kernel on it and
+drops it, then merges each cell's parts.  A cell's kernel memory is thus
+bounded by the batch, not by the trace, and the parts sum exactly for
+the same reason block shards do (every state machine is per (block,
+processor), every comparison is order-only).
 """
 
 from __future__ import annotations
@@ -124,18 +123,22 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
-from typing import Dict, Optional
+import operator
+import time
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..mem.addresses import BlockMap, PAPER_BLOCK_SIZES
+from ..classify.compare import ClassificationComparison
+from ..errors import ConfigError
+from ..mem.addresses import BlockMap
 from ..protocols.results import Counters, ProtocolResult, merge_shard_results
 from ..runtime import signals
 from ..trace.events import ACQUIRE, RELEASE
 from .classifiers import KernelContext, _Heartbeat, lifetime_breakdown
 from .segments import essential_chain, event_runs, remote_store_before
 
-__all__ = ["BATCH_ROWS", "run_protocol_kernel", "otf_kernel", "min_kernel",
+__all__ = ["BATCH_ROWS", "run_kernel_cells", "otf_kernel", "min_kernel",
            "wbwi_kernel", "rd_kernel", "max_kernel", "sd_kernel",
            "srd_kernel"]
 
@@ -143,11 +146,6 @@ __all__ = ["BATCH_ROWS", "run_protocol_kernel", "otf_kernel", "min_kernel",
 #: or cache sets for the finite kernel; a single unit with more rows
 #: than this is a batch of its own.
 BATCH_ROWS = 1 << 14
-
-#: Shared batches (:func:`run_protocol_kernel` with ``contexts``) are
-#: cut at units of ``2**_UNIT_BITS`` words — the paper's largest block,
-#: 1024 bytes — so one trace's batches serve every block size up to it.
-_UNIT_BITS = BlockMap(max(PAPER_BLOCK_SIZES)).offset_bits
 
 
 # ----------------------------------------------------------------------
@@ -227,71 +225,128 @@ def _remap(table, rows: np.ndarray):
 
 
 def _batch_contexts(columns, num_procs: int, unit_bits: int,
-                    select: np.ndarray):
+                    select: np.ndarray, sync: bool = True):
     """One :class:`KernelContext` per batch of whole ``2**unit_bits``-word
-    units of the selected rows, in order, each carrying every acquire and
-    release of the trace remapped to its own rows.  Only MAX reads the
-    releases, so a batch remaps them on first use."""
-    acquires = _sync_rows(columns, ACQUIRE)
-    releases = _sync_rows(columns, RELEASE)
+    units of the selected rows, in order.  With ``sync`` each carries
+    every acquire and release of the trace remapped to its own rows;
+    only MAX, SD and SRD read the releases, so a batch remaps them on
+    first use."""
+    if sync:
+        acquires = _sync_rows(columns, ACQUIRE)
+        releases = _sync_rows(columns, RELEASE)
     batches = _unit_batches(columns.addr >> unit_bits, select)
     del select
     for rows in batches:
-        yield KernelContext(columns.proc[rows], columns.op[rows],
-                            columns.addr[rows], num_procs,
-                            _remap(acquires, rows),
-                            functools.partial(_remap, releases, rows))
+        yield KernelContext(
+            columns.proc[rows], columns.op[rows], columns.addr[rows],
+            num_procs, _remap(acquires, rows) if sync else None,
+            functools.partial(_remap, releases, rows) if sync else None)
 
 
-def run_protocol_kernel(name: str, columns, num_procs: int, block_map, *,
-                        trace_name: str,
-                        select: Optional[np.ndarray] = None,
-                        contexts: Optional[Dict] = None,
-                        stats: Optional[Dict] = None) -> ProtocolResult:
-    """Run protocol ``name``'s kernel over batches of whole blocks.
+def _cell_kernel(cell, trace_name: str, stats: Optional[Dict]):
+    """``ctx -> part`` of one protocol, classify or compare cell."""
+    # Looked up per call: tests wrap the kernels.
+    from . import CLASSIFIER_KERNELS, PROTOCOL_KERNELS
 
-    ``columns`` are a whole trace's columns, sync rows included;
-    ``select`` (default: every data row) masks the LOAD/STORE rows to
-    simulate — a trace's data rows, or one block shard's.  Every acquire
-    of the trace applies.  Bit-identical to the protocol's simulator
-    over the selected rows plus every acquire and release.
+    kind, block_bytes, which = cell[:3]
+    block_map = BlockMap(block_bytes)
+    if kind == "protocol":
+        kernel = PROTOCOL_KERNELS[which]
+        return lambda ctx: kernel(ctx, block_map, trace_name=trace_name,
+                                  stats=stats)
+    if kind == "classify":
+        kernel = CLASSIFIER_KERNELS[which]
+        return lambda ctx: kernel(ctx, block_map, stats=stats)
+    if kind == "compare":
+        ours, eggers, torrellas = (CLASSIFIER_KERNELS[k] for k in
+                                   ("dubois", "eggers", "torrellas"))
+        return lambda ctx: ClassificationComparison(
+            trace_name=trace_name, block_bytes=block_bytes,
+            ours=ours(ctx, block_map, stats=stats),
+            eggers=eggers(ctx, block_map, stats=stats),
+            torrellas=torrellas(ctx, block_map, stats=stats))
+    raise ConfigError(f"no kernel runs {kind!r} cells")
 
-    Without ``contexts`` each batch context is dropped once its kernel
-    returns, so the cell's memory is bounded by the batch.
-    ``contexts`` is a dict the caller keeps across cells over the same
-    ``columns`` and ``select`` to share the batch contexts — and the
-    block-size-independent word tables they build — between them.  The
-    batches are then cut at :data:`_UNIT_BITS` units (or the cell's
-    blocks, if larger), so every block size up to the unit reuses them.
+
+def run_kernel_cells(columns, num_procs: int, cells: Sequence, *,
+                     trace_name: str,
+                     select: Optional[np.ndarray] = None,
+                     stats: Optional[Sequence[Dict]] = None) -> List:
+    """Run protocol, classify and compare cells over one batch plan.
+
+    ``cells`` are ``(kind, block_bytes, which)`` grid cells; the results
+    come back in their order, each bit-identical to the cell's streaming
+    oracle over the selected rows (protocols: plus every acquire and
+    release of the trace).  ``columns`` are a whole trace's columns,
+    sync rows included; ``select`` (default: every data row) masks the
+    LOAD/STORE rows to run — a trace's data rows, or one block shard's.
+
+    The batches are cut once, at units of the cells' largest block —
+    whole blocks at every smaller size too.  Batches run outside and
+    cells inside, so every cell shares each batch's context (and its
+    block-size-independent word tables), which is dropped before the
+    next one is built; each block size's view of it is dropped after the
+    last cell at that size.  Protocol parts merge with
+    :func:`~repro.protocols.results.merge_shard_results`, breakdowns and
+    comparisons with ``+``.
+
+    ``stats``, one dict per cell, accumulates each cell's heartbeat
+    ``rows`` and ``batches`` and its kernel ``seconds``.
     """
-    from . import PROTOCOL_KERNELS  # looked up per call: tests wrap it
+    cells = [tuple(cell[:3]) for cell in cells]
+    if stats is None:
+        stats = [{} for _ in cells]
+    runs = [_cell_kernel(cell, trace_name, st)
+            for cell, st in zip(cells, stats)]
+    # A block size's view of a batch is shared by the cells at that size
+    # and dropped after the last of them, so one view is live at a time.
+    last = {BlockMap(cell[1]).offset_bits: i for i, cell in enumerate(cells)}
+    for bits, i in last.items():
+        runs[i] = _dropping_view(runs[i], bits)
+    unit_bits = max(BlockMap(cell[1]).offset_bits for cell in cells)
+    contexts = _batch_contexts(
+        columns, num_procs, unit_bits,
+        columns.data_mask() if select is None else select,
+        sync=any(cell[0] == "protocol" for cell in cells))
+    parts = _run_batches(runs, contexts, num_procs, stats)
+    return [merge_shard_results(p) if cell[0] == "protocol"
+            else functools.reduce(operator.add, p)
+            for cell, p in zip(cells, parts)]
 
-    kernel = PROTOCOL_KERNELS[name]
-    unit_bits = block_map.offset_bits
-    if contexts is not None:
-        unit_bits = max(unit_bits, _UNIT_BITS)
-    batches = None if contexts is None else contexts.get(unit_bits)
-    if batches is None:
-        batches = _batch_contexts(
-            columns, num_procs, unit_bits,
-            columns.data_mask() if select is None else select)
-        if contexts is not None:
-            batches = contexts[unit_bits] = list(batches)
-    return _run_batches(
-        lambda ctx: kernel(ctx, block_map, trace_name=trace_name,
-                           stats=stats),
-        batches, num_procs)
+
+def _dropping_view(run, offset_bits: int):
+    """``run``, then drop the context's view at ``offset_bits``."""
+    def call(ctx):
+        try:
+            return run(ctx)
+        finally:
+            ctx.drop_block_view(offset_bits)
+    return call
 
 
-def _run_batches(run, contexts, num_procs: int) -> ProtocolResult:
-    """Merge ``run(ctx)`` over the batch ``contexts``, dropping each
-    context once its kernel returns; a cell with no rows runs once on an
-    empty context."""
-    parts = [run(ctx) for ctx in contexts]
-    if not parts:
+def _run_batches(runs, contexts, num_procs: int,
+                 stats: Sequence[Dict]) -> List[list]:
+    """Per run, its parts ``run(ctx)`` over the batch ``contexts``:
+    batches outside, runs inside, each context dropped once every run
+    has used it; with no batch, each runs once on an empty context.
+    ``stats[i]["seconds"]`` accumulates run ``i``'s time."""
+    parts = [[] for _ in runs]
+    for st in stats:
+        st.setdefault("seconds", 0.0)
+
+    def run_all(ctx):
+        for run, out, st in zip(runs, parts, stats):
+            t0 = time.perf_counter()
+            out.append(run(ctx))
+            st["seconds"] += time.perf_counter() - t0
+
+    for ctx in contexts:
+        run_all(ctx)
+        del ctx  # not kept while the next batch is built
+    if runs and not parts[0]:
         empty = np.empty(0, dtype=np.int64)
-        parts.append(run(KernelContext(empty, empty, empty, num_procs)))
-    return merge_shard_results(parts)
+        run_all(KernelContext(empty, empty, empty, num_procs))
+    return parts
 
 
 # ----------------------------------------------------------------------

@@ -302,11 +302,15 @@ class RunTelemetry:
                                           order=len(self._cells))
         return self._cells[key]
 
-    def _cell_of(self, attrs: dict) -> Optional[Tuple]:
+    def _cells_of(self, attrs: dict) -> List[Tuple]:
+        """The grid cells a record is about: a group task's members, a
+        shard's parent cell, or the cell itself."""
+        from ..runtime.policy import task_cells
+
         cell = attrs.get("cell") or attrs.get("task")
         if not isinstance(cell, (list, tuple)) or not cell:
-            return None
-        return _parent_cell(list(cell))
+            return []
+        return [_parent_cell(list(c)) for c in task_cells(cell)]
 
     def _on_record(self, record: dict) -> None:
         kind = record.get("kind")
@@ -325,10 +329,10 @@ class RunTelemetry:
             return
         if name not in ("cell.run", "shard.run"):
             return
-        cell = self._cell_of(attrs)
-        if cell is None or record.get("status") != "ok":
+        cells = self._cells_of(attrs)
+        if not cells or record.get("status") != "ok":
             return
-        stats = self._stats(self._current_trace_key, cell)
+        stats = self._stats(self._current_trace_key, cells[0])
         if attrs.get("partition_dim"):
             stats.partition_dim = attrs["partition_dim"]
         if attrs.get("kernel"):
@@ -359,18 +363,20 @@ class RunTelemetry:
         if name == "cache.miss":
             self._counters["cache_misses"] += 1
             return
-        cell = self._cell_of(attrs)
-        if cell is None:
+        cells = self._cells_of(attrs)
+        if not cells:
             return
         if name == "worker.heartbeat":
             self._counters["heartbeats"] += 1
             return
-        stats = self._stats(self._current_trace_key, cell)
-        if name == "worker.ru_maxrss_kb":
-            value = int(record.get("value", 0))
-            stats.observed_rss_kb = max(stats.observed_rss_kb or 0, value)
-        elif name == "footprint.predicted_bytes":
-            stats.predicted_bytes = int(record.get("value", 0))
+        for cell in cells:
+            stats = self._stats(self._current_trace_key, cell)
+            if name == "worker.ru_maxrss_kb":
+                value = int(record.get("value", 0))
+                stats.observed_rss_kb = max(stats.observed_rss_kb or 0,
+                                            value)
+            elif name == "footprint.predicted_bytes":
+                stats.predicted_bytes = int(record.get("value", 0))
 
     def _fold_event(self, record: dict) -> None:
         name = record.get("name")
@@ -387,8 +393,7 @@ class RunTelemetry:
         elif name == "ladder.step":
             self._counters["ladder_steps"] += 1
         elif name == "task.assigned":
-            cell = self._cell_of(attrs)
-            if cell is not None:
+            for cell in self._cells_of(attrs):
                 self._stats(self._current_trace_key, cell).attempts += 1
         elif name == "task.done":
             self._counters["tasks_done"] += 1
@@ -402,15 +407,13 @@ class RunTelemetry:
                 self._counters["interrupted_cells"] += 1
             if attrs.get("action") == "retry":
                 self._counters["retries"] += 1
-            cell = self._cell_of(attrs)
-            if cell is not None:
+            for cell in self._cells_of(attrs):
                 stats = self._stats(self._current_trace_key, cell)
                 stats.failed_attempts += 1
                 if attrs.get("action") == "abort":
                     stats.status = "failed"
         elif name == "cell.resumed":
-            cell = self._cell_of(attrs)
-            if cell is not None:
+            for cell in self._cells_of(attrs):
                 stats = self._stats(attrs.get("trace_key")
                                     or self._current_trace_key, cell)
                 stats.status = "resumed"

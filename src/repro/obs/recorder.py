@@ -65,15 +65,12 @@ def new_span_id() -> str:
 
 def _json_default(obj: Any) -> Any:
     """Last-resort JSON coercion so telemetry never crashes a sweep."""
-    try:
-        import numpy as np
+    import numpy as np
 
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            return float(obj)
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        pass
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
     return repr(obj)
 
 

@@ -61,39 +61,13 @@ def run_protocols(trace: Trace, block_bytes: int,
     Defaults to the paper's seven schedules (:data:`ALL_PROTOCOLS`);
     extension protocols (WU, CU, ...) must be requested by name.  Returns
     ``{name: result}`` in the given order — the data behind one
-    benchmark's group of bars in the paper's Figure 6.
-
-    Protocols with a vectorized kernel run it (the ``--kernel auto``
-    path: NumPy importable) over the trace's columns, the rest their
-    simulator; both give the same result.  ``jobs > 1`` fans the
-    protocols out over supervised worker processes via the sweep engine.
-    ``options`` (an
-    :class:`repro.analysis.engine.ExecutionOptions`) routes execution
-    through the engine even at ``jobs=1`` so retries/checkpointing apply.
+    benchmark's group of bars in the paper's Figure 6.  One block size of
+    :func:`run_protocol_grid`.
     """
     chosen = list(names) if names is not None else list(ALL_PROTOCOLS)
-    if jobs != 1 or options is not None:
-        # Deferred import: repro.analysis builds on repro.protocols.
-        from ..analysis.engine import SweepEngine
-
-        kwargs = options.engine_kwargs() if options is not None else {}
-        grid = SweepEngine(trace, jobs=jobs,
-                           **kwargs).protocol_grid((block_bytes,), chosen)
-        return {name: grid[(block_bytes, name)] for name in chosen}
-    # Deferred: repro.kernels builds on repro.protocols.
-    from ..kernels import resolve_kernel, run_protocol_kernel
-
-    block_map = BlockMap(block_bytes)
-    results = {}
-    for name in chosen:
-        if resolve_kernel("auto", "protocol", name) == "vectorized":
-            results[name] = run_protocol_kernel(
-                name, trace.columns(), trace.num_procs, block_map,
-                trace_name=trace.name or "<anonymous>")
-        else:
-            results[name] = make_protocol(name, trace.num_procs,
-                                          block_map).run(trace)
-    return results
+    grid = run_protocol_grid(trace, (block_bytes,), chosen, jobs=jobs,
+                             options=options)
+    return {name: grid[(block_bytes, name)] for name in chosen}
 
 
 def run_protocol_grid(trace: Trace, block_sizes: Iterable[int],
@@ -102,10 +76,15 @@ def run_protocol_grid(trace: Trace, block_sizes: Iterable[int],
                       options=None) -> Dict[tuple, ProtocolResult]:
     """Run a (block size × protocol) grid over one shared trace.
 
-    Returns ``{(block_bytes, name): result}``.  This is the batched form of
-    :func:`run_protocols` behind Figure 6a+6b-style experiments: the trace
-    is decoded once and every cell fans out over ``jobs`` workers.
+    Returns ``{(block_bytes, name): result}``.  The grid runs through the
+    sweep engine: protocols with a vectorized kernel (under the default
+    ``--kernel auto``) share one batch plan per worker, the rest run
+    their simulator; both give the same result.  ``jobs > 1`` fans the
+    cells out over supervised worker processes; ``options`` (an
+    :class:`repro.analysis.engine.ExecutionOptions`) threads the
+    engine's resilience knobs through.
     """
+    # Deferred import: repro.analysis builds on repro.protocols.
     from ..analysis.engine import SweepEngine
 
     chosen = list(names) if names is not None else list(ALL_PROTOCOLS)

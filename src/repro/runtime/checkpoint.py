@@ -353,16 +353,24 @@ class CheckpointJournal:
             self._fh.flush()
             os.fsync(self._fh.fileno())
 
-    def record(self, cell, result) -> None:
-        """Durably append one completed cell (flush + fsync).
+    def open(self) -> None:
+        """Open the journal for appending, if it is not open yet.
 
-        The first append runs a disk free-space preflight and raises
+        Runs a disk free-space preflight and raises
         :class:`~repro.errors.ResourceExhaustedError` (``kind="disk"``)
         rather than writing a journal the next run could not trust; a
-        fresh journal starts with the versioned header line.
+        fresh journal starts with the versioned header line.  The sweep
+        engine opens its journal when a grid starts: a group task's
+        cells are recorded only when the whole group completes, which
+        can be near the end of the run.
         """
         if self._fh is None:
             self._open_for_append()
+
+    def record(self, cell, result) -> None:
+        """Durably append one completed cell (flush + fsync), opening
+        the journal first if needed (:meth:`open`)."""
+        self.open()
         with get_recorder().span("checkpoint.write", cell=list(cell),
                                  key=self.trace_key):
             line = json.dumps({"v": _VERSION, "key": self.trace_key,

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..errors import ReproError
+from .policy import task_cells
 
 
 class FaultInjectedError(ReproError):
@@ -40,10 +41,11 @@ class FaultPlan:
     """Which cells fail, how, and for how many attempts.
 
     Each mapping is keyed by a cell descriptor (the grid's
-    ``(kind, block_bytes, which)`` tuple) **or** by the cell's integer
-    index in the submitted grid; the value is the number of leading
-    attempts that fail.  ``crash={2: 1}`` kills the worker running the
-    third grid cell on its first attempt only — the retry succeeds.
+    ``(kind, block_bytes, which)`` tuple; a group task matches its
+    members) **or** by the task's integer index in the supervisor's task
+    list; the value is the number of leading attempts that fail.
+    ``crash={2: 1}`` kills the worker running the third task on its
+    first attempt only — the retry succeeds.
     """
 
     #: attempts that hard-kill the worker process (``os._exit``).
@@ -74,7 +76,8 @@ class FaultPlan:
     def _times(self, table: Dict[Any, int], cell, index: Optional[int]) -> int:
         if index is not None and index in table:
             return table[index]
-        return table.get(cell, 0)
+        # A group task fails as often as its most-faulted member.
+        return max(table.get(member, 0) for member in task_cells(cell))
 
     def should_crash(self, cell, attempt: int, index: Optional[int] = None) -> bool:
         return attempt <= self._times(self.crash, cell, index)

@@ -60,6 +60,18 @@ _NEXT_STEP = {"retry": "retrying after backoff",
               "abort": "aborting the run"}
 
 
+#: First element of a *group task*: ``("group", cell, cell, ...)`` runs
+#: several grid cells as one task (the sweep engine's kernel groups).
+GROUP = "group"
+
+
+def task_cells(task) -> list:
+    """The grid cells one task covers: a group's members, else the task."""
+    if isinstance(task, (tuple, list)) and task and task[0] == GROUP:
+        return list(task[1:])
+    return [task]
+
+
 def task_attr(task):
     """A task rendered for telemetry ``attrs`` (grid cells are tuples)."""
     if isinstance(task, (tuple, list)):

@@ -679,10 +679,14 @@ class Supervisor:
                      if ep.current is not None]
         policy.cells_abandoned(cancelled)
         partial = self._partial(results, todo)
+
+        def cells(tasks):  # a group task journals each of its cells
+            return sum(len(policy.task_cells(task)) for task in tasks)
+
         raise SweepInterrupted(
-            f"sweep interrupted: {len(partial)} cell(s) journaled, "
-            f"{len(cancelled)} in-flight cell(s) cancelled",
-            completed_cells=len(partial), partial=partial)
+            f"sweep interrupted: {cells(partial)} cell(s) journaled, "
+            f"{cells(cancelled)} in-flight cell(s) cancelled",
+            completed_cells=cells(partial), partial=partial)
 
     def _reschedule(self, att, pending, fallback, results, todo,
                     ladder) -> None:

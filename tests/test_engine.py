@@ -110,6 +110,62 @@ def test_run_protocol_grid_shape(traces):
         assert result.block_bytes == bb and result.protocol == name
 
 
+#: Kernel cells (grouped), an extension protocol without a kernel, and a
+#: fully associative finite cell (simulated in every mode).
+MIXED_GRID = [("classify", 16, "dubois"), ("protocol", 64, "OTF"),
+              ("protocol", 64, "WU"), ("finite", 16, "c8"),
+              ("compare", 32, None), ("protocol", 1024, "MAX"),
+              ("classify", 1024, "eggers")]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_mixed_grid_groups_match_interpreted(traces, jobs):
+    """Kernel cells run in group tasks next to interpreted cells, and
+    every result equals the interpreted engine's."""
+    trace = traces["MP3D200"]
+    engine = SweepEngine(trace, jobs=jobs, shards=1)
+    ran = []
+    original = engine.precompute.run_cell
+    engine.precompute.run_cell = lambda t: (ran.append(t), original(t))[1]
+    got = engine.run_grid(MIXED_GRID)
+    assert got == SweepEngine(trace, kernel="interpreted").run_grid(
+        MIXED_GRID)
+    if jobs == 1:  # forked workers run their tasks out of sight
+        kernel = [c for c in MIXED_GRID if c[2] not in ("WU", "c8")]
+        assert ran == [("group",) + tuple(kernel), ("protocol", 64, "WU"),
+                       ("finite", 16, "c8")]
+
+
+def test_resume_after_a_completed_group_reruns_nothing(traces, tmp_path):
+    """A group is journaled cell by cell when it completes: after a later
+    task fails, a resume re-runs only that task, and a resume of the
+    finished grid re-runs nothing."""
+    from repro.errors import CellFailedError
+    from repro.runtime.faults import FaultPlan
+    from repro.runtime.retry import RetryPolicy
+
+    trace = traces["MP3D200"]
+    ckpt = str(tmp_path)
+    wu = ("protocol", 64, "WU")
+    failing = SweepEngine(trace, checkpoint_dir=ckpt,
+                          retry=RetryPolicy(max_attempts=1),
+                          fault_plan=FaultPlan(raises={wu: 99}))
+    with pytest.raises(CellFailedError) as exc_info:
+        failing.run_grid(MIXED_GRID)
+    kernel = [c for c in MIXED_GRID if c[2] not in ("WU", "c8")]
+    assert set(exc_info.value.partial) == set(kernel)
+    want = SweepEngine(trace, kernel="interpreted").run_grid(MIXED_GRID)
+    for rerun in ([wu, ("finite", 16, "c8")], []):
+        resumed = SweepEngine(trace, checkpoint_dir=ckpt,
+                              trace_key=failing.trace_key)
+        ran = []
+        original = resumed.precompute.run_cell
+        resumed.precompute.run_cell = lambda t: (ran.append(t),
+                                                 original(t))[1]
+        assert resumed.run_grid(MIXED_GRID) == want
+        assert ran == rerun
+
+
 def test_for_workload_generates_once(tmp_path):
     cache_dir = str(tmp_path / "traces")
     first = SweepEngine.for_workload("FFT256", cache_dir=cache_dir)

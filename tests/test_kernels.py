@@ -22,6 +22,7 @@ from hypothesis import given, settings
 
 from interpreted import run_checked, run_finite_checked
 from repro.analysis.engine import SharedPrecompute, SweepEngine
+from repro.classify.compare import compare_classifications
 from repro.classify.dubois import DuboisClassifier
 from repro.classify.eggers import EggersClassifier
 from repro.classify.torrellas import TorrellasClassifier
@@ -39,8 +40,8 @@ from repro.kernels import finite as kernel_finite
 from repro.kernels import protocols as kernel_protocols
 from repro.kernels.classifiers import dubois_kernel
 from repro.kernels.finite import run_finite_kernel
-from repro.kernels.protocols import run_protocol_kernel
-from repro.mem.addresses import BlockMap
+from repro.kernels.protocols import run_kernel_cells
+from repro.mem.addresses import PAPER_BLOCK_SIZES, BlockMap
 from repro.protocols.finite import FiniteOTFProtocol
 from repro.protocols.runner import make_protocol, run_protocols
 from repro.runtime import signals
@@ -152,9 +153,9 @@ GRID = [("classify", 8, "dubois"), ("classify", 16, "eggers"),
 def test_engine_grids_match_under_arbitrary_shardings(trace, shards):
     """vectorized+sharded == interpreted+serial through the engine.
 
-    Exercises the full integration surface per example: kernel dispatch
-    in ``run_classifier``/``run_protocol``/``run_comparison``/
-    ``run_finite``, the per-shard ephemeral contexts, and
+    Exercises the full integration surface per example: the kernel
+    cells as one group task (one shard) or as shard subtasks, each one
+    ``run_kernel_cells`` pass, ``run_finite``, and
     ``merge_shard_results`` / breakdown addition over an arbitrary shard
     count (finite cells shard ``by-cache-set``).
     """
@@ -456,36 +457,113 @@ class TestSendDelayedKernel:
 # ----------------------------------------------------------------------
 # batching: whole-block batches of at most BATCH_ROWS rows
 # ----------------------------------------------------------------------
-def _batched_matches_oracles(trace, block_sizes):
-    """Per-cell batches, and batch contexts shared by every cell (the
-    engine's way), both equal the simulators."""
-    shared = {}
-    for bb in block_sizes:
-        bm = BlockMap(bb)
-        for name in PROTOCOL_KERNELS:
-            want = make_protocol(name, trace.num_procs, bm).run(trace)
-            for contexts in (None, shared):
-                got = run_protocol_kernel(
-                    name, trace.columns(), trace.num_procs, bm,
-                    trace_name=trace.name or "<anonymous>",
-                    contexts=contexts)
-                assert got == want, (bb, name, contexts is None)
+RUNNER_SIZES = (4, 8, 16, 32, 64, 256, 1024, 4096)
 
 
-@given(traces())
-@settings(max_examples=40, deadline=None)
-def test_tiny_batches_match_oracles_on_random_traces(trace):
+def _cell_oracle(trace, cell):
+    """One grid cell's result from its streaming oracle."""
+    kind, bb, which = cell
+    if kind == "protocol":
+        return make_protocol(which, trace.num_procs, BlockMap(bb)).run(trace)
+    if kind == "classify":
+        return ORACLES[which].classify_trace(trace, BlockMap(bb))
+    return compare_classifications(trace, bb)
+
+
+#: Random sets of protocol, classify and compare cells at 4-4096 B.
+KERNEL_CELLS = st.lists(st.one_of(
+    st.tuples(st.just("protocol"), st.sampled_from(RUNNER_SIZES),
+              st.sampled_from(sorted(PROTOCOL_KERNELS))),
+    st.tuples(st.just("classify"), st.sampled_from(RUNNER_SIZES),
+              st.sampled_from(sorted(CLASSIFIER_KERNELS))),
+    st.tuples(st.just("compare"), st.sampled_from(RUNNER_SIZES),
+              st.none())), min_size=1, max_size=6)
+
+
+def _shard_select(trace, cells, shards, shard):
+    """A data-row mask of one block shard, at the cells' largest block
+    (whole blocks at every smaller size too)."""
+    cols = trace.columns()
+    bits = BlockMap(max(c[1] for c in cells)).offset_bits
+    select = cols.data_mask()
+    select &= (cols.addr >> bits) % shards == shard
+    return select
+
+
+def _sub_trace(trace, select):
+    """The trace's selected data rows plus every sync row."""
+    cols = trace.columns()
+    keep = select | ~cols.data_mask()
+    events = zip(cols.proc[keep].tolist(), cols.op[keep].tolist(),
+                 cols.addr[keep].tolist())
+    return Trace(list(events), trace.num_procs, validate=False,
+                 name=trace.name)
+
+
+def _batched_matches_oracles(trace, cells, shards=1):
+    """Every cell of one :func:`run_kernel_cells` pass equals its own
+    oracle; with ``shards`` > 1, over each block shard's rows (a protocol
+    shard keeps every sync row of the trace)."""
+    name = trace.name or "<anonymous>"
+    for shard in range(shards):
+        select = None
+        want_trace = trace
+        if shards > 1:
+            select = _shard_select(trace, cells, shards, shard)
+            want_trace = _sub_trace(trace, select)
+        got = run_kernel_cells(trace.columns(), trace.num_procs, cells,
+                               trace_name=name, select=select)
+        for cell, result in zip(cells, got):
+            want = _cell_oracle(want_trace, cell)
+            assert result == want, (cell, shard, shards)
+
+
+@given(traces(), KERNEL_CELLS, st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_tiny_batches_match_oracles_on_random_traces(trace, cells, shards):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernel_protocols, "BATCH_ROWS", 7)
-        # Shared batches cut at 4-word units: B=32 cuts at its blocks.
-        mp.setattr(kernel_protocols, "_UNIT_BITS", 2)
-        _batched_matches_oracles(trace, (4, 8, 32))
+        _batched_matches_oracles(trace, cells, shards)
 
 
 def test_tiny_batches_match_oracles_on_a_family_trace(monkeypatch):
     monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 7)
-    monkeypatch.setattr(kernel_protocols, "_UNIT_BITS", 3)
-    _batched_matches_oracles(family_trace("FFT256"), (16, 64))
+    cells = ([("protocol", bb, name) for bb in (16, 64)
+              for name in PROTOCOL_KERNELS]
+             + [("classify", 16, "eggers"), ("compare", 64, None)])
+    _batched_matches_oracles(family_trace("FFT256"), cells)
+    _batched_matches_oracles(family_trace("FFT256"), cells[:3], shards=2)
+
+
+def test_one_runner_pass_builds_each_batch_context_once(monkeypatch):
+    """Cells run inside the batch loop: one context per batch, whatever
+    the number of cells, and none outlives its batch.  The plan is cut at
+    the cells' largest block."""
+    import weakref
+
+    monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 64)
+    built = []
+    original = kernel_protocols.KernelContext
+
+    class Counting(original):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive = sum(ref() is not None for ref in built)
+            assert alive == 0, "a batch context outlived its batch"
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(kernel_protocols, "KernelContext", Counting)
+    trace = family_trace("MATMUL24")
+    cells = [("classify", bb, "dubois") for bb in (4, 64, 1024)] + [
+        ("protocol", 64, "OTF"), ("compare", 32, None)]
+    got = run_kernel_cells(trace.columns(), trace.num_procs, cells,
+                           trace_name=trace.name)
+    assert [_cell_oracle(trace, c) for c in cells] == got
+    one = len(built)
+    built.clear()
+    run_kernel_cells(trace.columns(), trace.num_procs, cells[2:3],
+                     trace_name=trace.name)  # the same 1 KiB plan
+    assert one == len(built) > 1
 
 
 def _cell_peak(name, trace):
@@ -499,8 +577,8 @@ def _cell_peak(name, trace):
             run_finite_kernel(cols, trace.num_procs, BlockMap(64), 64, 4,
                               trace_name=trace.name)
         else:
-            run_protocol_kernel(name, cols, trace.num_procs, BlockMap(64),
-                                trace_name=trace.name)
+            run_kernel_cells(cols, trace.num_procs, [("protocol", 64, name)],
+                             trace_name=trace.name)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -539,6 +617,26 @@ def test_batched_finite_cell_memory_is_bounded_by_the_batch():
     _cell_peak("OTF-finite", small)
     assert _cell_peak("OTF-finite", large) <= 1.5 * _cell_peak(
         "OTF-finite", small)
+
+
+def test_classify_sweep_memory_does_not_grow_with_block_sizes():
+    """A nine-size Dubois sweep's peak traced allocation stays within
+    1.5x of a one-size sweep's: its cells share each batch context and
+    drop it, instead of each keeping a trace-sized view."""
+    trace = family_trace("MP3D1000")
+
+    def peak(sizes):
+        engine = SweepEngine(trace)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            engine.classify_sweep(sizes)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak((1024,))  # first-call allocations (lazy imports, caches)
+    assert peak(PAPER_BLOCK_SIZES) <= 1.5 * peak((1024,))
 
 
 def test_a_first_unit_larger_than_a_batch_is_cut_alone(monkeypatch):
@@ -675,19 +773,10 @@ class TestResolution:
         assert resolve_kernel("interpreted", "classify",
                               "dubois") == "interpreted"
 
-    def test_without_numpy_auto_degrades_and_vectorized_refuses(
-            self, monkeypatch):
-        import repro.kernels as K
-        monkeypatch.setattr(K, "VECTORIZED_AVAILABLE", False)
-        assert resolve_kernel("auto", "classify", "dubois") == "interpreted"
-        assert effective_kernel_mode("auto") == "interpreted"
-        with pytest.raises(ConfigError, match="requires NumPy"):
-            validate_kernel_mode("vectorized")
-
     def test_effective_mode(self):
         assert effective_kernel_mode("interpreted") == "interpreted"
         assert effective_kernel_mode("vectorized") == "vectorized"
-        assert effective_kernel_mode("auto") == "vectorized"  # numpy present
+        assert effective_kernel_mode("auto") == "vectorized"
 
 
 # ----------------------------------------------------------------------
@@ -748,8 +837,8 @@ class TestCliKernelFlag:
         assert outs[0] == outs[1]
 
     def test_simulate_default_output_matches_interpreted(self, capsys):
-        """No flag takes the direct (kernelled) path; ``--kernel
-        interpreted`` the engine's oracles."""
+        """No flag takes the kernels; ``--kernel interpreted`` the
+        oracles."""
         from repro.cli import main
         outs = []
         for flags in ([], ["--kernel", "interpreted"]):
@@ -791,8 +880,8 @@ class TestHeartbeat:
         orig = signals.note_progress
         monkeypatch.setattr(signals, "note_progress",
                             lambda n=1: (ticks.append(n), orig(n)))
-        run_protocol_kernel("MAX", trace.columns(), trace.num_procs,
-                            BlockMap(64), trace_name=trace.name)
+        run_kernel_cells(trace.columns(), trace.num_procs,
+                         [("protocol", 64, "MAX")], trace_name=trace.name)
         assert sum(ticks) == rows
         assert max(ticks) <= signals.HEARTBEAT_CHUNK
 
@@ -800,8 +889,8 @@ class TestHeartbeat:
         monkeypatch.setattr(classifiers._Heartbeat, "pulse",
                             lambda self: pulses.append(1))
         ticks.clear()
-        run_protocol_kernel("MAX", trace.columns(), trace.num_procs,
-                            BlockMap(64), trace_name=trace.name)
+        run_kernel_cells(trace.columns(), trace.num_procs,
+                         [("protocol", 64, "MAX")], trace_name=trace.name)
         assert sum(ticks) == rows
         assert max(ticks) <= 64
         assert len(pulses) > rows // (64 * 64)
@@ -831,8 +920,8 @@ class TestHeartbeat:
 
         monkeypatch.setattr(kernel_protocols._Performs, "_resolve",
                             staticmethod(counting))
-        run_protocol_kernel("SD", trace.columns(), trace.num_procs,
-                            BlockMap(64), trace_name=trace.name)
+        run_kernel_cells(trace.columns(), trace.num_procs,
+                         [("protocol", 64, "SD")], trace_name=trace.name)
         assert sum(ticks) == rows
         assert max(ticks) <= 64
         assert sum(c for c, _ in loops) > 4 * 64  # several chunks

@@ -214,14 +214,17 @@ class TestEngineFaults:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_exhausted_retries_raise_cell_failed(self, trace, jobs):
         # Raise faults fire on the serial path too, so every attempt —
-        # including the fallback — fails deterministically.
-        plan = FaultPlan(raises={2: 10_000})
+        # including the fallback — fails deterministically.  The grid's
+        # kernel cells run in min(jobs, cells) round-robin group tasks,
+        # so the fault is keyed by its cell and fails that cell's group.
+        cells = [("classify", bb, "dubois") for bb in SIZES]
+        plan = FaultPlan(raises={cells[2]: 10_000})
         engine = SweepEngine(trace, jobs=jobs, retry=FAST_RETRY,
                              fault_plan=plan)
         with pytest.raises(CellFailedError) as exc_info:
             engine.classify_sweep(SIZES)
         err = exc_info.value
-        assert err.cell == ("classify", SIZES[2], "dubois")
+        assert err.cell == ("group",) + tuple(cells[::jobs])
         assert err.attempts, "attempt history must be carried"
         assert all("FaultInjectedError" in (a["error"] or "")
                    for a in err.attempts)
@@ -317,19 +320,21 @@ class TestCheckpointResume:
         results = engine.run_grid(cells)
 
         # Journal inspection: the completed prefix is byte-identical and
-        # only the two incomplete cells were executed and appended.
+        # only the two incomplete cells were executed (as one group task)
+        # and appended.
         after = open(journal_path, "rb").read()
         assert after.startswith(before)
         assert after.count(b"\n") == len(cells) + 1  # + header
-        assert ran == [tuple(c) for c in cells[3:]]
+        assert ran == [("group",) + tuple(tuple(c) for c in cells[3:])]
         assert tuple(results) == clean_sweep.breakdowns
 
     def test_resume_after_cell_failure_skips_journaled_cells(
             self, tmp_path, trace, clean_sweep):
         """CellFailedError mid-grid leaves a usable journal behind."""
         ckpt = str(tmp_path)
-        plan = FaultPlan(raises={3: 10_000})
-        engine = SweepEngine(trace, jobs=1, retry=FAST_RETRY,
+        # Two group tasks, (4, 64, 1024) and (16, 256): the second fails.
+        plan = FaultPlan(raises={("classify", SIZES[3], "dubois"): 10_000})
+        engine = SweepEngine(trace, jobs=2, retry=FAST_RETRY,
                              checkpoint_dir=ckpt, fault_plan=plan)
         with pytest.raises(CellFailedError):
             engine.classify_sweep(SIZES)
