@@ -641,16 +641,19 @@ class SharedPrecompute:
         finally:
             if rec.active:
                 # The members ran interleaved, batch by batch: lay their
-                # spans end to end, each as long as its kernel time (an
-                # error leaves each member the group's time so far).
+                # spans end to end, each as long as its kernel time.  The
+                # members of a failed group failed together: their error
+                # spans overlap, each as long as the group's time so far.
+                elapsed = time.monotonic() - t0
+                ok = status == "ok"
                 rows = self.data_count()
                 for cell, st in zip(cells, stats):
-                    dur = (st.get("seconds", 0.0) if status == "ok"
-                           else time.monotonic() - t0)
+                    dur = st.get("seconds", 0.0) if ok else elapsed
                     self._record_span(rec, "cell.run", cell, dur, wall, rows,
                                       BY_BLOCK, "vectorized", st,
                                       status=status)
-                    wall += dur
+                    if ok:
+                        wall += dur
 
     @staticmethod
     def _record_span(rec, name: str, cell: Cell, dur: float, wall: float,

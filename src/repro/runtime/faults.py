@@ -4,7 +4,7 @@ The supervisor, checkpoint and cache hardening are only trustworthy if
 their failure paths are exercised, so this module provides hooks that make
 failures *reproducible*: a :class:`FaultPlan` says exactly which cell
 fails, how (crash / hang / raise), and for how many attempts.  The plan is
-keyed by the cell descriptor or its grid index, and consulted with the
+keyed by the cell descriptor or its task index, and consulted with the
 supervisor's attempt number, so it needs no cross-process mutable state —
 a forked worker inherits the plan and decides from ``(cell, attempt)``
 alone.
@@ -41,9 +41,12 @@ class FaultPlan:
     """Which cells fail, how, and for how many attempts.
 
     Each mapping is keyed by a cell descriptor (the grid's
-    ``(kind, block_bytes, which)`` tuple; a group task matches its
-    members) **or** by the task's integer index in the supervisor's task
-    list; the value is the number of leading attempts that fail.
+    ``(kind, block_bytes, which)`` tuple) **or** by the task's integer
+    index in the supervisor's task list; the value is the number of
+    leading attempts that fail.  A cell key matches every task that runs
+    the cell — the cell itself, a group task holding it, or each of its
+    shard subtasks — so it fires however the engine cuts the grid into
+    tasks; an index counts tasks, not cells.
     ``crash={2: 1}`` kills the worker running the third task on its
     first attempt only — the retry succeeds.
     """
@@ -77,7 +80,7 @@ class FaultPlan:
         if index is not None and index in table:
             return table[index]
         # A group task fails as often as its most-faulted member.
-        return max(table.get(member, 0) for member in task_cells(cell))
+        return max(table.get(key, 0) for key in _fault_keys(cell))
 
     def should_crash(self, cell, attempt: int, index: Optional[int] = None) -> bool:
         return attempt <= self._times(self.crash, cell, index)
@@ -121,6 +124,16 @@ class FaultPlan:
         if self.should_raise(cell, attempt, index):
             raise FaultInjectedError(
                 f"injected failure for cell {cell!r} (attempt {attempt})")
+
+
+def _fault_keys(task) -> list:
+    """The keys a task matches: itself or a group's members, plus the
+    parent cell of a shard subtask ``(kind-shard, bb, which, digest, s)``."""
+    keys = task_cells(task)
+    kind = task[0] if isinstance(task, (tuple, list)) and task else None
+    if isinstance(kind, str) and kind.endswith("-shard"):
+        keys.append((kind[:-len("-shard")],) + tuple(task[1:3]))
+    return keys
 
 
 def exhaust_address_space(*, chunk_bytes: int = 16 << 20) -> None:

@@ -232,7 +232,7 @@ def chaos_soak(run_sweep: Callable[[str, Optional[FaultPlan], Optional[str]],
                tear_probability: float = 0.25,
                cycle_timeout: float = 120.0,
                compare_manifests: bool = True,
-               grid_cells: int = 8) -> ChaosReport:
+               grid_cells: Sequence[tuple] = ()) -> ChaosReport:
     """Soak one sweep configuration under seeded kills until convergence.
 
     ``run_sweep(checkpoint_dir, fault_plan, telemetry_dir)`` must run the
@@ -240,8 +240,10 @@ def chaos_soak(run_sweep: Callable[[str, Optional[FaultPlan], Optional[str]],
     ``fault_plan`` and ``telemetry_dir`` into the engine when not None)
     and return the grid results as a list in deterministic order.
 
-    ``grid_cells`` tells the fault scheduler how many grid cells exist so
-    injected faults land on a random real cell index.  Returns a
+    ``grid_cells`` lists the sweep's grid cells: an injected fault is
+    keyed by one of them, drawn at random, so it lands on whichever task
+    runs that cell (the cell itself, its group or its shards) however
+    the engine cuts the grid.  Returns a
     :class:`ChaosReport`; the soak itself never raises on divergence —
     assert on ``report.ok`` (and print ``report.summary()`` on failure).
     """
@@ -249,6 +251,8 @@ def chaos_soak(run_sweep: Callable[[str, Optional[FaultPlan], Optional[str]],
         if action not in ACTIONS and action != "complete":
             raise ConfigError(f"unknown chaos action {action!r}; "
                               f"known: {sorted(ACTIONS) + ['complete']}")
+        if action.startswith("fault:") and not grid_cells:
+            raise ConfigError(f"chaos action {action!r} needs grid_cells")
     rng = random.Random(seed)
     os.makedirs(workdir, exist_ok=True)
     baseline_ckpt = os.path.join(workdir, "baseline-ckpt")
@@ -280,7 +284,7 @@ def chaos_soak(run_sweep: Callable[[str, Optional[FaultPlan], Optional[str]],
         plan = None
         delay = None
         if action.startswith("fault:"):
-            plan = _plan_for(action, rng.randrange(max(1, grid_cells)))
+            plan = _plan_for(action, rng.choice(list(grid_cells)))
         elif action in ("sigint", "sigterm", "sigkill"):
             delay = rng.uniform(*kill_delay)
         t0 = time.monotonic()
@@ -324,17 +328,17 @@ def chaos_soak(run_sweep: Callable[[str, Optional[FaultPlan], Optional[str]],
     return report
 
 
-def _plan_for(action: str, cell_index: int) -> FaultPlan:
+def _plan_for(action: str, cell: tuple) -> FaultPlan:
     """A first-attempt-only fault plan for one random grid cell."""
     fault = action[len("fault:"):]
     if fault == "crash":
-        return FaultPlan(crash={cell_index: 1})
+        return FaultPlan(crash={cell: 1})
     if fault == "hang":
-        return FaultPlan(hang={cell_index: 1})
+        return FaultPlan(hang={cell: 1})
     if fault == "oom":
-        return FaultPlan(exhaust_memory={cell_index: 1})
+        return FaultPlan(exhaust_memory={cell: 1})
     if fault == "sigterm-parent":
-        return FaultPlan(sigterm_parent={cell_index: 1})
+        return FaultPlan(sigterm_parent={cell: 1})
     raise ConfigError(f"unknown fault action {action!r}")
 
 
@@ -464,9 +468,9 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
     finite_cells = lambda: [("finite", 16, "c256w4"),
                             ("classify", 32, "dubois")]
     paths = {
-        "serial": (make_runner(1, None, classify_cells), 4),
-        "sharded": (make_runner(2, 2, classify_cells), 4),
-        "finite": (make_runner(2, 2, finite_cells), 2),
+        "serial": (make_runner(1, None, classify_cells), classify_cells()),
+        "sharded": (make_runner(2, 2, classify_cells), classify_cells()),
+        "finite": (make_runner(2, 2, finite_cells), finite_cells()),
     }
     failed = False
     base = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
@@ -474,10 +478,10 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
         name = name.strip()
         if name not in paths:
             parser.error(f"unknown path {name!r}")
-        runner, n_cells = paths[name]
+        runner, grid_cells = paths[name]
         report = chaos_soak(
             runner, os.path.join(base, name), seed=args.seed,
-            kill_cycles=args.kill_cycles, grid_cells=n_cells)
+            kill_cycles=args.kill_cycles, grid_cells=grid_cells)
         print(f"[chaos:{name}]")
         print(report.summary())
         if not report.ok:

@@ -57,7 +57,7 @@ def test_serial_soak_converges_bit_identical(seed):
         report = chaos_soak(
             _runner("MATMUL24", CLASSIFY_CELLS, jobs=1),
             workdir, seed=seed, kill_cycles=3,
-            grid_cells=len(CLASSIFY_CELLS))
+            grid_cells=CLASSIFY_CELLS)
         assert report.ok, report.summary()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -67,7 +67,7 @@ def test_sharded_soak_converges_bit_identical(tmp_path):
     report = chaos_soak(
         _runner("WATER16", CLASSIFY_CELLS, jobs=2, shards=2),
         str(tmp_path), seed=3, kill_cycles=3,
-        grid_cells=len(CLASSIFY_CELLS))
+        grid_cells=CLASSIFY_CELLS)
     assert report.ok, report.summary()
 
 
@@ -75,7 +75,7 @@ def test_cache_set_sharded_soak_converges_bit_identical(tmp_path):
     report = chaos_soak(
         _runner("WATER16", FINITE_CELLS, jobs=2, shards=2),
         str(tmp_path), seed=5, kill_cycles=3,
-        grid_cells=len(FINITE_CELLS))
+        grid_cells=FINITE_CELLS)
     assert report.ok, report.summary()
 
 
@@ -85,7 +85,7 @@ def test_torn_tail_schedule_converges(tmp_path):
         _runner("MATMUL24", CLASSIFY_CELLS, jobs=1),
         str(tmp_path), seed=11, kill_cycles=3,
         actions=("sigterm",), tear_probability=1.0,
-        grid_cells=len(CLASSIFY_CELLS))
+        grid_cells=CLASSIFY_CELLS)
     assert report.ok, report.summary()
 
 
@@ -96,7 +96,7 @@ def test_worker_fault_schedule_converges(tmp_path):
         _runner("MATMUL24", CLASSIFY_CELLS, jobs=2, shards=2),
         str(tmp_path), seed=7, kill_cycles=2,
         actions=tuple(a for a in ACTIONS if a.startswith("fault:")),
-        grid_cells=len(CLASSIFY_CELLS))
+        grid_cells=CLASSIFY_CELLS)
     assert report.ok, report.summary()
 
 
@@ -137,8 +137,7 @@ def test_failing_soak_reports_divergence(tmp_path):
                                 data_refs=10)]
 
     report = chaos_soak(unstable, str(tmp_path), seed=0, kill_cycles=0,
-                        actions=("sigint",), compare_manifests=False,
-                        grid_cells=1)
+                        actions=("sigint",), compare_manifests=False)
     assert report.converged
     assert not report.identical
     assert not report.ok

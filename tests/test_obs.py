@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import tempfile
+import time
 import warnings
 
 import pytest
@@ -375,6 +376,55 @@ class TestKernelTelemetry:
                      and r.get("name") == "cell.run"}
             assert spans[("classify", 32, "dubois")] == mode
             assert spans[("finite", 32, "c16w2")] == mode
+
+
+class TestGroupSpans:
+    """A group task's ``cell.run`` spans cover no more than the wall time
+    the group took: end to end when it succeeds, overlapping when it
+    fails."""
+
+    GROUP = ("group", ("classify", 32, "dubois"), ("protocol", 32, "OTF"),
+             ("compare", 128, None))
+
+    def _spans(self, pre):
+        rec = Recorder.buffering()
+        start = time.time()
+        with use_recorder(rec):
+            try:
+                pre.run_cell(self.GROUP)
+            except RuntimeError:
+                pass
+        end = time.time()
+        spans = [r for r in rec.drain()
+                 if r.get("kind") == "span" and r["name"] == "cell.run"]
+        assert [tuple(s["attrs"]["cell"]) for s in spans] == list(
+            self.GROUP[1:])
+        return spans, start, end
+
+    def test_ok_spans_run_end_to_end(self, trace):
+        spans, start, end = self._spans(SweepEngine(trace).precompute)
+        assert all(s["status"] == "ok" for s in spans)
+        assert spans[0]["t"] >= start
+        for prev, nxt in zip(spans, spans[1:]):
+            assert nxt["t"] == pytest.approx(prev["t"] + prev["dur_s"],
+                                             abs=1e-5)
+        assert spans[-1]["t"] + spans[-1]["dur_s"] <= end + 1e-5
+
+    def test_error_spans_overlap_within_the_group_time(self, trace):
+        pre = SweepEngine(trace).precompute
+
+        def fail(cells, select=None, stats=None):
+            time.sleep(0.05)
+            raise RuntimeError("kernel failed")
+
+        pre.run_kernel_cells = fail
+        spans, start, end = self._spans(pre)
+        assert all(s["status"] == "error" for s in spans)
+        assert len({s["t"] for s in spans}) == 1
+        assert len({s["dur_s"] for s in spans}) == 1
+        assert spans[0]["dur_s"] >= 0.05
+        assert start <= spans[0]["t"]
+        assert spans[0]["t"] + spans[0]["dur_s"] <= end + 1e-5
 
 
 # ----------------------------------------------------------------------

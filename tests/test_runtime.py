@@ -19,6 +19,7 @@ by ``(cell, attempt)``, so each scenario replays identically.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -196,11 +197,19 @@ class TestEngineFaults:
     def test_crash_and_hang_together_match_clean_serial(self, trace,
                                                         clean_sweep):
         """The acceptance scenario: injected crash-on-Nth-cell plus an
-        injected per-cell hang; results identical to a clean serial run."""
-        plan = FaultPlan(crash={1: 1}, hang={3: 1})
+        injected per-cell hang; results identical to a clean serial run.
+
+        Five kernel cells at ``jobs=3`` run as three round-robin group
+        tasks: (4, 256), (16, 1024) and (64).  The crash kills task 1's
+        worker; the hang is keyed by a cell, so it lands on task 0."""
+        plan = FaultPlan(crash={1: 1},
+                         hang={("classify", SIZES[3], "dubois"): 1})
         engine = SweepEngine(trace, jobs=3, timeout=2.0, retry=FAST_RETRY,
                              fault_plan=plan)
+        t0 = time.monotonic()
         assert engine.classify_sweep(SIZES) == clean_sweep
+        # The hang fired: its task ran until the timeout killed it.
+        assert time.monotonic() - t0 >= 1.9
 
     def test_repeated_worker_failures_degrade_to_serial(self, trace,
                                                         clean_sweep):
@@ -232,6 +241,17 @@ class TestEngineFaults:
         for cell, result in err.partial.items():
             assert cell[0] == "classify"
             assert isinstance(result, DuboisBreakdown)
+
+    def test_cell_key_matches_its_group_and_shards(self):
+        cell = ("classify", 64, "dubois")
+        plan = FaultPlan(crash={cell: 1})
+        assert plan.should_crash(cell, 1)
+        assert plan.should_crash(("group", ("classify", 16, "dubois"), cell),
+                                 1)
+        assert plan.should_crash(("classify-shard", 64, "dubois", "d", 1), 1)
+        assert not plan.should_crash(("classify-shard", 16, "dubois", "d", 1),
+                                     1)
+        assert not plan.should_crash(cell, 2)
 
     def test_fault_injected_error_is_reproducible(self):
         plan = FaultPlan(raises={("x",): 1})
