@@ -1,17 +1,19 @@
-"""Shard-scaling benchmark: single cells split along partition dimensions.
+"""Shard-scaling benchmark: single cells split into ranges of one plan.
 
-The acceptance scenario for the sharding layer: a *single* cell — exactly
+The acceptance scenario for range sharding: a *single* cell — exactly
 the shape where the grid is too small to fill the machine — must scale
-across shard workers bit-identically.  Three cells are measured, one per
-partition dimension the engine knows:
+across range tasks bit-identically.  The engine plans the cell's batches
+of whole units once and cuts the plan into ``shards`` contiguous ranges
+of balanced row counts.  Three cells are measured, one per plan unit
+the engine knows:
 
-* a protocol cell (MP3D200, OTF at B=1024), sharded **by block**, with
-  the original >= 1.8x 4-shard acceptance gate;
-* a Dubois classifier cell (MP3D1000 at B=64), sharded by block with no
-  sync replication, carrying the same >= 1.8x gate;
-* a finite-cache cell (MP3D200, 64 blocks 4-way at B=1024), sharded
-  **by cache set** (16 sets), asserted bit-identical with its speedup
-  recorded.
+* a protocol cell (MP3D200, OTF at B=1024), in ranges of whole blocks,
+  with the original >= 1.8x 4-shard acceptance gate;
+* a Dubois classifier cell (MP3D1000 at B=64), in ranges of whole
+  blocks, carrying the same >= 1.8x gate;
+* a finite-cache cell (MP3D200, 64 blocks 4-way at B=1024), in ranges
+  of whole cache sets (16 sets), asserted bit-identical with its
+  speedup recorded.
 
 On hosts with fewer than four usable cores the speedup assertions are
 skipped (never failed), but the skip — with the host core count — is
@@ -57,7 +59,7 @@ def _timed_cell(trace, shards, cell=CELL):
 
     A fresh engine per round keeps the measurement honest: nothing is
     reused across rounds except the trace object itself (the shared
-    precompute, shard plans and worker pools are all rebuilt).
+    precompute, batch plans and worker pools are all rebuilt).
     """
     def run():
         engine = SweepEngine(trace, jobs=shards, shards=shards)

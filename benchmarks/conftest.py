@@ -42,8 +42,7 @@ def record_throughput(name: str, **fields) -> None:
 
     Every entry is stamped with the process's peak RSS at record time
     (``ru_maxrss``, self + forked workers), so the JSON carries a memory
-    trajectory alongside the events/s one — the observable the resource
-    governor's footprint model is calibrated against.
+    trajectory alongside the events/s one.
     """
     from repro.runtime.resources import peak_rss_bytes
 

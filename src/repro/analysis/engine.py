@@ -7,18 +7,25 @@ engine makes that cheap by doing every shareable piece of work exactly once:
 * **Generate once** — a workload trace is generated a single time and cached
   in memory and on disk (:class:`~repro.trace.cache.WorkloadTraceCache`,
   keyed by workload/config/seed/version).
-* **Batch once** — a grid's vectorized kernel cells run in group tasks,
-  each one :func:`~repro.kernels.run_kernel_cells` pass: one batch plan,
-  each batch's context built once and shared by every cell of the group.
-* **Precompute once** — for interpreted cells and shard plans,
+* **Plan once** — before its workers fork, a grid plans batches of whole
+  units once (:func:`~repro.kernels.plan_batches`): one plan for its
+  vectorized kernel cells, at their largest block, and one per
+  multi-set finite cell, by cache set.  Each plan is cut into ``k``
+  contiguous ranges of balanced row counts (``k`` is ``shards``, else
+  ``jobs``).
+* **Batch once** — range ``s`` of the kernel plan is one group task, one
+  :func:`~repro.kernels.run_kernel_cells` pass: each batch's context is
+  built once and shared by every kernel cell of the grid.
+* **Precompute once** — for interpreted cells,
   :class:`SharedPrecompute` decodes the columnar trace's data rows a
   single time (vectorized data-op prefilter) and caches the
   per-block-size derived columns (block ids via one vectorized
   ``addr >> shift``) shared by every cell at that block size.
-* **Fan out the grid** — the (block size × classifier/protocol) cells are
+* **Fan out the grid** — range tasks and interpreted cells are
   independent, so with ``jobs > 1`` they run on supervised ``fork``
   workers (:class:`repro.runtime.supervisor.Supervisor`) that inherit the
-  trace and its precompute without serialization.  The supervisor detects
+  trace, its precompute and the plans without serialization.  The
+  supervisor detects
   dead workers, kills hung cells at ``timeout`` and retries under
   ``retry``; a cell that keeps failing in workers degrades to one serial
   in-process attempt before the run aborts with a structured
@@ -26,7 +33,7 @@ engine makes that cheap by doing every shareable piece of work exactly once:
 * **Checkpoint completed cells** — with ``checkpoint_dir`` set, every
   finished cell is journaled durably (keyed by the trace's cache key), so
   a killed paper-scale sweep resumes re-running only the incomplete cells
-  (a group task's cells are journaled together, when it completes).
+  (a range task's parts are journaled together, when it completes).
 
 Typical use::
 
@@ -62,7 +69,9 @@ from ..errors import (
     SweepInterrupted,
 )
 from ..kernels import (
+    BatchPlan,
     KernelContext,
+    plan_batches,
     resolve_kernel,
     run_finite_kernel,
     run_kernel_cells,
@@ -79,26 +88,10 @@ from ..protocols.finite import (
 )
 from ..protocols.results import ProtocolResult, merge_shard_results
 from ..protocols.runner import ALL_PROTOCOLS, make_protocol
-from ..protocols.sharding import (
-    BY_BLOCK,
-    SHARDABLE_PROTOCOLS,
-    PartitionDim,
-    ShardPlan,
-    by_cache_set,
-    plan_shards,
-    run_finite_shard,
-    run_protocol_shard,
-)
 from ..runtime.checkpoint import CheckpointJournal
 from ..runtime.faults import FaultPlan
 from ..runtime.policy import GROUP, OomLadder, task_cells
-from ..runtime.resources import (
-    estimate_cell_bytes,
-    format_size,
-    plan_admission,
-    resolve_memory_budget,
-    warn_resource,
-)
+from ..runtime.resources import resolve_memory_budget
 from ..runtime import signals
 from ..runtime.retry import RetryPolicy
 from ..runtime.supervisor import Supervisor
@@ -119,18 +112,16 @@ CLASSIFIERS = {
 # A grid cell: (kind, block_bytes, which) with kind in {"classify",
 # "compare", "protocol", "finite"} and which naming the classifier,
 # protocol or finite-cache spec (``finite_spec``; "compare" ignores it).
-# The two-level scheduler additionally emits *shard* subtasks —
-# ("<kind>-shard", block_bytes, which, plan_digest, shard_index) — whose
-# results are per-shard partials merged back into the parent cell's
-# result.  The plan digest in the tuple makes checkpoint journal keys
-# shard-plan-aware: a resumed sweep reuses a partial only under the exact
-# same partition (the digest also embeds the partition dimension, so
-# by-block and by-cache-set partials can never mix).
+# A grid cut into k > 1 ranges runs each planned cell as *shard* members
+# — ("<kind>-shard", block_bytes, which, plan_digest, range) — whose
+# parts merge back into the cell's result.  The plan digest in the tuple
+# makes checkpoint journal keys plan-aware: a resumed sweep reuses a
+# part only under the exact same plan and cut.
 Cell = Tuple[str, int, Optional[str]]
 
 #: Cell kinds whose vectorized cells run through
-#: :func:`~repro.kernels.run_kernel_cells`; the engine deals the unsharded
-#: ones of a grid into *group tasks* that share one batch plan.
+#: :func:`~repro.kernels.run_kernel_cells`; a grid's kernel cells share
+#: one batch plan, and each of its ranges is one group task.
 KERNEL_CELL_KINDS = ("protocol", "classify", "compare")
 
 
@@ -163,23 +154,35 @@ def _task_results(task, result) -> dict:
     return {task: result}
 
 
-def partition_dim_for(cell: Cell) -> Optional[PartitionDim]:
-    """The partition dimension one cell (or shard subtask) shards along.
-
-    Protocol, classify and compare cells all partition ``by-block`` (the
-    classifiers reuse the protocols' dimension without sync replication);
-    finite-cache cells partition ``by-cache-set`` for their geometry.
-    Returns ``None`` for kinds that never shard.
-    """
-    kind = cell[0]
+def _cell_of(member) -> Cell:
+    """The grid cell a task member runs: a shard member's cell, or the
+    member itself."""
+    kind = member[0]
     if kind.endswith("-shard"):
         kind = kind[:-len("-shard")]
+    return (kind,) + tuple(member[1:3])
+
+
+def partition_dim_for(cell: Cell) -> Optional[int]:
+    """The unit of the batch plan one cell (or shard member) runs over:
+    the cache's set count for a finite cell (its plan is by cache set),
+    ``0`` (by block) for protocol, classify and compare cells, ``None``
+    for other kinds.  Its callers are the engine and the benchmark in
+    ``perfbench/``, which passes it to :meth:`SharedPrecompute.shard_plan`.
+    """
+    kind = _cell_of(cell)[0]
     if kind == "finite":
-        capacity, ways = parse_finite_spec(cell[2])
-        return by_cache_set(cache_geometry(capacity, ways)[0])
-    if kind in ("protocol", "classify", "compare"):
-        return BY_BLOCK
+        return cache_geometry(*parse_finite_spec(cell[2]))[0]
+    if kind in KERNEL_CELL_KINDS:
+        return 0
     return None
+
+
+def _dim_name(unit: Optional[int]) -> Optional[str]:
+    """A plan unit as telemetry names it."""
+    if unit is None:
+        return None
+    return f"by-cache-set/{unit}" if unit else "by-block"
 
 
 class SharedPrecompute:
@@ -187,9 +190,9 @@ class SharedPrecompute:
 
     Everything here is computed at most once per trace (lazily) no matter
     how many block sizes, classifiers or protocols consume it.  Kernel
-    cells read only ``columns``, through
+    cells read only ``columns`` and :attr:`plans`, through
     :func:`~repro.kernels.run_kernel_cells`; the rest serve interpreted
-    cells and shard plans:
+    cells:
 
     * ``data`` — the columnar data-only rows (LOAD/STORE prefilter);
     * :meth:`data_rows` — those rows decoded to plain-int lists, which is
@@ -214,8 +217,10 @@ class SharedPrecompute:
         self._offset_bits: Dict[int, list] = {}
         self._keep_masks: Dict[int, Optional[np.ndarray]] = {}
         self._active_rows: Dict[int, Tuple[tuple, int]] = {}
-        self._shard_plans: Dict[Tuple[str, int, int], ShardPlan] = {}
-        self._plans_by_digest: Dict[str, ShardPlan] = {}
+        #: The running grid's batch plans by cell, built by the engine
+        #: before its workers fork (see :meth:`SweepEngine.run_grid`);
+        #: a cell without one plans its own, in one range.
+        self.plans: Dict[Cell, BatchPlan] = {}
 
     @property
     def data(self):
@@ -232,7 +237,8 @@ class SharedPrecompute:
 
     def resolve_cell(self, kind: str, which) -> str:
         """The execution path one cell kind takes under this precompute's
-        kernel mode (``"vectorized"`` or ``"interpreted"``)."""
+        kernel mode (``"vectorized"`` or ``"interpreted"``).  The
+        benchmark in ``perfbench/`` calls it too."""
         return resolve_kernel(self.kernel, kind, which)
 
     def is_kernel_cell(self, cell: Cell) -> bool:
@@ -246,8 +252,9 @@ class SharedPrecompute:
         """A full-batch vectorized context over the data rows, built once.
 
         No cell reads it: every kernel cell runs through
-        :func:`~repro.kernels.run_kernel_cells`.  It is kept only for the
-        ``fig5-cold`` benchmark's traced pass, which builds it.
+        :func:`~repro.kernels.run_kernel_cells`.  Its caller is the
+        benchmark in ``perfbench/``: the ``fig5-cold`` traced pass builds
+        it.
         """
         if self._kctx is None:
             self._kctx = KernelContext.from_columns(self.data,
@@ -255,13 +262,13 @@ class SharedPrecompute:
         return self._kctx
 
     def run_kernel_cells(self, cells: Sequence[Cell],
-                         select: Optional[np.ndarray] = None,
+                         plan: Optional[BatchPlan] = None, shard: int = 0,
                          stats: Optional[List[Dict]] = None) -> List:
-        """Run kernel cells over one batch plan (see
+        """Run kernel cells over one range of a batch plan (see
         :func:`~repro.kernels.run_kernel_cells`)."""
         return run_kernel_cells(self.columns, self.trace.num_procs, cells,
                                 trace_name=self.trace.name or "<anonymous>",
-                                select=select, stats=stats)
+                                plan=plan, shard=shard, stats=stats)
 
     def data_rows(self) -> Tuple[list, list, list]:
         """``(procs, ops, addrs)`` of the data rows, decoded once."""
@@ -301,10 +308,6 @@ class SharedPrecompute:
         every state transition — and therefore every count — identical.
         Stores and first touches are always kept.  The filter itself is a
         handful of vectorized passes over the columnar arrays.
-
-        Since the criterion is per (block, processor), the mask composes
-        with block sharding: a shard feeds its rows where the mask holds
-        and re-adds its own dropped-row count to ``data_refs``.
 
         Returns ``None`` when the filter does not apply (processor counts
         that overflow an int64 bitmask).
@@ -356,34 +359,33 @@ class SharedPrecompute:
         return self._active_rows[bits]
 
     # ------------------------------------------------------------------
-    # shard plans (the intra-cell parallelism level)
+    # batch plans
     # ------------------------------------------------------------------
     def shard_plan(self, block_map: BlockMap, num_shards: int,
-                   dim: PartitionDim = BY_BLOCK) -> ShardPlan:
-        """Balanced partition for one (block size, dimension), cached.
+                   dim: int = 0) -> BatchPlan:
+        """The batch plan of whole units at one block size — blocks, or
+        with ``dim`` (:func:`partition_dim_for`) that many cache sets —
+        cut into ``num_shards`` ranges.
 
-        Plans are built in the parent before workers fork, so every shard
-        worker of a cell inherits the same partition and resolves it by
-        digest without recomputation or serialization.  Cells sharing a
-        dimension share one plan per block size (protocol and classifier
-        cells both partition ``by-block``).
+        The engine plans each grid with it; the benchmark in
+        ``perfbench/`` calls it for the ``finite-j2`` shard balance
+        (``shard_events``, ``max_shard_events``).
         """
-        key = (dim.name, block_map.offset_bits, num_shards)
-        if key not in self._shard_plans:
-            plan = plan_shards(self.data.block_ids(block_map.offset_bits),
-                               block_map.offset_bits, num_shards, dim=dim)
-            self._shard_plans[key] = plan
-            self._plans_by_digest[plan.digest] = plan
-        return self._shard_plans[key]
+        return plan_batches(self.columns, block_map.offset_bits, dim,
+                            num_shards)
 
-    def plan_by_digest(self, digest: str) -> ShardPlan:
-        """Resolve a fork-inherited shard plan from a shard cell's digest."""
-        try:
-            return self._plans_by_digest[digest]
-        except KeyError:
+    def _range(self, member) -> Tuple[Optional[BatchPlan], int]:
+        """The plan and range one task member runs: a shard member's
+        range of its cell's plan, else all of the cell's plan (``None``:
+        the runner plans one)."""
+        if not member[0].endswith("-shard"):
+            return self.plans.get(tuple(member[:3])), 0
+        plan = self.plans.get(_cell_of(member))
+        if plan is None or plan.digest != member[3]:
             raise ConfigError(
-                f"no shard plan with digest {digest!r} in this precompute "
-                f"(plans must be built before workers fork)") from None
+                f"no batch plan {member[3]!r} for {_cell_of(member)!r} in "
+                f"this precompute (plans are built before workers fork)")
+        return plan, member[4]
 
     # ------------------------------------------------------------------
     # cell execution
@@ -444,155 +446,44 @@ class SharedPrecompute:
     def run_finite(self, spec: str, block_bytes: int) -> ProtocolResult:
         """Run one finite-cache cell (``finite_spec`` geometry) serially,
         through :func:`~repro.kernels.run_finite_kernel` when it resolves
-        vectorized."""
+        vectorized.  The benchmark in ``perfbench/`` calls it."""
+        return self._run_finite(("finite", block_bytes, spec))
+
+    def _run_finite(self, member) -> ProtocolResult:
+        """A finite cell, or one range of its plan (a part)."""
+        _, block_bytes, spec = member[:3]
         capacity, ways = parse_finite_spec(spec)
         if self.resolve_cell("finite", spec) == "vectorized":
+            plan, shard = self._range(member)
             return run_finite_kernel(
                 self.columns, self.trace.num_procs, BlockMap(block_bytes),
                 capacity, ways, trace_name=self.trace.name or "<anonymous>",
-                stats=self.last_kernel_stats)
+                plan=plan, shard=shard, stats=self.last_kernel_stats)
         protocol = FiniteOTFProtocol(self.trace.num_procs,
                                      BlockMap(block_bytes), capacity,
                                      ways=ways)
         return protocol.run(self.trace)
 
-    def _run_one_kernel_cell(self, cell: Cell,
-                             select: Optional[np.ndarray] = None):
-        return self.run_kernel_cells([cell], select,
+    def _run_one_kernel_cell(self, member):
+        """A kernel cell, or one range of its plan (a part)."""
+        return self.run_kernel_cells([_cell_of(member)], *self._range(member),
                                      [self.last_kernel_stats])[0]
 
-    def _shard_select(self, digest: str, shard: int,
-                      block_map: BlockMap) -> np.ndarray:
-        """Mask over the trace's rows picking one shard's data rows."""
-        blocks = self.data.block_ids(block_map.offset_bits)
-        select = self.columns.data_mask()
-        select[select] = self.plan_by_digest(digest).shard_of_rows(
-            blocks) == shard
-        return select
-
-    def _run_kernel_shard(self, cell: Cell, digest: str, shard: int):
-        """Run one kernel cell over one block shard (a partial result).
-
-        The shard's data rows — and, for a protocol, the whole trace's
-        sync rows — go through the same runner the whole cell uses, so
-        shard partials merge bit-identically to both the interpreted
-        shards and the unsharded cell.
-        """
-        return self._run_one_kernel_cell(
-            cell, self._shard_select(digest, shard, BlockMap(cell[1])))
-
-    def run_protocol_shard(self, name: str, block_bytes: int,
-                           digest: str, shard: int) -> ProtocolResult:
-        """Run one protocol over one block shard (a partial result):
-        the shard's data rows plus every sync row of the trace."""
-        cell = ("protocol", block_bytes, name)
-        if self.is_kernel_cell(cell):
-            return self._run_kernel_shard(cell, digest, shard)
-        return run_protocol_shard(name, self.trace, block_bytes,
-                                  self.plan_by_digest(digest), shard)
-
-    def run_finite_shard(self, spec: str, block_bytes: int,
-                         digest: str, shard: int) -> ProtocolResult:
-        """Run the finite cache over one ``by-cache-set`` shard (partial).
-
-        The vectorized path feeds the shard's data rows through the same
-        batched kernel runner the full cell uses.
-        """
-        capacity, ways = parse_finite_spec(spec)
-        if self.resolve_cell("finite", spec) == "vectorized":
-            block_map = BlockMap(block_bytes)
-            return run_finite_kernel(
-                self.columns, self.trace.num_procs, block_map, capacity,
-                ways, trace_name=self.trace.name or "<anonymous>",
-                select=self._shard_select(digest, shard, block_map),
-                stats=self.last_kernel_stats)
-        return run_finite_shard(self.trace, block_bytes, capacity,
-                                self.plan_by_digest(digest), shard,
-                                ways=ways)
-
-    def run_classifier_shard(self, which: str, block_bytes: int,
-                             digest: str, shard: int
-                             ) -> Union[DuboisBreakdown, SimpleBreakdown]:
-        """Run one classifier over one block shard (a partial result).
-
-        All three classifiers ignore synchronization events, so the shard
-        feed is exactly the shard's data rows (no sync replication).  The
-        Dubois feed additionally composes with the no-op read elision
-        mask; the shard's own elided rows are re-added to ``data_refs`` so
-        partials sum to the full count.
-        """
-        if which not in CLASSIFIERS:
-            raise ConfigError(
-                f"classifier {which!r} is not block-shardable")
-        cell = ("classify", block_bytes, which)
-        if self.is_kernel_cell(cell):
-            return self._run_kernel_shard(cell, digest, shard)
-        block_map = BlockMap(block_bytes)
-        plan = self.plan_by_digest(digest)
-        blocks = self.data.block_ids(block_map.offset_bits)
-        sel = plan.shard_of_rows(blocks) == shard
-        clf = CLASSIFIERS[which](self.trace.num_procs, block_map)
-        if which == "dubois":
-            dropped = 0
-            keep = self.dubois_keep_mask(block_map)
-            if keep is not None:
-                dropped = int((sel & ~keep).sum())
-                sel &= keep
-            _feed_chunked(clf, self.data.proc[sel].tolist(),
-                          self.data.op[sel].tolist(),
-                          self.data.addr[sel].tolist(),
-                          blocks[sel].tolist())
-            return dataclasses.replace(clf.finish(),
-                                       data_refs=clf.data_refs + dropped)
-        procs = self.data.proc[sel].tolist()
-        ops = self.data.op[sel].tolist()
-        addrs = self.data.addr[sel].tolist()
-        blks = blocks[sel].tolist()
-        if which == "eggers":
-            offsets = self.data.word_offsets(
-                block_map.words_per_block)[sel].tolist()
-            _feed_chunked(clf, procs, ops, addrs, blks,
-                          [1 << o for o in offsets])
-        else:
-            _feed_chunked(clf, procs, ops, addrs, blks)
-        return clf.finish()
-
-    def run_comparison_shard(self, block_bytes: int, digest: str,
-                             shard: int) -> ClassificationComparison:
-        """Run all three classifiers over one block shard (partial).
-
-        Mirrors :meth:`run_comparison` per shard — one shared shard
-        selection, three state machines — so per-shard comparisons merge
-        (``+``) to the serial cell bit-identically.
-        """
-        cell = ("compare", block_bytes, None)
-        if self.is_kernel_cell(cell):
-            return self._run_kernel_shard(cell, digest, shard)
-        return ClassificationComparison(
-            trace_name=self.trace.name or "<anonymous>",
-            block_bytes=block_bytes,
-            ours=self.run_classifier_shard("dubois", block_bytes,
-                                           digest, shard),
-            eggers=self.run_classifier_shard("eggers", block_bytes,
-                                             digest, shard),
-            torrellas=self.run_classifier_shard("torrellas", block_bytes,
-                                                digest, shard),
-        )
-
     def run_cell(self, cell: Cell):
-        """Dispatch one task — a cell, a shard subtask or a group of
-        kernel cells — timed as telemetry spans.
+        """Dispatch one task — a cell, a shard member or a group of
+        kernel members — timed as telemetry spans.
 
         This is the single instrumentation point of cell execution: the
         supervisor's workers, the serial path and the degraded fallback
         all funnel through here, so every attempt — wherever it ran —
-        leaves a ``cell.run``/``shard.run`` span (``status="error"`` when
-        it raised) plus row-count and throughput metrics.  A group task
-        (``("group", cell, ...)``) runs its members through one
-        :func:`~repro.kernels.run_kernel_cells` pass and returns their
-        results as a tuple; it leaves one ``cell.run`` span per member,
-        timed by that member's summed kernel time.  With telemetry off
-        the wrapper is a single attribute check.
+        leaves a ``cell.run`` span (``shard.run`` for a shard member;
+        ``status="error"`` when it raised) plus row-count and throughput
+        metrics.  A group task (``("group", member, ...)``) runs its
+        members through one :func:`~repro.kernels.run_kernel_cells` pass
+        over one plan range and returns their results as a tuple; it
+        leaves one span per member, timed by that member's summed kernel
+        time.  With telemetry off the wrapper is a single attribute
+        check.  The benchmark in ``perfbench/`` calls it too.
         """
         rec = get_recorder()
         stats = self.last_kernel_stats = {}
@@ -600,42 +491,33 @@ class SharedPrecompute:
             return self._run_group(task_cells(cell), rec)
         if not rec.active:
             return self._dispatch_cell(cell)
-        kind = cell[0]
-        name = "shard.run" if kind.endswith("-shard") else "cell.run"
-        base = kind[:-len("-shard")] if kind.endswith("-shard") else kind
+        base = _cell_of(cell)
         try:
-            kernel = self.resolve_cell(base, cell[2])
+            kernel = self.resolve_cell(base[0], base[2])
+            dim = _dim_name(partition_dim_for(base))
         except ConfigError:  # malformed cell: the dispatch will raise too
-            kernel = None
-        try:
-            dim = partition_dim_for(cell)
-        except ConfigError:  # malformed spec: the dispatch will raise too
-            dim = None
-        rows = self.data_count()
-        if name == "shard.run":
-            try:
-                rows = -(-rows // self.plan_by_digest(cell[3]).num_shards)
-            except ConfigError:  # unknown plan: keep the full-trace count
-                pass
+            kernel = dim = None
         wall = time.time()
         t0 = time.monotonic()
         try:
             result = self._dispatch_cell(cell)
         except BaseException:
-            self._record_span(rec, name, cell, time.monotonic() - t0, wall,
-                              rows, dim, kernel, stats, status="error")
+            self._record_span(rec, cell, time.monotonic() - t0, wall,
+                              dim, kernel, stats, status="error")
             raise
-        self._record_span(rec, name, cell, time.monotonic() - t0, wall,
-                          rows, dim, kernel, stats)
+        self._record_span(rec, cell, time.monotonic() - t0, wall, dim,
+                          kernel, stats)
         return result
 
-    def _run_group(self, cells: List[Cell], rec) -> tuple:
-        stats = [{} for _ in cells]
+    def _run_group(self, members: List, rec) -> tuple:
+        stats = [{} for _ in members]
         wall = time.time()
         t0 = time.monotonic()
         status = "error"
         try:
-            results = tuple(self.run_kernel_cells(cells, stats=stats))
+            results = tuple(self.run_kernel_cells(
+                [_cell_of(m) for m in members], *self._range(members[0]),
+                stats))
             status = "ok"
             return results
         finally:
@@ -646,35 +528,39 @@ class SharedPrecompute:
                 # spans overlap, each as long as the group's time so far.
                 elapsed = time.monotonic() - t0
                 ok = status == "ok"
-                rows = self.data_count()
-                for cell, st in zip(cells, stats):
+                for member, st in zip(members, stats):
                     dur = st.get("seconds", 0.0) if ok else elapsed
-                    self._record_span(rec, "cell.run", cell, dur, wall, rows,
-                                      BY_BLOCK, "vectorized", st,
-                                      status=status)
+                    self._record_span(rec, member, dur, wall, "by-block",
+                                      "vectorized", st, status=status)
                     if ok:
                         wall += dur
 
-    @staticmethod
-    def _record_span(rec, name: str, cell: Cell, dur: float, wall: float,
-                     rows: int, dim: Optional[PartitionDim],
-                     kernel: Optional[str], stats: Dict,
-                     status: str = "ok") -> None:
-        """One cell's ``cell.run``/``shard.run`` span, plus, when it
+    def _record_span(self, rec, member, dur: float, wall: float,
+                     dim: Optional[str], kernel: Optional[str],
+                     stats: Dict, status: str = "ok") -> None:
+        """One member's ``cell.run``/``shard.run`` span, plus, when it
         succeeded, its row, throughput and kernel-batch metrics."""
-        rec.span_complete(name, dur, status=status, t=wall, cell=list(cell),
-                          rows=rows,
-                          partition_dim=dim.name if dim is not None else None,
-                          kernel=kernel)
+        shard = member[0].endswith("-shard")
+        rows = self.data_count()
+        if shard:
+            try:
+                plan, s = self._range(member)
+                rows = plan.shard_events[s]
+            except ConfigError:  # unknown plan: the dispatch raised
+                pass
+        cell = list(member)
+        rec.span_complete("shard.run" if shard else "cell.run", dur,
+                          status=status, t=wall, cell=cell, rows=rows,
+                          partition_dim=dim, kernel=kernel)
         if status != "ok":
             return
-        rec.metric("cell.rows", rows, cell=list(cell))
+        rec.metric("cell.rows", rows, cell=cell)
         if dur > 0:
             rec.metric("cell.events_per_sec", round(rows / dur, 1),
-                       unit="events/s", cell=list(cell))
+                       unit="events/s", cell=cell)
         if stats.get("batches"):
             rec.metric("kernel.batch", stats["batches"],
-                       cell=list(cell), rows=stats["rows"],
+                       cell=cell, rows=stats["rows"],
                        events_per_batch=round(stats["rows"]
                                               / stats["batches"], 1))
 
@@ -686,19 +572,10 @@ class SharedPrecompute:
             return self.run_comparison(block_bytes)
         if kind == "protocol":
             return self.run_protocol(which, block_bytes)
-        if kind == "finite":
-            return self.run_finite(which, block_bytes)
-        if kind == "protocol-shard":
-            return self.run_protocol_shard(which, block_bytes,
-                                           cell[3], cell[4])
-        if kind == "classify-shard":
-            return self.run_classifier_shard(which, block_bytes,
-                                             cell[3], cell[4])
-        if kind == "compare-shard":
-            return self.run_comparison_shard(block_bytes, cell[3], cell[4])
-        if kind == "finite-shard":
-            return self.run_finite_shard(which, block_bytes,
-                                         cell[3], cell[4])
+        if kind in ("finite", "finite-shard"):
+            return self._run_finite(cell)
+        if kind in ("classify-shard", "compare-shard", "protocol-shard"):
+            return self._run_one_kernel_cell(cell)
         raise ConfigError(f"unknown grid cell kind {kind!r}")
 
 
@@ -736,12 +613,12 @@ class ExecutionOptions:
     strict_invariants: bool = False
     #: Deterministic fault injection (tests only).
     fault_plan: Optional[FaultPlan] = None
-    #: Block shards per shardable cell (``None``/``0``: automatic — split
-    #: spare workers when the grid has fewer cells than jobs; ``1``:
-    #: disable intra-cell sharding).
+    #: Ranges each grid's batch plans are cut into (``None``/``0``: the
+    #: worker count; ``1``: one range, no shard tasks).
     shards: Optional[int] = None
-    #: Memory budget in bytes for the whole sweep (``--memory-budget``);
-    #: ``None`` falls back to ``$REPRO_MEMORY_BUDGET``, else ungoverned.
+    #: Memory budget in bytes for the whole sweep (``--memory-budget``),
+    #: shared out as each worker's cap; ``None`` falls back to
+    #: ``$REPRO_MEMORY_BUDGET``, else ungoverned.
     memory_budget: Optional[int] = None
     #: Record run telemetry (spans, metrics, manifest) under this
     #: directory (``--telemetry``); ``None`` disables recording.
@@ -795,30 +672,22 @@ class SweepEngine:
     fault_plan:
         Deterministic :class:`~repro.runtime.faults.FaultPlan` (tests).
     shards:
-        Intra-cell shards per shardable cell (protocol, classify, compare
-        and multi-set finite cells, each along its partition dimension —
-        see :func:`partition_dim_for`).  ``None`` or ``0`` (default) is
-        automatic:
-        the two-level scheduler keeps plain grid fan-out while there are
-        at least as many cells as jobs, and splits the spare workers into
-        ``ceil(jobs / cells)`` shards per cell when the grid is smaller
-        than the machine.  ``1`` disables sharding; an explicit ``P >= 2``
-        forces ``P`` shards per shardable cell regardless of grid size.
-        Sharded cells merge to results bit-identical to unsharded runs.
+        The number ``k`` of ranges each grid's batch plans are cut into
+        (see :meth:`run_grid`).  ``None`` or ``0`` (default) is the
+        configured ``jobs``; ``1`` runs the kernel cells as one task.
+        The parts of the ranges merge to results bit-identical to one
+        range.
     memory_budget:
         Total memory budget for the sweep in bytes (``--memory-budget``).
         ``None`` falls back to ``$REPRO_MEMORY_BUDGET``; when neither is
-        set the sweep is ungoverned.  With a budget, preflight admission
-        (:func:`repro.runtime.resources.plan_admission`) clamps worker
-        concurrency (and may raise the shard count) so the estimated
-        footprints fit, and every worker soft-caps its address space at
-        its fair share via ``RLIMIT_AS``.  An over-budget worker raises a
-        clean ``MemoryError`` that — like a kernel SIGKILL — moves the
-        sweep down the OOM ladder of :mod:`repro.runtime.policy` (halve
-        workers, raise shards, then serial in-process) instead of
-        crash-looping; every rung
-        reuses the completed cells, so the final results are
-        bit-identical to an unconstrained run.
+        set the sweep is ungoverned.  With a budget, every worker of a
+        rung soft-caps its address-space growth at ``budget // workers``
+        via ``RLIMIT_AS``.  An over-cap worker raises a clean
+        ``MemoryError`` that — like a kernel SIGKILL — moves the sweep
+        down the OOM ladder of :mod:`repro.runtime.policy` (halve
+        workers, then serial in-process) instead of crash-looping; every
+        rung reuses the completed cells and range parts, so the final
+        results are bit-identical to an unconstrained run.
     telemetry_dir:
         Record run telemetry under this directory (``--telemetry``): a
         per-run subdirectory with an ``events.jsonl`` span/metric stream
@@ -859,8 +728,11 @@ class SweepEngine:
         self.fault_plan = fault_plan
         if shards is not None and shards < 0:
             raise ConfigError(f"shards must be >= 0, got {shards}")
-        self.shards = shards or None  # 0 normalizes to automatic
+        self.shards = shards or None  # 0 normalizes to the worker count
         self.memory_budget = resolve_memory_budget(memory_budget)
+        if self.memory_budget is not None and self.memory_budget <= 0:
+            raise ConfigError(
+                f"memory budget must be positive, got {self.memory_budget}")
         self.telemetry_dir = telemetry_dir
         self.progress = progress
         self._trace_key = trace_key
@@ -908,53 +780,30 @@ class SweepEngine:
         return self._trace_key
 
     # ------------------------------------------------------------------
-    # grid execution (two-level scheduler)
+    # grid execution
     # ------------------------------------------------------------------
-    def _shards_per_cell(self, pending_cells: int,
-                         jobs: Optional[int] = None,
-                         shards_setting: Optional[int] = None) -> int:
-        """Shard count for this grid (level two of the scheduler).
-
-        An explicit shard setting always wins.  In automatic mode the
-        grid keeps plain cell fan-out while it has at least as many cells
-        as workers; only when the grid is smaller than the machine are the
-        spare workers split into shards per cell.  ``jobs`` and
-        ``shards_setting`` override the engine's configuration — the
-        degradation ladder re-plans with them rung by rung.
-        """
-        jobs = self.jobs if jobs is None else jobs
-        shards = self.shards if shards_setting is None else shards_setting
-        if shards is not None:
-            return shards
-        if jobs <= 1 or pending_cells == 0 or pending_cells >= jobs:
-            return 1
-        return -(-jobs // pending_cells)  # ceil
-
-    @staticmethod
-    def _shardable(cell: Cell) -> bool:
-        """True for cells legal along some partition dimension.
-
-        Protocol, classify and compare cells shard ``by-block``; finite
-        cells shard ``by-cache-set`` when their geometry has more than one
-        set (a fully-associative cache is one unit and cannot split).
-        """
-        kind, _, which = cell[:3]
-        if kind == "protocol":
-            return which in SHARDABLE_PROTOCOLS
-        if kind == "classify":
-            return which in CLASSIFIERS
-        if kind == "compare":
-            return True
-        if kind == "finite":
-            try:
-                capacity, ways = parse_finite_spec(which)
-            except ConfigError:
-                return False
-            return cache_geometry(capacity, ways)[0] > 1
-        return False
+    def _plan_grid(self, cells: List[Cell]) -> Dict[Cell, BatchPlan]:
+        """The grid's batch plans by cell, each cut into ``k`` ranges:
+        one plan for the vectorized kernel cells, at their largest
+        block, and one per vectorized (multi-set) finite cell, by cache
+        set.  Interpreted cells have none: they run whole."""
+        pre = self.precompute
+        k = self.shards or self.jobs
+        kernel_cells = [c for c in cells if pre.is_kernel_cell(c)]
+        plans = {}
+        if kernel_cells:
+            plan = pre.shard_plan(BlockMap(max(c[1] for c in kernel_cells)),
+                                  k)
+            plans = dict.fromkeys(kernel_cells, plan)
+        for cell in cells:
+            if (cell[0] == "finite"
+                    and pre.resolve_cell("finite", cell[2]) == "vectorized"):
+                plans[cell] = pre.shard_plan(BlockMap(cell[1]), k,
+                                             dim=partition_dim_for(cell))
+        return plans
 
     def _merge_cell(self, cell: Cell, parts: List):
-        """Merge one cell's per-shard partials into its full result."""
+        """Merge one cell's range parts into its full result."""
         if cell[0] in ("protocol", "finite"):
             return merge_shard_results(parts)
         merged = parts[0]
@@ -971,24 +820,27 @@ class SweepEngine:
         journal are returned without recomputation); each fresh result
         passes the post-cell invariant guard before being accepted.
 
-        When the grid has spare workers (or ``shards`` is set), shardable
-        cells are expanded into per-block-shard subtasks that run on the
-        same supervised pool and merge back into bit-identical results.
-        Per-shard partials are journaled under plan-digest-qualified keys,
-        so a resumed sweep re-runs only incomplete shards and can never
-        mix partials from two different shard plans; the merged cell is
-        then journaled under its plain key, exactly like an unsharded run.
+        Before any worker forks, the grid plans its batches once
+        (:meth:`_plan_grid`) and cuts each plan into ``k`` ranges of
+        balanced row counts (``k``: ``shards``, else ``jobs``).  Range
+        ``s`` of the kernel plan is one group task that runs every
+        vectorized kernel cell over its batches; range ``s`` of a finite
+        cell's plan is one task.  With ``k > 1`` a task's results are
+        parts, journaled under plan-digest-qualified shard keys, so a
+        resumed sweep re-runs only incomplete ranges and never mixes two
+        plans; the merged cell is then journaled under its plain key,
+        exactly like a one-range run.  Interpreted cells run whole, one
+        task each.
 
         Execution is additionally *resource-governed*: an OOM-class
         failure (a worker ``MemoryError`` under its ``RLIMIT_AS`` cap, or
         a SIGKILL/137 death) does not blind-retry the same configuration —
         it moves the sweep down the OOM ladder
         (:class:`repro.runtime.policy.OomLadder`): halve worker
-        concurrency, then raise the shard count (smaller per-worker
-        footprint over the bit-identical merge path), then run serial
-        in-process.  Every rung resumes from the cells and shard partials
-        already completed, so a degraded sweep returns the same results an
-        unconstrained one would.
+        concurrency, then run serial in-process.  The cut is fixed for
+        the whole grid, so every rung reuses the cells and range parts
+        already completed, and a degraded sweep returns the same results
+        an unconstrained one would.
 
         With ``telemetry_dir`` set (and no run already being recorded),
         the whole grid is recorded as one :class:`~repro.obs.RunTelemetry`
@@ -1047,8 +899,11 @@ class SweepEngine:
             if resumed:
                 logger.info("resuming %d journaled cell(s) from %s",
                             len(resumed), self.trace_key)
+        pre = self.precompute
         try:
-            ladder = OomLadder(self.jobs, self.shards)
+            pre.plans = self._plan_grid(
+                [c for c in dict.fromkeys(cells) if c not in completed])
+            ladder = OomLadder(self.jobs)
             while True:
                 # A shutdown requested between rungs (or salvaged out of
                 # the previous rung's drain) must not start a new rung.
@@ -1062,7 +917,7 @@ class SweepEngine:
                     continue
                 if journal is not None:
                     # The grid is complete: fold duplicate records and
-                    # absorbed shard partials so the next resume replays
+                    # absorbed range parts so the next resume replays
                     # a minimal journal.
                     journal.compact()
                 rec.event("sweep.finish", trace_key=self.trace_key,
@@ -1076,74 +931,67 @@ class SweepEngine:
                             else "computed")
                 return results
         finally:
+            pre.plans = {}
             if journal is not None:
                 journal.close()
 
     def _run_grid_once(self, cells: List[Tuple], completed: Dict[Tuple, object],
                        journal: Optional[CheckpointJournal],
                        ladder: OomLadder) -> List:
-        """One ladder rung: plan, admit, fan out, merge.
+        """One ladder rung: the tasks still to run, fanned out, merged.
 
-        Runs at the ladder's current ``jobs``/``shards``.  ``completed``
-        carries journaled results *and* the partials salvaged from earlier
-        rungs (keyed by task — plain cells and plan-digest-qualified shard
-        subtasks), so each rung re-runs only what no earlier attempt
-        finished.  Raises :class:`~repro.errors.ResourceExhaustedError` on
-        an OOM-class failure while the ladder has a step left — its
-        signal to re-plan.
-
-        The rung's unsharded kernel cells (:data:`KERNEL_CELL_KINDS`
-        resolving vectorized) are dealt round-robin, in grid order, into
-        ``min(jobs, n)`` group tasks, each one pass of
-        :func:`~repro.kernels.run_kernel_cells` over its members; a group
-        is journaled cell by cell when it completes.
+        Runs at the ladder's current ``jobs``, each worker capped at
+        ``memory_budget // jobs``.  ``completed`` carries journaled
+        results *and* the parts salvaged from earlier rungs (keyed by
+        cell or shard member), so each rung re-runs only what no earlier
+        attempt finished.  Raises
+        :class:`~repro.errors.ResourceExhaustedError` on an OOM-class
+        failure while the ladder has a step left — its signal to re-run
+        at the next rung.
         """
         pre = self.precompute
         pending = list(dict.fromkeys(c for c in cells if c not in completed))
-        jobs, shards_setting, worker_cap = self._admit(
-            ladder.jobs, ladder.shards, pending)
-        shards = self._shards_per_cell(len(pending), jobs, shards_setting)
+        # A planned cell cut into k > 1 ranges runs as k shard members;
+        # each range of the kernel plan is one task of all its members.
         shards_of: Dict[Tuple, List[Tuple]] = {}
-        singles = []
+        members_of: Dict[Tuple, List[Tuple]] = {}
+        ranges: Dict[int, List[Tuple]] = {}
+        task_of: Dict[Tuple, Tuple] = {}
         for cell in pending:
-            plan = None
-            if shards > 1 and self._shardable(cell):
-                plan = pre.shard_plan(BlockMap(cell[1]), shards,
-                                      dim=partition_dim_for(cell))
-            if plan is not None and plan.num_shards > 1:
-                kind, bb, which = cell[:3]
-                shards_of[cell] = [
-                    (f"{kind}-shard", bb, which, plan.digest, s)
-                    for s in range(plan.num_shards)]
-            else:
-                singles.append(cell)
-        kernel_cells = [c for c in singles if pre.is_kernel_cell(c)]
-        num_groups = min(jobs, len(kernel_cells))
-        task_of = {}
-        for i in range(num_groups):
-            members = tuple(kernel_cells[i::num_groups])
-            task = members[0] if len(members) == 1 else (GROUP,) + members
+            plan = pre.plans.get(cell)
+            members = [cell]
+            if plan is not None and plan.num_ranges > 1:
+                members = shards_of[cell] = [
+                    (f"{cell[0]}-shard",) + cell[1:] + (plan.digest, s)
+                    for s in range(plan.num_ranges)]
+            members_of[cell] = members
+            for s, member in enumerate(members):
+                if member in completed:
+                    continue
+                if pre.is_kernel_cell(cell):
+                    ranges.setdefault(s, []).append(member)
+                else:
+                    task_of[member] = member
+        for members in ranges.values():
+            task = members[0] if len(members) == 1 else (GROUP,) + tuple(
+                members)
             task_of.update(dict.fromkeys(members, task))
-        # In grid order: a sharded cell's subtasks, a group task at its
-        # first member, every other cell as itself.
+        # In grid order: the ranges at the first kernel cell, every other
+        # task at its cell.
         tasks: List[Tuple] = list(dict.fromkeys(
-            task for cell in pending
-            for task in shards_of.get(cell, [task_of.get(cell, cell)])))
-        jobs = min(jobs, len(tasks)) if tasks else 1
+            task_of[m] for cell in pending for m in members_of[cell]
+            if m in task_of))
+        jobs = min(ladder.jobs, len(tasks)) if tasks else 1
+        worker_cap = (self.memory_budget // jobs
+                      if self.memory_budget is not None and jobs > 1
+                      else None)
 
         rec = get_recorder()
         if rec.active:
-            rec.event("rung.start", tasks=len(tasks), jobs=jobs,
-                      shards=shards)
+            k = max((p.num_ranges for p in pre.plans.values()), default=1)
+            rec.event("rung.start", tasks=len(tasks), jobs=jobs, shards=k)
             logger.info("rung start: %d task(s), jobs=%d, shards=%d",
-                        len(tasks), jobs, shards)
-            for cell in pending:
-                per_cell_shards = len(shards_of.get(cell, ())) or 1
-                rec.metric(
-                    "footprint.predicted_bytes",
-                    estimate_cell_bytes(self.trace,
-                                        shards=per_cell_shards),
-                    unit="bytes", cell=list(cell))
+                        len(tasks), jobs, k)
 
         def on_result(task, result):
             for cell, part in _task_results(task, result).items():
@@ -1152,34 +1000,24 @@ class SweepEngine:
                     journal.record(cell, part)
 
         if jobs > 1:
-            # Warm the shared state of interpreted classify/compare tasks
+            # Warm the shared state of interpreted classify/compare cells
             # in the parent so every forked worker inherits it instead of
             # re-deriving it per process: decoded rows and Dubois keep
-            # masks (O(n log n) per block size that every shard would
-            # otherwise redo).  Kernel tasks read only the columns.
-            warm_rows = False
-            for task in tasks:
-                base = task[0]
-                if base == GROUP:
-                    continue
-                if base.endswith("-shard"):
-                    base = base[:-len("-shard")]
-                if (base not in ("classify", "compare")
-                        or pre.is_kernel_cell((base,) + tuple(task[1:3]))):
-                    continue
-                warm_rows = True
-                if base == "compare" or task[2] == "dubois":
+            # masks.  Kernel tasks read only the columns and the plans.
+            warm = [t for t in tasks if t[0] in ("classify", "compare")
+                    and not pre.is_kernel_cell(t)]
+            for task in warm:
+                if task[0] == "compare" or task[2] == "dubois":
                     pre.dubois_keep_mask(BlockMap(task[1]))
-            if warm_rows:
+            if warm:
                 pre.data_rows()
         supervisor = Supervisor(pre.run_cell, jobs=jobs, retry=self.retry,
                                 timeout=self.timeout,
                                 fault_plan=self.fault_plan,
                                 worker_rlimit_bytes=worker_cap)
         try:
-            task_results = supervisor.run(
-                tasks, completed=completed or None, on_result=on_result,
-                ladder=ladder)
+            task_results = supervisor.run(tasks, on_result=on_result,
+                                          ladder=ladder)
         except (CellFailedError, ResourceExhaustedError,
                 SweepInterrupted) as exc:
             # Salvaged group results go back to the caller cell by cell.
@@ -1188,18 +1026,16 @@ class SweepEngine:
                            for cell, part in _task_results(task,
                                                            result).items()}
             raise
-        by_task = {}
+        done = dict(completed)
         for task, result in zip(tasks, task_results):
-            by_task.update(_task_results(task, result))
+            done.update(_task_results(task, result))
         results = []
         for cell in cells:
-            if cell in completed:
-                results.append(completed[cell])
-            elif cell in shards_of:
+            if cell in shards_of and cell not in done:
                 with rec.span("merge", cell=list(cell),
                               shards=len(shards_of[cell])):
                     merged = self._merge_cell(
-                        cell, [by_task[sc] for sc in shards_of[cell]])
+                        cell, [done[m] for m in shards_of[cell]])
                 self._guard_cell(cell, merged)
                 if journal is not None:
                     journal.record(cell, merged)
@@ -1211,39 +1047,9 @@ class SweepEngine:
                     # cell.run span per grid cell.
                     run.merged_cell(self.trace_key, cell,
                                     len(shards_of[cell]))
-                results.append(merged)
-                completed[cell] = merged  # duplicate cells in the grid
-            else:
-                results.append(by_task[cell])
+                done[cell] = merged  # duplicate cells in the grid
+            results.append(done[cell])
         return results
-
-    def _admit(self, jobs: int, shards_setting: Optional[int],
-               pending: List[Tuple]):
-        """Preflight admission of one rung under the memory budget.
-
-        Returns the admitted ``(jobs, shards_setting, worker_cap_bytes)``.
-        Without a budget (or for a serial rung) everything passes through
-        unchanged and uncapped.
-        """
-        if self.memory_budget is None or jobs <= 1 or not pending:
-            return jobs, shards_setting, None
-        adm = plan_admission(
-            self.memory_budget, jobs, shards_setting or 1,
-            lambda s: estimate_cell_bytes(self.trace, shards=s),
-            shardable=any(self._shardable(c) for c in pending))
-        if adm.over_budget:
-            warn_resource(
-                f"estimated footprint of one serial worker exceeds the "
-                f"memory budget ({format_size(self.memory_budget)}); "
-                f"running serial and uncapped")
-            return 1, shards_setting, None
-        if adm.jobs < jobs or adm.shards > (shards_setting or 1):
-            warn_resource(
-                f"admission under {format_size(self.memory_budget)} "
-                f"budget: {adm.describe()} (requested jobs={jobs})")
-        if adm.shards > (shards_setting or 1):
-            shards_setting = adm.shards
-        return adm.jobs, shards_setting, adm.worker_cap_bytes
 
     # ------------------------------------------------------------------
     # post-cell invariant guards

@@ -372,21 +372,21 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                    help="fail on a post-cell invariant violation instead "
                         "of warning")
     p.add_argument("--shards", type=int, default=None, metavar="P",
-                   help="intra-cell shards per shardable cell, along each "
-                        "cell's partition dimension (by block for "
-                        "protocol/classifier/compare cells, by cache set "
-                        "for finite caches; 1 = never shard; 0 = "
-                        "automatic: split spare workers when the grid has "
-                        "fewer cells than jobs, which is also the default)")
+                   help="cut each grid's batch plans (one for its "
+                        "vectorized protocol/classifier/compare cells, "
+                        "by block, and one per finite cache, by cache "
+                        "set) into P ranges of balanced row counts, one "
+                        "task each; interpreted cells always run whole "
+                        "(1 = one range; 0 = --jobs, which is also the "
+                        "default)")
     p.add_argument("--memory-budget", type=_size, default=None,
                    metavar="SIZE",
                    help="total memory budget for the sweep (e.g. 512M, "
-                        "1.5G): admission clamps worker concurrency to "
-                        "fit, workers soft-cap their address space, and "
-                        "OOM-class failures degrade the run (fewer "
-                        "workers, more shards, then serial) instead of "
-                        "crash-looping (default: $REPRO_MEMORY_BUDGET, "
-                        "else ungoverned)")
+                        "1.5G): each worker soft-caps its address-space "
+                        "growth at the budget divided by the workers, and "
+                        "an over-cap worker degrades the run (half the "
+                        "workers, then serial) instead of crash-looping "
+                        "(default: $REPRO_MEMORY_BUDGET, else ungoverned)")
     p.add_argument("--cache-max-bytes", type=_size, default=None,
                    metavar="SIZE",
                    help="disk quota for the --trace-cache directory; "
@@ -451,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity-blocks", type=int, default=None, metavar="N",
                    help="simulate OTF with finite per-processor caches of "
                         "N blocks (paper section 8.0 replacement misses); "
-                        "multi-set geometries shard by cache set under "
-                        "--jobs/--shards")
+                        "multi-set geometries run in ranges of cache sets "
+                        "under --jobs/--shards")
     p.add_argument("--ways", type=int, default=None, metavar="W",
                    help="cache associativity: W-way sets, N/W sets total "
                         "(requires --capacity-blocks; default: fully "
@@ -626,5 +626,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_FAILED
 
 
+def entry_point() -> int:
+    """The ``repro`` console script and ``python -m repro``.
+
+    Runs :func:`main`.  A SIGINT that lands after main's shutdown scope
+    has closed meets Python's default handler again and raises here; it
+    too exits :data:`~repro.errors.EXIT_INTERRUPTED` with the
+    ``interrupted`` line, instead of killing the finished process by the
+    signal.
+    """
+    try:
+        return main()
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(entry_point())

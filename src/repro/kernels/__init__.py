@@ -31,7 +31,8 @@ from ..errors import ConfigError
 from ..protocols.finite import cache_geometry, parse_finite_spec
 
 __all__ = ["KERNEL_MODES", "CLASSIFIER_KERNELS", "PROTOCOL_KERNELS",
-           "KernelContext", "run_kernel_cells", "run_finite_kernel",
+           "BatchPlan", "KernelContext", "plan_batches", "run_kernel_cells",
+           "run_finite_kernel",
            "validate_kernel_mode", "has_kernel", "resolve_kernel",
            "effective_kernel_mode"]
 
@@ -46,9 +47,11 @@ from .classifiers import (
 )
 from .finite import run_finite_kernel
 from .protocols import (
+    BatchPlan,
     max_kernel,
     min_kernel,
     otf_kernel,
+    plan_batches,
     rd_kernel,
     run_kernel_cells,
     sd_kernel,

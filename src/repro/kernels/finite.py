@@ -50,38 +50,45 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..protocols.finite import cache_geometry
 from ..protocols.results import Counters, ProtocolResult, merge_shard_results
 from ..runtime import signals
 from .classifiers import KernelContext, _Heartbeat, lifetime_breakdown
-from .protocols import _run_batches, _unit_batches
+from .protocols import BatchPlan, _run_batches, plan_batches
 
 __all__ = ["finite_kernel", "run_finite_kernel"]
 
 
 def run_finite_kernel(columns, num_procs: int, block_map,
                       capacity_blocks: int, ways: Optional[int] = None, *,
-                      trace_name: str,
-                      select: Optional[np.ndarray] = None,
+                      trace_name: str, plan: Optional[BatchPlan] = None,
+                      shard: int = 0,
                       stats: Optional[Dict] = None) -> ProtocolResult:
     """Run the finite-cache OTF kernel over batches of whole cache sets.
 
-    ``columns`` are a whole trace's columns; ``select`` (default: every
-    data row) masks the rows to simulate — a trace's data rows, or one
-    ``by-cache-set`` shard's.  Bit-identical to
-    :class:`~repro.protocols.finite.FiniteOTFProtocol` over those rows.
+    ``columns`` are a whole trace's columns.  The cell runs over range
+    ``shard`` of ``plan``, a plan by this cache's sets at its block size
+    (default: a one-range plan, so the result is bit-identical to
+    :class:`~repro.protocols.finite.FiniteOTFProtocol` over the trace);
+    the parts of every range of one plan merge to that result.
     """
     num_sets, ways = cache_geometry(capacity_blocks, ways)
-    units = columns.addr >> block_map.offset_bits
-    units %= num_sets
-    batches = _unit_batches(
-        units, columns.data_mask() if select is None else select)
-    del units, select  # the planner owns them; it frees both early
+    if plan is None:
+        plan = plan_batches(columns, block_map.offset_bits, num_sets)
+    elif (plan.unit_bits, plan.num_sets) != (block_map.offset_bits,
+                                             num_sets):
+        raise ConfigError(
+            f"a plan by {plan.num_sets or 'no'} cache sets of "
+            f"{2 ** plan.unit_bits}-word blocks does not fit a "
+            f"{num_sets}-set cache of {block_map.words_per_block}-word "
+            f"blocks")
     (parts,) = _run_batches(
         [lambda ctx: finite_kernel(ctx, block_map, num_sets, ways,
                                    trace_name=trace_name, stats=stats)],
         (KernelContext(columns.proc[rows], columns.op[rows],
-                       columns.addr[rows], num_procs) for rows in batches),
+                       columns.addr[rows], num_procs)
+         for rows in plan.batches(shard)),
         num_procs, [{} if stats is None else stats])
     return merge_shard_results(parts)
 

@@ -109,23 +109,26 @@ acquire tables:
   store that the load rule alone would not have taken.
 
 Batches.  :func:`run_kernel_cells` is the one runner of every protocol,
-classify and compare cell.  It plans batches of whole blocks of the
-cells' largest block size, at most :data:`BATCH_ROWS` data rows each,
-builds each batch's context once, runs every cell's kernel on it and
-drops it, then merges each cell's parts.  A cell's kernel memory is thus
-bounded by the batch, not by the trace, and the parts sum exactly for
-the same reason block shards do (every state machine is per (block,
-processor), every comparison is order-only).
+classify and compare cell.  It runs one range of a :class:`BatchPlan`
+(:func:`plan_batches`): batches of whole blocks of the cells' largest
+block size, at most :data:`BATCH_ROWS` data rows each.  It builds each
+batch's context once, runs every cell's kernel on it and drops it, then
+merges each cell's parts.  A cell's kernel memory is thus bounded by
+the batch, not by the trace, and the parts sum exactly because every
+state machine is per (block, processor) and every comparison is
+order-only; so do the parts of the plan's ranges.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import functools
+import hashlib
 import heapq
 import operator
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,9 +141,9 @@ from ..trace.events import ACQUIRE, RELEASE
 from .classifiers import KernelContext, _Heartbeat, lifetime_breakdown
 from .segments import essential_chain, event_runs, remote_store_before
 
-__all__ = ["BATCH_ROWS", "run_kernel_cells", "otf_kernel", "min_kernel",
-           "wbwi_kernel", "rd_kernel", "max_kernel", "sd_kernel",
-           "srd_kernel"]
+__all__ = ["BATCH_ROWS", "BatchPlan", "plan_batches", "run_kernel_cells",
+           "otf_kernel", "min_kernel", "wbwi_kernel", "rd_kernel",
+           "max_kernel", "sd_kernel", "srd_kernel"]
 
 #: Data rows per kernel batch.  A batch is a set of whole units — blocks,
 #: or cache sets for the finite kernel; a single unit with more rows
@@ -156,25 +159,105 @@ BATCH_ROWS = 1 << 14
 _SCAN_ROWS = 1 << 16
 
 
-def _unit_batches(units: np.ndarray, select: np.ndarray):
-    """Time-ordered row-index arrays of batches of whole units.
+@dataclasses.dataclass(frozen=True, eq=False)
+class BatchPlan:
+    """Batches of whole units over a trace's data rows, cut into ranges.
 
-    ``units`` holds each row's unit id — its block, or its cache set —
-    and is consumed: the planner packs its keys into it in place.  The
-    rows picked by ``select`` are ordered by (unit, row) through one
-    in-place sort of packed ``unit << shift | row`` keys, then cut
-    greedily at unit boundaries into batches of at most
-    :data:`BATCH_ROWS` rows (a single larger unit is a batch of its
-    own).  While the batches run, only the sorted row order is kept —
-    4 bytes a row, the one trace-sized array.
+    A unit is a block of ``2**unit_bits`` words or, with ``num_sets``, a
+    cache set (``block % num_sets``).  Batch ``i`` is the rows
+    ``order[ends[i]:ends[i + 1]]``; range ``s`` is batches
+    ``cuts[s]`` to ``cuts[s + 1]``.  Every state machine a batch runs is
+    per (block, processor), or per (processor, set), so any set of
+    whole batches runs exactly and the parts of the ranges merge to the
+    whole cell.  ``digest`` names the plan and its cut; shard results
+    are journaled under it, so a resume never mixes two cuts.
+    """
+
+    unit_bits: int
+    num_sets: int
+    order: np.ndarray
+    ends: np.ndarray
+    cuts: Tuple[int, ...]
+    digest: str
+
+    @property
+    def num_ranges(self) -> int:
+        return len(self.cuts) - 1
+
+    @property
+    def shard_events(self) -> Tuple[int, ...]:
+        """Data rows per range."""
+        return tuple(int(self.ends[b] - self.ends[a])
+                     for a, b in zip(self.cuts, self.cuts[1:]))
+
+    @property
+    def max_shard_events(self) -> int:
+        """The heaviest range's data rows."""
+        return max(self.shard_events)
+
+    def batches(self, shard: int = 0):
+        """Time-ordered row-index arrays of range ``shard``'s batches."""
+        if not 0 <= shard < self.num_ranges:
+            raise ConfigError(f"range {shard} out of range for a "
+                              f"{self.num_ranges}-range plan")
+        bounds = self.ends[self.cuts[shard]:self.cuts[shard + 1] + 1]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield np.sort(self.order[lo:hi]).astype(np.int64)
+
+
+def plan_batches(columns, unit_bits: int, num_sets: int = 0,
+                 ranges: int = 1) -> BatchPlan:
+    """Plan batches of whole units over a trace's data rows and cut them
+    into ``ranges`` contiguous ranges of balanced row counts (fewer when
+    the plan has fewer batches; always at least one).
+
+    Units are blocks of ``2**unit_bits`` words, or, with ``num_sets``,
+    cache sets.  Deterministic: the same trace, unit and range count
+    give the same plan and digest.
+    """
+    if ranges < 1:
+        raise ConfigError(f"range count must be positive, got {ranges}")
+    units = columns.addr >> unit_bits
+    if num_sets:
+        units %= num_sets
+    order, ends = _plan_rows(units, columns.data_mask())
+    count, nb = int(ends[-1]), len(ends) - 1
+    cuts = [0]
+    k = max(1, min(ranges, nb))
+    for s in range(1, k):
+        # The batch boundary nearest s/k of the rows, leaving at least
+        # one batch to each range.
+        target = count * s / k
+        i = int(np.searchsorted(ends, target))
+        if target - ends[i - 1] <= ends[i] - target:
+            i -= 1
+        cuts.append(min(max(i, cuts[-1] + 1), nb - (k - s)))
+    cuts.append(nb)
+    h = hashlib.sha1(f"{unit_bits}|{num_sets}|{count}|{cuts}|".encode())
+    h.update(np.ascontiguousarray(ends).tobytes())
+    return BatchPlan(unit_bits, num_sets, order, ends, tuple(cuts),
+                     h.hexdigest()[:16])
+
+
+def _plan_rows(units: np.ndarray, select: np.ndarray):
+    """``(order, ends)``: the rows picked by ``select`` ordered by (unit,
+    row), and the offsets into that order of the batch boundaries, from
+    0 to the row count.
+
+    ``units`` holds each row's unit id and is consumed: the planner
+    packs its keys into it in place, ``unit << shift | row``, and sorts
+    them.  The order is cut greedily at unit boundaries into batches of
+    at most :data:`BATCH_ROWS` rows (a single larger unit is a batch of
+    its own).  Only the order is kept — 4 bytes a row, the one
+    trace-sized array of a plan.
     """
     n = len(units)
     count = int(np.count_nonzero(select))
     if not count:
-        return
+        return np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int64)
     shift = max((n - 1).bit_length(), 1)
     packed = units
-    del units  # dropped with ``packed`` before the batches run
+    del units  # dropped with ``packed`` before the plan is returned
     packed[~select] = 0  # unselected rows (e.g. sync) carry no unit
     if int(packed.max()) >= 1 << (62 - shift):  # pragma: no cover - sparse
         packed = np.unique(packed, return_inverse=True)[1].reshape(-1)
@@ -183,27 +266,29 @@ def _unit_batches(units: np.ndarray, select: np.ndarray):
         hi = min(lo + _SCAN_ROWS, n)
         packed[lo:hi] |= np.arange(lo, hi)
     packed[~select] = np.iinfo(np.int64).max  # sorts past every row
-    del select  # the mask is not kept while the batches run
+    del select
     packed.sort()
     order = np.empty(count, dtype=np.int32 if n < 1 << 31 else np.int64)
     row_mask = np.int64((1 << shift) - 1)
     # 0 is an end too, so a first unit larger than a batch is cut alone.
-    ends = [np.array([0, count])]
+    unit_ends = [np.array([0, count])]
     for lo in range(0, count, _SCAN_ROWS):
         hi = min(lo + _SCAN_ROWS, count)
         order[lo:hi] = packed[lo:hi] & row_mask
         unit = packed[lo:hi + 1] >> shift
-        ends.append(np.flatnonzero(unit[1:] != unit[:-1]) + lo + 1)
+        unit_ends.append(np.flatnonzero(unit[1:] != unit[:-1]) + lo + 1)
     del packed
-    ends = np.unique(np.concatenate(ends))  # slice overlaps repeat one
-    start = 0
-    while start < count:
-        stop = int(ends[np.searchsorted(ends, start + BATCH_ROWS,
-                                        "right") - 1])
+    unit_ends = np.unique(np.concatenate(unit_ends))  # overlaps repeat one
+    ends = [0]
+    while ends[-1] < count:
+        start = ends[-1]
+        stop = int(unit_ends[np.searchsorted(unit_ends, start + BATCH_ROWS,
+                                             "right") - 1])
         if stop <= start:  # one unit larger than a batch
-            stop = int(ends[np.searchsorted(ends, start, "right")])
-        yield np.sort(order[start:stop]).astype(np.int64)
-        start = stop
+            stop = int(unit_ends[np.searchsorted(unit_ends, start,
+                                                 "right")])
+        ends.append(stop)
+    return order, np.array(ends, dtype=np.int64)
 
 
 def _sync_rows(columns, op: int):
@@ -224,18 +309,14 @@ def _remap(table, rows: np.ndarray):
     return proc[live], pos[live], at[live]
 
 
-def _batch_contexts(columns, num_procs: int, unit_bits: int,
-                    select: np.ndarray, sync: bool = True):
-    """One :class:`KernelContext` per batch of whole ``2**unit_bits``-word
-    units of the selected rows, in order.  With ``sync`` each carries
-    every acquire and release of the trace remapped to its own rows;
-    only MAX, SD and SRD read the releases, so a batch remaps them on
-    first use."""
+def _batch_contexts(columns, num_procs: int, batches, sync: bool = True):
+    """One :class:`KernelContext` per row-index array of ``batches``, in
+    order.  With ``sync`` each carries every acquire and release of the
+    trace remapped to its own rows; only MAX, SD and SRD read the
+    releases, so a batch remaps them on first use."""
     if sync:
         acquires = _sync_rows(columns, ACQUIRE)
         releases = _sync_rows(columns, RELEASE)
-    batches = _unit_batches(columns.addr >> unit_bits, select)
-    del select
     for rows in batches:
         yield KernelContext(
             columns.proc[rows], columns.op[rows], columns.addr[rows],
@@ -269,26 +350,26 @@ def _cell_kernel(cell, trace_name: str, stats: Optional[Dict]):
 
 
 def run_kernel_cells(columns, num_procs: int, cells: Sequence, *,
-                     trace_name: str,
-                     select: Optional[np.ndarray] = None,
+                     trace_name: str, plan: Optional[BatchPlan] = None,
+                     shard: int = 0,
                      stats: Optional[Sequence[Dict]] = None) -> List:
     """Run protocol, classify and compare cells over one batch plan.
 
     ``cells`` are ``(kind, block_bytes, which)`` grid cells; the results
-    come back in their order, each bit-identical to the cell's streaming
-    oracle over the selected rows (protocols: plus every acquire and
-    release of the trace).  ``columns`` are a whole trace's columns,
-    sync rows included; ``select`` (default: every data row) masks the
-    LOAD/STORE rows to run — a trace's data rows, or one block shard's.
+    come back in their order.  ``columns`` are a whole trace's columns,
+    sync rows included.  The cells run over range ``shard`` of ``plan``
+    (default: a one-range plan at the cells' largest block, so each
+    result is bit-identical to the cell's streaming oracle); the parts
+    of every range of one plan merge to that result.  The plan's units
+    must be whole blocks of every cell: blocks at least as large as the
+    largest cell's.
 
-    The batches are cut once, at units of the cells' largest block —
-    whole blocks at every smaller size too.  Batches run outside and
-    cells inside, so every cell shares each batch's context (and its
-    block-size-independent word tables), which is dropped before the
-    next one is built; each block size's view of it is dropped after the
-    last cell at that size.  Protocol parts merge with
-    :func:`~repro.protocols.results.merge_shard_results`, breakdowns and
-    comparisons with ``+``.
+    Batches run outside and cells inside, so every cell shares each
+    batch's context (and its block-size-independent word tables), which
+    is dropped before the next one is built; each block size's view of
+    it is dropped after the last cell at that size.  Protocol parts
+    merge with :func:`~repro.protocols.results.merge_shard_results`,
+    breakdowns and comparisons with ``+``.
 
     ``stats``, one dict per cell, accumulates each cell's heartbeat
     ``rows`` and ``batches`` and its kernel ``seconds``.
@@ -303,10 +384,16 @@ def run_kernel_cells(columns, num_procs: int, cells: Sequence, *,
     last = {BlockMap(cell[1]).offset_bits: i for i, cell in enumerate(cells)}
     for bits, i in last.items():
         runs[i] = _dropping_view(runs[i], bits)
-    unit_bits = max(BlockMap(cell[1]).offset_bits for cell in cells)
+    unit_bits = max(last)
+    if plan is None:
+        plan = plan_batches(columns, unit_bits)
+    elif plan.num_sets or plan.unit_bits < unit_bits:
+        raise ConfigError(
+            f"a plan of {2 ** plan.unit_bits}-word units"
+            f"{' by cache set' if plan.num_sets else ''} does not hold "
+            f"whole {2 ** unit_bits}-word blocks")
     contexts = _batch_contexts(
-        columns, num_procs, unit_bits,
-        columns.data_mask() if select is None else select,
+        columns, num_procs, plan.batches(shard),
         sync=any(cell[0] == "protocol" for cell in cells))
     parts = _run_batches(runs, contexts, num_procs, stats)
     return [merge_shard_results(p) if cell[0] == "protocol"

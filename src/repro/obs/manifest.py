@@ -8,8 +8,8 @@
 * the **manifest** — a queryable summary folded live from the stream:
   run id and config, every trace's cache key, per-cell outcome
   (done / resumed / failed), durations, rows, events/s, attempts,
-  shard counts and plan digests, predicted-vs-observed footprint, and
-  run-wide counters (cache hits/misses, retries, timeouts, OOMs,
+  shard counts and plan digests, observed worker RSS, and run-wide
+  counters (cache hits/misses, retries, timeouts, OOMs,
   degradation-ladder steps);
 * the **activation scope**: entering a :class:`RunTelemetry` installs
   its recorder as the process-current one (:func:`repro.obs.get_recorder`),
@@ -94,8 +94,8 @@ class _CellStats:
 
     __slots__ = ("trace_key", "cell", "status", "duration_s", "rows",
                  "attempts", "failed_attempts", "shards", "plan_digest",
-                 "partition_dim", "kernel", "predicted_bytes",
-                 "observed_rss_kb", "result_sha256", "order")
+                 "partition_dim", "kernel", "observed_rss_kb",
+                 "result_sha256", "order")
 
     def __init__(self, trace_key: str, cell: Tuple, order: int):
         self.trace_key = trace_key
@@ -109,13 +109,12 @@ class _CellStats:
         self.plan_digest: Optional[str] = None
         self.partition_dim: Optional[str] = None
         self.kernel: Optional[str] = None
-        self.predicted_bytes: Optional[int] = None
         self.observed_rss_kb: Optional[int] = None
         self.result_sha256: Optional[str] = None
         self.order = order
 
     def as_dict(self, traces: Dict[str, dict]) -> dict:
-        entry = {
+        return {
             "trace": traces.get(self.trace_key, {}).get("name"),
             "trace_key": self.trace_key,
             "cell": list(self.cell),
@@ -130,14 +129,9 @@ class _CellStats:
             "plan_digest": self.plan_digest,
             "partition_dim": self.partition_dim,
             "kernel": self.kernel,
-            "predicted_bytes": self.predicted_bytes,
             "observed_rss_kb": self.observed_rss_kb,
             "result_sha256": self.result_sha256,
         }
-        pred, rss = self.predicted_bytes, self.observed_rss_kb
-        entry["footprint_ratio"] = (
-            round(pred / (rss * 1024), 3) if pred and rss else None)
-        return entry
 
 
 class RunTelemetry:
@@ -375,8 +369,6 @@ class RunTelemetry:
                 value = int(record.get("value", 0))
                 stats.observed_rss_kb = max(stats.observed_rss_kb or 0,
                                             value)
-            elif name == "footprint.predicted_bytes":
-                stats.predicted_bytes = int(record.get("value", 0))
 
     def _fold_event(self, record: dict) -> None:
         name = record.get("name")

@@ -5,7 +5,7 @@ Backs the ``repro report`` subcommand: given a ``--telemetry`` directory
 
 * a header with run id, outcome, wall duration and counters,
 * a per-cell table (status, attempts, shards, duration, rows, events/s,
-  predicted-vs-observed footprint ratio, result digest),
+  result digest),
 * the top-N slowest spans from ``events.jsonl``.
 
 Everything is computed over the manifest and event stream — the same
@@ -128,11 +128,7 @@ def render_summary(summary: dict) -> str:
     cells = summary.get("cells", [])
     if cells:
         rows = []
-        ratios = []
         for entry in cells:
-            ratio = entry.get("footprint_ratio")
-            if ratio:
-                ratios.append(ratio)
             rows.append([
                 _fmt_cell(entry.get("cell", [])),
                 str(entry.get("status", "?")),
@@ -141,18 +137,11 @@ def render_summary(summary: dict) -> str:
                 _fmt_num(entry.get("duration_s"), "{:.3f}"),
                 str(entry.get("rows", 0)),
                 _fmt_num(entry.get("events_per_sec"), "{:.0f}"),
-                _fmt_num(ratio, "{:.2f}"),
                 str(entry.get("result_sha256") or "-"),
             ])
         out.append(_table(
             ["cell", "status", "att", "shards", "dur_s", "rows",
-             "ev/s", "pred/obs", "result"], rows))
-        if ratios:
-            out.append("")
-            out.append(f"  footprint model: predicted/observed ratio "
-                       f"mean={sum(ratios) / len(ratios):.2f} "
-                       f"min={min(ratios):.2f} max={max(ratios):.2f} "
-                       f"over {len(ratios)} cells")
+             "ev/s", "result"], rows))
     else:
         out.append("  (no cells recorded)")
 

@@ -24,20 +24,6 @@ from .runner import (
     run_protocols,
 )
 from .sd import SDProtocol
-from .sharding import (
-    BY_BLOCK,
-    SHARDABLE_PROTOCOLS,
-    PartitionDim,
-    ShardPlan,
-    by_cache_set,
-    plan_for_trace,
-    plan_shards,
-    run_finite_shard,
-    run_finite_sharded,
-    run_protocol_shard,
-    run_protocol_sharded,
-    shard_subtrace,
-)
 from .sector import SectorProtocol, sector_sweep_sizes
 from .traffic import Traffic, TrafficModel, estimate_traffic, traffic_per_reference
 from .update import CUProtocol, WUProtocol
@@ -46,11 +32,7 @@ from .wbwi import WBWIProtocol
 
 __all__ = [
     "ALL_PROTOCOLS",
-    "BY_BLOCK",
     "Counters",
-    "PartitionDim",
-    "SHARDABLE_PROTOCOLS",
-    "ShardPlan",
     "FiniteOTFProtocol",
     "LifetimeTracker",
     "MAXSchedule",
@@ -68,7 +50,6 @@ __all__ = [
     "TrafficModel",
     "WBWIProtocol",
     "WUProtocol",
-    "by_cache_set",
     "cache_geometry",
     "estimate_traffic",
     "finite_spec",
@@ -76,17 +57,10 @@ __all__ = [
     "traffic_per_reference",
     "make_protocol",
     "merge_shard_results",
-    "plan_for_trace",
-    "plan_shards",
     "protocol_names",
     "register",
-    "run_finite_shard",
-    "run_finite_sharded",
     "run_protocol",
     "run_protocol_grid",
-    "run_protocol_shard",
-    "run_protocol_sharded",
     "run_protocols",
     "sector_sweep_sizes",
-    "shard_subtrace",
 ]

@@ -19,9 +19,10 @@ infinite-cache protocols.  The ``bench_finite_cache.py`` benchmark
 verifies the paper's expectation: the essential fraction of the miss rate
 grows as capacity shrinks.
 
-Because LRU couples blocks only *within* a set, runs with ``num_sets > 1``
-shard along the ``by-cache-set`` partition dimension
-(:func:`~repro.protocols.sharding.by_cache_set`).
+Because LRU couples blocks only *within* a set, and OTF ignores sync
+events, disjoint groups of sets run independently: the vectorized kernel
+batches a run ``num_sets > 1`` by cache set
+(:func:`~repro.kernels.run_finite_kernel`).
 """
 
 from __future__ import annotations

@@ -56,10 +56,11 @@ class Counters:
         Every field is a count of events attributable to a single
         (processor, block) pair — MIN's ``write_throughs`` count stores
         (one block each), SD/SRD's ``stores_buffered``/``stores_combined``
-        count per-(proc, block) buffer entries — so summing per-shard
-        counters reproduces the whole-trace counters exactly.  Per-proc
-        store-buffer *occupancy* across blocks is not a counter and is not
-        modeled cross-shard (see :mod:`repro.protocols.sharding`).
+        count per-(proc, block) buffer entries, the finite cache's
+        ``replacements`` count per-(proc, set) evictions — so summing
+        per-shard counters reproduces the whole-trace counters exactly.
+        Per-proc store-buffer *occupancy* across blocks is not a counter,
+        and a counter that depended on it could not be merged this way.
         """
         total = cls()
         names = [f.name for f in fields(cls)]
@@ -130,9 +131,11 @@ def merge_shard_results(parts: Sequence[ProtocolResult]) -> ProtocolResult:
     """Merge per-shard partial results into one whole-trace result.
 
     Valid when the parts come from a disjoint partition of the trace's
-    blocks (see :mod:`repro.protocols.sharding`): lifetimes, miss classes
-    and every counter are per-(block, processor), so the merged result is
-    bit-identical to a single whole-trace run.  All parts must describe
+    blocks (or, for a finite cache, of its sets), each run with every
+    sync event of the trace: lifetimes, miss classes and every counter
+    are per-(block, processor), and sync events act on every part alike
+    by order, so the merged result is bit-identical to a single
+    whole-trace run.  All parts must describe
     the same protocol, trace, block size and processor count.
     """
     if not parts:

@@ -17,10 +17,9 @@ them survive partial failure:
 * :class:`~repro.runtime.faults.FaultPlan` — deterministic fault
   injection (crash / hang / raise / exhaust-memory / corrupt) that makes
   all of the above testable;
-* :mod:`~repro.runtime.resources` — the resource governor: calibrated
-  footprint model and preflight admission under ``--memory-budget``,
-  per-worker ``RLIMIT_AS`` soft caps, and disk-budget helpers for the
-  trace cache and checkpoint directories;
+* :mod:`~repro.runtime.resources` — the resource governor: per-worker
+  ``RLIMIT_AS`` soft caps that share out ``--memory-budget``, and
+  disk-budget helpers for the trace cache and checkpoint directories;
 * :mod:`~repro.runtime.signals` — two-phase graceful shutdown
   (SIGINT/SIGTERM → drain → resumable exit; second signal forces) and
   the progress counter behind the worker heartbeat / stall watchdog.
@@ -30,16 +29,11 @@ from .checkpoint import CheckpointJournal, default_checkpoint_dir
 from .faults import FaultInjectedError, FaultPlan, exhaust_address_space
 from .policy import FAIL_KINDS, POLICY, classify_exitcode
 from .resources import (
-    DEFAULT_FOOTPRINT_MODEL,
-    Admission,
-    FootprintModel,
     apply_worker_rlimit,
     ensure_free_space,
-    estimate_cell_bytes,
     format_size,
     parse_size,
     peak_rss_bytes,
-    plan_admission,
 )
 from .resources import (
     DEFAULT_TMP_MAX_AGE_S,
@@ -58,15 +52,12 @@ from .signals import (
 from .supervisor import Supervisor
 
 __all__ = [
-    "Admission",
     "CheckpointJournal",
-    "DEFAULT_FOOTPRINT_MODEL",
     "DEFAULT_RETRY_POLICY",
     "DEFAULT_TMP_MAX_AGE_S",
     "FAIL_KINDS",
     "FaultInjectedError",
     "FaultPlan",
-    "FootprintModel",
     "HEARTBEAT_CHUNK",
     "POLICY",
     "RetryPolicy",
@@ -77,7 +68,6 @@ __all__ = [
     "classify_exitcode",
     "default_checkpoint_dir",
     "ensure_free_space",
-    "estimate_cell_bytes",
     "exhaust_address_space",
     "format_size",
     "gc_stale_tmp",
@@ -85,6 +75,5 @@ __all__ = [
     "graceful_shutdown",
     "note_progress",
     "peak_rss_bytes",
-    "plan_admission",
     "resolve_tmp_max_age",
 ]

@@ -44,9 +44,9 @@ class FaultPlan:
     ``(kind, block_bytes, which)`` tuple) **or** by the task's integer
     index in the supervisor's task list; the value is the number of
     leading attempts that fail.  A cell key matches every task that runs
-    the cell — the cell itself, a group task holding it, or each of its
-    shard subtasks — so it fires however the engine cuts the grid into
-    tasks; an index counts tasks, not cells.
+    the cell — the cell itself, a group task holding it or one of its
+    shard members, or a shard member alone — so it fires however the
+    engine cuts the grid into tasks; an index counts tasks, not cells.
     ``crash={2: 1}`` kills the worker running the third task on its
     first attempt only — the retry succeeds.
     """
@@ -128,11 +128,14 @@ class FaultPlan:
 
 def _fault_keys(task) -> list:
     """The keys a task matches: itself or a group's members, plus the
-    parent cell of a shard subtask ``(kind-shard, bb, which, digest, s)``."""
-    keys = task_cells(task)
-    kind = task[0] if isinstance(task, (tuple, list)) and task else None
-    if isinstance(kind, str) and kind.endswith("-shard"):
-        keys.append((kind[:-len("-shard")],) + tuple(task[1:3]))
+    cell of each shard member ``(kind-shard, bb, which, digest, s)``."""
+    keys = []
+    for member in task_cells(task):
+        keys.append(member)
+        kind = (member[0] if isinstance(member, (tuple, list)) and member
+                else None)
+        if isinstance(kind, str) and kind.endswith("-shard"):
+            keys.append((kind[:-len("-shard")],) + tuple(member[1:3]))
     return keys
 
 

@@ -16,9 +16,8 @@ failures:
 * ``serial`` — a cell run in-process (``jobs=1``, one task, no fork):
   ``retry`` up to ``max_attempts`` attempts, then ``abort``;
 * ``run`` — the OOM ladder (:class:`OomLadder`): ``halve_jobs``, then
-  ``raise_shards`` at the halved concurrency, then ``serial`` in-process,
-  each skipped when it would not change the run and each keeping the
-  salvaged partials; then ``abort`` (the hand-off's
+  ``serial`` in-process, each skipped when it would not change the run
+  and each keeping the salvaged parts; then ``abort`` (the hand-off's
   :class:`~repro.errors.ResourceExhaustedError`, exit 3).
 
 The supervisor and the engine's grid loop only carry out the action
@@ -51,7 +50,7 @@ POLICY: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "pool": {**dict.fromkeys(FAIL_KINDS, ("retry", "serial", "abort")),
              "oom": ("degrade", "retry", "serial", "abort")},
     "serial": dict.fromkeys(FAIL_KINDS, ("retry", "abort")),
-    "run": {"oom": ("halve_jobs", "raise_shards", "serial", "abort")},
+    "run": {"oom": ("halve_jobs", "serial", "abort")},
 }
 
 _NEXT_STEP = {"retry": "retrying after backoff",
@@ -196,28 +195,23 @@ def cells_abandoned(tasks: Sequence) -> None:
 class OomLadder:
     """The ``run`` row for ``oom``, carried out on one run's configuration.
 
-    Starts at the configured ``(jobs, shards)``.  Each OOM hand-off from a
-    worker pool (:meth:`step`) takes the row's next action that changes
-    the run: halve the worker count (if ``1 < jobs // 2 < jobs``), double
-    the shard count at the halved concurrency (if ``jobs // 2 > 1``), run
-    serial in-process (always last).  The caller re-runs with the new
-    :attr:`jobs`/:attr:`shards`, keeping the salvaged partials.
+    Starts at the configured ``jobs``.  Each OOM hand-off from a worker
+    pool (:meth:`step`) takes the row's next action that changes the
+    run: halve the worker count (if ``1 < jobs // 2 < jobs``), run serial
+    in-process (always last).  The caller re-runs with the new
+    :attr:`jobs`, keeping the salvaged parts.
     """
 
-    def __init__(self, jobs: int, shards: Optional[int]):
-        self.jobs, self.shards, self.label = jobs, shards, "configured"
+    def __init__(self, jobs: int):
+        self.jobs, self.label = jobs, "configured"
         half = max(1, jobs // 2)
-        self._steps: List[Tuple[int, Optional[int], str]] = []
+        self._steps: List[Tuple[int, str]] = []
         for action in POLICY["run"]["oom"]:
             if action == "halve_jobs" and 1 < half < jobs:
                 self._steps.append(
-                    (half, shards, f"halved workers ({jobs} -> {half})"))
-            elif action == "raise_shards" and half > 1:
-                doubled = max(2, (shards if shards and shards > 1 else 1) * 2)
-                self._steps.append(
-                    (half, doubled, f"raised shard count to {doubled}"))
+                    (half, f"halved workers ({jobs} -> {half})"))
             elif action == "serial":
-                self._steps.append((1, 1, "serial in-process"))
+                self._steps.append((1, "serial in-process"))
 
     @property
     def spent(self) -> bool:
@@ -228,12 +222,12 @@ class OomLadder:
         """Carry out the next action after ``exc``; re-raise it to abort."""
         if exc.kind != "memory" or self.spent:
             raise exc
-        jobs, shards, label = self._steps.pop(0)
+        jobs, label = self._steps.pop(0)
         salvaged = len(exc.partial)
         get_recorder().event("ladder.step", level="warning", rung=self.label,
                              next_rung=label, salvaged=salvaged)
         detail = str(exc).splitlines()[0]
         warn_resource(f"OOM-class failure at rung {self.label!r} ({detail}); "
-                      f"degrading to {label!r} with {salvaged} task(s) "
+                      f"degrading to {label!r} with {salvaged} result(s) "
                       f"salvaged")
-        self.jobs, self.shards, self.label = jobs, shards, label
+        self.jobs, self.label = jobs, label

@@ -1,29 +1,20 @@
 """Resource governor: memory/disk budgets and per-worker memory caps.
 
 A paper-scale sweep (LU200, MP3D10000, WATER288) can exceed physical
-memory: a whole-trace columnar cell or a wide ``--shards`` fan-out gets
-SIGKILLed by the kernel OOM killer, and a supervisor that only sees
-"worker died" retries the *same* oversized configuration until retries
-are exhausted.  This module makes the sweep engine admit, budget and
-degrade instead of crash-looping:
+memory, and a supervisor that only sees "worker died" would retry the
+*same* oversized configuration until retries are exhausted.  This
+module lets the sweep engine budget and degrade instead of
+crash-looping:
 
-* a calibrated **footprint model** (:func:`estimate_cell_bytes`) maps one
-  grid cell's columnar row count and per-(block, processor) state onto a
-  conservative byte estimate, used for **preflight admission**
-  (:func:`plan_admission`) — never launch more concurrent cells/shards
-  than the ``--memory-budget`` allows;
 * per-worker **soft caps** (:func:`apply_worker_rlimit`, built on
-  ``resource.setrlimit(RLIMIT_AS)``) turn an over-budget worker into a
-  clean, ``oom``-classified :class:`MemoryError` instead of a mid-write
-  SIGKILL, which :mod:`repro.runtime.policy` answers by moving the run
-  down its OOM ladder (halve workers, raise the shard count, serial);
+  ``resource.setrlimit(RLIMIT_AS)``): under ``--memory-budget`` each
+  worker of a rung may grow by ``budget // workers``, and an over-cap
+  worker fails with a clean, ``oom``-classified :class:`MemoryError`
+  instead of a mid-write SIGKILL, which :mod:`repro.runtime.policy`
+  answers by moving the run down its OOM ladder (halve workers, then
+  serial);
 * a **disk budget** (:func:`ensure_free_space`, :func:`dir_size_bytes`)
   guards the trace cache and checkpoint directories.
-
-The model constants are deliberately *over*-estimates: admission must be
-an upper bound on real usage (checked against measured peak RSS in
-``tests/test_resources.py``), because under-admission merely leaves cores
-idle while over-admission re-invites the OOM killer.
 """
 
 from __future__ import annotations
@@ -33,8 +24,7 @@ import os
 import shutil
 import time
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..errors import ConfigError, ResourceExhaustedError
 
@@ -140,7 +130,7 @@ def apply_worker_rlimit(extra_bytes: Optional[int]) -> Optional[int]:
     Returns the absolute soft limit that was installed, or ``None`` when
     no cap could be applied (non-POSIX, unreadable statm, or a
     pre-existing harder limit); failure to cap is never fatal — the
-    governor then relies on admission alone.
+    worker then runs uncapped.
     """
     if resource is None or extra_bytes is None:
         return None
@@ -172,132 +162,6 @@ def peak_rss_bytes(who: str = "self") -> int:
     which = (resource.RUSAGE_CHILDREN if who == "children"
              else resource.RUSAGE_SELF)
     return resource.getrusage(which).ru_maxrss * 1024
-
-
-# ----------------------------------------------------------------------
-# footprint model
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FootprintModel:
-    """Calibrated byte costs behind :func:`estimate_cell_bytes`.
-
-    The sweep's per-worker footprint is dominated by three terms:
-
-    * ``worker_base_bytes`` — interpreter + numpy + result objects that
-      every worker pays once regardless of trace size;
-    * ``bytes_per_event`` — per data row: the columnar int64 triple
-      (24 B), the decoded plain-int row lists fed to the streaming loops
-      (three boxed ints + list slots, ~110 B), and per-row derived
-      columns (block ids, offset bits, shard sub-trace copies);
-    * ``bytes_per_block_proc`` — per (block, processor) state pair:
-      presence/EM/FR flags, word-version dicts, invalidation buffers.
-      One data row touches at most one pair, so ``min(rows, pairs)`` is
-      bounded by the row count — the model charges every row once, which
-      over-counts (pairs repeat) but keeps the estimate an upper bound
-      without knowing the block size.
-
-    Constants are calibrated against measured peak RSS on the benchmark
-    traces (see ``tests/test_resources.py::TestFootprintModel``); they
-    err high on purpose — admission must never under-estimate.
-    """
-
-    worker_base_bytes: int = 48 << 20
-    bytes_per_event: int = 200
-    bytes_per_block_proc: int = 112
-
-    def cell_bytes(self, num_events: int, shards: int = 1) -> int:
-        """Estimated peak bytes of one cell (or one shard of it)."""
-        shards = max(1, shards)
-        rows = -(-max(0, num_events) // shards)  # ceil
-        return (self.worker_base_bytes
-                + rows * (self.bytes_per_event + self.bytes_per_block_proc))
-
-
-#: Model used when the caller does not supply one.
-DEFAULT_FOOTPRINT_MODEL = FootprintModel()
-
-
-def estimate_cell_bytes(trace, which: Optional[str] = None, shards: int = 1,
-                        *, model: Optional[FootprintModel] = None) -> int:
-    """Estimated peak bytes of running one grid cell over ``trace``.
-
-    ``trace`` may be a :class:`~repro.trace.trace.Trace` or a plain event
-    count.  ``which`` names the protocol/classifier (currently every cell
-    kind shares one conservative model — the per-(block, proc) state term
-    dominates identically); ``shards > 1`` divides the per-row terms,
-    which is exactly why the OOM ladder raises the shard count to shrink
-    per-worker footprint.
-    """
-    model = model or DEFAULT_FOOTPRINT_MODEL
-    num_events = trace if isinstance(trace, int) else len(trace)
-    return model.cell_bytes(num_events, shards)
-
-
-# ----------------------------------------------------------------------
-# preflight admission
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Admission:
-    """Outcome of preflight admission under a memory budget.
-
-    ``jobs``/``shards`` are the admitted concurrency and shard count;
-    ``worker_cap_bytes`` is the per-worker address-space growth cap to
-    install via :func:`apply_worker_rlimit` (``None`` when no budget);
-    ``over_budget`` flags that even one serial worker exceeds the budget
-    (the sweep still runs, serially and uncapped, with a warning — a
-    budget is a scheduling input, not a correctness gate).
-    """
-
-    jobs: int
-    shards: int
-    worker_cap_bytes: Optional[int]
-    over_budget: bool = False
-
-    def describe(self) -> str:
-        cap = (format_size(self.worker_cap_bytes)
-               if self.worker_cap_bytes else "none")
-        return (f"jobs={self.jobs} shards={self.shards} "
-                f"worker_cap={cap}"
-                + (" (over budget: serial, uncapped)"
-                   if self.over_budget else ""))
-
-
-def plan_admission(budget_bytes: int, jobs: int, shards: int,
-                   estimate: Callable[[int], int], *,
-                   shardable: bool = True,
-                   max_shards: int = 64) -> Admission:
-    """Fit ``jobs`` concurrent workers under ``budget_bytes``.
-
-    ``estimate(s)`` is the per-worker footprint at shard count ``s``
-    (typically :func:`estimate_cell_bytes` curried over the trace).  The
-    policy mirrors the degradation ladder, applied *before* launch:
-
-    1. if one worker at the requested shard count fits, admit
-       ``min(jobs, budget // per_worker)`` workers (at least one);
-    2. else, while the cells are shardable, double the shard count —
-       smaller per-shard footprint — until one worker fits (capped at
-       ``max_shards``);
-    3. else run serial and uncapped, flagged ``over_budget``.
-
-    The per-worker cap is the budget's fair share (``budget / jobs``),
-    never below the estimate itself, so a worker that behaves per the
-    model is never killed by its own rlimit.
-    """
-    if budget_bytes <= 0:
-        raise ConfigError(
-            f"memory budget must be positive, got {budget_bytes}")
-    shards = max(1, shards)
-    per_worker = estimate(shards)
-    while per_worker > budget_bytes and shardable and shards < max_shards:
-        shards = min(max_shards, shards * 2)
-        per_worker = estimate(shards)
-    if per_worker > budget_bytes:
-        return Admission(jobs=1, shards=max(1, shards), worker_cap_bytes=None,
-                         over_budget=True)
-    admitted = max(1, min(jobs, budget_bytes // per_worker))
-    cap = max(per_worker, budget_bytes // admitted)
-    return Admission(jobs=int(admitted), shards=shards,
-                     worker_cap_bytes=int(cap))
 
 
 def resolve_memory_budget(explicit: Optional[int] = None) -> Optional[int]:

@@ -131,14 +131,17 @@ def _worker_main(conn) -> None:
     faults = _WORKER_FAULTS
     signals.reset_in_child()
     recorder = worker_begin()
-    if _WORKER_RLIMIT is not None:
-        apply_worker_rlimit(_WORKER_RLIMIT)
     send_lock = threading.Lock()
     current: List = [None]  # [(idx, task)] while a task is in flight
     if _WORKER_HEARTBEAT is not None:
         threading.Thread(target=_heartbeat_loop,
                          args=(conn, send_lock, current, _WORKER_HEARTBEAT),
                          name="repro-heartbeat", daemon=True).start()
+    # The cap bounds the tasks' growth, not the worker's own set-up: a
+    # thread that cannot allocate its state never reports started, and
+    # its start() would wait forever.
+    if _WORKER_RLIMIT is not None:
+        apply_worker_rlimit(_WORKER_RLIMIT)
     while True:
         try:
             msg = conn.recv()

@@ -9,8 +9,8 @@ cycles against one checkpoint directory eventually completes with results
 uninterrupted run.
 
 The property runs over the execution paths that shard or retry work
-differently: serial, by-block-sharded workers, and by-cache-set-sharded
-finite-cache cells.  Grids are kept tiny (MATMUL24 / WATER16, 2-3 cells)
+differently: serial, kernel cells in block ranges on workers, and
+finite-cache cells in ranges of cache sets.  Grids are kept tiny (MATMUL24 / WATER16, 2-3 cells)
 so each soak is seconds, not minutes; the CI chaos-soak job runs the
 bigger, longer variant via ``python tests/chaos.py``.
 """

@@ -293,3 +293,46 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "interrupted" in err
         assert "--resume" in err  # tells the operator how to continue
+
+
+#: Runs ``repro`` with ``main`` patched to finish its command and then
+#: raise ``KeyboardInterrupt``: a SIGINT landing after main's shutdown
+#: scope has closed, when Python's default handler is back.
+LATE_SIGINT = """
+import sys
+from repro import cli
+
+real_main = cli.main
+
+
+def main(argv=None):
+    real_main(sys.argv[1:])
+    raise KeyboardInterrupt
+
+
+cli.main = main
+{entry}
+"""
+
+
+class TestLateInterrupt:
+    @pytest.mark.parametrize("entry", [
+        "import runpy; runpy.run_module('repro', run_name='__main__')",
+        "sys.exit(cli.entry_point())",  # the console script
+    ], ids=["python-m", "console-script"])
+    def test_sigint_after_the_scope_exits_resumable(self, trace_file, entry):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", LATE_SIGINT.format(entry=entry),
+             "classify", trace_file],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_INTERRUPTED, proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == "interrupted"
+        assert "cli-demo @ B=64" in proc.stdout  # the run had completed

@@ -3,12 +3,14 @@
 The streaming classifiers/protocols are the oracle: every test here
 checks that `repro.kernels` reproduces their counters bit-for-bit — over
 the real workload generators, over hypothesis-random traces (sync events
-included), under arbitrary shard partitions through the engine, and
+included), under arbitrary range cuts through the engine, and
 through the CLI.  Integration tests cover the resolution contract, the
 checkpoint kernel binding, heartbeat granularity and the stall watchdog.
 """
 
+import functools
 import gc
+import operator
 import os
 import time
 import tracemalloc
@@ -33,6 +35,7 @@ from repro.kernels import (
     KernelContext,
     effective_kernel_mode,
     has_kernel,
+    plan_batches,
     resolve_kernel,
     validate_kernel_mode,
 )
@@ -43,6 +46,7 @@ from repro.kernels.finite import run_finite_kernel
 from repro.kernels.protocols import run_kernel_cells
 from repro.mem.addresses import PAPER_BLOCK_SIZES, BlockMap
 from repro.protocols.finite import FiniteOTFProtocol
+from repro.protocols.results import merge_shard_results
 from repro.protocols.runner import make_protocol, run_protocols
 from repro.runtime import signals
 from repro.runtime.checkpoint import CheckpointJournal
@@ -118,7 +122,7 @@ class TestDifferentialWorkloads:
 
 
 # ----------------------------------------------------------------------
-# hypothesis: random traces (sync included), arbitrary shard partitions
+# hypothesis: random traces (sync included), arbitrary range cuts
 # ----------------------------------------------------------------------
 MAX_PROCS = 4
 MAX_WORDS = 16
@@ -154,13 +158,15 @@ def test_engine_grids_match_under_arbitrary_shardings(trace, shards):
     """vectorized+sharded == interpreted+serial through the engine.
 
     Exercises the full integration surface per example: the kernel
-    cells as one group task (one shard) or as shard subtasks, each one
-    ``run_kernel_cells`` pass, ``run_finite``, and
-    ``merge_shard_results`` / breakdown addition over an arbitrary shard
-    count (finite cells shard ``by-cache-set``).
+    cells as one group task per range of their 7-row-batch plan, each
+    one ``run_kernel_cells`` pass, the finite cells' ranges by cache
+    set, and ``merge_shard_results`` / breakdown addition over an
+    arbitrary range count.
     """
-    vec = SweepEngine(trace, jobs=1, shards=shards,
-                      kernel="vectorized").run_grid(GRID)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_protocols, "BATCH_ROWS", 7)
+        vec = SweepEngine(trace, jobs=1, shards=shards,
+                          kernel="vectorized").run_grid(GRID)
     ref = SweepEngine(trace, jobs=1, shards=1,
                       kernel="interpreted").run_grid(GRID)
     assert vec == ref
@@ -263,9 +269,9 @@ class TestFiniteKernel:
                   for i in range(8) for p in range(2)]
         trace = Trace(events, 2, validate=False)
         n = len(events)
-        batches = list(kernel_protocols._unit_batches(
-            np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool)))
-        assert [len(b) for b in batches] == [n]
+        _, ends = kernel_protocols._plan_rows(
+            np.zeros(n, dtype=np.int64), np.ones(n, dtype=bool))
+        assert np.diff(ends).tolist() == [n]
         r = run_finite_checked(trace, 4, 2)
         assert r.replacement_misses > 0
 
@@ -300,7 +306,7 @@ class TestKernelContextAcquires:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernel_protocols, "BATCH_ROWS", 2)
             ctxs = list(kernel_protocols._batch_contexts(
-                cols, 2, 4, cols.data_mask()))
+                cols, 2, plan_batches(cols, 4).batches()))
         assert [c.n for c in ctxs] == [2, 2]
         assert all(callable(c._releases) for c in ctxs)
         # Block 0 (rows 0, 4): both releases fall between its rows.
@@ -363,7 +369,7 @@ class TestMaxKernel:
         trace = Trace(events, 3, validate=False)
         cols = trace.columns()
         ctxs = list(kernel_protocols._batch_contexts(
-            cols, 3, BlockMap(8).offset_bits, cols.data_mask()))
+            cols, 3, plan_batches(cols, BlockMap(8).offset_bits).batches()))
         assert [c.release_table()[1].tolist() for c in ctxs] == [
             [3, 3, 3], [1, 1]]
         r = run_checked("MAX", trace, 8)
@@ -419,7 +425,7 @@ class TestSendDelayedKernel:
         trace = Trace(events, 3, validate=False)
         cols = trace.columns()
         ctxs = list(kernel_protocols._batch_contexts(
-            cols, 3, BlockMap(8).offset_bits, cols.data_mask()))
+            cols, 3, plan_batches(cols, BlockMap(8).offset_bits).batches()))
         assert [c.release_table()[1].tolist() for c in ctxs] == [
             [3, 3, 3], [1, 1]]
         for name in ("SD", "SRD"):
@@ -480,42 +486,21 @@ KERNEL_CELLS = st.lists(st.one_of(
               st.none())), min_size=1, max_size=6)
 
 
-def _shard_select(trace, cells, shards, shard):
-    """A data-row mask of one block shard, at the cells' largest block
-    (whole blocks at every smaller size too)."""
-    cols = trace.columns()
-    bits = BlockMap(max(c[1] for c in cells)).offset_bits
-    select = cols.data_mask()
-    select &= (cols.addr >> bits) % shards == shard
-    return select
-
-
-def _sub_trace(trace, select):
-    """The trace's selected data rows plus every sync row."""
-    cols = trace.columns()
-    keep = select | ~cols.data_mask()
-    events = zip(cols.proc[keep].tolist(), cols.op[keep].tolist(),
-                 cols.addr[keep].tolist())
-    return Trace(list(events), trace.num_procs, validate=False,
-                 name=trace.name)
-
-
 def _batched_matches_oracles(trace, cells, shards=1):
     """Every cell of one :func:`run_kernel_cells` pass equals its own
-    oracle; with ``shards`` > 1, over each block shard's rows (a protocol
-    shard keeps every sync row of the trace)."""
+    oracle; with ``shards`` > 1, the parts of the passes over each range
+    of a plan cut into ``shards`` ranges merge to it."""
     name = trace.name or "<anonymous>"
-    for shard in range(shards):
-        select = None
-        want_trace = trace
-        if shards > 1:
-            select = _shard_select(trace, cells, shards, shard)
-            want_trace = _sub_trace(trace, select)
-        got = run_kernel_cells(trace.columns(), trace.num_procs, cells,
-                               trace_name=name, select=select)
-        for cell, result in zip(cells, got):
-            want = _cell_oracle(want_trace, cell)
-            assert result == want, (cell, shard, shards)
+    cols = trace.columns()
+    plan = plan_batches(cols, BlockMap(max(c[1] for c in cells)).offset_bits,
+                        ranges=shards)
+    parts = [run_kernel_cells(cols, trace.num_procs, cells, trace_name=name,
+                              plan=plan, shard=s)
+             for s in range(plan.num_ranges)]
+    for cell, got in zip(cells, zip(*parts)):
+        merged = (merge_shard_results(got) if cell[0] == "protocol"
+                  else functools.reduce(operator.add, got))
+        assert merged == _cell_oracle(trace, cell), (cell, shards)
 
 
 @given(traces(), KERNEL_CELLS, st.integers(1, 3))
@@ -644,8 +629,9 @@ def test_a_first_unit_larger_than_a_batch_is_cut_alone(monkeypatch):
     own, and the units after it are still cut into batches."""
     monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 7)
     units = np.repeat(np.arange(4), [10, 3, 3, 2])
-    batches = list(kernel_protocols._unit_batches(
-        units.copy(), np.ones(len(units), dtype=bool)))
+    order, ends = kernel_protocols._plan_rows(
+        units.copy(), np.ones(len(units), dtype=bool))
+    batches = [order[a:b] for a, b in zip(ends[:-1], ends[1:])]
     assert [units[b].tolist() for b in batches] == [
         [0] * 10, [1, 1, 1, 2, 2, 2], [3, 3]]
 

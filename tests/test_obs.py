@@ -16,8 +16,8 @@ Pins the observability acceptance criteria:
 * supervisor retries and ladder degradations announce themselves as
   warning logs and ``task.failed`` telemetry events at the moment they
   happen;
-* the footprint model's predicted-vs-observed ratio lands in the
-  manifest, and ``repro report`` renders all of it.
+* the workers' observed peak RSS lands in the manifest, and ``repro
+  report`` renders all of it.
 """
 
 import io
@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.engine import SweepEngine
 from repro.errors import ReproError
+from repro.kernels import protocols as kernel_protocols
 from repro.obs import (
     NULL_RECORDER,
     ProgressLine,
@@ -66,6 +67,10 @@ from repro.workloads.registry import make_workload
 #: Block sizes of the recorded acceptance sweep (small but sharded).
 SIZES = (32, 128)
 
+#: Data rows per kernel batch here: the 4000-event trace cuts into
+#: several ranges.
+SMALL_BATCH_ROWS = 257
+
 #: Fast retry policy so failure scenarios stay sub-second.
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05)
 
@@ -74,6 +79,15 @@ FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.05)
 def trace():
     full = make_workload("MP3D200").generate()
     return Trace(full.events[:4000], full.num_procs, name="MP3D200")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def small_batches():
+    """Small kernel batches for the whole module (forked workers inherit
+    the setting)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_protocols, "BATCH_ROWS", SMALL_BATCH_ROWS)
+        yield
 
 
 def _read_records(run_dir):
@@ -189,8 +203,7 @@ class TestSchema:
             rec.span_complete(name, 0.5, cell=["classify", 32, "dubois"])
         for name, unit in (("cache.hit", None), ("cache.miss", None),
                            ("cell.rows", None), ("cell.events_per_sec", None),
-                           ("worker.ru_maxrss_kb", "kb"),
-                           ("footprint.predicted_bytes", "bytes")):
+                           ("worker.ru_maxrss_kb", "kb")):
             rec.metric(name, 42, unit=unit)
         for name in ("run.start", "run.finish", "sweep.start",
                      "sweep.finish", "rung.start", "task.assigned",
@@ -200,7 +213,7 @@ class TestSchema:
                       else "info")
         rec.log("info", "repro.analysis.engine", "hello")
         records = rec.drain()
-        assert len(records) == 24
+        assert len(records) == 23
         for record in records:
             validate_record(record)
 
@@ -275,10 +288,10 @@ class TestRecordedSweep:
             assert entry["result_sha256"]
             assert entry["events_per_sec"] > 0
 
-    def test_footprint_ratio_present_for_worker_cells(self, run):
-        """Satellite: predicted-vs-actual footprint lands per cell."""
-        ratios = [c["footprint_ratio"] for c in run["manifest"]["cells"]]
-        assert all(r is not None and r > 0 for r in ratios)
+    def test_observed_rss_present_for_worker_cells(self, run):
+        """Every cell's entry carries its workers' peak RSS."""
+        rss = [c["observed_rss_kb"] for c in run["manifest"]["cells"]]
+        assert all(r is not None and r > 0 for r in rss)
 
     def test_worker_records_merged_with_worker_pids(self, run):
         parent = os.getpid()
@@ -292,7 +305,6 @@ class TestRecordedSweep:
     def test_report_renders_cells_and_spans(self, run):
         text = render_run(run["dir"])
         assert "classify/32/dubois" in text
-        assert "footprint model" in text
         assert "top" in text and "slowest spans" in text
         spans = slowest_spans(os.path.join(run["dir"], "events.jsonl"),
                               top=3)
@@ -413,7 +425,7 @@ class TestGroupSpans:
     def test_error_spans_overlap_within_the_group_time(self, trace):
         pre = SweepEngine(trace).precompute
 
-        def fail(cells, select=None, stats=None):
+        def fail(cells, plan=None, shard=0, stats=None):
             time.sleep(0.05)
             raise RuntimeError("kernel failed")
 
@@ -441,8 +453,10 @@ class TestOneSpanPerCellProperty:
         degraded rung by rung down to serial after every worker attempt
         OOMs — the merged timeline has exactly one ok ``cell.run`` span
         per grid cell, and the manifest marks every cell done."""
+        # One range is one task, which runs in-process: only a grid cut
+        # into several ranges has workers whose OOMs degrade it.
         plan = (FaultPlan(exhaust_memory={i: 99 for i in range(64)})
-                if degrade and jobs > 1 else None)
+                if degrade and jobs > 1 and shards > 1 else None)
         tel = tempfile.mkdtemp(prefix="repro-obs-prop-")
         engine = SweepEngine(trace, jobs=jobs, shards=shards,
                              retry=FAST_RETRY, fault_plan=plan,
@@ -498,7 +512,7 @@ class TestResumeStability:
 
     def test_parallel_manifest_has_serial_stable_bytes(self, trace,
                                                        tmp_path):
-        """Fork workers and block shards change how a grid runs, never
+        """Fork workers and range shards change how a grid runs, never
         what its manifest's stable view records."""
         manifests = {}
         for label, jobs, shards in (("serial", 1, None),

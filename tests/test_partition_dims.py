@@ -1,15 +1,17 @@
-"""Partition-dimension layer: by-cache-set finite caches and sharded
+"""Plan units: by-cache-set finite caches and sharded
 Eggers/Torrellas/compare cells.
 
 Acceptance criteria covered here:
 
-* hypothesis property: *any* partition of the cache sets — arbitrary
-  assignments, not just the LPT plan — merges bit-identically for
+* hypothesis properties: range cuts of a finite cell's set plan, and
+  *any* assignment of whole cache sets to ranges — not just the
+  planner's contiguous cuts — merge bit-identically to
   ``FiniteOTFProtocol`` across associativities (ways ∈ {1, 2, full});
+* a finite cell's batch plan keeps whole cache sets together, and its
+  digest differs from a by-block plan's, so checkpoint resume can never
+  mix by-block and by-cache-set parts;
 * sharded Eggers, Torrellas and three-way compare cells match their
   serial runs on all six workloads;
-* the shard-plan digest embeds the partition dimension, so checkpoint
-  resume can never mix ``by-block`` and ``by-cache-set`` partials;
 * finite caches are reachable from the CLI (``repro simulate
   --capacity-blocks N [--ways W]``) and shard to identical output;
 * the telemetry manifest records ``partition_dim`` per cell.
@@ -26,111 +28,96 @@ from hypothesis import given, settings
 
 from repro.analysis.engine import SweepEngine, partition_dim_for
 from repro.classify.breakdown import SimpleBreakdown
-from repro.classify.compare import ClassificationComparison, compare_classifications
-from repro.errors import ConfigError, ProtocolError
+from repro.classify.compare import compare_classifications
+from repro.errors import ConfigError
+from repro.kernels import plan_batches, protocols as kernel_protocols
+from repro.kernels import BatchPlan, run_finite_kernel, run_kernel_cells
 from repro.mem.addresses import BlockMap
 from repro.obs import find_runs, load_manifest, validate_manifest
 from repro.protocols import (
-    BY_BLOCK,
     FiniteOTFProtocol,
-    PartitionDim,
-    by_cache_set,
     cache_geometry,
     finite_spec,
     parse_finite_spec,
-    plan_for_trace,
-    plan_shards,
-    run_finite_shard,
-    run_finite_sharded,
-    run_protocol_shard,
 )
 from repro.protocols.results import merge_shard_results
-from repro.protocols.sharding import ShardPlan, shard_subtrace
 from repro.trace.synth import uniform_random
 
 CLASSIFY_CELLS = [("classify", 32, "eggers"), ("classify", 32, "torrellas"),
                   ("compare", 32, None)]
 
 
+@pytest.fixture(autouse=True)
+def small_batches(monkeypatch):
+    """Batches of at most 97 rows, so the test traces cut into several
+    ranges (forked workers inherit the setting)."""
+    monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 97)
+
+
 # ----------------------------------------------------------------------
-# the dimension abstraction
+# plan units
 # ----------------------------------------------------------------------
 class TestPartitionDim:
-    def test_by_block_is_identity_with_sync_replication(self):
-        blocks = np.array([7, 0, 7, 3], dtype=np.int64)
-        assert BY_BLOCK.unit_of_rows(blocks).tolist() == [7, 0, 7, 3]
-        assert BY_BLOCK.replicate_sync
-        assert BY_BLOCK.num_sets == 0
-
-    def test_by_cache_set_maps_blocks_modulo_sets(self):
-        dim = by_cache_set(4)
-        blocks = np.array([0, 1, 4, 5, 9], dtype=np.int64)
-        assert dim.unit_of_rows(blocks).tolist() == [0, 1, 0, 1, 1]
-        assert not dim.replicate_sync
-
-    def test_by_cache_set_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            by_cache_set(0)
-
     def test_dim_names_are_distinct_per_geometry(self):
-        assert by_cache_set(4).name != by_cache_set(8).name
-        assert by_cache_set(4) == by_cache_set(4)
+        assert (partition_dim_for(("finite", 64, "c32w4"))
+                != partition_dim_for(("finite", 64, "c64w4")))
+        assert (partition_dim_for(("finite", 64, "c32w4"))
+                == partition_dim_for(("finite", 16, "c16w2")))
 
     def test_plan_digest_embeds_dimension(self):
         """by-block and by-cache-set plans over the same rows never share
-        a digest, so resume cannot mix partials across dimensions."""
-        blocks = np.arange(64, dtype=np.int64) % 16
-        by_block = plan_shards(blocks, 4, 2)
-        by_set = plan_shards(blocks, 4, 2, dim=by_cache_set(8))
+        a digest, so resume cannot mix parts across units."""
+        cols = uniform_random(4, words=256, num_events=2000,
+                              seed=5).columns()
+        by_block = plan_batches(cols, 2, ranges=2)
+        by_set = plan_batches(cols, 2, num_sets=8, ranges=2)
         assert by_block.digest != by_set.digest
-        assert by_block.dim is BY_BLOCK
-        assert by_set.dim.num_sets == 8
+        assert (by_block.num_sets, by_set.num_sets) == (0, 8)
 
     def test_plan_groups_whole_sets(self):
-        """Every block of one cache set lands in the same shard."""
+        """Every block of one cache set lands in the same range."""
         trace = uniform_random(4, words=256, num_events=2000, seed=5)
-        dim = by_cache_set(8)
-        plan = plan_for_trace(trace, BlockMap(16), 3, dim=dim)
+        plan = plan_batches(trace.columns(), BlockMap(16).offset_bits,
+                            num_sets=8, ranges=3)
+        assert plan.num_ranges == 3
         cols = trace.columns()
-        blocks = cols.block_ids(plan.offset_bits)[cols.data_mask()]
-        shards = plan.shard_of_rows(blocks)
-        for s in np.unique(dim.unit_of_rows(blocks)):
-            assert len(np.unique(shards[blocks % 8 == s])) == 1
+        range_of_set = {}
+        for s in range(plan.num_ranges):
+            for batch in plan.batches(s):
+                for u in ((cols.addr[batch] >> 2) % 8).tolist():
+                    assert range_of_set.setdefault(u, s) == s
 
     def test_set_shards_clamp_to_num_sets(self):
         trace = uniform_random(2, words=64, num_events=500, seed=1)
-        plan = plan_for_trace(trace, BlockMap(16), 16, dim=by_cache_set(2))
-        assert plan.num_shards <= 2
-
-    def test_set_subtrace_has_no_sync_replication(self, mp3d_trace):
-        plan = plan_for_trace(mp3d_trace, BlockMap(64), 2,
-                              dim=by_cache_set(4))
-        total = sum(len(shard_subtrace(mp3d_trace, plan, s))
-                    for s in range(plan.num_shards))
-        cols = mp3d_trace.columns()
-        assert total == int(cols.data_mask().sum())
+        plan = plan_batches(trace.columns(), BlockMap(16).offset_bits,
+                            num_sets=2, ranges=16)
+        assert plan.num_ranges <= 2
 
     def test_partition_dim_for_cells(self):
-        assert partition_dim_for(("protocol", 64, "OTF")) is BY_BLOCK
-        assert partition_dim_for(("classify", 64, "eggers")) is BY_BLOCK
-        assert partition_dim_for(("compare", 64, None)) is BY_BLOCK
-        assert partition_dim_for(("compare-shard", 64, None, "d", 0)) is BY_BLOCK
-        dim = partition_dim_for(("finite", 64, "c32w4"))
-        assert dim.num_sets == 8 and not dim.replicate_sync
-        assert partition_dim_for(("finite-shard", 64, "c32w4", "d", 1)).num_sets == 8
+        assert partition_dim_for(("protocol", 64, "OTF")) == 0
+        assert partition_dim_for(("classify", 64, "eggers")) == 0
+        assert partition_dim_for(("compare", 64, None)) == 0
+        assert partition_dim_for(("compare-shard", 64, None, "d", 0)) == 0
+        assert partition_dim_for(("finite", 64, "c32w4")) == 8
+        assert partition_dim_for(("finite-shard", 64, "c32w4", "d", 1)) == 8
         assert partition_dim_for(("unknown", 64, None)) is None
 
     def test_protocol_shard_rejects_set_plan(self, mp3d_trace):
-        plan = plan_for_trace(mp3d_trace, BlockMap(64), 2,
-                              dim=by_cache_set(4))
-        with pytest.raises(ProtocolError, match="by-block"):
-            run_protocol_shard("OTF", mp3d_trace, 64, plan, 0)
+        cols = mp3d_trace.columns()
+        plan = plan_batches(cols, BlockMap(64).offset_bits, num_sets=4,
+                            ranges=2)
+        with pytest.raises(ConfigError, match="cache set"):
+            run_kernel_cells(cols, mp3d_trace.num_procs,
+                             [("protocol", 64, "OTF")], trace_name="t",
+                             plan=plan)
 
     def test_finite_shard_rejects_mismatched_geometry(self, mp3d_trace):
-        plan = plan_for_trace(mp3d_trace, BlockMap(64), 2,
-                              dim=by_cache_set(4))
-        with pytest.raises(ProtocolError, match="sets"):
-            run_finite_shard(mp3d_trace, 64, 32, plan, 0, ways=2)  # 16 sets
+        cols = mp3d_trace.columns()
+        plan = plan_batches(cols, BlockMap(64).offset_bits, num_sets=4,
+                            ranges=2)
+        with pytest.raises(ConfigError, match="sets"):
+            run_finite_kernel(cols, mp3d_trace.num_procs, BlockMap(64), 32,
+                              2, trace_name="t", plan=plan)  # 16 sets
 
 
 # ----------------------------------------------------------------------
@@ -198,44 +185,47 @@ class TestCacheGeometry:
 @given(seed=st.integers(0, 30), ways_sel=st.sampled_from([1, 2, None]),
        shards=st.integers(1, 5))
 def test_set_sharding_bit_identical_across_ways(seed, ways_sel, shards):
-    """LPT set partitions merge bit-identically for ways ∈ {1, 2, full}."""
+    """Range-cut set plans merge bit-identically for ways ∈ {1, 2, full}."""
     trace = uniform_random(4, words=128, num_events=1500, seed=seed)
     capacity = 16
     serial = FiniteOTFProtocol(4, BlockMap(16), capacity,
                                ways=ways_sel).run(trace)
-    sharded = run_finite_sharded(trace, 16, capacity, shards, ways=ways_sel)
+    cell = ("finite", 16, finite_spec(capacity, ways_sel))
+    (sharded,) = SweepEngine(trace, shards=shards).run_grid([cell])
     assert sharded == serial
 
 
 @settings(deadline=None, max_examples=20)
 @given(data=st.data())
 def test_any_set_partition_merges_bit_identically(data):
-    """*Arbitrary* set→shard assignments (not just the LPT plan) merge to
-    the serial result: legality depends only on whole sets staying
-    together, not on the balancing heuristic."""
+    """*Arbitrary* set→range assignments (not just the planner's
+    contiguous cuts) merge to the serial result: legality depends only
+    on whole sets staying together, not on how batches are chosen."""
     seed = data.draw(st.integers(0, 30), label="seed")
     ways = data.draw(st.sampled_from([1, 2]), label="ways")
     trace = uniform_random(3, words=128, num_events=1000, seed=seed)
     capacity = 16
     block_map = BlockMap(16)
     num_sets = cache_geometry(capacity, ways)[0]
-    dim = by_cache_set(num_sets)
     cols = trace.columns()
-    blocks = cols.block_ids(block_map.offset_bits)[cols.data_mask()]
-    units, counts = np.unique(dim.unit_of_rows(blocks), return_counts=True)
-    num_shards = data.draw(st.integers(1, max(1, len(units))),
-                           label="num_shards")
-    assignment = np.array(
-        [data.draw(st.integers(0, num_shards - 1), label=f"set{u}")
-         for u in units], dtype=np.int64)
-    loads = [int(counts[assignment == s].sum()) for s in range(num_shards)]
-    plan = ShardPlan(offset_bits=block_map.offset_bits,
-                     num_shards=num_shards, unique_blocks=units,
-                     assignment=assignment, shard_events=tuple(loads),
-                     digest="arbitrary", dim=dim)
-    serial = FiniteOTFProtocol(3, BlockMap(16), capacity, ways=ways).run(trace)
-    parts = [run_finite_shard(trace, 16, capacity, plan, s, ways=ways)
-             for s in range(num_shards)]
+    rows = np.flatnonzero(cols.data_mask())
+    sets = (cols.addr[rows] >> block_map.offset_bits) % num_sets
+    units = np.unique(sets)
+    num_ranges = data.draw(st.integers(1, len(units)), label="num_ranges")
+    assignment = np.zeros(int(units.max()) + 1, dtype=np.int64)
+    for u in units.tolist():
+        assignment[u] = data.draw(st.integers(0, num_ranges - 1),
+                                  label=f"set{u}")
+    # One batch per range: the rows of every set assigned to it.
+    groups = [rows[assignment[sets] == s] for s in range(num_ranges)]
+    ends = np.cumsum([0] + [len(g) for g in groups]).astype(np.int64)
+    plan = BatchPlan(block_map.offset_bits, num_sets, np.concatenate(groups),
+                     ends, tuple(range(num_ranges + 1)), "arbitrary")
+    serial = FiniteOTFProtocol(3, block_map, capacity, ways=ways).run(trace)
+    parts = [run_finite_kernel(cols, 3, block_map, capacity, ways,
+                               trace_name=trace.name or "<anonymous>",
+                               plan=plan, shard=s)
+             for s in range(num_ranges)]
     assert merge_shard_results(parts) == serial
 
 
@@ -282,10 +272,16 @@ class TestEngineFiniteCells:
         assert serial[0].protocol == "OTF-finite"
 
     def test_fully_associative_cell_never_splits(self, mp3d_trace):
-        """One set = one unit: the cell must run whole (and still work)."""
+        """One set: the cell runs the simulator, whole (and still works)."""
+        cell = ("finite", 64, "c64")
         engine = SweepEngine(mp3d_trace, shards=4)
-        assert not engine._shardable(("finite", 64, "c64"))
-        (result,) = engine.run_grid([("finite", 64, "c64")])
+        assert engine._plan_grid([cell]) == {}
+        ran = []
+        pre = engine.precompute
+        original = pre.run_cell
+        pre.run_cell = lambda c: (ran.append(c), original(c))[1]
+        (result,) = engine.run_grid([cell])
+        assert ran == [cell]
         assert result == FiniteOTFProtocol(
             mp3d_trace.num_procs, BlockMap(64), 64).run(mp3d_trace)
 
@@ -318,10 +314,10 @@ class TestEngineFiniteCells:
 
         monkeypatch.setattr(CheckpointJournal, "record", spy)
         (result,) = engine.run_grid([("finite", 64, "c64w4")])
-        plan = engine.precompute.shard_plan(BlockMap(64), 3,
-                                            by_cache_set(16))
+        plan = engine.precompute.shard_plan(BlockMap(64), 3, 16)
+        assert plan.num_ranges == 3
         expected = {("finite-shard", 64, "c64w4", plan.digest, s)
-                    for s in range(plan.num_shards)}
+                    for s in range(plan.num_ranges)}
         assert expected <= set(recorded)
         assert ("finite", 64, "c64w4") in recorded
         # After the grid completes the journal is compacted: the merged

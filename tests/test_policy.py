@@ -116,7 +116,7 @@ class TestCellDecisions:
                 for n in (1, 2, 3)] == ["retry", "retry", "abort"]
 
     def test_oom_degrades_while_the_ladder_has_a_step(self):
-        ladder = OomLadder(2, None)
+        ladder = OomLadder(2)
         assert cell_failed(_att("worker", "oom", 1), THREE,
                            ladder) == "degrade"
         assert cell_failed(_att("worker", "crash", 1), THREE,
@@ -127,4 +127,4 @@ class TestCellDecisions:
         assert cell_failed(_att("worker", "oom", 1), THREE,
                            ladder) == "retry"
         assert cell_failed(_att("serial", "oom", 1), THREE,
-                           OomLadder(8, None)) == "retry"
+                           OomLadder(8)) == "retry"

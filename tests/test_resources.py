@@ -4,20 +4,19 @@ Covers the acceptance criteria of the resource-governance layer:
 
 * human-size parsing and exitcode classification units (SIGKILL/137 is
   OOM-class and spelled by signal name, SIGSEGV is crash-class);
-* the footprint model is an *upper bound*: a parallel sweep whose workers
-  are hard-capped (``RLIMIT_AS``) at the model's estimate completes with
-  zero OOM-class failures;
-* preflight admission clamps concurrency, raises shard counts, and falls
-  back to serial when even one worker cannot fit;
+* the budget is a per-worker cap: a budget that fits takes no ladder
+  step, and one below a worker's growth ends serial;
 * a worker ``MemoryError`` is classified ``oom`` and, while the run's
   OOM ladder has a step left, aborts with a structured
   :class:`~repro.errors.ResourceExhaustedError` carrying attempt history
   and partials;
 * the headline guarantee: a sweep whose workers *always* exhaust memory
   degrades down the ladder to serial in-process execution and still
-  produces results bit-identical to an unconstrained run.
+  produces results bit-identical to an unconstrained run, and every range
+  part finished before an OOM hand-off is reused, never re-run.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -29,6 +28,9 @@ import pytest
 
 import repro
 from repro.analysis.engine import ExecutionOptions, SweepEngine
+from repro.kernels import protocols as kernel_protocols
+from repro.mem.addresses import BlockMap
+from repro.obs import find_runs, load_manifest
 from repro.cli import build_parser, _engine_options
 from repro.errors import (
     CellFailedError,
@@ -43,15 +45,11 @@ from repro.runtime import (
 )
 from repro.runtime.policy import OomLadder, cell_failed, classify_exitcode
 from repro.runtime.resources import (
-    DEFAULT_FOOTPRINT_MODEL,
-    FootprintModel,
     MEMORY_BUDGET_ENV,
     ensure_free_space,
-    estimate_cell_bytes,
     format_size,
     parse_size,
     peak_rss_bytes,
-    plan_admission,
     resolve_memory_budget,
 )
 from repro.trace.trace import Trace
@@ -69,6 +67,12 @@ def trace():
     """A deterministic prefix of MP3D200 (structure without scale)."""
     full = make_workload("MP3D200").generate()
     return Trace(full.events[:6000], full.num_procs, name="MP3D200")
+
+
+@pytest.fixture(scope="module")
+def mp3d200():
+    """The whole MP3D200 trace: several default batches."""
+    return make_workload("MP3D200").generate()
 
 
 @pytest.fixture(scope="module")
@@ -140,74 +144,17 @@ class TestClassifyExitcode:
         assert classify_exitcode(None)[0] == "crash"
 
 
-# ----------------------------------------------------------------------
-# footprint model + admission
-# ----------------------------------------------------------------------
-class TestFootprintModel:
-    def test_monotonic_in_events(self):
-        m = DEFAULT_FOOTPRINT_MODEL
-        assert m.cell_bytes(1000) < m.cell_bytes(100000)
-
-    def test_sharding_shrinks_the_estimate(self):
-        m = DEFAULT_FOOTPRINT_MODEL
-        assert m.cell_bytes(100000, shards=4) < m.cell_bytes(100000)
-        # but never below the per-worker base
-        assert m.cell_bytes(100000, shards=10**6) >= m.worker_base_bytes
-
-    def test_estimate_accepts_trace_or_count(self, trace):
-        assert estimate_cell_bytes(trace) == estimate_cell_bytes(len(trace))
-
-    def test_custom_model(self):
-        m = FootprintModel(worker_base_bytes=10, bytes_per_event=2,
-                           bytes_per_block_proc=3)
-        assert estimate_cell_bytes(100, model=m) == 10 + 100 * 5
-
-    def test_peak_rss_is_measurable(self):
-        assert peak_rss_bytes("self") > 0
-
-
-class TestPlanAdmission:
-    def test_budget_fits_everything(self):
-        adm = plan_admission(10 << 30, jobs=4, shards=1,
-                             estimate=lambda s: 100 << 20)
-        assert adm.jobs == 4 and adm.shards == 1 and not adm.over_budget
-        assert adm.worker_cap_bytes >= 100 << 20
-
-    def test_jobs_clamped_to_fit(self):
-        adm = plan_admission(250, jobs=8, shards=1, estimate=lambda s: 100)
-        assert adm.jobs == 2  # 2 x 100 fits, 3 x 100 does not
-        assert adm.worker_cap_bytes >= 100
-
-    def test_shards_doubled_until_one_worker_fits(self):
-        adm = plan_admission(300, jobs=4, shards=1,
-                             estimate=lambda s: -(-1000 // s))
-        assert adm.shards == 4          # 1000 -> 500 -> 250 fits
-        assert adm.jobs == 1            # 300 // 250
-        assert not adm.over_budget
-
-    def test_unshardable_over_budget_goes_serial_uncapped(self):
-        adm = plan_admission(10, jobs=4, shards=1, estimate=lambda s: 1000,
-                             shardable=False)
-        assert adm.over_budget and adm.jobs == 1
-        assert adm.worker_cap_bytes is None
-        assert "over budget" in adm.describe()
-
-    def test_rejects_nonpositive_budget(self):
-        with pytest.raises(ConfigError):
-            plan_admission(0, jobs=1, shards=1, estimate=lambda s: 1)
-
-
-def _rungs(jobs, shards):
-    """The ``(jobs, shards, label)`` configurations an :class:`OomLadder`
-    walks through, one OOM hand-off per step, until it aborts."""
-    ladder = OomLadder(jobs, shards)
-    rungs = [(ladder.jobs, ladder.shards, ladder.label)]
+def _rungs(jobs):
+    """The ``(jobs, label)`` configurations an :class:`OomLadder` walks
+    through, one OOM hand-off per step, until it aborts."""
+    ladder = OomLadder(jobs)
+    rungs = [(ladder.jobs, ladder.label)]
     oom = ResourceExhaustedError("worker out of memory", kind="memory")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         while not ladder.spent:
             ladder.step(oom)
-            rungs.append((ladder.jobs, ladder.shards, ladder.label))
+            rungs.append((ladder.jobs, ladder.label))
     with pytest.raises(ResourceExhaustedError):
         ladder.step(oom)  # spent: the hand-off propagates (exit 3)
     return rungs
@@ -215,24 +162,17 @@ def _rungs(jobs, shards):
 
 class TestDegradationRungs:
     def test_full_ladder(self):
-        assert _rungs(8, None) == [
-            (8, None, "configured"),
-            (4, None, "halved workers (8 -> 4)"),
-            (4, 2, "raised shard count to 2"),   # doubled from unsharded
-            (1, 1, "serial in-process")]
-
-    def test_doubling_respects_configured_shards(self):
-        assert [(j, s) for j, s, _ in _rungs(8, 3)] == [
-            (8, 3), (4, 3), (4, 6), (1, 1)]
+        assert _rungs(8) == [
+            (8, "configured"),
+            (4, "halved workers (8 -> 4)"),
+            (1, "serial in-process")]
 
     def test_small_engines_skip_degenerate_rungs(self):
-        assert _rungs(2, None) == [(2, None, "configured"),
-                                   (1, 1, "serial in-process")]
-        assert _rungs(1, None) == [(1, None, "configured"),
-                                   (1, 1, "serial in-process")]
+        assert _rungs(2) == [(2, "configured"), (1, "serial in-process")]
+        assert _rungs(1) == [(1, "configured"), (1, "serial in-process")]
 
     def test_disk_exhaustion_is_not_degraded(self):
-        ladder = OomLadder(8, None)
+        ladder = OomLadder(8)
         with pytest.raises(ResourceExhaustedError):
             ladder.step(ResourceExhaustedError("disk full", kind="disk"))
         assert (ladder.jobs, ladder.label) == (8, "configured")
@@ -270,6 +210,9 @@ class TestWorkerRlimit:
         with pytest.raises(MemoryError, match="exhaust_memory"):
             exhaust_address_space()
 
+    def test_peak_rss_is_measurable(self):
+        assert peak_rss_bytes("self") > 0
+
 
 # ----------------------------------------------------------------------
 # supervisor OOM semantics
@@ -286,7 +229,7 @@ class TestSupervisorOOM:
         sup = Supervisor(lambda t: t * 2, jobs=2, retry=FAST_RETRY,
                          fault_plan=plan)
         with pytest.raises(ResourceExhaustedError) as ei:
-            sup.run(["a", "b", "c", "d"], ladder=OomLadder(2, None))
+            sup.run(["a", "b", "c", "d"], ladder=OomLadder(2))
         exc = ei.value
         assert exc.kind == "memory"
         assert exc.cell == "b"
@@ -312,7 +255,7 @@ class TestSupervisorOOM:
 
         sup = Supervisor(runner, jobs=2, retry=FAST_RETRY)
         with pytest.raises(ResourceExhaustedError) as ei:
-            sup.run(["a", "victim", "b", "c"], ladder=OomLadder(2, None))
+            sup.run(["a", "victim", "b", "c"], ladder=OomLadder(2))
         last = ei.value.attempts[-1]
         assert last["kind"] == "oom"
         assert "SIGKILL" in last["error"]
@@ -337,42 +280,48 @@ class TestSupervisorOOM:
 
 
 # ----------------------------------------------------------------------
-# calibration: the model is an upper bound on real worker growth
+# the budget is a per-worker cap
 # ----------------------------------------------------------------------
-class TestCalibration:
-    def test_capped_at_estimate_sweep_has_zero_oom(self, trace, clean_sweep):
-        """Workers hard-capped at the model's estimate never hit the cap.
+def _ladder_steps(tel: str) -> int:
+    (run,) = find_runs(tel)
+    return load_manifest(run)["counters"]["ladder_steps"]
 
-        This is the calibration check the admission policy relies on: if
-        the footprint model ever under-estimated a cell, the `RLIMIT_AS`
-        cap would convert the overshoot into an OOM-class failure and the
-        governed sweep would degrade (observable as a resource-governor
-        warning) — so a clean, warning-free, bit-identical run *is* the
-        upper-bound proof.
-        """
-        budget = 2 * estimate_cell_bytes(trace)
-        engine = SweepEngine(trace, jobs=4, memory_budget=budget,
-                             retry=FAST_RETRY)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            panel = engine.classify_sweep(SIZES)
-        assert panel == clean_sweep
-        assert not any("OOM-class" in str(w.message) for w in caught), \
-            [str(w.message) for w in caught]
+
+class TestMemoryBudget:
+    def test_fitting_budget_takes_no_ladder_step(self, mp3d200, tmp_path):
+        """1 GiB at --jobs 2 caps each worker's growth at 512 MiB, far
+        above what a Figure 5 panel of MP3D200 needs: no worker hits its
+        cap, so the grid never steps down the ladder."""
+        tel = str(tmp_path / "tel")
+        engine = SweepEngine(mp3d200, jobs=2, memory_budget=1 << 30,
+                             retry=FAST_RETRY, telemetry_dir=tel)
+        panel = engine.classify_sweep(SIZES)
+        assert panel == SweepEngine(mp3d200).classify_sweep(SIZES)
+        assert _ladder_steps(tel) == 0
+
+    def test_rejects_nonpositive_budget(self, trace):
+        with pytest.raises(ConfigError, match="positive"):
+            SweepEngine(trace, jobs=2, memory_budget=0)
 
 
 # ----------------------------------------------------------------------
 # the degradation ladder, end to end
 # ----------------------------------------------------------------------
 class TestDegradationLadder:
+    @pytest.fixture
+    def four_ranges(self, monkeypatch):
+        """Batches of at most 512 rows, so the 6000-event trace cuts into
+        a range per worker (forked workers inherit the setting)."""
+        monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 512)
+
     def test_always_oom_workers_degrade_to_serial_bit_identical(
-            self, trace, clean_sweep):
+            self, trace, clean_sweep, four_ranges):
         """Headline acceptance: every worker attempt exhausts memory, yet
         the sweep finishes — serial-degraded — with results bit-identical
         to the unconstrained run, and no kernel OOM kill involved."""
-        # Key the fault by task *index* so it also fires for the shard
-        # subtasks the middle rungs schedule; it never fires on the
-        # serial in-process path (worker-only, like a real worker OOM).
+        # Key the fault by task *index* so it fires for every range task
+        # of every pool rung; it never fires on the serial in-process path
+        # (worker-only, like a real worker OOM).
         plan = FaultPlan(exhaust_memory={i: 99 for i in range(64)})
         engine = SweepEngine(trace, jobs=4, retry=FAST_RETRY,
                              fault_plan=plan)
@@ -385,32 +334,62 @@ class TestDegradationLadder:
         assert any("serial in-process" in m for m in messages), messages
 
     def test_ladder_salvages_partials_between_rungs(self, trace,
-                                                    clean_sweep):
-        """Cells completed before the OOM are not recomputed: the failing
-        cell's fault is index-keyed to the *first rung's* task order, so a
-        later rung re-running everything would fault again and diverge."""
-        cells = [("classify", bb, "dubois") for bb in SIZES]
-        # Only the last cell OOMs, and only in workers, forever.
-        plan = FaultPlan(exhaust_memory={cells[-1]: 99})
-        engine = SweepEngine(trace, jobs=2, shards=1, retry=FAST_RETRY,
-                             fault_plan=plan)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            panel = engine.classify_sweep(SIZES)
-        assert panel == clean_sweep
-        assert any("salvaged" in str(w.message) for w in caught)
+                                                    clean_sweep, tmp_path,
+                                                    four_ranges):
+        """An OOM hand-off at --jobs 4 halves the workers and reuses every
+        range part finished before it: no part runs again.  The update
+        protocol's task (an interpreted cell, one task) exhausts memory in
+        every worker; it waits for a free worker, so at least one of the
+        four range tasks of the classify cells has finished by then."""
+        wu = ("protocol", 64, "WU")
+        cells = [("classify", bb, "dubois") for bb in SIZES] + [wu]
+        tel = str(tmp_path / "tel")
+        engine = SweepEngine(trace, jobs=4, retry=FAST_RETRY,
+                             fault_plan=FaultPlan(exhaust_memory={wu: 99}),
+                             telemetry_dir=tel)
+        plan = engine.precompute.shard_plan(BlockMap(max(SIZES)), 4)
+        assert plan.num_ranges == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results = engine.run_grid(cells)
+        assert tuple(results[:-1]) == clean_sweep.breakdowns
+        assert results[-1] == SweepEngine(trace).run_grid([wu])[0]
+        (run,) = find_runs(tel)
+        with open(os.path.join(run, "events.jsonl")) as fh:
+            events = [r for r in map(json.loads, fh)
+                      if r.get("kind") == "event"]
+        steps = [i for i, e in enumerate(events)
+                 if e["name"] == "ladder.step"]
+        assert events[steps[0]]["attrs"]["next_rung"] == (
+            "halved workers (4 -> 2)")
+        done = {json.dumps(e["attrs"]["cell"]) for e in events[:steps[0]]
+                if e["name"] == "task.done"}
+        assert done, "no range finished before the hand-off"
+        rerun = {json.dumps(e["attrs"]["cell"]) for e in events[steps[0]:]
+                 if e["name"] == "task.assigned"}
+        assert not done & rerun
+        # Every range ran to completion exactly once.
+        finished = [json.dumps(e["attrs"]["cell"]) for e in events
+                    if e["name"] == "task.done"]
+        assert len(finished) == len(set(finished)) == 5
 
-    def test_over_budget_engine_runs_serial_and_completes(self, trace,
-                                                          clean_sweep):
-        """A budget smaller than one worker's base footprint cannot admit
-        any parallel worker: the sweep warns and runs serial, uncapped."""
-        engine = SweepEngine(trace, jobs=4, memory_budget=1024,
-                             retry=FAST_RETRY)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            panel = engine.classify_sweep(SIZES)
-        assert panel == clean_sweep
-        assert any("serial and uncapped" in str(w.message) for w in caught)
+    def test_over_budget_engine_runs_serial_and_completes(self):
+        """A budget below one worker's growth (1 KiB each): every worker
+        of every pool rung hits its cap, and the ladder ends serial,
+        where the run completes uncapped with the unconstrained output.
+        It runs in a fresh process: a worker forked from a long-lived one
+        may find its growth in the heap it inherited."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        args = [sys.executable, "-m", "repro", "sweep", "MP3D200"]
+        budgeted = subprocess.run(
+            args + ["--jobs", "4", "--memory-budget", "4K"], env=env,
+            capture_output=True, text=True, timeout=300)
+        plain = subprocess.run(args, env=env, capture_output=True,
+                               text=True, timeout=300)
+        assert budgeted.returncode == plain.returncode == 0, budgeted.stderr
+        assert budgeted.stdout == plain.stdout
+        assert "degrading to 'serial in-process'" in budgeted.stderr
 
     def test_env_budget_governs_without_flags(self, trace, monkeypatch):
         monkeypatch.setenv(MEMORY_BUDGET_ENV, "1024")

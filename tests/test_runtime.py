@@ -24,6 +24,7 @@ import time
 import pytest
 
 from repro.analysis.engine import ExecutionOptions, SweepEngine, _resolve_jobs
+from repro.kernels import protocols as kernel_protocols
 from repro.classify.breakdown import DuboisBreakdown, SimpleBreakdown
 from repro.classify.compare import ClassificationComparison
 from repro.errors import (
@@ -57,6 +58,15 @@ def trace():
     """A deterministic prefix of MP3D200 (structure without scale)."""
     full = make_workload("MP3D200").generate()
     return Trace(full.events[:6000], full.num_procs, name="MP3D200")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def small_batches():
+    """Batches of at most 257 rows, so the 6000-event trace cuts into a
+    range per worker (forked workers inherit the setting)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_protocols, "BATCH_ROWS", 257)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -199,11 +209,10 @@ class TestEngineFaults:
         """The acceptance scenario: injected crash-on-Nth-cell plus an
         injected per-cell hang; results identical to a clean serial run.
 
-        Five kernel cells at ``jobs=3`` run as three round-robin group
-        tasks: (4, 256), (16, 1024) and (64).  The crash kills task 1's
-        worker; the hang is keyed by a cell, so it lands on task 0."""
-        plan = FaultPlan(crash={1: 1},
-                         hang={("classify", SIZES[3], "dubois"): 1})
+        Five kernel cells at ``jobs=3`` run as three range tasks, each
+        over all five cells.  The crash kills task 1's worker; the hang
+        lands on task 0."""
+        plan = FaultPlan(crash={1: 1}, hang={0: 1})
         engine = SweepEngine(trace, jobs=3, timeout=2.0, retry=FAST_RETRY,
                              fault_plan=plan)
         t0 = time.monotonic()
@@ -223,9 +232,9 @@ class TestEngineFaults:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_exhausted_retries_raise_cell_failed(self, trace, jobs):
         # Raise faults fire on the serial path too, so every attempt —
-        # including the fallback — fails deterministically.  The grid's
-        # kernel cells run in min(jobs, cells) round-robin group tasks,
-        # so the fault is keyed by its cell and fails that cell's group.
+        # including the fallback — fails deterministically.  Each of the
+        # grid's ``jobs`` range tasks runs every kernel cell, so the
+        # fault is keyed by its cell and fails every range.
         cells = [("classify", bb, "dubois") for bb in SIZES]
         plan = FaultPlan(raises={cells[2]: 10_000})
         engine = SweepEngine(trace, jobs=jobs, retry=FAST_RETRY,
@@ -233,13 +242,16 @@ class TestEngineFaults:
         with pytest.raises(CellFailedError) as exc_info:
             engine.classify_sweep(SIZES)
         err = exc_info.value
-        assert err.cell == ("group",) + tuple(cells[::jobs])
+        assert err.cell[0] == "group"
+        assert [m[:3] for m in err.cell[1:]] == [
+            (f"classify{'-shard' if jobs > 1 else ''}", bb, "dubois")
+            for bb in SIZES]
         assert err.attempts, "attempt history must be carried"
         assert all("FaultInjectedError" in (a["error"] or "")
                    for a in err.attempts)
-        # Partial results carry completed cells, keyed by cell.
+        # Partial results carry completed parts, keyed by member.
         for cell, result in err.partial.items():
-            assert cell[0] == "classify"
+            assert cell[0] in ("classify", "classify-shard")
             assert isinstance(result, DuboisBreakdown)
 
     def test_cell_key_matches_its_group_and_shards(self):
@@ -251,6 +263,10 @@ class TestEngineFaults:
         assert plan.should_crash(("classify-shard", 64, "dubois", "d", 1), 1)
         assert not plan.should_crash(("classify-shard", 16, "dubois", "d", 1),
                                      1)
+        assert plan.should_crash(("group",
+                                  ("classify-shard", 16, "dubois", "d", 1),
+                                  ("classify-shard", 64, "dubois", "d", 1)),
+                                 1)
         assert not plan.should_crash(cell, 2)
 
     def test_fault_injected_error_is_reproducible(self):
@@ -266,8 +282,8 @@ class TestEngineFaults:
 
         clean = run_protocol("SD", trace, 64)
         cells = [("protocol", 64, "SD")]
-        # One cell, three shards: the expanded task list is the three
-        # shard subtasks, so index 1 is the middle shard's worker.
+        # One cell, three ranges: the task list is the three shard
+        # members, so index 1 is the middle range's worker.
         plan = FaultPlan(crash={1: 1})
         engine = SweepEngine(trace, jobs=2, shards=3, retry=FAST_RETRY,
                              fault_plan=plan)
@@ -277,7 +293,7 @@ class TestEngineFaults:
         from interpreted import interpret
 
         clean = interpret("MAX", trace, 64)
-        plan = FaultPlan(hang={0: 1})  # first shard hangs once
+        plan = FaultPlan(hang={0: 1})  # first range hangs once
         engine = SweepEngine(trace, jobs=2, shards=2, timeout=2.0,
                              retry=FAST_RETRY, fault_plan=plan)
         assert engine.run_grid([("protocol", 64, "MAX")]) == [clean]

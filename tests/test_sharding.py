@@ -1,14 +1,19 @@
-"""Block-sharded execution: plan determinism, merge equivalence, resume.
+"""Range-sharded execution: plan determinism, merge equivalence, resume.
 
-Acceptance criteria covered here:
+A grid plans batches of whole units once and cuts the plan into ``k``
+contiguous ranges; each range is one task.  Acceptance criteria covered
+here:
 
 * for every small-suite workload and block size, ``shards=P`` produces
   `ProtocolResult` (breakdown + all counters) and `DuboisBreakdown`
-  bit-identical to ``shards=1``, for all seven paper protocols;
-* property test: for random sync traces, *any* shard count merges to the
-  whole-trace result;
-* checkpoint journal keys embed the shard-plan digest, so a resumed sweep
-  re-runs only incomplete shards and never mixes plans;
+  bit-identical to one range, for all seven paper protocols;
+* property test: for random sync traces, any range count and any batch
+  size, the merged range parts of protocol, classify, compare and
+  multi-set finite cells equal the unsplit interpreted oracle;
+* the kernel cells of a grid are planned once, in the parent, before
+  its workers fork;
+* checkpoint journal keys embed the plan digest, so a resumed sweep
+  re-runs only incomplete ranges and never mixes plans;
 * `Counters.as_dict` covers every dataclass field (the drift-hazard
   regression), and `Counters.merge` sums every field.
 """
@@ -22,24 +27,34 @@ import pytest
 from hypothesis import given, settings
 
 from interpreted import interpret
-from repro.analysis.engine import SweepEngine
+from repro.analysis.engine import SharedPrecompute, SweepEngine
 from repro.classify.dubois import DuboisClassifier
 from repro.errors import ConfigError, ProtocolError
+from repro.kernels import plan_batches, protocols as kernel_protocols
+from repro.kernels import run_kernel_cells
 from repro.mem.addresses import BlockMap
 from repro.protocols import run_protocol, run_protocols
 from repro.protocols.results import Counters, ProtocolResult, merge_shard_results
-from repro.protocols.sharding import (
-    SHARDABLE_PROTOCOLS,
-    plan_for_trace,
-    plan_shards,
-    run_protocol_shard,
-    run_protocol_sharded,
-    shard_subtrace,
-)
 from repro.trace.events import ACQUIRE, LOAD, RELEASE, STORE
 from repro.trace.trace import Trace
 
 SEVEN = ("MIN", "OTF", "RD", "SD", "SRD", "WBWI", "MAX")
+#: Every registered protocol: the seven with kernels, which run in
+#: ranges, and the update protocols, which run whole.
+PROTOCOLS = ("CU", "MAX", "MIN", "OTF", "RD", "SD", "SRD", "WBWI", "WU")
+
+
+@pytest.fixture(autouse=True)
+def small_batches(monkeypatch):
+    """Batches of at most 97 rows, so the test traces cut into several
+    ranges (forked workers inherit the setting)."""
+    monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 97)
+
+
+def _trace(units, block_words=1):
+    """One load per entry of ``units``, to word ``unit * block_words``."""
+    return Trace([(0, LOAD, int(u) * block_words) for u in units], 1,
+                 validate=False)
 
 
 # ----------------------------------------------------------------------
@@ -79,68 +94,93 @@ class TestCounters:
 
 
 # ----------------------------------------------------------------------
-# ShardPlan: determinism, balance, clamping
+# batch plans: determinism, balance, clamping
 # ----------------------------------------------------------------------
 class TestShardPlan:
-    def test_plan_is_deterministic(self):
-        blocks = np.array([5, 1, 5, 2, 1, 5, 9, 9, 2, 2, 2])
-        p1 = plan_shards(blocks, 2, 3)
-        p2 = plan_shards(blocks.copy(), 2, 3)
+    def test_plan_is_deterministic(self, mp3d_trace):
+        cols = mp3d_trace.columns()
+        p1 = plan_batches(cols, 4, ranges=3)
+        p2 = plan_batches(mp3d_trace.columns(), 4, ranges=3)
         assert p1.digest == p2.digest
-        assert np.array_equal(p1.assignment, p2.assignment)
+        assert p1.cuts == p2.cuts
+        assert np.array_equal(p1.order, p2.order)
 
-    def test_digest_depends_on_shard_count_and_offset(self):
-        blocks = np.arange(100) % 17
-        base = plan_shards(blocks, 2, 4)
-        assert plan_shards(blocks, 2, 2).digest != base.digest
-        assert plan_shards(blocks, 4, 4).digest != base.digest
+    def test_digest_depends_on_shard_count_and_offset(self, mp3d_trace):
+        cols = mp3d_trace.columns()
+        base = plan_batches(cols, 2, ranges=4)
+        assert plan_batches(cols, 2, ranges=2).digest != base.digest
+        assert plan_batches(cols, 4, ranges=4).digest != base.digest
+        assert plan_batches(cols, 2, num_sets=8,
+                            ranges=4).digest != base.digest
 
-    def test_shards_clamped_to_distinct_blocks(self):
-        plan = plan_shards(np.array([7, 7, 3]), 2, 16)
-        assert plan.num_shards == 2
+    def test_shards_clamped_to_distinct_blocks(self, monkeypatch):
+        # One-row batches: every block is a batch, and a batch is the
+        # smallest range.
+        monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 1)
+        plan = plan_batches(_trace([7, 7, 3]).columns(), 0, ranges=16)
+        assert plan.num_ranges == 2
         assert sorted(plan.shard_events) == [1, 2]
 
     def test_empty_trace_plans_one_shard(self):
-        plan = plan_shards(np.array([], dtype=np.int64), 2, 4)
-        assert plan.num_shards == 1
+        trace = Trace([(0, ACQUIRE, 9), (0, RELEASE, 9)], 1, validate=False)
+        plan = plan_batches(trace.columns(), 2, ranges=4)
+        assert plan.num_ranges == 1
         assert plan.shard_events == (0,)
+        assert list(plan.batches(0)) == []
 
-    def test_lpt_balance_on_uniform_blocks(self):
-        # 64 equally heavy blocks over 4 shards: perfectly balanced.
-        blocks = np.repeat(np.arange(64), 5)
-        plan = plan_shards(blocks, 2, 4)
-        assert set(plan.shard_events) == {80}
+    def test_range_balance_on_uniform_blocks(self, monkeypatch):
+        # 64 equally heavy blocks, one per batch, over 4 ranges.
+        monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 5)
+        plan = plan_batches(_trace(np.repeat(np.arange(64), 5)).columns(),
+                            0, ranges=4)
+        assert plan.shard_events == (80, 80, 80, 80)
 
-    def test_rejects_nonpositive_shards(self):
+    def test_rejects_nonpositive_shards(self, mp3d_trace):
         with pytest.raises(ConfigError):
-            plan_shards(np.array([1]), 2, 0)
+            plan_batches(mp3d_trace.columns(), 2, ranges=0)
 
-    def test_subtrace_keeps_all_sync_events(self, mp3d_trace):
-        plan = plan_for_trace(mp3d_trace, BlockMap(64), 4)
+    def test_ranges_cover_every_data_row_once(self, mp3d_trace):
+        """Each range is whole batches of whole blocks, in row order; the
+        ranges together hold every data row exactly once."""
         cols = mp3d_trace.columns()
-        total_sync = int((~cols.data_mask()).sum())
-        data_rows = 0
-        for s in range(plan.num_shards):
-            sub = shard_subtrace(mp3d_trace, plan, s)
-            sub_cols = sub.columns()
-            assert int((~sub_cols.data_mask()).sum()) == total_sync
-            data_rows += int(sub_cols.data_mask().sum())
-        assert data_rows == int(cols.data_mask().sum())
+        plan = plan_batches(cols, 4, ranges=5)
+        assert plan.num_ranges == 5
+        seen = []
+        for s in range(plan.num_ranges):
+            rows = [r for batch in plan.batches(s) for r in batch.tolist()]
+            assert sum(map(len, plan.batches(s))) == plan.shard_events[s]
+            seen += rows
+            blocks = {int(cols.addr[r]) >> 4 for r in rows}
+            for t in range(s + 1, plan.num_ranges):
+                later = {int(cols.addr[r]) >> 4
+                         for batch in plan.batches(t) for r in batch}
+                assert not blocks & later
+        assert sorted(seen) == np.flatnonzero(cols.data_mask()).tolist()
 
     def test_shard_out_of_range(self, mp3d_trace):
-        plan = plan_for_trace(mp3d_trace, BlockMap(64), 2)
-        with pytest.raises(ProtocolError, match="out of range"):
-            shard_subtrace(mp3d_trace, plan, plan.num_shards)
+        plan = plan_batches(mp3d_trace.columns(), 4, ranges=2)
+        with pytest.raises(ConfigError, match="out of range"):
+            next(plan.batches(plan.num_ranges))
 
-    def test_unshardable_protocol_rejected(self, mp3d_trace):
-        plan = plan_for_trace(mp3d_trace, BlockMap(64), 2)
-        with pytest.raises(ProtocolError, match="not block-shardable"):
-            run_protocol_shard("FINITE", mp3d_trace, 64, plan, 0)
+    def test_interpreted_protocol_runs_whole(self, mp3d_trace):
+        """An update protocol has no kernel: it runs as one task however
+        many ranges the grid is cut into."""
+        engine = SweepEngine(mp3d_trace, shards=3)
+        ran = []
+        pre = engine.precompute
+        original = pre.run_cell
+        pre.run_cell = lambda c: (ran.append(c), original(c))[1]
+        (result,) = engine.run_grid([("protocol", 64, "WU")])
+        assert ran == [("protocol", 64, "WU")]
+        assert result == interpret("WU", mp3d_trace, 64)
 
     def test_block_size_mismatch_rejected(self, mp3d_trace):
-        plan = plan_for_trace(mp3d_trace, BlockMap(64), 2)
-        with pytest.raises(ProtocolError, match="offset_bits"):
-            run_protocol_shard("OTF", mp3d_trace, 256, plan, 0)
+        cols = mp3d_trace.columns()
+        plan = plan_batches(cols, BlockMap(64).offset_bits)
+        with pytest.raises(ConfigError, match="whole"):
+            run_kernel_cells(cols, mp3d_trace.num_procs,
+                             [("protocol", 256, "OTF")], trace_name="t",
+                             plan=plan)
 
 
 # ----------------------------------------------------------------------
@@ -165,20 +205,21 @@ class TestMergeValidation:
 # equivalence: sharded == whole-trace, bit-identical
 # ----------------------------------------------------------------------
 class TestShardEquivalence:
-    @pytest.mark.parametrize("name", sorted(SHARDABLE_PROTOCOLS))
+    @pytest.mark.parametrize("name", PROTOCOLS)
     @pytest.mark.parametrize("shards", [1, 2, 4, 7])
     def test_workload_protocols_bit_identical(self, mp3d_trace, name,
                                               shards):
-        whole = run_protocol(name, mp3d_trace, 64)
-        merged = run_protocol_sharded(name, mp3d_trace, 64, shards)
-        assert merged == whole  # dataclass equality: breakdown + counters
+        engine = SweepEngine(mp3d_trace, shards=shards)
+        (merged,) = engine.run_grid([("protocol", 64, name)])
+        # dataclass equality: breakdown + counters
+        assert merged == interpret(name, mp3d_trace, 64)
 
     @pytest.mark.parametrize("bb", [16, 256, 1024])
     def test_block_sizes_bit_identical(self, workload_traces, bb):
         for trace in workload_traces.values():
+            merged = SweepEngine(trace, shards=4).protocol_grid((bb,), SEVEN)
             for name in SEVEN:
-                assert (run_protocol_sharded(name, trace, bb, 4)
-                        == run_protocol(name, trace, bb))
+                assert merged[(bb, name)] == run_protocol(name, trace, bb)
 
     @pytest.mark.parametrize("shards", [2, 5])
     def test_engine_classifier_shards_bit_identical(self, mp3d_trace,
@@ -198,20 +239,21 @@ class TestShardEquivalence:
         sharded = SweepEngine(mp3d_trace, jobs=2, shards=3).run_grid(cells)
         assert serial == sharded
 
-    def test_auto_mode_shards_small_grids_only(self, mp3d_trace):
-        engine = SweepEngine(mp3d_trace, jobs=4)
-        # grid >= jobs: plain fan-out.
-        assert engine._shards_per_cell(8) == 1
-        assert engine._shards_per_cell(4) == 1
-        # grid < jobs: spare workers split into shards.
-        assert engine._shards_per_cell(2) == 2
-        assert engine._shards_per_cell(1) == 4
-        assert engine._shards_per_cell(0) == 1
-        # explicit shard counts always win.
-        assert SweepEngine(mp3d_trace, jobs=4,
-                           shards=3)._shards_per_cell(100) == 3
-        assert SweepEngine(mp3d_trace, jobs=1,
-                           shards=2)._shards_per_cell(5) == 2
+    def test_range_count_defaults_to_jobs(self, mp3d_trace):
+        cells = [("protocol", 64, "OTF"), ("finite", 64, "c16w2"),
+                 ("protocol", 64, "WU")]
+
+        def ranges(**kwargs):
+            plans = SweepEngine(mp3d_trace, **kwargs)._plan_grid(cells)
+            return {cell: plan.num_ranges for cell, plan in plans.items()}
+
+        # The kernel cells' plan and the finite cell's plan are cut into
+        # --jobs ranges, an explicit --shards wins, and the interpreted
+        # update protocol has no plan.
+        assert ranges(jobs=4) == {cells[0]: 4, cells[1]: 4}
+        assert ranges(jobs=4, shards=3) == {cells[0]: 3, cells[1]: 3}
+        assert ranges(jobs=1) == {cells[0]: 1, cells[1]: 1}
+        assert ranges(jobs=1, shards=2) == {cells[0]: 2, cells[1]: 2}
 
     def test_auto_mode_result_matches_serial(self, mp3d_trace):
         cells = [("protocol", 1024, "SD")]
@@ -231,9 +273,39 @@ class TestShardEquivalence:
                                 options=ExecutionOptions(shards=3))
         assert plain == sharded
 
+    def test_grid_plans_once_in_the_parent(self, mp3d_trace, monkeypatch,
+                                           tmp_path):
+        """At --jobs 2 the kernel cells of a grid are planned once, by the
+        parent before it forks: no worker plans, whatever cells its range
+        task holds."""
+        parent = os.getpid()
+        calls = []
+        log = tmp_path / "worker-plans"
+        original = kernel_protocols.plan_batches
+
+        def counting(*args, **kwargs):
+            if os.getpid() == parent:
+                calls.append(args[1:])
+            else:
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_protocols, "plan_batches", counting)
+        monkeypatch.setattr("repro.kernels.plan_batches", counting)
+        monkeypatch.setattr("repro.analysis.engine.plan_batches", counting)
+        cells = [("protocol", bb, name) for bb in (64, 1024)
+                 for name in SEVEN]
+        cells += [("classify", 16, "dubois"), ("compare", 256, None)]
+        results = SweepEngine(mp3d_trace, jobs=2).run_grid(cells)
+        assert calls == [(BlockMap(1024).offset_bits, 0, 2)]
+        assert not log.exists()
+        assert results == SweepEngine(mp3d_trace,
+                                      kernel="interpreted").run_grid(cells)
+
 
 # ----------------------------------------------------------------------
-# property test: any partition merges to the whole-trace result
+# property test: any cut merges to the whole-trace result
 # ----------------------------------------------------------------------
 MAX_PROCS = 4
 MAX_WORDS = 16
@@ -258,18 +330,35 @@ def sync_traces(draw, max_events=60):
     return Trace(events, nproc, validate=False)
 
 
-@given(sync_traces(), st.sampled_from((4, 8, 16)), st.integers(1, 6))
+#: Protocol, classify, compare and multi-set finite cells.
+PROPERTY_GRID = ([("protocol", bb, name) for bb in (4, 16) for name in SEVEN]
+                 + [("classify", 8, "dubois"), ("classify", 16, "eggers"),
+                    ("classify", 4, "torrellas"), ("compare", 8, None),
+                    ("finite", 4, "c4w2"), ("finite", 8, "c8w1"),
+                    ("finite", 4, "c6w2")])
+
+
+@given(sync_traces(), st.integers(1, 6), st.integers(1, 12))
 @settings(max_examples=40, deadline=None)
-def test_any_partition_merges_bit_identical(trace, bb, shards):
-    for name in SEVEN:
-        whole = run_protocol(name, trace, bb)
-        merged = run_protocol_sharded(name, trace, bb, shards)
-        assert merged == whole, (name, bb, shards)
+def test_any_partition_merges_bit_identical(trace, shards, batch_rows):
+    """Any range count over any batch size: the merged range parts equal
+    the unsplit interpreted oracle, bit for bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_protocols, "BATCH_ROWS", batch_rows)
+        plan = SharedPrecompute(trace).shard_plan(BlockMap(16), shards)
+        batches = len(plan.ends) - 1
+        assert plan.num_ranges == max(1, min(shards, batches))
+        assert sum(plan.shard_events) == trace.counts().data
+        merged = SweepEngine(trace, shards=shards).run_grid(PROPERTY_GRID)
+    whole = SweepEngine(trace, kernel="interpreted").run_grid(PROPERTY_GRID)
+    for cell, got, want in zip(PROPERTY_GRID, merged, whole):
+        assert got == want, (cell, shards, batch_rows)
 
 
 @given(sync_traces(), st.sampled_from((4, 8, 16)), st.integers(1, 6))
 @settings(max_examples=40, deadline=None)
 def test_classifier_partition_merges_bit_identical(trace, bb, shards):
+    """Ranges of a classify cell merge to the streaming classifier."""
     whole = DuboisClassifier.classify_trace(trace, BlockMap(bb))
     engine = SweepEngine(trace, shards=shards)
     (merged,) = engine.run_grid([("classify", bb, "dubois")])
@@ -277,7 +366,7 @@ def test_classifier_partition_merges_bit_identical(trace, bb, shards):
 
 
 # ----------------------------------------------------------------------
-# checkpoint: shard-plan-aware journal keys
+# checkpoint: plan-aware journal keys
 # ----------------------------------------------------------------------
 class TestShardCheckpoint:
     CELLS = [("protocol", 64, "OTF"), ("protocol", 64, "SD")]
@@ -303,8 +392,9 @@ class TestShardCheckpoint:
         engine = SweepEngine(mp3d_trace, shards=2, checkpoint_dir=ckpt)
         engine.run_grid(self.CELLS)
         plan = engine.precompute.shard_plan(BlockMap(64), 2)
+        assert plan.num_ranges == 2
         for bb, name in ((64, "OTF"), (64, "SD")):
-            for s in range(plan.num_shards):
+            for s in range(plan.num_ranges):
                 assert ("protocol-shard", bb, name, plan.digest,
                         s) in recorded
             assert ("protocol", bb, name) in recorded
@@ -318,17 +408,16 @@ class TestShardCheckpoint:
 
     def test_resume_reruns_only_incomplete_shards(self, tmp_path,
                                                   mp3d_trace):
-        """Kill after one shard of one cell: the resume re-runs only the
-        remaining shards (and merges), never the completed shard."""
+        """Kill after one range of one cell: the resume re-runs only the
+        remaining ranges (and merges), never the completed one."""
         ckpt = str(tmp_path)
         cell = ("protocol", 64, "MAX")
         first = SweepEngine(mp3d_trace, shards=3, checkpoint_dir=ckpt)
         plan = first.precompute.shard_plan(BlockMap(64), 3)
-        # Simulate the kill: journal exactly one completed shard partial.
+        # Simulate the kill: journal exactly one completed range part.
         from repro.runtime.checkpoint import CheckpointJournal
 
-        partial = first.precompute.run_cell(
-            ("protocol-shard", 64, "MAX", plan.digest, 0))
+        (partial,) = first.precompute.run_kernel_cells([cell], plan, 0)
         journal = CheckpointJournal(ckpt, first.trace_key)
         journal.record(("protocol-shard", 64, "MAX", plan.digest, 0),
                        partial)
@@ -345,16 +434,15 @@ class TestShardCheckpoint:
         assert result == interpret("MAX", mp3d_trace, 64)
 
     def test_resume_never_mixes_shard_plans(self, tmp_path, mp3d_trace):
-        """Partials journaled under one plan are ignored by a resume with
-        a different shard count (different digest), not merged."""
+        """Parts journaled under one cut are ignored by a resume with a
+        different range count (different digest), not merged."""
         ckpt = str(tmp_path)
         cell = ("protocol", 64, "SRD")
         first = SweepEngine(mp3d_trace, shards=4, checkpoint_dir=ckpt)
         plan4 = first.precompute.shard_plan(BlockMap(64), 4)
         from repro.runtime.checkpoint import CheckpointJournal
 
-        partial = first.precompute.run_cell(
-            ("protocol-shard", 64, "SRD", plan4.digest, 0))
+        (partial,) = first.precompute.run_kernel_cells([cell], plan4, 0)
         journal = CheckpointJournal(ckpt, first.trace_key)
         journal.record(("protocol-shard", 64, "SRD", plan4.digest, 0),
                        partial)
@@ -368,9 +456,9 @@ class TestShardCheckpoint:
         original = pre.run_cell
         pre.run_cell = lambda c: (ran.append(c), original(c))[1]
         (result,) = engine.run_grid([cell])
-        # Every shard of the *new* plan ran; the stale partial was unused.
+        # Every range of the *new* cut ran; the stale part was unused.
         assert ran == [("protocol-shard", 64, "SRD", plan2.digest, s)
-                       for s in range(plan2.num_shards)]
+                       for s in range(plan2.num_ranges)]
         assert result == run_protocol("SRD", mp3d_trace, 64)
 
     def test_merged_cell_resumes_without_any_rerun(self, tmp_path,

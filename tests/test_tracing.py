@@ -218,10 +218,15 @@ class TestForkSweepTree:
     @pytest.fixture(scope="class")
     def run(self, trace, tmp_path_factory):
         from repro.analysis.engine import SweepEngine
+        from repro.kernels import protocols as kernel_protocols
 
         tel = str(tmp_path_factory.mktemp("tel"))
         engine = SweepEngine(trace, jobs=2, shards=2, telemetry_dir=tel)
-        engine.classify_sweep(SIZES)
+        # Small batches, so the trace cuts into two ranges (the forked
+        # workers inherit the setting).
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernel_protocols, "BATCH_ROWS", 257)
+            engine.classify_sweep(SIZES)
         (run_dir,) = find_runs(tel)
         return run_dir
 
