@@ -181,7 +181,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    traces = (make_workload(n).generate()
+    cache = _trace_cache(args)
+    traces = (_load_trace(n, cache)
               for n in args.benchmarks or ["LU64", "MP3D1000"])
     comparisons = build_table1(traces, block_sizes=(32, 1024))
     print(format_table1(comparisons))
@@ -252,7 +253,7 @@ def _cmd_traffic(args) -> int:
 def _cmd_prefetch(args) -> int:
     from .analysis.prefetch import prefetch_analysis
 
-    trace = _load_trace(args.trace)
+    trace = _load_trace(args.trace, _trace_cache(args))
     print(prefetch_analysis(trace).format())
     return 0
 
@@ -346,16 +347,21 @@ def _size(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _add_trace_cache_arg(p: argparse.ArgumentParser) -> None:
+    """``--trace-cache``, read by :func:`_trace_cache`."""
+    p.add_argument("--trace-cache", nargs="?", const="", default=None,
+                   metavar="DIR",
+                   help="cache generated workload traces as .npz under DIR "
+                        f"(no DIR: {default_cache_dir()})")
+
+
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
     """``--jobs`` / ``--trace-cache`` / resilience flags shared by the
     sweep-style commands."""
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes for the experiment grid "
                         "(1 = serial, 0 = one per available CPU)")
-    p.add_argument("--trace-cache", nargs="?", const="", default=None,
-                   metavar="DIR",
-                   help="cache generated workload traces as .npz under DIR "
-                        f"(no DIR: {default_cache_dir()})")
+    _add_trace_cache_arg(p)
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-cell stall timeout: a worker whose progress "
                         "stops for this long is killed and its cell "
@@ -462,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="reproduce Table 1")
     p.add_argument("--benchmarks", nargs="*", metavar="NAME")
+    _add_trace_cache_arg(p)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("table2", help="reproduce Table 2")
@@ -497,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prefetch",
                        help="prefetching miss-rate floors (PC/CFS removal)")
     p.add_argument("trace")
+    _add_trace_cache_arg(p)
     p.set_defaults(func=_cmd_prefetch)
 
     p = sub.add_parser("validate", help="check a trace for data races")

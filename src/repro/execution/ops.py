@@ -15,9 +15,13 @@ scheduler one operation tuple:
     a list or a 1-D integer NumPy array; ``ops`` is one opcode (LOAD or
     STORE) for all of them or a sequence of opcodes as long as ``addrs``.
     The run is validated once when it is yielded; an empty run costs no
-    cycle.  Runs let a loop nest hand the scheduler its whole reference
-    stream at once (see the quiet windows of
-    :mod:`repro.execution.scheduler`).
+    cycle.  Yielded at cycle ``c``, reference ``i`` is emitted at cycle
+    ``c + i``: the scheduler records the run and its first cycle and
+    places its references in the trace in blocks (see the stamped runs
+    of :mod:`repro.execution.scheduler`), so a run costs a few NumPy
+    steps, not a generator resumption per reference.  LU's and Jacobi's
+    loop nests, Water's per-molecule and per-pair phases and MP3D's
+    lock-held particle updates are runs.
 ``("block", predicate)``
     Do not proceed until ``predicate()`` is true.  The predicate must be
     pure: it reads shared state and changes none.  Blocked cycles cost time

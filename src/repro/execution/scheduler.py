@@ -9,27 +9,35 @@ definition).  Blocked processors consume the cycle without emitting events.
 The interleaving produced is deterministic for a given ``order`` policy and
 seed, which is the point: the paper switched from execution-driven to
 trace-driven simulation precisely so all protocols see the same interleaved
-trace (section 5.0).  The machine produces that trace once, appending each
-event's processor, opcode and address straight into three typed buffers that
-become the trace's columns without a copy; the protocol simulators then
-replay it.
+trace (section 5.0).  The machine produces that trace once, placing each
+event's processor, opcode and address into three typed buffers that become
+the trace's columns without a copy; the protocol simulators then replay it.
 
-Quiet windows
--------------
+Stamped runs and flush blocks
+-----------------------------
 A thread that yields a reference run (``("run", ops, addrs)``, see
-:mod:`repro.execution.ops`) emits one of its references per cycle and is
-not resumed until the run is used up.  A cycle is *quiet* when every live,
-unblocked thread is partway through a run and every blocked thread's
-predicate is false: no generator can be resumed in it, so nothing can
-change until the shortest remaining run ends.  Under the ``rotate`` and
-``fixed`` orders the machine emits those ``k`` cycles in one NumPy step —
-each cycle's events in the order the per-cycle scan would give them, a
-rotation of the running threads or the identity — with ``k`` clamped so
-``max_cycles`` still fires at the same cycle.  ``random`` draws one
-shuffle per cycle and so keeps the per-cycle scan, though a thread in a
-run still consumes it without being resumed.
+:mod:`repro.execution.ops`) at cycle ``c`` emits reference ``i`` of it at
+cycle ``c + i`` and is not resumed until the run is used up, so the
+machine records only the run and its first cycle.  Each cycle's scan skips
+a thread that is inside a run.  A single mem or sync event is stamped with
+the cycle it is emitted in.  When a scanned cycle resumes no generator —
+every live thread is inside a run or blocked on a false predicate —
+nothing can change until the first of those runs ends, and the machine
+moves straight to that cycle (clamped so ``max_cycles`` still fires at the
+same cycle) without building anything.
 
-The window relies on one contract: a ``block`` predicate is pure.  It reads
+Stamped events are placed in the trace in the order the per-cycle scan
+would have emitted them in.  A flush block puts each of its events in a
+(cycle, processor) grid — a processor emits at most one event a cycle —
+and reads every row in that cycle's scan order: ``live[c % n:] +
+live[:c % n]`` under ``rotate``, ``live`` under ``fixed`` and the cycle's
+recorded shuffle under ``random``.  Blocks span ``FLUSH_EVENTS // P``
+cycles (at most :data:`FLUSH_EVENTS` events), so their arrays stay
+cache-sized whatever the length of the runs; the events stamped so far
+are also placed before the live list changes, since the scans depend on
+it.
+
+This relies on one contract: a ``block`` predicate is pure.  It reads
 shared state and changes none, so evaluating it once more, or once less,
 than the per-cycle scan would cannot move an event.  Every primitive in
 :mod:`repro.execution.primitives` already blocks on such a predicate.
@@ -53,6 +61,12 @@ ThreadBody = Iterator  # a generator yielding ops
 
 #: A validated run's opcodes: one opcode for every reference, or one each.
 RunOps = Union[int, np.ndarray]
+
+#: Most events one flush block places: a block spans ``FLUSH_EVENTS // P``
+#: cycles of a ``P``-thread run, so its placement arrays stay cache-sized.
+FLUSH_EVENTS = 8192
+
+_INT64 = np.dtype(np.int64)
 
 
 class Machine:
@@ -94,17 +108,13 @@ class Machine:
         done = [False] * count
         # The predicate each blocked thread waits on, None when runnable.
         blocked: List[Optional[Callable[[], bool]]] = [None] * count
-        # Each thread's current run: opcodes, addresses, the index of its
-        # next reference and how many references it has left.
-        run_ops: List[RunOps] = [LOAD] * count
-        run_addrs: List[Optional[np.ndarray]] = [None] * count
-        run_next = [0] * count
-        run_left = [0] * count
-        in_run = 0  # threads with references left in a run
-        # One int64 buffer per trace column: 24 bytes per event, adopted
-        # by the trace's columns below without a copy.
-        procs, ops, addrs = array("q"), array("q"), array("q")
-        emit_proc, emit_op, emit_addr = procs.append, ops.append, addrs.append
+        # The cycle each thread's current run is used up in: the thread is
+        # inside a run while ``run_end[p] > cycle``.
+        run_end = [0] * count
+        stamped = _Stamped(max(count, 1), self.order)
+        stamp = stamped.singles.extend
+        start_run = stamped.runs.append
+        record_scan = stamped.scans.append
         order = self.order
         rng = random.Random(self.seed)
         cycles = 0
@@ -112,42 +122,27 @@ class Machine:
 
         while live:
             if cycles >= max_cycles:
+                stamped.place(cycles, live)
                 raise SimulationError(
                     f"execution exceeded {max_cycles} cycles "
-                    f"({len(procs)} events so far)")
-            # A quiet cycle (see the module docstring): emit every cycle
-            # up to the end of the shortest run at once.
-            if in_run and order != "random" and all(
-                    run_left[p] or (blocked[p] is not None
-                                    and not blocked[p]()) for p in live):
-                running = [p for p in live if run_left[p]]
-                k = min(min(run_left[p] for p in running),
-                        max_cycles - cycles)
-                first = cycles if order == "rotate" else None
-                for column, values in zip(
-                        (procs, ops, addrs),
-                        _quiet_window(live, running, first, k, run_ops,
-                                      run_addrs, run_next)):
-                    column.frombytes(memoryview(values).cast("B"))
-                for p in running:
-                    run_next[p] += k
-                    run_left[p] -= k
-                    if not run_left[p]:
-                        in_run -= 1
-                cycles += k
-                continue
-
+                    f"({stamped.placed} events so far)")
+            if cycles - stamped.start >= stamped.block:
+                stamped.place(cycles, live)
             nlive = len(live)
-            if order == "fixed" or nlive == 1:
-                scan = live
-            elif order == "rotate":
-                first = cycles % nlive
-                scan = live[first:] + live[:first]
-            else:
+            if order == "random":
+                # A shuffle of one thread draws nothing, as in the oracle.
                 scan = list(live)
                 rng.shuffle(scan)
-            progressed = finished = False
+                record_scan(scan)
+            elif order == "fixed" or nlive == 1:
+                scan = live
+            else:
+                first = cycles % nlive
+                scan = live[first:] + live[:first]
+            emitted = resumed = finished = False
             for p in scan:
+                if run_end[p] > cycles:
+                    continue  # inside a run: its reference is stamped
                 predicate = blocked[p]
                 if predicate is not None:
                     # A blocked processor re-evaluates its predicate; if
@@ -155,74 +150,64 @@ class Machine:
                     if not predicate():
                         continue
                     blocked[p] = None
-                if not run_left[p]:
-                    pull = resume[p]
-                    while True:
-                        try:
-                            op = pull()
-                        except StopIteration:
-                            done[p] = finished = True
-                            break
-                        kind = op[0]
-                        if kind == MEM:
-                            _, memop, addr = op
-                            if memop not in (LOAD, STORE):
-                                raise SimulationError(
-                                    f"bad mem op {op!r} from P{p}")
-                            emit_proc(p)
-                            emit_op(memop)
-                            emit_addr(addr)
-                            progressed = True
-                            break
-                        if kind == SYNC:
-                            _, syncop, addr = op
-                            if syncop not in (ACQUIRE, RELEASE):
-                                raise SimulationError(
-                                    f"bad sync op {op!r} from P{p}")
-                            emit_proc(p)
-                            emit_op(syncop)
-                            emit_addr(addr)
-                            progressed = True
-                            break
-                        if kind == BLOCK:
-                            predicate = op[1]
-                            if predicate():
-                                # Not actually blocked: pull the next op
-                                # within the same cycle (blocking is free
-                                # when the condition already holds).
-                                continue
-                            blocked[p] = predicate
-                            break
-                        if kind == RUN:
-                            run_op, run_addr = _validate_run(op, p)
-                            if not len(run_addr):
-                                continue  # an empty run costs no cycle
-                            run_ops[p], run_addrs[p] = run_op, run_addr
-                            run_next[p], run_left[p] = 0, len(run_addr)
-                            in_run += 1
-                            break
-                        raise SimulationError(
-                            f"unknown op {op!r} from P{p}")
-                    if not run_left[p]:
-                        continue
-                # The thread is in a run: emit its next reference.
-                i = run_next[p]
-                run_op = run_ops[p]
-                emit_proc(p)
-                emit_op(run_op if run_op.__class__ is int else run_op.item(i))
-                emit_addr(run_addrs[p].item(i))
-                run_next[p] = i + 1
-                run_left[p] -= 1
-                if not run_left[p]:
-                    in_run -= 1
-                progressed = True
+                resumed = True
+                pull = resume[p]
+                while True:
+                    try:
+                        op = pull()
+                    except StopIteration:
+                        done[p] = finished = True
+                        break
+                    kind = op[0]
+                    if kind == MEM:
+                        _, memop, addr = op
+                        if memop not in (LOAD, STORE):
+                            raise SimulationError(
+                                f"bad mem op {op!r} from P{p}")
+                        stamp((cycles, p, memop, addr))
+                        emitted = True
+                        break
+                    if kind == SYNC:
+                        _, syncop, addr = op
+                        if syncop not in (ACQUIRE, RELEASE):
+                            raise SimulationError(
+                                f"bad sync op {op!r} from P{p}")
+                        stamp((cycles, p, syncop, addr))
+                        emitted = True
+                        break
+                    if kind == BLOCK:
+                        predicate = op[1]
+                        if predicate():
+                            # Not actually blocked: pull the next op
+                            # within the same cycle (blocking is free
+                            # when the condition already holds).
+                            continue
+                        blocked[p] = predicate
+                        break
+                    if kind == RUN:
+                        run_op, run_addr = _validate_run(op, p)
+                        if not len(run_addr):
+                            continue  # an empty run costs no cycle
+                        start_run([p, cycles, run_op, run_addr, 0])
+                        run_end[p] = cycles + len(run_addr)
+                        emitted = True
+                        break
+                    raise SimulationError(f"unknown op {op!r} from P{p}")
             if finished:
+                # Slots are computed from the live list: place this
+                # cycle's events before it changes.
+                stamped.place(cycles + 1, live)
                 live = [p for p in live if not done[p]]
             # A cycle in which nothing ran and nobody is left (the scan that
-            # merely discovered termination) costs no simulated time.
-            if progressed or live:
+            # merely discovered termination) costs no simulated time.  A
+            # thread inside a run is still live, so ``emitted`` is all that
+            # can make such a cycle count.
+            if emitted or live:
                 cycles += 1
-            if live and not progressed and not finished:
+            if finished or emitted:
+                continue
+            in_run = [run_end[p] for p in live if run_end[p] >= cycles]
+            if not in_run:
                 # Every live thread ended the cycle blocked.  One may have
                 # unblocked, run non-emitting code that satisfied someone
                 # else's predicate (e.g. a flag set) and re-blocked, all
@@ -230,24 +215,162 @@ class Machine:
                 # deadlock: only a cycle where every live thread is blocked
                 # on a *currently false* predicate is stuck.
                 if not any(blocked[p]() for p in live):
+                    stamped.place(cycles, live)
                     raise DeadlockError(
                         f"deadlock at cycle {cycles}: processors {live} all "
-                        f"blocked ({len(procs)} events emitted)")
+                        f"blocked ({stamped.placed} events emitted)")
+            elif not resumed:
+                # A quiet cycle (see the module docstring): nothing changes
+                # until the first run ends.
+                target = min(min(in_run), max_cycles)
+                if order == "random":
+                    for _ in range(cycles, target):
+                        scan = list(live)
+                        rng.shuffle(scan)
+                        record_scan(scan)
+                cycles = target
 
         full_meta = dict(meta or {})
         full_meta.setdefault("cycles", cycles)
         full_meta.setdefault("num_procs", self.num_procs)
         trace_columns = TraceColumns(
             *(np.frombuffer(column, dtype=np.int64)
-              for column in (procs, ops, addrs)))
+              for column in stamped.columns))
         return Trace(trace_columns, self.num_procs, name=name,
                      meta=full_meta, validate=False)
+
+
+class _Stamped:
+    """Events stamped with their cycle, not yet placed in the trace.
+
+    A single event is one ``(cycle, proc, op, addr)`` row of ``singles``; a
+    run is ``[proc, first cycle, ops, addrs, next unplaced index]`` in
+    ``runs`` and emits reference ``i`` at cycle ``first + i``.  Under the
+    ``random`` order ``scans`` holds each cycle's shuffle from ``start``
+    on.  :meth:`place` moves every event stamped before a cycle into the
+    three column buffers, in (cycle, scan slot) order.
+    """
+
+    def __init__(self, width: int, order: str):
+        self.width = width
+        self.order = order
+        self.block = max(1, FLUSH_EVENTS // width)
+        self.start = 0  # the first cycle not yet placed
+        self.singles = array("q")
+        self.runs: List[list] = []
+        self.scans: List[List[int]] = []
+        self.columns = (array("q"), array("q"), array("q"))
+        # The last scan grid built: (live list, key, grid).
+        self._grid_cache: Optional[tuple] = None
+
+    @property
+    def placed(self) -> int:
+        """Events placed so far."""
+        return len(self.columns[0])
+
+    def place(self, upto: int, live: List[int]) -> None:
+        """Place every event stamped before cycle ``upto``; ``live`` is the
+        live list of every cycle since the last placement."""
+        singles = np.array(self.singles, dtype=np.int64).reshape(-1, 4)
+        del self.singles[:]
+        # Singles are stamped in cycle order: cut them at block boundaries.
+        cuts = np.searchsorted(
+            singles[:, 0], np.arange(self.start, upto, self.block)[1:])
+        for lo, rows in zip(range(self.start, upto, self.block),
+                            np.split(singles, cuts)):
+            self._place_block(lo, min(upto, lo + self.block), rows, live)
+        del self.scans[:upto - self.start]
+        self.start = upto
+
+    def _scan_grid(self, lo: int, hi: int,
+                   live: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """The scans of cycles ``[lo, hi)``, flat: each cycle's processors
+        in slot order, and their cells of the block's grid.
+
+        Under ``rotate`` and ``fixed`` the grid depends only on the live
+        list, the block's length and (``rotate``) its first cycle modulo
+        the live count, so consecutive blocks reuse it.
+        """
+        width, nlive = self.width, len(live)
+        if self.order == "random":
+            scan = np.array(self.scans[lo - self.start:hi - self.start])
+        else:
+            key = (lo % nlive if self.order == "rotate" else 0, hi - lo)
+            cached = self._grid_cache
+            if cached is not None and cached[0] is live and cached[1] == key:
+                return cached[2]
+            first = np.arange(lo, hi) % nlive if self.order == "rotate" \
+                else np.zeros(hi - lo, dtype=np.int64)
+            scan = np.asarray(live)[(first[:, None] + np.arange(nlive))
+                                    % nlive]
+        grid = (scan.ravel(),
+                (scan + np.arange(0, (hi - lo) * width, width)[:, None])
+                .ravel())
+        if self.order != "random":
+            self._grid_cache = (live, key, grid)
+        return grid
+
+    def _place_block(self, lo: int, hi: int, singles: np.ndarray,
+                     live: List[int]) -> None:
+        """Place the events of cycles ``[lo, hi)``; ``singles`` are the
+        single events stamped in them.
+
+        Each event goes to its cell ``(cycle - lo) * width + proc`` of the
+        block's grid; a processor emits at most one event a cycle, so no
+        two share a cell.  The grid is then read in each cycle's scan
+        order.
+        """
+        width = self.width
+        addr_parts, op_parts, bases, lengths = [], [], [], []
+        kept = []
+        placed = 0
+        for run in self.runs:
+            p, first, run_ops, run_addrs, i = run
+            j = min(len(run_addrs), hi - first)
+            if j > i:
+                addr_parts.append(run_addrs[i:j])
+                op_parts.append(np.full(j - i, run_ops)
+                                if run_ops.__class__ is int else run_ops[i:j])
+                # Reference i's cell; each later one is a cycle, a row,
+                # further on.
+                bases.append((first + i - lo - placed) * width + p)
+                lengths.append(j - i)
+                placed += j - i
+                run[4] = j
+            if j < len(run_addrs):
+                kept.append(run)
+        self.runs[:] = kept
+        addr_parts.append(singles[:, 3])
+        op_parts.append(singles[:, 2])
+        cell = np.concatenate((
+            np.repeat(np.array(bases, dtype=np.int64), lengths)
+            + np.arange(0, placed * width, width),
+            (singles[:, 0] - lo) * width + singles[:, 1]))
+        size = (hi - lo) * width
+        op_grid = np.empty(size, dtype=np.int64)
+        op_grid[cell] = np.concatenate(op_parts)
+        addr_grid = np.empty(size, dtype=np.int64)
+        addr_grid[cell] = np.concatenate(addr_parts)
+        scan_proc, scan_cell = self._scan_grid(lo, hi, live)
+        if len(cell) < len(scan_cell):
+            # Some live processor skipped a cycle: read only the cells
+            # that hold an event.
+            filled = np.zeros(size, dtype=bool)
+            filled[cell] = True
+            emitted = filled[scan_cell]
+            scan_proc, scan_cell = scan_proc[emitted], scan_cell[emitted]
+        for column, values in zip(self.columns, (
+                scan_proc, op_grid[scan_cell], addr_grid[scan_cell])):
+            column.frombytes(memoryview(values).cast("B"))
 
 
 def _validate_run(op: tuple, proc: int) -> Tuple[RunOps, np.ndarray]:
     """A ``("run", ops, addrs)`` op's opcodes and int64 addresses."""
     _, run_ops, run_addrs = op
-    if isinstance(run_addrs, range):
+    if run_addrs.__class__ is np.ndarray and run_addrs.dtype is _INT64 \
+            and run_addrs.ndim == 1:
+        addrs = run_addrs
+    elif isinstance(run_addrs, range):
         addrs = np.arange(run_addrs.start, run_addrs.stop, run_addrs.step,
                           dtype=np.int64)
     else:
@@ -267,43 +390,13 @@ def _validate_run(op: tuple, proc: int) -> Tuple[RunOps, np.ndarray]:
         raise SimulationError(
             f"run from P{proc} has {codes.size} opcodes for "
             f"{len(addrs)} addresses")
-    if not ((codes == LOAD) | (codes == STORE)).all():
+    # LOAD and STORE are 0 and 1: as unsigned, every other int64 is larger.
+    if (np.count_nonzero(codes.view(np.uint64) > STORE)
+            if codes.dtype is _INT64
+            else not ((codes == LOAD) | (codes == STORE)).all()):
         raise SimulationError(f"bad run opcodes from P{proc}: only LOAD "
                               f"and STORE may appear in a run")
     return codes.astype(np.int64, copy=False), addrs
-
-
-def _quiet_window(live: List[int], running: List[int], first: Optional[int],
-                  k: int, run_ops: List[RunOps],
-                  run_addrs: List[Optional[np.ndarray]],
-                  run_next: List[int]) -> Tuple[np.ndarray, ...]:
-    """The ``(proc, op, addr)`` columns of ``k`` quiet cycles.
-
-    ``running`` lists the threads in a run, in ``live`` order; each emits
-    its next ``k`` references, one per cycle.  ``first`` is the window's
-    first cycle under ``rotate`` and None under ``fixed``.
-    """
-    width = len(running)
-    procs = np.array(running, dtype=np.int64)
-    ops = np.empty((width, k), dtype=np.int64)
-    addrs = np.empty((width, k), dtype=np.int64)
-    for j, p in enumerate(running):
-        i = run_next[p]
-        addrs[j] = run_addrs[p][i:i + k]
-        run_op = run_ops[p]
-        ops[j] = run_op if run_op.__class__ is int else run_op[i:i + k]
-    if first is None or width == 1:
-        return np.tile(procs, k), ops.T.ravel(), addrs.T.ravel()
-    # Cycle c scans live[c % len(live):] + live[:c % len(live)]; its
-    # running threads come out as a rotation of ``running`` that starts
-    # at the first one at or after that scan position.
-    position = np.array([live.index(p) for p in running])
-    scan_start = np.arange(first, first + k) % len(live)
-    start = np.searchsorted(position, scan_start)
-    slot = (start[:, None] + np.arange(width)) % width
-    return (procs[slot].ravel(),
-            np.take_along_axis(ops.T, slot, 1).ravel(),
-            np.take_along_axis(addrs.T, slot, 1).ravel())
 
 
 def run_threads(num_procs: int, thread_factory: Callable[[int], ThreadBody],

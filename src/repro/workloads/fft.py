@@ -15,11 +15,14 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..execution import ops
 from ..execution.primitives import Barrier
 from ..mem.allocator import Allocator
 from ..mem.addresses import is_power_of_two
+from ..trace.events import LOAD, STORE
 from .base import Workload
 
 
@@ -55,24 +58,25 @@ class FFT(Workload):
         chunk = n // self.num_procs
         stages = n.bit_length() - 1
 
-        def elem(base: int, i: int) -> range:
-            return range(base + i * ew, base + (i + 1) * ew)
+        words = np.arange(ew)
+        # A stage's butterflies as one run: per owned point, load it and
+        # its partner from the source array, store it in the destination.
+        stage_codes = np.tile(np.repeat([LOAD, LOAD, STORE], ew), chunk)
 
         def thread(tid: int) -> Iterator:
             lo, hi = tid * chunk, (tid + 1) * chunk
             # Initialization: each processor fills its own chunk.
-            yield from ops.store_words(range(src.base + lo * ew,
-                                             src.base + hi * ew))
+            yield (ops.RUN, STORE, range(src.base + lo * ew,
+                                         src.base + hi * ew))
             yield from barrier.wait(tid)
+            mine = np.arange(lo, hi)
             for stage in range(stages):
                 rd = bases[stage % 2]
                 wr = bases[1 - stage % 2]
                 stride = n >> (stage + 1)
-                for i in range(lo, hi):
-                    partner = i ^ stride
-                    yield from ops.load_words(elem(rd, i))
-                    yield from ops.load_words(elem(rd, partner))
-                    yield from ops.store_words(elem(wr, i))
+                points = np.stack((rd + mine * ew, rd + (mine ^ stride) * ew,
+                                   wr + mine * ew), axis=1)
+                yield (ops.RUN, stage_codes, (points[..., None] + words).ravel())
                 yield from barrier.wait(tid)
             return
 

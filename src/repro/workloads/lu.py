@@ -75,9 +75,13 @@ class LU(Workload):
         words = np.arange(ew)
         # Per matrix row, the words of one element: a normalize step loads
         # then stores it; a column update loads the multiplier, then loads
-        # and stores the target.
-        normalize_codes = np.repeat([LOAD, STORE], ew)
-        update_codes = np.repeat([LOAD, LOAD, STORE], ew)
+        # and stores the target.  Each run's opcodes are a prefix of the
+        # longest such run's.
+        normalize_codes = np.concatenate(
+            (np.full(ew, LOAD), np.tile(np.repeat([LOAD, STORE], ew), n - 1)))
+        most_cols = len(split_round_robin(n, self.num_procs, 0))
+        update_codes = np.tile(np.repeat([LOAD, LOAD, STORE], ew),
+                               most_cols * (n - 1))
 
         def normalize(k: int):
             """Column k's normalize as one run: load the pivot, then
@@ -86,9 +90,7 @@ class LU(Workload):
             addrs = np.concatenate(
                 (col_base[k] + k * ew + words,
                  (rows[:, None] + np.tile(words, 2)).ravel()))
-            codes = np.concatenate(
-                (np.full(ew, LOAD), np.tile(normalize_codes, n - k - 1)))
-            return (ops.RUN, codes, addrs)
+            return (ops.RUN, normalize_codes[:len(addrs)], addrs)
 
         def update(k: int, cols: np.ndarray):
             """The update of columns ``cols`` by column k as one run: per
@@ -100,8 +102,7 @@ class LU(Workload):
             addrs = np.empty((len(cols), n - k - 1, 3, ew), dtype=np.int64)
             addrs[:, :, 0] = src[:, None] + words
             addrs[:, :, 1] = addrs[:, :, 2] = dst[:, :, None] + words
-            codes = np.tile(update_codes, len(cols) * (n - k - 1))
-            return (ops.RUN, codes, addrs.ravel())
+            return (ops.RUN, update_codes[:addrs.size], addrs.ravel())
 
         def thread(tid: int) -> Iterator:
             mine = split_round_robin(n, self.num_procs, tid)

@@ -16,10 +16,13 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..execution import ops
 from ..execution.primitives import Barrier
 from ..mem.allocator import Allocator
+from ..trace.events import LOAD, STORE
 from .base import Workload, split_round_robin
 
 
@@ -49,25 +52,29 @@ class MatMul(Workload):
         c = allocator.alloc_words("matmul.C", n * n * ew)
         barrier = Barrier("matmul.barrier", allocator, self.num_procs)
 
-        def elem(base: int, i: int, j: int) -> int:
-            return base + (i * n + j) * ew
+        words = np.arange(ew)
+        cols = np.arange(n)
+        # Row i of C as one run: per column j, per k, load A[i,k] then
+        # B[k,j], then store C[i,j].
+        row_codes = np.tile(np.repeat([LOAD, STORE], [2 * n * ew, ew]), n)
+
+        def row(i: int) -> np.ndarray:
+            loads = np.empty((n, n, 2, ew), dtype=np.int64)  # (j, k, A|B)
+            loads[:, :, 0] = (a.base + (i * n + cols) * ew)[:, None] + words
+            loads[:, :, 1] = (b.base + (cols * n + cols[:, None]) * ew)[
+                ..., None] + words
+            stores = (c.base + (i * n + cols) * ew)[:, None] + words
+            return np.hstack((loads.reshape(n, -1), stores)).ravel()
 
         def thread(tid: int) -> Iterator:
             # Initialization phase: processor 0 fills A and B (their values
             # then flow to everyone — cold/CTS traffic), everyone waits.
             if tid == 0:
-                yield from ops.store_words(range(a.base, a.end))
-                yield from ops.store_words(range(b.base, b.end))
+                yield (ops.RUN, STORE, range(a.base, a.end))
+                yield (ops.RUN, STORE, range(b.base, b.end))
             yield from barrier.wait(tid)
             for i in split_round_robin(n, self.num_procs, tid):
-                for j in range(n):
-                    for k in range(n):
-                        yield from ops.load_words(
-                            range(elem(a.base, i, k), elem(a.base, i, k) + ew))
-                        yield from ops.load_words(
-                            range(elem(b.base, k, j), elem(b.base, k, j) + ew))
-                    yield from ops.store_words(
-                        range(elem(c.base, i, j), elem(c.base, i, j) + ew))
+                yield (ops.RUN, row_codes, row(i))
             yield from barrier.wait(tid)
             return
 

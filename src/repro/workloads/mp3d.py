@@ -30,11 +30,14 @@ from __future__ import annotations
 import random
 from typing import Iterator, List
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..execution import ops
 from ..execution.primitives import Barrier, Lock
 from ..mem.allocator import Allocator
 from ..mem.layout import PARTICLE, SPACE_CELL
+from ..trace.events import LOAD, STORE
 from .base import Workload, split_round_robin
 
 
@@ -115,37 +118,53 @@ class MP3D(Workload):
                     chosen[p] = q
             partners.append(chosen)
 
-        def move(particle_region) -> Iterator:
-            """Advance a particle: read pos+vel, write pos."""
-            yield from ops.load_words(PARTICLE.field_words(particle_region, "pos"))
-            yield from ops.load_words(PARTICLE.field_words(particle_region, "vel"))
-            yield from ops.store_words(PARTICLE.field_words(particle_region, "pos"))
+        particle_base = [region.base for region in particles]
+        cell_base = [region.base for region in cells]
 
-        def scan_cell_mates(step: int, p: int) -> Iterator:
-            """Collision-candidate check: read-only scan of positions of a
-            few particles sharing the cell (the read-mostly sharing that
-            makes MP3D's reads outnumber its writes in Table 2)."""
-            c = cell_of[step][p]
-            mates = [q for q in mates_by_cell[step].get(c, ()) if q != p][:3]
-            for q in mates:
-                yield from ops.load_words(PARTICLE.field_words(particles[q], "pos"))
-                yield from ops.load_words(PARTICLE.field_words(particles[q], "vel"))
+        # A particle's lock-held body is one run of parts, each the words
+        # of one record's fields: their offsets from the record's base and
+        # their opcodes.
+        def words(layout, *fields) -> np.ndarray:
+            return np.concatenate([
+                layout.offset_words(f) + np.arange(layout.field(f).words)
+                for f in fields])
 
-        def collide(particle_region) -> Iterator:
-            """Collision update: five words (vel + scratch = 20 bytes)."""
-            for w in PARTICLE.field_words(particle_region, "vel"):
-                yield from ops.read_modify_write(w)
-            for w in PARTICLE.field_words(particle_region, "scratch"):
-                yield from ops.read_modify_write(w)
+        def access(code: int, offsets: np.ndarray):
+            return offsets, [code] * len(offsets)
 
-        def update_cell(cell_region) -> Iterator:
-            """Fold a particle into its cell's aggregates."""
-            yield from ops.read_modify_write(
-                SPACE_CELL.field_word(cell_region, "count"))
-            yield from ops.read_modify_write(
-                SPACE_CELL.field_word(cell_region, "momentum", 0))
-            yield from ops.read_modify_write(
-                SPACE_CELL.field_word(cell_region, "energy", 0))
+        def read_modify_write(offsets: np.ndarray):
+            return np.repeat(offsets, 2), [LOAD, STORE] * len(offsets)
+
+        def join(parts: list):
+            return (np.concatenate([offsets for offsets, _ in parts]),
+                    [code for _, codes in parts for code in codes])
+
+        # Advance a particle: read pos+vel, write pos.
+        move = join([access(LOAD, words(PARTICLE, "pos", "vel")),
+                     access(STORE, words(PARTICLE, "pos"))])
+        # Collision-candidate check: a read-only scan of the positions and
+        # velocities of a few particles sharing the cell (the read-mostly
+        # sharing that makes MP3D's reads outnumber its writes in Table 2).
+        mate = access(LOAD, words(PARTICLE, "pos", "vel"))
+        cell_index = access(STORE, words(PARTICLE, "cell"))
+        # Fold a particle into its cell's aggregates: the count and the
+        # first words of momentum and energy.
+        aggregate = read_modify_write(np.array([
+            SPACE_CELL.offset_words(f)
+            for f in ("count", "momentum", "energy")]))
+        # Collision update: five words (vel + scratch = 20 bytes).
+        collide = read_modify_write(words(PARTICLE, "vel", "scratch"))
+
+        def shape(mates: int, collided: bool):
+            """The run's offsets, opcodes and part lengths."""
+            parts = ([move] + [mate] * mates + [cell_index, aggregate]
+                     + [collide] * (2 * collided))
+            offsets, codes = join(parts)
+            return offsets, np.array(codes), np.array([len(o) for o, _ in parts])
+
+        # By (cell mates scanned, collided).
+        shapes = {(mates, collided): shape(mates, collided)
+                  for mates in range(4) for collided in (False, True)}
 
         def thread(tid: int) -> Iterator:
             mine = list(split_round_robin(self.num_particles, self.num_procs, tid))
@@ -154,16 +173,21 @@ class MP3D(Workload):
                     c = cell_of[step][p]
                     lock = cell_locks[c]
                     yield from lock.acquire(tid)
-                    yield from move(particles[p])
-                    yield from scan_cell_mates(step, p)
-                    yield ops.store(PARTICLE.field_word(particles[p], "cell"))
-                    yield from update_cell(cells[c])
+                    # The lock-held body as one run: move, scan up to three
+                    # cell mates, store the cell index, update the cell's
+                    # aggregates and, on a collision, both particles.
+                    mates = [q for q in mates_by_cell[step].get(c, ())
+                             if q != p][:3]
+                    bases = [particle_base[p]]
+                    bases += [particle_base[q] for q in mates]
+                    bases += [particle_base[p], cell_base[c]]
                     q = partners[step].get(p)
                     if q is not None:
                         # Both particles share cell c this step, so the one
                         # lock we hold protects both updates.
-                        yield from collide(particles[p])
-                        yield from collide(particles[q])
+                        bases += [particle_base[p], particle_base[q]]
+                    offsets, codes, lengths = shapes[len(mates), q is not None]
+                    yield (ops.RUN, codes, np.repeat(bases, lengths) + offsets)
                     yield from lock.release(tid)
                 yield from barrier.wait(tid)
             return

@@ -18,10 +18,13 @@ from __future__ import annotations
 import math
 from typing import Iterator, List
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..execution import ops
 from ..execution.primitives import Barrier
 from ..mem.allocator import Allocator
+from ..trace.events import LOAD, STORE
 from .base import Workload
 
 
@@ -74,29 +77,35 @@ class SOR(Workload):
         def elem(row: int, col: int) -> int:
             return grid.base + (row * dim + col) * ew
 
-        def relax(r: int, c: int) -> Iterator:
-            """In-place update of one cell from its four neighbours."""
-            for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                nr = min(max(nr, 0), dim - 1)
-                nc = min(max(nc, 0), dim - 1)
-                if (nr, nc) == (r, c):
-                    continue  # clamped onto self; the RMW below reads it
-                base = elem(nr, nc)
-                yield from ops.load_words(range(base, base + ew))
-            base = elem(r, c)
-            yield from ops.load_words(range(base, base + ew))
-            yield from ops.store_words(range(base, base + ew))
+        def phase(row0: int, col0: int, color: int):
+            """One color phase of a subgrid as one run: per cell of that
+            color, row-major, an in-place update from its four neighbours.
+            Edges clamp, and a neighbour clamped onto the cell itself is
+            skipped (the read-modify-write of the cell reads it)."""
+            starts, codes = [], []
+            for r in range(row0, row0 + sub):
+                for c in range(col0, col0 + sub):
+                    if (r + c) % 2 != color:
+                        continue
+                    for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1),
+                                   (r, c + 1)):
+                        nr = min(max(nr, 0), dim - 1)
+                        nc = min(max(nc, 0), dim - 1)
+                        if (nr, nc) != (r, c):
+                            starts.append(elem(nr, nc))
+                            codes.append(LOAD)
+                    starts += [elem(r, c), elem(r, c)]
+                    codes += [LOAD, STORE]
+            addrs = np.array(starts, dtype=np.int64)[:, None] + np.arange(ew)
+            return (ops.RUN, np.repeat(codes, ew), addrs.ravel())
 
         def thread(tid: int) -> Iterator:
             row0 = (tid // self._side) * sub
             col0 = (tid % self._side) * sub
+            phases = [phase(row0, col0, color) for color in (0, 1)]
             for _ in range(self.iterations):
-                for color in (0, 1):
-                    for r in range(row0, row0 + sub):
-                        for c in range(col0, col0 + sub):
-                            if (r + c) % 2 != color:
-                                continue
-                            yield from relax(r, c)
+                for run in phases:
+                    yield run
                     yield from barrier.wait(tid)
             return
 

@@ -27,11 +27,14 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
+import numpy as np
+
 from ..errors import ConfigError
 from ..execution import ops
 from ..execution.primitives import Barrier, Lock
 from ..mem.allocator import Allocator
 from ..mem.layout import WATER_MOLECULE
+from ..trace.events import LOAD, STORE
 from .base import Workload, split_round_robin
 
 
@@ -72,56 +75,69 @@ class Water(Workload):
         locks = [Lock(f"water.mollock[{m}]", allocator) for m in range(n)]
         barrier = Barrier("water.barrier", allocator, self.num_procs)
 
-        def intra(m: int) -> Iterator:
-            """Intra-molecular phase: owner-only computation on one record."""
-            yield from ops.load_words(
-                WATER_MOLECULE.field_words(molecules[m], "positions"))
-            yield from ops.load_words(
-                WATER_MOLECULE.field_words(molecules[m], "velocities"))
-            yield from ops.store_words(
-                WATER_MOLECULE.field_words(molecules[m], "accels"))
+        # Every molecule's field word addresses, one row per molecule.
+        bases = np.array([region.base for region in molecules])
 
-        def interact(m: int, other: int, tid: int) -> Iterator:
-            """Inter-molecular pair force: read both, update both force fields."""
-            yield from ops.load_words(
-                WATER_MOLECULE.field_words(molecules[m], "positions"))
-            yield from ops.load_words(
-                WATER_MOLECULE.field_words(molecules[other], "positions"))
-            yield from ops.load_words(
-                WATER_MOLECULE.field_words(molecules[other], "velocities"))
-            first, second = sorted((m, other))
-            yield from locks[first].acquire(tid)
-            yield from locks[second].acquire(tid)
-            for w in WATER_MOLECULE.field_words(molecules[m], "forces"):
-                yield from ops.read_modify_write(w)
-            for w in WATER_MOLECULE.field_words(molecules[other], "forces"):
-                yield from ops.read_modify_write(w)
-            yield from locks[second].release(tid)
-            yield from locks[first].release(tid)
+        def field(name: str) -> np.ndarray:
+            offset = WATER_MOLECULE.offset_words(name)
+            words = WATER_MOLECULE.field(name).words
+            return bases[:, None] + offset + np.arange(words)
 
-        def integrate(m: int) -> Iterator:
-            """Integration phase: fold forces into positions (owner only)."""
-            yield from ops.load_words(
-                WATER_MOLECULE.field_words(molecules[m], "forces"))
-            yield from ops.store_words(
-                WATER_MOLECULE.field_words(molecules[m], "positions"))
-            yield from ops.store_words(
-                WATER_MOLECULE.field_words(molecules[m], "energy"))
+        def phase(*parts):
+            """A phase's per-molecule runs: the fields' words side by side,
+            each field's opcode repeated over its words."""
+            codes = np.concatenate([np.full(words.shape[1], code)
+                                    for code, words in parts])
+            return codes, np.hstack([words for _, words in parts])
+
+        forces, positions = field("forces"), field("positions")
+        velocities = field("velocities")
+        # Intra-molecular phase (owner only).
+        intra_codes, intra = phase((LOAD, positions), (LOAD, velocities),
+                                   (STORE, field("accels")))
+        # Inter-molecular phase: load my positions, the other's positions
+        # and velocities; then, under both locks, read-modify-write both
+        # force fields word by word.
+        pos_vel = np.hstack((positions, velocities))
+        force_rmw = np.repeat(forces, 2, axis=1)
+        rmw_codes = np.tile([LOAD, STORE], 2 * forces.shape[1])
+        # Integration phase: fold forces into positions (owner only).
+        integrate_codes, integrate = phase(
+            (LOAD, forces), (STORE, positions), (STORE, field("energy")))
 
         half = n // 2
+        shifts = np.arange(1, half + 1)
+
+        def interact(m: int, tid: int) -> Iterator:
+            """Molecule m's pair forces with the following ``n/2``
+            molecules: read both, update both force fields."""
+            others = (m + shifts) % n
+            loads = np.hstack((np.broadcast_to(positions[m],
+                                               (half, positions.shape[1])),
+                               pos_vel[others]))
+            rmws = np.hstack((np.broadcast_to(force_rmw[m],
+                                              (half, force_rmw.shape[1])),
+                              force_rmw[others]))
+            for j, other in enumerate(others.tolist()):
+                yield (ops.RUN, LOAD, loads[j])
+                first, second = (m, other) if m < other else (other, m)
+                yield from locks[first].acquire(tid)
+                yield from locks[second].acquire(tid)
+                yield (ops.RUN, rmw_codes, rmws[j])
+                yield from locks[second].release(tid)
+                yield from locks[first].release(tid)
 
         def thread(tid: int) -> Iterator:
             mine = list(split_round_robin(n, self.num_procs, tid))
             for _ in range(self.time_steps):
                 for m in mine:
-                    yield from intra(m)
+                    yield (ops.RUN, intra_codes, intra[m])
                 yield from barrier.wait(tid)
                 for m in mine:
-                    for k in range(1, half + 1):
-                        yield from interact(m, (m + k) % n, tid)
+                    yield from interact(m, tid)
                 yield from barrier.wait(tid)
                 for m in mine:
-                    yield from integrate(m)
+                    yield (ops.RUN, integrate_codes, integrate[m])
                 yield from barrier.wait(tid)
             return
 

@@ -181,6 +181,29 @@ class TestSuiteCommands:
         assert header.split()[1:] == ["MATMUL24@32B", "MATMUL24@1024B",
                                       "FFT256@32B", "FFT256@1024B"]
 
+    @pytest.mark.parametrize("argv", [["table1", "--benchmarks", "MATMUL24"],
+                                      ["prefetch", "MATMUL24"]])
+    def test_trace_cache_hit_prints_the_same(self, argv, monkeypatch,
+                                             tmp_path, capsys):
+        """``--trace-cache`` changes where the trace comes from, not what
+        is printed: the first cached run generates it, the second loads
+        it."""
+        from repro.workloads.base import Workload
+
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        generated = []
+
+        def generate(self, original=Workload.generate, **kwargs):
+            generated.append(self.label)
+            return original(self, **kwargs)
+
+        monkeypatch.setattr(Workload, "generate", generate)
+        for _ in range(2):
+            assert main(argv + ["--trace-cache", str(tmp_path)]) == 0
+            assert capsys.readouterr().out == plain
+        assert generated == ["MATMUL24"]
+
 
 class TestExitCodeContract:
     """The documented process exit codes are part of the CLI's API:

@@ -1,12 +1,14 @@
 """Property-based tests for the simulated multiprocessor."""
 
+from unittest import mock
+
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
 from reference_machine import ReferenceMachine, expand_runs, run_outcome
-from repro.execution import ops
-from repro.execution.scheduler import Machine
+from repro.execution import ops, scheduler
+from repro.execution.scheduler import FLUSH_EVENTS, Machine
 from repro.trace.events import ACQUIRE, LOAD, RELEASE, STORE
 
 
@@ -174,18 +176,26 @@ def differential_thread(body, counters):
            lambda n: st.lists(st.lists(instructions(), max_size=10),
                               min_size=n, max_size=n)),
        st.sampled_from(("rotate", "fixed", "random")),
-       st.one_of(st.just(10_000), st.integers(1, 60)))
+       st.one_of(st.just(10_000), st.integers(1, 60)),
+       st.sampled_from((FLUSH_EVENTS, 1, 5, 16)))
 @settings(max_examples=300, deadline=None)
-def test_machine_matches_per_cycle_oracle(bodies, order, max_cycles):
+def test_machine_matches_per_cycle_oracle(bodies, order, max_cycles,
+                                          flush_events):
     """Runs, blocks on shared counters, deadlocks and ``max_cycles``: the
-    quiet-window ``Machine`` gives the oracle's columns, ``meta`` and
-    errors, the oracle seeing each run as single mem yields."""
+    stamped-run ``Machine`` gives the oracle's columns, ``meta`` and
+    errors, the oracle seeing each run as single mem yields.
+
+    Flush blocks shrunk to one or a few cycles make programs span many
+    blocks, runs outlast a block, threads finish mid-block and
+    ``max_cycles`` fire inside a run that crosses a flush."""
     outcomes = []
-    for machine, wrap in ((Machine, lambda g: g),
-                          (ReferenceMachine, expand_runs)):
-        counters = [0, 0, 0]
-        threads = [wrap(differential_thread(b, counters)) for b in bodies]
-        outcomes.append(run_outcome(machine, threads, len(bodies),
-                                    order=order, seed=5,
-                                    max_cycles=max_cycles))
+    with mock.patch.object(scheduler, "FLUSH_EVENTS", flush_events):
+        for machine, wrap in ((Machine, lambda g: g),
+                              (ReferenceMachine, expand_runs)):
+            counters = [0, 0, 0]
+            threads = [wrap(differential_thread(b, counters))
+                       for b in bodies]
+            outcomes.append(run_outcome(machine, threads, len(bodies),
+                                        order=order, seed=5,
+                                        max_cycles=max_cycles))
     assert outcomes[0] == outcomes[1]

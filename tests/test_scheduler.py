@@ -1,15 +1,18 @@
 """Unit tests for the simulated multiprocessor scheduler."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from reference_machine import ReferenceMachine, expand_runs, run_outcome
 from repro.errors import DeadlockError, SimulationError
-from repro.execution import ops
-from repro.execution.scheduler import Machine, run_threads
+from repro.execution import ops, scheduler
+from repro.execution.scheduler import FLUSH_EVENTS, Machine, run_threads
 from repro.mem.allocator import Allocator
 from repro.trace.events import ACQUIRE, LOAD, RELEASE, STORE
-from repro.workloads import LU, Jacobi
+from repro.workloads import FFT, LU, MP3D, SOR, Jacobi, MatMul, Water
+from repro.workloads.registry import make_workload
 
 
 def emitter(proc_word, count):
@@ -308,16 +311,127 @@ class TestRuns:
         assert new == ref
         assert len(new[0][0]) == 30 + 41 + 2 + 3 * (7 + 1 + 9)
 
+class TestFlushBlocks:
+    """Events are placed in blocks of ``FLUSH_EVENTS // P`` cycles and
+    whenever a thread finishes; placement must not depend on where a
+    block boundary falls."""
+
+    @pytest.mark.parametrize("order", ["rotate", "fixed", "random"])
+    def test_program_longer_than_a_flush_block(self, order):
+        block = FLUSH_EVENTS // 4
+
+        def threads():
+            def gen(base, length):
+                for k in range(3):
+                    yield (ops.RUN, LOAD, range(base, base + length + k))
+                    for i in range(block // 3):
+                        yield ops.store(base + i % 7)
+                    yield ops.acquire_event(999)
+                    yield ops.release_event(999)
+            return [gen(0, block // 2), gen(10_000, block + 3),
+                    gen(20_000, 3 * block - 1), gen(30_000, 5)]
+
+        new, ref = run_both(threads, 4, order=order)
+        assert new == ref
+        assert new[1]["cycles"] > 3 * block
+
+    def test_blocks_stay_cache_sized(self):
+        """A run much longer than a block is placed a block at a time, so
+        placement never builds arrays for the whole run."""
+        spans = []
+        place_block = scheduler._Stamped._place_block
+
+        def spy(self, lo, hi, singles, live):
+            spans.append(hi - lo)
+            return place_block(self, lo, hi, singles, live)
+
+        def gen(base):
+            yield (ops.RUN, LOAD, range(base, base + 5 * FLUSH_EVENTS))
+
+        with mock.patch.object(scheduler._Stamped, "_place_block", spy):
+            trace = Machine(4).run([gen(i << 20) for i in range(4)])
+        assert len(trace) == 4 * 5 * FLUSH_EVENTS
+        assert max(spans) == FLUSH_EVENTS // 4
+        assert len(spans) > 5 * 4
+
+    @pytest.mark.parametrize("order", ["rotate", "fixed", "random"])
+    def test_run_longer_than_a_block(self, order):
+        def threads():
+            def gen(base, length):
+                yield ops.load(base)
+                yield (ops.RUN, [LOAD, STORE] * length,
+                       np.arange(base, base + 2 * length))
+                yield ops.store(base)
+            return [gen(0, 37), gen(100, 11), gen(200, 23)]
+
+        with mock.patch.object(scheduler, "FLUSH_EVENTS", 12):  # 4 cycles
+            new, ref = run_both(threads, 3, order=order)
+        assert new == ref
+
+    def test_thread_finishing_mid_block_under_rotate(self):
+        """Slots rotate over the live list, which shrinks mid-block while
+        other threads are partway through runs."""
+        def threads():
+            def gen(base, lengths):
+                for length in lengths:
+                    yield (ops.RUN, STORE, range(base, base + length))
+                    yield ops.load(base)
+            return [gen(0, [3]), gen(100, [9, 14]), gen(200, [2, 2, 2]),
+                    gen(300, [30]), gen(400, [7, 1])]
+
+        for flush_events in (FLUSH_EVENTS, 5 * 5, 5 * 8):
+            with mock.patch.object(scheduler, "FLUSH_EVENTS", flush_events):
+                new, ref = run_both(threads, 5, order="rotate")
+            assert new == ref
+
+    @pytest.mark.parametrize("order", ["rotate", "fixed", "random"])
+    @pytest.mark.parametrize("max_cycles", [6, 23, 49])
+    def test_max_cycles_inside_a_run_spanning_a_flush(self, order,
+                                                       max_cycles):
+        def threads():
+            def gen(base, length):
+                yield ops.store(base)
+                yield (ops.RUN, LOAD, range(base, base + length))
+                yield ops.store(base)
+            return [gen(0, 60), gen(100, 8), gen(200, 55)]
+
+        with mock.patch.object(scheduler, "FLUSH_EVENTS", 3 * 4):
+            new, ref = run_both(threads, 3, order=order,
+                                max_cycles=max_cycles)
+        assert new == ref
+        assert new[0] is SimulationError
+        assert f"exceeded {max_cycles} cycles" in new[1]
+        assert "events so far" in new[1]
+
+
 class TestAgainstReference:
-    """The LU and Jacobi loop nests yield runs; expanded to single mem
+    """Every workload's threads yield runs; expanded to single mem
     yields, the per-cycle oracle must produce the same trace."""
 
     @pytest.mark.parametrize("order", ["rotate", "fixed", "random"])
     @pytest.mark.parametrize("workload", [
         LU(12, num_procs=4), LU(9, elem_words=1, num_procs=3),
         Jacobi(8, iterations=3, num_procs=4),
-        Jacobi(6, iterations=2, padded_barrier=True, num_procs=9)])
+        Jacobi(6, iterations=2, padded_barrier=True, num_procs=9),
+        Water(7, time_steps=2, num_procs=3),
+        MP3D(24, num_cells=5, time_steps=3, collision_rate=0.5,
+             num_procs=4),
+        MatMul(5, elem_words=2, num_procs=3), FFT(16, num_procs=4),
+        SOR(6, iterations=2, num_procs=9)])
     def test_workload(self, workload, order):
+        def threads():
+            return workload.build_threads(Allocator())
+
+        new, ref = run_both(threads, workload.num_procs, order=order)
+        assert new == ref
+
+    @pytest.mark.parametrize("order", ["fixed", "random"])
+    @pytest.mark.parametrize("name", ["WATER16", "MP3D200"])
+    def test_named_workload_under_other_orders(self, name, order):
+        """The pinned traces cover ``rotate``; the ablations also
+        generate Water and MP3D under ``fixed`` and ``random``."""
+        workload = make_workload(name)
+
         def threads():
             return workload.build_threads(Allocator())
 

@@ -257,7 +257,8 @@ class TestWorkloadMeta:
 
 
 #: ``_array_checksum`` of each named workload's generated columns (the
-#: paper-large ones take minutes and are left out).  The values were
+#: paper-large ones hold 0.1-0.5 GB each and are pinned by the CI job
+#: ``paper-large-traces`` instead).  The values were
 #: recorded when the ``Machine`` still built a tuple list, so they pin the
 #: typed-buffer generation path to the same bytes; a workload, scheduler
 #: or encoding change that moves any event fails here.
