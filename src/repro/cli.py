@@ -223,7 +223,7 @@ def _cmd_fig6(args) -> int:
 def _cmd_attribute(args) -> int:
     from .analysis.attribution import attribute_misses
 
-    trace = _load_trace(args.trace)
+    trace = _load_trace(args.trace, _trace_cache(args))
     result = attribute_misses(trace, args.block)
     print(result.format())
     top = result.top_false_sharers()
@@ -238,7 +238,7 @@ def _cmd_attribute(args) -> int:
 def _cmd_traffic(args) -> int:
     from .protocols.traffic import estimate_traffic
 
-    trace = _load_trace(args.trace)
+    trace = _load_trace(args.trace, _trace_cache(args))
     names = [args.protocol] if args.protocol else None
     print(f"{'proto':6s} {'miss%':>7s} {'fetch B':>10s} {'word B':>9s} "
           f"{'ctrl B':>9s} {'bytes/ref':>10s}")
@@ -259,7 +259,7 @@ def _cmd_prefetch(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    trace = _load_trace(args.trace)
+    trace = _load_trace(args.trace, _trace_cache(args))
     report = check_races(trace)
     print(f"{trace.name}: {report.describe()}")
     return 0 if report.is_race_free else 1
@@ -388,11 +388,15 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--memory-budget", type=_size, default=None,
                    metavar="SIZE",
                    help="total memory budget for the sweep (e.g. 512M, "
-                        "1.5G): each worker soft-caps its address-space "
-                        "growth at the budget divided by the workers, and "
-                        "an over-cap worker degrades the run (half the "
-                        "workers, then serial) instead of crash-looping "
-                        "(default: $REPRO_MEMORY_BUDGET, else ungoverned)")
+                        "1.5G): each worker soft-caps the growth of its "
+                        "address space above what it inherited at fork "
+                        "at the budget divided by the workers, and an "
+                        "over-cap worker degrades the run (half the "
+                        "workers, then serial) instead of crash-looping; "
+                        "memory a worker reuses from the parent's free "
+                        "heap is not counted, so its RSS can exceed "
+                        "budget // workers (default: "
+                        "$REPRO_MEMORY_BUDGET, else ungoverned)")
     p.add_argument("--cache-max-bytes", type=_size, default=None,
                    metavar="SIZE",
                    help="disk quota for the --trace-cache directory; "
@@ -474,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="reproduce Table 2")
     p.add_argument("--suite", default="small",
                    choices=("small", "large", "paper-large"))
+    _add_trace_cache_arg(p)
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("fig5", help="reproduce Figure 5")
@@ -493,12 +498,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attribute misses to data structures")
     p.add_argument("trace")
     p.add_argument("--block", type=int, default=64)
+    _add_trace_cache_arg(p)
     p.set_defaults(func=_cmd_attribute)
 
     p = sub.add_parser("traffic", help="estimate interconnect traffic")
     p.add_argument("trace")
     p.add_argument("--block", type=int, default=64)
     p.add_argument("--protocol", choices=protocol_names())
+    _add_trace_cache_arg(p)
     p.set_defaults(func=_cmd_traffic)
 
     p = sub.add_parser("prefetch",
@@ -509,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a trace for data races")
     p.add_argument("trace")
+    _add_trace_cache_arg(p)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("generate", help="generate and save a workload trace")

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..classify.breakdown import DuboisBreakdown, SimpleBreakdown
 from ..runtime import signals
-from ..trace.events import STORE
+from ..trace.events import ACQUIRE, STORE
 from .segments import (
     NO_ROW,
     essential_chain,
@@ -61,7 +61,7 @@ from .segments import (
     unit_ids,
 )
 
-__all__ = ["KernelContext", "lifetime_breakdown",
+__all__ = ["KernelContext", "SyncTable", "lifetime_breakdown",
            "dubois_kernel", "eggers_kernel", "torrellas_kernel"]
 
 
@@ -127,6 +127,88 @@ class _Heartbeat:
             signals.check_interrupt()
 
 
+class SyncTable:
+    """A trace's acquires and releases, sorted once for every batch.
+
+    ``keys`` holds one search key per sync row, ``lane * end + row``
+    with ``lane = 2 * proc + (op - ACQUIRE)`` and ``row`` its trace row,
+    sorted: each (processor, kind) lane is a run of trace rows in trace
+    order, and ``end`` exceeds every trace row.  A batch asks in trace
+    rows, which order its own rows and every sync row together, so "my
+    latest acquire before this row" and "my first release after this
+    store" are one binary search each and no batch builds, remaps or
+    sorts a table of its own.  A sync row before a batch's first row
+    can change nothing in it: it has no copy yet, and no store to
+    flush.
+
+    The table owns the key layout: callers compare the trace rows it
+    returns, and read :attr:`past` where they need a key past every
+    row and every end-of-trace flush.
+    """
+
+    def __init__(self, keys: np.ndarray, end: int, num_procs: int):
+        self.keys = keys
+        self.end = int(end)
+        #: Past every trace row and every end-of-trace flush
+        #: (``end + proc``, see :meth:`first_after`).
+        self.past = self.end + int(num_procs)
+
+    @classmethod
+    def from_columns(cls, columns, num_procs: int) -> "SyncTable":
+        """The table of a whole trace's columns (sync rows included)."""
+        rows = np.flatnonzero(columns.op >= ACQUIRE)
+        end = len(columns.op)
+        lane = columns.proc[rows].astype(np.int64) * 2
+        lane += columns.op[rows] - ACQUIRE
+        keys = lane * end + rows
+        keys.sort()
+        return cls(keys, end, num_procs)
+
+    def rows(self, op: int) -> np.ndarray:
+        """The trace rows of the table's ``op`` rows, by processor and
+        then in trace order."""
+        if not len(self.keys):
+            return self.keys
+        lane, row = np.divmod(self.keys, self.end)
+        return row[lane % 2 == op - ACQUIRE]
+
+    def _base(self, op: int, proc) -> np.ndarray:
+        """The first key of each query's (processor, ``op``) lane."""
+        base = np.asarray(proc, dtype=np.int64) * (2 * self.end)
+        if op != ACQUIRE:
+            base += self.end
+        return base
+
+    def latest(self, op: int, proc, before) -> np.ndarray:
+        """Per query, the trace row of ``proc``'s latest ``op`` row
+        before trace row ``before`` (at most :attr:`end`); -1 if none."""
+        base = self._base(op, proc)
+        if not len(self.keys):
+            return np.full(len(base), -1, dtype=np.int64)
+        k = np.searchsorted(self.keys, base + before) - 1
+        found = self.keys[np.maximum(k, 0)]
+        return np.where((k >= 0) & (found >= base), found - base, -1)
+
+    def last(self, op: int, proc) -> np.ndarray:
+        """Per query, the trace row of ``proc``'s last ``op`` row; -1 if
+        none."""
+        return self.latest(op, proc, self.end)
+
+    def first_after(self, op: int, proc, after) -> np.ndarray:
+        """Per query, the trace row of ``proc``'s first ``op`` row after
+        trace row ``after``; ``end + proc`` if none (past every row, in
+        processor order: the end-of-trace flushes)."""
+        proc = np.asarray(proc, dtype=np.int64)
+        base = self._base(op, proc)
+        none = self.end + proc
+        if not len(self.keys):
+            return none
+        k = np.searchsorted(self.keys, base + after, "right")
+        found = self.keys[np.minimum(k, len(self.keys) - 1)]
+        ok = (k < len(self.keys)) & (found < base + self.end)
+        return np.where(ok, found - base, none)
+
+
 class KernelContext:
     """Shared vectorized derivations over one batch of data rows.
 
@@ -138,19 +220,19 @@ class KernelContext:
     arrays — at these sizes the kernels are memory-bound, so narrow
     lanes are most of the speedup after the packed sorts.
 
-    ``acquires`` is the batch's ``(proc, position)`` acquire table: row
-    ``i`` follows an acquire iff ``i >= position``.  Only the RD and SRD
-    kernels read it; the classifiers ignore sync entirely.  ``releases``
-    is the release table in the same form, or a callable returning it:
-    only the MAX, SD and SRD kernels read it, so a batch builds it on
-    first use.  Either table may carry a third column, a key ordering
-    the acquires and releases together (their trace rows): SRD needs it
-    for an acquire and a release between the same two batch rows.
-    Without it, a position's releases are taken to precede its acquires.
+    ``rows`` are the batch rows' trace rows (increasing; default: the
+    positions themselves) and ``sync`` the trace's :class:`SyncTable`
+    (default: none).  Only the RD, MAX, SD and SRD kernels read them;
+    the classifiers ignore sync entirely.  Every batch of a trace
+    shares its one table and looks its sync rows up by trace row: a
+    sync row at trace row ``t`` precedes batch row ``i`` iff ``t <
+    rows[i]``, and its *position* — the batch rows before it, so row
+    ``i`` follows it iff ``i >= position`` — is ``searchsorted(rows,
+    t)``.
     """
 
-    def __init__(self, proc, op, addr, num_procs: int, acquires=None,
-                 releases=None):
+    def __init__(self, proc, op, addr, num_procs: int, rows=None,
+                 sync: Optional[SyncTable] = None):
         self.proc = np.ascontiguousarray(proc, dtype=np.int64)
         op = np.ascontiguousarray(op, dtype=np.int64)
         self.addr = np.ascontiguousarray(addr, dtype=np.int64)
@@ -160,16 +242,13 @@ class KernelContext:
         self.proc_small = self.proc.astype(np.int16)
         self._pbits = max(1, (self.num_procs - 1).bit_length())
         self.wid, self.num_words, self.wuniq = unit_ids(self.addr)
-        if acquires is None:
-            acquires = (np.empty(0, np.int64), np.empty(0, np.int64))
-        self.acq_proc = np.asarray(acquires[0], dtype=np.int64)
-        self.acq_pos = np.asarray(acquires[1], dtype=np.int64)
-        self.acq_seq = np.asarray(acquires[-1], dtype=np.int64)
-        self._acq_sorted = None
-        if releases is None:
-            releases = (np.empty(0, np.int64), np.empty(0, np.int64))
-        self._releases = releases
-        self._rel_sorted = None
+        self.rows = (np.arange(self.n) if rows is None
+                     else np.asarray(rows, dtype=np.int64))
+        if sync is None:  # no sync rows; `end` just past the last row
+            sync = SyncTable(np.empty(0, dtype=np.int64),
+                             int(self.rows[-1]) + 1 if self.n else 0,
+                             self.num_procs)
+        self.sync = sync
         self._srows = None
         self._wbase = None
         self._word_runs = None
@@ -182,47 +261,6 @@ class KernelContext:
     def from_columns(cls, data, num_procs: int) -> "KernelContext":
         """Build from a data-only :class:`~repro.trace.columnar.TraceColumns`."""
         return cls(data.proc, data.op, data.addr, num_procs)
-
-    # -- sync tables ----------------------------------------------------
-    def _sync_sorted(self, proc, pos):
-        """``(keys, proc, position)`` sorted by processor then position,
-        ``keys = proc * (n + 1) + position``: "my latest sync row before
-        row i" and "my first one after row s" are one binary search."""
-        keys = proc * (self.n + 1) + pos
-        order = np.argsort(keys, kind="stable")
-        return keys[order], proc[order], pos[order]
-
-    def acquires_sorted(self):
-        """The acquire table, sorted (see :meth:`_sync_sorted`)."""
-        if self._acq_sorted is None:
-            self._acq_sorted = self._sync_sorted(self.acq_proc, self.acq_pos)
-        return self._acq_sorted
-
-    def _release_columns(self):
-        if callable(self._releases):
-            self._releases = self._releases()
-        return self._releases
-
-    def release_table(self):
-        """``(proc, position)`` of the batch's releases: row ``i`` follows
-        a release iff ``i >= position``."""
-        proc, pos = self._release_columns()[:2]
-        return proc, pos
-
-    def sync_seq(self):
-        """``(acquire keys, release keys)`` ordering the two tables
-        together (the positions, when the tables carry no keys)."""
-        return self.acq_seq, np.asarray(self._release_columns()[-1],
-                                        dtype=np.int64)
-
-    def releases_sorted(self):
-        """The release table, sorted (see :meth:`_sync_sorted`)."""
-        if self._rel_sorted is None:
-            proc, pos = self.release_table()
-            self._rel_sorted = self._sync_sorted(
-                np.asarray(proc, dtype=np.int64),
-                np.asarray(pos, dtype=np.int64))
-        return self._rel_sorted
 
     # -- word-granularity state (block-size independent) ----------------
     def store_rows(self) -> np.ndarray:
@@ -341,10 +379,20 @@ class _BlockView:
         self._prev_sorted = None
         self._miss = None
         self._life = None
+        self._memo = {}
 
     @property
     def ctx(self) -> KernelContext:
         return self._ctx()
+
+    def memo(self, key, build):
+        """``build()``, made once per view and kept under ``key``: the
+        derived state other modules own (the protocol kernels' sync
+        lookups and perform resolution) lives exactly as long as the
+        view."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def _block_sorted(self):
         """Rows in (block, time) order: ``(order, sorted_bid, store)``."""

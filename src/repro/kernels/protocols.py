@@ -32,12 +32,13 @@ fetch) — a chain solved by :func:`~repro.kernels.segments.essential_chain`:
 MAX's misses are the adversary's schedule (:mod:`repro.protocols.maxsched`),
 reformulated per (block, processor q) group.  A store s has a *deadline*
 D(s): the batch position of its writer's first release after it, or
-``n`` if none — the batch's release table, remapped like its acquires,
-makes comparisons with batch rows exact.  For q's consecutive accesses
-a < a', the tokens q can use at a' are exactly the unspent remote stores
-s < a' with D(s) > a (any with an earlier deadline would have been
-forced at a).  At a' q misses iff one is left; if some have D <= a' they
-are all spent (``invalidations_sent += count``), else one with the
+``n`` if none — the lookup SD and SRD flush by
+(:func:`_flush_keys`), made in trace rows, so comparisons
+with batch rows are exact.  For q's consecutive accesses a < a', the
+tokens q can use at a' are exactly the unspent remote stores s < a'
+with D(s) > a (any with an earlier deadline would have been forced at
+a).  At a' q misses iff one is left; if some have D <= a' they are all
+spent (``invalidations_sent += count``), else one with the
 smallest deadline is.  The stores to b between a and a' — and, for the
 group's first gap, those before q's first access with D past it — are
 cut from :meth:`_BlockView.block_runs` into pieces of one (writer,
@@ -49,18 +50,21 @@ sequential loop, an earliest-deadline heap per group: O(misses +
 pieces), not O(rows).
 
 SD and SRD first resolve when each store is performed
-(:class:`_Performs`).  A block's owner changes only at a flush, so a
-store by q is performed at issue iff the block's latest flush before it
-was q's, and is otherwise buffered until q's next release (or the end
-of the trace).  Grouping the stores by (block, writer, the writer's
-next release) gives *candidate flushes*; taken per block in release
-order, a candidate's stores are immediate iff the latest flush before
-its first store was its writer's, up to the block's next flush (another
-writer's), and buffered after; it flushes iff one is buffered.  Every
-flush that decides a candidate precedes the candidate's own release, so
-one loop over the candidates decides them all.  Flushes sit between
-batch rows, and their keys order them against rows and acquires
-exactly.  Then:
+(:class:`_Performs`), once per batch and block size: the first of the
+two cells builds the resolution, caches it on the block view, and the
+other reads it until the view is dropped.  A block's owner changes only
+at a flush, so a store by q is performed at issue iff the block's latest
+flush before it was q's, and is otherwise buffered until q's next
+release (or the end of the trace).  Grouping the stores by (block,
+writer, the writer's next release) gives *candidate flushes*; taken per
+block in release order, a candidate's stores are immediate iff the
+latest flush before its first store was its writer's, up to the block's
+next flush (another writer's), and buffered after; it flushes iff one
+is buffered.  Every flush that decides a candidate precedes the
+candidate's own release, so one loop over the candidates decides them
+all.  Times are trace rows, which order rows, acquires and releases
+exactly (flushes sit between batch rows, and several processors'
+acquires and releases may sit between the same two).  Then:
 
 * **SD** — OTF's rule over performs: a row misses iff it opens its group
   or another writer performed to the block since the group's previous
@@ -117,6 +121,18 @@ merges each cell's parts.  A cell's kernel memory is thus bounded by
 the batch, not by the trace, and the parts sum exactly because every
 state machine is per (block, processor) and every comparison is
 order-only; so do the parts of the plan's ranges.
+
+The sync rows are the one exception to "per batch": a pass sorts the
+trace's acquires and releases once, per (processor, kind), into a
+:class:`~repro.kernels.classifiers.SyncTable` every batch context
+shares.  A batch asks it in trace rows — its processor's latest acquire
+before a row, a writer's first release after a store — so the only
+sync rows a batch ever handles are the answers to its own questions,
+and no batch remaps or sorts a table.  A sync row's batch position is
+``searchsorted(rows, trace_row)``, monotone in the trace row.  What two
+schedules share is looked up once per block view: each row's latest
+acquire (RD, SRD), each store's first release after it (MAX's deadline,
+the SD/SRD flush) and the perform resolution (SD, SRD).
 """
 
 from __future__ import annotations
@@ -138,7 +154,8 @@ from ..mem.addresses import BlockMap
 from ..protocols.results import Counters, ProtocolResult, merge_shard_results
 from ..runtime import signals
 from ..trace.events import ACQUIRE, RELEASE
-from .classifiers import KernelContext, _Heartbeat, lifetime_breakdown
+from .classifiers import (KernelContext, SyncTable, _Heartbeat,
+                          lifetime_breakdown)
 from .segments import essential_chain, event_runs, remote_store_before
 
 __all__ = ["BATCH_ROWS", "BatchPlan", "plan_batches", "run_kernel_cells",
@@ -291,37 +308,14 @@ def _plan_rows(units: np.ndarray, select: np.ndarray):
     return order, np.array(ends, dtype=np.int64)
 
 
-def _sync_rows(columns, op: int):
-    """``(proc, row)`` of the trace's ``op`` rows."""
-    rows = np.flatnonzero(columns.op == op)
-    return columns.proc[rows], rows
-
-
-def _remap(table, rows: np.ndarray):
-    """A ``(proc, row)`` sync table in one batch's positions: a batch row
-    follows a sync row iff its trace row does.  One before every row of
-    the batch has nothing to apply, and is dropped.  The trace rows stay
-    as the table's third column, ordering acquires and releases
-    together."""
-    proc, at = table
-    pos = np.searchsorted(rows, at)
-    live = pos > 0
-    return proc[live], pos[live], at[live]
-
-
 def _batch_contexts(columns, num_procs: int, batches, sync: bool = True):
     """One :class:`KernelContext` per row-index array of ``batches``, in
-    order.  With ``sync`` each carries every acquire and release of the
-    trace remapped to its own rows; only MAX, SD and SRD read the
-    releases, so a batch remaps them on first use."""
-    if sync:
-        acquires = _sync_rows(columns, ACQUIRE)
-        releases = _sync_rows(columns, RELEASE)
+    order.  With ``sync`` every context shares the trace's one
+    :class:`SyncTable`, built here; the classifiers read none."""
+    table = SyncTable.from_columns(columns, num_procs) if sync else None
     for rows in batches:
-        yield KernelContext(
-            columns.proc[rows], columns.op[rows], columns.addr[rows],
-            num_procs, _remap(acquires, rows) if sync else None,
-            functools.partial(_remap, releases, rows) if sync else None)
+        yield KernelContext(columns.proc[rows], columns.op[rows],
+                            columns.addr[rows], num_procs, rows, table)
 
 
 def _cell_kernel(cell, trace_name: str, stats: Optional[Dict]):
@@ -530,7 +524,7 @@ def otf_kernel(ctx: KernelContext, block_map, *, trace_name: str,
                stats: Optional[Dict] = None) -> ProtocolResult:
     """OTF over one batch of data rows, vectorized.
 
-    Sync events are no-ops for OTF, so the acquire table is unused.
+    Sync events are no-ops for OTF, so it reads no sync rows.
     Every store invalidates each remote copy exactly once and every copy
     drop *is* such an invalidation, so ``invalidations_sent ==
     invalidations_applied`` = the lifetimes that do not survive the
@@ -614,31 +608,53 @@ def wbwi_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     return _result("WBWI", ctx, block_map, trace_name, life, counters)
 
 
+def _flush_keys(view) -> np.ndarray:
+    """Per store of the view's :meth:`~_BlockView.block_runs`, the trace
+    row of its writer's first release after it, or the end-of-trace
+    flush if none: MAX's deadline and the SD/SRD flush of a buffered
+    store are this one lookup, made once per view
+    (``searchsorted(ctx.rows, ...)`` turns it into a batch position,
+    ``n`` for none)."""
+    def build():
+        runs, _ = view.block_runs()
+        ctx = view.ctx
+        return ctx.sync.first_after(RELEASE, runs.proc, ctx.rows[runs.row])
+    return view.memo(_flush_keys, build)
+
+
+def _latest_acquires(view):
+    """``(acq, epoch)``, aligned with the view's :meth:`~_BlockView.groups`
+    order and made once per view: the trace row of each row's
+    processor's latest acquire before it (-1 if none), and whether that
+    changed since the group's previous row (a group's first row
+    included).  RD and SRD look their as-of-the-acquire values up only
+    at these epoch starts."""
+    def build():
+        ctx = view.ctx
+        order, newg, _, _ = view.groups()
+        acq = ctx.sync.latest(ACQUIRE, ctx.proc[order], ctx.rows[order])
+        epoch = newg.copy()
+        np.logical_or(epoch[1:], acq[1:] != acq[:-1], out=epoch[1:])
+        return acq, epoch
+    return view.memo(_latest_acquires, build)
+
+
 def rd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
               stats: Optional[Dict] = None) -> ProtocolResult:
     """RD (receive-delayed invalidations) over one batch, vectorized.
 
-    Reads ``ctx``'s acquire table: a copy with a buffered invalidation
-    (a remote store to the block since its fetch) is dropped at its
-    processor's next acquire, or refetched at its processor's next store
-    to the block (an ownership miss), whichever comes first.
+    Reads the trace's acquires (``ctx.sync``): a copy with a buffered
+    invalidation (a remote store to the block since its fetch) is
+    dropped at its processor's next acquire, or refetched at its
+    processor's next store to the block (an ownership miss), whichever
+    comes first.
     """
     hb = _Heartbeat(ctx.n, stats)
     n = ctx.n
     stride = n + 1
+    rows, sync = ctx.rows, ctx.sync
     view = ctx.block_view(block_map.offset_bits)
     runs, bkeys = view.block_runs()
-    akeys, aproc, apos = ctx.acquires_sorted()
-
-    def latest_acquire(proc, pos):
-        """Position of ``proc``'s latest acquire at or before ``pos``."""
-        if not len(akeys):
-            return np.full(len(proc), -1, dtype=np.int64)
-        j = np.searchsorted(akeys, proc * stride + pos, "right") - 1
-        ok = j >= 0
-        j[~ok] = 0
-        ok &= aproc[j] == proc
-        return np.where(ok, apos[j], -1)
 
     def remote_before(proc, bid, pos):
         """Newest store to ``bid`` by another processor before ``pos``."""
@@ -649,13 +665,14 @@ def rd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     # The newest remote store before the processor's latest acquire only
     # changes where it acquired since its previous access to the block,
     # so it is looked up at those epoch starts and carried along the
-    # (block, processor) group.
-    order, newg, _, _ = view.groups()
-    acq = latest_acquire(ctx.proc[order], order)
-    epoch = newg.copy()
-    np.logical_or(epoch[1:], acq[1:] != acq[:-1], out=epoch[1:])
+    # (block, processor) group.  An acquire's batch position is the
+    # batch rows before it: 0, nothing to apply, for none or one before
+    # the batch.
+    order = view.groups()[0]
+    acq, epoch = _latest_acquires(view)
     first = order[epoch]
-    rb_epoch = remote_before(ctx.proc[first], view.bid[first], acq[epoch])
+    rb_epoch = remote_before(ctx.proc[first], view.bid[first],
+                             np.searchsorted(rows, acq[epoch]))
     rb_acq = np.empty(n, dtype=np.int64)
     rb_acq[order] = rb_epoch[np.cumsum(epoch) - 1]
     srows = ctx.store_rows()
@@ -679,8 +696,8 @@ def rd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     last = np.append(cold[1:], True) if len(fetch) else cold
     fproc = ctx.proc[fetch]
     fbid = view.bid[fetch]
-    dropped = last & (remote_before(fproc, fbid,
-                                    latest_acquire(fproc, n)) > fetch)
+    last_acq = np.searchsorted(rows, sync.last(ACQUIRE, fproc))
+    dropped = last & (remote_before(fproc, fbid, last_acq) > fetch)
     live = int(last.sum() - dropped.sum())
 
     # Each lifetime is alive over rows [fetch, end): end is the next
@@ -703,7 +720,8 @@ def rd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
         mine = np.flatnonzero(runs.proc[k0] == q)
         if len(mine):
             s1[mine] = runs.row[_next_run(runs)[k0[mine]]]
-        end[need] = apos[np.searchsorted(akeys, q * stride + s1, "right")]
+        end[need] = np.searchsorted(rows,
+                                    sync.first_after(ACQUIRE, q, rows[s1]))
     alive_stores = (np.searchsorted(bkeys, fbid * stride + end)
                     - counts[fetch])
     sent = int(alive_stores.sum()) - len(srows)
@@ -713,7 +731,6 @@ def rd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
                         ownership_misses=int(own.sum()))
     hb.finish()
     return _result("RD", ctx, block_map, trace_name, life, counters)
-
 
 
 def _class_runs(runs, deadline: np.ndarray):
@@ -737,10 +754,10 @@ def max_kernel(ctx: KernelContext, block_map, *, trace_name: str,
                stats: Optional[Dict] = None) -> ProtocolResult:
     """MAX (the adversary's invalidation schedule) over one batch.
 
-    Reads ``ctx``'s release table.  The module docstring derives the
-    per-group rules: deadlines, gaps, pieces and the earliest-deadline
-    loop over the contested gaps, which is a cancellation point every
-    ``HEARTBEAT_CHUNK`` of them.
+    Reads the trace's releases (:func:`_flush_keys`).  The
+    module docstring derives the per-group rules: deadlines, gaps,
+    pieces and the earliest-deadline loop over the contested gaps, which
+    is a cancellation point every ``HEARTBEAT_CHUNK`` of them.
     """
     hb = _Heartbeat(ctx.n, stats)
     n = ctx.n
@@ -749,14 +766,7 @@ def max_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     runs, _ = view.block_runs()
     counts = view.store_counts()
 
-    rkeys, rproc, rpos = ctx.releases_sorted()
-    writer = runs.proc.astype(np.int64)
-    deadline = np.full(len(writer), n, dtype=np.int64)
-    if len(rkeys):
-        j = np.searchsorted(rkeys, writer * (n + 1) + runs.row, "right")
-        np.minimum(j, len(rkeys) - 1, out=j)
-        found = (rproc[j] == writer) & (rpos[j] > runs.row)
-        deadline[found] = rpos[j[found]]
+    deadline = np.searchsorted(ctx.rows, _flush_keys(view))
     cls, cstart, cstop, cdeadline, cwriter = _class_runs(runs, deadline)
     hb.phase()
 
@@ -875,77 +885,58 @@ def max_kernel(ctx: KernelContext, block_map, *, trace_name: str,
 # SD and SRD: when each store is performed
 # ----------------------------------------------------------------------
 class _Performs:
-    """When each store of one batch is performed under SD and SRD.
+    """When each store of one batch is performed under SD and SRD, at
+    one block size.
 
-    Times are *keys*: every batch row and every sync event of the
-    batch's tables numbered in trace order, with a store's immediate
-    perform sharing its row's key and the end-of-trace flushes (one per
-    writer, in processor order) numbered past everything.  ``row_key``
-    maps rows to keys, so the chains compare keys with keys.
+    Times are *keys*: trace rows, which order the batch's rows and the
+    trace's acquires and releases together, a store's immediate perform
+    sharing its row's key and the end-of-trace flushes (one per writer,
+    :meth:`SyncTable.first_after`'s none) past every row and before
+    ``SyncTable.past``.  ``row_key`` maps batch rows to keys, so the
+    chains compare keys with keys.  One resolution serves both SD and
+    SRD (:meth:`of` caches it on the view).
     """
 
-    def __init__(self, ctx, view, hb, acquires: bool):
-        n = ctx.n
-        procs = ctx.num_procs
-        rproc, rpos = ctx.release_table()
-        aseq, rseq = ctx.sync_seq()
-        nrel = len(rpos)
-        rel_key = rpos + np.arange(nrel)
-        positions = rpos
-        if acquires:
-            apos = ctx.acq_pos
-            rel_key += np.searchsorted(aseq, rseq)
-            self.acq_key = (apos + np.arange(len(apos))
-                            + np.searchsorted(rseq, aseq, "right"))
-            positions = np.append(rpos, apos)
-        syncs = len(positions)
-        # Row t's key: t plus the sync events at positions <= t.
-        self.row_key = np.cumsum(np.bincount(positions, minlength=n + 1)[:n])
-        self.row_key += np.arange(n)
-        end = n + syncs
-        self.stride = end + procs + 1
-        self.procs = procs
+    @classmethod
+    def of(cls, view, hb) -> "_Performs":
+        """The view's resolution, built by its first SD or SRD cell."""
+        return view.memo(cls, lambda: cls(view, hb))
 
-        # Each store's flush: its writer's first release after it (an
-        # index into the release table, which is in trace order), else
-        # the writer's end-of-trace flush.
+    def __init__(self, view, hb):
+        ctx = view.ctx
+        past = ctx.sync.past
+        self.procs = ctx.num_procs
+        self.stride = past + 1
+        self.row_key = ctx.rows
+
+        # Each store's flush is its writer's first release after it, else
+        # the writer's end-of-trace flush.  A candidate flush is one
+        # (block, flush)'s stores, taken per block in flush order: the
+        # stores are immediate while their writer owns the block, which
+        # it does iff the block's latest flush before the first of them
+        # was its own, up to the block's next flush; the rest are
+        # buffered, and the candidate flushes iff one is.  Every flush
+        # that decides a candidate precedes the candidate's own, so one
+        # pass decides them all.
         runs, _ = view.block_runs()
-        writer = runs.proc.astype(np.int64)
-        flush = nrel + writer
-        if nrel:
-            rkeys = rproc * (n + 1) + rpos
-            by_proc = np.argsort(rkeys, kind="stable")
-            j = np.searchsorted(rkeys[by_proc], writer * (n + 1) + runs.row,
-                                "right")
-            j = by_proc[np.minimum(j, nrel - 1)]
-            found = (rproc[j] == writer) & (rpos[j] > runs.row)
-            flush[found] = j[found]
-        flush_pos = np.append(rpos, np.full(procs, n))
-        flush_key = np.append(rel_key, end + np.arange(procs))
-        flush_proc = np.append(rproc, np.arange(procs))
-
-        # A candidate flush is one (block, flush)'s stores, taken per
-        # block in flush order: the stores are immediate while their
-        # writer owns the block, which it does iff the block's latest
-        # flush before the first of them was its own, up to the block's
-        # next flush; the rest are buffered, and the candidate flushes
-        # iff one is.  Every flush that decides a candidate precedes the
-        # candidate's own, so one pass decides them all.
+        skey = self.row_key[runs.row]
         cand_keys, cand = np.unique(
-            runs.unit.astype(np.int64) * (nrel + procs) + flush,
+            runs.unit.astype(np.int64) * self.stride + _flush_keys(view),
             return_inverse=True)
         cand = cand.reshape(-1)
-        cblock, cflush = np.divmod(cand_keys, nrel + procs)
-        grouped = runs.row[np.argsort(cand, kind="stable")]
+        cblock, cflush = np.divmod(cand_keys, self.stride)
+        by_cand = np.argsort(cand, kind="stable")
         sizes = np.bincount(cand, minlength=len(cand_keys))
         stops = np.cumsum(sizes)
         starts = stops - sizes
+        cwriter = runs.proc[by_cand[starts]]
+        grouped = skey[by_cand]
         hb.phase()
-        cut = self._resolve(cblock.tolist(), flush_proc[cflush].tolist(),
+        cut = self._resolve(cblock.tolist(), cwriter.tolist(),
                             grouped[starts].tolist(),
                             grouped[stops - 1].tolist(),
-                            flush_pos[cflush].tolist(), n, hb)
-        immediate = runs.row < cut[cand]
+                            cflush.tolist(), past, hb)
+        immediate = skey < cut[cand]
         buffered = np.bincount(cand[~immediate], minlength=len(cand_keys))
         flushed = np.flatnonzero(buffered)
         self.stores_buffered = int(buffered.sum())
@@ -955,23 +946,19 @@ class _Performs:
         hb.phase()
 
         # The perform events, per block and per word, in key order.
-        srows = runs.row[immediate]
-        fkey = flush_key[cflush[flushed]]
-        fproc = flush_proc[cflush[flushed]]
         self._blocks = self._sorted(
             np.append(runs.unit[immediate], fblock),
-            np.append(self.row_key[srows], fkey),
-            np.append(runs.proc[immediate], fproc))
+            np.append(skey[immediate], cflush[flushed]),
+            np.append(runs.proc[immediate], cwriter[flushed]))
         bunit, bkey, bproc, _ = self._blocks
         self.runs = event_runs(bkey, bunit, bproc.astype(np.int16))
         pairs = np.unique(cand[~immediate] * ctx.num_words
                           + ctx.wid[runs.row[~immediate]])
         pcand, pword = np.divmod(pairs, ctx.num_words)
-        pflush = cflush[pcand]
         self._words = self._sorted(
-            np.append(ctx.wid[srows], pword),
-            np.append(self.row_key[srows], flush_key[pflush]),
-            np.append(runs.proc[immediate], flush_proc[pflush]))
+            np.append(ctx.wid[runs.row[immediate]], pword),
+            np.append(skey[immediate], cflush[pcand]),
+            np.append(runs.proc[immediate], cwriter[pcand]))
         hb.phase()
 
     def _sorted(self, unit, key, proc):
@@ -983,8 +970,10 @@ class _Performs:
                 proc.astype(np.int64)[order], keys[order])
 
     @staticmethod
-    def _resolve(block, writer, first, last, pos, n, hb):
-        """Per candidate, the row before which its stores are immediate."""
+    def _resolve(block, writer, first, last, flush, past, hb):
+        """Per candidate, the key before which its stores are immediate
+        (``first``/``last``: its first and last store's, ``flush``: its
+        flush's; ``past`` is past every key)."""
         cut = []
         step = signals.HEARTBEAT_CHUNK
         current = None
@@ -996,12 +985,12 @@ class _Performs:
                     at, who = [], []
                 k = bisect.bisect_right(at, first[c])
                 if k and who[k - 1] == writer[c]:
-                    stop = at[k] if k < len(at) else n
+                    stop = at[k] if k < len(at) else past
                 else:
                     stop = first[c]
                 cut.append(stop)
                 if last[c] >= stop:
-                    at.append(pos[c])
+                    at.append(flush[c])
                     who.append(writer[c])
         return np.array(cut, dtype=np.int64)
 
@@ -1079,7 +1068,7 @@ def sd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
               stats: Optional[Dict] = None) -> ProtocolResult:
     """SD (send-delayed stores) over one batch: OTF's rule over performs.
 
-    Reads ``ctx``'s release table.  A row misses iff it opens its group
+    Reads the trace's releases.  A row misses iff it opens its group
     or another writer performed to the block since the group's previous
     access; every copy lost is dropped by such a perform, so
     ``invalidations_sent == invalidations_applied``, and a group's last
@@ -1088,7 +1077,7 @@ def sd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     """
     hb = _Heartbeat(ctx.n, stats)
     view = ctx.block_view(block_map.offset_bits)
-    pf = _Performs(ctx, view, hb, acquires=False)
+    pf = _Performs.of(view, hb)
     order, newg, _, _ = view.groups()
     key = pf.row_key[order]
     proc, bid = ctx.proc[order], view.bid[order]
@@ -1098,7 +1087,7 @@ def sd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     hb.phase()
     life = pf.classify(view, miss, hb)
     last = np.flatnonzero(np.append(newg[1:], True)) if ctx.n else newg
-    live = int((pf.remote_before(bid[last], proc[last], pf.stride - 1)
+    live = int((pf.remote_before(bid[last], proc[last], ctx.sync.past)
                 < key[last]).sum())
     fetches = len(life[1])
     counters = pf.counters(fetches=fetches,
@@ -1113,36 +1102,22 @@ def srd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     """SRD (send- and receive-delayed) over one batch: RD's rule over
     performs.
 
-    Reads ``ctx``'s acquire and release tables.  A copy that another
+    Reads the trace's acquires and releases.  A copy that another
     writer's perform made stale is dropped at its processor's next
     acquire, or refetched at its processor's next store to the block
     (an ownership miss), whichever comes first.
     """
     hb = _Heartbeat(ctx.n, stats)
     view = ctx.block_view(block_map.offset_bits)
-    pf = _Performs(ctx, view, hb, acquires=True)
-    stride = pf.stride
-    akeys = ctx.acq_proc * stride + pf.acq_key
-    akeys.sort()
-
-    def latest_acquire(proc, key):
-        """Key of ``proc``'s latest acquire before ``key`` (-1 if none)."""
-        if not len(akeys):
-            return np.full(len(proc), -1, dtype=np.int64)
-        j = np.searchsorted(akeys, proc * stride + key) - 1
-        ok = j >= 0
-        j[~ok] = 0
-        ok &= akeys[j] // stride == proc
-        return np.where(ok, akeys[j] % stride, -1)
+    pf = _Performs.of(view, hb)
+    sync = ctx.sync
 
     # As in RD: the value at the processor's latest acquire only changes
     # where it acquired since its previous access to the block.
     order, newg, gid_sorted, _ = view.groups()
     key = pf.row_key[order]
     proc, bid = ctx.proc[order], view.bid[order]
-    acq = latest_acquire(proc, key)
-    epoch = newg.copy()
-    np.logical_or(epoch[1:], acq[1:] != acq[:-1], out=epoch[1:])
+    acq, epoch = _latest_acquires(view)
     rb_acq = pf.remote_before(bid[epoch], proc[epoch], acq[epoch])[
         np.cumsum(epoch) - 1]
     value = rb_acq.copy()
@@ -1166,22 +1141,21 @@ def srd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     fbid = view.bid[fetch]
     fkey = pf.row_key[fetch]
     dropped = last & (pf.remote_before(
-        fbid, fproc, latest_acquire(fproc, stride - 1)) > fkey)
+        fbid, fproc, sync.last(ACQUIRE, fproc)) > fkey)
     live = int(last.sum() - dropped.sum())
 
     # Each lifetime holds its copy over keys (fetch, end): end is the
     # refetch of an ownership miss, the dropping acquire (the first one
     # after the first other writer's perform since the fetch), or past
     # the end-of-trace flushes.
-    end = np.full(len(fetch), stride - 1, dtype=np.int64)
+    end = np.full(len(fetch), sync.past, dtype=np.int64)
     own_next = np.append(own[1:], False) if len(fetch) else own
     end[own_next] = pf.row_key[np.append(fetch[1:], 0)[own_next]]
     need = np.flatnonzero((~last & ~own_next) | dropped)
     if len(need):
         q = fproc[need]
         first = pf.remote_after(fbid[need], q, fkey[need])
-        end[need] = akeys[np.searchsorted(akeys, q * stride + first,
-                                          "right")] % stride
+        end[need] = sync.first_after(ACQUIRE, q, first)
     sent = int(pf.remote_between(fbid, fproc, fkey, end).sum())
     counters = pf.counters(fetches=len(fetch),
                            invalidations_applied=len(fetch) - live,

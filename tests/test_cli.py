@@ -182,16 +182,26 @@ class TestSuiteCommands:
                                       "FFT256@32B", "FFT256@1024B"]
 
     @pytest.mark.parametrize("argv", [["table1", "--benchmarks", "MATMUL24"],
-                                      ["prefetch", "MATMUL24"]])
+                                      ["prefetch", "MATMUL24"],
+                                      ["attribute", "MATMUL24", "--block",
+                                       "32"],
+                                      ["traffic", "MATMUL24", "--block", "32"],
+                                      ["validate", "MATMUL24"],
+                                      ["table2"]])
     def test_trace_cache_hit_prints_the_same(self, argv, monkeypatch,
                                              tmp_path, capsys):
         """``--trace-cache`` changes where the trace comes from, not what
         is printed: the first cached run generates it, the second loads
         it."""
+        from repro import cli
         from repro.workloads.base import Workload
+        from repro.workloads.registry import make_workload
 
+        monkeypatch.setattr(cli, "suite",
+                            lambda which: [make_workload("MATMUL24")])
         assert main(argv) == 0
         plain = capsys.readouterr().out
+        assert plain
         generated = []
 
         def generate(self, original=Workload.generate, **kwargs):

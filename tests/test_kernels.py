@@ -41,7 +41,7 @@ from repro.kernels import (
 )
 from repro.kernels import finite as kernel_finite
 from repro.kernels import protocols as kernel_protocols
-from repro.kernels.classifiers import dubois_kernel
+from repro.kernels.classifiers import SyncTable, dubois_kernel
 from repro.kernels.finite import run_finite_kernel
 from repro.kernels.protocols import run_kernel_cells
 from repro.mem.addresses import PAPER_BLOCK_SIZES, BlockMap
@@ -70,24 +70,12 @@ def family_trace(name):
     return _trace_cache[name]
 
 
-def sync_table(cols, op):
-    """``(proc, position, trace row)`` of every ``op`` row, the position
-    counting the data rows before it (the index space of a data-row
-    context)."""
-    sync = np.flatnonzero(cols.op > STORE)
-    pos = sync - np.arange(len(sync))
-    chosen = cols.op[sync] == op
-    return cols.proc[sync][chosen], pos[chosen], sync[chosen]
-
-
 def kernel_context(trace):
-    """A context over the trace's data rows carrying its acquire and
-    release tables."""
+    """A context over the trace's data rows carrying its sync table."""
     cols = trace.columns()
     data = cols.data_only()
     return KernelContext(data.proc, data.op, data.addr, trace.num_procs,
-                         sync_table(cols, ACQUIRE),
-                         sync_table(cols, RELEASE))
+                         cols.data_indices(), SyncTable.from_columns(cols, trace.num_procs))
 
 
 # ----------------------------------------------------------------------
@@ -276,6 +264,24 @@ class TestFiniteKernel:
         assert r.replacement_misses > 0
 
 
+def sync_positions(ctx, op):
+    """``[procs, positions]`` of the trace's ``op`` rows that follow a
+    row of ``ctx``'s batch, in trace order, each position counting the
+    batch rows before it — walked through the shared table's lookups."""
+    found = []
+    for p in range(ctx.num_procs):
+        t = -1
+        while True:
+            t = int(ctx.sync.first_after(op, [p], [t])[0])
+            if t >= ctx.sync.end:
+                break
+            found.append((t, p))
+    found.sort()
+    pos = np.searchsorted(ctx.rows, [t for t, _ in found]).tolist()
+    kept = [(p, at) for (_, p), at in zip(found, pos) if at > 0]
+    return [[p for p, _ in kept], [at for _, at in kept]]
+
+
 class TestKernelContextAcquires:
     def test_helper_context_carries_acquires(self):
         """Acquire and release positions count the data rows before each
@@ -285,21 +291,27 @@ class TestKernelContextAcquires:
                   (1, ACQUIRE, 9), (1, RELEASE, 9)]
         ctx = kernel_context(Trace(events, 2, validate=False))
         assert ctx.n == 3
-        assert ctx.acq_proc.tolist() == [1, 0, 1]
-        assert ctx.acq_pos.tolist() == [1, 2, 3]
-        proc, pos = ctx.release_table()
-        assert proc.tolist() == [0, 1]
-        assert pos.tolist() == [2, 3]
+        assert ctx.rows.tolist() == [0, 2, 5]
+        assert sync_positions(ctx, ACQUIRE) == [[1, 0, 1], [1, 2, 3]]
+        assert sync_positions(ctx, RELEASE) == [[0, 1], [2, 3]]
+        assert ctx.sync.latest(ACQUIRE, [1, 1, 0], [6, 7, 4]).tolist() == [
+            1, 6, -1]
+        assert ctx.sync.first_after(RELEASE, [0, 1], [3, 7]).tolist() == [
+            8 + 0, 8 + 1]  # none: the end-of-trace flush keys
 
     def test_family_context_carries_every_acquire(self):
         trace = family_trace("FFT256")
         ctx = kernel_context(trace)
-        assert len(ctx.acq_pos) == trace.counts().acquires > 0
-        assert len(ctx.release_table()[1]) == trace.counts().releases > 0
+        counts = trace.counts()
+        assert len(ctx.sync.rows(ACQUIRE)) == counts.acquires
+        assert len(ctx.sync.rows(RELEASE)) == counts.releases
+        assert counts.acquires > 0 and counts.releases > 0
+        assert np.all(np.diff(ctx.sync.keys) > 0)
 
     def test_batch_releases_are_remapped_on_first_use(self):
-        """A batch context gets its release table only when asked, in
-        its own row positions."""
+        """Every batch shares the trace's one table and reads it in its
+        own row positions; a sync row before its first row is none of
+        its business."""
         events = [(0, LOAD, 0), (1, RELEASE, 9), (1, STORE, 64),
                   (0, RELEASE, 9), (0, LOAD, 0), (1, LOAD, 64)]
         cols = Trace(events, 2, validate=False).columns()
@@ -308,12 +320,18 @@ class TestKernelContextAcquires:
             ctxs = list(kernel_protocols._batch_contexts(
                 cols, 2, plan_batches(cols, 4).batches()))
         assert [c.n for c in ctxs] == [2, 2]
-        assert all(callable(c._releases) for c in ctxs)
+        assert ctxs[0].sync is ctxs[1].sync
         # Block 0 (rows 0, 4): both releases fall between its rows.
-        assert [t.tolist() for t in ctxs[0].release_table()] == [[1, 0],
-                                                                 [1, 1]]
+        assert sync_positions(ctxs[0], RELEASE) == [[1, 0], [1, 1]]
         # Block 4 (rows 2, 5): P1's release precedes it, and is dropped.
-        assert [t.tolist() for t in ctxs[1].release_table()] == [[0], [1]]
+        assert sync_positions(ctxs[1], RELEASE) == [[0], [1]]
+        # P1's store at row 2 flushes at its next release: none, so the
+        # end-of-trace flush, past the batch.
+        view = ctxs[1].block_view(4)
+        flush = kernel_protocols._flush_keys(view)
+        assert flush.tolist() == [6 + 1]
+        assert np.searchsorted(ctxs[1].rows, flush).tolist() \
+            == [2]
 
 
 def test_min_kernel_on_the_appendix_a_corner_case():
@@ -370,8 +388,13 @@ class TestMaxKernel:
         cols = trace.columns()
         ctxs = list(kernel_protocols._batch_contexts(
             cols, 3, plan_batches(cols, BlockMap(8).offset_bits).batches()))
-        assert [c.release_table()[1].tolist() for c in ctxs] == [
+        assert [sync_positions(c, RELEASE)[1] for c in ctxs] == [
             [3, 3, 3], [1, 1]]
+        # Each store's deadline (its flush): P1's and P2's stores to
+        # block 0 both close at position 3, P1's to block 32 at 1.
+        flush = kernel_protocols._flush_keys
+        assert [np.searchsorted(c.rows, flush(c.block_view(1))).tolist()
+                for c in ctxs] == [[3, 3], [1]]
         r = run_checked("MAX", trace, 8)
         assert r.misses == 6  # four cold, one burn of two
         assert r.counters.invalidations_sent == 2
@@ -426,8 +449,13 @@ class TestSendDelayedKernel:
         cols = trace.columns()
         ctxs = list(kernel_protocols._batch_contexts(
             cols, 3, plan_batches(cols, BlockMap(8).offset_bits).batches()))
-        assert [c.release_table()[1].tolist() for c in ctxs] == [
+        assert [sync_positions(c, RELEASE)[1] for c in ctxs] == [
             [3, 3, 3], [1, 1]]
+        # Each store's flush: P1's and P2's first stores to block 0 at
+        # position 3, P2's second at the end of the trace (position 6,
+        # the batch's end), P1's store to block 32 at 1.
+        assert [np.searchsorted(c.rows, kernel_protocols._flush_keys(c.block_view(1)))
+                .tolist() for c in ctxs] == [[3, 3, 6], [1]]
         for name in ("SD", "SRD"):
             r = run_checked(name, trace, 8)
             assert r.counters.stores_buffered == 3, name
@@ -549,6 +577,93 @@ def test_one_runner_pass_builds_each_batch_context_once(monkeypatch):
     run_kernel_cells(trace.columns(), trace.num_procs, cells[2:3],
                      trace_name=trace.name)  # the same 1 KiB plan
     assert one == len(built) > 1
+
+
+@st.composite
+def sync_dense_traces(draw):
+    """Traces whose data rows are separated by bursts of acquires and
+    releases by several processors, interleaved: a batch of a few rows
+    sees many sync rows between the same two of its rows."""
+    nproc = draw(st.integers(2, MAX_PROCS))
+    proc = st.integers(0, nproc - 1)
+    events = []
+    for _ in range(draw(st.integers(1, 40))):
+        events.append((draw(proc), draw(st.sampled_from((LOAD, STORE))),
+                       draw(st.integers(0, MAX_WORDS - 1))))
+        burst = draw(st.lists(st.tuples(
+            proc, st.sampled_from((ACQUIRE, RELEASE))), max_size=6))
+        events.extend((p, op, 99) for p, op in burst)
+    return Trace(events, nproc, validate=False)
+
+
+#: The four schedules that read the sync rows, at three block sizes.
+SYNC_CELLS = [("protocol", bb, name) for bb in (4, 8, 16)
+              for name in ("RD", "SD", "SRD", "MAX")]
+
+
+@given(sync_dense_traces(), st.sampled_from((1, 2, 3, 7)),
+       st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_sync_dense_traces_match_oracles(trace, batch_rows, shards):
+    """RD, SD, SRD and MAX equal their simulators on sync-dense traces,
+    in tiny batches cut into arbitrary ranges."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_protocols, "BATCH_ROWS", batch_rows)
+        _batched_matches_oracles(trace, SYNC_CELLS, shards)
+
+
+def test_sd_and_srd_share_one_perform_resolution(monkeypatch):
+    """One pass builds one perform resolution per (batch, block size),
+    whichever of SD and SRD asks first, and dropping the block size's
+    view frees it at once (no cycle keeps it).  Every cell still credits
+    exactly its rows."""
+    import weakref
+
+    from repro.kernels import classifiers
+
+    monkeypatch.setattr(kernel_protocols, "BATCH_ROWS", 256)
+    built = []
+    init = kernel_protocols._Performs.__init__
+
+    def counting(self, view, hb):
+        init(self, view, hb)
+        built.append((view.offset_bits, weakref.ref(self)))
+
+    monkeypatch.setattr(kernel_protocols._Performs, "__init__", counting)
+    drop = classifiers.KernelContext.drop_block_view
+    freed = []
+
+    def dropping(self, offset_bits):
+        drop(self, offset_bits)
+        gc.disable()
+        try:
+            freed.append(all(ref() is None for bits, ref in built
+                             if bits == offset_bits))
+        finally:
+            gc.enable()
+
+    monkeypatch.setattr(classifiers.KernelContext, "drop_block_view",
+                        dropping)
+    ticks = []
+    orig = signals.note_progress
+    monkeypatch.setattr(signals, "note_progress",
+                        lambda n=1: (ticks.append(n), orig(n)))
+    trace = family_trace("WATER16")
+    cols = trace.columns()
+    cells = [("protocol", 64, "SD"), ("protocol", 64, "MAX"),
+             ("protocol", 64, "SRD"), ("protocol", 16, "SRD"),
+             ("protocol", 16, "SD")]
+    stats = [{} for _ in cells]
+    got = run_kernel_cells(cols, trace.num_procs, cells,
+                           trace_name=trace.name, stats=stats)
+    rows = len(cols.data_only())
+    assert sum(ticks) == len(cells) * rows
+    assert [st["rows"] for st in stats] == [rows] * len(cells)
+    batches = len(plan_batches(cols, BlockMap(64).offset_bits).ends) - 1
+    assert batches > 1
+    assert len(built) == 2 * batches
+    assert freed and all(freed)
+    assert got == [_cell_oracle(trace, c) for c in cells]
 
 
 def _cell_peak(name, trace):
