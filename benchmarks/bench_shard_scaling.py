@@ -12,14 +12,12 @@ the engine knows:
 * a Dubois classifier cell (MP3D1000 at B=64), in ranges of whole
   blocks, carrying the same >= 1.8x gate;
 * a finite-cache cell (MP3D200, 64 blocks 4-way at B=1024), in ranges
-  of whole cache sets (16 sets), asserted bit-identical with its
-  speedup recorded.
+  of whole cache sets (16 sets), asserted bit-identical without a
+  speedup gate.
 
 On hosts with fewer than four usable cores the speedup assertions are
-skipped (never failed), but the skip — with the host core count — is
-still recorded in ``BENCH_throughput.json`` so the perf trajectory shows
-*why* the number is absent.  Methodology and reference numbers live in
-EXPERIMENTS.md.
+skipped (never failed), and the skip reason names the host core count.
+Methodology and reference numbers live in EXPERIMENTS.md.
 """
 
 import os
@@ -70,10 +68,10 @@ def _timed_cell(trace, shards, cell=CELL):
 
 
 def _scaling_entry(trace, cell, expected, entry):
-    """Fill one BENCH entry with the shards ∈ {1, 2, 4} scaling table.
+    """Fill ``entry`` with the shards ∈ {1, 2, 4} scaling table.
 
     Every sharded result is asserted bit-identical to ``expected``; the
-    speedup columns of shard counts the host cannot exercise are recorded
+    speedup columns of shard counts the host cannot exercise are marked
     as skips instead.  Returns the serial wall time.
     """
     cores = _host_cores()
@@ -106,36 +104,33 @@ def _gate_speedup(entry, label):
         f"{cores}-core host")
 
 
-def test_shard_scaling_single_cell(bench_json, mp3d200):
+def test_shard_scaling_single_cell(mp3d200):
     """Protocol cell by block: shards ∈ {1, 2, 4} plus the >= 1.8x gate."""
     expected = run_protocol(PROTOCOL, mp3d200, BLOCK)
     entry = {"workload": "MP3D200", "block_bytes": BLOCK,
              "protocol": PROTOCOL}
     _scaling_entry(mp3d200, CELL, expected, entry)
-    bench_json("shard_scaling/MP3D200/B1024", **entry)
     _gate_speedup(entry, "protocol")
 
 
-def test_shard_scaling_classifier_cell(bench_json, mp3d1000):
+def test_shard_scaling_classifier_cell(mp3d1000):
     """Dubois classifier cell by block: same table, same >= 1.8x gate."""
     (expected,) = SweepEngine(mp3d1000).run_grid([CLASSIFY_CELL])
     entry = {"workload": "MP3D1000", "block_bytes": CLASSIFY_CELL[1],
              "classifier": "dubois", "partition_dim": "by-block"}
     _scaling_entry(mp3d1000, CLASSIFY_CELL, expected, entry)
-    bench_json("shard_scaling/MP3D1000/classify-dubois-B64", **entry)
     _gate_speedup(entry, "classifier")
 
 
-def test_shard_scaling_finite_cell(bench_json, mp3d200):
-    """Finite-cache cell by cache set: bit-identity plus recorded scaling.
+def test_shard_scaling_finite_cell(mp3d200):
+    """Finite-cache cell by cache set: bit-identity plus measured scaling.
 
     The 16-set 4-way geometry partitions across up to 16 shards; the
     acceptance gate rides on the protocol/classifier benches, so here the
-    speedup columns are recorded without a hard threshold.
+    speedup columns are measured without a hard threshold.
     """
     (expected,) = SweepEngine(mp3d200).run_grid([FINITE_CELL])
     entry = {"workload": "MP3D200", "block_bytes": FINITE_CELL[1],
              "finite_spec": FINITE_CELL[2],
              "partition_dim": "by-cache-set/16"}
     _scaling_entry(mp3d200, FINITE_CELL, expected, entry)
-    bench_json("shard_scaling/MP3D200/finite-c64w4-B1024", **entry)

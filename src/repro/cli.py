@@ -15,7 +15,6 @@ generate    Generate a workload trace and save it (.npz or .trc).
 report      Render a recorded run's telemetry (see ``--telemetry``).
 trace       Render a run's span tree and critical-path attribution.
 diff        Compare two runs cell-by-cell and flag regressions.
-history     Append runs to a perf history file and flag trend regressions.
 
 Global flags: ``-v``/``-q`` adjust console log verbosity (repeatable);
 ``--telemetry DIR`` on the sweep-style commands records the whole command
@@ -312,31 +311,6 @@ def _cmd_diff(args) -> int:
     return 0
 
 
-def _cmd_history(args) -> int:
-    from .obs import history_summary, record_run, render_history
-
-    if args.action == "record":
-        if not args.runs:
-            raise ReproError("history record needs at least one run "
-                             "directory")
-        for run in args.runs:
-            entry = record_run(run, args.file, label=args.label)
-            print(f"recorded {entry['run_id']} "
-                  f"({len(entry['cells'])} cell(s)) -> {args.file}")
-        return 0
-    summary = history_summary(args.file, window=args.window,
-                              threshold=args.threshold)
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(render_history(summary))
-    if args.fail_on_regress and summary["regressions"]:
-        return 1
-    return 0
-
-
 def _size(text: str) -> int:
     """argparse type for human byte sizes (``512M``, ``1.5G``, ``4096``)."""
     from .runtime.resources import parse_size
@@ -570,31 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "threshold")
     p.set_defaults(func=_cmd_diff)
 
-    p = sub.add_parser("history",
-                       help="append runs to an append-only perf history "
-                            "file and flag cells regressing against "
-                            "their trailing median")
-    p.add_argument("action", choices=("record", "show"),
-                   help="'record' appends run summaries; 'show' renders "
-                        "the per-cell trend and verdicts")
-    p.add_argument("runs", nargs="*",
-                   help="run directories to record (record only)")
-    p.add_argument("--file", default="PERF_HISTORY.jsonl", metavar="PATH",
-                   help="history file (default: ./PERF_HISTORY.jsonl)")
-    p.add_argument("--label", default=None,
-                   help="free-form label stored with recorded entries "
-                        "(e.g. a commit hash or kernel mode)")
-    p.add_argument("--window", type=int, default=8, metavar="N",
-                   help="trailing runs per cell forming the comparison "
-                        "median (default: 8)")
-    p.add_argument("--threshold", type=float, default=0.25, metavar="FRAC",
-                   help="relative slowdown vs the median that flags a "
-                        "regression (default: 0.25 = 25%%)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the trend summary as JSON (show only)")
-    p.add_argument("--fail-on-regress", action="store_true",
-                   help="exit 1 when any cell regressed (show only)")
-    p.set_defaults(func=_cmd_history)
     return parser
 
 

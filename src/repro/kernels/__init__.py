@@ -1,8 +1,10 @@
 """Vectorized kernel registry and execution-path resolution.
 
 A *kernel* computes one grid cell's counters as NumPy reductions over
-columnar rows instead of a per-event Python loop (10×+ single-core on
-the cells that have one; see BENCH_throughput.json).  The streaming
+columnar rows instead of a per-event Python loop (about 7× on the
+Dubois classifier and 11-15× on OTF, single-core at MP3D1000/B64,
+against the benchmarks' 5× gate; see EXPERIMENTS.md, "Gate readings
+after the stored trajectory was retired").  The streaming
 implementations stay authoritative: they are the differential-test
 oracle — exactly the role ``ReferenceDuboisClassifier`` plays for the
 optimized Dubois classifier — and the ``--kernel interpreted`` path.

@@ -11,16 +11,13 @@ context that rides each assign message, so ``repro trace``
 and attribute its critical path.  :class:`RunTelemetry` scopes a
 recorder to a run directory, folds the stream into a queryable
 ``manifest.json`` and optionally drives a live stderr progress line;
-``repro report`` renders the result, ``repro diff`` compares two runs,
-and :mod:`repro.obs.history` keeps the cross-run perf trail.
+``repro report`` renders the result and ``repro diff`` compares two
+runs (or a run against a saved ``repro report --json`` baseline).
 Instrumented call sites go through :func:`get_recorder`, which returns
 the no-op :data:`NULL_RECORDER` unless a run is active, so
 telemetry-off overhead stays within the benchmark gate.
 """
 
-from .history import (append_history, check_regressions, history_summary,
-                      load_history, record_entry, record_run,
-                      render_history)
 from .logsetup import (LIBRARY_LOGGER, configure_logging, console_level,
                        library_logger)
 from .manifest import (MANIFEST_VERSION, RunTelemetry, current_run,
@@ -65,17 +62,15 @@ __all__ = [
     "LIBRARY_LOGGER", "MANIFEST_VERSION", "NULL_RECORDER", "NullRecorder",
     "ProgressLine", "Recorder", "RunTelemetry", "SCHEMA_PATH",
     "SCHEMA_VERSION", "TelemetryLogHandler", "TelemetrySchemaError",
-    "append_history", "apply_trace_context", "build_tree",
-    "check_regressions", "configure_logging", "console_level",
-    "critical_path", "current_run", "diff_manifests", "diff_runs",
-    "find_runs", "format_eta", "format_rate", "get_recorder",
-    "history_summary", "iter_records", "library_logger", "load_history",
-    "load_manifest", "load_schema", "load_tree", "manifest_stable_bytes",
-    "manifest_stable_view", "new_span_id", "path_contributors",
-    "record_entry", "record_run", "render_diff", "render_history",
-    "render_report", "render_run", "render_summary", "render_trace",
-    "report_summary", "result_digest", "run_summary", "set_recorder",
-    "slowest_spans", "summarize_kinds", "trace_context", "trace_summary",
-    "use_recorder", "validate_manifest", "validate_record",
-    "validate_stream", "worker_begin",
+    "apply_trace_context", "build_tree", "configure_logging",
+    "console_level", "critical_path", "current_run", "diff_manifests",
+    "diff_runs", "find_runs", "format_eta", "format_rate", "get_recorder",
+    "iter_records", "library_logger", "load_manifest", "load_schema",
+    "load_tree", "manifest_stable_bytes", "manifest_stable_view",
+    "new_span_id", "path_contributors", "render_diff", "render_report",
+    "render_run", "render_summary", "render_trace", "report_summary",
+    "result_digest", "run_summary", "set_recorder", "slowest_spans",
+    "summarize_kinds", "trace_context", "trace_summary", "use_recorder",
+    "validate_manifest", "validate_record", "validate_stream",
+    "worker_begin",
 ]

@@ -153,9 +153,9 @@ def apply_worker_rlimit(extra_bytes: Optional[int]) -> Optional[int]:
 def peak_rss_bytes(who: str = "self") -> int:
     """Peak resident set size in bytes (``who``: ``"self"``/``"children"``).
 
-    ``ru_maxrss`` is kilobytes on Linux; the benchmarks record this per
-    entry so ``BENCH_throughput.json`` carries a memory trajectory
-    alongside the events/s one.
+    ``ru_maxrss`` is kilobytes on Linux.  Pool workers report it as the
+    ``worker.ru_maxrss_kb`` telemetry metric, and the throughput
+    benchmarks put it in each test's ``extra_info`` beside events/s.
     """
     if resource is None:  # pragma: no cover - non-POSIX
         return 0

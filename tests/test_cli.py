@@ -41,7 +41,7 @@ class TestParser:
             "classify", "compare", "sweep", "simulate", "table1",
             "table2", "fig5", "fig6", "validate", "generate",
             "attribute", "traffic", "prefetch", "report",
-            "trace", "diff", "history"}
+            "trace", "diff"}
 
 
 class TestCommands:

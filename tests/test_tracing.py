@@ -1,4 +1,4 @@
-"""Distributed tracing, critical path, diff and history suite.
+"""Distributed tracing, critical path and diff suite.
 
 Pins the observability tentpole's acceptance criteria:
 
@@ -10,8 +10,7 @@ Pins the observability tentpole's acceptance criteria:
   segment total always lands within 5% of the sweep span's duration —
   and attributes idle (queue-wait) time explicitly;
 * ``repro diff`` flags the vectorized-vs-interpreted kernel delta on
-  hot cells; ``repro history`` records runs append-only and flags
-  regressions against the trailing median;
+  hot cells, also against a saved ``repro report --json`` baseline;
 * malformed or half-written run directories are skipped with a warning,
   never crashing ``repro report``.
 """
@@ -27,16 +26,13 @@ from repro.obs import (
     Recorder,
     apply_trace_context,
     build_tree,
-    check_regressions,
     critical_path,
     diff_runs,
     find_runs,
-    load_history,
     load_manifest,
     load_tree,
     path_contributors,
     render_diff,
-    render_history,
     render_trace,
     report_summary,
     trace_context,
@@ -44,7 +40,6 @@ from repro.obs import (
     use_recorder,
     validate_record,
 )
-from repro.obs.history import append_history, record_entry
 from repro.trace.trace import Trace
 from repro.workloads.registry import make_workload
 
@@ -273,7 +268,7 @@ class TestForkSweepTree:
 
 
 # ----------------------------------------------------------------------
-# kernel diff and history
+# kernel diff
 # ----------------------------------------------------------------------
 class TestDiffAndHistory:
     @pytest.fixture(scope="class")
@@ -330,66 +325,13 @@ class TestDiffAndHistory:
         diff = diff_runs(paths["interpreted"], paths["vectorized"],
                          min_seconds=0.0)
         assert diff["improvements"]
-
-    def test_history_record_show_and_regression_flag(self, runs,
-                                                     tmp_path, capsys):
-        hist = str(tmp_path / "hist.jsonl")
-        # Three fast baselines, then the slow interpreted run last.
-        for _ in range(3):
-            assert cli_main(["history", "record", runs["vectorized"],
-                             "--file", hist]) == 0
-        assert cli_main(["history", "record", runs["interpreted"],
-                         "--file", hist]) == 0
+        # The kept-baseline workflow: a saved report against a live run.
+        assert cli_main(["diff", paths["interpreted"], runs["vectorized"],
+                         "--min-seconds", "0", "--fail-on-regress"]) == 0
         capsys.readouterr()
-        assert cli_main(["history", "show", "--file", hist,
-                         "--fail-on-regress"]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out
-        assert cli_main(["history", "show", "--file", hist,
-                         "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["regressions"]
-        assert all(c["verdict"] in ("regression", "stable", "baseline",
-                                    "improvement")
-                   for c in data["cells"])
-
-    def test_history_tolerates_torn_lines(self, tmp_path):
-        hist = str(tmp_path / "torn.jsonl")
-        entry = {"v": 1, "run_id": "r1", "outcome": "completed",
-                 "duration_s": 1.0,
-                 "cells": [{"trace_key": "k", "cell": ["c", 32, "x"],
-                            "status": "done", "duration_s": 0.5}]}
-        append_history(hist, entry)
-        with open(hist, "a", encoding="utf-8") as fh:
-            fh.write('{"v": 1, "run_id": "torn", "cel')
-        assert [e["run_id"] for e in load_history(hist)] == ["r1"]
-
-    def test_check_regressions_uses_trailing_median(self):
-        def entry(run_id, dur):
-            return {"v": 1, "run_id": run_id,
-                    "cells": [{"trace_key": "k", "cell": ["c", 32, "x"],
-                               "status": "done", "duration_s": dur}]}
-        stable = [entry(f"r{i}", 1.0) for i in range(4)]
-        # One noisy spike in the middle must not poison the median.
-        stable[2] = entry("r2", 30.0)
-        summary = check_regressions(stable + [entry("rN", 2.0)],
-                                    threshold=0.25)
-        (cell,) = summary["cells"]
-        assert cell["median_s"] == 1.0
-        assert cell["verdict"] == "regression"
-        ok = check_regressions(stable + [entry("rN", 1.1)],
-                               threshold=0.25)
-        assert ok["cells"][0]["verdict"] == "stable"
-        assert ok["regressions"] == []
-
-    def test_history_baseline_needs_two_prior_runs(self):
-        def entry(run_id, dur):
-            return {"v": 1, "run_id": run_id,
-                    "cells": [{"trace_key": "k", "cell": ["c", 32, "x"],
-                               "status": "done", "duration_s": dur}]}
-        summary = check_regressions([entry("r0", 1.0), entry("r1", 9.0)])
-        assert summary["cells"][0]["verdict"] == "baseline"
-        assert render_history(dict(summary, path="p"))
+        assert cli_main(["diff", paths["vectorized"], runs["interpreted"],
+                         "--min-seconds", "0", "--fail-on-regress"]) == 1
+        assert "SLOWER" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
