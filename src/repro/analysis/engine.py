@@ -773,7 +773,7 @@ class SweepEngine:
             for arr in (cols.proc, cols.op, cols.addr):
                 arr = np.ascontiguousarray(arr)
                 h.update(str(len(arr)).encode())
-                h.update(arr.tobytes())
+                h.update(memoryview(arr).cast("B"))
             name = re.sub(r"[^A-Za-z0-9_-]+", "_",
                           self.trace.name or "trace")
             self._trace_key = f"{name}-{h.hexdigest()[:16]}"

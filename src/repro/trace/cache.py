@@ -3,9 +3,10 @@
 Generating a benchmark trace costs minutes of simulated-machine time;
 re-running an experiment over the same workload should not pay that again.
 :class:`WorkloadTraceCache` stores each generated trace as a compact
-``.npz`` keyed by **workload name, full configuration, seed and library
-version**, so a cache entry is invalidated automatically whenever anything
-that could change the generated events changes.
+``.npz`` keyed by **workload name, full configuration, seed, library
+version and ``.npz`` format**, so a cache entry is invalidated
+automatically whenever anything that could change the generated events,
+or the layout they are stored in, changes.
 
 The cache is hardened against the failure modes of long production runs:
 
@@ -48,7 +49,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import TraceFormatError
 from ..obs.recorder import get_recorder
-from .io import load_npz, save_npz
+from .io import NPZ_FORMAT, load_npz, save_npz
 from .trace import Trace
 
 logger = logging.getLogger(__name__)
@@ -61,9 +62,10 @@ except ImportError:  # pragma: no cover - non-POSIX
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_TRACE_CACHE"
 
-#: Rough on-disk bytes per trace event, used for the free-space preflight
-#: before writing a new entry.  Deliberately generous: an ``.npz`` entry
-#: stores five integer columns plus metadata, compressing well below this.
+#: Upper bound on the on-disk bytes per trace event, used for the
+#: free-space preflight before writing a new entry.  An ``.npz`` entry
+#: stores three uncompressed columns, each at most 8 bytes wide (24 is the
+#: worst case; registry traces take 6 or 4).
 BYTES_PER_EVENT_ON_DISK = 24
 
 #: Fixed headroom added to every entry-size estimate (archive framing,
@@ -85,7 +87,8 @@ def workload_cache_key(workload) -> str:
     """Stable cache key for one workload configuration.
 
     Combines the workload's name, its full configuration dictionary, its
-    seed and the library version; any difference produces a different key.
+    seed, the library version and the ``.npz`` format; any difference
+    produces a different key.
     """
     from .. import __version__
 
@@ -95,6 +98,7 @@ def workload_cache_key(workload) -> str:
         "config": workload.describe_config(),
         "seed": workload.seed,
         "version": __version__,
+        "format": NPZ_FORMAT,
     }
     blob = json.dumps(payload, sort_keys=True, default=repr)
     digest = hashlib.sha1(blob.encode()).hexdigest()[:16]

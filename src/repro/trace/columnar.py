@@ -1,9 +1,10 @@
 """Columnar (structure-of-arrays) trace core.
 
 A :class:`TraceColumns` holds one interleaved trace as three parallel
-``int64`` NumPy arrays — ``proc``, ``op``, ``addr`` — matching the layout
-of the on-disk ``.npz`` format (:mod:`repro.trace.io`), so traces load and
-save with zero copies.  It is the only storage of a
+``int64`` NumPy arrays — ``proc``, ``op``, ``addr``.  The on-disk ``.npz``
+format (:mod:`repro.trace.io`) stores the same columns narrowed to the
+smallest unsigned dtype that holds them; loading widens them back here,
+one column at a time.  It is the only storage of a
 :class:`~repro.trace.trace.Trace`: tuple input is encoded once, by
 :meth:`TraceColumns.from_events`, which is also the gate that rejects
 malformed tuples.
@@ -23,7 +24,8 @@ import numpy as np
 from ..errors import TraceError
 from .events import ACQUIRE, Event, LOAD, OPS, RELEASE, STORE
 
-#: dtype of all three columns (matches the ``.npz`` format).
+#: dtype of all three columns in memory (the ``.npz`` format stores them
+#: narrower and they are widened to this on load).
 COLUMN_DTYPE = np.int64
 
 #: Events per slice when tuples are encoded into columns or decoded back.

@@ -6,10 +6,16 @@ Text (``.trc``)
     One event per line: ``<proc> <OP> <hex-or-dec addr>``, with ``#``
     comments and a small header.  Human-readable; used in examples and docs.
 
-NumPy (``.npz``)
-    Three parallel int64 arrays (``proc``, ``op``, ``addr``) plus metadata.
-    Compact and fast; used to cache generated benchmark traces between
-    experiment runs.
+NumPy (``.npz``, format 2)
+    Three parallel arrays (``proc``, ``op``, ``addr``) plus a JSON header,
+    stored uncompressed.  Each column is written as the narrowest unsigned
+    dtype that holds its maximum (``proc`` and ``op`` are uint8, ``addr``
+    uint16 or uint32 on every registry trace), so an event takes 4 to 6
+    bytes on disk instead of 24 and a load is a read plus one widening pass to
+    the in-memory int64 columns.  Used to cache generated benchmark traces
+    between experiment runs.  Format-1 files (zlib-compressed int64
+    columns) load through the same reader: the header checksum is taken
+    over the arrays as stored, dtype included, so it verifies either.
 """
 
 from __future__ import annotations
@@ -96,6 +102,11 @@ def load_text(path: str) -> Trace:
 # ----------------------------------------------------------------------
 # npz format
 # ----------------------------------------------------------------------
+#: Version of the ``.npz`` layout :func:`save_npz` writes (recorded in the
+#: header and in trace-cache keys).
+NPZ_FORMAT = 2
+
+
 def _array_checksum(proc: np.ndarray, op: np.ndarray,
                     addr: np.ndarray) -> str:
     """SHA-256 over the trace arrays' bytes (dtype- and order-stable)."""
@@ -104,29 +115,40 @@ def _array_checksum(proc: np.ndarray, op: np.ndarray,
         arr = np.ascontiguousarray(arr)
         h.update(str(arr.dtype).encode())
         h.update(str(len(arr)).encode())
-        h.update(arr.tobytes())
+        h.update(memoryview(arr).cast("B"))
     return h.hexdigest()
 
 
-def save_npz(trace: Trace, path: str) -> None:
-    """Write the compact NumPy format to ``path`` atomically.
+def _narrow(column: np.ndarray) -> np.ndarray:
+    """``column`` as the narrowest unsigned dtype that holds its maximum
+    (uint8 when empty)."""
+    if len(column) == 0:
+        return column.astype(np.uint8)
+    if column.min() < 0:
+        raise TraceError(f"cannot store negative value {int(column.min())}")
+    return column.astype(np.min_scalar_type(int(column.max())), copy=False)
 
-    The trace's columnar core is written as-is (zero-copy for traces that
-    already carry columns, e.g. anything loaded from ``.npz``).  The
-    header records a content checksum verified by :func:`load_npz`, and
-    the file is written to a temporary sibling then renamed into place, so
-    a crash mid-write can never leave a truncated entry under ``path``.
+
+def save_npz(trace: Trace, path: str) -> None:
+    """Write the NumPy format to ``path`` atomically.
+
+    Each column is stored uncompressed as its narrowest unsigned dtype.
+    The header records the format and a checksum over the stored arrays,
+    verified by :func:`load_npz`.  The file is written to a temporary
+    sibling then renamed into place, so a crash mid-write can never leave
+    a truncated entry under ``path``.
     """
     cols = trace.columns()
-    header = json.dumps({"name": trace.name, "num_procs": trace.num_procs,
+    stored = {"proc": _narrow(cols.proc), "op": _narrow(cols.op),
+              "addr": _narrow(cols.addr)}
+    header = json.dumps({"format": NPZ_FORMAT, "name": trace.name,
+                         "num_procs": trace.num_procs,
                          "meta": _jsonable(trace.meta),
-                         "checksum": _array_checksum(cols.proc, cols.op,
-                                                     cols.addr)})
+                         "checksum": _array_checksum(**stored)})
     # np.savez appends ".npz" when missing, so the temp name must keep it.
     tmp = f"{path}.{os.getpid()}.tmp.npz"
     try:
-        np.savez_compressed(tmp, proc=cols.proc, op=cols.op, addr=cols.addr,
-                            header=np.array(header))
+        np.savez(tmp, header=np.array(header), **stored)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -134,27 +156,30 @@ def save_npz(trace: Trace, path: str) -> None:
 
 
 def load_npz(path: str, *, verify_checksum: bool = True) -> Trace:
-    """Read the compact NumPy format from ``path``.
+    """Read the NumPy format (format 2, or format 1) from ``path``.
 
-    Raises :class:`~repro.errors.CacheIntegrityError` (a
+    The stored checksum is verified over the arrays as stored, which are
+    then widened to the in-memory int64 columns one at a time.  Raises
+    :class:`~repro.errors.CacheIntegrityError` (a
     :class:`~repro.errors.TraceFormatError` subclass) when the entry is
     truncated, unreadable, or fails its stored content checksum.  Entries
     written before checksums existed load without verification.
     """
     try:
-        data = np.load(path, allow_pickle=False)
-        for key in ("proc", "op", "addr", "header"):
-            if key not in data:
-                raise TraceFormatError(f"{path!r} missing array {key!r}")
-        header = json.loads(str(data["header"]))
-        proc = data["proc"]
-        op = data["op"]
-        addr = data["addr"]
+        with np.load(path, allow_pickle=False) as data:
+            for key in ("proc", "op", "addr", "header"):
+                if key not in data:
+                    raise TraceFormatError(
+                        f"{path!r} missing array {key!r}")
+            header = json.loads(str(data["header"]))
+            proc = data["proc"]
+            op = data["op"]
+            addr = data["addr"]
     except TraceFormatError:
         raise
     except Exception as exc:
-        # np.load lazily inflates arrays, so a truncated/garbled archive
-        # can fail anywhere above (zlib, zipfile, json...).
+        # np.load reads arrays lazily, so a truncated/garbled archive can
+        # fail anywhere above (zipfile CRC, zlib, json...).
         raise CacheIntegrityError(f"cannot read {path!r}: {exc}") from None
     if proc.ndim != 1 or op.ndim != 1 or addr.ndim != 1:
         raise TraceFormatError(f"{path!r} has non-1D trace arrays")

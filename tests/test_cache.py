@@ -103,6 +103,38 @@ class TestIntegrity:
         assert loaded.num_procs == trace.num_procs
         assert len(loaded) == len(trace)
 
+    def _save_format1(self, trace, path):
+        """Write ``trace`` as format 1 did: compressed int64 columns and a
+        checksum over them."""
+        import json
+
+        import numpy as np
+
+        from repro.trace.io import _array_checksum
+
+        cols = trace.columns()
+        header = json.dumps({"name": trace.name,
+                             "num_procs": trace.num_procs, "meta": {},
+                             "checksum": _array_checksum(cols.proc, cols.op,
+                                                         cols.addr)})
+        np.savez_compressed(path, proc=cols.proc, op=cols.op,
+                            addr=cols.addr, header=np.array(header))
+
+    def test_format1_entry_loads_and_verifies(self, tmp_path, workload):
+        trace = workload.generate()
+        path = str(tmp_path / "v1.npz")
+        self._save_format1(trace, path)
+        assert load_npz(path) == trace
+
+    @pytest.mark.parametrize("mode", ["truncate", "garble"])
+    def test_corrupt_format1_entry_raises(self, tmp_path, workload, mode):
+        path = str(tmp_path / "v1.npz")
+        self._save_format1(workload.generate(), path)
+        corrupt_file(path, mode=mode, offset=os.path.getsize(path) // 2,
+                     length=32)
+        with pytest.raises(TraceFormatError):
+            load_npz(path)
+
 
 # ----------------------------------------------------------------------
 # key invalidation
@@ -129,6 +161,15 @@ class TestKeyInvalidation:
 
         before = workload_cache_key(workload)
         monkeypatch.setattr(repro, "__version__", "0.0.0-test")
+        assert workload_cache_key(workload) != before
+
+    def test_key_changes_with_format(self, workload, monkeypatch):
+        """A new ``.npz`` format regenerates each entry once instead of
+        reading the old layout forever."""
+        import repro.trace.cache as cache_mod
+
+        before = workload_cache_key(workload)
+        monkeypatch.setattr(cache_mod, "NPZ_FORMAT", cache_mod.NPZ_FORMAT + 1)
         assert workload_cache_key(workload) != before
 
     def test_stale_entry_is_not_picked_up(self, cache, workload,

@@ -1,11 +1,23 @@
 """Unit tests for trace serialization (text and npz)."""
 
+import hashlib
+import json
+import os
+import tempfile
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.analysis.engine import SweepEngine
 from repro.errors import TraceError, TraceFormatError
 from repro.trace import Trace, TraceBuilder
+from repro.trace.columnar import TraceColumns
+from repro.trace.events import OPS
 from repro.trace.io import (
+    NPZ_FORMAT,
+    _array_checksum,
     cached,
     dumps_text,
     load_npz,
@@ -175,6 +187,125 @@ class TestNpzFormat:
         loaded = load_npz(path)
         assert loaded.columns() == trace.columns()
         assert loaded.events == trace.events
+
+
+def _stored(path):
+    """The arrays and header of an ``.npz`` trace file, as stored."""
+    with np.load(path, allow_pickle=False) as data:
+        return ({key: data[key] for key in ("proc", "op", "addr")},
+                json.loads(str(data["header"])))
+
+
+def _int64_columns(columns):
+    return [columns.proc.dtype, columns.op.dtype,
+            columns.addr.dtype] == [np.int64] * 3
+
+
+class TestNpzFormatV2:
+    """Format 2: narrow, uncompressed columns widened to int64 on load."""
+
+    def test_small_trace_stores_narrow_dtypes(self, trace, tmp_path):
+        path = str(tmp_path / "t.npz")
+        save_npz(trace, path)
+        arrays, header = _stored(path)
+        assert [arrays[k].dtype for k in ("proc", "op", "addr")] == [
+            np.uint8, np.uint8, np.uint16]
+        assert header["format"] == NPZ_FORMAT == 2
+        assert header["checksum"] == _array_checksum(
+            arrays["proc"], arrays["op"], arrays["addr"])
+
+    def test_entry_is_stored_uncompressed(self, trace, tmp_path):
+        import zipfile
+
+        path = str(tmp_path / "t.npz")
+        save_npz(trace, path)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {
+                zipfile.ZIP_STORED}
+
+    @pytest.mark.parametrize("proc, addr, dtypes", [
+        ([0, 1], [0, (1 << 32) - 1], (np.uint8, np.uint32)),
+        ([0, 1], [5, 1 << 32], (np.uint8, np.uint64)),
+        ([0, 1], [3, (1 << 63) - 1], (np.uint8, np.uint64)),
+        ([0, 300], [7, 9], (np.uint16, np.uint8)),
+    ])
+    def test_wide_values_roundtrip(self, tmp_path, proc, addr, dtypes):
+        wide = Trace.from_columns(TraceColumns(proc, [0, 1], addr),
+                                  max(proc) + 1, name="wide")
+        path = str(tmp_path / "w.npz")
+        save_npz(wide, path)
+        arrays, _ = _stored(path)
+        assert (arrays["proc"].dtype, arrays["addr"].dtype) == dtypes
+        loaded = load_npz(path).columns()
+        assert loaded == wide.columns() and _int64_columns(loaded)
+
+    def test_negative_column_is_refused_not_wrapped(self, tmp_path):
+        bad = Trace.from_columns(TraceColumns([0], [0], [-1]), 1,
+                                 validate=False)
+        path = str(tmp_path / "neg.npz")
+        with pytest.raises(TraceError, match="negative"):
+            save_npz(bad, path)
+        assert not os.listdir(str(tmp_path))
+
+    def test_empty_trace_stores_uint8(self, tmp_path):
+        path = str(tmp_path / "e.npz")
+        save_npz(Trace([], 2, name="empty"), path)
+        arrays, _ = _stored(path)
+        assert all(a.dtype == np.uint8 and len(a) == 0
+                   for a in arrays.values())
+        loaded = load_npz(path)
+        assert len(loaded) == 0 and loaded.num_procs == 2
+        assert _int64_columns(loaded.columns())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 600),
+                              st.sampled_from(OPS),
+                              st.integers(0, (1 << 63) - 1)),
+                    max_size=40))
+    def test_any_nonnegative_columns_roundtrip(self, events):
+        original = Trace(events, max((e[0] for e in events), default=0) + 1,
+                         name="h")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "h.npz")
+            save_npz(original, path)
+            loaded = load_npz(path)
+        assert loaded == original  # num_procs and int64 columns equal
+        assert _int64_columns(loaded.columns())
+
+
+class TestHashesWithoutCopies:
+    """The buffer-fed digests equal the ones taken over ``tobytes()``."""
+
+    @staticmethod
+    def _old_array_checksum(*arrays):
+        h = hashlib.sha256()
+        for arr in arrays:
+            arr = np.ascontiguousarray(arr)
+            h.update(str(arr.dtype).encode())
+            h.update(str(len(arr)).encode())
+            h.update(arr.tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.uint16,
+                                       np.uint32, np.uint64])
+    def test_array_checksum_matches_tobytes(self, dtype):
+        base = np.arange(0, 200, 3, dtype=dtype)
+        strided = base[::2]  # not contiguous: hashed via a contiguous copy
+        empty = np.empty(0, dtype=dtype)
+        for arrays in ((base, base, base), (strided, base, empty),
+                       (empty, empty, empty)):
+            assert (_array_checksum(*arrays)
+                    == self._old_array_checksum(*arrays))
+
+    def test_trace_key_matches_tobytes(self, trace):
+        cols = trace.columns()
+        h = hashlib.sha1()
+        h.update(f"{trace.name}|{trace.num_procs}".encode())
+        for arr in (cols.proc, cols.op, cols.addr):
+            h.update(str(len(arr)).encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert (SweepEngine(trace).trace_key
+                == f"roundtrip-{h.hexdigest()[:16]}")
 
 
 class TestCached:
