@@ -65,7 +65,6 @@ from ..errors import (
     CellFailedError,
     ConfigError,
     InvariantViolationError,
-    ResourceExhaustedError,
     SweepInterrupted,
 )
 from ..kernels import (
@@ -90,8 +89,7 @@ from ..protocols.results import ProtocolResult, merge_shard_results
 from ..protocols.runner import ALL_PROTOCOLS, make_protocol
 from ..runtime.checkpoint import CheckpointJournal
 from ..runtime.faults import FaultPlan
-from ..runtime.policy import GROUP, OomLadder, task_cells
-from ..runtime.resources import resolve_memory_budget
+from ..runtime.policy import GROUP, task_cells
 from ..runtime import signals
 from ..runtime.retry import RetryPolicy
 from ..runtime.supervisor import Supervisor
@@ -616,10 +614,6 @@ class ExecutionOptions:
     #: Ranges each grid's batch plans are cut into (``None``/``0``: the
     #: worker count; ``1``: one range, no shard tasks).
     shards: Optional[int] = None
-    #: Memory budget in bytes for the whole sweep (``--memory-budget``),
-    #: shared out as each worker's cap; ``None`` falls back to
-    #: ``$REPRO_MEMORY_BUDGET``, else ungoverned.
-    memory_budget: Optional[int] = None
     #: Record run telemetry (spans, metrics, manifest) under this
     #: directory (``--telemetry``); ``None`` disables recording.
     telemetry_dir: Optional[str] = None
@@ -634,7 +628,6 @@ class ExecutionOptions:
                 "strict_invariants": self.strict_invariants,
                 "fault_plan": self.fault_plan,
                 "shards": self.shards,
-                "memory_budget": self.memory_budget,
                 "telemetry_dir": self.telemetry_dir,
                 "kernel": self.kernel}
 
@@ -677,17 +670,6 @@ class SweepEngine:
         configured ``jobs``; ``1`` runs the kernel cells as one task.
         The parts of the ranges merge to results bit-identical to one
         range.
-    memory_budget:
-        Total memory budget for the sweep in bytes (``--memory-budget``).
-        ``None`` falls back to ``$REPRO_MEMORY_BUDGET``; when neither is
-        set the sweep is ungoverned.  With a budget, every worker of a
-        rung soft-caps its address-space growth at ``budget // workers``
-        via ``RLIMIT_AS``.  An over-cap worker raises a clean
-        ``MemoryError`` that — like a kernel SIGKILL — moves the sweep
-        down the OOM ladder of :mod:`repro.runtime.policy` (halve
-        workers, then serial in-process) instead of crash-looping; every
-        rung reuses the completed cells and range parts, so the final
-        results are bit-identical to an unconstrained run.
     telemetry_dir:
         Record run telemetry under this directory (``--telemetry``): a
         per-run subdirectory with an ``events.jsonl`` span/metric stream
@@ -711,7 +693,6 @@ class SweepEngine:
                  strict_invariants: bool = False,
                  fault_plan: Optional[FaultPlan] = None,
                  shards: Optional[int] = None,
-                 memory_budget: Optional[int] = None,
                  telemetry_dir: Optional[str] = None,
                  progress: bool = False,
                  trace_key: Optional[str] = None,
@@ -729,10 +710,6 @@ class SweepEngine:
         if shards is not None and shards < 0:
             raise ConfigError(f"shards must be >= 0, got {shards}")
         self.shards = shards or None  # 0 normalizes to the worker count
-        self.memory_budget = resolve_memory_budget(memory_budget)
-        if self.memory_budget is not None and self.memory_budget <= 0:
-            raise ConfigError(
-                f"memory budget must be positive, got {self.memory_budget}")
         self.telemetry_dir = telemetry_dir
         self.progress = progress
         self._trace_key = trace_key
@@ -832,20 +809,15 @@ class SweepEngine:
         exactly like a one-range run.  Interpreted cells run whole, one
         task each.
 
-        Execution is additionally *resource-governed*: an OOM-class
-        failure (a worker ``MemoryError`` under its ``RLIMIT_AS`` cap, or
-        a SIGKILL/137 death) does not blind-retry the same configuration —
-        it moves the sweep down the OOM ladder
-        (:class:`repro.runtime.policy.OomLadder`): halve worker
-        concurrency, then run serial in-process.  The cut is fixed for
-        the whole grid, so every rung reuses the cells and range parts
-        already completed, and a degraded sweep returns the same results
-        an unconstrained one would.
+        A task's memory is bounded by its batches, not by the trace, so
+        a worker the kernel OOM killer does take (SIGKILL, classified
+        ``oom``) is retried and then run serially like any crashed one;
+        the fallback returns the same results.
 
         With ``telemetry_dir`` set (and no run already being recorded),
         the whole grid is recorded as one :class:`~repro.obs.RunTelemetry`
-        run: sweep/rung lifecycle events, per-cell spans, resume and
-        ladder events, and a ``manifest.json`` folded from the stream.
+        run: sweep lifecycle events, per-cell spans, resume and failure
+        events, and a ``manifest.json`` folded from the stream.
         """
         if self.telemetry_dir is not None and current_run() is None:
             with RunTelemetry(self.telemetry_dir, progress=self.progress,
@@ -856,7 +828,6 @@ class SweepEngine:
     def _telemetry_config(self) -> dict:
         return {"trace": self.trace.name, "jobs": self.jobs,
                 "shards": self.shards, "timeout": self.timeout,
-                "memory_budget": self.memory_budget,
                 "checkpoint_dir": self.checkpoint_dir,
                 "kernel": self.kernel}
 
@@ -872,9 +843,9 @@ class SweepEngine:
         with rec.span("sweep.run", trace=self.trace.name,
                       trace_key=self.trace_key if rec.active else None,
                       cells=len(cells)):
-            return self._run_grid_rungs(cells, rec)
+            return self._run_grid_journaled(cells, rec)
 
-    def _run_grid_rungs(self, cells: List[Tuple], rec) -> List:
+    def _run_grid_journaled(self, cells: List[Tuple], rec) -> List:
         journal = None
         completed: Dict[Tuple, object] = {}
         if self.checkpoint_dir is not None:
@@ -903,51 +874,38 @@ class SweepEngine:
         try:
             pre.plans = self._plan_grid(
                 [c for c in dict.fromkeys(cells) if c not in completed])
-            ladder = OomLadder(self.jobs)
-            while True:
-                # A shutdown requested between rungs (or salvaged out of
-                # the previous rung's drain) must not start a new rung.
-                signals.check_interrupt()
-                try:
-                    results = self._run_grid_once(cells, completed, journal,
-                                                  ladder)
-                except ResourceExhaustedError as exc:
-                    ladder.step(exc)  # re-raises once the ladder is spent
-                    completed.update(exc.partial)
-                    continue
-                if journal is not None:
-                    # The grid is complete: fold duplicate records and
-                    # absorbed range parts so the next resume replays
-                    # a minimal journal.
-                    journal.compact()
-                rec.event("sweep.finish", trace_key=self.trace_key,
-                          cells=len(cells), rung=ladder.label)
-                run = current_run()
-                if run is not None:
-                    for cell, result in zip(cells, results):
-                        run.cell_result(
-                            self.trace_key, cell, result,
-                            source="journal" if cell in resumed
-                            else "computed")
-                return results
+            # A shutdown requested while the grid planned must not fork.
+            signals.check_interrupt()
+            results = self._run_grid_tasks(cells, completed, journal)
+            if journal is not None:
+                # The grid is complete: fold duplicate records and
+                # absorbed range parts so the next resume replays a
+                # minimal journal.
+                journal.compact()
+            rec.event("sweep.finish",
+                      trace_key=self.trace_key if rec.active else None,
+                      cells=len(cells))
+            run = current_run()
+            if run is not None:
+                for cell, result in zip(cells, results):
+                    run.cell_result(
+                        self.trace_key, cell, result,
+                        source="journal" if cell in resumed
+                        else "computed")
+            return results
         finally:
             pre.plans = {}
             if journal is not None:
                 journal.close()
 
-    def _run_grid_once(self, cells: List[Tuple], completed: Dict[Tuple, object],
-                       journal: Optional[CheckpointJournal],
-                       ladder: OomLadder) -> List:
-        """One ladder rung: the tasks still to run, fanned out, merged.
+    def _run_grid_tasks(self, cells: List[Tuple],
+                        completed: Dict[Tuple, object],
+                        journal: Optional[CheckpointJournal]) -> List:
+        """The tasks still to run, fanned out over ``jobs`` workers, merged.
 
-        Runs at the ladder's current ``jobs``, each worker capped at
-        ``memory_budget // jobs``.  ``completed`` carries journaled
-        results *and* the parts salvaged from earlier rungs (keyed by
-        cell or shard member), so each rung re-runs only what no earlier
-        attempt finished.  Raises
-        :class:`~repro.errors.ResourceExhaustedError` on an OOM-class
-        failure while the ladder has a step left — its signal to re-run
-        at the next rung.
+        ``completed`` carries the journaled results (keyed by cell or
+        shard member), so a resumed grid re-runs only what no earlier
+        run finished.
         """
         pre = self.precompute
         pending = list(dict.fromkeys(c for c in cells if c not in completed))
@@ -981,16 +939,13 @@ class SweepEngine:
         tasks: List[Tuple] = list(dict.fromkeys(
             task_of[m] for cell in pending for m in members_of[cell]
             if m in task_of))
-        jobs = min(ladder.jobs, len(tasks)) if tasks else 1
-        worker_cap = (self.memory_budget // jobs
-                      if self.memory_budget is not None and jobs > 1
-                      else None)
+        jobs = min(self.jobs, len(tasks)) if tasks else 1
 
         rec = get_recorder()
         if rec.active:
             k = max((p.num_ranges for p in pre.plans.values()), default=1)
             rec.event("rung.start", tasks=len(tasks), jobs=jobs, shards=k)
-            logger.info("rung start: %d task(s), jobs=%d, shards=%d",
+            logger.info("fan-out: %d task(s), jobs=%d, shards=%d",
                         len(tasks), jobs, k)
 
         def on_result(task, result):
@@ -1013,13 +968,10 @@ class SweepEngine:
                 pre.data_rows()
         supervisor = Supervisor(pre.run_cell, jobs=jobs, retry=self.retry,
                                 timeout=self.timeout,
-                                fault_plan=self.fault_plan,
-                                worker_rlimit_bytes=worker_cap)
+                                fault_plan=self.fault_plan)
         try:
-            task_results = supervisor.run(tasks, on_result=on_result,
-                                          ladder=ladder)
-        except (CellFailedError, ResourceExhaustedError,
-                SweepInterrupted) as exc:
+            task_results = supervisor.run(tasks, on_result=on_result)
+        except (CellFailedError, SweepInterrupted) as exc:
             # Salvaged group results go back to the caller cell by cell.
             exc.partial = {cell: part
                            for task, result in exc.partial.items()

@@ -82,17 +82,16 @@ def _engine_options(args):
     resume = getattr(args, "resume", None)
     strict = getattr(args, "strict_invariants", False)
     shards = getattr(args, "shards", None)
-    memory_budget = getattr(args, "memory_budget", None)
     telemetry = getattr(args, "telemetry", None)
     kernel = getattr(args, "kernel", "auto")
     if (retries is None and timeout is None and resume is None
-            and not strict and shards is None and memory_budget is None
+            and not strict and shards is None
             and telemetry is None and kernel == "auto"):
         return None
     retry = RetryPolicy.from_retries(retries) if retries is not None else None
     return ExecutionOptions(retry=retry, timeout=timeout,
                             checkpoint_dir=resume, strict_invariants=strict,
-                            shards=shards, memory_budget=memory_budget,
+                            shards=shards,
                             telemetry_dir=telemetry, kernel=kernel)
 
 
@@ -359,18 +358,6 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                         "task each; interpreted cells always run whole "
                         "(1 = one range; 0 = --jobs, which is also the "
                         "default)")
-    p.add_argument("--memory-budget", type=_size, default=None,
-                   metavar="SIZE",
-                   help="total memory budget for the sweep (e.g. 512M, "
-                        "1.5G): each worker soft-caps the growth of its "
-                        "address space above what it inherited at fork "
-                        "at the budget divided by the workers, and an "
-                        "over-cap worker degrades the run (half the "
-                        "workers, then serial) instead of crash-looping; "
-                        "memory a worker reuses from the parent's free "
-                        "heap is not counted, so its RSS can exceed "
-                        "budget // workers (default: "
-                        "$REPRO_MEMORY_BUDGET, else ungoverned)")
     p.add_argument("--cache-max-bytes", type=_size, default=None,
                    metavar="SIZE",
                    help="disk quota for the --trace-cache directory; "

@@ -22,9 +22,9 @@ EXIT_COMPLETED = 0
 #: The command failed with a :class:`ReproError` (bad input, cell failure
 #: after all retries, invariant violation, ...).  Not resumable as-is.
 EXIT_FAILED = 2
-#: A memory or disk budget could not be satisfied even after the
-#: degradation ladder (:class:`ResourceExhaustedError`).  Resumable on a
-#: bigger machine or with a larger budget.
+#: A disk preflight found too little free space for a trace-cache entry
+#: or checkpoint journal (:class:`ResourceExhaustedError`).  Resumable
+#: once space is freed.
 EXIT_RESOURCE_EXHAUSTED = 3
 #: The sweep was interrupted (SIGINT/SIGTERM) after a graceful drain; the
 #: checkpoint journal holds every completed cell and ``--resume`` re-runs
@@ -112,40 +112,23 @@ class CellFailedError(ReproError):
 
 
 class ResourceExhaustedError(ReproError):
-    """A memory or disk budget was (or would be) exceeded.
+    """A disk budget would be exceeded.
 
-    Raised by the resource governor (:mod:`repro.runtime.resources`) in
-    three situations:
-
-    * a supervised worker exceeded its ``RLIMIT_AS`` soft cap and raised
-      a clean :class:`MemoryError` (or was SIGKILLed by the kernel OOM
-      killer) — the supervisor converts either into this error so the
-      sweep engine's degradation ladder can re-plan instead of
-      crash-looping the same oversized configuration;
-    * a disk free-space preflight found less space than a trace-cache
-      entry or checkpoint journal needs;
-    * preflight admission could not fit even one worker under the
-      configured ``--memory-budget``.
-
-    ``kind`` distinguishes the resource (``"memory"`` or ``"disk"``);
-    memory-kind failures are the ones the degradation ladder reacts to.
+    Raised by the disk free-space preflight
+    (:func:`repro.runtime.resources.ensure_free_space`) when the
+    filesystem holding a trace-cache entry or checkpoint journal has less
+    space than the write needs.  Failing before the write keeps the
+    cache and the journal consistent.
     """
 
-    def __init__(self, message: str, *, kind: str = "memory", cell=None,
-                 attempts=(), partial=None, limit_bytes=None,
-                 needed_bytes=None):
+    def __init__(self, message: str, *, kind: str = "disk",
+                 limit_bytes=None, needed_bytes=None):
         super().__init__(message)
-        #: ``"memory"`` or ``"disk"``.
+        #: The exhausted resource: ``"disk"``.
         self.kind = kind
-        #: The grid cell/task whose attempt exhausted the budget, if any.
-        self.cell = cell
-        #: Attempt history (same shape as :class:`CellFailedError`).
-        self.attempts = list(attempts)
-        #: Results of tasks that completed before the exhaustion.
-        self.partial = dict(partial or {})
-        #: The budget that was hit, in bytes (when known).
+        #: The free bytes that were found (when known).
         self.limit_bytes = limit_bytes
-        #: The estimated requirement that did not fit (when known).
+        #: The bytes the write needed (when known).
         self.needed_bytes = needed_bytes
 
 

@@ -9,8 +9,7 @@
   run id and config, every trace's cache key, per-cell outcome
   (done / resumed / failed), durations, rows, events/s, attempts,
   shard counts and plan digests, observed worker RSS, and run-wide
-  counters (cache hits/misses, retries, timeouts, OOMs,
-  degradation-ladder steps);
+  counters (cache hits/misses, retries, timeouts, OOMs);
 * the **activation scope**: entering a :class:`RunTelemetry` installs
   its recorder as the process-current one (:func:`repro.obs.get_recorder`),
   registers it as the *current run* (:func:`current_run`), attaches the
@@ -179,7 +178,7 @@ class RunTelemetry:
         self._counters: Dict[str, int] = {
             "cache_hits": 0, "cache_misses": 0, "tasks_done": 0,
             "retries": 0, "timeouts": 0, "oom_failures": 0,
-            "ladder_steps": 0, "checkpoint_writes": 0,
+            "checkpoint_writes": 0,
             "heartbeats": 0, "interrupted_cells": 0,
         }
         self._current_trace_key: Optional[str] = None
@@ -382,11 +381,14 @@ class RunTelemetry:
                 "num_procs": attrs.get("num_procs"),
                 "events": attrs.get("events"),
             })
-        elif name == "ladder.step":
-            self._counters["ladder_steps"] += 1
         elif name == "task.assigned":
+            # A cell rides in every range task of its grid, each with
+            # its own attempt count: a cell's attempts are the most any
+            # of those tasks took.
+            attempt = int(attrs.get("attempt", 1))
             for cell in self._cells_of(attrs):
-                self._stats(self._current_trace_key, cell).attempts += 1
+                stats = self._stats(self._current_trace_key, cell)
+                stats.attempts = max(stats.attempts, attempt)
         elif name == "task.done":
             self._counters["tasks_done"] += 1
         elif name == "task.failed":

@@ -93,8 +93,9 @@ class ProgressLine:
         name = record.get("name")
         attrs = record.get("attrs", {})
         if name == "rung.start":
-            # Each ladder rung re-plans the task list; the live total is
-            # what this rung still has to run plus what is already done.
+            # A grid's fan-out announces its task list; the live total
+            # is what this grid still has to run plus what is already
+            # done (a suite command runs several grids).
             self.total = self.done + int(attrs.get("tasks", 0))
             self.running = 0
         elif name == "task.assigned":

@@ -5,31 +5,30 @@ them survive partial failure:
 
 * :class:`~repro.runtime.supervisor.Supervisor` — supervised fork workers
   with per-cell tracking, crash detection, stall timeouts, retries and
-  graceful degradation to serial execution;
+  a serial in-process fallback;
 * :mod:`~repro.runtime.policy` — the failure policy: one table from a
   classified failure to the ordered actions that follow it (retry, serial
-  fallback, the OOM ladder, abort), plus the classifiers that sort
-  failures into its kinds;
+  fallback, abort), plus the classifiers that sort failures into its
+  kinds;
 * :class:`~repro.runtime.retry.RetryPolicy` — capped exponential backoff;
 * :class:`~repro.runtime.checkpoint.CheckpointJournal` — durable JSONL
   journal of completed cells so a killed sweep resumes without
   recomputation;
 * :class:`~repro.runtime.faults.FaultPlan` — deterministic fault
-  injection (crash / hang / raise / exhaust-memory / corrupt) that makes
-  all of the above testable;
-* :mod:`~repro.runtime.resources` — the resource governor: per-worker
-  ``RLIMIT_AS`` soft caps that share out ``--memory-budget``, and
-  disk-budget helpers for the trace cache and checkpoint directories;
+  injection (crash / hang / raise / SIGTERM-the-parent) that makes all
+  of the above testable;
+* :mod:`~repro.runtime.resources` — disk-budget helpers for the trace
+  cache and checkpoint directories, size parsing and the peak-RSS
+  reading;
 * :mod:`~repro.runtime.signals` — two-phase graceful shutdown
   (SIGINT/SIGTERM → drain → resumable exit; second signal forces) and
   the progress counter behind the worker heartbeat / stall watchdog.
 """
 
 from .checkpoint import CheckpointJournal, default_checkpoint_dir
-from .faults import FaultInjectedError, FaultPlan, exhaust_address_space
+from .faults import FaultInjectedError, FaultPlan
 from .policy import FAIL_KINDS, POLICY, classify_exitcode
 from .resources import (
-    apply_worker_rlimit,
     ensure_free_space,
     format_size,
     parse_size,
@@ -63,12 +62,10 @@ __all__ = [
     "RetryPolicy",
     "ShutdownCoordinator",
     "Supervisor",
-    "apply_worker_rlimit",
     "check_interrupt",
     "classify_exitcode",
     "default_checkpoint_dir",
     "ensure_free_space",
-    "exhaust_address_space",
     "format_size",
     "gc_stale_tmp",
     "get_shutdown",

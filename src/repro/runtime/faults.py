@@ -9,15 +9,10 @@ supervisor's attempt number, so it needs no cross-process mutable state —
 a forked worker inherits the plan and decides from ``(cell, attempt)``
 alone.
 
-Crash, hang and exhaust-memory faults model *worker-level* failures (a
-dead process, a stuck cell, an over-budget cell) and therefore only fire
-inside worker processes; raise faults model deterministic per-cell errors
-and fire on the serial path too, which is how the exhausted-retries path
-is tested.  The exhaust-memory fault genuinely allocates past the
-worker's ``RLIMIT_AS`` soft cap when one is installed (raising the same
-``MemoryError`` a real over-budget cell would), so the resource
-governor's OOM path is exercised end-to-end without a real
-machine-threatening OOM.
+Crash and hang faults model *worker-level* failures (a dead process, a
+stuck cell) and therefore only fire inside worker processes; raise
+faults model deterministic per-cell errors and fire on the serial path
+too, which is how the exhausted-retries path is tested.
 """
 
 from __future__ import annotations
@@ -59,12 +54,6 @@ class FaultPlan:
     #: attempts that raise :class:`FaultInjectedError` (fires on the serial
     #: fallback path as well).
     raises: Dict[Any, int] = field(default_factory=dict)
-    #: attempts that allocate memory until the worker's ``RLIMIT_AS`` soft
-    #: cap raises ``MemoryError`` (worker-only, like crash/hang — the
-    #: serial fallback must be able to complete the cell).  Without an
-    #: installed rlimit the fault raises ``MemoryError`` directly instead
-    #: of actually threatening the machine.
-    exhaust_memory: Dict[Any, int] = field(default_factory=dict)
     #: attempts that SIGTERM the *parent* (supervisor) process from inside
     #: the worker, then hang — the chaos harness's "the whole sweep got
     #: killed mid-cell" scenario.  The parent's graceful-shutdown handler
@@ -73,8 +62,6 @@ class FaultPlan:
     sigterm_parent: Dict[Any, int] = field(default_factory=dict)
     #: how long a hang fault sleeps; far longer than any test timeout.
     hang_seconds: float = 3600.0
-    #: allocation step of the exhaust-memory fault.
-    exhaust_chunk_bytes: int = 16 << 20
 
     def _times(self, table: Dict[Any, int], cell, index: Optional[int]) -> int:
         if index is not None and index in table:
@@ -90,10 +77,6 @@ class FaultPlan:
 
     def should_raise(self, cell, attempt: int, index: Optional[int] = None) -> bool:
         return attempt <= self._times(self.raises, cell, index)
-
-    def should_exhaust(self, cell, attempt: int,
-                       index: Optional[int] = None) -> bool:
-        return attempt <= self._times(self.exhaust_memory, cell, index)
 
     def should_sigterm_parent(self, cell, attempt: int,
                               index: Optional[int] = None) -> bool:
@@ -115,8 +98,6 @@ class FaultPlan:
             time.sleep(self.hang_seconds)
         if self.should_hang(cell, attempt, index):
             time.sleep(self.hang_seconds)
-        if self.should_exhaust(cell, attempt, index):
-            exhaust_address_space(chunk_bytes=self.exhaust_chunk_bytes)
         self.apply_serial(cell, attempt, index)
 
     def apply_serial(self, cell, attempt: int, index: Optional[int] = None) -> None:
@@ -137,34 +118,3 @@ def _fault_keys(task) -> list:
         if isinstance(kind, str) and kind.endswith("-shard"):
             keys.append((kind[:-len("-shard")],) + tuple(member[1:3]))
     return keys
-
-
-def exhaust_address_space(*, chunk_bytes: int = 16 << 20) -> None:
-    """Deterministically run this process into ``MemoryError``.
-
-    With a finite ``RLIMIT_AS`` soft cap installed (the resource
-    governor's per-worker budget) this allocates real memory in
-    ``chunk_bytes`` steps until the kernel refuses — the exact failure an
-    over-budget cell produces — then frees everything and re-raises the
-    ``MemoryError``.  Without a cap the loop would threaten the whole
-    machine, so the fault raises directly instead; either way the caller
-    observes a clean ``MemoryError`` at a deterministic point.
-    """
-    try:
-        import resource
-        soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-        capped = soft != resource.RLIM_INFINITY
-    except (ImportError, ValueError, OSError):  # pragma: no cover
-        capped = False
-    if not capped:
-        raise MemoryError(
-            "injected exhaust_memory fault (no RLIMIT_AS cap installed)")
-    hoard = []
-    try:
-        while True:
-            # touch the pages so the allocation is real, not lazy
-            hoard.append(bytearray(chunk_bytes))
-    except MemoryError:
-        del hoard
-        raise MemoryError(
-            "injected exhaust_memory fault (RLIMIT_AS cap reached)") from None

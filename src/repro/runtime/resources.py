@@ -1,20 +1,17 @@
-"""Resource governor: memory/disk budgets and per-worker memory caps.
+"""Disk budgets, size parsing and the peak-RSS reading.
 
-A paper-scale sweep (LU200, MP3D10000, WATER288) can exceed physical
-memory, and a supervisor that only sees "worker died" would retry the
-*same* oversized configuration until retries are exhausted.  This
-module lets the sweep engine budget and degrade instead of
-crash-looping:
+Each grid cell's memory is bounded by its batch of trace rows, not by
+the trace, so a run needs no memory budget: a worker the kernel OOM
+killer does take is classified ``oom`` by :mod:`repro.runtime.policy`
+and retried like any other dead worker.  What is left to govern is disk:
 
-* per-worker **soft caps** (:func:`apply_worker_rlimit`, built on
-  ``resource.setrlimit(RLIMIT_AS)``): under ``--memory-budget`` each
-  worker of a rung may grow by ``budget // workers``, and an over-cap
-  worker fails with a clean, ``oom``-classified :class:`MemoryError`
-  instead of a mid-write SIGKILL, which :mod:`repro.runtime.policy`
-  answers by moving the run down its OOM ladder (halve workers, then
-  serial);
 * a **disk budget** (:func:`ensure_free_space`, :func:`dir_size_bytes`)
-  guards the trace cache and checkpoint directories.
+  guards the trace cache and checkpoint directories, and
+  :func:`gc_stale_tmp` removes the temp files killed writers leave;
+* :func:`parse_size` / :func:`format_size` read and render the
+  ``--cache-max-bytes`` quota;
+* :func:`peak_rss_bytes` is the peak-RSS reading workers report as
+  telemetry.
 """
 
 from __future__ import annotations
@@ -34,10 +31,6 @@ try:
     import resource
 except ImportError:  # pragma: no cover - non-POSIX
     resource = None
-
-#: Environment variable overriding the default memory budget (bytes or a
-#: size string like ``1.5G``); ``--memory-budget`` wins over it.
-MEMORY_BUDGET_ENV = "REPRO_MEMORY_BUDGET"
 
 _SIZE_SUFFIXES = {
     "": 1, "B": 1,
@@ -88,68 +81,8 @@ def format_size(num_bytes: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# process / machine introspection
+# process introspection
 # ----------------------------------------------------------------------
-def total_memory_bytes() -> Optional[int]:
-    """Physical memory of this machine in bytes (``None`` when unknown)."""
-    try:
-        page = os.sysconf("SC_PAGE_SIZE")
-        pages = os.sysconf("SC_PHYS_PAGES")
-        if page > 0 and pages > 0:
-            return page * pages
-    except (ValueError, OSError, AttributeError):  # pragma: no cover
-        pass
-    return None  # pragma: no cover - non-POSIX
-
-
-def current_vm_bytes() -> Optional[int]:
-    """This process's current virtual address-space size (``None`` off-Linux).
-
-    Read from ``/proc/self/statm``; this is the baseline a forked worker
-    inherits, which an ``RLIMIT_AS`` cap must sit *above* — limiting the
-    absolute address space below what fork already mapped would kill the
-    worker on its first allocation.
-    """
-    try:
-        with open("/proc/self/statm") as fh:
-            pages = int(fh.read().split()[0])
-        return pages * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, IndexError, AttributeError):
-        return None
-
-
-def apply_worker_rlimit(extra_bytes: Optional[int]) -> Optional[int]:
-    """Soft-cap this process's address space at *current + extra_bytes*.
-
-    Called inside a freshly forked worker: the limit is set relative to
-    the address space inherited from the parent (columnar arrays, numpy,
-    the interpreter), so ``extra_bytes`` budgets only the worker's *own*
-    growth.  Exceeding the cap raises a clean ``MemoryError`` at the
-    offending allocation instead of inviting the kernel OOM killer.
-
-    Returns the absolute soft limit that was installed, or ``None`` when
-    no cap could be applied (non-POSIX, unreadable statm, or a
-    pre-existing harder limit); failure to cap is never fatal — the
-    worker then runs uncapped.
-    """
-    if resource is None or extra_bytes is None:
-        return None
-    base = current_vm_bytes()
-    if base is None:
-        return None
-    target = base + max(0, int(extra_bytes))
-    try:
-        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-        if hard != resource.RLIM_INFINITY:
-            target = min(target, hard)
-        if soft != resource.RLIM_INFINITY:
-            target = min(target, soft)
-        resource.setrlimit(resource.RLIMIT_AS, (target, hard))
-    except (ValueError, OSError):  # pragma: no cover - EPERM etc.
-        return None
-    return target
-
-
 def peak_rss_bytes(who: str = "self") -> int:
     """Peak resident set size in bytes (``who``: ``"self"``/``"children"``).
 
@@ -162,20 +95,6 @@ def peak_rss_bytes(who: str = "self") -> int:
     which = (resource.RUSAGE_CHILDREN if who == "children"
              else resource.RUSAGE_SELF)
     return resource.getrusage(which).ru_maxrss * 1024
-
-
-def resolve_memory_budget(explicit: Optional[int] = None) -> Optional[int]:
-    """The effective memory budget: explicit value, else the environment.
-
-    ``$REPRO_MEMORY_BUDGET`` lets CI and batch harnesses impose a budget
-    without touching every command line.  ``None`` means ungoverned.
-    """
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(MEMORY_BUDGET_ENV)
-    if env:
-        return parse_size(env)
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -308,8 +227,8 @@ def warn_resource(message: str) -> None:
 
     Goes out both as a :mod:`warnings` warning (the API contract existing
     callers and tests rely on) and as a warning-level log record, so a
-    ``-v`` console and the telemetry stream see degradations the moment
-    they happen.
+    ``-v`` console and the telemetry stream see it the moment it is
+    raised.
     """
     logger.warning("[resource-governor] %s", message)
     warnings.warn(f"[resource-governor] {message}", stacklevel=3)

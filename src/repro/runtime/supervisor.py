@@ -13,22 +13,13 @@ with per-cell task tracking:
   immediately, not at ``join`` time;
 * a per-cell stall timeout kills hung workers and reschedules their cell;
 * what follows a failure — retry after backoff, one serial in-process
-  fallback attempt, handing an OOM to the run's degradation ladder, or
-  aborting — is decided by :mod:`repro.runtime.policy`; the supervisor
-  only carries it out;
+  fallback attempt, or aborting — is decided by
+  :mod:`repro.runtime.policy`; the supervisor only carries it out.  A
+  worker the kernel OOM killer SIGKILLs is classified ``oom`` and takes
+  the same path as a crash;
 * only when the serial fallback also fails does the supervisor raise
   :class:`~repro.errors.CellFailedError`, carrying the cell, its attempt
   history and the partial results of every completed cell.
-
-The supervisor is also the enforcement point of the resource governor
-(:mod:`repro.runtime.resources`): workers soft-cap their own address
-space via ``RLIMIT_AS`` (``worker_rlimit_bytes``) so an over-budget cell
-raises a clean ``MemoryError`` instead of being SIGKILLed mid-write.
-Given the run's :class:`~repro.runtime.policy.OomLadder`, an OOM-class
-failure in a worker aborts the pool with a structured
-:class:`~repro.errors.ResourceExhaustedError` (attempt history plus all
-partial results) so the sweep engine can re-plan the run instead of
-blindly retrying the same oversized configuration.
 
 Workers inherit their runner (and any fault plan) through module globals
 at fork time, so nothing is pickled — the same zero-copy trick the old
@@ -46,13 +37,13 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..errors import CellFailedError, ResourceExhaustedError, SweepInterrupted
+from ..errors import CellFailedError, SweepInterrupted
 from ..obs import (apply_trace_context, get_recorder, trace_context,
                    worker_begin)
 from . import policy, signals
 from .faults import FaultPlan
-from .policy import OomLadder, classify_exitcode, task_attr
-from .resources import apply_worker_rlimit, peak_rss_bytes
+from .policy import classify_exitcode, task_attr
+from .resources import peak_rss_bytes
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 logger = logging.getLogger(__name__)
@@ -60,7 +51,6 @@ logger = logging.getLogger(__name__)
 # Fork-inherited worker state (set in the parent just before spawning).
 _WORKER_RUNNER: Optional[Callable[[Any], Any]] = None
 _WORKER_FAULTS: Optional[FaultPlan] = None
-_WORKER_RLIMIT: Optional[int] = None
 _WORKER_HEARTBEAT: Optional[float] = None
 
 
@@ -115,11 +105,7 @@ def _worker_main(conn) -> None:
     child recorder installed by :func:`repro.obs.worker_begin` is drained
     after every task so spans and metrics ride the existing reply pipe
     back into the parent stream.  A ``("stop",)`` message (or a closed
-    pipe) ends the loop.  When the parent configured
-    ``worker_rlimit_bytes``, the worker soft-caps its address space
-    *relative to what fork inherited* before serving tasks, so an
-    over-budget cell dies as a classified ``MemoryError`` reply, never as
-    a kernel SIGKILL.
+    pipe) ends the loop.
 
     Workers drop the parent's inherited shutdown flag and ignore SIGINT
     (:func:`repro.runtime.signals.reset_in_child`): on Ctrl-C the parent
@@ -137,11 +123,6 @@ def _worker_main(conn) -> None:
         threading.Thread(target=_heartbeat_loop,
                          args=(conn, send_lock, current, _WORKER_HEARTBEAT),
                          name="repro-heartbeat", daemon=True).start()
-    # The cap bounds the tasks' growth, not the worker's own set-up: a
-    # thread that cannot allocate its state never reports started, and
-    # its start() would wait forever.
-    if _WORKER_RLIMIT is not None:
-        apply_worker_rlimit(_WORKER_RLIMIT)
     while True:
         try:
             msg = conn.recv()
@@ -314,11 +295,6 @@ class Supervisor:
         last progress.  ``None`` disables stall detection entirely.
     fault_plan:
         Optional deterministic :class:`FaultPlan` (tests only).
-    worker_rlimit_bytes:
-        Per-worker address-space *growth* cap in bytes (above the
-        fork-inherited baseline), installed in each worker via
-        ``resource.setrlimit(RLIMIT_AS)``.  ``None`` leaves workers
-        uncapped.
     """
 
     #: Upper bound on one event-loop wait (keeps deadline checks timely,
@@ -332,14 +308,12 @@ class Supervisor:
     def __init__(self, runner: Callable[[Any], Any], *, jobs: int = 1,
                  retry: Optional[RetryPolicy] = None,
                  timeout: Optional[float] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 worker_rlimit_bytes: Optional[int] = None):
+                 fault_plan: Optional[FaultPlan] = None):
         self.runner = runner
         self.jobs = max(1, jobs)
         self.retry = retry or DEFAULT_RETRY_POLICY
         self.timeout = timeout
         self.fault_plan = fault_plan
-        self.worker_rlimit_bytes = worker_rlimit_bytes
         #: Worker heartbeat period: at least 4 samples per stall window
         #: so one lost/late beat cannot look like a stall, capped at 1 s
         #: so heartbeats stay cheap on long windows.
@@ -351,19 +325,14 @@ class Supervisor:
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[Any], *,
             completed: Optional[Dict[Any, Any]] = None,
-            on_result: Optional[Callable[[Any, Any], None]] = None,
-            ladder: Optional[OomLadder] = None) -> List:
+            on_result: Optional[Callable[[Any, Any], None]] = None) -> List:
         """Run every task, returning results in task order.
 
         ``completed`` maps already-finished tasks to their results (the
         checkpoint resume path); those tasks are not re-run and
         ``on_result`` is not re-fired for them.  ``on_result(task, result)``
         is invoked once per freshly computed task, in completion order —
-        the journaling hook.  ``ladder`` is the caller's
-        :class:`~repro.runtime.policy.OomLadder`: while it has a step
-        left, an OOM-class failure in a worker raises
-        :class:`~repro.errors.ResourceExhaustedError` for the caller to
-        re-plan; without one, OOM is retried like any other failure.
+        the journaling hook.
         """
         results: Dict[int, Any] = {}
         todo: List[_Attempt] = []
@@ -375,7 +344,7 @@ class Supervisor:
         if todo:
             can_fork = "fork" in multiprocessing.get_all_start_methods()
             if len(todo) > 1 and self.jobs > 1 and can_fork:
-                self._run_pool(todo, results, on_result, ladder)
+                self._run_pool(todo, results, on_result)
             else:
                 self._run_in_process(todo, todo, results, on_result,
                                      where="serial")
@@ -419,13 +388,11 @@ class Supervisor:
     # ------------------------------------------------------------------
     # supervised pool execution
     # ------------------------------------------------------------------
-    def _run_pool(self, todo, results, on_result, ladder) -> None:
-        global _WORKER_RUNNER, _WORKER_FAULTS, _WORKER_RLIMIT, \
-            _WORKER_HEARTBEAT
+    def _run_pool(self, todo, results, on_result) -> None:
+        global _WORKER_RUNNER, _WORKER_FAULTS, _WORKER_HEARTBEAT
         self._ctx = multiprocessing.get_context("fork")
         _WORKER_RUNNER = self.runner
         _WORKER_FAULTS = self.fault_plan
-        _WORKER_RLIMIT = self.worker_rlimit_bytes
         _WORKER_HEARTBEAT = self.heartbeat_interval
         endpoints: List[_ForkEndpoint] = []
         pending = deque(todo)
@@ -461,16 +428,14 @@ class Supervisor:
                 for ep in list(busy):
                     finished = self._service_endpoint(
                         ep, ready_set, endpoints, pending, fallback,
-                        results, on_result, todo, ladder)
+                        results, on_result)
                     outstanding -= finished
-                self._reap_timeouts(endpoints, pending, fallback, results,
-                                    todo, ladder)
+                self._reap_timeouts(endpoints, pending, fallback)
         finally:
             for ep in endpoints:
                 ep.stop(kill=True)
             _WORKER_RUNNER = None
             _WORKER_FAULTS = None
-            _WORKER_RLIMIT = None
             _WORKER_HEARTBEAT = None
         # Cells that repeatedly failed in workers get one last serial
         # in-process attempt each.
@@ -527,7 +492,7 @@ class Supervisor:
             endpoints.append(self._spawn())
 
     def _service_endpoint(self, ep, ready_set, endpoints, pending, fallback,
-                          results, on_result, todo, ladder) -> int:
+                          results, on_result) -> int:
         """Handle one worker's reply or death; returns cells finished."""
         lost: Optional[EndpointLostError] = None
         if ep.conn in ready_set:
@@ -549,8 +514,7 @@ class Supervisor:
                                     "where": "worker",
                                     "error": payload["error"],
                                     "kind": payload.get("kind", "error")})
-                self._reschedule(att, pending, fallback, results, todo,
-                                 ladder)
+                self._reschedule(att, pending, fallback)
                 return 0
         # Death handling.  A worker whose pipe merely hit EOF defers to
         # the process sentinel — unless the pipe is *garbled*, in which
@@ -571,8 +535,7 @@ class Supervisor:
                 # sees the cell back in the pending queue, so the last
                 # worker's death with the last cell in hand still spawns
                 # a successor.
-                self._reschedule(att, pending, fallback, results, todo,
-                                 ladder)
+                self._reschedule(att, pending, fallback)
             self._retire(ep, endpoints, pending, stalled=False)
         return 0
 
@@ -618,8 +581,7 @@ class Supervisor:
         get_recorder().metric("worker.heartbeat", progress, unit="events",
                               cell=cellattr, worker_pid=ep.pid)
 
-    def _reap_timeouts(self, endpoints, pending, fallback, results, todo,
-                       ladder) -> None:
+    def _reap_timeouts(self, endpoints, pending, fallback) -> None:
         """Kill workers whose progress counter stalled for ``timeout``.
 
         ``deadline`` is armed at assignment and re-armed by every
@@ -638,7 +600,7 @@ class Supervisor:
                                          "(stalled)",
                                 "kind": "hang"})
             self._retire(ep, endpoints, pending, stalled=True)
-            self._reschedule(att, pending, fallback, results, todo, ladder)
+            self._reschedule(att, pending, fallback)
 
     def _drain_interrupted(self, endpoints, results, todo, on_result) -> None:
         """Graceful-shutdown endgame for the pool (first SIGINT/SIGTERM).
@@ -691,27 +653,16 @@ class Supervisor:
             f"{cells(cancelled)} in-flight cell(s) cancelled",
             completed_cells=cells(partial), partial=partial)
 
-    def _reschedule(self, att, pending, fallback, results, todo,
-                    ladder) -> None:
-        """Carry out the policy's decision after a failed worker attempt."""
-        action = policy.cell_failed(att, self.retry, ladder)
-        if action == "retry":
+    def _reschedule(self, att, pending, fallback) -> None:
+        """Carry out the policy's decision after a failed worker attempt:
+        a pool attempt is always followed by a retry or the serial
+        fallback."""
+        if policy.cell_failed(att, self.retry) == "retry":
             att.not_before = (time.monotonic()
                               + self.retry.delay(att.attempts))
             pending.append(att)
-        elif action == "serial":
-            fallback.append(att)
         else:
-            # "degrade": abort the pool so the caller's ladder re-plans
-            # the run; re-running the same oversized task could only
-            # summon the OOM killer again.
-            detail = ((att.history[-1]["error"] or "").strip().splitlines()
-                      or ["out of memory"])[-1]
-            raise ResourceExhaustedError(
-                f"task {att.task!r} exhausted memory on attempt "
-                f"{att.attempts} ({detail})",
-                kind="memory", cell=att.task, attempts=att.history,
-                partial=self._partial(results, todo))
+            fallback.append(att)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -12,7 +12,7 @@ at once by brute force:
    graceful shutdown, and a seeded RNG picks how it dies: SIGINT or
    SIGTERM after a random delay, outright SIGKILL, or an injected
    :class:`~repro.runtime.faults.FaultPlan` fault (worker crash, hang,
-   OOM, or the worker SIGTERM-ing its own supervisor); between cycles the
+   or the worker SIGTERM-ing its own supervisor); between cycles the
    journal tail is occasionally torn mid-line to simulate a kill during a
    checkpoint write;
 3. when a cycle survives to completion (or the cycle budget is spent, at
@@ -24,7 +24,7 @@ Every random choice flows from one ``seed``, so a failing soak replays
 exactly.  The harness is engine-agnostic: the caller supplies
 ``run_sweep(checkpoint_dir, fault_plan, telemetry_dir) -> list`` which
 builds whatever engine configuration is under test (serial, sharded,
-memory-budgeted...) and returns the grid results in a stable order.
+finite...) and returns the grid results in a stable order.
 
 The module also holds the on-disk damage helpers the recovery and cache
 suites share (:func:`tear_jsonl_tail`, :func:`corrupt_file`).  Run the
@@ -53,6 +53,7 @@ from repro.errors import (
     EXIT_RESOURCE_EXHAUSTED,
     ConfigError,
     ReproError,
+    ResourceExhaustedError,
     SweepInterrupted,
 )
 from repro.runtime.faults import FaultPlan
@@ -64,7 +65,7 @@ from repro.runtime.signals import graceful_shutdown
 #: so the supervisor's retry completes the cell.
 ACTIONS: Tuple[str, ...] = (
     "sigint", "sigterm", "sigkill",
-    "fault:crash", "fault:hang", "fault:oom", "fault:sigterm-parent",
+    "fault:crash", "fault:hang", "fault:sigterm-parent",
 )
 
 #: Actions that need the caller's engine to have a (short) per-cell
@@ -146,7 +147,7 @@ def _child_main(conn, run_sweep, checkpoint_dir, plan, telemetry_dir) -> None:
             except MemoryError:
                 os._exit(EXIT_RESOURCE_EXHAUSTED)
             except ReproError as exc:
-                if getattr(exc, "kind", None) in ("memory", "disk"):
+                if isinstance(exc, ResourceExhaustedError):
                     os._exit(EXIT_RESOURCE_EXHAUSTED)
                 traceback.print_exc()
                 os._exit(EXIT_FAILED)
@@ -335,8 +336,6 @@ def _plan_for(action: str, cell: tuple) -> FaultPlan:
         return FaultPlan(crash={cell: 1})
     if fault == "hang":
         return FaultPlan(hang={cell: 1})
-    if fault == "oom":
-        return FaultPlan(exhaust_memory={cell: 1})
     if fault == "sigterm-parent":
         return FaultPlan(sigterm_parent={cell: 1})
     raise ConfigError(f"unknown fault action {action!r}")

@@ -90,7 +90,7 @@ def test_torn_tail_schedule_converges(tmp_path):
 
 
 def test_worker_fault_schedule_converges(tmp_path):
-    """Worker-side faults only (crash/hang/oom/sigterm-parent) under the
+    """Worker-side faults only (crash/hang/sigterm-parent) under the
     sharded pool: retries and the stall watchdog must absorb all of them."""
     report = chaos_soak(
         _runner("MATMUL24", CLASSIFY_CELLS, jobs=2, shards=2),

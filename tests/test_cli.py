@@ -283,11 +283,11 @@ class TestExitCodeContract:
         from repro.errors import ResourceExhaustedError
 
         def explode(args):
-            raise ResourceExhaustedError("memory budget exceeded",
-                                         kind="memory")
+            raise ResourceExhaustedError("not enough disk space",
+                                         kind="disk")
 
         # Drive main() through its own parser, swapping in a handler
-        # that fails the way an over-budget sweep does.
+        # that fails the way a sweep whose disk preflight fails does.
         real_parse = cli.build_parser
 
         def patched_parser():

@@ -171,3 +171,16 @@ def test_for_workload_generates_once(tmp_path):
     first = SweepEngine.for_workload("FFT256", cache_dir=cache_dir)
     second = SweepEngine.for_workload("FFT256", cache_dir=cache_dir)
     assert first.trace == second.trace
+
+
+def test_grid_hashes_the_trace_only_for_a_reader(traces, tmp_path):
+    """The trace key hashes the whole trace: a grid that records no
+    telemetry and journals nothing never computes it."""
+    for jobs in (1, 2):
+        engine = SweepEngine(traces["MP3D200"], jobs=jobs)
+        engine.classify_sweep(BLOCK_SIZES)
+        assert engine._trace_key is None
+    recorded = SweepEngine(traces["MP3D200"],
+                           telemetry_dir=str(tmp_path / "tel"))
+    recorded.classify_sweep(BLOCK_SIZES)
+    assert recorded._trace_key is not None

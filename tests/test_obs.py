@@ -8,14 +8,13 @@ Pins the observability acceptance criteria:
 * worker records ship over the reply channel and merge into one stream
   with a single total ``seq`` order and preserved worker pids;
 * the headline property: a recorded sweep's merged timeline contains
-  **exactly one ok ``cell.run`` span per grid cell**, under sharding and
-  under memory-pressure degradation alike;
+  **exactly one ok ``cell.run`` span per grid cell**, serial, parallel
+  and sharded alike;
 * a sweep resumed from its checkpoint journal produces a manifest whose
   stable bytes (:func:`repro.obs.manifest_stable_bytes`) are identical
   to the run that computed every cell;
-* supervisor retries and ladder degradations announce themselves as
-  warning logs and ``task.failed`` telemetry events at the moment they
-  happen;
+* supervisor retries announce themselves as warning logs and
+  ``task.failed`` telemetry events at the moment they happen;
 * the workers' observed peak RSS lands in the manifest, and ``repro
   report`` renders all of it.
 """
@@ -26,7 +25,6 @@ import logging
 import os
 import tempfile
 import time
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -207,13 +205,12 @@ class TestSchema:
             rec.metric(name, 42, unit=unit)
         for name in ("run.start", "run.finish", "sweep.start",
                      "sweep.finish", "rung.start", "task.assigned",
-                     "task.done", "task.failed", "ladder.step",
-                     "cell.resumed"):
+                     "task.done", "task.failed", "cell.resumed"):
             rec.event(name, level="warning" if name == "task.failed"
                       else "info")
         rec.log("info", "repro.analysis.engine", "hello")
         records = rec.drain()
-        assert len(records) == 23
+        assert len(records) == 22
         for record in records:
             validate_record(record)
 
@@ -440,30 +437,21 @@ class TestGroupSpans:
 
 
 # ----------------------------------------------------------------------
-# the headline property, under sharding and degradation
+# the headline property, serial, parallel and sharded
 # ----------------------------------------------------------------------
 class TestOneSpanPerCellProperty:
     @settings(max_examples=6, deadline=None)
     @given(jobs=st.sampled_from([1, 2, 4]),
-           shards=st.sampled_from([1, 2]),
-           degrade=st.booleans())
+           shards=st.sampled_from([1, 2]))
     def test_exactly_one_ok_cell_run_span_per_grid_cell(
-            self, trace, jobs, shards, degrade):
-        """Whatever the execution shape — serial, parallel, sharded, or
-        degraded rung by rung down to serial after every worker attempt
-        OOMs — the merged timeline has exactly one ok ``cell.run`` span
-        per grid cell, and the manifest marks every cell done."""
-        # One range is one task, which runs in-process: only a grid cut
-        # into several ranges has workers whose OOMs degrade it.
-        plan = (FaultPlan(exhaust_memory={i: 99 for i in range(64)})
-                if degrade and jobs > 1 and shards > 1 else None)
+            self, trace, jobs, shards):
+        """Whatever the execution shape — serial, parallel or sharded —
+        the merged timeline has exactly one ok ``cell.run`` span per grid
+        cell, and the manifest marks every cell done."""
         tel = tempfile.mkdtemp(prefix="repro-obs-prop-")
         engine = SweepEngine(trace, jobs=jobs, shards=shards,
-                             retry=FAST_RETRY, fault_plan=plan,
-                             telemetry_dir=tel)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            engine.classify_sweep(SIZES)
+                             retry=FAST_RETRY, telemetry_dir=tel)
+        engine.classify_sweep(SIZES)
         (run_dir,) = find_runs(tel)
         records = _read_records(run_dir)
         expected = {("classify", bb, "dubois") for bb in SIZES}
@@ -473,9 +461,6 @@ class TestOneSpanPerCellProperty:
         statuses = {tuple(c["cell"]): c["status"]
                     for c in manifest["cells"]}
         assert statuses == {c: "done" for c in expected}
-        if plan is not None:
-            assert manifest["counters"]["ladder_steps"] >= 1
-            assert manifest["counters"]["oom_failures"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -542,16 +527,58 @@ class TestResumeStability:
 
 
 # ----------------------------------------------------------------------
+# per-cell attempts
+# ----------------------------------------------------------------------
+class TestManifestAttempts:
+    @staticmethod
+    def _attempts(tel):
+        (run_dir,) = find_runs(tel)
+        return {tuple(c["cell"]): (c["attempts"], c["shards"])
+                for c in load_manifest(run_dir)["cells"]}
+
+    def test_range_tasks_count_one_attempt(self, trace, tmp_path):
+        """At --jobs 4 each kernel cell rides in four range tasks that
+        ran once each: the cell took one attempt, not four."""
+        tel = str(tmp_path / "tel")
+        SweepEngine(trace, jobs=4, telemetry_dir=tel).classify_sweep(SIZES)
+        assert self._attempts(tel) == {("classify", bb, "dubois"): (1, 4)
+                                       for bb in SIZES}
+
+    def test_a_crashed_attempt_counts(self, trace, tmp_path):
+        wu = ("protocol", 64, "WU")
+        cells = [("classify", bb, "dubois") for bb in SIZES] + [wu]
+        tel = str(tmp_path / "tel")
+        SweepEngine(trace, jobs=4, retry=FAST_RETRY, telemetry_dir=tel,
+                    fault_plan=FaultPlan(crash={wu: 1})).run_grid(cells)
+        attempts = {cell: att for cell, (att, _) in
+                    self._attempts(tel).items()}
+        assert attempts == {**dict.fromkeys(cells[:-1], 1), wu: 2}
+
+
+# ----------------------------------------------------------------------
 # failures announce themselves when they happen
 # ----------------------------------------------------------------------
 class TestFailureTelemetry:
-    def test_worker_oom_retry_emits_event_and_warning_log(self, caplog):
-        plan = FaultPlan(exhaust_memory={1: 1})  # task 1, first attempt
+    def test_worker_oom_retry_emits_event_and_warning_log(self, caplog,
+                                                          tmp_path):
+        marker = str(tmp_path / "oom-once")
+
+        def runner(task):
+            # Task "b" runs out of memory in the first worker that takes
+            # it; the marker file makes its retry succeed.
+            if task == "b":
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    raise MemoryError("worker out of memory")
+            return task * 2
+
         rec = Recorder.buffering()
         with use_recorder(rec):
             with caplog.at_level(logging.WARNING, logger="repro"):
-                sup = Supervisor(lambda t: t * 2, jobs=2, retry=FAST_RETRY,
-                                 fault_plan=plan)
+                sup = Supervisor(runner, jobs=2, retry=FAST_RETRY)
                 assert sup.run(["a", "b", "c"]) == ["aa", "bb", "cc"]
         failed = [r for r in rec.drain()
                   if r.get("kind") == "event"
@@ -561,17 +588,6 @@ class TestFailureTelemetry:
         assert failed[0]["attrs"]["fail_kind"] == "oom"
         assert failed[0]["attrs"]["action"] == "retry"
         assert any("retrying after backoff" in r.message
-                   for r in caplog.records)
-
-    def test_degraded_sweep_logs_ladder_step(self, trace, caplog):
-        plan = FaultPlan(exhaust_memory={i: 99 for i in range(64)})
-        engine = SweepEngine(trace, jobs=4, retry=FAST_RETRY,
-                             fault_plan=plan)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with caplog.at_level(logging.WARNING, logger="repro"):
-                engine.classify_sweep((64,))
-        assert any("OOM-class failure" in r.message
                    for r in caplog.records)
 
 

@@ -21,7 +21,6 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.policy import (
     FAIL_KINDS,
     POLICY,
-    OomLadder,
     cell_failed,
     classify_exception,
     classify_exitcode,
@@ -59,7 +58,6 @@ def _classified_kinds():
              for code in (None, 0, 1, 17, -6, -9, -11, -15, 137, 139)}
     kinds |= {_payload_kind(exc) for exc in (
         ValueError("boom"), MemoryError(),
-        ResourceExhaustedError("ram", kind="memory"),
         ResourceExhaustedError("disk", kind="disk"))}
     kinds |= _watchdog_kinds()
     for alive in (True, False):
@@ -114,17 +112,3 @@ class TestCellDecisions:
     def test_serial_retries_then_aborts(self):
         assert [cell_failed(_att("serial", "error", n), THREE)
                 for n in (1, 2, 3)] == ["retry", "retry", "abort"]
-
-    def test_oom_degrades_while_the_ladder_has_a_step(self):
-        ladder = OomLadder(2)
-        assert cell_failed(_att("worker", "oom", 1), THREE,
-                           ladder) == "degrade"
-        assert cell_failed(_att("worker", "crash", 1), THREE,
-                           ladder) == "retry"
-        with pytest.warns(UserWarning, match="degrading to 'serial"):
-            ladder.step(ResourceExhaustedError("oom", kind="memory"))
-        assert ladder.spent  # on the serial rung: OOM is retried
-        assert cell_failed(_att("worker", "oom", 1), THREE,
-                           ladder) == "retry"
-        assert cell_failed(_att("serial", "oom", 1), THREE,
-                           OomLadder(8)) == "retry"
