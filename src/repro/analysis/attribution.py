@@ -15,13 +15,15 @@ works.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..classify.breakdown import DuboisBreakdown, MissClass
-from ..classify.dubois import DuboisClassifier
+import numpy as np
+
+from ..classify.breakdown import DuboisBreakdown
 from ..errors import ConfigError
+from ..kernels import KernelContext, plan_batches
+from ..kernels.classifiers import dubois_lifetimes
 from ..mem.addresses import BlockMap
 from ..trace.trace import Trace
 from .report import format_table
@@ -36,9 +38,6 @@ class RegionTable:
     def __init__(self, regions: Sequence[Tuple[str, int, int]]):
         cleaned = sorted((int(base), int(words), str(name))
                          for name, base, words in regions)
-        self._bases: List[int] = []
-        self._ends: List[int] = []
-        self._names: List[str] = []
         last_end = -1
         for base, words, name in cleaned:
             if words <= 0:
@@ -46,10 +45,18 @@ class RegionTable:
             if base < last_end:
                 raise ConfigError(
                     f"region {name!r} overlaps its predecessor")
-            self._bases.append(base)
-            self._ends.append(base + words)
-            self._names.append(name)
             last_end = base + words
+        self._names = [name for _, _, name in cleaned]
+        table = np.array([r[:2] for r in cleaned], dtype=np.int64)
+        self._bases, sizes = table.reshape(-1, 2).T.copy()
+        # Index -1, a word before every region, reads the sentinels: an
+        # end no word is below, and UNMAPPED's label.
+        self._ends = np.append(self._bases + sizes, -1)
+        labels, self._label_ids = np.unique(self._names + [UNMAPPED],
+                                            return_inverse=True)
+        #: The distinct region names and :data:`UNMAPPED`, sorted: what
+        #: :meth:`lookup` indexes.
+        self.labels: List[str] = labels.tolist()
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "RegionTable":
@@ -61,12 +68,12 @@ class RegionTable:
                 "regions explicitly")
         return cls([(r[0], r[1], r[2]) for r in regions])
 
-    def name_of(self, word_addr: int) -> str:
-        """Region name containing ``word_addr`` (or :data:`UNMAPPED`)."""
-        i = bisect_right(self._bases, word_addr) - 1
-        if i >= 0 and word_addr < self._ends[i]:
-            return self._names[i]
-        return UNMAPPED
+    def lookup(self, words: np.ndarray) -> np.ndarray:
+        """Per word address, the :attr:`labels` index of its region's
+        name (:data:`UNMAPPED`'s outside every region)."""
+        i = np.searchsorted(self._bases, words, "right") - 1
+        return np.where(words < self._ends[i], self._label_ids[i],
+                        self._label_ids[-1])
 
     @property
     def names(self) -> List[str]:
@@ -110,22 +117,32 @@ def attribute_misses(trace: Trace, block_bytes: int,
     is what identifies the structure whose *access pattern* pays for the
     miss — e.g. a barrier flag read that keeps missing because the
     adjacent counter word is write-shared.)
+
+    The Dubois kernel's lifetimes, over batches of whole blocks, add
+    into one regions × classes table, so the rows sum to the cell's
+    breakdown.  ``by_region`` lists the regions in the order the
+    streaming classifier first ends a lifetime charged to each, the
+    order ties keep when :meth:`AttributionResult.format` ranks them.
     """
     table = (RegionTable(regions) if regions is not None
              else RegionTable.from_trace(trace))
-    records: List = []
-    DuboisClassifier.classify_trace(trace, BlockMap(block_bytes),
-                                    record_misses=True, out_records=records)
-    counts: Dict[str, Dict[MissClass, int]] = {}
-    for record in records:
-        name = table.name_of(record.word)
-        per = counts.setdefault(name, {mc: 0 for mc in MissClass})
-        per[record.mclass] += 1
+    block_map = BlockMap(block_bytes)
+    columns = trace.columns()
+    size = len(table.labels)
+    counts = np.zeros(size * 5, dtype=np.int64)
+    first = np.full(size, np.iinfo(np.int64).max)
+    for rows in plan_batches(columns, block_map.offset_bits).batches():
+        ctx = KernelContext(columns.proc[rows], columns.op[rows],
+                            columns.addr[rows], trace.num_procs, rows)
+        fetch, code, key = dubois_lifetimes(ctx, block_map)
+        label = table.lookup(ctx.addr[fetch])
+        counts += np.bincount(label * 5 + code, minlength=size * 5)
+        np.minimum.at(first, label, key)
+    counts = counts.reshape(size, 5).tolist()
     refs = trace.counts().data
     by_region = {
-        name: DuboisBreakdown(pc=per[MissClass.PC], cts=per[MissClass.CTS],
-                              cfs=per[MissClass.CFS], pts=per[MissClass.PTS],
-                              pfs=per[MissClass.PFS], data_refs=refs)
-        for name, per in counts.items()}
+        table.labels[i]: DuboisBreakdown(*counts[i], data_refs=refs)
+        for i in np.argsort(first, kind="stable")
+        if first[i] < np.iinfo(np.int64).max}
     return AttributionResult(trace_name=trace.name or "<anonymous>",
                              block_bytes=block_bytes, by_region=by_region)

@@ -5,7 +5,6 @@ prior schemes it is compared against (Eggers, Torrellas)."""
 from .breakdown import (
     DuboisBreakdown,
     MissClass,
-    MissRecord,
     SimpleBreakdown,
 )
 from .compare import ClassificationComparison, compare_classifications
@@ -20,7 +19,6 @@ __all__ = [
     "DuboisClassifier",
     "EggersClassifier",
     "MissClass",
-    "MissRecord",
     "ReferenceDuboisClassifier",
     "SimpleBreakdown",
     "TorrellasClassifier",

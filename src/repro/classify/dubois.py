@@ -33,19 +33,17 @@ the block had been modified since the start of the simulation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..errors import TraceError
 from ..mem.addresses import BlockMap
 from ..trace.events import LOAD, STORE
 from ..trace.trace import Trace
-from .breakdown import DuboisBreakdown, MissClass, MissRecord
+from .breakdown import DuboisBreakdown
 
-# Internal count indices (plain ints keep the hot loop off enum hashing);
-# positions match _MISS_CLASSES.
+# Internal count indices (plain ints keep the hot loop off enum hashing),
+# in MissClass order.
 _PC, _CTS, _CFS, _PTS, _PFS = range(5)
-_MISS_CLASSES = (MissClass.PC, MissClass.CTS, MissClass.CFS,
-                 MissClass.PTS, MissClass.PFS)
 
 
 class DuboisClassifier:
@@ -60,20 +58,14 @@ class DuboisClassifier:
         Processor count of the trace.
     block_map:
         The block-size configuration to classify under.
-    record_misses:
-        When true, per-miss :class:`MissRecord` objects are kept in
-        :attr:`misses` (costs memory; off by default).
     """
 
-    def __init__(self, num_procs: int, block_map: BlockMap,
-                 *, record_misses: bool = False):
+    def __init__(self, num_procs: int, block_map: BlockMap):
         if num_procs <= 0:
             raise TraceError(f"num_procs must be positive, got {num_procs}")
         self.num_procs = num_procs
         self.block_map = block_map
-        self.record_misses = record_misses
 
-        self._all_mask = (1 << num_procs) - 1
         # Per-block state list [P, EM, FR-done, dirty-at-fetch, modified,
         # clear-seq-per-proc] (the first four are per-processor bitmasks) —
         # one dict lookup per access instead of one per flag family.
@@ -91,14 +83,10 @@ class DuboisClassifier:
         self._state: Dict[int, list] = {}
         self._comm: Dict[int, tuple] = {}
         self._seq = 0
-        # Lifetime start index per (block, proc), only when recording.
-        self._lifetime_start: Dict[int, List[int]] = {}
 
         self._counts = [0, 0, 0, 0, 0]  # indexed _PC.._PFS
         self._data_refs = 0
         self._finished = False
-        #: Per-miss records (populated only when ``record_misses``).
-        self.misses: List[MissRecord] = []
 
     @property
     def data_refs(self) -> int:
@@ -145,17 +133,6 @@ class DuboisClassifier:
         """
         if self._finished:
             raise TraceError("classifier already finished")
-        if self.record_misses:
-            # Recording needs _data_refs exact at every action (miss records
-            # index into it), so take the plain per-event path.
-            for proc, op, addr, block in zip(procs, ops, addrs, blocks):
-                self._data_refs += 1
-                self._seq += 1
-                if op == STORE:
-                    self._write_action(proc, addr, block)
-                else:
-                    self._read_action(proc, addr, block)
-            return
         read, write = self._read_action, self._write_action
         classify = self._classify_mask
         state, comm = self._state, self._comm
@@ -176,7 +153,7 @@ class DuboisClassifier:
                         # pending communication): invalidate + flag inline.
                         others = st[0] & ~bit
                         if others:
-                            classify(block, st, others)
+                            classify(st, others)
                             st[0] = bit
                         if e is None:
                             comm[addr] = (proc, seq, 0)
@@ -218,10 +195,6 @@ class DuboisClassifier:
                 st[3] |= bit
             else:
                 st[3] &= ~bit
-            if self.record_misses:
-                self._lifetime_start.setdefault(
-                    block, [(0, -1)] * self.num_procs)[proc] \
-                    = (self._data_refs - 1, word_addr)
         e = self._comm.get(word_addr)
         if (e is not None
                 and (e[1] if e[0] != proc else e[2]) > st[5][proc]):
@@ -241,7 +214,7 @@ class DuboisClassifier:
         # The store invalidates every other copy: classify those lifetimes.
         others = st[0] & ~bit
         if others:
-            self._classify_mask(block, st, others)
+            self._classify_mask(st, others)
             st[0] = bit
         # Flag the new value for all other processors: record this store as
         # the word's newest, demoting the previous newest-by-another-proc.
@@ -254,7 +227,7 @@ class DuboisClassifier:
             self._comm[word_addr] = (proc, self._seq, e[2])
         st[4] = True
 
-    def _classify_mask(self, block: int, st: list, mask: int) -> None:
+    def _classify_mask(self, st: list, mask: int) -> None:
         """Classify (and end) the lifetimes of every processor in ``mask``."""
         first_done = st[2]
         essential = st[1]
@@ -279,14 +252,6 @@ class DuboisClassifier:
             else:
                 mclass = _PFS
             counts[mclass] += 1
-            if self.record_misses:
-                proc = low.bit_length() - 1
-                start, word = self._lifetime_start.get(
-                    block, [(0, -1)] * self.num_procs)[proc]
-                self.misses.append(MissRecord(proc=proc, block=block,
-                                              start=start, end=self._data_refs,
-                                              mclass=_MISS_CLASSES[mclass],
-                                              word=word))
         st[2] = first_done | mask
 
     # ------------------------------------------------------------------
@@ -297,9 +262,9 @@ class DuboisClassifier:
         if self._finished:
             raise TraceError("classifier already finished")
         self._finished = True
-        for block, st in self._state.items():
+        for st in self._state.values():
             if st[0]:
-                self._classify_mask(block, st, st[0])
+                self._classify_mask(st, st[0])
                 st[0] = 0
         c = self._counts
         return DuboisBreakdown(pc=c[_PC], cts=c[_CTS], cfs=c[_CFS],
@@ -310,26 +275,18 @@ class DuboisClassifier:
     # one-shot driver
     # ------------------------------------------------------------------
     @classmethod
-    def classify_trace(cls, trace: Trace, block_map: BlockMap,
-                       *, record_misses: bool = False,
-                       out_records: Optional[list] = None) -> DuboisBreakdown:
-        """Classify a whole trace at one block size.
-
-        ``out_records`` (a list), when given together with
-        ``record_misses=True``, receives the per-miss records.
-        """
-        clf = cls(trace.num_procs, block_map, record_misses=record_misses)
+    def classify_trace(cls, trace: Trace,
+                       block_map: BlockMap) -> DuboisBreakdown:
+        """Classify a whole trace at one block size."""
+        clf = cls(trace.num_procs, block_map)
         # Vectorized data-op prefilter + block ids.
         data = trace.columns().data_only()
         clf.feed_data(data.proc.tolist(), data.op.tolist(),
                       data.addr.tolist(),
                       data.block_ids(block_map.offset_bits).tolist())
-        breakdown = clf.finish()
-        if out_records is not None:
-            out_records.extend(clf.misses)
-        return breakdown
+        return clf.finish()
 
 
-def classify(trace: Trace, block_bytes: int, **kwargs) -> DuboisBreakdown:
+def classify(trace: Trace, block_bytes: int) -> DuboisBreakdown:
     """Convenience wrapper: classify ``trace`` at ``block_bytes``."""
-    return DuboisClassifier.classify_trace(trace, BlockMap(block_bytes), **kwargs)
+    return DuboisClassifier.classify_trace(trace, BlockMap(block_bytes))

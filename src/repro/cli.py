@@ -558,10 +558,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                     return args.func(args)
             return args.func(args)
     except SweepInterrupted as exc:
-        resume_dir = getattr(args, "resume", None)
-        hint = (" -- re-run with the same --resume to continue"
-                if resume_dir is not None else
-                " -- add --resume to make interrupted sweeps restartable")
+        if not hasattr(args, "resume"):
+            hint = ""  # the command takes no --resume
+        elif args.resume is None:
+            hint = " -- add --resume to make interrupted sweeps restartable"
+        else:
+            hint = " -- re-run with the same --resume to continue"
         print(f"interrupted: {exc}{hint}", file=sys.stderr)
         return EXIT_INTERRUPTED
     except KeyboardInterrupt:

@@ -53,6 +53,7 @@ from .segments import (
     NO_ROW,
     essential_chain,
     last_store_tables,
+    next_run,
     pack_order,
     prev_same_index,
     regroup_monotone,
@@ -61,8 +62,9 @@ from .segments import (
     unit_ids,
 )
 
-__all__ = ["KernelContext", "SyncTable", "lifetime_breakdown",
-           "dubois_kernel", "eggers_kernel", "torrellas_kernel"]
+__all__ = ["KernelContext", "SyncTable", "lifetime_classes",
+           "lifetime_breakdown", "dubois_kernel", "dubois_lifetimes",
+           "eggers_kernel", "torrellas_kernel"]
 
 
 class _Heartbeat:
@@ -74,31 +76,23 @@ class _Heartbeat:
     batch in a few vectorized phases, so it credits the same total (one
     tick per row) in per-phase installments, each split into slices no
     larger than ``HEARTBEAT_CHUNK``.  Every tick is also a cancellation
-    point, so graceful shutdown interrupts between phases.  ``stats``
-    (when given) accumulates the batch count and row total for the
-    ``kernel.batch`` telemetry metric.
+    point, so graceful shutdown interrupts between phases.
     """
 
     #: Nominal phase budget; :meth:`finish` credits any remainder, so a
     #: kernel with fewer phases still ticks its full row count.
     PHASES = 8
 
-    def __init__(self, rows: int, stats: Optional[Dict] = None):
+    def __init__(self, rows: int):
         self.rows = int(rows)
-        self.stats = stats
         self._credited = 0
         self._phase_no = 0
-        if stats is not None:
-            stats["rows"] = stats.get("rows", 0) + self.rows
-            stats.setdefault("batches", 0)
 
     def _tick(self, n: int) -> None:
         step = signals.HEARTBEAT_CHUNK
         while n > 0:
             take = min(n, step)
             signals.note_progress(take)
-            if self.stats is not None:
-                self.stats["batches"] += 1
             n -= take
 
     def phase(self) -> None:
@@ -447,6 +441,23 @@ class _BlockView:
             self._runs = (runs, run_keys(runs, self.ctx.n + 1))
         return self._runs
 
+    def first_remote_store(self, at: np.ndarray) -> np.ndarray:
+        """Per row of ``at``, the first store to its block by another
+        processor after it (int64 row; -1 if none): the store that ends
+        a copy fetched there.  When the first store after the row is
+        the row's processor's own, the next same-writer run's first
+        store is the first remote one."""
+        runs, _ = self.block_runs()
+        # Each ends in a sentinel store past the last one, in no block.
+        unit, proc, row = (np.append(a, -1)
+                           for a in (runs.unit, runs.proc, runs.row))
+        bid = self.bid[at]
+        k = self.store_counts()[at].astype(np.int64) + self.ctx.store8[at]
+        mine = np.flatnonzero((unit[k] == bid)
+                              & (proc[k] == self.ctx.proc[at]))
+        k[mine] = next_run(runs)[k[mine]]
+        return np.where(unit[k] == bid, row[k], -1)
+
     def groups(self):
         """``(order, new_group, gid_sorted, num_groups)``.
 
@@ -576,24 +587,26 @@ class _BlockView:
         return starts, fetch, cold, dirty, ess
 
 
+#: Class codes 0-4 (PC, CTS, CFS, PTS, PFS) by ``4 * cold + 2 * essential
+#: + dirty``: the tracker's ``_classify``, in MissClass order.
+_CLASS_CODE = np.array([4, 4, 3, 3, 0, 2, 1, 1], dtype=np.int8)
+
+
+def lifetime_classes(cold: np.ndarray, dirty: np.ndarray,
+                     ess: np.ndarray) -> np.ndarray:
+    """Each classified lifetime's class code (:data:`_CLASS_CODE`)."""
+    return _CLASS_CODE[4 * cold + 2 * ess + dirty]
+
+
 def lifetime_breakdown(cold: np.ndarray, dirty: np.ndarray,
                        ess: np.ndarray, data_refs: int) -> DuboisBreakdown:
-    """The five-way breakdown of classified lifetimes (the tracker's
-    ``_classify``: cold lifetimes split CTS/CFS/PC, the rest PTS/PFS)."""
-    ncold = ~cold
-    ness = ~ess
-    return DuboisBreakdown(
-        pc=int((cold & ness & ~dirty).sum()),
-        cts=int((cold & ess).sum()),
-        cfs=int((cold & ness & dirty).sum()),
-        pts=int((ncold & ess).sum()),
-        pfs=int((ncold & ness).sum()),
-        data_refs=data_refs,
-    )
+    """The five-way breakdown of classified lifetimes: their
+    :func:`lifetime_classes`, counted."""
+    counts = np.bincount(lifetime_classes(cold, dirty, ess), minlength=5)
+    return DuboisBreakdown(*counts.tolist(), data_refs=data_refs)
 
 
-def dubois_kernel(ctx: KernelContext, block_map,
-                  stats: Optional[Dict] = None) -> DuboisBreakdown:
+def dubois_kernel(ctx: KernelContext, block_map) -> DuboisBreakdown:
     """Dubois et al.'s five-way classification, vectorized.
 
     Bit-identical to feeding the batch's rows through
@@ -601,7 +614,7 @@ def dubois_kernel(ctx: KernelContext, block_map,
     the batch's row count; callers composing with the no-op read elision
     re-add their dropped rows, exactly like the interpreted path).
     """
-    hb = _Heartbeat(ctx.n, stats)
+    hb = _Heartbeat(ctx.n)
     view = ctx.block_view(block_map.offset_bits)
     _, _, cold, dirty, ess = view.lifetimes(hb)
     result = lifetime_breakdown(cold, dirty, ess, ctx.n)
@@ -609,8 +622,39 @@ def dubois_kernel(ctx: KernelContext, block_map,
     return result
 
 
-def eggers_kernel(ctx: KernelContext, block_map,
-                  stats: Optional[Dict] = None) -> SimpleBreakdown:
+#: Added to the end key of a lifetime live at the end: past every store's.
+_LIVE = np.int64(1) << 62
+
+
+def dubois_lifetimes(ctx: KernelContext, block_map):
+    """Dubois et al.'s miss lifetimes of one batch: ``(fetch, code,
+    key)``, one entry per lifetime in (block, processor, time) order.
+
+    ``fetch`` is the batch row whose access missed, ``code`` the
+    lifetime's :func:`lifetime_classes` code (what :func:`dubois_kernel`
+    counts), and ``key`` orders lifetimes as the streaming classifier
+    ends them, across the batches of one trace: ``r * num_procs +
+    proc`` for a lifetime that another processor's store at trace row
+    ``r`` ends; for one live at the end, :data:`_LIVE` plus the same
+    with ``r`` the first trace row touching its block.
+    """
+    hb = _Heartbeat(ctx.n)
+    view = ctx.block_view(block_map.offset_bits)
+    _, fetch, cold, dirty, ess = view.lifetimes(hb)
+    code = lifetime_classes(cold, dirty, ess)
+    end = view.first_remote_store(fetch)
+    live = end < 0
+    order, sbid, _ = view._block_sorted()
+    head = np.flatnonzero(np.diff(sbid, prepend=-1))  # each block's first
+    end[live] = order[head[np.searchsorted(sbid[head],
+                                           view.bid[fetch[live]])]]
+    key = ctx.rows[end] * ctx.num_procs + ctx.proc[fetch]
+    key[live] += _LIVE
+    hb.finish()
+    return fetch, code, key
+
+
+def eggers_kernel(ctx: KernelContext, block_map) -> SimpleBreakdown:
     """Eggers & Katz's cold/true/false split, vectorized.
 
     An invalidation miss is true sharing iff some store to the missing
@@ -621,7 +665,7 @@ def eggers_kernel(ctx: KernelContext, block_map,
     accesses there — so "newest store to the word > previous block
     access" is exactly the stale-bit test.
     """
-    hb = _Heartbeat(ctx.n, stats)
+    hb = _Heartbeat(ctx.n)
     view = ctx.block_view(block_map.offset_bits)
     lastw = ctx.word_last_rows()
     hb.phase()
@@ -643,8 +687,7 @@ def eggers_kernel(ctx: KernelContext, block_map,
     return result
 
 
-def torrellas_kernel(ctx: KernelContext, block_map,
-                     stats: Optional[Dict] = None) -> SimpleBreakdown:
+def torrellas_kernel(ctx: KernelContext, block_map) -> SimpleBreakdown:
     """Torrellas et al.'s split, vectorized.
 
     Runs the miss test at both granularities: a block miss is cold when
@@ -653,7 +696,7 @@ def torrellas_kernel(ctx: KernelContext, block_map,
     the previous same-word access — necessarily remote, the processor's
     own word stores being word accesses), false sharing otherwise.
     """
-    hb = _Heartbeat(ctx.n, stats)
+    hb = _Heartbeat(ctx.n)
     view = ctx.block_view(block_map.offset_bits)
     lastw = ctx.word_last_rows()
     hb.phase()

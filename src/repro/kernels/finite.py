@@ -55,7 +55,7 @@ from ..protocols.finite import cache_geometry
 from ..protocols.results import Counters, ProtocolResult, merge_shard_results
 from ..runtime import signals
 from .classifiers import KernelContext, _Heartbeat, lifetime_breakdown
-from .protocols import BatchPlan, _run_batches, plan_batches
+from .protocols import BatchPlan, _batch_contexts, _run_batches, plan_batches
 
 __all__ = ["finite_kernel", "run_finite_kernel"]
 
@@ -85,10 +85,8 @@ def run_finite_kernel(columns, num_procs: int, block_map,
             f"blocks")
     (parts,) = _run_batches(
         [lambda ctx: finite_kernel(ctx, block_map, num_sets, ways,
-                                   trace_name=trace_name, stats=stats)],
-        (KernelContext(columns.proc[rows], columns.op[rows],
-                       columns.addr[rows], num_procs)
-         for rows in plan.batches(shard)),
+                                   trace_name=trace_name)],
+        _batch_contexts(columns, num_procs, plan.batches(shard), sync=False),
         num_procs, [{} if stats is None else stats])
     return merge_shard_results(parts)
 
@@ -135,11 +133,10 @@ def _lru_pass(group, kill, stream, ways: int, hb: _Heartbeat):
 
 
 def finite_kernel(ctx: KernelContext, block_map, num_sets: int, ways: int,
-                  *, trace_name: str,
-                  stats: Optional[Dict] = None) -> ProtocolResult:
+                  *, trace_name: str) -> ProtocolResult:
     """Finite-cache OTF over one batch of whole cache sets (the module
     docstring derives the rules)."""
-    hb = _Heartbeat(ctx.n, stats)
+    hb = _Heartbeat(ctx.n)
     n = ctx.n
     view = ctx.block_view(block_map.offset_bits)
     otf_miss = view.miss_sorted()

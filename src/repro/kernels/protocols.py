@@ -156,7 +156,8 @@ from ..runtime import signals
 from ..trace.events import ACQUIRE, RELEASE
 from .classifiers import (KernelContext, SyncTable, _Heartbeat,
                           lifetime_breakdown)
-from .segments import essential_chain, event_runs, remote_store_before
+from .segments import (essential_chain, event_runs, next_run,
+                       remote_store_before)
 
 __all__ = ["BATCH_ROWS", "BatchPlan", "plan_batches", "run_kernel_cells",
            "otf_kernel", "min_kernel", "wbwi_kernel", "rd_kernel",
@@ -318,7 +319,7 @@ def _batch_contexts(columns, num_procs: int, batches, sync: bool = True):
                             columns.addr[rows], num_procs, rows, table)
 
 
-def _cell_kernel(cell, trace_name: str, stats: Optional[Dict]):
+def _cell_kernel(cell, trace_name: str):
     """``ctx -> part`` of one protocol, classify or compare cell."""
     # Looked up per call: tests wrap the kernels.
     from . import CLASSIFIER_KERNELS, PROTOCOL_KERNELS
@@ -327,19 +328,17 @@ def _cell_kernel(cell, trace_name: str, stats: Optional[Dict]):
     block_map = BlockMap(block_bytes)
     if kind == "protocol":
         kernel = PROTOCOL_KERNELS[which]
-        return lambda ctx: kernel(ctx, block_map, trace_name=trace_name,
-                                  stats=stats)
+        return lambda ctx: kernel(ctx, block_map, trace_name=trace_name)
     if kind == "classify":
         kernel = CLASSIFIER_KERNELS[which]
-        return lambda ctx: kernel(ctx, block_map, stats=stats)
+        return lambda ctx: kernel(ctx, block_map)
     if kind == "compare":
         ours, eggers, torrellas = (CLASSIFIER_KERNELS[k] for k in
                                    ("dubois", "eggers", "torrellas"))
         return lambda ctx: ClassificationComparison(
             trace_name=trace_name, block_bytes=block_bytes,
-            ours=ours(ctx, block_map, stats=stats),
-            eggers=eggers(ctx, block_map, stats=stats),
-            torrellas=torrellas(ctx, block_map, stats=stats))
+            ours=ours(ctx, block_map), eggers=eggers(ctx, block_map),
+            torrellas=torrellas(ctx, block_map))
     raise ConfigError(f"no kernel runs {kind!r} cells")
 
 
@@ -365,14 +364,13 @@ def run_kernel_cells(columns, num_procs: int, cells: Sequence, *,
     merge with :func:`~repro.protocols.results.merge_shard_results`,
     breakdowns and comparisons with ``+``.
 
-    ``stats``, one dict per cell, accumulates each cell's heartbeat
-    ``rows`` and ``batches`` and its kernel ``seconds``.
+    ``stats``, one dict per cell, accumulates each cell's ``batches``,
+    their ``rows`` and its kernel ``seconds``.
     """
     cells = [tuple(cell[:3]) for cell in cells]
     if stats is None:
         stats = [{} for _ in cells]
-    runs = [_cell_kernel(cell, trace_name, st)
-            for cell, st in zip(cells, stats)]
+    runs = [_cell_kernel(cell, trace_name) for cell in cells]
     # A block size's view of a batch is shared by the cells at that size
     # and dropped after the last of them, so one view is live at a time.
     last = {BlockMap(cell[1]).offset_bits: i for i, cell in enumerate(cells)}
@@ -410,9 +408,12 @@ def _run_batches(runs, contexts, num_procs: int,
     """Per run, its parts ``run(ctx)`` over the batch ``contexts``:
     batches outside, runs inside, each context dropped once every run
     has used it; with no batch, each runs once on an empty context.
-    ``stats[i]["seconds"]`` accumulates run ``i``'s time."""
+    ``stats[i]`` accumulates run ``i``'s ``batches``, their ``rows``
+    and its ``seconds``."""
     parts = [[] for _ in runs]
     for st in stats:
+        st.setdefault("batches", 0)
+        st.setdefault("rows", 0)
         st.setdefault("seconds", 0.0)
 
     def run_all(ctx):
@@ -423,6 +424,9 @@ def _run_batches(runs, contexts, num_procs: int,
 
     for ctx in contexts:
         run_all(ctx)
+        for st in stats:
+            st["batches"] += 1
+            st["rows"] += ctx.n
         del ctx  # not kept while the next batch is built
     if runs and not parts[0]:
         empty = np.empty(0, dtype=np.int64)
@@ -488,20 +492,6 @@ def _newest_as_of_fetch(view, miss: np.ndarray) -> np.ndarray:
     return newest
 
 
-def _next_run(runs) -> np.ndarray:
-    """Per store of a unit-sorted subsequence: the index of the first
-    store of the next same-writer run (``len`` past the end)."""
-    m = len(runs.row)
-    brk = np.empty(m, dtype=bool)
-    if m:
-        brk[0] = True
-        brk[1:] = ((runs.unit[1:] != runs.unit[:-1])
-                   | (runs.proc[1:] != runs.proc[:-1]))
-    starts = np.where(brk, np.arange(m), m)
-    nxt = np.minimum.accumulate(starts[::-1])[::-1]
-    return np.append(nxt[1:], m)
-
-
 def _held_copy_invalidations(view) -> int:
     """MIN/WBWI word invalidations: per store, the other processors that
     accessed the block before it — a copy, once fetched, is only ever
@@ -520,30 +510,21 @@ def _held_copy_invalidations(view) -> int:
 # ----------------------------------------------------------------------
 # kernels
 # ----------------------------------------------------------------------
-def otf_kernel(ctx: KernelContext, block_map, *, trace_name: str,
-               stats: Optional[Dict] = None) -> ProtocolResult:
+def otf_kernel(ctx: KernelContext, block_map, *,
+               trace_name: str) -> ProtocolResult:
     """OTF over one batch of data rows, vectorized.
 
     Sync events are no-ops for OTF, so it reads no sync rows.
     Every store invalidates each remote copy exactly once and every copy
     drop *is* such an invalidation, so ``invalidations_sent ==
     invalidations_applied`` = the lifetimes that do not survive the
-    batch; a group's last lifetime survives iff the newest remote store
-    to the block precedes the group's last access.
+    batch: those no remote store follows.
     """
-    hb = _Heartbeat(ctx.n, stats)
+    hb = _Heartbeat(ctx.n)
     view = ctx.block_view(block_map.offset_bits)
     life = view.lifetimes(hb)
     fetch = life[1]
-    live = 0
-    if ctx.n:
-        order, newg, _, _ = view.groups()
-        last_row = order[np.flatnonzero(np.append(newg[1:], True))]
-        runs, keys = view.block_runs()
-        remote_final = remote_store_before(
-            runs, keys, ctx.n + 1, view.bid[last_row], ctx.proc[last_row],
-            np.full(len(last_row), ctx.n))
-        live = int((remote_final < last_row).sum())
+    live = int((view.first_remote_store(fetch) < 0).sum())
     invalidations = len(fetch) - live
     hb.finish()
     return _result("OTF", ctx, block_map, trace_name, life,
@@ -552,10 +533,10 @@ def otf_kernel(ctx: KernelContext, block_map, *, trace_name: str,
                             invalidations_sent=invalidations))
 
 
-def min_kernel(ctx: KernelContext, block_map, *, trace_name: str,
-               stats: Optional[Dict] = None) -> ProtocolResult:
+def min_kernel(ctx: KernelContext, block_map, *,
+               trace_name: str) -> ProtocolResult:
     """MIN (write-through, word invalidation) over one batch, vectorized."""
-    hb = _Heartbeat(ctx.n, stats)
+    hb = _Heartbeat(ctx.n)
     view = ctx.block_view(block_map.offset_bits)
     rww = ctx.word_remote_rows()
     hb.phase()
@@ -571,10 +552,10 @@ def min_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     return _result("MIN", ctx, block_map, trace_name, life, counters)
 
 
-def wbwi_kernel(ctx: KernelContext, block_map, *, trace_name: str,
-                stats: Optional[Dict] = None) -> ProtocolResult:
+def wbwi_kernel(ctx: KernelContext, block_map, *,
+                trace_name: str) -> ProtocolResult:
     """WBWI (write-back, word invalidation, ownership) over one batch."""
-    hb = _Heartbeat(ctx.n, stats)
+    hb = _Heartbeat(ctx.n)
     view = ctx.block_view(block_map.offset_bits)
     rww = ctx.word_remote_rows()
     # A store's block owner wrote the block's newest store before it:
@@ -639,8 +620,8 @@ def _latest_acquires(view):
     return view.memo(_latest_acquires, build)
 
 
-def rd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
-              stats: Optional[Dict] = None) -> ProtocolResult:
+def rd_kernel(ctx: KernelContext, block_map, *,
+              trace_name: str) -> ProtocolResult:
     """RD (receive-delayed invalidations) over one batch, vectorized.
 
     Reads the trace's acquires (``ctx.sync``): a copy with a buffered
@@ -649,7 +630,7 @@ def rd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     processor's next store to the block (an ownership miss), whichever
     comes first.
     """
-    hb = _Heartbeat(ctx.n, stats)
+    hb = _Heartbeat(ctx.n)
     n = ctx.n
     stride = n + 1
     rows, sync = ctx.rows, ctx.sync
@@ -708,22 +689,13 @@ def rd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     own_next = np.append(own[1:], False) if len(fetch) else own
     end[own_next] = np.append(fetch[1:], 0)[own_next]
     need = np.flatnonzero((~last & ~own_next) | dropped)
-    counts = view.store_counts()
     if len(need):
-        m = fetch[need]
-        q = fproc[need]
-        k0 = counts[m].astype(np.int64) + ctx.store8[m]
-        # k0 names a store to the block (a remote store follows the
-        # fetch); when it is q's own, the next run's first store is the
-        # first remote one.
-        s1 = runs.row[k0]
-        mine = np.flatnonzero(runs.proc[k0] == q)
-        if len(mine):
-            s1[mine] = runs.row[_next_run(runs)[k0[mine]]]
-        end[need] = np.searchsorted(rows,
-                                    sync.first_after(ACQUIRE, q, rows[s1]))
+        # A remote store follows each of these fetches.
+        s1 = view.first_remote_store(fetch[need])
+        end[need] = np.searchsorted(
+            rows, sync.first_after(ACQUIRE, fproc[need], rows[s1]))
     alive_stores = (np.searchsorted(bkeys, fbid * stride + end)
-                    - counts[fetch])
+                    - view.store_counts()[fetch])
     sent = int(alive_stores.sum()) - len(srows)
     counters = Counters(fetches=len(fetch),
                         invalidations_applied=len(fetch) - live,
@@ -750,8 +722,8 @@ def _class_runs(runs, deadline: np.ndarray):
     return cls, starts, stops, deadline[starts], runs.proc[starts]
 
 
-def max_kernel(ctx: KernelContext, block_map, *, trace_name: str,
-               stats: Optional[Dict] = None) -> ProtocolResult:
+def max_kernel(ctx: KernelContext, block_map, *,
+               trace_name: str) -> ProtocolResult:
     """MAX (the adversary's invalidation schedule) over one batch.
 
     Reads the trace's releases (:func:`_flush_keys`).  The
@@ -759,7 +731,7 @@ def max_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     pieces and the earliest-deadline loop over the contested gaps, which
     is a cancellation point every ``HEARTBEAT_CHUNK`` of them.
     """
-    hb = _Heartbeat(ctx.n, stats)
+    hb = _Heartbeat(ctx.n)
     n = ctx.n
     view = ctx.block_view(block_map.offset_bits)
     order, newg, gid_sorted, num_groups = view.groups()
@@ -1015,7 +987,7 @@ class _Performs:
         k = np.searchsorted(self._blocks[3], bid * self.stride + key, "right")
         mine = np.flatnonzero(runs.proc[k] == proc)
         if len(mine):
-            k[mine] = _next_run(runs)[k[mine]]
+            k[mine] = next_run(runs)[k[mine]]
         return runs.row[k]
 
     def remote_between(self, bid, proc, lo, hi) -> np.ndarray:
@@ -1064,8 +1036,8 @@ class _Performs:
                         **kw)
 
 
-def sd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
-              stats: Optional[Dict] = None) -> ProtocolResult:
+def sd_kernel(ctx: KernelContext, block_map, *,
+              trace_name: str) -> ProtocolResult:
     """SD (send-delayed stores) over one batch: OTF's rule over performs.
 
     Reads the trace's releases.  A row misses iff it opens its group
@@ -1075,7 +1047,7 @@ def sd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     lifetime is dropped iff another writer performs to the block after
     its last access, the end-of-trace flushes included.
     """
-    hb = _Heartbeat(ctx.n, stats)
+    hb = _Heartbeat(ctx.n)
     view = ctx.block_view(block_map.offset_bits)
     pf = _Performs.of(view, hb)
     order, newg, _, _ = view.groups()
@@ -1097,8 +1069,8 @@ def sd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     return _result("SD", ctx, block_map, trace_name, life, counters)
 
 
-def srd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
-               stats: Optional[Dict] = None) -> ProtocolResult:
+def srd_kernel(ctx: KernelContext, block_map, *,
+               trace_name: str) -> ProtocolResult:
     """SRD (send- and receive-delayed) over one batch: RD's rule over
     performs.
 
@@ -1107,7 +1079,7 @@ def srd_kernel(ctx: KernelContext, block_map, *, trace_name: str,
     acquire, or refetched at its processor's next store to the block
     (an ownership miss), whichever comes first.
     """
-    hb = _Heartbeat(ctx.n, stats)
+    hb = _Heartbeat(ctx.n)
     view = ctx.block_view(block_map.offset_bits)
     pf = _Performs.of(view, hb)
     sync = ctx.sync

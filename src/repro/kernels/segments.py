@@ -37,7 +37,7 @@ import numpy as np
 
 __all__ = ["NO_ROW", "pack_order", "prev_same_index", "dense_unique",
            "regroup_monotone", "unit_ids", "store_runs", "event_runs",
-           "last_store_tables", "run_keys",
+           "next_run", "last_store_tables", "run_keys",
            "remote_store_before", "essential_chain"]
 
 #: Sentinel for "no such row" in int32 position arrays.
@@ -183,6 +183,20 @@ def event_runs(row: np.ndarray, unit: np.ndarray,
     has &= unit[pis] == unit
     other = np.where(has, row[pis], np.int64(-1)).astype(np.int32)
     return StoreRuns(row, unit, proc, other)
+
+
+def next_run(runs: StoreRuns) -> np.ndarray:
+    """Per store of a unit-sorted subsequence: the index of the first
+    store of the next same-writer run (``len`` past the end)."""
+    m = len(runs.row)
+    brk = np.empty(m, dtype=bool)
+    if m:
+        brk[0] = True
+        brk[1:] = ((runs.unit[1:] != runs.unit[:-1])
+                   | (runs.proc[1:] != runs.proc[:-1]))
+    starts = np.where(brk, np.arange(m), m)
+    nxt = np.minimum.accumulate(starts[::-1])[::-1]
+    return np.append(nxt[1:], m)
 
 
 def last_store_tables(order: np.ndarray, sunit: np.ndarray,

@@ -61,6 +61,22 @@ def task_cells(task) -> list:
     return [task]
 
 
+def task_label(task) -> str:
+    """A task named for a log line: a group by its member count, cell
+    kinds, block sizes and plan range (the telemetry ``attrs`` keep
+    every member), any other task by its ``repr``."""
+    members = task_cells(task)
+    if members == [task]:
+        return repr(task)
+    kinds = "/".join(dict.fromkeys(m[0] for m in members))
+    blocks = sorted({m[1] for m in members})
+    label = (f"group of {len(members)} {kinds} cells at "
+             f"B={blocks[0]}..{blocks[-1]}")
+    # Shard members end in (plan digest, range).
+    return label + (f", range {members[0][4]}" if len(members[0]) > 4
+                    else "")
+
+
 def task_attr(task):
     """A task rendered for telemetry ``attrs`` (grid cells are tuples)."""
     if isinstance(task, (tuple, list)):
@@ -153,8 +169,9 @@ def cell_failed(att, retry: RetryPolicy) -> str:
     detail_lines = (entry.get("error") or "").strip().splitlines()
     detail = detail_lines[-1] if detail_lines else "unknown failure"
     log = logger.error if action == "abort" else logger.warning
-    log("task %r attempt %d failed in %s (%s): %s; %s",
-        att.task, att.attempts, where, kind, detail, _NEXT_STEP[action])
+    log("task %s attempt %d failed in %s (%s): %s; %s",
+        task_label(att.task), att.attempts, where, kind, detail,
+        _NEXT_STEP[action])
     get_recorder().event(
         "task.failed", level="error" if action == "abort" else "warning",
         cell=task_attr(att.task), attempt=att.attempts, fail_kind=kind,

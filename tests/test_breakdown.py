@@ -5,7 +5,6 @@ import pytest
 from repro.classify.breakdown import (
     DuboisBreakdown,
     MissClass,
-    MissRecord,
     SimpleBreakdown,
 )
 
@@ -86,10 +85,3 @@ class TestSimpleBreakdown:
 
     def test_describe(self, sb):
         assert "TSM=4" in sb.describe()
-
-
-class TestMissRecord:
-    def test_fields(self):
-        r = MissRecord(proc=1, block=2, start=3, end=9, mclass=MissClass.PTS)
-        assert r.proc == 1 and r.mclass is MissClass.PTS
-        assert r.end > r.start

@@ -327,6 +327,33 @@ class TestExitCodeContract:
         assert "interrupted" in err
         assert "--resume" in err  # tells the operator how to continue
 
+    @pytest.mark.parametrize("argv", [["table1"], ["traffic", "LU32"],
+                                      ["attribute", "LU32"]])
+    def test_interrupt_hints_resume_only_where_accepted(self, argv, capsys,
+                                                        monkeypatch):
+        """Commands without --resume exit 75 with no hint to add it."""
+        from repro import cli
+        from repro.errors import SweepInterrupted
+
+        def interrupted(args):
+            raise SweepInterrupted("sweep interrupted by signal")
+
+        real_parse = cli.build_parser
+
+        def patched_parser():
+            p = real_parse()
+            for action in p._actions:
+                if action.dest == "command":
+                    action.choices[argv[0]].set_defaults(func=interrupted)
+            return p
+
+        monkeypatch.setattr(cli, "build_parser", patched_parser)
+        assert cli.main(argv) == EXIT_INTERRUPTED
+        err = capsys.readouterr().err
+        assert err == "interrupted: sweep interrupted by signal\n"
+        with pytest.raises(SystemExit):  # the flag the old hint named
+            cli.build_parser().parse_args(argv + ["--resume"])
+
 
 #: Runs ``repro`` with ``main`` patched to finish its command and then
 #: raise ``KeyboardInterrupt``: a SIGINT landing after main's shutdown

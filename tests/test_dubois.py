@@ -4,7 +4,7 @@ hand-worked Figures 1-4."""
 
 import pytest
 
-from repro.classify import DuboisClassifier, MissClass, classify
+from repro.classify import DuboisClassifier, classify
 from repro.errors import TraceError
 from repro.mem import BlockMap
 from repro.trace import TraceBuilder
@@ -175,23 +175,3 @@ class TestStreamingAPI:
     def test_nonpositive_procs_rejected(self):
         with pytest.raises(TraceError):
             DuboisClassifier(0, BlockMap(4))
-
-
-class TestMissRecords:
-    def test_records_capture_lifetimes(self, fig1_trace):
-        records = []
-        DuboisClassifier.classify_trace(fig1_trace, BlockMap(8),
-                                        record_misses=True,
-                                        out_records=records)
-        assert len(records) == 3
-        classes = sorted(r.mclass.value for r in records)
-        assert classes == ["CTS", "PC", "PTS"]
-
-    def test_record_boundaries(self):
-        t = TraceBuilder(2).load(0, 0).store(1, 0).load(0, 0).build()
-        records = []
-        DuboisClassifier.classify_trace(t, BlockMap(4), record_misses=True,
-                                        out_records=records)
-        first = next(r for r in records if r.mclass is MissClass.PC)
-        assert first.start == 0
-        assert first.end == 2  # ended by P1's store (second data ref)

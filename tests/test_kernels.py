@@ -962,12 +962,10 @@ class TestHeartbeat:
         orig = signals.note_progress
         monkeypatch.setattr(signals, "note_progress",
                             lambda n=1: (ticks.append(n), orig(n)))
-        stats = {}
-        dubois_kernel(ctx, BlockMap(64), stats=stats)
+        dubois_kernel(ctx, BlockMap(64))
         assert sum(ticks) == ctx.n  # one tick credit per row, exactly
         assert max(ticks) <= signals.HEARTBEAT_CHUNK
         assert len(ticks) >= 2  # ticked *during* the batch, not once at end
-        assert stats == {"rows": ctx.n, "batches": len(ticks)}
 
     def test_max_cell_ticks_its_rows_in_chunks(self, monkeypatch):
         """A batched MAX cell credits exactly its row count in slices of
@@ -1060,14 +1058,25 @@ class TestHeartbeat:
         assert all(p == -(-c // 64) for c, p in loops)
 
     def test_kernel_stats_accumulate_across_cells(self):
-        trace = family_trace("MATMUL24")
+        """A cell's ``batches`` and ``rows`` count each batch of its plan
+        once, however many kernels the cell runs on it."""
+        trace = family_trace("MP3D200")
+        cols = trace.columns()
         pre = SharedPrecompute(trace, kernel="vectorized")
         pre.run_cell(("classify", 64, "dubois"))
         first = dict(pre.last_kernel_stats)
+        batches = len(plan_batches(cols, BlockMap(64).offset_bits).ends) - 1
+        assert batches > 1
         assert first["rows"] == len(pre.data.proc)
-        assert first["batches"] >= 1
-        pre.run_cell(("compare", 32, None))  # three kernels, one cell
-        assert pre.last_kernel_stats["rows"] == 3 * first["rows"]
+        assert first["batches"] == batches
+        pre.run_cell(("compare", 64, None))  # three kernels, one cell
+        assert pre.last_kernel_stats["rows"] == first["rows"]
+        assert pre.last_kernel_stats["batches"] == batches
+        pre.run_cell(("protocol", 64, "OTF"))
+        assert pre.last_kernel_stats["batches"] == batches
+        pre.run_cell(("finite", 64, "c64w4"))  # batches of 16 cache sets
+        assert pre.last_kernel_stats["batches"] == len(plan_batches(
+            cols, BlockMap(64).offset_bits, 16).ends) - 1
 
 
 def _slow_vectorized_cell(task):

@@ -109,6 +109,28 @@ class TestCellDecisions:
         assert cell_failed(_att("serial-fallback", kind, 4),
                            THREE) == "abort"
 
+    def test_group_failure_logs_a_short_label(self, caplog):
+        """A failed range task of nine kernel cells logs its kinds,
+        blocks, member count and range, not the nine members and plan
+        digest; the ``task.failed`` event keeps every member."""
+        members = tuple((kind, bb, which, "0123456789abcdef", 1)
+                        for kind, which in (("classify-shard", "dubois"),
+                                            ("compare-shard", None),
+                                            ("protocol-shard", "OTF"))
+                        for bb in (4, 64, 1024))
+        att = _att("worker", "oom", 1)
+        att.task = ("group",) + members
+        rec = Recorder.buffering()
+        with use_recorder(rec), caplog.at_level("WARNING"):
+            assert cell_failed(att, THREE) == "retry"
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert len(line) < 200, line
+        assert ("group of 9 classify-shard/compare-shard/protocol-shard "
+                "cells at B=4..1024, range 1") in line
+        assert "0123456789abcdef" not in line
+        (event,) = [r for r in rec.drain() if r.get("name") == "task.failed"]
+        assert event["attrs"]["cell"] == list(att.task)
+
     def test_serial_retries_then_aborts(self):
         assert [cell_failed(_att("serial", "error", n), THREE)
                 for n in (1, 2, 3)] == ["retry", "retry", "abort"]
