@@ -66,11 +66,13 @@ def test_kernel_speedup(benchmark, mp3d1000, kind, which):
 
     Both legs run the identical engine cell path
     (:class:`SharedPrecompute` at paper scale, MP3D1000/B64) and must
-    produce bit-identical results; only the ``kernel`` mode differs.
+    produce bit-identical results; only the ``kernel`` mode differs: the
+    vectorized leg runs the cell's kernel, the interpreted leg the
+    classifier's own ``classify_trace`` (or the protocol's simulator).
     Each round builds a fresh precompute and first runs the same cell at
-    B16 — that is a sweep's steady state (one shared precompute serves
-    every block size), so the timed B64 cell sees warm word-level tables
-    but a cold block view, symmetrically for both modes.
+    B16, as a sweep's earlier block size would, so neither timed B64 cell
+    pays first-call costs; no derived state carries over between the
+    two cells in either mode.
     """
     pytest.importorskip("numpy")
 
@@ -178,9 +180,10 @@ def test_fig5_sweep_end_to_end_speedup(benchmark, tmp_path_factory):
       the block address per access.
     * **after** — the engine workflow: load the trace from the warm on-disk
       npz cache (generated once, adopted as columns without decoding) and
-      run :meth:`SweepEngine.classify_sweep` over the same block sizes with
-      one :class:`~repro.analysis.engine.SharedPrecompute` (decode-once
-      prefilter, per-size block ids, no-op read elision).
+      run :meth:`SweepEngine.classify_sweep` over the same block sizes:
+      the Dubois kernel cells of every size in one batch-major
+      :func:`~repro.kernels.run_kernel_cells` pass (one batch plan, each
+      batch's context built once and shared by every block size).
 
     Both legs produce identical breakdowns; methodology and reference
     numbers live in ``EXPERIMENTS.md``.

@@ -16,15 +16,15 @@ engine makes that cheap by doing every shareable piece of work exactly once:
 * **Batch once** — range ``s`` of the kernel plan is one group task, one
   :func:`~repro.kernels.run_kernel_cells` pass: each batch's context is
   built once and shared by every kernel cell of the grid.
-* **Precompute once** — for interpreted cells,
-  :class:`SharedPrecompute` decodes the columnar trace's data rows a
-  single time (vectorized data-op prefilter) and caches the
-  per-block-size derived columns (block ids via one vectorized
-  ``addr >> shift``) shared by every cell at that block size.
+* **Interpreted cells run the oracles** — under ``kernel="interpreted"``
+  a classify, compare or protocol cell calls the streaming classifier's
+  or simulator's own driver (``classify_trace``,
+  :func:`~repro.classify.compare.compare_classifications`,
+  ``Protocol.run``) over the trace, whole, in one task.
 * **Fan out the grid** — range tasks and interpreted cells are
   independent, so with ``jobs > 1`` they run on supervised ``fork``
   workers (:class:`repro.runtime.supervisor.Supervisor`) that inherit the
-  trace, its precompute and the plans without serialization.  The
+  trace, its columns and the plans without serialization.  The
   supervisor detects
   dead workers, kills hung cells at ``timeout`` and retries under
   ``retry``; a cell that keeps failing in workers degrades to one serial
@@ -57,7 +57,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..classify.breakdown import DuboisBreakdown, SimpleBreakdown
-from ..classify.compare import ClassificationComparison
+from ..classify.compare import (
+    ClassificationComparison,
+    compare_classifications,
+)
 from ..classify.dubois import DuboisClassifier
 from ..classify.eggers import EggersClassifier
 from ..classify.torrellas import TorrellasClassifier
@@ -94,7 +97,6 @@ from ..runtime import signals
 from ..runtime.retry import RetryPolicy
 from ..runtime.supervisor import Supervisor
 from ..trace.cache import WorkloadTraceCache, workload_cache_key
-from ..trace.events import STORE
 from ..trace.trace import Trace
 from .sweep import SweepResult
 
@@ -121,27 +123,6 @@ Cell = Tuple[str, int, Optional[str]]
 #: :func:`~repro.kernels.run_kernel_cells`; a grid's kernel cells share
 #: one batch plan, and each of its ranges is one group task.
 KERNEL_CELL_KINDS = ("protocol", "classify", "compare")
-
-
-def _feed_chunked(clf, *cols) -> None:
-    """Feed a classifier its columns in heartbeat-sized slices.
-
-    All three classifier ``feed_data`` implementations are re-entrant
-    (their cursors live on ``self``), so slicing the columns and calling
-    repeatedly is state-identical to one big call.  Between slices the
-    engine ticks the runtime's progress counter, which both feeds the
-    worker heartbeat (stall watchdog) and acts as a cancellation point
-    for graceful shutdown — at zero per-event cost inside the hot loops.
-    """
-    n = len(cols[0])
-    step = signals.HEARTBEAT_CHUNK
-    if n <= step:
-        clf.feed_data(*cols)
-        signals.note_progress(n)
-        return
-    for start in range(0, n, step):
-        clf.feed_data(*(c[start:start + step] for c in cols))
-        signals.note_progress(min(step, n - start))
 
 
 def _task_results(task, result) -> dict:
@@ -184,19 +165,16 @@ def _dim_name(unit: Optional[int]) -> Optional[str]:
 
 
 class SharedPrecompute:
-    """Derived columns of one trace, shared across every sweep cell.
+    """One trace's columns and batch plans, and the cell runner over them.
 
-    Everything here is computed at most once per trace (lazily) no matter
-    how many block sizes, classifiers or protocols consume it.  Kernel
-    cells read only ``columns`` and :attr:`plans`, through
-    :func:`~repro.kernels.run_kernel_cells`; the rest serve interpreted
-    cells:
-
-    * ``data`` — the columnar data-only rows (LOAD/STORE prefilter);
-    * :meth:`data_rows` — those rows decoded to plain-int lists, which is
-      what the streaming classifier loops iterate;
-    * :meth:`data_blocks` / :meth:`data_offset_bits` — per-block-size
-      derived columns (one vectorized shift/mask each, then decoded once).
+    Kernel cells read only ``columns`` and :attr:`plans`, through
+    :func:`~repro.kernels.run_kernel_cells`.  An interpreted cell runs
+    its classifier's or simulator's own driver over ``trace``
+    (:meth:`run_classifier`, :meth:`run_comparison`,
+    :meth:`run_protocol`), which decodes the rows it needs itself.
+    ``data`` (the data-only rows, copied once) backs
+    :meth:`kernel_context`, whose caller is the benchmark in
+    ``perfbench/``.
     """
 
     def __init__(self, trace: Trace, kernel: str = "auto"):
@@ -210,11 +188,6 @@ class SharedPrecompute:
         self._data = None
         self._data_count: Optional[int] = None
         self._kctx = None
-        self._rows: Optional[Tuple[list, list, list]] = None
-        self._blocks: Dict[int, list] = {}
-        self._offset_bits: Dict[int, list] = {}
-        self._keep_masks: Dict[int, Optional[np.ndarray]] = {}
-        self._active_rows: Dict[int, Tuple[tuple, int]] = {}
         #: The running grid's batch plans by cell, built by the engine
         #: before its workers fork (see :meth:`SweepEngine.run_grid`);
         #: a cell without one plans its own, in one range.
@@ -268,94 +241,6 @@ class SharedPrecompute:
                                 trace_name=self.trace.name or "<anonymous>",
                                 plan=plan, shard=shard, stats=stats)
 
-    def data_rows(self) -> Tuple[list, list, list]:
-        """``(procs, ops, addrs)`` of the data rows, decoded once."""
-        if self._rows is None:
-            self._rows = (self.data.proc.tolist(), self.data.op.tolist(),
-                          self.data.addr.tolist())
-        return self._rows
-
-    def data_blocks(self, block_map: BlockMap) -> list:
-        """Precomputed block address per data row at one block size."""
-        bits = block_map.offset_bits
-        if bits not in self._blocks:
-            self._blocks[bits] = self.data.block_ids(bits).tolist()
-        return self._blocks[bits]
-
-    def data_offset_bits(self, block_map: BlockMap) -> list:
-        """Precomputed ``1 << word_offset`` per data row at one block size.
-
-        Computed from the vectorized offsets; the shift stays in Python
-        because ``1 << offset`` can exceed 63 bits for large blocks.
-        """
-        wpb = block_map.words_per_block
-        if wpb not in self._offset_bits:
-            offsets = self.data.word_offsets(wpb).tolist()
-            self._offset_bits[wpb] = [1 << o for o in offsets]
-        return self._offset_bits[wpb]
-
-    def dubois_keep_mask(self, block_map: BlockMap) -> Optional[np.ndarray]:
-        """Boolean mask over the data rows of the Appendix A *active* rows.
-
-        A read is provably a no-op in the Appendix A algorithm when it is
-        not the first access by its processor to its block and no *other*
-        processor ever stores to that block anywhere in the trace: the
-        reader's presence bit is then already set and can never have been
-        cleared (only a remote store clears it), and its C flag can never
-        be set (only a remote store sets it).  Dropping such reads leaves
-        every state transition — and therefore every count — identical.
-        Stores and first touches are always kept.  The filter itself is a
-        handful of vectorized passes over the columnar arrays.
-
-        Returns ``None`` when the filter does not apply (processor counts
-        that overflow an int64 bitmask).
-        """
-        bits = block_map.offset_bits
-        if bits not in self._keep_masks:
-            num_procs = self.trace.num_procs
-            if num_procs > 62:
-                self._keep_masks[bits] = None
-                return None
-            blocks = self.data.block_ids(bits)
-            procs = self.data.proc
-            store = self.data.op == STORE
-            proc_bits = np.int64(1) << procs
-            unique_blocks, inverse = np.unique(blocks, return_inverse=True)
-            writers = np.zeros(len(unique_blocks), dtype=np.int64)
-            np.bitwise_or.at(writers, inverse[store], proc_bits[store])
-            keep = store | ((writers[inverse] & ~proc_bits) != 0)
-            pair_key = inverse * np.int64(num_procs) + procs
-            _, first_touch = np.unique(pair_key, return_index=True)
-            keep[first_touch] = True
-            self._keep_masks[bits] = keep
-        return self._keep_masks[bits]
-
-    def dubois_active_rows(self, block_map: BlockMap
-                           ) -> Tuple[Optional[tuple], int]:
-        """Data rows that can change Dubois state at one block size.
-
-        Returns ``((procs, ops, addrs, blocks), dropped)`` where the lists
-        hold only *active* rows (per :meth:`dubois_keep_mask`) and
-        ``dropped`` is the number of elided rows (they still count as data
-        references).  Returns ``(None, 0)`` when the filter does not apply.
-        """
-        bits = block_map.offset_bits
-        if bits not in self._active_rows:
-            keep = self.dubois_keep_mask(block_map)
-            if keep is None:
-                self._active_rows[bits] = (None, 0)
-                return self._active_rows[bits]
-            dropped = int(len(keep) - keep.sum())
-            if dropped == 0:
-                rows = None  # nothing elided: reuse the shared full rows
-            else:
-                rows = (self.data.proc[keep].tolist(),
-                        self.data.op[keep].tolist(),
-                        self.data.addr[keep].tolist(),
-                        self.data.block_ids(bits)[keep].tolist())
-            self._active_rows[bits] = (rows, dropped)
-        return self._active_rows[bits]
-
     # ------------------------------------------------------------------
     # batch plans
     # ------------------------------------------------------------------
@@ -390,7 +275,8 @@ class SharedPrecompute:
     # ------------------------------------------------------------------
     def run_classifier(self, which: str, block_bytes: int
                        ) -> Union[DuboisBreakdown, SimpleBreakdown]:
-        """Run one classifier cell over the shared decoded rows."""
+        """Run one classifier cell: its kernel when it resolves
+        vectorized, else the classifier's ``classify_trace``."""
         try:
             cls = CLASSIFIERS[which]
         except KeyError:
@@ -400,36 +286,15 @@ class SharedPrecompute:
         cell = ("classify", block_bytes, which)
         if self.is_kernel_cell(cell):
             return self._run_one_kernel_cell(cell)
-        block_map = BlockMap(block_bytes)
-        clf = cls(self.trace.num_procs, block_map)
-        if which == "dubois":
-            rows, dropped = self.dubois_active_rows(block_map)
-            if rows is not None:
-                _feed_chunked(clf, *rows)
-                # Elided no-op reads still count as data references.
-                return dataclasses.replace(clf.finish(),
-                                           data_refs=clf.data_refs + dropped)
-        procs, ops, addrs = self.data_rows()
-        blocks = self.data_blocks(block_map)
-        if which == "eggers":
-            _feed_chunked(clf, procs, ops, addrs, blocks,
-                          self.data_offset_bits(block_map))
-        else:
-            _feed_chunked(clf, procs, ops, addrs, blocks)
-        return clf.finish()
+        return cls.classify_trace(self.trace, BlockMap(block_bytes))
 
     def run_comparison(self, block_bytes: int) -> ClassificationComparison:
-        """Run all three classifiers (one Table 1 column) in one cell."""
+        """Run all three classifiers (one Table 1 column) in one cell:
+        the compare kernel, or :func:`compare_classifications`."""
         cell = ("compare", block_bytes, None)
         if self.is_kernel_cell(cell):
             return self._run_one_kernel_cell(cell)
-        return ClassificationComparison(
-            trace_name=self.trace.name or "<anonymous>",
-            block_bytes=block_bytes,
-            ours=self.run_classifier("dubois", block_bytes),
-            eggers=self.run_classifier("eggers", block_bytes),
-            torrellas=self.run_classifier("torrellas", block_bytes),
-        )
+        return compare_classifications(self.trace, block_bytes)
 
     def run_protocol(self, name: str, block_bytes: int) -> ProtocolResult:
         """Run one protocol cell over the shared trace: its kernel when it
@@ -617,9 +482,9 @@ class ExecutionOptions:
     #: Record run telemetry (spans, metrics, manifest) under this
     #: directory (``--telemetry``); ``None`` disables recording.
     telemetry_dir: Optional[str] = None
-    #: Execution-path selection (``--kernel``): ``auto`` runs vectorized
-    #: kernels where available, ``vectorized`` requires NumPy,
-    #: ``interpreted`` forces the streaming oracles everywhere.
+    #: Execution-path selection (``--kernel``): ``auto`` and
+    #: ``vectorized`` are the same path, the vectorized kernels wherever
+    #: one exists; ``interpreted`` forces the streaming oracles everywhere.
     kernel: str = "auto"
 
     def engine_kwargs(self) -> dict:
@@ -954,18 +819,6 @@ class SweepEngine:
                 if journal is not None:
                     journal.record(cell, part)
 
-        if jobs > 1:
-            # Warm the shared state of interpreted classify/compare cells
-            # in the parent so every forked worker inherits it instead of
-            # re-deriving it per process: decoded rows and Dubois keep
-            # masks.  Kernel tasks read only the columns and the plans.
-            warm = [t for t in tasks if t[0] in ("classify", "compare")
-                    and not pre.is_kernel_cell(t)]
-            for task in warm:
-                if task[0] == "compare" or task[2] == "dubois":
-                    pre.dubois_keep_mask(BlockMap(task[1]))
-            if warm:
-                pre.data_rows()
         supervisor = Supervisor(pre.run_cell, jobs=jobs, retry=self.retry,
                                 timeout=self.timeout,
                                 fault_plan=self.fault_plan)

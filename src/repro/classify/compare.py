@@ -14,6 +14,7 @@ from ..trace.trace import Trace
 from .breakdown import DuboisBreakdown, SimpleBreakdown
 from .dubois import DuboisClassifier
 from .eggers import EggersClassifier
+from .feed import feed_trace
 from .torrellas import TorrellasClassifier
 
 
@@ -88,16 +89,7 @@ def compare_classifications(trace: Trace, block_bytes: int) -> ClassificationCom
     ours = DuboisClassifier(trace.num_procs, block_map)
     eggers = EggersClassifier(trace.num_procs, block_map)
     torrellas = TorrellasClassifier(trace.num_procs, block_map)
-    # Decode and prefilter once (vectorized); all three classifiers share
-    # the same data-only rows and precomputed block ids.
-    data = trace.columns().data_only()
-    procs, ops = data.proc.tolist(), data.op.tolist()
-    addrs = data.addr.tolist()
-    blocks = data.block_ids(block_map.offset_bits).tolist()
-    offsets = data.word_offsets(block_map.words_per_block).tolist()
-    ours.feed_data(procs, ops, addrs, blocks)
-    eggers.feed_data(procs, ops, addrs, blocks, [1 << o for o in offsets])
-    torrellas.feed_data(procs, ops, addrs, blocks)
+    feed_trace(trace, block_map, ours, eggers, torrellas)
     return ClassificationComparison(
         trace_name=trace.name or "<anonymous>",
         block_bytes=block_bytes,

@@ -40,6 +40,7 @@ from ..mem.addresses import BlockMap
 from ..trace.events import LOAD, STORE
 from ..trace.trace import Trace
 from .breakdown import DuboisBreakdown
+from .feed import feed_trace
 
 # Internal count indices (plain ints keep the hot loop off enum hashing),
 # in MissClass order.
@@ -87,16 +88,6 @@ class DuboisClassifier:
         self._counts = [0, 0, 0, 0, 0]  # indexed _PC.._PFS
         self._data_refs = 0
         self._finished = False
-
-    @property
-    def data_refs(self) -> int:
-        """Data references (loads + stores) consumed so far.
-
-        Public accessor for consumers that adjust the reference count,
-        e.g. the sweep engine's no-op read elision, which re-adds elided
-        rows so rates stay comparable.
-        """
-        return self._data_refs
 
     # ------------------------------------------------------------------
     # event feeding
@@ -279,11 +270,7 @@ class DuboisClassifier:
                        block_map: BlockMap) -> DuboisBreakdown:
         """Classify a whole trace at one block size."""
         clf = cls(trace.num_procs, block_map)
-        # Vectorized data-op prefilter + block ids.
-        data = trace.columns().data_only()
-        clf.feed_data(data.proc.tolist(), data.op.tolist(),
-                      data.addr.tolist(),
-                      data.block_ids(block_map.offset_bits).tolist())
+        feed_trace(trace, block_map, clf)
         return clf.finish()
 
 

@@ -25,6 +25,7 @@ from ..mem.addresses import BlockMap
 from ..trace.events import LOAD, STORE
 from ..trace.trace import Trace
 from .breakdown import SimpleBreakdown
+from .feed import feed_trace
 
 
 class EggersClassifier:
@@ -65,20 +66,19 @@ class EggersClassifier:
                      self.block_map.block_of(word_addr),
                      1 << self.block_map.word_offset(word_addr))
 
-    def feed_data(self, procs, ops, addrs, blocks, offset_bits) -> None:
+    def feed_data(self, procs, ops, addrs, blocks) -> None:
         """Fast path: consume pre-decoded, pre-filtered data references.
 
         Equal-length sequences of **LOAD/STORE rows only**, with ``blocks``
-        the precomputed block addresses and ``offset_bits`` the precomputed
-        ``1 << word_offset`` masks (both derived vectorized from the
-        columnar trace; ``addrs`` is accepted for interface symmetry).
+        the precomputed block address of each access (vectorized
+        ``addr >> shift`` from the columnar trace).
         """
         if self._finished:
             raise TraceError("classifier already finished")
         acc = self._access
-        for proc, op, block, offset_bit in zip(procs, ops, blocks,
-                                               offset_bits):
-            acc(proc, op, block, offset_bit)
+        mask = self.block_map.words_per_block - 1
+        for proc, op, addr, block in zip(procs, ops, addrs, blocks):
+            acc(proc, op, block, 1 << (addr & mask))
 
     def _access(self, proc: int, op: int, block: int,
                 offset_bit: int) -> None:
@@ -152,10 +152,5 @@ class EggersClassifier:
     def classify_trace(cls, trace: Trace, block_map: BlockMap) -> SimpleBreakdown:
         """Classify a whole trace at one block size."""
         clf = cls(trace.num_procs, block_map)
-        data = trace.columns().data_only()
-        offsets = data.word_offsets(block_map.words_per_block).tolist()
-        clf.feed_data(data.proc.tolist(), data.op.tolist(),
-                      data.addr.tolist(),
-                      data.block_ids(block_map.offset_bits).tolist(),
-                      [1 << o for o in offsets])
+        feed_trace(trace, block_map, clf)
         return clf.finish()

@@ -26,6 +26,7 @@ from ..mem.addresses import BlockMap
 from ..trace.events import LOAD, STORE
 from ..trace.trace import Trace
 from .breakdown import SimpleBreakdown
+from .feed import feed_trace
 
 
 class TorrellasClassifier:
@@ -126,8 +127,5 @@ class TorrellasClassifier:
     def classify_trace(cls, trace: Trace, block_map: BlockMap) -> SimpleBreakdown:
         """Classify a whole trace at one block size."""
         clf = cls(trace.num_procs, block_map)
-        data = trace.columns().data_only()
-        clf.feed_data(data.proc.tolist(), data.op.tolist(),
-                      data.addr.tolist(),
-                      data.block_ids(block_map.offset_bits).tolist())
+        feed_trace(trace, block_map, clf)
         return clf.finish()

@@ -377,8 +377,8 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
                         "caches of more than one set; bit-identical to "
                         "the streaming oracles), the "
                         "interpreted per-event oracles everywhere, or auto "
-                        "(vectorized when NumPy is importable; the "
-                        "default).  Checkpoint journals record the "
+                        "(the default; the same path as vectorized).  "
+                        "Checkpoint journals record the "
                         "choice, so --resume never mixes paths")
 
 

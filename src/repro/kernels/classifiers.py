@@ -26,9 +26,9 @@ compares *relative positions* of rows within those groups:
   first-touch/store-since comparisons at word granularity.
 
 Because every comparison is order-only, feeding a kernel any row subset
-that keeps whole (block, processor) histories — a block shard, or the
-rows surviving the Dubois no-op read elision mask — produces exactly the
-counters the oracle produces on that subset.  The word-side tables are
+that keeps whole (block, processor) histories — a block shard, or one
+batch of a batch plan — produces exactly the counters the oracle
+produces on that subset.  The word-side tables are
 additionally restricted to rows of words that are stored at all (the
 rest have no last store by construction), a subset of the same kind.
 The full legality argument lives in DESIGN.md ("Vectorized kernels").
@@ -611,8 +611,7 @@ def dubois_kernel(ctx: KernelContext, block_map) -> DuboisBreakdown:
 
     Bit-identical to feeding the batch's rows through
     :class:`~repro.classify.dubois.DuboisClassifier` (``data_refs`` is
-    the batch's row count; callers composing with the no-op read elision
-    re-add their dropped rows, exactly like the interpreted path).
+    the batch's row count).
     """
     hb = _Heartbeat(ctx.n)
     view = ctx.block_view(block_map.offset_bits)

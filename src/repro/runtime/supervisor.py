@@ -42,7 +42,7 @@ from ..obs import (apply_trace_context, get_recorder, trace_context,
                    worker_begin)
 from . import policy, signals
 from .faults import FaultPlan
-from .policy import classify_exitcode, task_attr
+from .policy import classify_exitcode, task_attr, task_label
 from .resources import peak_rss_bytes
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
@@ -671,6 +671,7 @@ class Supervisor:
 
     def _failure(self, att, results, todo) -> CellFailedError:
         return CellFailedError(
-            f"cell {att.task!r} failed after {len(att.history)} attempt(s)",
+            f"cell {task_label(att.task)} failed after "
+            f"{len(att.history)} attempt(s)",
             cell=att.task, attempts=att.history,
             partial=self._partial(results, todo))

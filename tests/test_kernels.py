@@ -967,6 +967,30 @@ class TestHeartbeat:
         assert max(ticks) <= signals.HEARTBEAT_CHUNK
         assert len(ticks) >= 2  # ticked *during* the batch, not once at end
 
+    @pytest.mark.parametrize("cell", [("classify", 64, "dubois"),
+                                      ("classify", 64, "eggers"),
+                                      ("classify", 64, "torrellas"),
+                                      ("compare", 64, None)])
+    def test_interpreted_classifier_cell_ticks_in_chunks(self, monkeypatch,
+                                                         cell):
+        """An interpreted classify or compare cell credits every row each
+        of its classifiers consumed, in slices of at most
+        HEARTBEAT_CHUNK, during the cell."""
+        trace = family_trace("MP3D200")
+        rows = len(trace.columns().data_only())
+        assert rows > signals.HEARTBEAT_CHUNK  # the premise
+        expected = SharedPrecompute(trace).run_cell(cell)
+        ticks = []
+        orig = signals.note_progress
+        monkeypatch.setattr(signals, "note_progress",
+                            lambda n=1: (ticks.append(n), orig(n)))
+        pre = SharedPrecompute(trace, kernel="interpreted")
+        assert pre.run_cell(cell) == expected
+        classifiers = 3 if cell[0] == "compare" else 1
+        assert sum(ticks) == classifiers * rows
+        assert max(ticks) <= signals.HEARTBEAT_CHUNK
+        assert len(ticks) >= 2  # ticked *during* the cell, not once at end
+
     def test_max_cell_ticks_its_rows_in_chunks(self, monkeypatch):
         """A batched MAX cell credits exactly its row count in slices of
         at most HEARTBEAT_CHUNK, and its earliest-deadline loop is a

@@ -151,6 +151,29 @@ class TestSupervisor:
         assert all(a["where"] == "serial" for a in err.attempts)
         assert err.partial == {"a": "a"}  # completed before the failure
 
+    def test_exhausted_group_task_is_named_by_its_label(self):
+        """A group task that runs out of attempts is named in the error
+        message by its label, not by its whole tuple; ``exc.cell``
+        keeps the full task."""
+        from repro.mem.addresses import PAPER_BLOCK_SIZES
+        from repro.runtime.policy import GROUP, task_label
+
+        task = (GROUP,) + tuple(("classify-shard", bb, "dubois",
+                                 "0123456789abcdef", 0)
+                                for bb in PAPER_BLOCK_SIZES)
+
+        def runner(t):
+            raise RuntimeError("always fails")
+
+        sup = Supervisor(runner, jobs=1, retry=FAST_RETRY)
+        with pytest.raises(CellFailedError) as exc_info:
+            sup.run([task])
+        err = exc_info.value
+        assert err.cell == task
+        assert str(err) == (f"cell {task_label(task)} failed after "
+                            f"{FAST_RETRY.max_attempts} attempt(s)")
+        assert repr(task[1]) not in str(err)
+
 
 class TestForkEndpointTornFrames:
     """A worker's reply pipe can die two ways, and both are endpoint loss.
