@@ -8,19 +8,21 @@ engine makes that cheap by doing every shareable piece of work exactly once:
   in memory and on disk (:class:`~repro.trace.cache.WorkloadTraceCache`,
   keyed by workload/config/seed/version).
 * **Plan once** — before its workers fork, a grid plans batches of whole
-  units once (:func:`~repro.kernels.plan_batches`): one plan for its
-  vectorized kernel cells, at their largest block, and one per
-  multi-set finite cell, by cache set.  Each plan is cut into ``k``
-  contiguous ranges of balanced row counts (``k`` is ``shards``, else
-  ``jobs``).
-* **Batch once** — range ``s`` of the kernel plan is one group task, one
-  :func:`~repro.kernels.run_kernel_cells` pass: each batch's context is
-  built once and shared by every kernel cell of the grid.
-* **Interpreted cells run the oracles** — under ``kernel="interpreted"``
-  a classify, compare or protocol cell calls the streaming classifier's
-  or simulator's own driver (``classify_trace``,
+  units once per plan key (:func:`~repro.kernels.plan_batches`): one
+  plan by block for its protocol, classify and compare kernel cells, at
+  their largest block, and one by cache set for each cache geometry
+  (block size and set count) of its multi-set finite cells.  Each plan
+  is cut into ``k`` contiguous ranges of balanced row counts (``k`` is
+  ``shards``, else ``jobs``).
+* **Batch once** — range ``s`` of a plan is one group task of every
+  cell on that plan, one :func:`~repro.kernels.run_kernel_cells` pass:
+  each batch's context is built once and shared by those cells.
+* **Interpreted cells run the oracles** — a cell without a kernel, and
+  every cell under ``kernel="interpreted"``, calls the streaming
+  classifier's or simulator's own driver (``classify_trace``,
   :func:`~repro.classify.compare.compare_classifications`,
-  ``Protocol.run``) over the trace, whole, in one task.
+  ``Protocol.run``, ``FiniteOTFProtocol.run``) over the trace, whole,
+  in one task.
 * **Fan out the grid** — range tasks and interpreted cells are
   independent, so with ``jobs > 1`` they run on supervised ``fork``
   workers (:class:`repro.runtime.supervisor.Supervisor`) that inherit the
@@ -73,9 +75,9 @@ from ..errors import (
 from ..kernels import (
     BatchPlan,
     KernelContext,
+    merge_parts,
     plan_batches,
     resolve_kernel,
-    run_finite_kernel,
     run_kernel_cells,
     validate_kernel_mode,
 )
@@ -88,11 +90,11 @@ from ..protocols.finite import (
     finite_spec,
     parse_finite_spec,
 )
-from ..protocols.results import ProtocolResult, merge_shard_results
+from ..protocols.results import ProtocolResult
 from ..protocols.runner import ALL_PROTOCOLS, make_protocol
 from ..runtime.checkpoint import CheckpointJournal
 from ..runtime.faults import FaultPlan
-from ..runtime.policy import GROUP, task_cells
+from ..runtime.policy import GROUP, shard_member, split_member, task_cells
 from ..runtime import signals
 from ..runtime.retry import RetryPolicy
 from ..runtime.supervisor import Supervisor
@@ -113,16 +115,16 @@ CLASSIFIERS = {
 # "compare", "protocol", "finite"} and which naming the classifier,
 # protocol or finite-cache spec (``finite_spec``; "compare" ignores it).
 # A grid cut into k > 1 ranges runs each planned cell as *shard* members
-# — ("<kind>-shard", block_bytes, which, plan_digest, range) — whose
-# parts merge back into the cell's result.  The plan digest in the tuple
-# makes checkpoint journal keys plan-aware: a resumed sweep reuses a
-# part only under the exact same plan and cut.
+# (:func:`~repro.runtime.policy.shard_member`), whose parts merge back
+# into the cell's result.  The plan digest in a member makes checkpoint
+# journal keys plan-aware: a resumed sweep reuses a part only under the
+# exact same plan and cut.
 Cell = Tuple[str, int, Optional[str]]
 
 #: Cell kinds whose vectorized cells run through
-#: :func:`~repro.kernels.run_kernel_cells`; a grid's kernel cells share
-#: one batch plan, and each of its ranges is one group task.
-KERNEL_CELL_KINDS = ("protocol", "classify", "compare")
+#: :func:`~repro.kernels.run_kernel_cells`; the cells on one batch plan
+#: share it, and each of its ranges is one group task.
+KERNEL_CELL_KINDS = ("protocol", "classify", "compare", "finite")
 
 
 def _task_results(task, result) -> dict:
@@ -133,15 +135,6 @@ def _task_results(task, result) -> dict:
     return {task: result}
 
 
-def _cell_of(member) -> Cell:
-    """The grid cell a task member runs: a shard member's cell, or the
-    member itself."""
-    kind = member[0]
-    if kind.endswith("-shard"):
-        kind = kind[:-len("-shard")]
-    return (kind,) + tuple(member[1:3])
-
-
 def partition_dim_for(cell: Cell) -> Optional[int]:
     """The unit of the batch plan one cell (or shard member) runs over:
     the cache's set count for a finite cell (its plan is by cache set),
@@ -149,7 +142,7 @@ def partition_dim_for(cell: Cell) -> Optional[int]:
     for other kinds.  Its callers are the engine and the benchmark in
     ``perfbench/``, which passes it to :meth:`SharedPrecompute.shard_plan`.
     """
-    kind = _cell_of(cell)[0]
+    kind = split_member(cell)[0][0]
     if kind == "finite":
         return cache_geometry(*parse_finite_spec(cell[2]))[0]
     if kind in KERNEL_CELL_KINDS:
@@ -170,8 +163,7 @@ class SharedPrecompute:
     Kernel cells read only ``columns`` and :attr:`plans`, through
     :func:`~repro.kernels.run_kernel_cells`.  An interpreted cell runs
     its classifier's or simulator's own driver over ``trace``
-    (:meth:`run_classifier`, :meth:`run_comparison`,
-    :meth:`run_protocol`), which decodes the rows it needs itself.
+    (:meth:`_dispatch_cell`), which decodes the rows it needs itself.
     ``data`` (the data-only rows, copied once) backs
     :meth:`kernel_context`, whose caller is the benchmark in
     ``perfbench/``.
@@ -181,9 +173,9 @@ class SharedPrecompute:
         self.trace = trace
         self.kernel = validate_kernel_mode(kernel)
         self.columns = trace.columns()
-        #: Heartbeat/batch accounting of the most recent vectorized cell
-        #: (``{"rows": ..., "batches": ...}``), reset per :meth:`run_cell`
-        #: and surfaced as the ``kernel.batch`` telemetry metric.
+        #: Batch accounting of the most recent vectorized cell (the last
+        #: member of the latest group: ``{"rows": ..., "batches": ...,
+        #: "seconds": ...}``), reset per :meth:`run_cell`.
         self.last_kernel_stats: Dict[str, int] = {}
         self._data = None
         self._data_count: Optional[int] = None
@@ -213,11 +205,9 @@ class SharedPrecompute:
         return resolve_kernel(self.kernel, kind, which)
 
     def is_kernel_cell(self, cell: Cell) -> bool:
-        """True for a protocol, classify or compare cell that runs
-        through :func:`~repro.kernels.run_kernel_cells`."""
-        kind = cell[0]
-        return (kind in KERNEL_CELL_KINDS
-                and self.resolve_cell(kind, cell[2]) == "vectorized")
+        """True for a protocol, classify, compare or finite cell that
+        runs through :func:`~repro.kernels.run_kernel_cells`."""
+        return self.resolve_cell(cell[0], cell[2]) == "vectorized"
 
     def kernel_context(self) -> "KernelContext":
         """A full-batch vectorized context over the data rows, built once.
@@ -261,80 +251,38 @@ class SharedPrecompute:
         """The plan and range one task member runs: a shard member's
         range of its cell's plan, else all of the cell's plan (``None``:
         the runner plans one)."""
-        if not member[0].endswith("-shard"):
-            return self.plans.get(tuple(member[:3])), 0
-        plan = self.plans.get(_cell_of(member))
-        if plan is None or plan.digest != member[3]:
+        cell, digest, index = split_member(member)
+        plan = self.plans.get(cell)
+        if digest is not None and (plan is None or plan.digest != digest):
             raise ConfigError(
-                f"no batch plan {member[3]!r} for {_cell_of(member)!r} in "
-                f"this precompute (plans are built before workers fork)")
-        return plan, member[4]
+                f"no batch plan {digest!r} for {cell!r} in this "
+                f"precompute (plans are built before workers fork)")
+        return plan, index
 
     # ------------------------------------------------------------------
     # cell execution
     # ------------------------------------------------------------------
     def run_classifier(self, which: str, block_bytes: int
                        ) -> Union[DuboisBreakdown, SimpleBreakdown]:
-        """Run one classifier cell: its kernel when it resolves
-        vectorized, else the classifier's ``classify_trace``."""
-        try:
-            cls = CLASSIFIERS[which]
-        except KeyError:
-            raise ConfigError(
-                f"unknown classifier {which!r}; known: "
-                f"{sorted(CLASSIFIERS)}") from None
-        cell = ("classify", block_bytes, which)
-        if self.is_kernel_cell(cell):
-            return self._run_one_kernel_cell(cell)
-        return cls.classify_trace(self.trace, BlockMap(block_bytes))
+        """Run one classifier cell (:meth:`run_cell`)."""
+        return self.run_cell(("classify", block_bytes, which))
 
     def run_comparison(self, block_bytes: int) -> ClassificationComparison:
-        """Run all three classifiers (one Table 1 column) in one cell:
-        the compare kernel, or :func:`compare_classifications`."""
-        cell = ("compare", block_bytes, None)
-        if self.is_kernel_cell(cell):
-            return self._run_one_kernel_cell(cell)
-        return compare_classifications(self.trace, block_bytes)
+        """Run all three classifiers (one Table 1 column) in one cell."""
+        return self.run_cell(("compare", block_bytes, None))
 
     def run_protocol(self, name: str, block_bytes: int) -> ProtocolResult:
-        """Run one protocol cell over the shared trace: its kernel when it
-        resolves vectorized, else its simulator."""
-        cell = ("protocol", block_bytes, name)
-        if self.is_kernel_cell(cell):
-            return self._run_one_kernel_cell(cell)
-        protocol = make_protocol(name, self.trace.num_procs,
-                                 BlockMap(block_bytes))
-        return protocol.run(self.trace)
+        """Run one protocol cell over the shared trace."""
+        return self.run_cell(("protocol", block_bytes, name))
 
     def run_finite(self, spec: str, block_bytes: int) -> ProtocolResult:
-        """Run one finite-cache cell (``finite_spec`` geometry) serially,
-        through :func:`~repro.kernels.run_finite_kernel` when it resolves
-        vectorized.  The benchmark in ``perfbench/`` calls it."""
-        return self._run_finite(("finite", block_bytes, spec))
-
-    def _run_finite(self, member) -> ProtocolResult:
-        """A finite cell, or one range of its plan (a part)."""
-        _, block_bytes, spec = member[:3]
-        capacity, ways = parse_finite_spec(spec)
-        if self.resolve_cell("finite", spec) == "vectorized":
-            plan, shard = self._range(member)
-            return run_finite_kernel(
-                self.columns, self.trace.num_procs, BlockMap(block_bytes),
-                capacity, ways, trace_name=self.trace.name or "<anonymous>",
-                plan=plan, shard=shard, stats=self.last_kernel_stats)
-        protocol = FiniteOTFProtocol(self.trace.num_procs,
-                                     BlockMap(block_bytes), capacity,
-                                     ways=ways)
-        return protocol.run(self.trace)
-
-    def _run_one_kernel_cell(self, member):
-        """A kernel cell, or one range of its plan (a part)."""
-        return self.run_kernel_cells([_cell_of(member)], *self._range(member),
-                                     [self.last_kernel_stats])[0]
+        """Run one finite-cache cell (``finite_spec`` geometry).  The
+        benchmark in ``perfbench/`` calls it."""
+        return self.run_cell(("finite", block_bytes, spec))
 
     def run_cell(self, cell: Cell):
-        """Dispatch one task — a cell, a shard member or a group of
-        kernel members — timed as telemetry spans.
+        """Run one task — a group of kernel members, a kernel cell or an
+        oracle cell — timed as telemetry spans.
 
         This is the single instrumentation point of cell execution: the
         supervisor's workers, the serial path and the degraded fallback
@@ -343,44 +291,43 @@ class SharedPrecompute:
         ``status="error"`` when it raised) plus row-count and throughput
         metrics.  A group task (``("group", member, ...)``) runs its
         members through one :func:`~repro.kernels.run_kernel_cells` pass
-        over one plan range and returns their results as a tuple; it
+        over one plan range and returns their results as a tuple; a
+        kernel cell is a group of one that returns its result.  A group
         leaves one span per member, timed by that member's summed kernel
-        time.  With telemetry off the wrapper is a single attribute
-        check.  The benchmark in ``perfbench/`` calls it too.
+        time.  Any other cell runs its oracle (:meth:`_dispatch_cell`).
+        With telemetry off the wrapper is a single attribute check.  The
+        benchmark in ``perfbench/`` calls it too.
         """
         rec = get_recorder()
-        stats = self.last_kernel_stats = {}
         if cell[0] == GROUP:
             return self._run_group(task_cells(cell), rec)
+        if self.is_kernel_cell(split_member(cell)[0]):
+            return self._run_group([cell], rec)[0]
+        self.last_kernel_stats = {}
         if not rec.active:
             return self._dispatch_cell(cell)
-        base = _cell_of(cell)
-        try:
-            kernel = self.resolve_cell(base[0], base[2])
-            dim = _dim_name(partition_dim_for(base))
-        except ConfigError:  # malformed cell: the dispatch will raise too
-            kernel = dim = None
+        dim = _dim_name(partition_dim_for(cell))
         wall = time.time()
         t0 = time.monotonic()
+        status = "error"
         try:
             result = self._dispatch_cell(cell)
-        except BaseException:
-            self._record_span(rec, cell, time.monotonic() - t0, wall,
-                              dim, kernel, stats, status="error")
-            raise
-        self._record_span(rec, cell, time.monotonic() - t0, wall, dim,
-                          kernel, stats)
-        return result
+            status = "ok"
+            return result
+        finally:
+            self._record_span(rec, cell, time.monotonic() - t0, wall, dim,
+                              "interpreted", {}, status=status)
 
     def _run_group(self, members: List, rec) -> tuple:
         stats = [{} for _ in members]
+        self.last_kernel_stats = stats[-1]
         wall = time.time()
         t0 = time.monotonic()
         status = "error"
         try:
             results = tuple(self.run_kernel_cells(
-                [_cell_of(m) for m in members], *self._range(members[0]),
-                stats))
+                [split_member(m)[0] for m in members],
+                *self._range(members[0]), stats))
             status = "ok"
             return results
         finally:
@@ -393,7 +340,8 @@ class SharedPrecompute:
                 ok = status == "ok"
                 for member, st in zip(members, stats):
                     dur = st.get("seconds", 0.0) if ok else elapsed
-                    self._record_span(rec, member, dur, wall, "by-block",
+                    self._record_span(rec, member, dur, wall,
+                                      _dim_name(partition_dim_for(member)),
                                       "vectorized", st, status=status)
                     if ok:
                         wall += dur
@@ -403,7 +351,7 @@ class SharedPrecompute:
                      stats: Dict, status: str = "ok") -> None:
         """One member's ``cell.run``/``shard.run`` span, plus, when it
         succeeded, its row, throughput and kernel-batch metrics."""
-        shard = member[0].endswith("-shard")
+        shard = split_member(member)[1] is not None
         rows = self.data_count()
         if shard:
             try:
@@ -428,17 +376,24 @@ class SharedPrecompute:
                                               / stats["batches"], 1))
 
     def _dispatch_cell(self, cell: Cell):
+        """One cell's streaming oracle over the whole trace."""
         kind, block_bytes, which = cell[:3]
         if kind == "classify":
-            return self.run_classifier(which, block_bytes)
+            if which not in CLASSIFIERS:
+                raise ConfigError(f"unknown classifier {which!r}; known: "
+                                  f"{sorted(CLASSIFIERS)}")
+            return CLASSIFIERS[which].classify_trace(self.trace,
+                                                     BlockMap(block_bytes))
         if kind == "compare":
-            return self.run_comparison(block_bytes)
+            return compare_classifications(self.trace, block_bytes)
         if kind == "protocol":
-            return self.run_protocol(which, block_bytes)
-        if kind in ("finite", "finite-shard"):
-            return self._run_finite(cell)
-        if kind in ("classify-shard", "compare-shard", "protocol-shard"):
-            return self._run_one_kernel_cell(cell)
+            return make_protocol(which, self.trace.num_procs,
+                                 BlockMap(block_bytes)).run(self.trace)
+        if kind == "finite":
+            capacity, ways = parse_finite_spec(which)
+            return FiniteOTFProtocol(self.trace.num_procs,
+                                     BlockMap(block_bytes), capacity,
+                                     ways=ways).run(self.trace)
         raise ConfigError(f"unknown grid cell kind {kind!r}")
 
 
@@ -626,32 +581,25 @@ class SweepEngine:
     # ------------------------------------------------------------------
     def _plan_grid(self, cells: List[Cell]) -> Dict[Cell, BatchPlan]:
         """The grid's batch plans by cell, each cut into ``k`` ranges:
-        one plan for the vectorized kernel cells, at their largest
-        block, and one per vectorized (multi-set) finite cell, by cache
-        set.  Interpreted cells have none: they run whole."""
+        one plan per plan key, by block for the vectorized protocol,
+        classify and compare cells, at their largest block, and by cache
+        set for each (block size, set count) of the vectorized
+        (multi-set) finite cells.  Interpreted cells have none: they run
+        whole."""
         pre = self.precompute
         k = self.shards or self.jobs
-        kernel_cells = [c for c in cells if pre.is_kernel_cell(c)]
-        plans = {}
-        if kernel_cells:
-            plan = pre.shard_plan(BlockMap(max(c[1] for c in kernel_cells)),
-                                  k)
-            plans = dict.fromkeys(kernel_cells, plan)
+        on_key: Dict[Tuple[int, int], List[Cell]] = {}
         for cell in cells:
-            if (cell[0] == "finite"
-                    and pre.resolve_cell("finite", cell[2]) == "vectorized"):
-                plans[cell] = pre.shard_plan(BlockMap(cell[1]), k,
-                                             dim=partition_dim_for(cell))
+            if pre.is_kernel_cell(cell):
+                sets = partition_dim_for(cell)
+                on_key.setdefault((cell[1] if sets else 0, sets),
+                                  []).append(cell)
+        plans = {}
+        for (block, sets), members in on_key.items():
+            block = block or max(c[1] for c in members)
+            plans.update(dict.fromkeys(
+                members, pre.shard_plan(BlockMap(block), k, dim=sets)))
         return plans
-
-    def _merge_cell(self, cell: Cell, parts: List):
-        """Merge one cell's range parts into its full result."""
-        if cell[0] in ("protocol", "finite"):
-            return merge_shard_results(parts)
-        merged = parts[0]
-        for part in parts[1:]:
-            merged = merged + part
-        return merged
 
     def run_grid(self, cells: Sequence[Cell]) -> List:
         """Run every cell, returning results in cell order.
@@ -665,14 +613,13 @@ class SweepEngine:
         Before any worker forks, the grid plans its batches once
         (:meth:`_plan_grid`) and cuts each plan into ``k`` ranges of
         balanced row counts (``k``: ``shards``, else ``jobs``).  Range
-        ``s`` of the kernel plan is one group task that runs every
-        vectorized kernel cell over its batches; range ``s`` of a finite
-        cell's plan is one task.  With ``k > 1`` a task's results are
-        parts, journaled under plan-digest-qualified shard keys, so a
-        resumed sweep re-runs only incomplete ranges and never mixes two
-        plans; the merged cell is then journaled under its plain key,
-        exactly like a one-range run.  Interpreted cells run whole, one
-        task each.
+        ``s`` of a plan is one group task that runs every vectorized
+        cell on that plan over the range's batches.  With ``k > 1`` a
+        task's results are parts, journaled under plan-digest-qualified
+        shard keys, so a resumed sweep re-runs only incomplete ranges
+        and never mixes two plans; the merged cell is then journaled
+        under its plain key, exactly like a one-range run.  Interpreted
+        cells run whole, one task each.
 
         A task's memory is bounded by its batches, not by the trace, so
         a worker the kernel OOM killer does take (SIGKILL, classified
@@ -775,32 +722,30 @@ class SweepEngine:
         pre = self.precompute
         pending = list(dict.fromkeys(c for c in cells if c not in completed))
         # A planned cell cut into k > 1 ranges runs as k shard members;
-        # each range of the kernel plan is one task of all its members.
+        # each range of a plan is one group task of all its members.
         shards_of: Dict[Tuple, List[Tuple]] = {}
         members_of: Dict[Tuple, List[Tuple]] = {}
-        ranges: Dict[int, List[Tuple]] = {}
+        ranges: Dict[Tuple[str, int], List[Tuple]] = {}
         task_of: Dict[Tuple, Tuple] = {}
         for cell in pending:
             plan = pre.plans.get(cell)
             members = [cell]
             if plan is not None and plan.num_ranges > 1:
                 members = shards_of[cell] = [
-                    (f"{cell[0]}-shard",) + cell[1:] + (plan.digest, s)
+                    shard_member(cell, plan.digest, s)
                     for s in range(plan.num_ranges)]
             members_of[cell] = members
             for s, member in enumerate(members):
                 if member in completed:
                     continue
-                if pre.is_kernel_cell(cell):
-                    ranges.setdefault(s, []).append(member)
-                else:
+                if plan is None:
                     task_of[member] = member
+                else:
+                    ranges.setdefault((plan.digest, s), []).append(member)
         for members in ranges.values():
-            task = members[0] if len(members) == 1 else (GROUP,) + tuple(
-                members)
-            task_of.update(dict.fromkeys(members, task))
-        # In grid order: the ranges at the first kernel cell, every other
-        # task at its cell.
+            task_of.update(dict.fromkeys(members, (GROUP,) + tuple(members)))
+        # In grid order: each plan's ranges at its first cell, every
+        # other task at its cell.
         tasks: List[Tuple] = list(dict.fromkeys(
             task_of[m] for cell in pending for m in members_of[cell]
             if m in task_of))
@@ -809,7 +754,7 @@ class SweepEngine:
         rec = get_recorder()
         if rec.active:
             k = max((p.num_ranges for p in pre.plans.values()), default=1)
-            rec.event("rung.start", tasks=len(tasks), jobs=jobs, shards=k)
+            rec.event("fanout.start", tasks=len(tasks), jobs=jobs, shards=k)
             logger.info("fan-out: %d task(s), jobs=%d, shards=%d",
                         len(tasks), jobs, k)
 
@@ -839,7 +784,7 @@ class SweepEngine:
             if cell in shards_of and cell not in done:
                 with rec.span("merge", cell=list(cell),
                               shards=len(shards_of[cell])):
-                    merged = self._merge_cell(
+                    merged = merge_parts(
                         cell, [done[m] for m in shards_of[cell]])
                 self._guard_cell(cell, merged)
                 if journal is not None:

@@ -7,6 +7,7 @@ The one driver loop of all three classifiers' ``classify_trace`` and of
 from __future__ import annotations
 
 from ..mem.addresses import BlockMap
+from ..runtime import signals
 from ..trace.trace import Trace
 
 
@@ -24,9 +25,6 @@ def feed_trace(trace: Trace, block_map: BlockMap, *classifiers) -> None:
     cancellation point for graceful shutdown, as
     :meth:`repro.protocols.base.Protocol.run`'s ticks are.
     """
-    # Imported here: ``repro.runtime`` imports this package's results.
-    from ..runtime import signals
-
     data = trace.columns().data_only()
     step = signals.HEARTBEAT_CHUNK
     for start in range(0, len(data), step):

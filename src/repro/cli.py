@@ -30,7 +30,7 @@ from typing import List, Optional
 
 from .obs import configure_logging
 
-from .analysis.figures import figure5, figure6
+from .analysis.figures import Fig6Panel, figure5
 from .analysis.sweep import sweep_block_sizes
 from .analysis.tables import (
     build_table1,
@@ -47,7 +47,8 @@ from .errors import (
     SweepInterrupted,
 )
 from .runtime.signals import graceful_shutdown
-from .protocols.runner import protocol_names, run_protocol, run_protocols
+from .protocols.runner import (ALL_PROTOCOLS, protocol_names, run_protocol,
+                               run_protocol_grid, run_protocols)
 from .trace import io as trace_io
 from .trace.cache import WorkloadTraceCache, default_cache_dir
 from .trace.trace import Trace
@@ -204,9 +205,13 @@ def _cmd_fig6(args) -> int:
     options = _engine_options(args)
 
     def panels(trace: Trace) -> list:
-        """The trace's panel at each block size."""
-        return [figure6([trace], block, jobs=args.jobs,
-                        options=options)[trace.name]
+        """The trace's panel at each block size, from one grid planned
+        at the largest."""
+        grid = run_protocol_grid(trace, args.blocks, jobs=args.jobs,
+                                 options=options)
+        return [Fig6Panel(trace_name=trace.name, block_bytes=block,
+                          results={name: grid[(block, name)]
+                                   for name in ALL_PROTOCOLS})
                 for block in args.blocks]
 
     # Computed trace by trace (map drops each trace once its panels are

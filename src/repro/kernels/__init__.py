@@ -14,12 +14,17 @@ Resolution contract (``--kernel {auto,vectorized,interpreted}``):
 * ``interpreted`` — every cell runs the streaming oracle;
 * ``vectorized`` and ``auto`` (the default; the two are the same, NumPy
   being a dependency) — cells with a kernel run it, the rest *fall back*
-  to the oracle.  The classifiers and the seven infinite-cache protocols
-  have kernels, all run through :func:`run_kernel_cells`, and so do
-  finite caches of more than one set, through :func:`run_finite_kernel`
-  — OTF's misses plus one compact LRU pass per (processor, set), see
-  :mod:`repro.kernels.finite`.  A fully associative cache has none: it
+  to the oracle.  The classifiers, the seven infinite-cache protocols
+  and finite caches of more than one set have kernels (the finite one is
+  OTF's misses plus one compact LRU pass per (processor, set), see
+  :mod:`repro.kernels.finite`).  A fully associative cache has none: it
   is one set, so its kernel batch would be the whole trace.
+
+:func:`run_kernel_cells` is the one runner of every kernel cell.  It
+runs a list of cells over one range of a :class:`BatchPlan` of one of
+two kinds: by block, for protocol, classify and compare cells (blocks
+at least as large as the largest cell's), or by cache set, for finite
+cells of one cache geometry.
 
 Checkpoint journals bind the *effective* mode — ``auto`` resolved via
 :func:`effective_kernel_mode` (see
@@ -34,7 +39,7 @@ from ..protocols.finite import cache_geometry, parse_finite_spec
 
 __all__ = ["KERNEL_MODES", "CLASSIFIER_KERNELS", "PROTOCOL_KERNELS",
            "BatchPlan", "KernelContext", "plan_batches", "run_kernel_cells",
-           "run_finite_kernel",
+           "merge_parts",
            "validate_kernel_mode", "has_kernel", "resolve_kernel",
            "effective_kernel_mode"]
 
@@ -47,10 +52,10 @@ from .classifiers import (
     eggers_kernel,
     torrellas_kernel,
 )
-from .finite import run_finite_kernel
 from .protocols import (
     BatchPlan,
     max_kernel,
+    merge_parts,
     min_kernel,
     otf_kernel,
     plan_batches,
@@ -93,13 +98,7 @@ def effective_kernel_mode(mode: str) -> str:
 
 
 def has_kernel(kind: str, which) -> bool:
-    """True when a vectorized kernel exists for one cell kind.
-
-    ``kind`` is a grid-cell kind (shard subtask kinds resolve like their
-    parent: a shard's rows feed the same kernel).
-    """
-    if kind.endswith("-shard"):
-        kind = kind[:-len("-shard")]
+    """True when a vectorized kernel exists for one grid-cell kind."""
     if kind == "classify":
         return which in CLASSIFIER_KERNELS
     if kind == "compare":

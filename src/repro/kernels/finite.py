@@ -35,60 +35,25 @@ never touched again is one with no replacement miss), and
 ``invalidations_applied == invalidations_sent`` the kills that found
 their copy resident.
 
-Batches are whole cache sets (LRU couples blocks only within a set), at
-most :data:`~repro.kernels.protocols.BATCH_ROWS` rows each, so a cell's
-memory is bounded by its largest set.  A fully associative cache has
-one set, and its batch would be the whole trace (several times the
-simulator's memory, see EXPERIMENTS.md), so
+:func:`~repro.kernels.run_kernel_cells` runs finite cells over a plan
+by cache set: batches of whole sets (LRU couples blocks only within a
+set), at most :data:`~repro.kernels.protocols.BATCH_ROWS` rows each, so
+a cell's memory is bounded by its largest set.  A fully associative
+cache has one set, and its batch would be the whole trace (several
+times the simulator's memory, see EXPERIMENTS.md), so
 :func:`~repro.kernels.has_kernel` leaves those cells to the simulator;
 the kernel itself is exact for them too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import numpy as np
 
-from ..errors import ConfigError
-from ..protocols.finite import cache_geometry
-from ..protocols.results import Counters, ProtocolResult, merge_shard_results
+from ..protocols.results import Counters, ProtocolResult
 from ..runtime import signals
 from .classifiers import KernelContext, _Heartbeat, lifetime_breakdown
-from .protocols import BatchPlan, _batch_contexts, _run_batches, plan_batches
 
-__all__ = ["finite_kernel", "run_finite_kernel"]
-
-
-def run_finite_kernel(columns, num_procs: int, block_map,
-                      capacity_blocks: int, ways: Optional[int] = None, *,
-                      trace_name: str, plan: Optional[BatchPlan] = None,
-                      shard: int = 0,
-                      stats: Optional[Dict] = None) -> ProtocolResult:
-    """Run the finite-cache OTF kernel over batches of whole cache sets.
-
-    ``columns`` are a whole trace's columns.  The cell runs over range
-    ``shard`` of ``plan``, a plan by this cache's sets at its block size
-    (default: a one-range plan, so the result is bit-identical to
-    :class:`~repro.protocols.finite.FiniteOTFProtocol` over the trace);
-    the parts of every range of one plan merge to that result.
-    """
-    num_sets, ways = cache_geometry(capacity_blocks, ways)
-    if plan is None:
-        plan = plan_batches(columns, block_map.offset_bits, num_sets)
-    elif (plan.unit_bits, plan.num_sets) != (block_map.offset_bits,
-                                             num_sets):
-        raise ConfigError(
-            f"a plan by {plan.num_sets or 'no'} cache sets of "
-            f"{2 ** plan.unit_bits}-word blocks does not fit a "
-            f"{num_sets}-set cache of {block_map.words_per_block}-word "
-            f"blocks")
-    (parts,) = _run_batches(
-        [lambda ctx: finite_kernel(ctx, block_map, num_sets, ways,
-                                   trace_name=trace_name)],
-        _batch_contexts(columns, num_procs, plan.batches(shard), sync=False),
-        num_procs, [{} if stats is None else stats])
-    return merge_shard_results(parts)
+__all__ = ["finite_kernel"]
 
 
 def _lru_pass(group, kill, stream, ways: int, hb: _Heartbeat):

@@ -113,9 +113,10 @@ acquire tables:
   store that the load rule alone would not have taken.
 
 Batches.  :func:`run_kernel_cells` is the one runner of every protocol,
-classify and compare cell.  It runs one range of a :class:`BatchPlan`
-(:func:`plan_batches`): batches of whole blocks of the cells' largest
-block size, at most :data:`BATCH_ROWS` data rows each.  It builds each
+classify, compare and finite-cache cell.  It runs one range of a
+:class:`BatchPlan` (:func:`plan_batches`): batches of whole blocks of
+the cells' largest block size, or of whole cache sets of the finite
+cells' one geometry, at most :data:`BATCH_ROWS` data rows each.  It builds each
 batch's context once, runs every cell's kernel on it and drops it, then
 merges each cell's parts.  A cell's kernel memory is thus bounded by
 the batch, not by the trace, and the parts sum exactly because every
@@ -151,15 +152,18 @@ import numpy as np
 from ..classify.compare import ClassificationComparison
 from ..errors import ConfigError
 from ..mem.addresses import BlockMap
+from ..protocols.finite import cache_geometry, parse_finite_spec
 from ..protocols.results import Counters, ProtocolResult, merge_shard_results
 from ..runtime import signals
 from ..trace.events import ACQUIRE, RELEASE
 from .classifiers import (KernelContext, SyncTable, _Heartbeat,
                           lifetime_breakdown)
+from .finite import finite_kernel
 from .segments import (essential_chain, event_runs, next_run,
                        remote_store_before)
 
 __all__ = ["BATCH_ROWS", "BatchPlan", "plan_batches", "run_kernel_cells",
+           "merge_parts",
            "otf_kernel", "min_kernel", "wbwi_kernel", "rd_kernel",
            "max_kernel", "sd_kernel", "srd_kernel"]
 
@@ -320,12 +324,16 @@ def _batch_contexts(columns, num_procs: int, batches, sync: bool = True):
 
 
 def _cell_kernel(cell, trace_name: str):
-    """``ctx -> part`` of one protocol, classify or compare cell."""
+    """``ctx -> part`` of one protocol, classify, compare or finite cell."""
     # Looked up per call: tests wrap the kernels.
     from . import CLASSIFIER_KERNELS, PROTOCOL_KERNELS
 
     kind, block_bytes, which = cell[:3]
     block_map = BlockMap(block_bytes)
+    if kind == "finite":
+        num_sets, ways = cache_geometry(*parse_finite_spec(which))
+        return lambda ctx: finite_kernel(ctx, block_map, num_sets, ways,
+                                         trace_name=trace_name)
     if kind == "protocol":
         kernel = PROTOCOL_KERNELS[which]
         return lambda ctx: kernel(ctx, block_map, trace_name=trace_name)
@@ -346,23 +354,25 @@ def run_kernel_cells(columns, num_procs: int, cells: Sequence, *,
                      trace_name: str, plan: Optional[BatchPlan] = None,
                      shard: int = 0,
                      stats: Optional[Sequence[Dict]] = None) -> List:
-    """Run protocol, classify and compare cells over one batch plan.
+    """Run protocol, classify, compare or finite cells over one batch plan.
 
     ``cells`` are ``(kind, block_bytes, which)`` grid cells; the results
     come back in their order.  ``columns`` are a whole trace's columns,
-    sync rows included.  The cells run over range ``shard`` of ``plan``
-    (default: a one-range plan at the cells' largest block, so each
-    result is bit-identical to the cell's streaming oracle); the parts
-    of every range of one plan merge to that result.  The plan's units
-    must be whole blocks of every cell: blocks at least as large as the
-    largest cell's.
+    sync rows included.  The cells run over range ``shard`` of ``plan``,
+    one of two kinds: by block, whose units are whole blocks of every
+    cell (blocks at least as large as the largest cell's) and which no
+    finite cell runs on; or by cache set, whose ``(unit_bits,
+    num_sets)`` equal every cell's block and set count, all cells being
+    finite.  The default is a one-range plan at the cells' largest
+    block, or at the finite cells' geometry, so each result is
+    bit-identical to the cell's streaming oracle; the parts of every
+    range of one plan merge to that result.
 
     Batches run outside and cells inside, so every cell shares each
     batch's context (and its block-size-independent word tables), which
     is dropped before the next one is built; each block size's view of
-    it is dropped after the last cell at that size.  Protocol parts
-    merge with :func:`~repro.protocols.results.merge_shard_results`,
-    breakdowns and comparisons with ``+``.
+    it is dropped after the last cell at that size.  Parts merge with
+    :func:`merge_parts`.
 
     ``stats``, one dict per cell, accumulates each cell's ``batches``,
     their ``rows`` and its kernel ``seconds``.
@@ -376,21 +386,41 @@ def run_kernel_cells(columns, num_procs: int, cells: Sequence, *,
     last = {BlockMap(cell[1]).offset_bits: i for i, cell in enumerate(cells)}
     for bits, i in last.items():
         runs[i] = _dropping_view(runs[i], bits)
-    unit_bits = max(last)
+    units = [_cell_unit(cell) for cell in cells]
     if plan is None:
-        plan = plan_batches(columns, unit_bits)
-    elif plan.num_sets or plan.unit_bits < unit_bits:
-        raise ConfigError(
-            f"a plan of {2 ** plan.unit_bits}-word units"
-            f"{' by cache set' if plan.num_sets else ''} does not hold "
-            f"whole {2 ** unit_bits}-word blocks")
+        plan = plan_batches(columns, *max(units))
+    for cell, (bits, sets) in zip(cells, units):
+        fits = ((plan.unit_bits, plan.num_sets) == (bits, sets) if sets
+                else not plan.num_sets and plan.unit_bits >= bits)
+        if not fits:
+            by = f" by {plan.num_sets} cache sets" if plan.num_sets else ""
+            need = f"{sets} cache sets of" if sets else "whole"
+            raise ConfigError(
+                f"a plan of {2 ** plan.unit_bits}-word units{by} does not "
+                f"fit {cell!r}: it needs {need} {2 ** bits}-word blocks")
     contexts = _batch_contexts(
         columns, num_procs, plan.batches(shard),
         sync=any(cell[0] == "protocol" for cell in cells))
     parts = _run_batches(runs, contexts, num_procs, stats)
-    return [merge_shard_results(p) if cell[0] == "protocol"
-            else functools.reduce(operator.add, p)
-            for cell, p in zip(cells, parts)]
+    return [merge_parts(cell, p) for cell, p in zip(cells, parts)]
+
+
+def merge_parts(cell, parts: Sequence):
+    """One cell's parts merged into its result: protocol and finite
+    results with :func:`~repro.protocols.results.merge_shard_results`,
+    breakdowns and comparisons with ``+``."""
+    if cell[0] in ("protocol", "finite"):
+        return merge_shard_results(parts)
+    return functools.reduce(operator.add, parts)
+
+
+def _cell_unit(cell) -> Tuple[int, int]:
+    """``(unit_bits, num_sets)`` of the plan unit one cell needs: its
+    block, and for a finite cell its cache's set count (else 0)."""
+    bits = BlockMap(cell[1]).offset_bits
+    if cell[0] != "finite":
+        return bits, 0
+    return bits, cache_geometry(*parse_finite_spec(cell[2]))[0]
 
 
 def _dropping_view(run, offset_bits: int):

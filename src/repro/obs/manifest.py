@@ -80,12 +80,13 @@ def result_digest(result: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _parent_cell(cell: List) -> Tuple:
-    """Fold a shard subtask descriptor onto its parent grid cell."""
-    kind = cell[0]
-    if isinstance(kind, str) and kind.endswith("-shard"):
-        return (kind[:-len("-shard")], cell[1], cell[2])
-    return tuple(cell[:3])
+def _split_member(member) -> Tuple:
+    """``(cell, plan digest, range)`` of a task member
+    (:func:`~repro.runtime.policy.split_member`)."""
+    # Imported here: ``repro.runtime`` imports this package.
+    from ..runtime.policy import split_member
+
+    return split_member(tuple(member))
 
 
 class _CellStats:
@@ -264,7 +265,7 @@ class RunTelemetry:
         hit); journal cells keep the ``resumed`` status their
         ``cell.resumed`` event established.
         """
-        stats = self._stats(trace_key, _parent_cell(list(cell)))
+        stats = self._stats(trace_key, _split_member(cell)[0])
         stats.result_sha256 = result_digest(result)
         if source == "journal":
             stats.status = "resumed"
@@ -280,7 +281,7 @@ class RunTelemetry:
         of the folded ``shard.run`` spans — CPU-time-like, which is the
         comparable quantity across sharded and unsharded cells.
         """
-        stats = self._stats(trace_key, _parent_cell(list(cell)))
+        stats = self._stats(trace_key, _split_member(cell)[0])
         self.recorder.span_complete(
             "cell.run", stats.duration_s, cell=list(cell),
             rows=stats.rows, merged=True, shards=num_shards)
@@ -303,7 +304,7 @@ class RunTelemetry:
         cell = attrs.get("cell") or attrs.get("task")
         if not isinstance(cell, (list, tuple)) or not cell:
             return []
-        return [_parent_cell(list(c)) for c in task_cells(cell)]
+        return [_split_member(c)[0] for c in task_cells(cell)]
 
     def _on_record(self, record: dict) -> None:
         kind = record.get("kind")
@@ -334,9 +335,9 @@ class RunTelemetry:
             stats.duration_s += float(record.get("dur_s", 0.0))
             stats.rows += int(attrs.get("rows", 0) or 0)
             stats.shards += 1
-            raw = attrs.get("cell") or ()
-            if len(raw) > 3:
-                stats.plan_digest = raw[3]
+            digest = _split_member(attrs.get("cell") or ())[1]
+            if digest is not None:
+                stats.plan_digest = digest
         elif attrs.get("merged"):
             stats.shards = int(attrs.get("shards", stats.shards) or 0)
             if stats.status == "pending":

@@ -92,7 +92,7 @@ class ProgressLine:
     def _on_event(self, record: dict) -> None:
         name = record.get("name")
         attrs = record.get("attrs", {})
-        if name == "rung.start":
+        if name == "fanout.start":
             # A grid's fan-out announces its task list; the live total
             # is what this grid still has to run plus what is already
             # done (a suite command runs several grids).

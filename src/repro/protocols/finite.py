@@ -20,9 +20,9 @@ verifies the paper's expectation: the essential fraction of the miss rate
 grows as capacity shrinks.
 
 Because LRU couples blocks only *within* a set, and OTF ignores sync
-events, disjoint groups of sets run independently: the vectorized kernel
-batches a run ``num_sets > 1`` by cache set
-(:func:`~repro.kernels.run_finite_kernel`).
+events, disjoint groups of sets run independently: with
+``num_sets > 1`` the vectorized kernel runs through
+:func:`~repro.kernels.run_kernel_cells` over a plan by cache set.
 """
 
 from __future__ import annotations

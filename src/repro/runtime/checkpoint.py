@@ -45,11 +45,9 @@ import json
 import os
 from typing import Any, Dict, Optional, Tuple
 
-from ..classify.breakdown import DuboisBreakdown, SimpleBreakdown
-from ..classify.compare import ClassificationComparison
 from ..errors import CheckpointError, StaleJournalError
 from ..obs.recorder import get_recorder
-from ..protocols.results import Counters, ProtocolResult
+from .policy import split_member
 
 _VERSION = 1
 
@@ -101,6 +99,11 @@ def default_checkpoint_dir() -> str:
 # ----------------------------------------------------------------------
 def encode_result(result: Any) -> dict:
     """Encode one grid-cell result to a JSON-safe tagged dict."""
+    # Imported here: ``repro.classify`` imports ``repro.runtime``.
+    from ..classify.breakdown import DuboisBreakdown, SimpleBreakdown
+    from ..classify.compare import ClassificationComparison
+    from ..protocols.results import ProtocolResult
+
     if isinstance(result, DuboisBreakdown):
         return {"type": "DuboisBreakdown",
                 **{f.name: getattr(result, f.name)
@@ -131,6 +134,10 @@ def encode_result(result: Any) -> dict:
 
 def decode_result(blob: dict) -> Any:
     """Invert :func:`encode_result`."""
+    from ..classify.breakdown import DuboisBreakdown, SimpleBreakdown
+    from ..classify.compare import ClassificationComparison
+    from ..protocols.results import Counters, ProtocolResult
+
     kind = blob.get("type")
     fields = {k: v for k, v in blob.items() if k != "type"}
     try:
@@ -411,12 +418,10 @@ class CheckpointJournal:
             latest[cell] = record
         dropped = self.stale_lines + duplicates
         for cell in list(latest):
-            kind = cell[0] if cell else ""
-            if isinstance(kind, str) and kind.endswith("-shard"):
-                parent = (kind[:-len("-shard")],) + tuple(cell[1:3])
-                if parent in latest:
-                    del latest[cell]
-                    dropped += 1
+            parent, digest, _ = split_member(cell)
+            if digest is not None and parent in latest:
+                del latest[cell]
+                dropped += 1
         if dropped == 0:
             return 0
         tmp = f"{self.path}.{os.getpid()}.tmp"

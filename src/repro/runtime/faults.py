@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..errors import ReproError
-from .policy import task_cells
+from .policy import split_member, task_cells
 
 
 class FaultInjectedError(ReproError):
@@ -109,12 +109,7 @@ class FaultPlan:
 
 def _fault_keys(task) -> list:
     """The keys a task matches: itself or a group's members, plus the
-    cell of each shard member ``(kind-shard, bb, which, digest, s)``."""
-    keys = []
-    for member in task_cells(task):
-        keys.append(member)
-        kind = (member[0] if isinstance(member, (tuple, list)) and member
-                else None)
-        if isinstance(kind, str) and kind.endswith("-shard"):
-            keys.append((kind[:-len("-shard")],) + tuple(member[1:3]))
-    return keys
+    cell each member runs (a shard member's cell, see
+    :func:`~repro.runtime.policy.split_member`)."""
+    return [key for member in task_cells(task)
+            for key in (member, split_member(member)[0])]

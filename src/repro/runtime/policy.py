@@ -54,11 +54,39 @@ _NEXT_STEP = {"retry": "retrying after backoff",
 GROUP = "group"
 
 
+#: Suffix of a shard member's kind (see :func:`split_member`).
+SHARD_SUFFIX = "-shard"
+
+
 def task_cells(task) -> list:
     """The grid cells one task covers: a group's members, else the task."""
     if isinstance(task, (tuple, list)) and task and task[0] == GROUP:
         return list(task[1:])
     return [task]
+
+
+def shard_member(cell, digest: str, index: int) -> tuple:
+    """The member that runs range ``index`` of the batch plan named
+    ``digest`` for the grid cell ``cell``."""
+    return (cell[0] + SHARD_SUFFIX,) + tuple(cell[1:3]) + (digest, index)
+
+
+def split_member(member) -> Tuple[object, Optional[str], int]:
+    """``(cell, plan digest, range)`` of one task member.
+
+    A shard member ``("<kind>-shard", block_bytes, which, digest,
+    range)`` runs one range of a cell's batch plan; its parts merge into
+    the cell ``(kind, block_bytes, which)``.  Any other member runs its
+    whole cell: ``(member[:3], None, 0)``, or the member itself when it is
+    not a tuple or list.  This is the one parser of the member format.
+    """
+    if not isinstance(member, (tuple, list)) or not member:
+        return member, None, 0
+    kind = member[0]
+    if isinstance(kind, str) and kind.endswith(SHARD_SUFFIX):
+        cell = (kind[:-len(SHARD_SUFFIX)],) + tuple(member[1:3])
+        return cell, member[3], member[4]
+    return tuple(member[:3]), None, 0
 
 
 def task_label(task) -> str:
@@ -72,9 +100,8 @@ def task_label(task) -> str:
     blocks = sorted({m[1] for m in members})
     label = (f"group of {len(members)} {kinds} cells at "
              f"B={blocks[0]}..{blocks[-1]}")
-    # Shard members end in (plan digest, range).
-    return label + (f", range {members[0][4]}" if len(members[0]) > 4
-                    else "")
+    _, digest, index = split_member(members[0])
+    return label + (f", range {index}" if digest is not None else "")
 
 
 def task_attr(task):

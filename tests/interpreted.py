@@ -19,7 +19,7 @@ from repro.classify.compare import ClassificationComparison
 from repro.classify.dubois import DuboisClassifier
 from repro.classify.eggers import EggersClassifier
 from repro.classify.torrellas import TorrellasClassifier
-from repro.kernels import run_finite_kernel
+from repro.kernels import run_kernel_cells
 from repro.mem import BlockMap
 from repro.protocols import (
     FiniteOTFProtocol,
@@ -49,12 +49,12 @@ def run_finite_checked(trace, block_bytes, capacity, ways=None):
     block_map = BlockMap(block_bytes)
     expected = FiniteOTFProtocol(trace.num_procs, block_map, capacity,
                                  ways=ways).run(trace)
-    got = run_finite_kernel(trace.columns(), trace.num_procs, block_map,
-                            capacity, ways,
-                            trace_name=trace.name or "<anonymous>")
+    spec = finite_spec(capacity, ways)
+    (got,) = run_kernel_cells(trace.columns(), trace.num_procs,
+                              [("finite", block_bytes, spec)],
+                              trace_name=trace.name or "<anonymous>")
     assert got == expected, (capacity, ways)
-    got = SharedPrecompute(trace).run_finite(finite_spec(capacity, ways),
-                                             block_bytes)
+    got = SharedPrecompute(trace).run_finite(spec, block_bytes)
     assert got == expected, (capacity, ways)
     return expected
 

@@ -42,10 +42,9 @@ from repro.kernels import (
 from repro.kernels import finite as kernel_finite
 from repro.kernels import protocols as kernel_protocols
 from repro.kernels.classifiers import SyncTable, dubois_kernel
-from repro.kernels.finite import run_finite_kernel
 from repro.kernels.protocols import run_kernel_cells
 from repro.mem.addresses import PAPER_BLOCK_SIZES, BlockMap
-from repro.protocols.finite import FiniteOTFProtocol
+from repro.protocols.finite import FiniteOTFProtocol, finite_spec
 from repro.protocols.results import merge_shard_results
 from repro.protocols.runner import make_protocol, run_protocols
 from repro.runtime import signals
@@ -182,9 +181,10 @@ def _finite_matches_oracle(trace):
         for capacity, ways in ((4, 1), (4, 2), (6, None)):
             want = FiniteOTFProtocol(trace.num_procs, bm, capacity,
                                      ways=ways).run(trace)
-            got = run_finite_kernel(trace.columns(), trace.num_procs, bm,
-                                    capacity, ways,
-                                    trace_name=trace.name or "<anonymous>")
+            (got,) = run_kernel_cells(
+                trace.columns(), trace.num_procs,
+                [("finite", bb, finite_spec(capacity, ways))],
+                trace_name=trace.name or "<anonymous>")
             assert got == want, (bb, capacity, ways)
 
 
@@ -673,12 +673,10 @@ def _cell_peak(name, trace):
     gc.collect()
     tracemalloc.start()
     try:
-        if name == "OTF-finite":
-            run_finite_kernel(cols, trace.num_procs, BlockMap(64), 64, 4,
-                              trace_name=trace.name)
-        else:
-            run_kernel_cells(cols, trace.num_procs, [("protocol", 64, name)],
-                             trace_name=trace.name)
+        cell = (("finite", 64, "c64w4") if name == "OTF-finite"
+                else ("protocol", 64, name))
+        run_kernel_cells(cols, trace.num_procs, [cell],
+                         trace_name=trace.name)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -843,17 +841,14 @@ class TestResolution:
 
     def test_kernelled_cells(self):
         assert has_kernel("classify", "dubois")
-        assert has_kernel("classify-shard", "eggers")
+        assert has_kernel("classify", "eggers")
         assert has_kernel("compare", None)
         for name in ("OTF", "MIN", "WBWI", "RD", "SD", "SRD", "MAX"):
             assert has_kernel("protocol", name)
-            assert has_kernel("protocol-shard", name)
         for spec in ("c4w1", "c64w4", "c1024w4"):
             assert has_kernel("finite", spec)
-            assert has_kernel("finite-shard", spec)
         for spec in ("c1", "c64", "c8w8"):  # fully associative: one set
             assert not has_kernel("finite", spec)
-            assert not has_kernel("finite-shard", spec)
         assert not has_kernel("classify", "nope")
 
     def test_resolve_rules(self):
@@ -1074,8 +1069,8 @@ class TestHeartbeat:
             return out
 
         monkeypatch.setattr(kernel_finite, "_lru_pass", counting)
-        run_finite_kernel(trace.columns(), trace.num_procs, BlockMap(64),
-                          16, 4, trace_name=trace.name)
+        run_kernel_cells(trace.columns(), trace.num_procs,
+                         [("finite", 64, "c16w4")], trace_name=trace.name)
         assert sum(ticks) == rows
         assert max(ticks) <= 64
         assert sum(c for c, _ in loops) > 4 * 64  # several chunks

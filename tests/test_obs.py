@@ -204,7 +204,7 @@ class TestSchema:
                            ("worker.ru_maxrss_kb", "kb")):
             rec.metric(name, 42, unit=unit)
         for name in ("run.start", "run.finish", "sweep.start",
-                     "sweep.finish", "rung.start", "task.assigned",
+                     "sweep.finish", "fanout.start", "task.assigned",
                      "task.done", "task.failed", "cell.resumed"):
             rec.event(name, level="warning" if name == "task.failed"
                       else "info")
@@ -597,7 +597,7 @@ class TestFailureTelemetry:
 class TestProgress:
     @staticmethod
     def _feed(progress):
-        progress({"kind": "event", "name": "rung.start",
+        progress({"kind": "event", "name": "fanout.start",
                   "attrs": {"tasks": 2}})
         for _ in range(2):
             progress({"kind": "event", "name": "task.assigned",
@@ -628,7 +628,7 @@ class TestProgress:
     def test_eta_appears_while_tasks_remain(self):
         out = io.StringIO()
         progress = ProgressLine(out, non_tty_interval=0.0)
-        progress({"kind": "event", "name": "rung.start",
+        progress({"kind": "event", "name": "fanout.start",
                   "attrs": {"tasks": 4}})
         progress({"kind": "span", "name": "cell.run", "status": "ok",
                   "dur_s": 2.0, "attrs": {"rows": 100}})
@@ -676,6 +676,31 @@ class TestCliTelemetry:
         out = capsys.readouterr().out
         assert "classify/32/dubois" in out
         assert "slowest spans" in out
+
+    def test_run_recorded_before_the_fanout_rename_renders(self, tmp_path,
+                                                           capsys):
+        """A stream whose fan-out event still carries its old name,
+        ``rung.start``, renders in ``report`` and ``trace`` exactly as
+        it does under the new one."""
+        from repro.cli import main
+        tel = str(tmp_path / "tel")
+        assert main(["-q", "sweep", "MATMUL24", "--telemetry", tel]) == 0
+        (run_dir,) = find_runs(tel)
+        capsys.readouterr()
+
+        def render():
+            assert main(["report", run_dir]) == 0
+            assert main(["trace", run_dir]) == 0
+            return capsys.readouterr().out
+
+        current = render()
+        events = os.path.join(run_dir, "events.jsonl")
+        with open(events, encoding="utf-8") as fh:
+            text = fh.read()
+        assert '"fanout.start"' in text
+        with open(events, "w", encoding="utf-8") as fh:
+            fh.write(text.replace('"fanout.start"', '"rung.start"'))
+        assert render() == current
 
     def test_report_command_errors_cleanly_without_runs(self, tmp_path,
                                                         capsys):

@@ -31,7 +31,7 @@ from repro.classify.breakdown import SimpleBreakdown
 from repro.classify.compare import compare_classifications
 from repro.errors import ConfigError
 from repro.kernels import plan_batches, protocols as kernel_protocols
-from repro.kernels import BatchPlan, run_finite_kernel, run_kernel_cells
+from repro.kernels import BatchPlan, run_kernel_cells
 from repro.mem.addresses import BlockMap
 from repro.obs import find_runs, load_manifest, validate_manifest
 from repro.protocols import (
@@ -41,6 +41,7 @@ from repro.protocols import (
     parse_finite_spec,
 )
 from repro.protocols.results import merge_shard_results
+from repro.runtime.policy import shard_member
 from repro.trace.synth import uniform_random
 
 CLASSIFY_CELLS = [("classify", 32, "eggers"), ("classify", 32, "torrellas"),
@@ -116,8 +117,9 @@ class TestPartitionDim:
         plan = plan_batches(cols, BlockMap(64).offset_bits, num_sets=4,
                             ranges=2)
         with pytest.raises(ConfigError, match="sets"):
-            run_finite_kernel(cols, mp3d_trace.num_procs, BlockMap(64), 32,
-                              2, trace_name="t", plan=plan)  # 16 sets
+            run_kernel_cells(cols, mp3d_trace.num_procs,
+                             [("finite", 64, "c32w2")],  # 16 sets
+                             trace_name="t", plan=plan)
 
 
 # ----------------------------------------------------------------------
@@ -222,9 +224,10 @@ def test_any_set_partition_merges_bit_identically(data):
     plan = BatchPlan(block_map.offset_bits, num_sets, np.concatenate(groups),
                      ends, tuple(range(num_ranges + 1)), "arbitrary")
     serial = FiniteOTFProtocol(3, block_map, capacity, ways=ways).run(trace)
-    parts = [run_finite_kernel(cols, 3, block_map, capacity, ways,
-                               trace_name=trace.name or "<anonymous>",
-                               plan=plan, shard=s)
+    cell = ("finite", block_map.block_bytes, finite_spec(capacity, ways))
+    parts = [run_kernel_cells(cols, 3, [cell],
+                              trace_name=trace.name or "<anonymous>",
+                              plan=plan, shard=s)[0]
              for s in range(num_ranges)]
     assert merge_shard_results(parts) == serial
 
@@ -270,6 +273,39 @@ class TestEngineFiniteCells:
         sharded = SweepEngine(mp3d_trace, shards=4).run_grid(cells)
         assert sharded == serial
         assert serial[0].protocol == "OTF-finite"
+
+    def test_same_geometry_finite_cells_share_each_range(self, mp3d_trace,
+                                                         monkeypatch):
+        """Finite cells of one block size and set count (c64w4 and c32w2
+        at B=64: 16 sets each) run on one by-set plan: one group task of
+        both per range, each batch context built once for both."""
+        cells = [("finite", 64, "c64w4"), ("finite", 64, "c32w2")]
+        built = []
+        batch_contexts = kernel_protocols._batch_contexts
+
+        def counting(*args, **kwargs):
+            for ctx in batch_contexts(*args, **kwargs):
+                built.append(ctx.n)
+                yield ctx
+
+        monkeypatch.setattr(kernel_protocols, "_batch_contexts", counting)
+        engine = SweepEngine(mp3d_trace, shards=3)
+        ran = []
+        pre = engine.precompute
+        original = pre.run_cell
+        pre.run_cell = lambda c: (ran.append(c), original(c))[1]
+        results = engine.run_grid(cells)
+        plan = pre.shard_plan(BlockMap(64), 3, dim=16)
+        assert plan.num_ranges == 3
+        assert ran == [("group",) + tuple(shard_member(c, plan.digest, s)
+                                          for c in cells)
+                       for s in range(plan.num_ranges)]
+        assert built == [int(b - a) for a, b in zip(plan.ends, plan.ends[1:])]
+        for cell, result in zip(cells, results):
+            capacity, ways = parse_finite_spec(cell[2])
+            assert result == FiniteOTFProtocol(
+                mp3d_trace.num_procs, BlockMap(64), capacity,
+                ways=ways).run(mp3d_trace)
 
     def test_fully_associative_cell_never_splits(self, mp3d_trace):
         """One set: the cell runs the simulator, whole (and still works)."""

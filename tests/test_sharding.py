@@ -429,7 +429,8 @@ class TestShardCheckpoint:
         original = pre.run_cell
         pre.run_cell = lambda c: (ran.append(c), original(c))[1]
         (result,) = engine.run_grid([cell])
-        assert ran == [("protocol-shard", 64, "MAX", plan.digest, s)
+        assert ran == [("group", ("protocol-shard", 64, "MAX", plan.digest,
+                                  s))
                        for s in (1, 2)]
         assert result == interpret("MAX", mp3d_trace, 64)
 
@@ -457,7 +458,8 @@ class TestShardCheckpoint:
         pre.run_cell = lambda c: (ran.append(c), original(c))[1]
         (result,) = engine.run_grid([cell])
         # Every range of the *new* cut ran; the stale part was unused.
-        assert ran == [("protocol-shard", 64, "SRD", plan2.digest, s)
+        assert ran == [("group", ("protocol-shard", 64, "SRD", plan2.digest,
+                                  s))
                        for s in range(plan2.num_ranges)]
         assert result == run_protocol("SRD", mp3d_trace, 64)
 
