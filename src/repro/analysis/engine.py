@@ -646,10 +646,11 @@ class SweepEngine:
     def _run_grid(self, cells: Sequence[Cell]) -> List:
         cells = [tuple(cell) for cell in cells]
         rec = get_recorder()
-        # The sweep root span: every cell/shard/merge span of this grid —
-        # including ones emitted in forked workers, whose parent ids
-        # ride the assign messages — hangs off it, giving
-        # `repro trace` one rooted tree per sweep.
+        # The sweep span, under the run's root: every plan/cell/shard/
+        # merge span of this grid — including ones emitted in forked
+        # workers, whose parent ids ride the assign messages — hangs
+        # off it, so `repro report` attributes the grid's time cell by
+        # cell.
         # (The trace key hashes the whole trace: only a recorded run
         # reads it here.)
         with rec.span("sweep.run", trace=self.trace.name,
@@ -684,8 +685,9 @@ class SweepEngine:
                             len(resumed), self.trace_key)
         pre = self.precompute
         try:
-            pre.plans = self._plan_grid(
-                [c for c in dict.fromkeys(cells) if c not in completed])
+            with rec.span("plan"):
+                pre.plans = self._plan_grid(
+                    [c for c in dict.fromkeys(cells) if c not in completed])
             # A shutdown requested while the grid planned must not fork.
             signals.check_interrupt()
             results = self._run_grid_tasks(cells, completed, journal)
@@ -783,7 +785,7 @@ class SweepEngine:
         for cell in cells:
             if cell in shards_of and cell not in done:
                 with rec.span("merge", cell=list(cell),
-                              shards=len(shards_of[cell])):
+                              shards=len(shards_of[cell])) as merge:
                     merged = merge_parts(
                         cell, [done[m] for m in shards_of[cell]])
                 self._guard_cell(cell, merged)
@@ -792,11 +794,11 @@ class SweepEngine:
                 run = current_run()
                 if run is not None:
                     # A sharded cell never ran as one task; synthesize
-                    # its cell.run span from the folded shard durations
-                    # so the merged timeline keeps exactly one ok
-                    # cell.run span per grid cell.
+                    # its cell.run span over the merge's interval so the
+                    # merged timeline keeps exactly one ok cell.run span
+                    # per grid cell.
                     run.merged_cell(self.trace_key, cell,
-                                    len(shards_of[cell]))
+                                    len(shards_of[cell]), merge)
                 done[cell] = merged  # duplicate cells in the grid
             results.append(done[cell])
         return results

@@ -12,8 +12,7 @@ fig5        Reproduce Figure 5 for the whole small suite.
 fig6        Reproduce Figure 6 (a and b) for the whole small suite.
 validate    Run the data-race checker over a trace file or workload.
 generate    Generate a workload trace and save it (.npz or .trc).
-report      Render a recorded run's telemetry (see ``--telemetry``).
-trace       Render a run's span tree and critical-path attribution.
+report      Render a recorded run's cells and its critical path.
 diff        Compare two runs cell-by-cell and flag regressions.
 
 Global flags: ``-v``/``-q`` adjust console log verbosity (repeatable);
@@ -286,19 +285,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from .obs import render_trace, trace_summary
-
-    if args.json:
-        import json as _json
-
-        print(_json.dumps(trace_summary(args.run, top=args.top),
-                          indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(render_trace(args.run, top=args.top))
-    return 0
-
-
 def _cmd_diff(args) -> int:
     from .obs import diff_runs, render_diff
 
@@ -491,29 +477,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("report",
-                       help="render a recorded run's telemetry (manifest "
-                            "per-cell table + slowest spans)")
+                       help="render a recorded run's telemetry: the "
+                            "manifest's per-cell table and the run's "
+                            "critical path (where its wall time went, "
+                            "idle gaps included)")
     p.add_argument("dir", help="a --telemetry directory or one run "
                                "directory inside it")
     p.add_argument("--top", type=int, default=10, metavar="N",
-                   help="how many slowest spans to list (default: 10)")
+                   help="how many critical-path contributors to list "
+                        "per root span (default: 10)")
     p.add_argument("--json", action="store_true",
                    help="emit the report as one machine-readable JSON "
                         "object instead of tables")
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("trace",
-                       help="render a run's causal span tree and its "
-                            "critical path (who the sweep actually "
-                            "waited on, including idle gaps)")
-    p.add_argument("run", help="a run directory (or a --telemetry "
-                               "directory holding exactly one run)")
-    p.add_argument("--top", type=int, default=10, metavar="N",
-                   help="how many critical-path contributors to rank "
-                        "(default: 10)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the tree and critical path as JSON")
-    p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("diff",
                        help="compare two runs cell-by-cell (duration, "

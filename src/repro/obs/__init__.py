@@ -4,18 +4,19 @@ A process-local :class:`Recorder` emits structured JSONL records —
 spans with monotonic durations, named metrics, lifecycle events and
 bridged log records — validated against the checked-in
 ``telemetry.schema.json``.  Every record of a run carries trace ids
-(``trace_id``/``span_id``/``parent_id``): spans opened in forked
-workers parent under the supervisor's ambient sweep span via the
-context that rides each assign message, so ``repro trace``
-(:mod:`repro.obs.tracing`) can reconstruct one causal tree per sweep
-and attribute its critical path.  :class:`RunTelemetry` scopes a
-recorder to a run directory, folds the stream into a queryable
+(``trace_id``/``span_id``/``parent_id``): :class:`RunTelemetry` opens a
+``run`` root span, and spans opened in forked workers parent under the
+supervisor's ambient sweep span via the context that rides each assign
+message, so :mod:`repro.obs.tracing` can reconstruct one causal tree
+per run and attribute its critical path.  :class:`RunTelemetry` scopes
+a recorder to a run directory, folds the stream into a queryable
 ``manifest.json`` and optionally drives a live stderr progress line;
-``repro report`` renders the result and ``repro diff`` compares two
-runs (or a run against a saved ``repro report --json`` baseline).
-Instrumented call sites go through :func:`get_recorder`, which returns
-the no-op :data:`NULL_RECORDER` unless a run is active, so
-telemetry-off overhead stays within the benchmark gate.
+``repro report`` renders the result — cell table and critical path —
+and ``repro diff`` compares two runs (or a run against a saved
+``repro report --json`` baseline).  Instrumented call sites go through
+:func:`get_recorder`, which returns the no-op :data:`NULL_RECORDER`
+unless a run is active, so telemetry-off overhead stays within the
+benchmark gate.
 """
 
 from .logsetup import (LIBRARY_LOGGER, configure_logging, console_level,
@@ -29,14 +30,13 @@ from .recorder import (NULL_RECORDER, SCHEMA_VERSION, NullRecorder,
                        Recorder, TelemetryLogHandler, apply_trace_context,
                        get_recorder, new_span_id, set_recorder,
                        trace_context, use_recorder)
-from .report import (render_report, render_run, render_summary,
-                     report_summary, run_summary, slowest_spans)
+from .report import (diff_manifests, diff_runs, render_diff,
+                     render_report, render_run, render_summary,
+                     report_summary, run_summary)
 from .schema import (SCHEMA_PATH, TelemetrySchemaError, iter_records,
                      load_schema, summarize_kinds, validate_record,
                      validate_stream)
-from .tracing import (build_tree, critical_path, diff_manifests, diff_runs,
-                      load_tree, path_contributors, render_diff,
-                      render_trace, trace_summary)
+from .tracing import build_tree, critical_path, load_tree, path_contributors
 
 
 def worker_begin() -> "Recorder | None":
@@ -68,9 +68,9 @@ __all__ = [
     "iter_records", "library_logger", "load_manifest", "load_schema",
     "load_tree", "manifest_stable_bytes", "manifest_stable_view",
     "new_span_id", "path_contributors", "render_diff", "render_report",
-    "render_run", "render_summary", "render_trace", "report_summary",
-    "result_digest", "run_summary", "set_recorder", "slowest_spans",
-    "summarize_kinds", "trace_context", "trace_summary", "use_recorder",
+    "render_run", "render_summary", "report_summary", "result_digest",
+    "run_summary", "set_recorder", "summarize_kinds", "trace_context",
+    "use_recorder",
     "validate_manifest", "validate_record", "validate_stream",
     "worker_begin",
 ]

@@ -12,8 +12,9 @@
   counters (cache hits/misses, retries, timeouts, OOMs);
 * the **activation scope**: entering a :class:`RunTelemetry` installs
   its recorder as the process-current one (:func:`repro.obs.get_recorder`),
-  registers it as the *current run* (:func:`current_run`), attaches the
-  logging bridge to the ``repro`` logger, and optionally a live
+  registers it as the *current run* (:func:`current_run`), opens the
+  ``run`` root span every other span of the run parents under, attaches
+  the logging bridge to the ``repro`` logger, and optionally a live
   :class:`~repro.obs.progress.ProgressLine` on stderr.
 
 The sweep engine activates one per ``run_grid`` when built with
@@ -185,6 +186,7 @@ class RunTelemetry:
         self._current_trace_key: Optional[str] = None
         self._log_handler: Optional[TelemetryLogHandler] = None
         self._recorder_scope = None
+        self._run_span_id: Optional[str] = None
         self._finished = False
 
     # ------------------------------------------------------------------
@@ -196,9 +198,12 @@ class RunTelemetry:
         self._recorder_scope.__enter__()
         _current_run = self
         # The run id doubles as the trace id: from here on every span
-        # gets span/parent ids and the stream reconstructs into one
-        # causal tree per sweep (repro.obs.tracing).
+        # gets span/parent ids, and the `run` root span opened here
+        # (emitted by finish) parents every other span of the run, so
+        # the stream reconstructs into one causal tree
+        # (repro.obs.tracing).
         self.recorder.set_trace_context(self.run_id)
+        self._run_span_id = self.recorder._push_span()
         self._log_handler = TelemetryLogHandler(self.recorder)
         library_logger().addHandler(self._log_handler)
         self.recorder.event("run.start", run_id=self.run_id,
@@ -235,6 +240,13 @@ class RunTelemetry:
         self.recorder.event("run.finish", run_id=self.run_id,
                             outcome=outcome, duration_s=round(duration, 6),
                             level=level)
+        if self._run_span_id is not None:
+            # The root spans exactly the manifest's duration.
+            self.recorder._pop_span(self._run_span_id)
+            self.recorder.span_complete(
+                "run", duration, t=self._started_wall,
+                status="ok" if outcome == "completed" else "error",
+                span_id=self._run_span_id)
         if self.progress is not None:
             self.progress.finish()
         manifest = self.build_manifest(outcome=outcome, error=error,
@@ -272,18 +284,21 @@ class RunTelemetry:
         elif stats.status != "resumed":
             stats.status = "done"
 
-    def merged_cell(self, trace_key: str, cell, num_shards: int) -> None:
+    def merged_cell(self, trace_key: str, cell, num_shards: int,
+                    merge) -> None:
         """Synthesize the ``cell.run`` span of a shard-merged cell.
 
         Sharded cells never run as one task, so no worker emits their
         ``cell.run``; the merged timeline still must contain exactly one
-        per grid cell (the property the tests pin).  Duration is the sum
-        of the folded ``shard.run`` spans — CPU-time-like, which is the
-        comparable quantity across sharded and unsharded cells.
+        per grid cell (the property the tests pin).  The span takes the
+        interval of the closed ``merge`` span, so it lies inside its
+        parent; the cell's manifest ``duration_s`` stays the sum of its
+        ``shard.run`` spans, the quantity comparable across sharded and
+        unsharded cells.
         """
         stats = self._stats(trace_key, _split_member(cell)[0])
         self.recorder.span_complete(
-            "cell.run", stats.duration_s, cell=list(cell),
+            "cell.run", merge.dur_s, t=merge.t, cell=list(cell),
             rows=stats.rows, merged=True, shards=num_shards)
 
     # ------------------------------------------------------------------
@@ -444,7 +459,7 @@ def load_manifest(path: str, *, strict: bool = True) -> Optional[dict]:
     With ``strict=False``, a malformed or half-written manifest (a run
     killed mid-write, a truncated file, stray bytes) is skipped with a
     logged warning and ``None`` is returned instead of aborting —
-    ``repro report``/``trace``/``diff`` over a directory of runs must
+    ``repro report``/``diff`` over a directory of runs must
     not die because one run is torn.
     """
     if os.path.isdir(path):

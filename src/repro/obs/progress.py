@@ -124,10 +124,12 @@ class ProgressLine:
     def _on_span(self, record: dict) -> None:
         if record.get("name") not in ("cell.run", "shard.run"):
             return
-        if record.get("status") != "ok":
+        attrs = record.get("attrs", {})
+        # A merged cell's shard.run spans already fed the rates.
+        if record.get("status") != "ok" or attrs.get("merged"):
             return
         dur = float(record.get("dur_s", 0.0))
-        rows = record.get("attrs", {}).get("rows")
+        rows = attrs.get("rows")
         if dur > 0:
             self._ema_dur = (dur if self._ema_dur is None
                              else EMA_ALPHA * dur

@@ -37,7 +37,7 @@ metrics carry ``trace_id``/``parent_id`` so they attach to the span that
 emitted them.  :func:`trace_context` captures the current position for a
 dispatch message and :func:`apply_trace_context` installs it around one
 task in a worker, which is how the supervisor and its forked workers
-emit one causal span tree per sweep (see :mod:`repro.obs.tracing`).
+emit one causal span tree per run (see :mod:`repro.obs.tracing`).
 """
 
 from __future__ import annotations
@@ -211,16 +211,20 @@ class _Span:
     the supervisor's job, not the span's.
     """
 
-    __slots__ = ("_recorder", "name", "attrs", "_t0", "_wall", "span_id")
+    __slots__ = ("_recorder", "name", "attrs", "_t0", "t", "dur_s",
+                 "span_id")
 
     def __init__(self, recorder: "Recorder", name: str, attrs: Dict[str, Any]):
         self._recorder = recorder
         self.name = name
         self.attrs = attrs
         self.span_id: Optional[str] = None
+        #: Wall-clock start and duration, once the span has closed.
+        self.t: Optional[float] = None
+        self.dur_s: Optional[float] = None
 
     def __enter__(self) -> "_Span":
-        self._wall = time.time()
+        self.t = time.time()
         self._t0 = time.monotonic()
         # Open spans form a stack: records emitted while this span is
         # open (child spans, events, metrics) are parented on it.
@@ -232,12 +236,13 @@ class _Span:
         self.attrs.update(attrs)
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        dur = time.monotonic() - self._t0
+        self.dur_s = time.monotonic() - self._t0
         self._recorder._pop_span(self.span_id)
         # After the pop, current_span_id() is this span's own parent.
         self._recorder.span_complete(
-            self.name, dur, status="ok" if exc_type is None else "error",
-            t=self._wall, span_id=self.span_id, **self.attrs)
+            self.name, self.dur_s,
+            status="ok" if exc_type is None else "error",
+            t=self.t, span_id=self.span_id, **self.attrs)
         return False
 
 

@@ -1,40 +1,34 @@
 """Causal span trees and critical-path attribution over run telemetry.
 
-PR 6 gave every run a flat, schema-checked ``events.jsonl``; the
-recorder now stamps every span with ``trace_id``/``span_id``/
+The recorder stamps every span with ``trace_id``/``span_id``/
 ``parent_id`` (parents ride the supervisor's assign messages to forked
 workers — see :mod:`repro.runtime.supervisor`).  This module turns that
-stream back into structure:
+stream back into structure, for ``repro report``
+(:mod:`repro.obs.report`):
 
-* :func:`build_tree` reconstructs the span DAG of a run — one rooted
-  tree per sweep (``sweep.run`` is the root span) — and reports any
+* :func:`build_tree` reconstructs the span tree of a run — rooted at
+  the ``run`` span :class:`~repro.obs.RunTelemetry` opens (runs
+  recorded before it have one root per ``sweep.run``) — and reports any
   orphans (spans whose parent never arrived) instead of hiding them;
 * :func:`critical_path` decomposes a root span's wall time into the
   maximal non-overlapping chain of descendant spans plus the *idle*
   gaps between them (queue wait, dispatch, scheduling) — by
   construction the segments tile the root exactly, so the critical
-  path's total always equals the sweep span's duration;
-* :func:`trace_summary` / :func:`render_trace` back ``repro trace RUN``
-  (rendered tree + top-N critical-path contributors with self-time
-  percentages);
-* :func:`diff_manifests` / :func:`render_diff` back
-  ``repro diff RUN_A RUN_B`` — a per-cell regression table (duration,
-  events/s, attempts, kernel) with threshold-flagged deltas.
+  path's total always equals the root span's duration;
+* :func:`path_contributors` ranks the path's segments by self time.
 
-The machinery is deliberately tolerant of pre-tracing artifacts: spans
-recorded before span ids existed are counted as *untraced* and an
-all-untraced run is a structured error, not a crash.
+Spans recorded before span ids existed are counted as *untraced*; an
+all-untraced stream is a structured error from :func:`build_tree`, not
+a crash.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
-from .manifest import EVENTS_NAME, MANIFEST_NAME, find_runs, load_manifest
-from .report import _fmt_cell, _fmt_num, _table
+from .manifest import EVENTS_NAME
 from .schema import iter_records
 
 #: Gaps shorter than this are measurement noise, not idle time.
@@ -67,7 +61,7 @@ class SpanNode:
         what = (self.attrs.get("cell") or self.attrs.get("trace")
                 or self.attrs.get("key"))
         if isinstance(what, (list, tuple)):
-            return _fmt_cell(what)
+            return "/".join(str(part) for part in what)
         return str(what) if what is not None else None
 
 
@@ -187,10 +181,11 @@ def critical_path(root: SpanNode) -> List[dict]:
     """Decompose ``root``'s wall time into span and idle segments.
 
     Returns chronologically ordered segments that tile ``[root.start,
-    root.end]`` exactly: the longest chain of sweep → cell/shard/merge
-    spans, with the gaps between them attributed as ``(idle)`` time
-    under the enclosing span (queue wait, dispatch, scheduling).  The
-    segment durations therefore always sum to the root's duration.
+    root.end]`` exactly: the longest chain of run → sweep →
+    cell/shard/merge spans, with the gaps between them attributed as
+    ``(idle)`` time under the enclosing span (queue wait, dispatch,
+    scheduling).  The segment durations therefore always sum to the
+    root's duration.
     """
     segments: List[dict] = []
 
@@ -265,243 +260,3 @@ def path_contributors(segments: Sequence[dict],
         entry["self_pct"] = (round(100.0 * entry["dur_s"] / total, 2)
                              if total > 0 else None)
     return out
-
-
-# ----------------------------------------------------------------------
-# rendering (repro trace)
-# ----------------------------------------------------------------------
-def _node_dict(node: SpanNode) -> dict:
-    return {
-        "span_id": node.span_id,
-        "parent_id": node.parent_id,
-        "name": node.name,
-        "target": node.target,
-        "t": node.start,
-        "dur_s": node.dur_s,
-        "status": node.status,
-        "pid": node.pid,
-        "children": [_node_dict(c) for c in node.children],
-    }
-
-
-def single_run_dir(path: str) -> str:
-    """Resolve ``path`` to exactly one run directory.
-
-    Accepts a run directory itself or a ``--telemetry`` directory that
-    contains exactly one run; several runs is an error naming them, so
-    the caller picks.
-    """
-    path = os.path.expanduser(path)
-    if os.path.exists(os.path.join(path, MANIFEST_NAME)) or \
-            os.path.exists(os.path.join(path, EVENTS_NAME)):
-        return path
-    runs = find_runs(path)
-    if len(runs) == 1:
-        return runs[0]
-    if not runs:
-        raise ReproError(f"no recorded runs under {path!r}")
-    names = ", ".join(os.path.basename(r) for r in runs)
-    raise ReproError(
-        f"{path!r} holds {len(runs)} runs ({names}); pass one run "
-        f"directory")
-
-
-def trace_summary(path: str, *, top: int = 10) -> dict:
-    """``repro trace`` as data: tree, critical path, contributors."""
-    run_dir = single_run_dir(path)
-    tree = load_tree(run_dir)
-    roots = []
-    for root in tree.roots:
-        segments = critical_path(root)
-        total = root.dur_s
-        roots.append({
-            "root": _node_dict(root),
-            "critical_path": segments,
-            "contributors": path_contributors(segments, total),
-            "path_total_s": round(sum(s["dur_s"] for s in segments), 6),
-            "root_dur_s": round(total, 6),
-        })
-    return {
-        "run_dir": run_dir,
-        "trace_id": tree.trace_id,
-        "spans": len(tree.nodes),
-        "untraced_spans": tree.untraced,
-        "orphan_spans": [n.span_id for n in tree.orphans],
-        "roots": roots,
-    }
-
-
-def _render_node(node: dict, depth: int, out: List[str],
-                 max_children: int) -> None:
-    label = node["name"]
-    if node.get("target"):
-        label += f"  {node['target']}"
-    extras = [f"{node['dur_s']:.3f}s", node.get("status") or "?"]
-    out.append(f"{'  ' * depth}{label}  [{' '.join(extras)}]")
-    children = node.get("children", [])
-    for child in children[:max_children]:
-        _render_node(child, depth + 1, out, max_children)
-    if len(children) > max_children:
-        out.append(f"{'  ' * (depth + 1)}... {len(children) - max_children} "
-                   f"more child span(s)")
-
-
-def render_trace(path: str, *, top: int = 10,
-                 max_children: int = 40) -> str:
-    """The plain-text ``repro trace`` output for one run."""
-    summary = trace_summary(path, top=top)
-    out: List[str] = []
-    out.append(f"run {os.path.basename(summary['run_dir'])}  "
-               f"trace={summary['trace_id'] or '-'}  "
-               f"spans={summary['spans']}  "
-               f"roots={len(summary['roots'])}  "
-               f"orphans={len(summary['orphan_spans'])}  "
-               f"untraced={summary['untraced_spans']}")
-    if summary["orphan_spans"]:
-        out.append(f"  warning: {len(summary['orphan_spans'])} span(s) "
-                   f"have unresolved parents and were promoted to roots")
-    for entry in summary["roots"]:
-        out.append("")
-        _render_node(entry["root"], 0, out, max_children)
-        total = entry["root_dur_s"]
-        out.append("")
-        out.append(f"critical path of {entry['root']['name']} "
-                   f"({entry['path_total_s']:.3f}s over a "
-                   f"{total:.3f}s span):")
-        rows = []
-        for i, c in enumerate(entry["contributors"][:top], start=1):
-            what = c["name"] if c["kind"] == "span" else \
-                f"(idle under {c['under']})"
-            rows.append([
-                str(i), what, str(c.get("target") or "-"),
-                f"{c['dur_s']:.3f}",
-                _fmt_num(c.get("self_pct"), "{:.1f}%"),
-                str(c["segments"]),
-            ])
-        out.append(_table(["#", "what", "target", "dur_s",
-                           "self", "segs"], rows))
-    return "\n".join(out) + "\n"
-
-
-# ----------------------------------------------------------------------
-# run diffing (repro diff)
-# ----------------------------------------------------------------------
-def _load_run_manifest(path: str) -> dict:
-    """A manifest-shaped dict from a run dir, a ``--telemetry`` dir with
-    one run, or a ``repro report --json`` output file."""
-    path = os.path.expanduser(path)
-    if os.path.isfile(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReproError(f"cannot read {path!r}: {exc}") from None
-        if isinstance(data, dict) and "runs" in data:
-            runs = data["runs"]
-            if len(runs) != 1:
-                raise ReproError(
-                    f"{path!r} holds {len(runs)} runs; diff needs "
-                    f"exactly one per side")
-            return runs[0]
-        if isinstance(data, dict) and "cells" in data:
-            return data
-        raise ReproError(f"{path!r} is not a manifest or report JSON")
-    manifest = load_manifest(single_run_dir(path))
-    assert manifest is not None
-    return manifest
-
-
-def _cell_key(entry: dict) -> Tuple:
-    return (entry.get("trace_key"),
-            tuple(entry.get("cell") or ()))
-
-
-def diff_manifests(a: dict, b: dict, *, threshold: float = 0.2,
-                   min_seconds: float = 0.005) -> dict:
-    """Per-cell comparison of two runs of (ideally) the same grid.
-
-    ``threshold`` is the relative duration change that flags a cell
-    (0.2 = ±20 %); cells faster than ``min_seconds`` in both runs are
-    never flagged — their deltas are noise.  Sign convention: positive
-    ``delta_pct`` means run B is *slower* (a regression).
-    """
-    cells_a = {_cell_key(c): c for c in a.get("cells", [])}
-    cells_b = {_cell_key(c): c for c in b.get("cells", [])}
-    keys = list(cells_a)
-    keys.extend(k for k in cells_b if k not in cells_a)
-    rows: List[dict] = []
-    for key in keys:
-        ca, cb = cells_a.get(key), cells_b.get(key)
-        entry: Dict[str, Any] = {
-            "trace_key": key[0],
-            "cell": list(key[1]),
-            "only_in": "a" if cb is None else "b" if ca is None else None,
-            "duration_a": ca.get("duration_s") if ca else None,
-            "duration_b": cb.get("duration_s") if cb else None,
-            "events_per_sec_a": ca.get("events_per_sec") if ca else None,
-            "events_per_sec_b": cb.get("events_per_sec") if cb else None,
-            "attempts_a": ca.get("attempts") if ca else None,
-            "attempts_b": cb.get("attempts") if cb else None,
-            "kernel_a": ca.get("kernel") if ca else None,
-            "kernel_b": cb.get("kernel") if cb else None,
-            "delta_pct": None,
-            "flag": None,
-        }
-        da, db = entry["duration_a"], entry["duration_b"]
-        if da and db:
-            entry["delta_pct"] = round(100.0 * (db - da) / da, 2)
-            if max(da, db) >= min_seconds:
-                if db >= da * (1.0 + threshold):
-                    entry["flag"] = "regression"
-                elif da >= db * (1.0 + threshold):
-                    entry["flag"] = "improvement"
-        rows.append(entry)
-    return {
-        "run_a": a.get("run_id"),
-        "run_b": b.get("run_id"),
-        "threshold_pct": round(100.0 * threshold, 2),
-        "cells": rows,
-        "regressions": [r for r in rows if r["flag"] == "regression"],
-        "improvements": [r for r in rows if r["flag"] == "improvement"],
-    }
-
-
-def diff_runs(path_a: str, path_b: str, *, threshold: float = 0.2,
-              min_seconds: float = 0.005) -> dict:
-    return diff_manifests(_load_run_manifest(path_a),
-                          _load_run_manifest(path_b),
-                          threshold=threshold, min_seconds=min_seconds)
-
-
-def render_diff(diff: dict) -> str:
-    """The plain-text ``repro diff`` regression table."""
-    out: List[str] = []
-    out.append(f"diff {diff.get('run_a') or 'A'} -> "
-               f"{diff.get('run_b') or 'B'}  "
-               f"(flag threshold ±{diff['threshold_pct']:.0f}%)")
-    rows = []
-    for entry in diff["cells"]:
-        mark = {"regression": "▲ SLOWER", "improvement": "▼ faster",
-                None: ""}[entry["flag"]]
-        if entry["only_in"]:
-            mark = f"only in {entry['only_in'].upper()}"
-        kern = (entry.get("kernel_a") or "-", entry.get("kernel_b") or "-")
-        rows.append([
-            _fmt_cell(entry["cell"]),
-            _fmt_num(entry["duration_a"], "{:.3f}"),
-            _fmt_num(entry["duration_b"], "{:.3f}"),
-            _fmt_num(entry["delta_pct"], "{:+.1f}%"),
-            _fmt_num(entry["events_per_sec_a"], "{:.0f}"),
-            _fmt_num(entry["events_per_sec_b"], "{:.0f}"),
-            f"{entry['attempts_a'] or 0}/{entry['attempts_b'] or 0}",
-            kern[0] if kern[0] == kern[1] else f"{kern[0]}->{kern[1]}",
-            mark,
-        ])
-    out.append(_table(
-        ["cell", "dur_a", "dur_b", "Δdur", "ev/s_a", "ev/s_b",
-         "att a/b", "kernel", "flag"], rows))
-    out.append("")
-    out.append(f"{len(diff['regressions'])} regression(s), "
-               f"{len(diff['improvements'])} improvement(s) over "
-               f"{len(diff['cells'])} cell(s)")
-    return "\n".join(out) + "\n"

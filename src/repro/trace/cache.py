@@ -281,10 +281,7 @@ class WorkloadTraceCache:
                 # we waited for the lock: re-check before regenerating.
                 trace = self._load_entry(path)
                 if trace is None:
-                    with rec.span("trace.generate", key=key,
-                                  workload=getattr(wl, "label", None)) as sp:
-                        trace = wl.generate()
-                        sp.set(events=len(trace))
+                    trace = wl.generate()
                     self._preflight_write(trace)
                     save_npz(trace, path)
             self._enforce_quota(protect=path)

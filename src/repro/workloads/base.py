@@ -22,6 +22,7 @@ from typing import Dict, List
 from ..errors import ConfigError
 from ..execution.scheduler import Machine
 from ..mem.allocator import Allocator
+from ..obs.recorder import get_recorder
 from ..trace.trace import Trace
 
 
@@ -61,20 +62,24 @@ class Workload(ABC):
 
         The trace metadata records the configuration, the simulated
         data-set size (Table 2's DATA SET column) and the cycle count the
-        speedup column derives from.
+        speedup column derives from.  A recorded run times it as one
+        ``trace.generate`` span.
         """
-        allocator = Allocator()
-        threads = self.build_threads(allocator)
-        machine = Machine(self.num_procs, order=order, seed=self.seed)
-        meta = {"workload": self.name,
-                "config": self.describe_config(),
-                "data_set_bytes": allocator.used_bytes,
-                # Top-level data-structure regions, so analyses can
-                # attribute misses to the structures causing them
-                # (see repro.analysis.attribution).
-                "regions": [[r.name, r.base, r.words]
-                            for r in allocator.regions]}
-        return machine.run(threads, name=self.label, meta=meta)
+        with get_recorder().span("trace.generate", trace=self.label) as sp:
+            allocator = Allocator()
+            threads = self.build_threads(allocator)
+            machine = Machine(self.num_procs, order=order, seed=self.seed)
+            meta = {"workload": self.name,
+                    "config": self.describe_config(),
+                    "data_set_bytes": allocator.used_bytes,
+                    # Top-level data-structure regions, so analyses can
+                    # attribute misses to the structures causing them
+                    # (see repro.analysis.attribution).
+                    "regions": [[r.name, r.base, r.words]
+                                for r in allocator.regions]}
+            trace = machine.run(threads, name=self.label, meta=meta)
+            sp.set(events=len(trace))
+        return trace
 
 
 def split_round_robin(count: int, num_procs: int, proc: int) -> range:

@@ -40,8 +40,15 @@ class TestParser:
         assert set(subparsers.choices) == {
             "classify", "compare", "sweep", "simulate", "table1",
             "table2", "fig5", "fig6", "validate", "generate",
-            "attribute", "traffic", "prefetch", "report",
-            "trace", "diff"}
+            "attribute", "traffic", "prefetch", "report", "diff"}
+
+    def test_trace_command_is_gone(self, capsys):
+        """``repro report`` prints the critical path; ``trace`` is an
+        unknown command, an argparse usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "runs"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -50,7 +50,7 @@ from repro.obs import (
     render_report,
     render_run,
     result_digest,
-    slowest_spans,
+    run_summary,
     summarize_kinds,
     use_recorder,
     validate_manifest,
@@ -196,8 +196,9 @@ class TestSchema:
     def test_every_emitted_kind_validates(self):
         """One record per enumerated span/metric/event name, plus a log."""
         rec = Recorder.buffering()
-        for name in ("sweep.run", "trace.generate", "cache.lookup",
-                     "cell.run", "shard.run", "merge", "checkpoint.write"):
+        for name in ("run", "sweep.run", "trace.generate", "cache.lookup",
+                     "plan", "cell.run", "shard.run", "merge",
+                     "checkpoint.write"):
             rec.span_complete(name, 0.5, cell=["classify", 32, "dubois"])
         for name, unit in (("cache.hit", None), ("cache.miss", None),
                            ("cell.rows", None), ("cell.events_per_sec", None),
@@ -210,7 +211,7 @@ class TestSchema:
                       else "info")
         rec.log("info", "repro.analysis.engine", "hello")
         records = rec.drain()
-        assert len(records) == 22
+        assert len(records) == 24
         for record in records:
             validate_record(record)
 
@@ -272,6 +273,23 @@ class TestRecordedSweep:
         assert kinds.get("shard.run", 0) == 2 * len(SIZES)
         assert kinds.get("merge", 0) == len(SIZES)
 
+    def test_every_span_lies_inside_its_parent(self, run):
+        """Spans nest in time as they nest in the tree, the synthesized
+        ``cell.run`` of a merged cell included (1 ms of clock slack)."""
+        spans = {r["span_id"]: r for r in run["records"]
+                 if r.get("kind") == "span"}
+        nested = 0
+        for span in spans.values():
+            parent = spans.get(span.get("parent_id"))
+            if parent is None:
+                continue
+            nested += 1
+            where = (span["name"], span["attrs"].get("cell"), parent["name"])
+            assert span["t"] >= parent["t"] - 1e-3, where
+            assert (span["t"] + span["dur_s"]
+                    <= parent["t"] + parent["dur_s"] + 1e-3), where
+        assert nested == len(spans) - 1
+
     def test_manifest_validates_and_folds_cells(self, run):
         manifest = run["manifest"]
         validate_manifest(manifest)
@@ -302,11 +320,11 @@ class TestRecordedSweep:
     def test_report_renders_cells_and_spans(self, run):
         text = render_run(run["dir"])
         assert "classify/32/dubois" in text
-        assert "top" in text and "slowest spans" in text
-        spans = slowest_spans(os.path.join(run["dir"], "events.jsonl"),
-                              top=3)
-        assert len(spans) == 3
-        assert spans[0]["dur_s"] >= spans[-1]["dur_s"]
+        assert "critical path of run" in text
+        (path,) = run_summary(run["dir"], top=3)["critical_paths"]
+        contributors = path["contributors"]
+        assert len(contributors) == 3
+        assert contributors[0]["dur_s"] >= contributors[-1]["dur_s"]
 
     def test_render_report_walks_directory(self, run):
         out = io.StringIO()
@@ -675,13 +693,13 @@ class TestCliTelemetry:
         assert main(["report", tel]) == 0
         out = capsys.readouterr().out
         assert "classify/32/dubois" in out
-        assert "slowest spans" in out
+        assert "critical path of run" in out
 
     def test_run_recorded_before_the_fanout_rename_renders(self, tmp_path,
                                                            capsys):
         """A stream whose fan-out event still carries its old name,
-        ``rung.start``, renders in ``report`` and ``trace`` exactly as
-        it does under the new one."""
+        ``rung.start``, renders in ``report`` exactly as it does under
+        the new one."""
         from repro.cli import main
         tel = str(tmp_path / "tel")
         assert main(["-q", "sweep", "MATMUL24", "--telemetry", tel]) == 0
@@ -690,7 +708,6 @@ class TestCliTelemetry:
 
         def render():
             assert main(["report", run_dir]) == 0
-            assert main(["trace", run_dir]) == 0
             return capsys.readouterr().out
 
         current = render()

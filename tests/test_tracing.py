@@ -1,14 +1,16 @@
-"""Distributed tracing, critical path and diff suite.
+"""Distributed tracing, critical path, report and diff suite.
 
-Pins the observability tentpole's acceptance criteria:
+Pins the observability acceptance criteria:
 
 * every span of a traced run carries ``trace_id``/``span_id``; parent
   ids ride the assign messages into forked workers, so a sharded
-  parallel sweep reconstructs into **one rooted span tree** with every
-  ``parent_id`` resolving;
-* the critical-path decomposition tiles the sweep root exactly — its
-  segment total always lands within 5% of the sweep span's duration —
-  and attributes idle (queue-wait) time explicitly;
+  parallel sweep reconstructs into **one span tree rooted at the
+  ``run`` span** with every ``parent_id`` resolving;
+* the critical-path decomposition tiles the root exactly — its segment
+  total always lands within 5% of the run's duration — and attributes
+  idle (queue-wait) time explicitly; ``repro report`` prints it;
+* runs recorded before the ``run`` root (one root per ``sweep.run``)
+  or before span ids render too;
 * ``repro diff`` flags the vectorized-vs-interpreted kernel delta on
   hot cells, also against a saved ``repro report --json`` baseline;
 * malformed or half-written run directories are skipped with a warning,
@@ -27,16 +29,17 @@ from repro.obs import (
     apply_trace_context,
     build_tree,
     critical_path,
+    diff_manifests,
     diff_runs,
     find_runs,
     load_manifest,
     load_tree,
     path_contributors,
     render_diff,
-    render_trace,
+    render_run,
     report_summary,
+    run_summary,
     trace_context,
-    trace_summary,
     use_recorder,
     validate_record,
 )
@@ -230,10 +233,10 @@ class TestForkSweepTree:
         assert tree.untraced == 0
         assert tree.orphans == []
         (root,) = tree.roots
-        assert root.name == "sweep.run"
+        assert root.name == "run"
         assert tree.trace_id == load_manifest(run)["run_id"]
         names = {n.name for n in tree.nodes.values()}
-        assert "cell.run" in names and "shard.run" in names
+        assert {"sweep.run", "plan", "cell.run", "shard.run"} <= names
 
     def test_worker_spans_hang_under_the_sweep_root(self, run):
         """Spans emitted in forked worker processes (different pid)
@@ -245,26 +248,48 @@ class TestForkSweepTree:
                         if n.pid != root.pid]
         assert worker_spans, "expected spans from forked workers"
 
-    def test_critical_path_total_matches_sweep_duration(self, run):
-        summary = trace_summary(run)
-        (entry,) = summary["roots"]
+    def test_critical_path_total_matches_run_duration(self, run):
+        summary = run_summary(run)
+        (entry,) = summary["critical_paths"]
+        assert entry["root"] == "run"
         assert entry["root_dur_s"] > 0
         assert abs(entry["path_total_s"] - entry["root_dur_s"]) \
             <= 0.05 * entry["root_dur_s"]
+        assert abs(entry["path_total_s"] - summary["duration_s"]) \
+            <= 0.05 * summary["duration_s"]
 
-    def test_trace_cli_renders_and_exits_zero(self, run, capsys):
-        assert cli_main(["trace", run]) == 0
+    def test_report_cli_renders_critical_path(self, run, capsys):
+        assert cli_main(["report", run]) == 0
         out = capsys.readouterr().out
-        assert "sweep.run" in out and "critical path" in out
-        assert cli_main(["trace", run, "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["roots"][0]["critical_path"]
+        assert "critical path of run" in out and "shard.run" in out
+        assert "spans: " in out and "orphans=0" in out
+        assert cli_main(["report", run, "--json"]) == 0
+        (data,) = json.loads(capsys.readouterr().out)["runs"]
+        assert data["critical_paths"][0]["contributors"]
+        assert data["orphan_spans"] == 0 and data["untraced_spans"] == 0
 
     def test_report_json_cli(self, run, capsys):
         assert cli_main(["report", os.path.dirname(run), "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data["runs"]) == 1
         assert data["runs"][0]["cells"]
+
+
+class TestCommandRun:
+    def test_one_run_root_covers_generation_and_planning(self, tmp_path):
+        """A CLI command's run is one tree: generation (uncached here)
+        and the grid's planning appear on the ``run`` root's critical
+        path, whose total is the manifest's duration."""
+        tel = str(tmp_path / "tel")
+        assert cli_main(["-q", "sweep", "MATMUL24", "--telemetry", tel]) == 0
+        (summary,) = report_summary(tel, top=100)["runs"]
+        assert summary["orphan_spans"] == 0
+        (path,) = summary["critical_paths"]
+        assert path["root"] == "run"
+        names = {c["name"] for c in path["contributors"]}
+        assert {"trace.generate", "plan", "cell.run"} <= names
+        assert abs(path["path_total_s"] - summary["duration_s"]) \
+            <= 0.05 * summary["duration_s"]
 
 
 # ----------------------------------------------------------------------
@@ -372,3 +397,102 @@ class TestMalformedRuns:
         (bad / "manifest.json").write_text("{\"v\": 1, \"run")
         with pytest.raises(ReproError, match="all malformed"):
             report_summary(str(tel))
+
+
+# ----------------------------------------------------------------------
+# older and multi-trace runs, built by hand
+# ----------------------------------------------------------------------
+def _cell(trace, cell, dur):
+    return {"trace": trace, "trace_key": f"{trace}-key", "cell": cell,
+            "status": "done", "attempts": 1, "shards": 0,
+            "duration_s": dur, "rows": 100, "events_per_sec": None,
+            "kernel": "vectorized", "result_sha256": "ab"}
+
+
+def _write_run(directory, cells, spans, duration=3.0):
+    """A run directory: a manifest with ``cells``, a stream of
+    ``spans``."""
+    run_dir = os.path.join(str(directory), "run-19990101T000000-p1-0")
+    os.makedirs(run_dir)
+    traces = sorted({(c["trace"], c["trace_key"]) for c in cells})
+    manifest = {"v": 1, "run_id": os.path.basename(run_dir),
+                "outcome": "completed", "duration_s": duration,
+                "argv": None,
+                "traces": [{"name": n, "trace_key": k} for n, k in traces],
+                "cells": cells, "counters": {}}
+    with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh)
+    with open(os.path.join(run_dir, "events.jsonl"), "w") as fh:
+        for seq, record in enumerate(spans):
+            fh.write(json.dumps(dict(record, seq=seq)) + "\n")
+    return run_dir
+
+
+class TestOlderRuns:
+    CELLS = [_cell("A", ["protocol", 64, "MIN"], 0.5),
+             _cell("B", ["protocol", 64, "MIN"], 0.8)]
+
+    def test_run_without_a_run_root_renders_one_path_per_sweep(
+            self, tmp_path, capsys):
+        """Recorded before the ``run`` span: each ``sweep.run`` is a
+        root with its own critical-path table."""
+        run_dir = _write_run(tmp_path, self.CELLS, [
+            _span("sweep.run", 0.0, 1.0, "s1", trace="A"),
+            _span("cell.run", 0.2, 0.5, "c1", "s1",
+                  cell=["protocol", 64, "MIN"]),
+            _span("sweep.run", 2.0, 1.0, "s2", trace="B"),
+            _span("cell.run", 2.1, 0.8, "c2", "s2",
+                  cell=["protocol", 64, "MIN"]),
+        ])
+        assert cli_main(["report", run_dir]) == 0
+        out = capsys.readouterr().out
+        assert "critical path of sweep.run  A (1.000s over a 1.000s" in out
+        assert "critical path of sweep.run  B (1.000s over a 1.000s" in out
+        paths = run_summary(run_dir)["critical_paths"]
+        assert [p["root"] for p in paths] == ["sweep.run", "sweep.run"]
+        assert [c["dur_s"] for p in paths for c in p["contributors"]
+                if c["name"] == "cell.run"] == [0.5, 0.8]
+
+    def test_run_without_span_ids_renders_cells_and_a_note(
+            self, tmp_path, capsys):
+        spans = [_span("sweep.run", 0.0, 1.0, "s1"),
+                 _span("cell.run", 0.2, 0.5, "c1", "s1",
+                       cell=["protocol", 64, "MIN"])]
+        for record in spans:
+            for key in ("trace_id", "span_id", "parent_id"):
+                record.pop(key, None)
+        run_dir = _write_run(tmp_path, self.CELLS[:1], spans)
+        assert cli_main(["report", run_dir]) == 0
+        out = capsys.readouterr().out
+        assert "protocol/64/MIN" in out
+        assert "spans: 0  orphans=0  untraced=2" in out
+        assert "(no traced spans: no critical path to show)" in out
+        summary = run_summary(run_dir)
+        assert summary["critical_paths"] == []
+        assert summary["untraced_spans"] == 2
+
+    def test_report_table_names_the_trace_of_each_cell(self, tmp_path):
+        """Two traces with the same cell: a trace column tells them
+        apart; a one-trace run has none."""
+        two = _write_run(tmp_path / "two", self.CELLS, [])
+        lines = render_run(two).splitlines()
+        header = next(l for l in lines if l.startswith("trace"))
+        assert header.split()[:2] == ["trace", "cell"]
+        rows = [l.split()[:2] for l in lines
+                if "protocol/64/MIN" in l]
+        assert rows == [["A", "protocol/64/MIN"], ["B", "protocol/64/MIN"]]
+        one = _write_run(tmp_path / "one", self.CELLS[:1], [])
+        assert any(l.startswith("cell ") for l in
+                   render_run(one).splitlines())
+
+    def test_diff_table_names_the_trace_of_each_cell(self):
+        a = {"run_id": "a", "cells": self.CELLS}
+        b = {"run_id": "b", "cells": [dict(c, duration_s=1.0)
+                                      for c in self.CELLS]}
+        lines = render_diff(diff_manifests(a, b)).splitlines()
+        assert lines[1].split()[:2] == ["trace", "cell"]
+        assert [l.split()[:2] for l in lines if "protocol/64/MIN" in l] \
+            == [["A", "protocol/64/MIN"], ["B", "protocol/64/MIN"]]
+        one = render_diff(diff_manifests({"cells": self.CELLS[:1]},
+                                         {"cells": self.CELLS[:1]}))
+        assert one.splitlines()[1].split()[0] == "cell"
