@@ -99,6 +99,7 @@ from ..runtime import signals
 from ..runtime.retry import RetryPolicy
 from ..runtime.supervisor import Supervisor
 from ..trace.cache import WorkloadTraceCache, workload_cache_key
+from ..trace.columnar import int64_slices
 from ..trace.trace import Trace
 from .sweep import SweepResult
 
@@ -568,9 +569,11 @@ class SweepEngine:
             h = hashlib.sha1()
             h.update(f"{self.trace.name}|{self.trace.num_procs}".encode())
             for arr in (cols.proc, cols.op, cols.addr):
-                arr = np.ascontiguousarray(arr)
+                # Over the int64 values, so the key does not depend on
+                # the dtypes the columns are held in.
                 h.update(str(len(arr)).encode())
-                h.update(memoryview(arr).cast("B"))
+                for part in int64_slices(arr):
+                    h.update(part)
             name = re.sub(r"[^A-Za-z0-9_-]+", "_",
                           self.trace.name or "trace")
             self._trace_key = f"{name}-{h.hexdigest()[:16]}"

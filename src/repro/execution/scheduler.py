@@ -11,7 +11,11 @@ seed, which is the point: the paper switched from execution-driven to
 trace-driven simulation precisely so all protocols see the same interleaved
 trace (section 5.0).  The machine produces that trace once, placing each
 event's processor, opcode and address into three typed buffers that become
-the trace's columns without a copy; the protocol simulators then replay it.
+the trace's columns without a copy: ``proc`` and ``op`` one byte an event,
+``addr`` four (see :mod:`repro.trace.columnar`; the proc buffer takes two
+bytes past 128 threads, and the address buffer is widened to eight bytes,
+once, when a block brings an address outside int32).  The protocol
+simulators then replay it.
 
 Stamped runs and flush blocks
 -----------------------------
@@ -52,7 +56,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import DeadlockError, SimulationError
-from ..trace.columnar import TraceColumns
+from ..trace.columnar import COLUMN_FLOORS, TraceColumns, column_dtype
 from ..trace.events import ACQUIRE, LOAD, RELEASE, STORE
 from ..trace.trace import Trace
 from .ops import BLOCK, MEM, RUN, SYNC
@@ -67,6 +71,7 @@ RunOps = Union[int, np.ndarray]
 FLUSH_EVENTS = 8192
 
 _INT64 = np.dtype(np.int64)
+_INT32 = np.iinfo(np.int32)
 
 
 class Machine:
@@ -234,7 +239,7 @@ class Machine:
         full_meta.setdefault("cycles", cycles)
         full_meta.setdefault("num_procs", self.num_procs)
         trace_columns = TraceColumns(
-            *(np.frombuffer(column, dtype=np.int64)
+            *(np.frombuffer(column, dtype=column.typecode)
               for column in stamped.columns))
         return Trace(trace_columns, self.num_procs, name=name,
                      meta=full_meta, validate=False)
@@ -248,7 +253,12 @@ class _Stamped:
     ``runs`` and emits reference ``i`` at cycle ``first + i``.  Under the
     ``random`` order ``scans`` holds each cycle's shuffle from ``start``
     on.  :meth:`place` moves every event stamped before a cycle into the
-    three column buffers, in (cycle, scan slot) order.
+    three column buffers, in (cycle, scan slot) order.  The buffers hold
+    each column at its floor dtype (int8 ``proc`` — int16 past 128
+    threads — int8 ``op`` and int32 ``addr``, see
+    :data:`~repro.trace.columnar.COLUMN_FLOORS`); the address buffer
+    becomes int64 the first time a block brings an address outside
+    int32.
     """
 
     def __init__(self, width: int, order: str):
@@ -259,7 +269,9 @@ class _Stamped:
         self.singles = array("q")
         self.runs: List[list] = []
         self.scans: List[List[int]] = []
-        self.columns = (array("q"), array("q"), array("q"))
+        self.columns = [
+            array(column_dtype(0, width - 1, COLUMN_FLOORS["proc"]).char),
+            array("b"), array("i")]
         # The last scan grid built: (live list, key, grid).
         self._grid_cache: Optional[tuple] = None
 
@@ -303,7 +315,7 @@ class _Stamped:
                 else np.zeros(hi - lo, dtype=np.int64)
             scan = np.asarray(live)[(first[:, None] + np.arange(nlive))
                                     % nlive]
-        grid = (scan.ravel(),
+        grid = (scan.ravel().astype(self.columns[0].typecode),
                 (scan + np.arange(0, (hi - lo) * width, width)[:, None])
                 .ravel())
         if self.order != "random":
@@ -347,10 +359,15 @@ class _Stamped:
             + np.arange(0, placed * width, width),
             (singles[:, 0] - lo) * width + singles[:, 1]))
         size = (hi - lo) * width
-        op_grid = np.empty(size, dtype=np.int64)
+        op_grid = np.empty(size, dtype=np.int8)
         op_grid[cell] = np.concatenate(op_parts)
-        addr_grid = np.empty(size, dtype=np.int64)
-        addr_grid[cell] = np.concatenate(addr_parts)
+        addrs = np.concatenate(addr_parts)
+        if self.columns[2].typecode == "i" and len(addrs) and (
+                addrs.max() > _INT32.max or addrs.min() < _INT32.min):
+            self.columns[2] = array("q", np.frombuffer(
+                self.columns[2], dtype=np.int32).astype(np.int64).tobytes())
+        addr_grid = np.empty(size, dtype=self.columns[2].typecode)
+        addr_grid[cell] = addrs
         scan_proc, scan_cell = self._scan_grid(lo, hi, live)
         if len(cell) < len(scan_cell):
             # Some live processor skipped a cycle: read only the cells

@@ -239,7 +239,8 @@ def plan_batches(columns, unit_bits: int, num_sets: int = 0,
     """
     if ranges < 1:
         raise ConfigError(f"range count must be positive, got {ranges}")
-    units = columns.addr >> unit_bits
+    # int64: the planner packs its keys into the units in place.
+    units = np.right_shift(columns.addr, unit_bits, dtype=np.int64)
     if num_sets:
         units %= num_sets
     order, ends = _plan_rows(units, columns.data_mask())
@@ -266,11 +267,11 @@ def _plan_rows(units: np.ndarray, select: np.ndarray):
     row), and the offsets into that order of the batch boundaries, from
     0 to the row count.
 
-    ``units`` holds each row's unit id and is consumed: the planner
-    packs its keys into it in place, ``unit << shift | row``, and sorts
-    them.  The order is cut greedily at unit boundaries into batches of
-    at most :data:`BATCH_ROWS` rows (a single larger unit is a batch of
-    its own).  Only the order is kept — 4 bytes a row, the one
+    ``units`` (int64) holds each row's unit id and is consumed: the
+    planner packs its keys into it in place, ``unit << shift | row``,
+    and sorts them.  The order is cut greedily at unit boundaries into
+    batches of at most :data:`BATCH_ROWS` rows (a single larger unit is
+    a batch of its own).  Only the order is kept — 4 bytes a row, the one
     trace-sized array of a plan.
     """
     n = len(units)

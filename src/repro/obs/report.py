@@ -9,10 +9,11 @@ inside it) and prints, for each run,
   result digest; a trace column when the run holds several traces),
 * the critical path of each root span of ``events.jsonl``
   (:mod:`repro.obs.tracing`): where the run's wall time went, as
-  ranked contributors that tile the root, idle gaps included.  A run's
-  root is its ``run`` span; a run recorded before that span existed has
-  one root per ``sweep.run``, and a run without span ids prints its
-  cell table and a note.
+  ranked contributors that tile the root, idle gaps included, one row
+  per (trace, span, target) and a trace column when the path crosses
+  several traces.  A run's root is its ``run`` span; a run recorded
+  before that span existed has one root per ``sweep.run``, and a run
+  without span ids prints its cell table and a note.
 
 Everything is computed over the manifest and event stream — the same
 artifacts the tests validate — so the report doubles as a smoke test
@@ -131,21 +132,27 @@ def run_summary(run_dir: str, *, top: int = 10,
 
 
 def _render_path(path: dict) -> List[str]:
-    """One root's critical path as a ranked contributor table."""
+    """One root's critical path as a ranked contributor table, with a
+    trace column when its contributors lie in more than one trace."""
     what = path["root"] + (f"  {path['target']}" if path["target"] else "")
+    contributors = path["contributors"]
+    by_trace = len({c.get("trace") for c in contributors} - {None}) > 1
     rows = []
-    for i, c in enumerate(path["contributors"], start=1):
+    for i, c in enumerate(contributors, start=1):
         rows.append([
             str(i),
             c["name"] if c["kind"] == "span" else f"(idle under {c['under']})",
+            *([str(c.get("trace") or "-")] if by_trace else []),
             str(c.get("target") or "-"),
             f"{c['dur_s']:.3f}",
             _fmt_num(c.get("self_pct"), "{:.1f}%"),
             str(c["segments"]),
         ])
+    headers = ["#", "what", *(["trace"] if by_trace else []), "target",
+               "dur_s", "self", "segs"]
     return [f"critical path of {what} ({path['path_total_s']:.3f}s over "
             f"a {path['root_dur_s']:.3f}s span):",
-            _table(["#", "what", "target", "dur_s", "self", "segs"], rows)]
+            _table(headers, rows)]
 
 
 def render_summary(summary: dict) -> str:

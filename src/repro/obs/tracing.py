@@ -15,7 +15,9 @@ stream back into structure, for ``repro report``
   gaps between them (queue wait, dispatch, scheduling) — by
   construction the segments tile the root exactly, so the critical
   path's total always equals the root span's duration;
-* :func:`path_contributors` ranks the path's segments by self time.
+* :func:`path_contributors` ranks the path's segments by self time,
+  per trace: each segment carries the trace of the span it lies in (a
+  cell span names only its cell; its trace is its ``sweep.run``'s).
 
 Spans recorded before span ids existed are counted as *untraced*; an
 all-untraced stream is a structured error from :func:`build_tree`, not
@@ -185,11 +187,15 @@ def critical_path(root: SpanNode) -> List[dict]:
     cell/shard/merge spans, with the gaps between them attributed as
     ``(idle)`` time under the enclosing span (queue wait, dispatch,
     scheduling).  The segment durations therefore always sum to the
-    root's duration.
+    root's duration.  Each segment's ``trace`` is the ``trace``
+    attribute of its span or of the nearest enclosing span that has one
+    (a ``sweep.run``), else ``None``.
     """
     segments: List[dict] = []
 
-    def walk(node: SpanNode, lo: float, hi: float) -> None:
+    def walk(node: SpanNode, lo: float, hi: float,
+             trace: Optional[str]) -> None:
+        trace = node.attrs.get("trace", trace)
         chain = _best_chain(node)
         cursor = lo
         for child in chain:
@@ -198,16 +204,17 @@ def critical_path(root: SpanNode) -> List[dict]:
                 segments.append({
                     "kind": "idle", "name": "(idle)",
                     "under": node.name, "target": node.target,
-                    "span_id": None,
+                    "trace": trace, "span_id": None,
                     "start": cursor, "end": c_lo,
                     "dur_s": c_lo - cursor,
                 })
             if child.children:
-                walk(child, c_lo, c_hi)
+                walk(child, c_lo, c_hi, trace)
             else:
                 segments.append({
                     "kind": "span", "name": child.name,
                     "under": node.name, "target": child.target,
+                    "trace": child.attrs.get("trace", trace),
                     "span_id": child.span_id,
                     "start": c_lo, "end": c_hi,
                     "dur_s": c_hi - c_lo,
@@ -217,7 +224,7 @@ def critical_path(root: SpanNode) -> List[dict]:
             segments.append({
                 "kind": "idle", "name": "(idle)",
                 "under": node.name, "target": node.target,
-                "span_id": None,
+                "trace": trace, "span_id": None,
                 "start": cursor, "end": hi,
                 "dur_s": hi - cursor,
             })
@@ -227,10 +234,11 @@ def critical_path(root: SpanNode) -> List[dict]:
         # idle (the trailing-gap branch above would otherwise claim it).
         return [{"kind": "span", "name": root.name,
                  "under": None, "target": root.target,
+                 "trace": root.attrs.get("trace"),
                  "span_id": root.span_id,
                  "start": root.start, "end": root.end,
                  "dur_s": root.dur_s}]
-    walk(root, root.start, root.end)
+    walk(root, root.start, root.end, None)
     return segments
 
 
@@ -238,18 +246,19 @@ def path_contributors(segments: Sequence[dict],
                       total: float) -> List[dict]:
     """Aggregate critical-path segments into ranked contributors.
 
-    Groups by (kind, span name, target); ``self_pct`` is the
-    group's share of the root span's duration.  Sorted largest first.
+    Groups by (kind, span name, trace, target), so one cell of two
+    traces is two rows; ``self_pct`` is the group's share of the root
+    span's duration.  Sorted largest first.
     """
     groups: Dict[Tuple, dict] = {}
     for seg in segments:
         key = (seg["kind"], seg["name"],
                seg.get("under") if seg["kind"] == "idle" else None,
-               seg.get("target"))
+               seg.get("trace"), seg.get("target"))
         entry = groups.setdefault(key, {
             "kind": seg["kind"], "name": seg["name"],
             "under": seg.get("under") if seg["kind"] == "idle" else None,
-            "target": seg.get("target"),
+            "trace": seg.get("trace"), "target": seg.get("target"),
             "dur_s": 0.0, "segments": 0,
         })
         entry["dur_s"] += seg["dur_s"]

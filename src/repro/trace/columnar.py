@@ -1,13 +1,23 @@
 """Columnar (structure-of-arrays) trace core.
 
 A :class:`TraceColumns` holds one interleaved trace as three parallel
-``int64`` NumPy arrays — ``proc``, ``op``, ``addr``.  The on-disk ``.npz``
-format (:mod:`repro.trace.io`) stores the same columns narrowed to the
-smallest unsigned dtype that holds them; loading widens them back here,
-one column at a time.  It is the only storage of a
-:class:`~repro.trace.trace.Trace`: tuple input is encoded once, by
-:meth:`TraceColumns.from_events`, which is also the gate that rejects
-malformed tuples.
+NumPy arrays — ``proc``, ``op``, ``addr`` — each in the narrowest
+*signed* dtype that holds its values, but no narrower than its floor
+(:data:`COLUMN_FLOORS`): ``op`` is int8, ``proc`` int8 (int16 past 128
+processors) and ``addr`` int32 (int64 once an address reaches 2**31).
+A registry trace therefore takes 6 bytes an event in memory.  Signed,
+so that -1 sentinels and differences stay exact.  The dtype is chosen
+once per column: slices, gathers and concatenations keep it.  It is the
+only storage of a :class:`~repro.trace.trace.Trace`: tuple input is
+encoded once, by :meth:`TraceColumns.from_events`, which is also the
+gate that rejects malformed tuples.
+
+The columns are values, not widths: equality, the trace-cache checksum
+pins and the sweep engine's trace key are taken over the values
+(:func:`int64_slices` widens a column a slice at a time for the
+digests).  A consumer that shifts, multiplies or updates a whole column
+in place widens it first; the kernels cast each batch's rows to int64
+(:class:`~repro.kernels.classifiers.KernelContext`).
 
 The columnar form is what makes parameter sweeps cheap (see
 :mod:`repro.analysis.engine`): per-block-size derived columns are single
@@ -24,35 +34,70 @@ import numpy as np
 from ..errors import TraceError
 from .events import ACQUIRE, Event, LOAD, OPS, RELEASE, STORE
 
-#: dtype of all three columns in memory (the ``.npz`` format stores them
-#: narrower and they are widened to this on load).
-COLUMN_DTYPE = np.int64
+#: The narrowest dtype each column is held in; a column whose values do
+#: not fit takes the next wider signed dtype that holds them.
+COLUMN_FLOORS = {"proc": np.dtype(np.int8), "op": np.dtype(np.int8),
+                 "addr": np.dtype(np.int32)}
 
-#: Events per slice when tuples are encoded into columns or decoded back.
+_SIGNED = tuple(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64))
+
+#: Events per slice when tuples are encoded into columns or decoded back,
+#: and when a column is widened for a digest.
 _ENCODE_ROWS = 1 << 14
 
-_INT64 = np.iinfo(COLUMN_DTYPE)
+_INT64 = np.iinfo(np.int64)
+
+
+def column_dtype(lo: int, hi: int, floor: np.dtype) -> np.dtype:
+    """The narrowest signed dtype, no narrower than ``floor``, that holds
+    every value in ``[lo, hi]``."""
+    for dtype in _SIGNED:
+        if dtype.itemsize >= floor.itemsize:
+            info = np.iinfo(dtype)
+            if info.min <= lo and hi <= info.max:
+                return dtype
+    raise TraceError(f"value {hi if hi > _INT64.max else lo} outside int64")
 
 
 def _as_column(values, label: str) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.dtype != COLUMN_DTYPE:
-        arr = arr.astype(COLUMN_DTYPE)
     if arr.ndim != 1:
         raise TraceError(f"{label} column must be one-dimensional, "
                          f"got shape {arr.shape}")
-    return arr
+    floor = COLUMN_FLOORS[label]
+    if arr.dtype == floor:
+        return arr
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.int64)
+    if not len(arr):
+        return arr.astype(floor)
+    dtype = column_dtype(int(arr.min()), int(arr.max()), floor)
+    if arr.dtype.kind == "u" and arr.dtype.itemsize == dtype.itemsize:
+        return arr.view(dtype)  # top bit clear: the same values, no copy
+    return arr.astype(dtype, copy=False)
+
+
+def int64_slices(column: np.ndarray) -> Iterator[memoryview]:
+    """The bytes of ``column`` widened to int64, a slice at a time, so a
+    digest of a trace's values never builds a trace-sized int64 copy."""
+    for lo in range(0, len(column), _ENCODE_ROWS):
+        part = np.ascontiguousarray(column[lo:lo + _ENCODE_ROWS],
+                                    dtype=np.int64)
+        yield memoryview(part).cast("B")
 
 
 class TraceColumns:
-    """Three parallel ``int64`` arrays encoding an interleaved trace.
+    """Three parallel narrow integer arrays encoding an interleaved trace.
 
     Parameters
     ----------
     proc, op, addr:
         Equal-length one-dimensional arrays (anything ``np.asarray``
-        accepts).  Arrays already of dtype int64 are stored by reference
-        (zero-copy); other dtypes are converted.
+        accepts).  Each is held in the narrowest signed dtype, no
+        narrower than its :data:`COLUMN_FLOORS` entry, that holds its
+        values.  An array already of that dtype is stored by reference
+        (zero-copy), and so is an unsigned one of the same width (as a
+        signed view: its top bit is clear); any other is converted.
     """
 
     __slots__ = ("proc", "op", "addr")
@@ -80,13 +125,19 @@ class TraceColumns:
         if not isinstance(events, Sequence):
             events = list(events)
         n = len(events)
-        # Each column gets its own compact buffer, filled a slice of
-        # events at a time, so no trace-sized 3xN temporary is built.
-        columns = [np.empty(n, dtype=COLUMN_DTYPE) for _ in range(3)]
+        # Each column gets its own buffer at its floor dtype, filled a
+        # slice of events at a time and widened when a slice brings a
+        # value it cannot hold, so no trace-sized int64 temporary is built.
+        columns = [np.empty(n, dtype=dtype)
+                   for dtype in COLUMN_FLOORS.values()]
         for lo in range(0, n, _ENCODE_ROWS):
             packed = _encode_chunk(events[lo:lo + _ENCODE_ROWS])
-            for column, values in zip(columns, packed.T):
-                column[lo:lo + len(packed)] = values
+            for i, values in enumerate(packed.T):
+                dtype = column_dtype(int(values.min()), int(values.max()),
+                                     columns[i].dtype)
+                if dtype != columns[i].dtype:
+                    columns[i] = columns[i].astype(dtype)
+                columns[i][lo:lo + len(packed)] = values
         encoded = cls(*columns)
         encoded.validate()
         return encoded
@@ -105,10 +156,18 @@ class TraceColumns:
     def __iter__(self) -> Iterator[Event]:
         return iter(self.to_events())
 
+    @classmethod
+    def _derived(cls, proc, op, addr) -> "TraceColumns":
+        """Columns cut or joined from narrow ones, whose dtypes already
+        hold their values: adopted as they are (a slice stays a view)."""
+        columns = cls.__new__(cls)
+        columns.proc, columns.op, columns.addr = proc, op, addr
+        return columns
+
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return TraceColumns(self.proc[index], self.op[index],
-                                self.addr[index])
+            return self._derived(self.proc[index], self.op[index],
+                                 self.addr[index])
         return (int(self.proc[index]), int(self.op[index]),
                 int(self.addr[index]))
 
@@ -124,14 +183,15 @@ class TraceColumns:
 
     def take(self, indices: np.ndarray) -> "TraceColumns":
         """Gather a subset of rows by index array."""
-        return TraceColumns(self.proc[indices], self.op[indices],
-                            self.addr[indices])
+        return self._derived(self.proc[indices], self.op[indices],
+                             self.addr[indices])
 
     def concat(self, other: "TraceColumns") -> "TraceColumns":
-        """Row-wise concatenation."""
-        return TraceColumns(np.concatenate([self.proc, other.proc]),
-                            np.concatenate([self.op, other.op]),
-                            np.concatenate([self.addr, other.addr]))
+        """Row-wise concatenation (each column in the wider of the two
+        dtypes)."""
+        return self._derived(np.concatenate([self.proc, other.proc]),
+                             np.concatenate([self.op, other.op]),
+                             np.concatenate([self.addr, other.addr]))
 
     # ------------------------------------------------------------------
     # validation
@@ -218,7 +278,7 @@ def _encode_chunk(events: Sequence[Event]) -> np.ndarray:
         _reject_malformed(events)
         # Every field is an in-range integer (e.g. NumPy unsigned scalars
         # mixed with ints, which NumPy infers as float64): encode exactly.
-        packed = np.array(events, dtype=COLUMN_DTYPE)
+        packed = np.array(events, dtype=np.int64)
     return packed
 
 

@@ -11,11 +11,15 @@ NumPy (``.npz``, format 2)
     stored uncompressed.  Each column is written as the narrowest unsigned
     dtype that holds its maximum (``proc`` and ``op`` are uint8, ``addr``
     uint16 or uint32 on every registry trace), so an event takes 4 to 6
-    bytes on disk instead of 24 and a load is a read plus one widening pass to
-    the in-memory int64 columns.  Used to cache generated benchmark traces
-    between experiment runs.  Format-1 files (zlib-compressed int64
-    columns) load through the same reader: the header checksum is taken
-    over the arrays as stored, dtype included, so it verifies either.
+    bytes on disk.  A load adopts each stored column as the in-memory
+    signed column of the same width (a view: its top bit is clear), so
+    uint8 ``proc``/``op`` and uint32 ``addr`` load without a copy; only a
+    column narrower than its in-memory floor (a uint16 ``addr``) or one
+    whose top bit is set is widened (see :mod:`repro.trace.columnar`).
+    Used to cache generated benchmark traces between experiment runs.
+    Format-1 files (zlib-compressed int64 columns) load through the same
+    reader: the header checksum is taken over the arrays as stored, dtype
+    included, so it verifies either.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import List
 import numpy as np
 
 from ..errors import CacheIntegrityError, TraceError, TraceFormatError
-from .columnar import TraceColumns
+from .columnar import TraceColumns, int64_slices
 from .events import Event, op_from_name, op_name
 from .trace import Trace
 
@@ -119,6 +123,19 @@ def _array_checksum(proc: np.ndarray, op: np.ndarray,
     return h.hexdigest()
 
 
+def values_checksum(columns: TraceColumns) -> str:
+    """:func:`_array_checksum` of ``columns`` widened to int64, taken a
+    slice at a time: a digest of the trace's values whatever dtypes hold
+    them (the generated-trace pins are taken with it)."""
+    h = hashlib.sha256()
+    for arr in (columns.proc, columns.op, columns.addr):
+        h.update(b"int64")
+        h.update(str(len(arr)).encode())
+        for part in int64_slices(arr):
+            h.update(part)
+    return h.hexdigest()
+
+
 def _narrow(column: np.ndarray) -> np.ndarray:
     """``column`` as the narrowest unsigned dtype that holds its maximum
     (uint8 when empty)."""
@@ -158,8 +175,10 @@ def save_npz(trace: Trace, path: str) -> None:
 def load_npz(path: str, *, verify_checksum: bool = True) -> Trace:
     """Read the NumPy format (format 2, or format 1) from ``path``.
 
-    The stored checksum is verified over the arrays as stored, which are
-    then widened to the in-memory int64 columns one at a time.  Raises
+    The stored checksum is verified over the arrays as stored, which
+    then become the trace's columns: each is adopted as the signed view
+    of its width, and only one whose top bit is set, or that is narrower
+    than its column's floor, is widened.  Raises
     :class:`~repro.errors.CacheIntegrityError` (a
     :class:`~repro.errors.TraceFormatError` subclass) when the entry is
     truncated, unreadable, or fails its stored content checksum.  Entries

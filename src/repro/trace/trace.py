@@ -5,9 +5,12 @@ number of processors (the paper uses trace-driven simulation precisely so
 that the interleaving is fixed across protocol experiments — section 5.0).
 
 A trace stores its events only as a
-:class:`~repro.trace.columnar.TraceColumns` — three parallel int64 NumPy
-arrays.  Vectorized consumers (the sweep engine, the kernels, I/O,
-statistics) operate on the arrays directly; streaming consumers (the
+:class:`~repro.trace.columnar.TraceColumns` — three parallel NumPy arrays,
+each in the narrowest signed dtype that holds it (int8 ``proc`` and
+``op``, int32 ``addr`` on every registry trace: 6 bytes an event).
+Vectorized consumers (the sweep engine, the kernels, I/O, statistics)
+operate on the arrays directly, widening to int64 where their arithmetic
+could overflow a narrow column; streaming consumers (the
 classifiers' and protocols' interpreters, the validators) iterate
 ``(proc, op, addr)`` tuples decoded one column slice at a time, so a whole
 tuple list is never built.

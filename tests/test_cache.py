@@ -113,12 +113,13 @@ class TestIntegrity:
         from repro.trace.io import _array_checksum
 
         cols = trace.columns()
+        proc, op, addr = (column.astype(np.int64)
+                          for column in (cols.proc, cols.op, cols.addr))
         header = json.dumps({"name": trace.name,
                              "num_procs": trace.num_procs, "meta": {},
-                             "checksum": _array_checksum(cols.proc, cols.op,
-                                                         cols.addr)})
-        np.savez_compressed(path, proc=cols.proc, op=cols.op,
-                            addr=cols.addr, header=np.array(header))
+                             "checksum": _array_checksum(proc, op, addr)})
+        np.savez_compressed(path, proc=proc, op=op, addr=addr,
+                            header=np.array(header))
 
     def test_format1_entry_loads_and_verifies(self, tmp_path, workload):
         trace = workload.generate()

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import TraceError
 from repro.mem.addresses import BlockMap
 from repro.trace import Trace, TraceBuilder
-from repro.trace.columnar import COLUMN_DTYPE, TraceColumns
+from repro.trace.columnar import COLUMN_FLOORS, TraceColumns
 from repro.trace.events import ACQUIRE, LOAD, RELEASE, STORE
 
 EVENTS = [
@@ -42,20 +42,24 @@ class TestTraceColumns:
         empty.validate(1)  # no-op, must not raise
 
     def test_dtype(self, cols):
-        assert cols.proc.dtype == COLUMN_DTYPE
-        assert cols.op.dtype == COLUMN_DTYPE
-        assert cols.addr.dtype == COLUMN_DTYPE
+        assert cols.proc.dtype == COLUMN_FLOORS["proc"] == np.int8
+        assert cols.op.dtype == COLUMN_FLOORS["op"] == np.int8
+        assert cols.addr.dtype == COLUMN_FLOORS["addr"] == np.int32
 
-    def test_int64_arrays_adopted_by_reference(self):
-        proc = np.zeros(3, dtype=np.int64)
-        op = np.zeros(3, dtype=np.int64)
-        addr = np.arange(3, dtype=np.int64)
+    def test_floor_dtype_arrays_adopted_by_reference(self):
+        proc = np.zeros(3, dtype=np.int8)
+        op = np.zeros(3, dtype=np.int8)
+        addr = np.arange(3, dtype=np.int32)
         c = TraceColumns(proc, op, addr)
         assert c.proc is proc and c.op is op and c.addr is addr
+        # An int64 array is held narrow, with the same values.
+        wide = np.arange(3, dtype=np.int64)
+        c = TraceColumns(wide, wide, wide)
+        assert c.addr.dtype == np.int32 and c.addr.tolist() == [0, 1, 2]
 
     def test_other_dtypes_converted(self):
         c = TraceColumns(np.zeros(2, dtype=np.int32), [0, 1], [4, 8])
-        assert c.proc.dtype == COLUMN_DTYPE
+        assert c.proc.dtype == COLUMN_FLOORS["proc"]
         assert c.to_events() == [(0, 0, 4), (0, 1, 8)]
 
     def test_unequal_lengths_rejected(self):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from repro.analysis.engine import SweepEngine
 from repro.errors import TraceError, TraceFormatError
 from repro.trace import Trace, TraceBuilder
-from repro.trace.columnar import TraceColumns
+from repro.trace.columnar import COLUMN_FLOORS, TraceColumns
 from repro.trace.events import OPS
 from repro.trace.io import (
     NPZ_FORMAT,
@@ -196,13 +196,22 @@ def _stored(path):
                 json.loads(str(data["header"])))
 
 
-def _int64_columns(columns):
-    return [columns.proc.dtype, columns.op.dtype,
-            columns.addr.dtype] == [np.int64] * 3
+def _narrowest_columns(columns):
+    """Each (non-negative) column is in the narrowest signed dtype, no
+    narrower than its floor, that holds its maximum."""
+    def narrowest(column, floor):
+        top = int(column.max()) if len(column) else 0
+        return np.promote_types(np.min_scalar_type(-1 - top), floor)
+
+    return all(column.dtype == narrowest(column, COLUMN_FLOORS[name])
+               for name, column in (("proc", columns.proc),
+                                    ("op", columns.op),
+                                    ("addr", columns.addr)))
 
 
 class TestNpzFormatV2:
-    """Format 2: narrow, uncompressed columns widened to int64 on load."""
+    """Format 2: narrow, uncompressed columns, adopted on load as the
+    narrowest signed columns that hold them."""
 
     def test_small_trace_stores_narrow_dtypes(self, trace, tmp_path):
         path = str(tmp_path / "t.npz")
@@ -237,7 +246,7 @@ class TestNpzFormatV2:
         arrays, _ = _stored(path)
         assert (arrays["proc"].dtype, arrays["addr"].dtype) == dtypes
         loaded = load_npz(path).columns()
-        assert loaded == wide.columns() and _int64_columns(loaded)
+        assert loaded == wide.columns() and _narrowest_columns(loaded)
 
     def test_negative_column_is_refused_not_wrapped(self, tmp_path):
         bad = Trace.from_columns(TraceColumns([0], [0], [-1]), 1,
@@ -255,7 +264,7 @@ class TestNpzFormatV2:
                    for a in arrays.values())
         loaded = load_npz(path)
         assert len(loaded) == 0 and loaded.num_procs == 2
-        assert _int64_columns(loaded.columns())
+        assert _narrowest_columns(loaded.columns())
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 600),
@@ -269,8 +278,8 @@ class TestNpzFormatV2:
             path = os.path.join(tmp, "h.npz")
             save_npz(original, path)
             loaded = load_npz(path)
-        assert loaded == original  # num_procs and int64 columns equal
-        assert _int64_columns(loaded.columns())
+        assert loaded == original  # num_procs and column values equal
+        assert _narrowest_columns(loaded.columns())
 
 
 class TestHashesWithoutCopies:
@@ -298,12 +307,13 @@ class TestHashesWithoutCopies:
                     == self._old_array_checksum(*arrays))
 
     def test_trace_key_matches_tobytes(self, trace):
+        # The key is taken over the int64 values of the columns.
         cols = trace.columns()
         h = hashlib.sha1()
         h.update(f"{trace.name}|{trace.num_procs}".encode())
         for arr in (cols.proc, cols.op, cols.addr):
             h.update(str(len(arr)).encode())
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
         assert (SweepEngine(trace).trace_key
                 == f"roundtrip-{h.hexdigest()[:16]}")
 

@@ -485,6 +485,30 @@ class TestOlderRuns:
         assert any(l.startswith("cell ") for l in
                    render_run(one).splitlines())
 
+    def test_critical_path_has_one_row_per_trace_and_cell(self, tmp_path):
+        """One ``run`` root over two traces' sweeps: the same cell of
+        each trace is its own contributor row, named by its trace."""
+        run_dir = _write_run(tmp_path, self.CELLS, [
+            _span("run", 0.0, 3.0, "r"),
+            _span("sweep.run", 0.0, 1.0, "s1", "r", trace="A"),
+            _span("cell.run", 0.2, 0.5, "c1", "s1",
+                  cell=["protocol", 64, "MIN"]),
+            _span("sweep.run", 1.0, 2.0, "s2", "r", trace="B"),
+            _span("cell.run", 1.1, 0.8, "c2", "s2",
+                  cell=["protocol", 64, "MIN"]),
+        ])
+        (path,) = run_summary(run_dir)["critical_paths"]
+        cells = [(c["trace"], c["target"], c["dur_s"])
+                 for c in path["contributors"] if c["name"] == "cell.run"]
+        assert cells == [("B", "protocol/64/MIN", 0.8),
+                         ("A", "protocol/64/MIN", 0.5)]
+        lines = render_run(run_dir).splitlines()
+        header = next(l for l in lines if l.startswith("#"))
+        assert header.split()[:4] == ["#", "what", "trace", "target"]
+        assert [l.split()[1:4] for l in lines if "cell.run" in l] == [
+            ["cell.run", "B", "protocol/64/MIN"],
+            ["cell.run", "A", "protocol/64/MIN"]]
+
     def test_diff_table_names_the_trace_of_each_cell(self):
         a = {"run_id": "a", "cells": self.CELLS}
         b = {"run_id": "b", "cells": [dict(c, duration_s=1.0)

@@ -5,7 +5,7 @@ import pytest
 from repro.classify import DuboisClassifier
 from repro.errors import ConfigError
 from repro.mem import BlockMap
-from repro.trace.io import _array_checksum
+from repro.trace.io import values_checksum
 from repro.trace.validate import check_races, sync_pairs_balanced
 from repro.workloads import FFT, Jacobi, LU, MP3D, MatMul, SOR, Water
 from repro.workloads.registry import (
@@ -256,12 +256,13 @@ class TestWorkloadMeta:
             assert 1.0 <= st.speedup <= tr.num_procs + 1e-9, name
 
 
-#: ``_array_checksum`` of each named workload's generated columns (the
-#: paper-large ones hold 0.1-0.5 GB each and are pinned by the CI job
-#: ``paper-large-traces`` instead).  The values were
-#: recorded when the ``Machine`` still built a tuple list, so they pin the
-#: typed-buffer generation path to the same bytes; a workload, scheduler
-#: or encoding change that moves any event fails here.
+#: ``_array_checksum`` of each named workload's generated columns widened
+#: to int64 (``values_checksum``; the paper-large ones hold 0.1-0.5 GB
+#: each and are pinned by the CI job ``paper-large-traces`` instead).  The
+#: values were recorded when the ``Machine`` still built a tuple list and
+#: held int64 columns, so they pin the narrow typed-buffer generation path
+#: to the same values; a workload, scheduler or encoding change that
+#: moves any event fails here.
 GENERATED_CHECKSUMS = {
     "LU32": "a267744aa1e65c0b3eb892b87da1e0ce912c8136ef4dee14e83d4403bc971837",
     "WATER16": "6bea3dceb9d9e37874e92ae6e2a4c77766afff24b7d71d58b50f917d494e2931",
@@ -297,7 +298,5 @@ GENERATED_CYCLES = {
     "name", [n for n in NAMED_CONFIGS if n not in PAPER_LARGE_SUITE])
 def test_generated_trace_bytes_are_pinned(name):
     trace = make_workload(name).generate()
-    cols = trace.columns()
-    assert (_array_checksum(cols.proc, cols.op, cols.addr)
-            == GENERATED_CHECKSUMS[name])
+    assert values_checksum(trace.columns()) == GENERATED_CHECKSUMS[name]
     assert trace.meta["cycles"] == GENERATED_CYCLES[name]
