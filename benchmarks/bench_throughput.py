@@ -19,7 +19,6 @@ from repro.runtime.resources import peak_rss_bytes
 from repro.classify import (
     DuboisClassifier,
     EggersClassifier,
-    ReferenceDuboisClassifier,
     TorrellasClassifier,
 )
 from repro.mem import BlockMap
@@ -59,10 +58,22 @@ def test_protocol_throughput(benchmark, mp3d200, protocol):
     benchmark.extra_info["max_rss_kb"] = rss_kb
 
 
+#: Minimum vectorized/interpreted speedup per kernel gate.  Each bound is
+#: 5x against the interpreted leg it was set on.  Dubois's interpreted
+#: leg is the Appendix A transliteration, which this gate's interpreted
+#: leg timed r = 1.59x slower (median of 16 alternating pairs) than the
+#: store-epoch streaming classifier the 5x was set against, so its bound
+#: is 5 * r rounded up to 0.1: the same demand on the kernel itself
+#: (EXPERIMENTS.md, "One streaming Dubois classifier").
+KERNEL_SPEEDUP_BOUND = {("classify", "dubois"): 8.0,
+                        ("protocol", "OTF"): 5.0}
+
+
 @pytest.mark.parametrize("kind,which", [("classify", "dubois"),
                                         ("protocol", "OTF")])
 def test_kernel_speedup(benchmark, mp3d1000, kind, which):
-    """Kernel gate: the vectorized cells must deliver >= 5x single-core.
+    """Kernel gate: the vectorized cells must beat the interpreted ones by
+    :data:`KERNEL_SPEEDUP_BOUND`, single-core.
 
     Both legs run the identical engine cell path
     (:class:`SharedPrecompute` at paper scale, MP3D1000/B64) and must
@@ -103,8 +114,9 @@ def test_kernel_speedup(benchmark, mp3d1000, kind, which):
     benchmark.extra_info["events"] = events
     benchmark.extra_info["events_per_sec"] = eps
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    assert speedup >= 5.0, (
-        f"{kind}-{which} kernel speedup {speedup:.2f}x < 5x")
+    bound = KERNEL_SPEEDUP_BOUND[kind, which]
+    assert speedup >= bound, (
+        f"{kind}-{which} kernel speedup {speedup:.2f}x < {bound}x")
 
 
 def test_workload_generation_throughput(benchmark):
@@ -179,8 +191,8 @@ def test_fig5_sweep_end_to_end_speedup(benchmark, tmp_path_factory):
     * **before** — the pre-refactor workflow: generate the trace (every run
       regenerated it; there was no cache), then stream the event tuples
       through the Appendix A transliteration
-      (:class:`ReferenceDuboisClassifier`) once per block size, recomputing
-      the block address per access.
+      (:class:`DuboisClassifier`'s per-event ``access``) once per block
+      size, recomputing the block address per access.
     * **after** — the engine workflow: load the trace from the warm on-disk
       npz cache (generated once, adopted as columns without decoding) and
       run :meth:`SweepEngine.classify_sweep` over the same block sizes:
@@ -200,7 +212,7 @@ def test_fig5_sweep_end_to_end_speedup(benchmark, tmp_path_factory):
         events = trace.events  # the event tuples, decoded once
         breakdowns = []
         for bb in PAPER_BLOCK_SIZES:
-            clf = ReferenceDuboisClassifier(trace.num_procs, BlockMap(bb))
+            clf = DuboisClassifier(trace.num_procs, BlockMap(bb))
             access = clf.access
             for proc, op, addr in events:
                 if op == LOAD or op == STORE:

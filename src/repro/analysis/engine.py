@@ -498,9 +498,6 @@ class SweepEngine:
         :class:`~repro.obs.RunTelemetry` is already active (the CLI's
         command-scoped run), the engine joins it instead of opening a
         nested one.
-    progress:
-        Render the live stderr progress line while a grid runs (only
-        when this engine opened its own telemetry run).
     trace_key:
         Stable identity of the trace for checkpoint keying; defaults to
         the workload's trace-cache key via :meth:`for_workload`, else a
@@ -515,7 +512,6 @@ class SweepEngine:
                  fault_plan: Optional[FaultPlan] = None,
                  shards: Optional[int] = None,
                  telemetry_dir: Optional[str] = None,
-                 progress: bool = False,
                  trace_key: Optional[str] = None,
                  kernel: str = "auto"):
         self.trace = trace
@@ -532,7 +528,6 @@ class SweepEngine:
             raise ConfigError(f"shards must be >= 0, got {shards}")
         self.shards = shards or None  # 0 normalizes to the worker count
         self.telemetry_dir = telemetry_dir
-        self.progress = progress
         self._trace_key = trace_key
         self._precompute: Optional[SharedPrecompute] = None
 
@@ -635,7 +630,7 @@ class SweepEngine:
         events, and a ``manifest.json`` folded from the stream.
         """
         if self.telemetry_dir is not None and current_run() is None:
-            with RunTelemetry(self.telemetry_dir, progress=self.progress,
+            with RunTelemetry(self.telemetry_dir,
                               config=self._telemetry_config()):
                 return self._run_grid(cells)
         return self._run_grid(cells)

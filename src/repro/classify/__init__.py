@@ -10,7 +10,6 @@ from .breakdown import (
 from .compare import ClassificationComparison, compare_classifications
 from .dubois import DuboisClassifier, classify
 from .eggers import EggersClassifier
-from .reference import ReferenceDuboisClassifier
 from .torrellas import TorrellasClassifier
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "DuboisClassifier",
     "EggersClassifier",
     "MissClass",
-    "ReferenceDuboisClassifier",
     "SimpleBreakdown",
     "TorrellasClassifier",
     "classify",

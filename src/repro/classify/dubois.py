@@ -12,9 +12,15 @@ the lifetime it begins*, into
 
 State (following Appendix A): per (block, processor) a Presence flag ``P``,
 an Essential-Miss flag ``EM`` and a First-Reference flag ``FR``; per (word,
-processor) a Communication flag ``C``.  We represent each per-processor flag
-family as an integer bitmask per block/word, which keeps the inner loop
-allocation-free.
+processor) a Communication flag ``C``.  :class:`DuboisClassifier` renders
+the pseudocode line by line: one dictionary per flag family, keyed by block
+(or, for ``C``, word) address and holding that family's per-processor flags
+as an integer bitmask; the block address is recomputed on every access, and
+the C flags of a block are cleared by looping over its words, as the
+pseudocode does.  It is the executable specification that the vectorized
+:func:`~repro.kernels.classifiers.dubois_kernel` is checked against
+(``tests/test_reference.py``, ``tests/test_kernels.py``), so keep it boring:
+clarity and correspondence with the paper beat speed here.
 
 Two places in the paper's Pascal-like pseudocode contain obvious typos that
 we correct (both are forced by the prose definitions in section 2.0):
@@ -39,16 +45,12 @@ from ..errors import TraceError
 from ..mem.addresses import BlockMap
 from ..trace.events import LOAD, STORE
 from ..trace.trace import Trace
-from .breakdown import DuboisBreakdown
+from .breakdown import DuboisBreakdown, MissClass
 from .feed import feed_trace
-
-# Internal count indices (plain ints keep the hot loop off enum hashing),
-# in MissClass order.
-_PC, _CTS, _CFS, _PTS, _PFS = range(5)
 
 
 class DuboisClassifier:
-    """Streaming implementation of the Appendix A algorithm.
+    """Streaming transliteration of the Appendix A algorithm.
 
     Feed data events with :meth:`access` (sync events may be passed to
     :meth:`event`; they are ignored), then call :meth:`finish` once.
@@ -67,25 +69,18 @@ class DuboisClassifier:
         self.num_procs = num_procs
         self.block_map = block_map
 
-        # Per-block state list [P, EM, FR-done, dirty-at-fetch, modified,
-        # clear-seq-per-proc] (the first four are per-processor bitmasks) —
-        # one dict lookup per access instead of one per flag family.
-        #
-        # The C flags are *virtual*: per word we keep the last two stores by
-        # distinct processors as ``(top_proc, top_seq, second_seq)`` where
-        # ``second_seq`` is the newest store by any processor other than
-        # ``top_proc``; per (block, proc) we keep the sequence number of the
-        # processor's last essential access (slot 5 of the state list).  The
-        # C flag of word ``w`` for processor ``p`` is then set iff the
-        # newest store to ``w`` by a processor other than ``p`` is more
-        # recent than ``p``'s last delivery of the block — so setting,
-        # testing and block-wide clearing are all O(1), independent of the
-        # block size (a per-word clear loop dominates at large blocks).
-        self._state: Dict[int, list] = {}
-        self._comm: Dict[int, tuple] = {}
-        self._seq = 0
+        self._all_mask = (1 << num_procs) - 1
+        # Bitmask state, keyed by block address (P/EM/FR/dirty-at-fetch)
+        # or word address (C).  Missing key == all zeros.
+        self._present: Dict[int, int] = {}
+        self._essential: Dict[int, int] = {}
+        self._first_ref_done: Dict[int, int] = {}
+        self._dirty_at_fetch: Dict[int, int] = {}
+        self._comm: Dict[int, int] = {}
+        self._modified: Dict[int, bool] = {}
 
-        self._counts = [0, 0, 0, 0, 0]  # indexed _PC.._PFS
+        self._counts = {MissClass.PC: 0, MissClass.CTS: 0, MissClass.CFS: 0,
+                        MissClass.PTS: 0, MissClass.PFS: 0}
         self._data_refs = 0
         self._finished = False
 
@@ -96,15 +91,12 @@ class DuboisClassifier:
         """Process one data reference (``op`` is LOAD or STORE)."""
         if self._finished:
             raise TraceError("classifier already finished")
-        block = self.block_map.block_of(word_addr)
         if op == LOAD:
             self._data_refs += 1
-            self._seq += 1
-            self._read_action(proc, word_addr, block)
+            self._read_action(proc, word_addr)
         elif op == STORE:
             self._data_refs += 1
-            self._seq += 1
-            self._write_action(proc, word_addr, block)
+            self._write_action(proc, word_addr)
         else:
             raise TraceError(f"access expects LOAD/STORE, got op {op}")
 
@@ -114,115 +106,68 @@ class DuboisClassifier:
             self.access(proc, op, addr)
 
     def feed_data(self, procs, ops, addrs, blocks) -> None:
-        """Fast path: consume pre-decoded, pre-filtered data references.
+        """Consume pre-decoded, pre-filtered data references.
 
-        All four arguments are equal-length sequences of plain ints holding
-        **only LOAD/STORE rows** (the vectorized data-op prefilter of
-        :class:`~repro.trace.columnar.TraceColumns`), with ``blocks`` the
-        precomputed block address of each access (``addr >> shift`` done
-        once, vectorized, instead of per event here).
+        Equal-length sequences of **LOAD/STORE rows only**, as
+        :func:`~repro.classify.feed.feed_trace` passes them; each row goes
+        through :meth:`access`, which recomputes the block address, so
+        ``blocks`` is accepted to match ``feed_trace``'s call and not read.
         """
         if self._finished:
             raise TraceError("classifier already finished")
-        read, write = self._read_action, self._write_action
-        classify = self._classify_mask
-        state, comm = self._state, self._comm
-        base = self._data_refs
-        seq = self._seq
-        n = 0
-        for proc, op, addr, block in zip(procs, ops, addrs, blocks):
-            n += 1
-            seq += 1
-            bit = 1 << proc
-            st = state.get(block)
-            if op == STORE:
-                if st is not None and st[0] & bit:
-                    e = comm.get(addr)
-                    if (e is None
-                            or (e[1] if e[0] != proc else e[2]) <= st[5][proc]):
-                        # The access part of the store is a no-op (hit, no
-                        # pending communication): invalidate + flag inline.
-                        others = st[0] & ~bit
-                        if others:
-                            classify(st, others)
-                            st[0] = bit
-                        if e is None:
-                            comm[addr] = (proc, seq, 0)
-                        elif e[0] != proc:
-                            comm[addr] = (proc, seq, e[1])
-                        else:
-                            comm[addr] = (proc, seq, e[2])
-                        st[4] = True
-                        continue
-                self._seq = seq
-                write(proc, addr, block)
-            else:
-                if st is not None and st[0] & bit:
-                    e = comm.get(addr)
-                    if (e is None
-                            or (e[1] if e[0] != proc else e[2]) <= st[5][proc]):
-                        # Hit with no pending communication: _read_action
-                        # would be a no-op, so skip it (the dominant case).
-                        continue
-                self._seq = seq
-                read(proc, addr, block)
-        self._data_refs = base + n
-        self._seq = seq
+        access = self.access
+        for proc, op, addr in zip(procs, ops, addrs):
+            access(proc, op, addr)
 
     # ------------------------------------------------------------------
     # Appendix A actions
     # ------------------------------------------------------------------
-    def _read_action(self, proc: int, word_addr: int, block: int) -> None:
+    def _read_action(self, proc: int, word_addr: int) -> None:
+        block = self.block_map.block_of(word_addr)
         bit = 1 << proc
-        st = self._state.get(block)
-        if st is None:
-            st = self._state[block] = [0, 0, 0, 0, False,
-                                       [0] * self.num_procs]
-        if not st[0] & bit:
+        present = self._present.get(block, 0)
+        if not present & bit:
             # Miss: a new lifetime starts here.
-            st[0] |= bit
-            st[1] &= ~bit
-            if st[4]:
-                st[3] |= bit
+            self._present[block] = present | bit
+            self._essential[block] = self._essential.get(block, 0) & ~bit
+            if self._modified.get(block, False):
+                self._dirty_at_fetch[block] = \
+                    self._dirty_at_fetch.get(block, 0) | bit
             else:
-                st[3] &= ~bit
-        e = self._comm.get(word_addr)
-        if (e is not None
-                and (e[1] if e[0] != proc else e[2]) > st[5][proc]):
+                self._dirty_at_fetch[block] = \
+                    self._dirty_at_fetch.get(block, 0) & ~bit
+        if self._comm.get(word_addr, 0) & bit:
             # The access touches a value defined by another processor since
             # this processor's last essential miss: the lifetime's miss is
             # essential, and all pending communicated values of the block
-            # are considered delivered (advancing the clear sequence clears
-            # the virtual C flags of every word of the block for ``proc``).
-            st[1] |= bit
-            st[5][proc] = self._seq
+            # are considered delivered (clear C for every word).
+            self._essential[block] = self._essential.get(block, 0) | bit
+            nbit = ~bit
+            for w in self.block_map.words_of(block):
+                cw = self._comm.get(w, 0)
+                if cw & bit:
+                    self._comm[w] = cw & nbit
 
-    def _write_action(self, proc: int, word_addr: int, block: int) -> None:
+    def _write_action(self, proc: int, word_addr: int) -> None:
         # A store is also an access (may start a lifetime / detect sharing).
-        self._read_action(proc, word_addr, block)
+        self._read_action(proc, word_addr)
+        block = self.block_map.block_of(word_addr)
         bit = 1 << proc
-        st = self._state[block]  # always present after the read action
         # The store invalidates every other copy: classify those lifetimes.
-        others = st[0] & ~bit
+        others = self._present.get(block, 0) & ~bit
         if others:
-            self._classify_mask(st, others)
-            st[0] = bit
-        # Flag the new value for all other processors: record this store as
-        # the word's newest, demoting the previous newest-by-another-proc.
-        e = self._comm.get(word_addr)
-        if e is None:
-            self._comm[word_addr] = (proc, self._seq, 0)
-        elif e[0] != proc:
-            self._comm[word_addr] = (proc, self._seq, e[1])
-        else:
-            self._comm[word_addr] = (proc, self._seq, e[2])
-        st[4] = True
+            self._classify_mask(block, others)
+            self._present[block] = bit
+        # Flag the new value for all other processors.
+        self._comm[word_addr] = \
+            self._comm.get(word_addr, 0) | (self._all_mask & ~bit)
+        self._modified[block] = True
 
-    def _classify_mask(self, st: list, mask: int) -> None:
+    def _classify_mask(self, block: int, mask: int) -> None:
         """Classify (and end) the lifetimes of every processor in ``mask``."""
-        first_done = st[2]
-        essential = st[1]
-        dirty = st[3]
+        first_done = self._first_ref_done.get(block, 0)
+        essential = self._essential.get(block, 0)
+        dirty = self._dirty_at_fetch.get(block, 0)
         counts = self._counts
         m = mask
         while m:
@@ -233,17 +178,17 @@ class DuboisClassifier:
                 # refined by whether it communicated (EM) or fetched a
                 # modified-but-unused block (dirty at fetch).
                 if essential & low:
-                    mclass = _CTS
+                    mclass = MissClass.CTS
                 elif dirty & low:
-                    mclass = _CFS
+                    mclass = MissClass.CFS
                 else:
-                    mclass = _PC
+                    mclass = MissClass.PC
             elif essential & low:
-                mclass = _PTS
+                mclass = MissClass.PTS
             else:
-                mclass = _PFS
+                mclass = MissClass.PFS
             counts[mclass] += 1
-        st[2] = first_done | mask
+        self._first_ref_done[block] = first_done | mask
 
     # ------------------------------------------------------------------
     # finishing
@@ -253,13 +198,14 @@ class DuboisClassifier:
         if self._finished:
             raise TraceError("classifier already finished")
         self._finished = True
-        for st in self._state.values():
-            if st[0]:
-                self._classify_mask(st, st[0])
-                st[0] = 0
+        for block, present in self._present.items():
+            if present:
+                self._classify_mask(block, present)
+                self._present[block] = 0
         c = self._counts
-        return DuboisBreakdown(pc=c[_PC], cts=c[_CTS], cfs=c[_CFS],
-                               pts=c[_PTS], pfs=c[_PFS],
+        return DuboisBreakdown(pc=c[MissClass.PC], cts=c[MissClass.CTS],
+                               cfs=c[MissClass.CFS], pts=c[MissClass.PTS],
+                               pfs=c[MissClass.PFS],
                                data_refs=self._data_refs)
 
     # ------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Vectorized kernel registry and execution-path resolution.
 
 A *kernel* computes one grid cell's counters as NumPy reductions over
-columnar rows instead of a per-event Python loop (about 7× on the
-Dubois classifier and 11-15× on OTF, single-core at MP3D1000/B64,
-against the benchmarks' 5× gate; see EXPERIMENTS.md, "Gate readings
-after the stored trajectory was retired").  The streaming
-implementations stay authoritative: they are the differential-test
-oracle — exactly the role ``ReferenceDuboisClassifier`` plays for the
-optimized Dubois classifier — and the ``--kernel interpreted`` path.
+columnar rows instead of a per-event Python loop (about 10× on the
+Dubois classifier, against the Appendix A transliteration, and 10-19×
+on OTF, single-core at MP3D1000/B64, against the benchmarks' 8× and 5×
+gates; see EXPERIMENTS.md, "One streaming Dubois classifier").  The
+streaming implementations stay authoritative: they are the
+differential-test oracle — for the Dubois kernel, the line-by-line
+Appendix A transliteration :class:`~repro.classify.DuboisClassifier`
+itself — and the ``--kernel interpreted`` path.
 
 Resolution contract (``--kernel {auto,vectorized,interpreted}``):
 

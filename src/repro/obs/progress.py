@@ -67,7 +67,6 @@ class ProgressLine:
         self.failed_attempts = 0
         self.resumed = 0
         self.interrupting = False
-        self.last_heartbeat: Optional[float] = None
         self._ema_rate: Optional[float] = None
         self._ema_dur: Optional[float] = None
         self._max_running = 1
@@ -84,10 +83,6 @@ class ProgressLine:
             self._on_event(record)
         elif kind == "span":
             self._on_span(record)
-        elif kind == "metric" and record.get("name") == "worker.heartbeat":
-            # Liveness only — no redraw per beat, just remember we saw it
-            # so the status line can show that workers are alive.
-            self.last_heartbeat = time.monotonic()
 
     def _on_event(self, record: dict) -> None:
         name = record.get("name")

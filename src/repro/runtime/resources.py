@@ -5,9 +5,9 @@ the trace, so a run needs no memory budget: a worker the kernel OOM
 killer does take is classified ``oom`` by :mod:`repro.runtime.policy`
 and retried like any other dead worker.  What is left to govern is disk:
 
-* a **disk budget** (:func:`ensure_free_space`, :func:`dir_size_bytes`)
-  guards the trace cache and checkpoint directories, and
-  :func:`gc_stale_tmp` removes the temp files killed writers leave;
+* a **disk budget** (:func:`ensure_free_space`) guards the trace cache
+  and checkpoint directories, and :func:`gc_stale_tmp` removes the temp
+  files killed writers leave;
 * :func:`parse_size` / :func:`format_size` read and render the
   ``--cache-max-bytes`` quota;
 * :func:`peak_rss_bytes` is the peak-RSS reading workers report as
@@ -21,7 +21,7 @@ import os
 import shutil
 import time
 import warnings
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..errors import ConfigError, ResourceExhaustedError
 
@@ -130,27 +130,6 @@ def ensure_free_space(path: str, needed_bytes: int, *,
             f"{format_size(needed_bytes)} needed, "
             f"{format_size(free)} free",
             kind="disk", limit_bytes=free, needed_bytes=needed_bytes)
-
-
-def dir_size_bytes(directory: str, suffixes: Tuple[str, ...] = ()) -> int:
-    """Total size of the files directly under ``directory``.
-
-    ``suffixes`` filters by file ending (empty: every regular file).
-    Entries that vanish mid-scan (concurrent eviction) are skipped.
-    """
-    total = 0
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return 0
-    for name in names:
-        if suffixes and not name.endswith(suffixes):
-            continue
-        try:
-            total += os.path.getsize(os.path.join(directory, name))
-        except OSError:
-            continue
-    return total
 
 
 #: Default age (seconds) an orphaned ``*.tmp`` file must reach before

@@ -324,23 +324,16 @@ class Supervisor:
 
     # ------------------------------------------------------------------
     def run(self, tasks: Sequence[Any], *,
-            completed: Optional[Dict[Any, Any]] = None,
             on_result: Optional[Callable[[Any, Any], None]] = None) -> List:
         """Run every task, returning results in task order.
 
-        ``completed`` maps already-finished tasks to their results (the
-        checkpoint resume path); those tasks are not re-run and
-        ``on_result`` is not re-fired for them.  ``on_result(task, result)``
-        is invoked once per freshly computed task, in completion order —
-        the journaling hook.
+        ``on_result(task, result)`` is invoked once per computed task, in
+        completion order — the journaling hook.  (Resumed cells never
+        reach here: the engine drops journaled cells before it builds
+        tasks.)
         """
         results: Dict[int, Any] = {}
-        todo: List[_Attempt] = []
-        for idx, task in enumerate(tasks):
-            if completed is not None and task in completed:
-                results[idx] = completed[task]
-            else:
-                todo.append(_Attempt(idx, task))
+        todo = [_Attempt(idx, task) for idx, task in enumerate(tasks)]
         if todo:
             can_fork = "fork" in multiprocessing.get_all_start_methods()
             if len(todo) > 1 and self.jobs > 1 and can_fork:

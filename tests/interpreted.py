@@ -9,9 +9,10 @@ hand-worked expectation pins both the simulator and the kernel.
 :func:`run_finite_checked` does the same for a finite-cache cell, checking
 the finite kernel directly too.
 
-Likewise ``classify_trace`` feeds a classifier through ``feed_data``'s
-inlined fast path; :func:`classify_by_access` and :func:`compare_by_access`
-feed the plain per-event ``access()`` API instead, one event at a time.
+Likewise ``classify_trace`` feeds a classifier through ``feed_data``
+(Eggers' and Torrellas' inlined fast paths); :func:`classify_by_access`
+and :func:`compare_by_access` feed the plain per-event ``access()`` API
+instead, one event at a time.
 """
 
 from repro.analysis.engine import SharedPrecompute

@@ -2,10 +2,11 @@
 
 :class:`ReferenceLifetimeTracker` is the original dict-based tracker, kept
 unchanged as an executable specification of the fetch-snapshot semantics
-(the role :class:`~repro.classify.reference.ReferenceDuboisClassifier` plays
-for the Appendix A classifier).  It stores an explicit version per word and
-a known version per (word, processor), and snapshots a fetch by looping over
-every word of the block.  The production tracker replaces that with
+(the role the Appendix A transliteration
+:class:`~repro.classify.dubois.DuboisClassifier` plays for the vectorized
+Dubois kernel).  It stores an explicit version per word and a known
+version per (word, processor), and snapshots a fetch by looping over every
+word of the block.  The production tracker replaces that with
 per-(block, processor) bitmasks; ``tests/test_tracker_differential.py``
 checks that both agree operation for operation.
 

@@ -22,9 +22,8 @@ from repro.analysis.attribution import (
     attribute_misses,
 )
 from repro.analysis.engine import SharedPrecompute
-from repro.classify import classify
+from repro.classify import DuboisClassifier, classify
 from repro.classify.breakdown import DuboisBreakdown, MissClass
-from repro.classify.reference import ReferenceDuboisClassifier
 from repro.errors import ConfigError
 from repro.kernels import protocols as kernel_protocols
 from repro.mem.addresses import BlockMap
@@ -34,7 +33,7 @@ from repro.trace.trace import Trace
 from repro.workloads.registry import make_workload
 
 
-class RecordingReference(ReferenceDuboisClassifier):
+class RecordingReference(DuboisClassifier):
     """The reference classifier, noting ``(fetch word, class)`` of each
     lifetime in :attr:`ended`, in the order it ends them."""
 

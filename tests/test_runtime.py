@@ -120,24 +120,11 @@ class TestSupervisor:
         sup = Supervisor(lambda x: x * x, jobs=2)
         assert sup.run(list(range(8))) == [x * x for x in range(8)]
 
-    def test_completed_tasks_are_skipped(self):
-        calls = []
-
-        def runner(x):
-            calls.append(x)
-            return x + 10
-
-        sup = Supervisor(runner, jobs=1)
-        out = sup.run([1, 2, 3], completed={2: 99})
-        assert out == [11, 99, 13]
-        assert calls == [1, 3]
-
     def test_on_result_fires_per_fresh_task(self):
         seen = []
         sup = Supervisor(lambda x: x + 1, jobs=1)
-        sup.run([5, 6], completed={5: 0},
-                on_result=lambda task, res: seen.append((task, res)))
-        assert seen == [(6, 7)]
+        sup.run([5, 6], on_result=lambda task, res: seen.append((task, res)))
+        assert seen == [(5, 6), (6, 7)]
 
     def test_serial_retries_then_raises_with_partials(self):
         plan = FaultPlan(raises={1: 99})  # task index 1 always fails
