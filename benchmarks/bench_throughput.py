@@ -64,13 +64,16 @@ def test_protocol_throughput(benchmark, mp3d200, protocol):
 #: leg timed r = 1.59x slower (median of 16 alternating pairs) than the
 #: store-epoch streaming classifier the 5x was set against, so its bound
 #: is 5 * r rounded up to 0.1: the same demand on the kernel itself
-#: (EXPERIMENTS.md, "One streaming Dubois classifier").
+#: (EXPERIMENTS.md, "One streaming Dubois classifier").  MAX and SD join
+#: at OTF's 5x; they read 15.6-22.2x and 6.6-9.0x over six runs
+#: (EXPERIMENTS.md, "MAX as a queue").
 KERNEL_SPEEDUP_BOUND = {("classify", "dubois"): 8.0,
-                        ("protocol", "OTF"): 5.0}
+                        ("protocol", "OTF"): 5.0,
+                        ("protocol", "MAX"): 5.0,
+                        ("protocol", "SD"): 5.0}
 
 
-@pytest.mark.parametrize("kind,which", [("classify", "dubois"),
-                                        ("protocol", "OTF")])
+@pytest.mark.parametrize("kind,which", sorted(KERNEL_SPEEDUP_BOUND))
 def test_kernel_speedup(benchmark, mp3d1000, kind, which):
     """Kernel gate: the vectorized cells must beat the interpreted ones by
     :data:`KERNEL_SPEEDUP_BOUND`, single-core.

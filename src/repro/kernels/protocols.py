@@ -45,9 +45,17 @@ cut from :meth:`_BlockView.block_runs` into pieces of one (writer,
 deadline).  A gap can miss only if a piece arrives in it or an earlier
 piece of the group has a deadline past a (a segmented running max); a
 gap whose only pieces expire by a' misses and burns them without
-touching the rest.  Only the other contested gaps run the one
-sequential loop, an earliest-deadline heap per group: O(misses +
-pieces), not O(rows).
+touching the rest.  Over the other, *contested* gaps the rule is
+earliest-deadline-first: each access spends one pending token, and
+every token that is due is spent at once.  So q misses exactly where a
+token is pending or due, and ``invalidations_sent`` is the tokens
+released less those still pending after the group's last access.  The
+pending count is a queue whose service at an access is ``max(u, 1)``
+for the ``u`` tokens due there — a cumulative sum less its running
+minimum (:func:`_lindley`).  Bounds fix that service at most gaps
+(:func:`_max_pending`); only the busy stretches that hold a *hard* gap,
+where they do not, are walked earliest-deadline-first with a heap of
+expiries (:func:`_due_in_order`), up to their last hard gap.
 
 SD and SRD first resolve when each store is performed
 (:class:`_Performs`), once per batch and block size: the first of the
@@ -160,7 +168,7 @@ from .classifiers import (KernelContext, SyncTable, _Heartbeat,
                           lifetime_breakdown)
 from .finite import finite_kernel
 from .segments import (essential_chain, event_runs, next_run,
-                       remote_store_before)
+                       pack_order, remote_store_before)
 
 __all__ = ["BATCH_ROWS", "BatchPlan", "plan_batches", "run_kernel_cells",
            "merge_parts",
@@ -757,10 +765,12 @@ def max_kernel(ctx: KernelContext, block_map, *,
                trace_name: str) -> ProtocolResult:
     """MAX (the adversary's invalidation schedule) over one batch.
 
-    Reads the trace's releases (:func:`_flush_keys`).  The
-    module docstring derives the per-group rules: deadlines, gaps,
-    pieces and the earliest-deadline loop over the contested gaps, which
-    is a cancellation point every ``HEARTBEAT_CHUNK`` of them.
+    Reads the trace's releases (:func:`_flush_keys`).  The module
+    docstring derives the per-group rules: deadlines, gaps, pieces, and
+    the pending-token count of the contested gaps, a queue whose service
+    is one token per access, or every due token at once
+    (:func:`_max_pending`).  Every phase is a cancellation point, and
+    the earliest-deadline pass one every ``HEARTBEAT_CHUNK`` gaps.
     """
     hb = _Heartbeat(ctx.n)
     n = ctx.n
@@ -807,17 +817,12 @@ def max_kernel(ctx: KernelContext, block_map, *,
                         minlength=len(gap)).astype(np.int64)
     live = ~expired
     pgap, pdeadline, pcount = pgap[live], pdeadline[live], pcount[live]
-    # Tokens of one deadline are interchangeable: one heap entry each
-    # per gap.
-    key = pgap * (n + 1) + pdeadline
-    key, inverse = np.unique(key, return_inverse=True)
-    pcount = np.bincount(inverse.reshape(-1), weights=pcount).astype(np.int64)
-    pgap, pdeadline = np.divmod(key, n + 1)
     hb.phase()
 
     # Contested gaps: a live piece arrives, or an earlier one of the
     # group has a deadline past the previous access (a segmented running
-    # max).  The rest hit, or only burn their own expired pieces.
+    # max).  The rest hold no token: they hit, or only burn their own
+    # expired pieces.
     latest = np.full(len(gap), -1, dtype=np.int64)
     if len(pgap):
         heads = np.flatnonzero(np.append(True, pgap[1:] != pgap[:-1]))
@@ -836,41 +841,37 @@ def max_kernel(ctx: KernelContext, block_map, *,
     contested = np.flatnonzero(contested)
     hb.phase()
 
-    missed = []
-    heap = []
-    group = -1
-    deadlines, tokens = pdeadline.tolist(), pcount.tolist()
-    lo_piece = np.searchsorted(pgap, contested).tolist()
-    hi_piece = np.searchsorted(pgap, contested, "right").tolist()
-    gids = gid_sorted[gap[contested]].tolist()
-    rows = at[contested].tolist()
-    burnt = burnt[contested].tolist()
-    step = signals.HEARTBEAT_CHUNK
-    for start in range(0, len(contested), step):
-        hb.pulse()
-        for k in range(start, min(start + step, len(contested))):
-            if gids[k] != group:
-                group = gids[k]
-                heap = []
-            for p in range(lo_piece[k], hi_piece[k]):
-                heapq.heappush(heap, [deadlines[p], tokens[p]])
-            row = rows[k]
-            spent = burnt[k]
-            while heap and heap[0][0] <= row:  # expired: all land now
-                spent += heapq.heappop(heap)[1]
-            if not spent:
-                if not heap:
-                    continue
-                spent = 1  # the earliest deadline, saving the rest
-                top = heap[0]
-                top[1] -= 1
-                if not top[1]:
-                    heapq.heappop(heap)
-            kills += spent
-            missed.append(k)
+    # Each live piece's tokens arrive at a contested gap and fall due at
+    # the group's first access at or past their deadline (every gap in
+    # between is contested), or never.
+    m = len(contested)
+    cgid = gid_sorted[gap[contested]].astype(np.int64)
+    r = np.searchsorted(contested, pgap)
+    due = np.searchsorted(cgid * (n + 1) + at[contested],
+                          cgid[r] * (n + 1) + pdeadline)
+    if m:
+        due[cgid[np.minimum(due, m - 1)] != cgid[r]] = m
+    brn = burnt[contested]
+    arrive = np.bincount(r, weights=pcount, minlength=m).astype(np.int64)
+    arrive += brn
+    closing = due < m
+    expire = np.bincount(due[closing], weights=pcount[closing],
+                         minlength=m).astype(np.int64)
+    expire += brn
+    # The queue starts empty at each group's first contested gap and
+    # after every gap that is not contested.
+    start = np.ones(m, dtype=bool)
+    start[1:] = ((contested[1:] != contested[:-1] + 1)
+                 | (cgid[1:] != cgid[:-1]))
+    hb.phase()
+
+    pending = _max_pending(r, due, pcount, arrive, expire, brn, start, hb)
+    missed = contested[_held(pending, start) + arrive > 0]
+    ends = np.append(start[1:], True)[:m]
+    kills += int(arrive.sum() - pending[ends].sum())
     miss = newg.copy()
     miss[gap[burns]] = True
-    miss[gap[contested[missed]]] = True
+    miss[gap[missed]] = True
     hb.phase()
 
     newest = _newest_as_of_fetch(view, miss)
@@ -882,6 +883,127 @@ def max_kernel(ctx: KernelContext, block_map, *,
                         invalidations_sent=kills)
     hb.finish()
     return _result("MAX", ctx, block_map, trace_name, life, counters)
+
+
+def _due_in_order(gaps, cut, r, due, tokens, burnt, hb) -> np.ndarray:
+    """The tokens due at each of ``gaps`` (runs of gaps, in order, each
+    from the start of a stretch: ``cut`` marks where one starts empty),
+    from one earliest-deadline pass: each access spends every due
+    token, else one expiring first.  Tokens of one expiry are
+    interchangeable, so the heap holds expiries and ``left`` their
+    pending counts.  A cancellation point every ``HEARTBEAT_CHUNK``
+    gaps."""
+    arriving = np.zeros(len(cut), dtype=bool)
+    arriving[gaps] = True
+    arriving = arriving[r]
+    r = r[arriving]
+    first = np.searchsorted(r, gaps).tolist()
+    last = np.searchsorted(r, gaps, "right").tolist()
+    expiry, count = due[arriving].tolist(), tokens[arriving].tolist()
+    fresh, burnt = cut[gaps].tolist(), burnt[gaps].tolist()
+    ks = gaps.tolist()
+    out = [0] * len(ks)
+    left = [0] * (len(cut) + 1)
+    heap = []
+    step = signals.HEARTBEAT_CHUNK
+    for lo in range(0, len(ks), step):
+        hb.pulse()
+        for j in range(lo, min(lo + step, len(ks))):
+            if fresh[j]:
+                for e in heap:
+                    left[e] = 0
+                heap = []
+            for p in range(first[j], last[j]):
+                e = expiry[p]
+                if not left[e]:
+                    heapq.heappush(heap, e)
+                left[e] += count[p]
+            k = ks[j]
+            u = burnt[j]
+            while heap and heap[0] <= k:  # expired: all land now
+                u += left[heap[0]]
+                left[heapq.heappop(heap)] = 0
+            if u:
+                out[j] = u
+            elif heap:  # the earliest expiry, saving the rest
+                e = heap[0]
+                left[e] -= 1
+                if not left[e]:
+                    heapq.heappop(heap)
+    return np.array(out, dtype=np.int64)
+
+
+def _held(pending: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The queue before each access: the previous access's count, 0 at
+    a segment start."""
+    held = np.zeros(len(pending), dtype=np.int64)
+    held[1:] = pending[:-1]
+    held[start] = 0
+    return held
+
+
+def _lindley(step: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """``q[j] = max(q[j - 1] + step[j], 0)``, from 0 before each segment
+    (``start`` marks its first item): the segment's cumulative sum less
+    its running minimum, floored at 0."""
+    if not len(step):
+        return step.copy()
+    csum = np.cumsum(step)
+    offset = np.where(start, csum - step, 0)
+    csum -= offset[np.maximum.accumulate(
+        np.where(start, np.arange(len(step)), 0))]
+    # One running minimum over every segment: segment s is lowered by s
+    # times more than any sum spans, so no earlier one reaches it.
+    lift = np.cumsum(start) * (2 * int(np.abs(csum).max()) + 2)
+    low = np.minimum.accumulate(np.minimum(csum, 0) - lift) + lift
+    return csum - low
+
+
+def _max_pending(r, due, tokens, arrive, expire, burnt, start, hb):
+    """Per contested gap, the tokens still pending after its access.
+
+    The pending count is a queue (:func:`_lindley`) whose service at an
+    access is ``max(u, 1)`` for the ``u`` tokens due there: every due
+    token, else one.  Bounds fix that service almost everywhere: ``u``
+    is at least the tokens burnt at the access, and at most both the
+    tokens expiring there and the pending count under the least service
+    plus the burnt ones.  Where the two meet, or neither passes 1, the
+    service is known.  The other, *hard* gaps take their due counts from
+    one earliest-deadline pass (:func:`_due_in_order`) over the busy
+    stretches that hold them, up to each one's last hard gap; a stretch
+    starts where even the least service empties the queue.
+
+    ``r``/``due``/``tokens``: the pieces (arrival gap, expiry gap or
+    ``m`` for never, token count), in arrival order;
+    ``arrive``/``expire``/``burnt``: per gap, the tokens arriving,
+    expiring (burnt included) and burnt there; ``start`` marks where
+    the queue starts empty.
+    """
+    floor = np.maximum(burnt - 1, 0)               # the least extra service
+    most = _lindley(arrive - 1 - floor, start)
+    held = _held(most, start)
+    hard = np.minimum(expire, held + burnt) > np.maximum(burnt, 1)
+    if not hard.any():
+        return most
+    cut = start.copy()
+    cut[1:] |= (held + arrive == 0)[:-1]
+    stretch = np.cumsum(cut) - 1
+    # Past a stretch's last hard gap the bounds hold again: the pass
+    # stops there.
+    hard = np.flatnonzero(hard)
+    hs = stretch[hard]
+    tail = np.append(hs[1:] != hs[:-1], True)
+    last = np.full(stretch[-1] + 1, -1)
+    last[hs[tail]] = hard[tail]
+    last = last[stretch]
+    gaps = np.flatnonzero(np.arange(len(cut)) <= last)
+    hb.phase()
+    floor[gaps] = np.maximum(
+        _due_in_order(gaps, cut, r, due, tokens, burnt, hb) - 1, 0)
+    # Only the walked stretches change.
+    walked = last >= 0
+    most[walked] = _lindley((arrive - 1 - floor)[walked], cut[walked])
+    return most
 
 
 # ----------------------------------------------------------------------
@@ -923,15 +1045,17 @@ class _Performs:
         # pass decides them all.
         runs, _ = view.block_runs()
         skey = self.row_key[runs.row]
-        cand_keys, cand = np.unique(
-            runs.unit.astype(np.int64) * self.stride + _flush_keys(view),
-            return_inverse=True)
-        cand = cand.reshape(-1)
-        cblock, cflush = np.divmod(cand_keys, self.stride)
-        by_cand = np.argsort(cand, kind="stable")
-        sizes = np.bincount(cand, minlength=len(cand_keys))
-        stops = np.cumsum(sizes)
-        starts = stops - sizes
+        # One packed sort groups the stores by candidate, in store order.
+        keys = runs.unit.astype(np.int64) * self.stride + _flush_keys(view)
+        by_cand, keys = pack_order(keys, int(keys.max()) if len(keys) else 0)
+        head = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        stops = np.append(starts[1:], len(keys))[:len(starts)]
+        cand = np.empty(len(keys), dtype=np.int64)
+        cand[by_cand] = np.cumsum(head) - 1
+        cblock, cflush = np.divmod(keys[starts].astype(np.int64),
+                                   self.stride)
         cwriter = runs.proc[by_cand[starts]]
         grouped = skey[by_cand]
         hb.phase()
@@ -940,12 +1064,13 @@ class _Performs:
                             grouped[stops - 1].tolist(),
                             cflush.tolist(), past, hb)
         immediate = skey < cut[cand]
-        buffered = np.bincount(cand[~immediate], minlength=len(cand_keys))
+        buffered = np.bincount(cand[~immediate], minlength=len(starts))
         flushed = np.flatnonzero(buffered)
         self.stores_buffered = int(buffered.sum())
         self.flushes = len(flushed)
-        fblock = cblock[flushed]
-        self.flushed_blocks = len(np.unique(fblock))
+        fblock = cblock[flushed]  # sorted, as the candidates are
+        self.flushed_blocks = int(np.count_nonzero(fblock[1:] != fblock[:-1])
+                                  + (len(fblock) > 0))
         hb.phase()
 
         # The perform events, per block and per word, in key order.
@@ -955,9 +1080,17 @@ class _Performs:
             np.append(runs.proc[immediate], cwriter[flushed]))
         bunit, bkey, bproc, _ = self._blocks
         self.runs = event_runs(bkey, bunit, bproc.astype(np.int16))
-        pairs = np.unique(cand[~immediate] * ctx.num_words
-                          + ctx.wid[runs.row[~immediate]])
-        pcand, pword = np.divmod(pairs, ctx.num_words)
+        # Each block's first perform, past every key if none.
+        self._first = np.full(view.num_blocks, past, dtype=np.int64)
+        head = np.flatnonzero(np.append(True, bunit[1:] != bunit[:-1])) \
+            if len(bunit) else bunit
+        self._first[bunit[head]] = bkey[head]
+        pairs = (cand[~immediate] * ctx.num_words
+                 + ctx.wid[runs.row[~immediate]])
+        _, pairs = pack_order(pairs, len(starts) * ctx.num_words)
+        pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])] \
+            if len(pairs) else pairs
+        pcand, pword = np.divmod(pairs.astype(np.int64), ctx.num_words)
         self._words = self._sorted(
             np.append(ctx.wid[runs.row[immediate]], pword),
             np.append(skey[immediate], cflush[pcand]),
@@ -968,9 +1101,10 @@ class _Performs:
         """``(unit, key, proc)`` of events ordered by (unit, key), plus
         their ``unit * stride + key`` search keys."""
         keys = unit.astype(np.int64) * self.stride + key
-        order = np.argsort(keys)
+        order, keys = pack_order(keys, int(keys.max()) if len(keys) else 0)
         return (unit.astype(np.int64)[order], key[order],
-                proc.astype(np.int64)[order], keys[order])
+                proc.astype(np.int64)[order],
+                keys.astype(np.int64, copy=False))
 
     @staticmethod
     def _resolve(block, writer, first, last, flush, past, hb):
@@ -1005,11 +1139,7 @@ class _Performs:
 
     def any_before(self, bid, key) -> np.ndarray:
         """Whether some perform to the block precedes ``key``."""
-        bunit, _, _, keys = self._blocks
-        if not len(keys):
-            return np.zeros(len(bid), dtype=bool)
-        k = np.searchsorted(keys, bid * self.stride + key) - 1
-        return (k >= 0) & (bunit[np.maximum(k, 0)] == bid)
+        return self._first[bid] < key
 
     def remote_after(self, bid, proc, key):
         """First perform to the block after ``key`` by another writer

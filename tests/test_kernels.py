@@ -107,6 +107,19 @@ class TestDifferentialWorkloads:
                 got = kernel(ctx, bm, trace_name=trace.name)
                 assert got == expected, (workload, bb, name)
 
+    @pytest.mark.parametrize("workload", ("LU32", "MP3D200", "WATER16"))
+    @pytest.mark.parametrize("name", ("MAX", "SD", "SRD"))
+    def test_delayed_kernels_match_oracles_at_1024(self, workload, name):
+        """The deepest MAX schedules: at B=1024 LU32's groups hold up to
+        630 earliest-deadline entries, none in deadline order, and
+        MP3D200's up to 45."""
+        trace = family_trace(workload)
+        bm = BlockMap(1024)
+        expected = make_protocol(name, trace.num_procs, bm).run(trace)
+        got = PROTOCOL_KERNELS[name](kernel_context(trace), bm,
+                                     trace_name=trace.name)
+        assert got == expected, (workload, name)
+
 
 # ----------------------------------------------------------------------
 # hypothesis: random traces (sync included), arbitrary range cuts
@@ -612,6 +625,57 @@ def test_sync_dense_traces_match_oracles(trace, batch_rows, shards):
         _batched_matches_oracles(trace, SYNC_CELLS, shards)
 
 
+@st.composite
+def deadline_stress_traces(draw):
+    """One reader (P0) re-reads a block while two or three writers
+    store bursts to it and interleave their releases, so a later store
+    can carry an earlier deadline: several out-of-order deadline classes
+    pend at once.  The reader acquires now and then (SRD)."""
+    writers = draw(st.integers(2, 3))
+    writer = st.integers(1, writers)
+    word = st.integers(0, 3)
+    events = []
+    for _ in range(draw(st.integers(4, 40))):
+        kind = draw(st.sampled_from(("read", "read", "burst", "release",
+                                     "acquire")))
+        if kind == "read":
+            events.append((0, LOAD, draw(word)))
+        elif kind == "burst":
+            w = draw(writer)
+            events.extend((w, STORE, draw(word))
+                          for _ in range(draw(st.integers(1, 4))))
+        elif kind == "release":
+            events.append((draw(writer), RELEASE, 99))
+        else:
+            events.append((0, ACQUIRE, 99))
+    return Trace(events, writers + 1, validate=False)
+
+
+#: MAX and the delayed schedules over one block (B=16) and two (B=8).
+STRESS_CELLS = [("protocol", bb, name) for bb in (8, 16)
+                for name in ("MAX", "SD", "SRD")]
+
+
+@given(deadline_stress_traces())
+@settings(max_examples=80, deadline=None)
+def test_deadline_stress_traces_match_oracles(trace):
+    ctx = kernel_context(trace)
+    for _, bb, name in STRESS_CELLS:
+        bm = BlockMap(bb)
+        got = PROTOCOL_KERNELS[name](ctx, bm, trace_name="<anonymous>")
+        assert got == make_protocol(name, trace.num_procs,
+                                    bm).run(trace), (bb, name)
+
+
+@given(deadline_stress_traces(), st.sampled_from((1, 2, 3, 7)),
+       st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_deadline_stress_traces_in_tiny_batches(trace, batch_rows, shards):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_protocols, "BATCH_ROWS", batch_rows)
+        _batched_matches_oracles(trace, STRESS_CELLS, shards)
+
+
 def test_sd_and_srd_share_one_perform_resolution(monkeypatch):
     """One pass builds one perform resolution per (batch, block size),
     whichever of SD and SRD asks first, and dropping the block size's
@@ -987,31 +1051,64 @@ class TestHeartbeat:
         assert len(ticks) >= 2  # ticked *during* the cell, not once at end
 
     def test_max_cell_ticks_its_rows_in_chunks(self, monkeypatch):
-        """A batched MAX cell credits exactly its row count in slices of
-        at most HEARTBEAT_CHUNK, and its earliest-deadline loop is a
-        cancellation point every HEARTBEAT_CHUNK contested gaps."""
-        from repro.kernels import classifiers
-
+        """A batched MAX cell credits exactly its row count, in slices of
+        at most HEARTBEAT_CHUNK."""
         trace = family_trace("MP3D200")
         rows = len(trace.columns().data_only())
-        ticks, pulses = [], []
+        ticks = []
         orig = signals.note_progress
         monkeypatch.setattr(signals, "note_progress",
                             lambda n=1: (ticks.append(n), orig(n)))
-        run_kernel_cells(trace.columns(), trace.num_procs,
-                         [("protocol", 64, "MAX")], trace_name=trace.name)
-        assert sum(ticks) == rows
-        assert max(ticks) <= signals.HEARTBEAT_CHUNK
+        for chunk in (signals.HEARTBEAT_CHUNK, 64):
+            monkeypatch.setattr(signals, "HEARTBEAT_CHUNK", chunk)
+            ticks.clear()
+            run_kernel_cells(trace.columns(), trace.num_procs,
+                             [("protocol", 1024, "MAX")],
+                             trace_name=trace.name)
+            assert sum(ticks) == rows
+            assert max(ticks) <= chunk
 
+    def test_max_cell_pulses_every_chunk_of_its_pass(self, monkeypatch):
+        """MAX's earliest-deadline pass over its hard stretches is a
+        cancellation point every HEARTBEAT_CHUNK gaps it walks, and a
+        shutdown that lands inside it stops the cell."""
+        from repro.kernels import classifiers
+        from repro.runtime.signals import SweepInterrupted
+
+        trace = family_trace("MP3D200")
+        cells = [("protocol", 1024, "MAX")]
         monkeypatch.setattr(signals, "HEARTBEAT_CHUNK", 64)
-        monkeypatch.setattr(classifiers._Heartbeat, "pulse",
-                            lambda self: pulses.append(1))
-        ticks.clear()
-        run_kernel_cells(trace.columns(), trace.num_procs,
-                         [("protocol", 64, "MAX")], trace_name=trace.name)
-        assert sum(ticks) == rows
-        assert max(ticks) <= 64
-        assert len(pulses) > rows // (64 * 64)
+        walked, inside, pulses = [], [], []
+        orig = kernel_protocols._due_in_order
+
+        def walk(gaps, *args):
+            walked.append(len(gaps))
+            inside.append(1)
+            try:
+                return orig(gaps, *args)
+            finally:
+                inside.pop()
+
+        def pulse(self):
+            if inside:  # other phases pulse too
+                pulses.append(1)
+                if stop_after and len(pulses) > stop_after:
+                    raise SweepInterrupted("sweep interrupted")
+
+        monkeypatch.setattr(kernel_protocols, "_due_in_order", walk)
+        monkeypatch.setattr(classifiers._Heartbeat, "pulse", pulse)
+        stop_after = 0
+        run_kernel_cells(trace.columns(), trace.num_procs, cells,
+                         trace_name=trace.name)
+        assert sum(walked) > 64 * 8
+        assert len(pulses) == sum(-(-w // 64) for w in walked)
+
+        pulses.clear()
+        stop_after = 3
+        with pytest.raises(SweepInterrupted):
+            run_kernel_cells(trace.columns(), trace.num_procs, cells,
+                             trace_name=trace.name)
+        assert len(pulses) == 4
 
     def test_sd_candidate_loop_pulses_every_chunk(self, monkeypatch):
         """The perform timeline's one loop, over candidate flushes, is a
